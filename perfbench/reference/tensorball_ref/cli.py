@@ -1,0 +1,593 @@
+"""Command-line front end: every experiment behind one reproducible binary.
+
+Each subcommand resolves its flags into a plain config dict, hashes
+{subcommand, config, seed, version} into a manifest hash that is stamped on
+every CSV it writes, then drops a JSON run manifest next to the artifacts.
+``--replay <manifest.json>`` re-runs the stored config and reproduces the
+CSVs byte for byte (single-batch mode).
+
+Exit codes: 0 success, 1 usage error, 2 validation/configuration error,
+3 numerical degeneracy, 4 selftest failure.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import math
+import os
+import sys
+import time
+
+import numpy as np
+
+from . import __version__
+from .decomposition import (
+    Rank1Terms,
+    decompose_smoothed,
+    fold_higher_order,
+    match_components,
+    unfold_terms,
+)
+from .distributions import DistributionSpec, matched_cube
+from .errors import (
+    ConfigurationError,
+    DataSparsityError,
+    DegeneracyError,
+    RangeError,
+    ResourceError,
+    UsageError,
+    ValidationError,
+)
+from .exact_laws import (
+    BoundConfig,
+    bound_carbery_wright,
+    bound_concentration_subgaussian,
+    bound_fixed_subspace,
+    bound_generic_subspace,
+    bound_nondeterministic,
+    bound_single_direction,
+    bound_smin_tail,
+    product_uniform_cdf,
+    product_uniform_smallball,
+    sharpness_lower_bound,
+)
+from .khatri_rao import (
+    SmoothedEnsemble,
+    pinv_hs_norm_sq,
+    projection_distance_sum,
+    smin_tail_experiment,
+)
+from .montecarlo import (
+    ExperimentConfig,
+    SlabBody,
+    curve_csv_bytes,
+    dominance_test,
+    estimate_direction_smallball,
+    estimate_smallball,
+    git_blob_hash,
+    norm_concentration,
+)
+from .subspaces import (
+    SubspaceBasis,
+    coordinate_line_subspace,
+    diagonal_direction,
+    haar_subspace,
+)
+
+_DIST_KINDS = {
+    "cube": "uniform-cube-sqrt3",
+    "cube-unit": "uniform-cube-unit",
+    "gauss": "gaussian-std",
+    "laplace": "symmetric-exponential-unitvar",
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse that reports bad usage as an exception instead of exiting."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _parse_trials(text: str) -> int:
+    try:
+        return int(float(text))
+    except ValueError as exc:
+        raise UsageError(f"bad trial count {text!r}") from exc
+
+
+def _parse_grid(text: str, log: bool = True) -> tuple[float, ...]:
+    """start:end:count, log-spaced by default, returned sorted decreasing."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise UsageError(f"grid {text!r} is not start:end:count")
+    try:
+        start, end, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise UsageError(f"grid {text!r} is not start:end:count") from exc
+    if count < 2 or start <= 0 or end <= 0 or start == end:
+        raise UsageError(f"grid {text!r} needs two distinct positive endpoints and count >= 2")
+    vals = np.geomspace(start, end, count) if log else np.linspace(start, end, count)
+    return tuple(sorted((float(v) for v in vals), reverse=True))
+
+
+def _aux_rng(seed: int, stream: int) -> np.random.Generator:
+    # spawn keys of length 2 cannot collide with the length-1 batch keys
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2**32, stream)))
+
+
+def _manifest_hash(subcommand: str, config: dict, seed: int) -> str:
+    canon = json.dumps(
+        {"subcommand": subcommand, "config": config, "seed": seed, "version": __version__},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return git_blob_hash(canon.encode())
+
+
+def _write_manifest(out_dir, subcommand, config, seed, outputs, started):
+    manifest = {
+        "subcommand": subcommand,
+        "config": config,
+        "seed": seed,
+        "version": __version__,
+        "manifest_hash": _manifest_hash(subcommand, config, seed),
+        "outputs": outputs,
+        "duration_s": round(time.perf_counter() - started, 3),
+    }
+    path = os.path.join(out_dir, f"{subcommand}_manifest.json")
+    with open(path, "w") as fh:
+        json.dump(manifest, fh, indent=2)
+        fh.write("\n")
+    return path
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        if math.isnan(value):
+            return ""
+        return repr(value)
+    return str(value)
+
+
+def _write_rows_csv(path: str, header: list[str], rows: list[dict], manifest_hash: str) -> None:
+    buf = io.StringIO()
+    buf.write(f"# manifest: {manifest_hash}\n")
+    buf.write(",".join(header) + "\n")
+    for row in rows:
+        buf.write(",".join(_fmt(row.get(col)) for col in header) + "\n")
+    with open(path, "w", newline="") as fh:
+        fh.write(buf.getvalue())
+
+
+def _experiment_config(cfg: dict) -> ExperimentConfig:
+    return ExperimentConfig(
+        seed=cfg["seed"],
+        trials=cfg["trials"],
+        epsilon_grid=tuple(cfg["eps_grid"]),
+        confidence=cfg["confidence"],
+        batch_size=cfg["batch_size"],
+        threads=cfg["threads"],
+    )
+
+
+def _specs(cfg: dict) -> tuple[DistributionSpec, ...]:
+    return (DistributionSpec(kind=_DIST_KINDS[cfg["dist"]], dim=cfg["n"]),) * cfg["ell"]
+
+
+def _resolve_subspace(cfg: dict) -> SubspaceBasis:
+    choice = cfg["subspace"]
+    shape = (cfg["n"],) * cfg["ell"]
+    if choice == "haar":
+        return haar_subspace(shape, cfg["m"], _aux_rng(cfg["seed"], 0))
+    if choice == "line":
+        return coordinate_line_subspace(cfg["n"], cfg["ell"], cfg["m"])
+    if choice.startswith("file:"):
+        basis = SubspaceBasis.load(choice[5:])
+        if basis.shape != shape or basis.m != cfg["m"]:
+            raise ValidationError(
+                f"basis file has shape {basis.shape}, m = {basis.m}; flags say {shape}, m = {cfg['m']}"
+            )
+        return basis
+    raise UsageError(f"unknown subspace {choice!r} (want haar, line, or file:<path>)")
+
+
+def _run_smallball(cfg: dict, out_dir: str) -> list[str]:
+    basis = _resolve_subspace(cfg)
+    curve = estimate_smallball(_specs(cfg), basis, _experiment_config(cfg))
+    mhash = _manifest_hash("smallball", cfg, cfg["seed"])
+    path = os.path.join(out_dir, "smallball.csv")
+    with open(path, "wb") as fh:
+        fh.write(curve_csv_bytes(curve, comment=f"manifest: {mhash}"))
+    return [path]
+
+
+def _run_direction(cfg: dict, out_dir: str) -> list[str]:
+    direction = diagonal_direction(cfg["n"], cfg["ell"])
+    curve = estimate_direction_smallball(_specs(cfg), direction, _experiment_config(cfg))
+    extra = None
+    kind = _DIST_KINDS[cfg["dist"]]
+    if kind.startswith("uniform-cube"):
+        support = math.sqrt(3.0) if kind == "uniform-cube-sqrt3" else 1.0
+        exact = [float(product_uniform_smallball(cfg["ell"], support, e)) for e in curve.epsilon_grid]
+        extra = {"exact": exact}
+    mhash = _manifest_hash("direction", cfg, cfg["seed"])
+    path = os.path.join(out_dir, "direction.csv")
+    with open(path, "wb") as fh:
+        fh.write(curve_csv_bytes(curve, extra_columns=extra, comment=f"manifest: {mhash}"))
+    return [path]
+
+
+def _bounds_row(eps: float, cfg: dict, bc: BoundConfig) -> dict:
+    n, ell, m = cfg["n"], cfg["ell"], cfg["m"]
+    row = {"epsilon": eps}
+
+    def guarded(name, fn):
+        try:
+            row[name] = float(fn())
+        except (RangeError, ValidationError):
+            row[name] = float("nan")
+
+    guarded("fixed_subspace", lambda: bound_fixed_subspace(eps, m, ell, bc))
+    guarded("single_direction", lambda: bound_single_direction(eps, ell, bc))
+    guarded("generic_subspace", lambda: bound_generic_subspace(eps, m, n, ell, bc))
+    guarded("carbery_wright", lambda: bound_carbery_wright(eps, ell, bc))
+    guarded("nondeterministic", lambda: bound_nondeterministic(eps, n, ell, m).value)
+    guarded("concentration_vershynin", lambda: bound_concentration_subgaussian(eps, m, n, ell, bc, "vershynin"))
+    guarded("concentration_bamberger", lambda: bound_concentration_subgaussian(eps, m, n, ell, bc, "bamberger"))
+    guarded("sharpness_lower", lambda: sharpness_lower_bound(eps, ell, bc))
+    if cfg.get("r") and cfg.get("rho"):
+        guarded("smin_tail", lambda: bound_smin_tail(eps, cfg["r"], n, ell, cfg["rho"], bc)[1])
+    return row
+
+
+def _run_bounds(cfg: dict, out_dir: str) -> list[str]:
+    bc = BoundConfig(
+        C_main=cfg["c_main"], C_prime=cfg["c_prime"], C_dprime=cfg["c_dprime"], c_small=cfg["c_small"]
+    )
+    rows = [_bounds_row(eps, cfg, bc) for eps in cfg["eps_grid"]]
+    header = list(rows[0].keys())
+    mhash = _manifest_hash("bounds", cfg, cfg["seed"])
+    path = os.path.join(out_dir, "bounds.csv")
+    _write_rows_csv(path, header, rows, mhash)
+    return [path]
+
+
+def _run_dominance(cfg: dict, out_dir: str) -> list[str]:
+    spec = DistributionSpec(kind=_DIST_KINDS[cfg["dist"]], dim=cfg["n"])
+    cube = matched_cube(spec)
+    dim = cfg["n"] ** cfg["ell"]
+    rows = []
+    for b in range(cfg["bodies"]):
+        body = SlabBody.random(dim, cfg["count"], cfg["scale"], _aux_rng(cfg["seed"], b))
+        rep = dominance_test(
+            (spec,) * cfg["ell"],
+            (cube,) * cfg["ell"],
+            body,
+            _experiment_config({**cfg, "eps_grid": (1.0, 0.5)}),
+        )
+        rows.append(
+            {
+                "body": b,
+                "hits_a": rep.hits_a,
+                "hits_b": rep.hits_b,
+                "trials": rep.trials,
+                "p_hat_a": rep.p_hat_a,
+                "p_hat_b": rep.p_hat_b,
+                "lower_a": rep.lower_a_one_sided,
+                "upper_b": rep.upper_b_one_sided,
+                "gap": rep.gap,
+                "violation_candidate": rep.violation_candidate,
+            }
+        )
+    mhash = _manifest_hash("dominance", cfg, cfg["seed"])
+    path = os.path.join(out_dir, "dominance.csv")
+    _write_rows_csv(path, list(rows[0].keys()), rows, mhash)
+    return [path]
+
+
+def _run_norms(cfg: dict, out_dir: str) -> list[str]:
+    t_grid = tuple(sorted(cfg["t_grid"]))
+    curves = norm_concentration(_specs(cfg), t_grid, _experiment_config({**cfg, "eps_grid": (1.0, 0.5)}))
+    (up_lo, up_hi), (lo_lo, lo_hi) = curves.intervals()
+    rows = []
+    for i, t in enumerate(curves.t_grid):
+        rows.append(
+            {
+                "t": t,
+                "upper_hits": int(curves.upper_counts[i]),
+                "lower_hits": int(curves.lower_counts[i]),
+                "trials": curves.trials,
+                "p_upper": curves.upper_counts[i] / curves.trials,
+                "p_lower": curves.lower_counts[i] / curves.trials,
+                "upper_ci_low": float(up_lo[i]),
+                "upper_ci_high": float(up_hi[i]),
+                "lower_ci_low": float(lo_lo[i]),
+                "lower_ci_high": float(lo_hi[i]),
+            }
+        )
+    mhash = _manifest_hash("norms", cfg, cfg["seed"])
+    path = os.path.join(out_dir, "norms.csv")
+    _write_rows_csv(path, list(rows[0].keys()), rows, mhash)
+    return [path]
+
+
+def _run_smin(cfg: dict, out_dir: str) -> list[str]:
+    ensemble = SmoothedEnsemble.random(cfg["r"], cfg["n"], cfg["ell"], cfg["rho"], rng=_aux_rng(cfg["seed"], 0))
+    result = smin_tail_experiment(ensemble, _experiment_config(cfg))
+    extra = {"threshold": list(result.thresholds), "bound": list(result.bound_values)}
+    mhash = _manifest_hash("smin", cfg, cfg["seed"])
+    path = os.path.join(out_dir, "smin.csv")
+    with open(path, "wb") as fh:
+        fh.write(curve_csv_bytes(result.curve, extra_columns=extra, comment=f"manifest: {mhash}"))
+    return [path]
+
+
+def _run_decompose(cfg: dict, out_dir: str) -> list[str]:
+    ensemble = SmoothedEnsemble.random(cfg["r"], cfg["n"], cfg["ell"], cfg["rho"], rng=_aux_rng(cfg["seed"], 0))
+    report = decompose_smoothed(ensemble, cfg["noise"], rng=_aux_rng(cfg["seed"], 1))
+    mhash = _manifest_hash("decompose", cfg, cfg["seed"])
+    rows = report.to_csv_rows()
+    csv_path = os.path.join(out_dir, "decompose_components.csv")
+    _write_rows_csv(csv_path, list(rows[0].keys()), rows, mhash)
+    json_path = os.path.join(out_dir, "decompose_report.json")
+    with open(json_path, "w") as fh:
+        json.dump({"manifest_hash": mhash, **report.to_json_dict()}, fh, indent=2)
+        fh.write("\n")
+    print(f"max recovery error {report.max_error:.3e}")
+    return [csv_path, json_path]
+
+
+def _selftest_checks(quick: bool, seed: int):
+    rng = np.random.default_rng(seed)
+
+    def check_pinv_identity():
+        reps = 20 if quick else 50
+        for _ in range(reps):
+            r = int(rng.integers(1, 9))
+            d = int(rng.integers(r, 17))
+            a = rng.standard_normal((r, d))
+            lhs = pinv_hs_norm_sq(a)
+            rhs = projection_distance_sum(a)
+            if abs(lhs - rhs) > 1e-8 * max(lhs, rhs):
+                return f"pseudo-inverse row-distance identity off by {abs(lhs - rhs):.2e}"
+        return None
+
+    def check_product_cdf():
+        n = 200_000 if quick else 1_000_000
+        samples = np.sort(rng.uniform(-1.0, 1.0, size=(n, 2)).prod(axis=1))
+        zs = np.linspace(-0.999, 0.999, 401)
+        emp = np.searchsorted(samples, zs, side="right") / n
+        band = math.sqrt(math.log(2 / 0.001) / (2 * n))
+        worst = float(np.max(np.abs(emp - product_uniform_cdf(2, zs))))
+        if worst > band:
+            return f"product-of-uniforms CDF deviates {worst:.2e} > DKW band {band:.2e}"
+        return None
+
+    def check_haar_moments():
+        draws = 2000 if quick else 6000
+        shape, m = (3, 3), 2
+        dim = 9
+        acc = np.zeros((2, 2))
+        cross = 0.0
+        for _ in range(draws):
+            basis = haar_subspace(shape, m, rng)
+            acc += basis.rows[:, :2] ** 2
+            cross += basis.rows[0, 0] * basis.rows[0, 1]
+        acc /= draws
+        cross /= draws
+        tol = 6.0 / math.sqrt(draws)
+        if np.max(np.abs(acc - 1.0 / dim)) > tol or abs(cross) > tol:
+            return f"orthogonal-row second moments off: {acc.ravel()} vs {1 / dim:.4f}"
+        return None
+
+    def check_folding_roundtrip():
+        factors = [rng.standard_normal((3, 2)) for _ in range(4)]
+        terms = Rank1Terms.from_raw(factors, weights=rng.uniform(0.5, 2.0, 2))
+        plan, folded = fold_higher_order(terms)
+        back = unfold_terms(plan, folded)
+        report = match_components(terms, back)
+        if report.max_error > 1e-10:
+            return f"fold/unfold round trip error {report.max_error:.2e}"
+        return None
+
+    return [
+        ("pinv-row-distance identity", check_pinv_identity),
+        ("product-of-uniforms law vs MC", check_product_cdf),
+        ("orthogonal second moments", check_haar_moments),
+        ("folding round trip", check_folding_roundtrip),
+    ]
+
+
+def _run_selftest(cfg: dict, out_dir: str) -> int:
+    failures = 0
+    for name, fn in _selftest_checks(cfg["quick"], cfg["seed"]):
+        started = time.perf_counter()
+        problem = fn()
+        took = time.perf_counter() - started
+        if problem is None:
+            print(f"ok   {name} ({took:.1f}s)")
+        else:
+            failures += 1
+            print(f"FAIL {name}: {problem}")
+    return 4 if failures else 0
+
+
+def _add_common(p, trials_default: str):
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out", default=".")
+    p.add_argument("--trials", default=trials_default)
+    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--batch-size", type=int, default=100_000)
+    p.add_argument("--confidence", type=float, default=0.99)
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="tensorball", description=__doc__.splitlines()[0])
+    parser.add_argument("--version", action="version", version=f"tensorball {__version__}")
+    parser.add_argument("--replay", metavar="MANIFEST", help="re-run a stored manifest")
+    parser.add_argument("--out", default=None, help="output directory override for --replay")
+    sub = parser.add_subparsers(dest="subcommand")
+
+    p = sub.add_parser("smallball", help="projection small-ball curve onto a subspace")
+    _add_common(p, "1e6")
+    p.add_argument("--n", type=int, default=8)
+    p.add_argument("--l", dest="ell", type=int, default=3)
+    p.add_argument("--m", type=int, default=4)
+    p.add_argument("--dist", choices=sorted(_DIST_KINDS), default="cube")
+    p.add_argument("--subspace", default="haar")
+    p.add_argument("--eps-grid", default="1e-3:1e-1:20")
+
+    p = sub.add_parser("direction", help="single-direction small-ball curve (diagonal direction)")
+    _add_common(p, "1e6")
+    p.add_argument("--n", type=int, default=8)
+    p.add_argument("--l", dest="ell", type=int, default=3)
+    p.add_argument("--dist", choices=sorted(_DIST_KINDS), default="cube")
+    p.add_argument("--eps-grid", default="1e-3:1e-1:20")
+
+    p = sub.add_parser("bounds", help="tabulate every closed-form bound on an epsilon grid")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out", default=".")
+    p.add_argument("--l", dest="ell", type=int, default=2)
+    p.add_argument("--m", type=int, default=10)
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--r", type=int, default=None)
+    p.add_argument("--rho", type=float, default=None)
+    p.add_argument("--eps-grid", default="1e-3:1e-1:20")
+    p.add_argument("--c-main", type=float, default=1.0)
+    p.add_argument("--c-prime", type=float, default=1.0)
+    p.add_argument("--c-dprime", type=float, default=1.0)
+    p.add_argument("--c-small", type=float, default=1.0)
+
+    p = sub.add_parser("dominance", help="slab-body dominance test versus the matched uniform cube")
+    _add_common(p, "2e5")
+    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--l", dest="ell", type=int, default=2)
+    p.add_argument("--dist", choices=sorted(_DIST_KINDS), default="gauss")
+    p.add_argument("--bodies", type=int, default=1)
+    p.add_argument("--count", type=int, default=4, help="slab directions per body")
+    p.add_argument("--scale", type=float, default=1.0)
+
+    p = sub.add_parser("norms", help="two-sided norm concentration tails")
+    _add_common(p, "1e5")
+    p.add_argument("--n", type=int, default=64)
+    p.add_argument("--l", dest="ell", type=int, default=2)
+    p.add_argument("--dist", choices=sorted(_DIST_KINDS), default="gauss")
+    p.add_argument("--t-grid", default="0.05:0.95:10")
+
+    p = sub.add_parser("smin", help="smoothed Khatri-Rao smallest-singular-value tail")
+    _add_common(p, "1e4")
+    p.add_argument("--n", type=int, default=6)
+    p.add_argument("--l", dest="ell", type=int, default=2)
+    p.add_argument("--r", type=int, default=8)
+    p.add_argument("--rho", type=float, default=1.0)
+    p.add_argument("--eps-grid", default="1e-3:5e-1:15")
+
+    p = sub.add_parser("decompose", help="smoothed rank-r recovery via simultaneous diagonalization")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out", default=".")
+    p.add_argument("--n", type=int, default=10)
+    p.add_argument("--l", dest="ell", type=int, default=3)
+    p.add_argument("--r", type=int, default=6)
+    p.add_argument("--rho", type=float, default=0.1)
+    p.add_argument("--noise", type=float, default=0.0)
+
+    p = sub.add_parser("selftest", help="exact-identity checks; exit 4 on any failure")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out", default=".")
+    p.add_argument("--quick", action="store_true")
+
+    return parser
+
+
+def _resolve_seed(value) -> int:
+    if value is not None:
+        return value
+    env = os.environ.get("TENSORBALL_SEED")
+    if env is not None:
+        try:
+            return int(env)
+        except ValueError as exc:
+            raise UsageError(f"TENSORBALL_SEED={env!r} is not an integer") from exc
+    return 0
+
+
+def _config_from_args(args) -> dict:
+    cfg = {}
+    skip = {"subcommand", "replay", "out"}
+    for key, value in vars(args).items():
+        if key in skip:
+            continue
+        cfg[key] = value
+    cfg["seed"] = _resolve_seed(cfg.get("seed"))
+    if "trials" in cfg:
+        cfg["trials"] = _parse_trials(cfg["trials"])
+    if "eps_grid" in cfg:
+        cfg["eps_grid"] = list(_parse_grid(cfg["eps_grid"]))
+    if "t_grid" in cfg:
+        cfg["t_grid"] = list(_parse_grid(cfg["t_grid"], log=False))
+    if cfg.get("n") is None and "m" in cfg:
+        n = max(2, math.ceil(cfg["m"] ** (1.0 / cfg["ell"])))
+        while n ** cfg["ell"] < cfg["m"]:
+            n += 1
+        cfg["n"] = n
+    return cfg
+
+
+_RUNNERS = {
+    "smallball": _run_smallball,
+    "direction": _run_direction,
+    "bounds": _run_bounds,
+    "dominance": _run_dominance,
+    "norms": _run_norms,
+    "smin": _run_smin,
+    "decompose": _run_decompose,
+}
+
+
+def _dispatch(subcommand: str, cfg: dict, out_dir: str) -> int:
+    os.makedirs(out_dir, exist_ok=True)
+    started = time.perf_counter()
+    if subcommand == "selftest":
+        return _run_selftest(cfg, out_dir)
+    outputs = _RUNNERS[subcommand](cfg, out_dir)
+    manifest_path = _write_manifest(out_dir, subcommand, cfg, cfg["seed"], [os.path.basename(o) for o in outputs], started)
+    for path in outputs + [manifest_path]:
+        print(f"wrote {path}")
+    return 0
+
+
+def run(argv) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.replay is not None:
+        with open(args.replay) as fh:
+            manifest = json.load(fh)
+        out_dir = args.out if args.out is not None else os.path.dirname(os.path.abspath(args.replay))
+        return _dispatch(manifest["subcommand"], manifest["config"], out_dir)
+    if args.subcommand is None:
+        raise UsageError("missing subcommand (see --help)")
+    cfg = _config_from_args(args)
+    return _dispatch(args.subcommand, cfg, args.out or ".")
+
+
+def main(argv=None) -> int:
+    try:
+        return run(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    except DegeneracyError as exc:
+        print(f"degeneracy: {exc}", file=sys.stderr)
+        return 3
+    except (ValidationError, ConfigurationError, ResourceError, DataSparsityError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,554 @@
+"""Seeded Monte-Carlo engine for small-ball, norm, and dominance experiments.
+
+Trials are partitioned into batches; batch ``i`` of a run draws from
+``SeedSequence(seed, spawn_key=(batch_start + i,))``, so counts merge
+exactly across runs that agree on the batch partition, schedulers cannot
+change results, and a run with ``batch_start = k`` continues another run's
+stream.  Every curve stores exact Clopper-Pearson intervals per grid point.
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import io
+import json
+import math
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
+
+import numpy as np
+from scipy.stats import beta as _beta
+
+from .distributions import DistributionSpec, sample_matrix
+from .errors import DataSparsityError, ValidationError
+from .subspaces import SubspaceBasis
+from .tensor_core import FlatTensor
+
+_ISOTROPIC_KINDS = ("uniform-cube-sqrt3", "gaussian-std", "symmetric-exponential-unitvar")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Reproducibility contract for one experiment run.
+
+    ``epsilon_grid`` must be strictly decreasing so nested-event counts are
+    monotone along the grid.  ``shift_vectors`` are subtracted from the
+    sampled factors (the arbitrary centers z_j); samplers themselves stay
+    centered.  ``batch_size``/``batch_start`` define the deterministic batch
+    partition; ``threads`` only changes scheduling, never results.
+    """
+
+    seed: int
+    trials: int
+    epsilon_grid: tuple[float, ...]
+    shift_vectors: tuple[tuple[float, ...], ...] | None = None
+    confidence: float = 0.99
+    batch_size: int = 100_000
+    batch_start: int = 0
+    threads: int = 1
+
+    def __post_init__(self):
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if self.trials < 100:
+            raise ValidationError(f"need at least 100 trials, got {self.trials}")
+        grid = np.asarray(self.epsilon_grid, dtype=float)
+        if grid.size < 1 or np.any(grid <= 0) or np.any(np.diff(grid) >= 0):
+            raise ValidationError("epsilon_grid must be strictly decreasing positive reals")
+        object.__setattr__(self, "epsilon_grid", tuple(grid.tolist()))
+        if not 0 < self.confidence < 1:
+            raise ValidationError(f"confidence must lie in (0, 1), got {self.confidence}")
+        if self.batch_size < 1 or self.batch_start < 0 or self.threads < 1:
+            raise ValidationError("batch_size, threads must be >= 1 and batch_start >= 0")
+        if self.shift_vectors is not None:
+            object.__setattr__(
+                self,
+                "shift_vectors",
+                tuple(tuple(map(float, z)) for z in self.shift_vectors),
+            )
+
+    def to_json_dict(self) -> dict:
+        return {
+            "seed": self.seed,
+            "trials": self.trials,
+            "epsilon_grid": list(self.epsilon_grid),
+            "shift_vectors": None
+            if self.shift_vectors is None
+            else [list(z) for z in self.shift_vectors],
+            "confidence": self.confidence,
+            "batch_size": self.batch_size,
+            "batch_start": self.batch_start,
+            "threads": self.threads,
+        }
+
+
+def clopper_pearson(hits, trials: int, confidence: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact binomial two-sided confidence bounds from beta quantiles."""
+    k = np.asarray(hits, dtype=float)
+    alpha = 1.0 - confidence
+    with np.errstate(invalid="ignore"):
+        low = np.where(k > 0, _beta.ppf(alpha / 2, k, trials - k + 1), 0.0)
+        high = np.where(k < trials, _beta.ppf(1 - alpha / 2, k + 1, trials - k), 1.0)
+    return low, high
+
+
+@dataclass(frozen=True)
+class SmallBallCurve:
+    """Empirical small-ball curve with exact binomial intervals.
+
+    ``scaling`` records the threshold convention the counts were taken
+    against ("eps*sqrt(m)" for subspace events, "eps" for single directions,
+    "smin-threshold" for least-singular-value tails).
+    """
+
+    epsilon_grid: tuple[float, ...]
+    hit_counts: tuple[int, ...]
+    trials: int
+    confidence: float
+    ci_low: tuple[float, ...] = field(default=None)
+    ci_high: tuple[float, ...] = field(default=None)
+    scaling: str = "eps"
+
+    def __post_init__(self):
+        grid = np.asarray(self.epsilon_grid, dtype=float)
+        counts = np.asarray(self.hit_counts)
+        if grid.shape != counts.shape:
+            raise ValidationError("epsilon_grid and hit_counts must have equal length")
+        if np.any(counts < 0) or np.any(counts > self.trials):
+            raise ValidationError("hit counts must lie in [0, trials]")
+        if np.any(np.diff(counts) > 0):
+            raise ValidationError("hit counts must be nonincreasing along the decreasing grid (nested events)")
+        object.__setattr__(self, "epsilon_grid", tuple(grid.tolist()))
+        object.__setattr__(self, "hit_counts", tuple(int(c) for c in counts))
+        if self.ci_low is None or self.ci_high is None:
+            low, high = clopper_pearson(counts, self.trials, self.confidence)
+            object.__setattr__(self, "ci_low", tuple(low.tolist()))
+            object.__setattr__(self, "ci_high", tuple(high.tolist()))
+
+    @property
+    def p_hat(self) -> np.ndarray:
+        return np.asarray(self.hit_counts, dtype=float) / self.trials
+
+    def merge(self, other: "SmallBallCurve") -> "SmallBallCurve":
+        """Exact count merge of two runs over the same grid."""
+        if (
+            self.epsilon_grid != other.epsilon_grid
+            or self.confidence != other.confidence
+            or self.scaling != other.scaling
+        ):
+            raise ValidationError("curves must share grid, confidence and scaling to merge")
+        counts = np.asarray(self.hit_counts) + np.asarray(other.hit_counts)
+        return SmallBallCurve(
+            epsilon_grid=self.epsilon_grid,
+            hit_counts=tuple(int(c) for c in counts),
+            trials=self.trials + other.trials,
+            confidence=self.confidence,
+            scaling=self.scaling,
+        )
+
+
+class SlopeFit(NamedTuple):
+    slope: float
+    stderr: float
+    n_points: int
+
+
+@dataclass(frozen=True)
+class SlabBody:
+    """Symmetric convex body cut out by slabs: all x with |<x, u_k>| <= 1."""
+
+    directions: np.ndarray
+
+    def __post_init__(self):
+        d = np.asarray(self.directions, dtype=float)
+        if d.ndim != 2:
+            raise ValidationError("directions must be a 2-d array (count x ambient dim)")
+        if d.shape[0] > 0 and np.any(np.linalg.norm(d, axis=1) == 0):
+            raise ValidationError("every slab direction must be nonzero")
+        object.__setattr__(self, "directions", d)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.directions.shape[1]
+
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        pts = np.atleast_2d(points)
+        if self.directions.shape[0] == 0:
+            return np.ones(pts.shape[0], dtype=bool)
+        return np.all(np.abs(pts @ self.directions.T) <= 1.0, axis=1)
+
+    @classmethod
+    def random(cls, dim: int, count: int, scale: float, rng) -> "SlabBody":
+        rng = np.random.default_rng(rng)
+        return cls(directions=scale * rng.standard_normal((count, dim)))
+
+    @classmethod
+    def linf_ball(cls, dim: int, radius: float) -> "SlabBody":
+        return cls(directions=np.eye(dim) / radius)
+
+
+@dataclass(frozen=True)
+class DominanceReport:
+    """Consistency report for P(tensor(A) in K) <= P(tensor(B) in K)."""
+
+    trials: int
+    confidence: float
+    hits_a: int
+    hits_b: int
+    p_hat_a: float
+    p_hat_b: float
+    ci_a: tuple[float, float]
+    ci_b: tuple[float, float]
+    lower_a_one_sided: float
+    upper_b_one_sided: float
+    gap: float
+    violation_candidate: bool
+
+    @property
+    def consistent(self) -> bool:
+        return not self.violation_candidate
+
+    def to_json_dict(self) -> dict:
+        out = {k: getattr(self, k) for k in (
+            "trials", "confidence", "hits_a", "hits_b", "p_hat_a", "p_hat_b",
+            "lower_a_one_sided", "upper_b_one_sided", "gap", "violation_candidate",
+        )}
+        out["ci_a"] = list(self.ci_a)
+        out["ci_b"] = list(self.ci_b)
+        out["consistent"] = self.consistent
+        return out
+
+
+@dataclass(frozen=True)
+class NormTailCurves:
+    """Empirical upper/lower norm-deviation tails over an increasing t grid."""
+
+    t_grid: tuple[float, ...]
+    upper_counts: tuple[int, ...]
+    lower_counts: tuple[int, ...]
+    trials: int
+    confidence: float
+
+    def __post_init__(self):
+        t = np.asarray(self.t_grid, dtype=float)
+        up = np.asarray(self.upper_counts)
+        lo = np.asarray(self.lower_counts)
+        if t.size < 1 or np.any(np.diff(t) <= 0):
+            raise ValidationError("t_grid must be strictly increasing")
+        if t.shape != up.shape or t.shape != lo.shape:
+            raise ValidationError("count arrays must match the t grid")
+        if np.any(np.diff(up) > 0) or np.any(np.diff(lo) > 0):
+            raise ValidationError("tail counts must be nonincreasing in t (nested events)")
+        object.__setattr__(self, "t_grid", tuple(t.tolist()))
+        object.__setattr__(self, "upper_counts", tuple(int(c) for c in up))
+        object.__setattr__(self, "lower_counts", tuple(int(c) for c in lo))
+
+    def intervals(self):
+        up_lo, up_hi = clopper_pearson(np.asarray(self.upper_counts), self.trials, self.confidence)
+        lo_lo, lo_hi = clopper_pearson(np.asarray(self.lower_counts), self.trials, self.confidence)
+        return (up_lo, up_hi), (lo_lo, lo_hi)
+
+
+def _batch_plan(trials: int, batch_size: int) -> list[int]:
+    full, rem = divmod(trials, batch_size)
+    return [batch_size] * full + ([rem] if rem else [])
+
+
+def _sum_over_batches(cfg: ExperimentConfig, kernel: Callable[[np.random.Generator, int], np.ndarray]):
+    """Run ``kernel`` once per batch on its derived stream and add the results."""
+    plan = list(enumerate(_batch_plan(cfg.trials, cfg.batch_size)))
+
+    def run(job):
+        i, size = job
+        seq = np.random.SeedSequence(cfg.seed, spawn_key=(cfg.batch_start + i,))
+        return kernel(np.random.default_rng(seq), size)
+
+    if cfg.threads > 1:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            parts = list(pool.map(run, plan))
+    else:
+        parts = [run(job) for job in plan]
+    total = parts[0]
+    for p in parts[1:]:
+        total = total + p
+    return total
+
+
+def _sample_factors(specs, rng, size, shift_vectors):
+    xs = [sample_matrix(spec, rng, size) for spec in specs]
+    if shift_vectors is not None:
+        if len(shift_vectors) != len(specs):
+            raise ValidationError("need one shift vector per factor")
+        for j, z in enumerate(shift_vectors):
+            z = np.asarray(z, dtype=float)
+            if z.shape != (specs[j].dim,):
+                raise ValidationError(f"shift vector {j} has wrong length")
+            xs[j] = xs[j] - z
+    return xs
+
+
+def _batch_inner_products(rows: np.ndarray, shape: tuple[int, ...], xs) -> np.ndarray:
+    """Inner products of every basis row with every trial's simple tensor.
+
+    rows: (m, D); xs: one (size, n_j) array per mode.  Contracts the last
+    mode first, vectorized over trials.  Returns (size, m).
+    """
+    m = rows.shape[0]
+    ell = len(shape)
+    if ell == 1:
+        return xs[0] @ rows.T
+    cur = np.tensordot(xs[-1], rows.reshape((m,) + shape), axes=(1, ell))
+    rest = math.prod(shape[:-1])
+    size = xs[0].shape[0]
+    for j in range(ell - 2, 0, -1):
+        nj = shape[j]
+        cur = cur.reshape(size, m * (rest // nj), nj)
+        cur = np.einsum("bkj,bj->bk", cur, xs[j])
+        rest //= nj
+        cur = cur.reshape(size, m, rest)
+    return np.einsum("bmj,bj->bm", cur.reshape(size, m, rest), xs[0])
+
+
+def _check_specs_shape(specs, shape):
+    if tuple(s.dim for s in specs) != tuple(shape):
+        raise ValidationError(
+            f"factor dims {tuple(s.dim for s in specs)} do not match shape {tuple(shape)}"
+        )
+
+
+def estimate_smallball(specs, basis: SubspaceBasis, cfg: ExperimentConfig) -> SmallBallCurve:
+    """Empirical P(||proj of (x(X1-z1) x ... x (Xl-zl))|| <= eps*sqrt(m)) per grid point.
+
+    One sample per trial is tested against the whole nested grid, so counts
+    are exactly monotone.
+    """
+    _check_specs_shape(specs, basis.shape)
+    thresholds = np.asarray(cfg.epsilon_grid) * math.sqrt(basis.m)
+
+    def kernel(rng, size):
+        xs = _sample_factors(specs, rng, size, cfg.shift_vectors)
+        inner = _batch_inner_products(basis.rows, basis.shape, xs)
+        norms = np.sqrt(np.einsum("bm,bm->b", inner, inner))
+        return np.count_nonzero(norms[:, None] <= thresholds[None, :], axis=0)
+
+    counts = _sum_over_batches(cfg, kernel)
+    return SmallBallCurve(
+        epsilon_grid=cfg.epsilon_grid,
+        hit_counts=tuple(int(c) for c in counts),
+        trials=cfg.trials,
+        confidence=cfg.confidence,
+        scaling="eps*sqrt(m)",
+    )
+
+
+def estimate_direction_smallball(specs, f: FlatTensor, cfg: ExperimentConfig) -> SmallBallCurve:
+    """Empirical P(|<x(X1-z1) x ... , f>| <= eps) per grid point (no sqrt(m) scaling)."""
+    _check_specs_shape(specs, f.shape)
+    thresholds = np.asarray(cfg.epsilon_grid)
+    row = f.data.reshape(1, -1)
+
+    def kernel(rng, size):
+        xs = _sample_factors(specs, rng, size, cfg.shift_vectors)
+        scores = np.abs(_batch_inner_products(row, f.shape, xs)[:, 0])
+        return np.count_nonzero(scores[:, None] <= thresholds[None, :], axis=0)
+
+    counts = _sum_over_batches(cfg, kernel)
+    return SmallBallCurve(
+        epsilon_grid=cfg.epsilon_grid,
+        hit_counts=tuple(int(c) for c in counts),
+        trials=cfg.trials,
+        confidence=cfg.confidence,
+        scaling="eps",
+    )
+
+
+def norm_concentration(specs, t_grid, cfg: ExperimentConfig) -> NormTailCurves:
+    """Tail frequencies of the tensor norm around its isotropic scale sqrt(prod n_j).
+
+    Counts P(prod ||X_j|| >= (1+t) * n^(l/2)) and P(<= (1-t) * n^(l/2)) for
+    every t.  Requires the unit-variance built-in kinds with no shift.
+    """
+    for spec in specs:
+        if spec.kind not in _ISOTROPIC_KINDS or spec.shift is not None:
+            raise ValidationError(
+                f"norm_concentration needs centered isotropic kinds {_ISOTROPIC_KINDS}, got {spec.kind!r}"
+            )
+    t = np.asarray(t_grid, dtype=float)
+    if t.size < 1 or np.any(np.diff(t) <= 0):
+        raise ValidationError("t_grid must be strictly increasing")
+    scale = math.sqrt(math.prod(s.dim for s in specs))
+    upper_thr = (1.0 + t) * scale
+    lower_thr = (1.0 - t) * scale
+
+    def kernel(rng, size):
+        norm_prod = np.ones(size)
+        for spec in specs:
+            x = sample_matrix(spec, rng, size)
+            norm_prod = norm_prod * np.linalg.norm(x, axis=1)
+        upper = np.count_nonzero(norm_prod[:, None] >= upper_thr[None, :], axis=0)
+        lower = np.count_nonzero(norm_prod[:, None] <= lower_thr[None, :], axis=0)
+        return np.stack([upper, lower])
+
+    both = _sum_over_batches(cfg, kernel)
+    return NormTailCurves(
+        t_grid=tuple(t.tolist()),
+        upper_counts=tuple(int(c) for c in both[0]),
+        lower_counts=tuple(int(c) for c in both[1]),
+        trials=cfg.trials,
+        confidence=cfg.confidence,
+    )
+
+
+def _membership_counts(specs, body: SlabBody, cfg: ExperimentConfig) -> int:
+    dims = [s.dim for s in specs]
+    ambient = math.prod(dims)
+    if body.ambient_dim != ambient:
+        raise ValidationError(
+            f"slab body lives in dimension {body.ambient_dim}, tensors in {ambient}"
+        )
+    chunk = max(1, (1 << 21) // max(ambient, 1))
+
+    def kernel(rng, size):
+        hits = 0
+        done = 0
+        while done < size:
+            cur = min(chunk, size - done)
+            xs = _sample_factors(specs, rng, cur, cfg.shift_vectors)
+            flat = xs[0]
+            for x in xs[1:]:
+                flat = (flat[:, :, None] * x[:, None, :]).reshape(cur, -1)
+            hits += int(np.count_nonzero(body.contains(flat)))
+            done += cur
+        return np.asarray([hits])
+
+    return int(_sum_over_batches(cfg, kernel)[0])
+
+
+def dominance_test(specs_a, specs_b, body: SlabBody, cfg: ExperimentConfig) -> DominanceReport:
+    """Check consistency of P(tensor(A) in K) <= P(tensor(B) in K) at cfg.confidence.
+
+    Flags a violation candidate only when the one-sided exact intervals are
+    disjoint in the wrong order; sampling noise alone never contradicts the
+    dominance direction.
+    """
+    if tuple(s.dim for s in specs_a) != tuple(s.dim for s in specs_b):
+        raise ValidationError("specs_a and specs_b must have matching factor dims")
+    hits_a = _membership_counts(specs_a, body, cfg)
+    hits_b = _membership_counts(specs_b, body, cfg)
+    n = cfg.trials
+    ci_a = clopper_pearson(hits_a, n, cfg.confidence)
+    ci_b = clopper_pearson(hits_b, n, cfg.confidence)
+    # one-sided bounds at the same confidence level
+    alpha = 1.0 - cfg.confidence
+    lower_a = float(_beta.ppf(alpha, hits_a, n - hits_a + 1)) if hits_a > 0 else 0.0
+    upper_b = float(_beta.ppf(1 - alpha, hits_b + 1, n - hits_b)) if hits_b < n else 1.0
+    gap = lower_a - upper_b
+    return DominanceReport(
+        trials=n,
+        confidence=cfg.confidence,
+        hits_a=hits_a,
+        hits_b=hits_b,
+        p_hat_a=hits_a / n,
+        p_hat_b=hits_b / n,
+        ci_a=(float(ci_a[0]), float(ci_a[1])),
+        ci_b=(float(ci_b[0]), float(ci_b[1])),
+        lower_a_one_sided=lower_a,
+        upper_b_one_sided=upper_b,
+        gap=gap,
+        violation_candidate=bool(gap > 0),
+    )
+
+
+def negative_moment(samples, q: float) -> float:
+    """Empirical mean of samples^(-q) for 0 < q < 1; all samples must be positive."""
+    if not 0 < q < 1:
+        raise ValidationError(f"q must lie in (0, 1), got {q}")
+    x = np.asarray(samples, dtype=float)
+    if x.size == 0 or np.any(x <= 0):
+        raise ValidationError("samples must be nonempty and strictly positive")
+    return float(np.mean(x**-q))
+
+
+def fit_slope(curve: SmallBallCurve, eps_range: tuple[float, float], deflate_log_power: int = 0) -> SlopeFit:
+    """OLS slope of log(p_hat / log(1/eps)^deflate) against log eps.
+
+    Only grid points inside ``eps_range`` with nonzero counts enter the fit;
+    fewer than 4 such points raises ``DataSparsityError``.
+    """
+    if deflate_log_power < 0:
+        raise ValidationError("deflate_log_power must be >= 0")
+    lo, hi = min(eps_range), max(eps_range)
+    eps = np.asarray(curve.epsilon_grid)
+    counts = np.asarray(curve.hit_counts)
+    keep = (eps >= lo) & (eps <= hi) & (counts > 0)
+    if keep.sum() < 4:
+        raise DataSparsityError(
+            f"need >= 4 grid points in [{lo:.3g}, {hi:.3g}] with nonzero counts, found {int(keep.sum())}"
+        )
+    x = np.log(eps[keep])
+    y = np.log(counts[keep] / curve.trials)
+    if deflate_log_power:
+        if np.any(eps[keep] >= 1.0):
+            raise ValidationError("log deflation needs every fitted grid point below 1")
+        y = y - deflate_log_power * np.log(np.log(1.0 / eps[keep]))
+    xc = x - x.mean()
+    slope = float(np.dot(xc, y) / np.dot(xc, xc))
+    resid = y - y.mean() - slope * xc
+    dof = max(keep.sum() - 2, 1)
+    stderr = float(np.sqrt(np.dot(resid, resid) / dof / np.dot(xc, xc)))
+    return SlopeFit(slope=slope, stderr=stderr, n_points=int(keep.sum()))
+
+
+def git_blob_hash(data: bytes) -> str:
+    """Content hash in git blob form (sha1 over a 'blob <len>\\0' header plus data)."""
+    h = hashlib.sha1()
+    h.update(b"blob %d\x00" % len(data))
+    h.update(data)
+    return h.hexdigest()
+
+
+def curve_csv_bytes(curve: SmallBallCurve, extra_columns: dict | None = None, comment: str | None = None) -> bytes:
+    """Render a curve to CSV bytes: epsilon, hits, trials, p_hat, ci_low, ci_high [, extras]."""
+    buf = io.StringIO()
+    if comment:
+        buf.write(f"# {comment}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    extras = extra_columns or {}
+    writer.writerow(["epsilon", "hits", "trials", "p_hat", "ci_low", "ci_high", *extras.keys()])
+    for i, eps in enumerate(curve.epsilon_grid):
+        row = [
+            repr(eps),
+            curve.hit_counts[i],
+            curve.trials,
+            repr(curve.hit_counts[i] / curve.trials),
+            repr(curve.ci_low[i]),
+            repr(curve.ci_high[i]),
+        ]
+        row.extend(repr(float(col[i])) for col in extras.values())
+        writer.writerow(row)
+    return buf.getvalue().encode()
+
+
+def write_curve(path_base, curve: SmallBallCurve, config: dict, extra_columns: dict | None = None,
+                comment: str | None = None) -> dict:
+    """Write <base>.csv plus a JSON sidecar with config, seed and content hash.
+
+    Returns the sidecar dict (including the git-style hash of the CSV bytes).
+    """
+    data = curve_csv_bytes(curve, extra_columns, comment)
+    csv_path = f"{path_base}.csv"
+    with open(csv_path, "wb") as fh:
+        fh.write(data)
+    sidecar = {
+        "config": config,
+        "seed": config.get("seed"),
+        "scaling": curve.scaling,
+        "content_hash": git_blob_hash(data),
+        "csv": csv_path,
+    }
+    with open(f"{path_base}.json", "w") as fh:
+        json.dump(sidecar, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return sidecar
