@@ -20,7 +20,6 @@ from .distributions import (
     matched_cube,
     rearrange_histogram,
     sample_matrix,
-    sample_vector,
 )
 from .errors import (
     ConfigurationError,
@@ -79,7 +78,6 @@ from .montecarlo import (
 from .subspaces import (
     SubspaceBasis,
     coordinate_line_subspace,
-    diag_avg_direction,
     diagonal_direction,
     haar_subspace,
     orthonormalize,
@@ -87,12 +85,11 @@ from .subspaces import (
 from .tensor_core import (
     FlatTensor,
     SimpleTensor,
-    export_csv,
+    contract,
     flatten,
     frobenius_norm,
     inner_flat,
     inner_simple,
+    kron,
     projection_norm,
-    read_flat,
-    write_flat,
 )

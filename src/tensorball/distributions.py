@@ -209,11 +209,6 @@ def sample_matrix(spec: DistributionSpec, rng: np.random.Generator, n: int) -> n
     return out
 
 
-def sample_vector(spec: DistributionSpec, rng: np.random.Generator) -> np.ndarray:
-    """Draw a single factor vector of length ``spec.dim``."""
-    return sample_matrix(spec, rng, 1)[0]
-
-
 def _sample_histogram(h: HistogramDensity, rng: np.random.Generator, shape) -> np.ndarray:
     if h.is_point_mass:
         return np.full(shape, h.bin_edges[0], dtype=float)

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DegeneracyError, HypothesisViolationError, ValidationError
 from .exact_laws import BoundConfig, bound_smin_tail
 from .montecarlo import ExperimentConfig, SmallBallCurve, _sum_over_batches
+from .tensor_core import kron
 
 _RANK_TOL = 1e-12
 
@@ -31,10 +32,7 @@ def khatri_rao(factor_matrices) -> np.ndarray:
     r = mats[0].shape[1]
     if any(a.shape[1] != r for a in mats):
         raise ValidationError(f"all factors must share the column count {r}")
-    out = mats[0]
-    for a in mats[1:]:
-        out = (out[:, None, :] * a[None, :, :]).reshape(-1, r)
-    return out
+    return kron(mats)
 
 
 def pinv_hs_norm_sq(a: np.ndarray, rank_tol: float = _RANK_TOL) -> float:
@@ -176,8 +174,9 @@ def smin_tail_experiment(
     Per trial, draws the smoothed factors, forms the Khatri-Rao matrix and
     takes its smallest singular value by full SVD; hits are counted against
     the threshold grid sqrt(1 - r/n^ell) * (c rho)^ell * eps.  The singular-
-    value sandwich 1/s_min^2 <= ||A^+||_HS^2 <= r/s_min^2 is asserted on
-    every draw.
+    value sandwich 1/s_min^2 <= ||A^+||_HS^2 <= r/s_min^2 is checked on
+    every draw; a failure (non-finite or misordered singular values) raises
+    ``DegeneracyError``.
     """
     if e.r > e.n**e.ell / 2:
         raise HypothesisViolationError(f"need r <= n^ell/2 = {e.n ** e.ell / 2}, got r = {e.r}")
@@ -190,17 +189,17 @@ def smin_tail_experiment(
 
     def kernel(rng, size):
         mats = [e.base[j][None, :, :] + sigma * rng.standard_normal((size, e.n, e.r)) for j in range(e.ell)]
-        kr = mats[0]
-        for mat in mats[1:]:
-            size_now, d, r = kr.shape
-            kr = (kr[:, :, None, :] * mat[:, None, :, :]).reshape(size_now, d * e.n, r)
-        s = np.linalg.svd(kr, compute_uv=False)
+        s = np.linalg.svd(kron(mats), compute_uv=False)
         smin = s[:, -1]
         pinv_sq = np.sum(1.0 / s**2, axis=1)
         inv_sq = 1.0 / smin**2
-        assert np.all(pinv_sq >= inv_sq * (1 - 1e-9)) and np.all(pinv_sq <= e.r * inv_sq * (1 + 1e-9)), (
-            "singular-value sandwich violated"
-        )
+        finite = np.all(np.isfinite(s), axis=1)
+        ok = finite & (pinv_sq >= inv_sq * (1 - 1e-9)) & (pinv_sq <= e.r * inv_sq * (1 + 1e-9))
+        if not np.all(ok):
+            raise DegeneracyError(
+                f"singular-value sandwich violated on {size - np.count_nonzero(ok)} of {size} draws"
+                " (non-finite or misordered singular values)"
+            )
         return np.count_nonzero(smin[:, None] <= thresholds[None, :], axis=0)
 
     counts = _sum_over_batches(cfg, kernel)

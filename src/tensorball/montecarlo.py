@@ -24,7 +24,7 @@ from scipy.stats import beta as _beta
 from .distributions import DistributionSpec, sample_matrix
 from .errors import DataSparsityError, ValidationError
 from .subspaces import SubspaceBasis
-from .tensor_core import FlatTensor
+from .tensor_core import FlatTensor, contract, kron
 
 _ISOTROPIC_KINDS = ("uniform-cube-sqrt3", "gaussian-std", "symmetric-exponential-unitvar")
 
@@ -52,6 +52,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not isinstance(self.trials, (int, np.integer)):
+            raise ValidationError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 100:
             raise ValidationError(f"need at least 100 trials, got {self.trials}")
         grid = np.asarray(self.epsilon_grid, dtype=float)
@@ -289,47 +291,15 @@ def _sample_factors(specs, rng, size, shift_vectors):
     return xs
 
 
-def _batch_inner_products(rows: np.ndarray, shape: tuple[int, ...], xs) -> np.ndarray:
-    """Inner products of every basis row with every trial's simple tensor.
-
-    rows: (m, D); xs: one (size, n_j) array per mode.  Contracts the last
-    mode first, vectorized over trials.  Returns (size, m).
-    """
-    m = rows.shape[0]
-    ell = len(shape)
-    if ell == 1:
-        return xs[0] @ rows.T
-    cur = np.tensordot(xs[-1], rows.reshape((m,) + shape), axes=(1, ell))
-    rest = math.prod(shape[:-1])
-    size = xs[0].shape[0]
-    for j in range(ell - 2, 0, -1):
-        nj = shape[j]
-        cur = cur.reshape(size, m * (rest // nj), nj)
-        cur = np.einsum("bkj,bj->bk", cur, xs[j])
-        rest //= nj
-        cur = cur.reshape(size, m, rest)
-    return np.einsum("bmj,bj->bm", cur.reshape(size, m, rest), xs[0])
-
-
-def _check_specs_shape(specs, shape):
-    if tuple(s.dim for s in specs) != tuple(shape):
-        raise ValidationError(
-            f"factor dims {tuple(s.dim for s in specs)} do not match shape {tuple(shape)}"
-        )
-
-
-def estimate_smallball(specs, basis: SubspaceBasis, cfg: ExperimentConfig) -> SmallBallCurve:
-    """Empirical P(||proj of (x(X1-z1) x ... x (Xl-zl))|| <= eps*sqrt(m)) per grid point.
-
-    One sample per trial is tested against the whole nested grid, so counts
-    are exactly monotone.
-    """
-    _check_specs_shape(specs, basis.shape)
-    thresholds = np.asarray(cfg.epsilon_grid) * math.sqrt(basis.m)
+def _projection_curve(specs, rows, shape, thresholds, cfg: ExperimentConfig, scaling: str) -> SmallBallCurve:
+    """Counts of ||(<row_k, x_1 x ... x x_l>)_k|| <= threshold, one sample per trial for the whole grid."""
+    dims = tuple(s.dim for s in specs)
+    if dims != tuple(shape):
+        raise ValidationError(f"factor dims {dims} do not match shape {tuple(shape)}")
 
     def kernel(rng, size):
         xs = _sample_factors(specs, rng, size, cfg.shift_vectors)
-        inner = _batch_inner_products(basis.rows, basis.shape, xs)
+        inner = contract(rows, shape, xs)
         norms = np.sqrt(np.einsum("bm,bm->b", inner, inner))
         return np.count_nonzero(norms[:, None] <= thresholds[None, :], axis=0)
 
@@ -339,29 +309,28 @@ def estimate_smallball(specs, basis: SubspaceBasis, cfg: ExperimentConfig) -> Sm
         hit_counts=tuple(int(c) for c in counts),
         trials=cfg.trials,
         confidence=cfg.confidence,
-        scaling="eps*sqrt(m)",
+        scaling=scaling,
     )
+
+
+def estimate_smallball(specs, basis: SubspaceBasis, cfg: ExperimentConfig) -> SmallBallCurve:
+    """Empirical P(||proj of (x(X1-z1) x ... x (Xl-zl))|| <= eps*sqrt(m)) per grid point.
+
+    One sample per trial is tested against the whole nested grid, so counts
+    are exactly monotone.
+    """
+    thresholds = np.asarray(cfg.epsilon_grid) * math.sqrt(basis.m)
+    return _projection_curve(specs, basis.rows, basis.shape, thresholds, cfg, "eps*sqrt(m)")
 
 
 def estimate_direction_smallball(specs, f: FlatTensor, cfg: ExperimentConfig) -> SmallBallCurve:
-    """Empirical P(|<x(X1-z1) x ... , f>| <= eps) per grid point (no sqrt(m) scaling)."""
-    _check_specs_shape(specs, f.shape)
-    thresholds = np.asarray(cfg.epsilon_grid)
-    row = f.data.reshape(1, -1)
+    """Empirical P(|<x(X1-z1) x ... , f>| <= eps) per grid point (no sqrt(m) scaling).
 
-    def kernel(rng, size):
-        xs = _sample_factors(specs, rng, size, cfg.shift_vectors)
-        scores = np.abs(_batch_inner_products(row, f.shape, xs)[:, 0])
-        return np.count_nonzero(scores[:, None] <= thresholds[None, :], axis=0)
-
-    counts = _sum_over_batches(cfg, kernel)
-    return SmallBallCurve(
-        epsilon_grid=cfg.epsilon_grid,
-        hit_counts=tuple(int(c) for c in counts),
-        trials=cfg.trials,
-        confidence=cfg.confidence,
-        scaling="eps",
-    )
+    The one-row case of ``estimate_smallball``: sqrt(x*x) == |x| in
+    round-to-nearest arithmetic barring over- or underflow, so the counts
+    are those of |<., f>|.
+    """
+    return _projection_curve(specs, f.data[None, :], f.shape, np.asarray(cfg.epsilon_grid), cfg, "eps")
 
 
 def norm_concentration(specs, t_grid, cfg: ExperimentConfig) -> NormTailCurves:
@@ -416,9 +385,7 @@ def _membership_counts(specs, body: SlabBody, cfg: ExperimentConfig) -> int:
         while done < size:
             cur = min(chunk, size - done)
             xs = _sample_factors(specs, rng, cur, cfg.shift_vectors)
-            flat = xs[0]
-            for x in xs[1:]:
-                flat = (flat[:, :, None] * x[:, None, :]).reshape(cur, -1)
+            flat = kron([x[:, :, None] for x in xs])[:, :, 0]
             hits += int(np.count_nonzero(body.contains(flat)))
             done += cur
         return np.asarray([hits])

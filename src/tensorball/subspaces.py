@@ -89,20 +89,6 @@ def diagonal_direction(n: int, ell: int) -> tensor_core.FlatTensor:
     return tensor_core.FlatTensor(shape=(n,) * ell, data=data)
 
 
-def diag_avg_direction(n: int, ell: int) -> tensor_core.FlatTensor:
-    """Normalized all-diagonal direction (sum of e_k^(x ell), scaled by 1/sqrt(n)).
-
-    Exploratory companion of ``diagonal_direction``; not used by any
-    calibrated experiment.
-    """
-    if n < 1 or ell < 1:
-        raise ValidationError("n and ell must be at least 1")
-    data = np.zeros(n**ell)
-    stride = (n**ell - 1) // (n - 1) if n > 1 else 1
-    data[np.arange(n) * stride] = 1.0 / math.sqrt(n)
-    return tensor_core.FlatTensor(shape=(n,) * ell, data=data)
-
-
 def coordinate_line_subspace(n: int, ell: int, m: int) -> SubspaceBasis:
     """Adversarial coordinate subspace spanned by e_k x e_1 x ... x e_1, k = 1..m."""
     if not 1 <= m <= n:

@@ -3,15 +3,17 @@
 Flattening is row-major throughout (last index fastest), matching
 ``numpy.reshape`` order and columnwise Kronecker products.  Multi-index
 ``(i_1, ..., i_l)`` maps to flat position ``i_l + n_l * (i_{l-1} + ...)``.
+Two primitives own that order: ``kron`` builds flattened (Khatri-Rao)
+products and ``contract`` takes inner products with dense rows without
+building them; every other module goes through these.
 """
 
 from __future__ import annotations
 
-import csv
 import math
+import os
 import struct
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -19,7 +21,6 @@ from .errors import ResourceError, ValidationError
 
 FLATTEN_CAP = 10_000_000
 
-_FLAT_MAGIC = b"TBFT"
 _BASIS_MAGIC = b"TBSB"
 
 
@@ -82,8 +83,47 @@ def flatten(t: SimpleTensor, cap: int = FLATTEN_CAP) -> FlatTensor:
     size = math.prod(t.shape)
     if size > cap:
         raise ResourceError(f"flattening would materialize {size} entries, above the cap of {cap}")
-    data = reduce(np.kron, t.factors)
+    data = kron([f[:, None] for f in t.factors])[:, 0]
     return FlatTensor(shape=t.shape, data=data)
+
+
+def kron(mats) -> np.ndarray:
+    """Row-major Kronecker product along axis -2 of ``(..., n_j, r)`` arrays.
+
+    Row ``i_l + n_l * (i_{l-1} + ...)`` of the ``(..., prod n_j, r)`` result
+    is the product of row ``i_j`` of every factor, elementwise over the
+    leading axes and the last one: with ``r`` columns it is the column-wise
+    (Khatri-Rao) product, with one column the flattened simple tensor.
+    Factors multiply from the left, so a 1-d product rounds exactly like a
+    left fold of NumPy's Kronecker product.
+    """
+    out = mats[0]
+    for a in mats[1:]:
+        prod = out[..., :, None, :] * a[..., None, :, :]
+        out = prod.reshape(prod.shape[:-3] + (-1, prod.shape[-1]))
+    return out
+
+
+def contract(rows: np.ndarray, shape: tuple[int, ...], xs) -> np.ndarray:
+    """Inner products of every basis row with every trial's simple tensor.
+
+    rows: (m, D); xs: one (size, n_j) array per mode.  Contracts the last
+    mode first, vectorized over trials.  Returns (size, m).
+    """
+    m = rows.shape[0]
+    ell = len(shape)
+    if ell == 1:
+        return xs[0] @ rows.T
+    cur = np.tensordot(xs[-1], rows.reshape((m,) + shape), axes=(1, ell))
+    rest = math.prod(shape[:-1])
+    size = xs[0].shape[0]
+    for j in range(ell - 2, 0, -1):
+        nj = shape[j]
+        cur = cur.reshape(size, m * (rest // nj), nj)
+        cur = np.einsum("bkj,bj->bk", cur, xs[j])
+        rest //= nj
+        cur = cur.reshape(size, m, rest)
+    return np.einsum("bmj,bj->bm", cur.reshape(size, m, rest), xs[0])
 
 
 def inner_simple(a: SimpleTensor, b: SimpleTensor) -> float:
@@ -99,15 +139,12 @@ def inner_simple(a: SimpleTensor, b: SimpleTensor) -> float:
 def inner_flat(t: SimpleTensor, f: FlatTensor) -> float:
     """Frobenius inner product of a simple tensor with a dense one.
 
-    Contracts one mode at a time starting with the last (fastest) index, so
-    no rank-one tensor is ever materialized.
+    A ``contract`` over one row and one trial, so no rank-one tensor is
+    ever materialized.
     """
     if t.shape != f.shape:
         raise ValidationError(f"shape mismatch {t.shape} vs {f.shape}")
-    cur = f.data.reshape(f.shape)
-    for vec in reversed(t.factors):
-        cur = cur @ vec
-    return float(cur)
+    return float(contract(f.data[None, :], f.shape, [v[None, :] for v in t.factors])[0, 0])
 
 
 def frobenius_norm(t: SimpleTensor) -> float:
@@ -123,37 +160,17 @@ def projection_norm(t: SimpleTensor, basis) -> float:
 
     ``basis`` provides orthonormal rows of length ``prod(t.shape)`` (see
     ``subspaces.SubspaceBasis``).  Computed as the root of the sum of
-    squared inner products against the rows, one mode contraction at a time.
+    squared inner products against the rows, a ``contract`` over one trial.
     """
     if tuple(basis.shape) != t.shape:
         raise ValidationError(f"basis shape {tuple(basis.shape)} does not match tensor shape {t.shape}")
-    m = basis.rows.shape[0]
-    cur = basis.rows.reshape((m,) + t.shape)
-    for vec in reversed(t.factors):
-        cur = cur @ vec
-    return float(np.linalg.norm(cur))
-
-
-def write_flat(f: FlatTensor, path) -> None:
-    """Binary dump: magic, order, shape (uint32) then float64 entries, all little-endian."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sI", _FLAT_MAGIC, f.order))
-        fh.write(struct.pack(f"<{f.order}I", *f.shape))
-        fh.write(f.data.astype("<f8").tobytes())
-
-
-def read_flat(path) -> FlatTensor:
-    with open(path, "rb") as fh:
-        magic, order = struct.unpack("<4sI", fh.read(8))
-        if magic != _FLAT_MAGIC:
-            raise ValidationError(f"bad magic {magic!r} in {path}")
-        shape = struct.unpack(f"<{order}I", fh.read(4 * order))
-        data = np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8")
-    return FlatTensor(shape=shape, data=data.copy())
+    return float(np.linalg.norm(contract(basis.rows, t.shape, [v[None, :] for v in t.factors])))
 
 
 def write_basis_payload(path, shape, rows: np.ndarray) -> None:
-    """Same layout as ``write_flat`` plus a row-count field before the data."""
+    """Binary basis file, all little-endian: magic ``TBSB``, order l (uint32),
+    the l dims (uint32), the row count m (uint32), then the m x prod(dims)
+    rows as float64 in row-major order."""
     order = len(shape)
     m = rows.shape[0]
     with open(path, "wb") as fh:
@@ -164,21 +181,31 @@ def write_basis_payload(path, shape, rows: np.ndarray) -> None:
 
 
 def read_basis_payload(path) -> tuple[tuple[int, ...], np.ndarray]:
-    with open(path, "rb") as fh:
-        magic, order = struct.unpack("<4sI", fh.read(8))
-        if magic != _BASIS_MAGIC:
-            raise ValidationError(f"bad magic {magic!r} in {path}")
-        shape = struct.unpack(f"<{order}I", fh.read(4 * order))
-        (m,) = struct.unpack("<I", fh.read(4))
-        data = np.frombuffer(fh.read(8 * m * math.prod(shape)), dtype="<f8")
-    return tuple(shape), data.reshape(m, math.prod(shape)).copy()
+    """Read a ``write_basis_payload`` file; any defect raises ``ValidationError``.
 
-
-def export_csv(f: FlatTensor, path) -> None:
-    """Write one row per entry: 1-based multi-index columns, then the value."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"i_{j + 1}" for j in range(f.order)] + ["value"])
-        for flat_idx in range(f.data.size):
-            multi = np.unravel_index(flat_idx, f.shape)
-            writer.writerow([int(i) + 1 for i in multi] + [repr(float(f.data[flat_idx]))])
+    The header is checked field by field, and a claimed size above
+    ``FLATTEN_CAP`` entries is refused before any data is read.  The payload
+    must hold exactly the claimed number of entries.
+    """
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            head = fh.read(8)
+            if len(head) < 8 or head[:4] != _BASIS_MAGIC:
+                raise ValidationError(f"{path} is not a basis file (bad magic {head[:4]!r})")
+            (order,) = struct.unpack("<I", head[4:])
+            header_len = 12 + 4 * order
+            if order < 1 or header_len > size:
+                raise ValidationError(f"{path}: header claims order {order}, file has {size} bytes")
+            *shape, m = struct.unpack(f"<{order + 1}I", fh.read(header_len - 8))
+            if min(shape) < 1 or m < 1:
+                raise ValidationError(f"{path}: dims {tuple(shape)} and row count {m} must be positive")
+            entries = m * math.prod(shape)
+            if entries > FLATTEN_CAP:
+                raise ValidationError(f"{path}: header claims {entries} entries, above the cap of {FLATTEN_CAP}")
+            if size - header_len != 8 * entries:
+                raise ValidationError(f"{path}: payload has {size - header_len} bytes, header claims {8 * entries}")
+            data = np.frombuffer(fh.read(8 * entries), dtype="<f8")
+    except OSError as exc:
+        raise ValidationError(f"cannot read basis file {path}: {exc.strerror or exc}") from exc
+    return tuple(shape), data.reshape(m, -1).copy()

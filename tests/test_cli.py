@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -81,7 +82,7 @@ def test_replay_reproduces_bytes(tmp_path):
 
 def test_smallball_basis_file_matches_line(tmp_path):
     basis = coordinate_line_subspace(3, 2, 2)
-    bpath = tmp_path / "basis.npz"
+    bpath = tmp_path / "basis.bin"
     basis.save(bpath)
     line_dir, file_dir = tmp_path / "line", tmp_path / "file"
     assert run_cli(*SMALLBALL_ARGS, "--subspace", "line", "--out", str(line_dir)) == 0
@@ -94,10 +95,57 @@ def test_smallball_basis_file_matches_line(tmp_path):
 
 def test_smallball_basis_file_shape_mismatch(tmp_path):
     basis = coordinate_line_subspace(4, 2, 2)
-    bpath = tmp_path / "basis.npz"
+    bpath = tmp_path / "basis.bin"
     basis.save(bpath)
     code = run_cli(*SMALLBALL_ARGS, "--subspace", f"file:{bpath}", "--out", str(tmp_path))
     assert code == 2
+
+
+def run_with_basis_file(tmp_path, payload: bytes, capsys):
+    bpath = tmp_path / "basis.bin"
+    bpath.write_bytes(payload)
+    code = run_cli(*SMALLBALL_ARGS, "--subspace", f"file:{bpath}", "--out", str(tmp_path / "out"))
+    return code, capsys.readouterr().err
+
+
+def test_smallball_basis_file_truncated(tmp_path, capsys):
+    bpath = tmp_path / "good.bin"
+    coordinate_line_subspace(3, 2, 2).save(bpath)
+    code, err = run_with_basis_file(tmp_path, bpath.read_bytes()[:-8], capsys)
+    assert code == 2
+    assert "payload" in err and "Traceback" not in err
+
+
+def test_smallball_basis_file_missing(tmp_path, capsys):
+    code = run_cli(*SMALLBALL_ARGS, "--subspace", f"file:{tmp_path / 'absent.bin'}", "--out", str(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "cannot read basis file" in err
+
+
+def test_smallball_basis_file_oversized_header(tmp_path, capsys):
+    header = struct.pack("<4sI3II", b"TBSB", 3, 4000, 4000, 4000, 4000)
+    code, err = run_with_basis_file(tmp_path, header + bytes(64), capsys)
+    assert code == 2
+    assert "above the cap" in err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b"",
+        b"TBFT" + bytes(8),
+        struct.pack("<4sI", b"TBSB", 0) + bytes(4),
+        struct.pack("<4sI", b"TBSB", 2**32 - 1) + bytes(16),
+        struct.pack("<4sI2II", b"TBSB", 2, 3, 0, 2),
+        struct.pack("<4sI2II", b"TBSB", 2, 3, 3, 0),
+    ],
+    ids=["empty", "bad-magic", "zero-order", "huge-order", "zero-dim", "zero-rows"],
+)
+def test_smallball_basis_file_bad_header(tmp_path, capsys, payload):
+    code, err = run_with_basis_file(tmp_path, payload, capsys)
+    assert code == 2
+    assert err.startswith("error: ")
 
 
 def test_direction_exact_column(tmp_path):

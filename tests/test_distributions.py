@@ -14,7 +14,6 @@ from tensorball import (
     matched_cube,
     rearrange_histogram,
     sample_matrix,
-    sample_vector,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -78,7 +77,7 @@ def test_shift_moves_the_law():
 def test_histogram_sampling_respects_bins():
     h = HistogramDensity(bin_edges=(-2.0, 0.0, 2.0), heights=(0.1, 0.4))
     spec = DistributionSpec(kind="histogram", dim=1, histogram=h)
-    x = sample_vector(spec, np.random.default_rng(4))
+    x = sample_matrix(spec, np.random.default_rng(4), 1)[0]
     assert -2.0 <= x[0] <= 2.0
     xs = sample_matrix(spec, np.random.default_rng(4), 100_000).ravel()
     frac_right = (xs >= 0).mean()

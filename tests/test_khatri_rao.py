@@ -199,3 +199,15 @@ def test_smin_tail_counts_agree_with_direct_svd():
         smin = np.linalg.svd(kr, compute_uv=False)[-1]
         hits += smin <= np.asarray(res.thresholds)
     assert res.curve.hit_counts == tuple(hits)
+
+
+def test_smin_tail_rejects_non_finite_singular_values(monkeypatch):
+    """The sandwich check is real code, so it also holds under ``python -O``."""
+    e = SmoothedEnsemble.random(2, 3, 2, 0.5, rng=0)
+
+    def nan_svd(a, compute_uv=True):
+        return np.full(a.shape[:-2] + (a.shape[-1],), np.nan)
+
+    monkeypatch.setattr(np.linalg, "svd", nan_svd)
+    with pytest.raises(DegeneracyError, match="sandwich"):
+        smin_tail_experiment(e, smin_cfg((0.1, 0.01)))

@@ -11,6 +11,7 @@ from tensorball import (
     HistogramDensity,
     SlabBody,
     SmallBallCurve,
+    SubspaceBasis,
     ValidationError,
     clopper_pearson,
     coordinate_line_subspace,
@@ -45,6 +46,12 @@ def test_config_validation():
         cfg_of(seed=-1)
     with pytest.raises(ValidationError):
         cfg_of(confidence=1.0)
+
+
+@pytest.mark.parametrize("trials", [1000.5, 1000.0, "1000"])
+def test_config_requires_integral_trials(trials):
+    with pytest.raises(ValidationError):
+        cfg_of(trials=trials)
 
 
 def test_clopper_pearson_edges():
@@ -124,6 +131,18 @@ def test_direction_gaussian_matches_normal_cdf():
     for eps, lo, hi in zip(curve.epsilon_grid, curve.ci_low, curve.ci_high):
         want = 2 * norm.cdf(eps) - 1
         assert lo - 2e-3 <= want <= hi + 2e-3
+
+
+@pytest.mark.parametrize("kind", ["gaussian-std", "uniform-cube-unit"])
+def test_direction_counts_equal_one_row_smallball(kind):
+    specs = (DistributionSpec(kind=kind, dim=3),) * 3
+    direction = diagonal_direction(3, 3)
+    basis = SubspaceBasis(shape=direction.shape, rows=direction.data[None, :])
+    cfg = cfg_of(seed=11, trials=5000, batch_size=2000)
+    a = estimate_direction_smallball(specs, direction, cfg)
+    b = estimate_smallball(specs, basis, cfg)
+    assert a.hit_counts == b.hit_counts
+    assert a.scaling == "eps" and b.scaling == "eps*sqrt(m)"
 
 
 def test_direction_cube_matches_product_law():

@@ -10,7 +10,6 @@ from tensorball import (
     SubspaceBasis,
     ValidationError,
     coordinate_line_subspace,
-    diag_avg_direction,
     diagonal_direction,
     haar_subspace,
     inner_flat,
@@ -77,13 +76,6 @@ def test_diagonal_direction_picks_first_coordinates():
     f = diagonal_direction(2, 2)
     assert inner_flat(t, f) == 6.0
     assert abs(np.linalg.norm(f.data) - 1.0) < 1e-15
-
-
-def test_diag_avg_direction_unit_norm_and_stride():
-    f = diag_avg_direction(3, 2)
-    assert abs(np.linalg.norm(f.data) - 1.0) < 1e-12
-    nz = np.flatnonzero(f.data)
-    assert np.array_equal(nz, [0, 4, 8])
 
 
 def test_coordinate_line_rows():

@@ -1,5 +1,6 @@
 import math
 import types
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -12,15 +13,15 @@ from tensorball import (
     SimpleTensor,
     SubspaceBasis,
     ValidationError,
-    export_csv,
+    contract,
     flatten,
     frobenius_norm,
     inner_flat,
     inner_simple,
+    kron,
     projection_norm,
-    read_flat,
-    write_flat,
 )
+from tensorball.tensor_core import read_basis_payload
 
 
 def t_of(*factors):
@@ -137,28 +138,57 @@ def test_frobenius_norm_values():
     assert frobenius_norm(t_of([0, 0], [1, 2])) == 0
 
 
-def test_flat_file_roundtrip(tmp_path):
-    f = flatten(t_of([1, 2, 3], [4, 5]))
-    p = tmp_path / "t.bin"
-    write_flat(f, p)
-    g = read_flat(p)
-    assert g.shape == f.shape
-    assert np.array_equal(g.data, f.data)
-
-
-def test_flat_file_rejects_garbage(tmp_path):
+def test_basis_file_rejects_garbage(tmp_path):
     p = tmp_path / "bad.bin"
     p.write_bytes(b"not a tensor at all")
     with pytest.raises(ValidationError):
-        read_flat(p)
+        read_basis_payload(p)
 
 
-def test_export_csv(tmp_path):
-    f = flatten(t_of([1, 2], [3, 4]))
-    p = tmp_path / "t.csv"
-    export_csv(f, p)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "i_1,i_2,value"
-    assert lines[1] == "1,1,3.0"
-    assert lines[-1] == "2,2,8.0"
-    assert len(lines) == 5
+def test_basis_file_round_trip(tmp_path):
+    basis = SubspaceBasis(shape=(2, 3), rows=np.eye(6)[[1, 4]])
+    p = tmp_path / "basis.bin"
+    basis.save(p)
+    assert p.stat().st_size == 4 + 4 + 2 * 4 + 4 + 2 * 6 * 8
+    back = SubspaceBasis.load(p)
+    assert back.shape == (2, 3)
+    assert np.array_equal(back.rows, basis.rows)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.data())
+@settings(max_examples=20, deadline=None)
+def test_kron_matches_numpy_kron_bitwise(seed, ell, data):
+    rng = np.random.default_rng(seed)
+    factors = [rng.standard_normal(data.draw(st.integers(1, 4))) for _ in range(ell)]
+    got = kron([f[:, None] for f in factors])[:, 0]
+    assert np.array_equal(got, reduce(np.kron, factors))
+
+
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 4), min_size=1, max_size=3), st.integers(1, 3))
+@settings(max_examples=20, deadline=None)
+def test_kron_batched_matches_per_trial_loop_bitwise(seed, dims, r):
+    rng = np.random.default_rng(seed)
+    size = 5
+    mats = [rng.standard_normal((size, n, r)) for n in dims]
+    got = kron(mats)
+    assert got.shape == (size, math.prod(dims), r)
+    for b in range(size):
+        for c in range(r):
+            assert np.array_equal(got[b, :, c], reduce(np.kron, [a[b, :, c] for a in mats]))
+
+
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 4), min_size=1, max_size=4), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_contract_matches_per_row_loop(seed, dims, m):
+    rng = np.random.default_rng(seed)
+    shape = tuple(dims)
+    size = 3
+    rows = rng.standard_normal((m, math.prod(shape)))
+    xs = [rng.standard_normal((size, n)) for n in shape]
+    got = contract(rows, shape, xs)
+    assert got.shape == (size, m)
+    for b in range(size):
+        flat = flatten(t_of(*(x[b] for x in xs))).data
+        for k in range(m):
+            want = float(np.dot(rows[k], flat))
+            assert abs(got[b, k] - want) <= 1e-12 * max(1.0, np.linalg.norm(rows[k]) * np.linalg.norm(flat))
