@@ -561,14 +561,56 @@ def _dispatch(subcommand: str, cfg: dict, out_dir: str) -> int:
     return 0
 
 
+def _same_kind(value, default) -> bool:
+    """Whether a manifest value has the type of the flag default it replaces."""
+    if default is None:
+        return True
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_same_kind(v, d) for v in value for d in default[:1])
+    return isinstance(value, type(default)) or (isinstance(default, float) and type(value) is int)
+
+
+def _load_manifest(parser, path) -> tuple[str, dict]:
+    """Subcommand and config of a ``--replay`` manifest; any defect raises ``ValidationError``.
+
+    The config must hold exactly the keys that the subcommand's flags
+    resolve to, each of the type its default resolves to, and a known
+    ``dist``.
+    """
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read manifest {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise ValidationError(f"manifest {path} is not JSON: {exc}") from exc
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
+        raise ValidationError(f"manifest {path} has no config object")
+    subcommand = manifest.get("subcommand")
+    if subcommand not in (*_RUNNERS, "selftest"):
+        raise ValidationError(f"manifest {path} names unknown subcommand {subcommand!r}")
+    config = manifest["config"]
+    # an explicit seed keeps TENSORBALL_SEED out of it: only keys and types count
+    expected = _config_from_args(parser.parse_args([subcommand, "--seed", "0"]))
+    missing = ", ".join(sorted(expected.keys() - config.keys()))
+    unknown = ", ".join(sorted(config.keys() - expected.keys()))
+    if missing or unknown:
+        raise ValidationError(f"manifest {path}: {subcommand} config lacks [{missing}], has unknown [{unknown}]")
+    for key, default in expected.items():
+        if not _same_kind(config[key], default):
+            raise ValidationError(f"manifest {path}: {subcommand} config {key}={config[key]!r} is not {type(default).__name__}")
+    if "dist" in config and config["dist"] not in _DIST_KINDS:
+        raise ValidationError(f"manifest {path}: unknown dist {config['dist']!r}")
+    return subcommand, config
+
+
 def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.replay is not None:
-        with open(args.replay) as fh:
-            manifest = json.load(fh)
+        subcommand, config = _load_manifest(parser, args.replay)
         out_dir = args.out if args.out is not None else os.path.dirname(os.path.abspath(args.replay))
-        return _dispatch(manifest["subcommand"], manifest["config"], out_dir)
+        return _dispatch(subcommand, config, out_dir)
     if args.subcommand is None:
         raise UsageError("missing subcommand (see --help)")
     cfg = _config_from_args(args)

@@ -21,6 +21,9 @@ from .errors import ResourceError, ValidationError
 
 FLATTEN_CAP = 10_000_000
 
+# bytes of first-mode intermediate ``contract`` holds at once
+_BLOCK_BYTES = 1 << 20
+
 _BASIS_MAGIC = b"TBSB"
 
 
@@ -109,21 +112,41 @@ def contract(rows: np.ndarray, shape: tuple[int, ...], xs) -> np.ndarray:
 
     rows: (m, D); xs: one (size, n_j) array per mode.  Contracts the last
     mode first, vectorized over trials.  Returns (size, m).
+
+    Trials go through in blocks whose first-mode intermediate fits in
+    ``_BLOCK_BYTES``, so memory is O(size * (sum n_j + m)) plus one block
+    instead of O(size * m * prod n_j[:-1]).  Each trial goes through the
+    same BLAS and einsum steps whatever the block size, so the result is
+    bitwise the one of a single block holding every trial.
     """
     m = rows.shape[0]
     ell = len(shape)
     if ell == 1:
         return xs[0] @ rows.T
-    cur = np.tensordot(xs[-1], rows.reshape((m,) + shape), axes=(1, ell))
-    rest = math.prod(shape[:-1])
+    # (n_l, m * prod n_j[:-1]), built as tensordot builds it: for C-ordered
+    # rows a Fortran-ordered view, which BLAS reads transposed.  A C-ordered
+    # copy rounds differently.
+    right = np.moveaxis(rows.reshape((m,) + shape), ell, 0).reshape(shape[-1], -1)
     size = xs[0].shape[0]
-    for j in range(ell - 2, 0, -1):
-        nj = shape[j]
-        cur = cur.reshape(size, m * (rest // nj), nj)
-        cur = np.einsum("bkj,bj->bk", cur, xs[j])
-        rest //= nj
-        cur = cur.reshape(size, m, rest)
-    return np.einsum("bmj,bj->bm", cur.reshape(size, m, rest), xs[0])
+    block = min(size, max(2, _BLOCK_BYTES // (8 * max(1, right.shape[1]))))
+    # one buffer for every block: a fresh allocation this large would be
+    # mapped and page-faulted anew each time
+    buf = np.empty((block, right.shape[1]))
+    out = np.empty((size, m))
+    for s in range(0, size, max(block, 1)):
+        b = min(block, size - s)
+        if b == 1 and size > 1:
+            # numpy sends a one-row product to gemv, which rounds unlike
+            # gemm: take the previous trial along again (same bits)
+            s, b = s - 1, 2
+        cur = np.dot(xs[-1][s : s + b], right, out=buf[:b])
+        rest = math.prod(shape[:-1])
+        for j in range(ell - 2, 0, -1):
+            nj = shape[j]
+            cur = np.einsum("bkj,bj->bk", cur.reshape(b, m * (rest // nj), nj), xs[j][s : s + b])
+            rest //= nj
+        np.einsum("bmj,bj->bm", cur.reshape(b, m, rest), xs[0][s : s + b], out=out[s : s + b])
+    return out
 
 
 def inner_simple(a: SimpleTensor, b: SimpleTensor) -> float:

@@ -80,6 +80,65 @@ def test_replay_reproduces_bytes(tmp_path):
     assert (first / "smallball.csv").read_bytes() == (again / "smallball.csv").read_bytes()
 
 
+def replay_with(tmp_path, capsys, edit=None, text=None):
+    """Replay a smallball manifest after ``edit`` mutates it, or replay ``text`` as the file."""
+    manifest = tmp_path / "first" / "smallball_manifest.json"
+    assert run_cli(*SMALLBALL_ARGS, "--out", str(manifest.parent)) == 0
+    if edit is not None:
+        data = json.loads(manifest.read_text())
+        edit(data)
+        manifest.write_text(json.dumps(data))
+    if text is not None:
+        manifest.write_text(text)
+    capsys.readouterr()
+    code = run_cli("--replay", str(manifest), "--out", str(tmp_path / "again"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    return err
+
+
+def test_replay_config_missing_key(tmp_path, capsys):
+    err = replay_with(tmp_path, capsys, edit=lambda d: d["config"].pop("trials"))
+    assert "lacks [trials]" in err
+
+
+def test_replay_config_unknown_key(tmp_path, capsys):
+    err = replay_with(tmp_path, capsys, edit=lambda d: d["config"].update(bogus=1))
+    assert "has unknown [bogus]" in err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("n", "3", "n='3' is not int"), ("eps_grid", ["x"], "eps_grid=['x'] is not list"), ("dist", "nope", "unknown dist")],
+)
+def test_replay_config_bad_value(tmp_path, capsys, key, value, message):
+    err = replay_with(tmp_path, capsys, edit=lambda d: d["config"].update({key: value}))
+    assert message in err
+
+
+def test_replay_missing_subcommand(tmp_path, capsys):
+    err = replay_with(tmp_path, capsys, edit=lambda d: d.pop("subcommand"))
+    assert "unknown subcommand None" in err
+
+
+def test_replay_unknown_subcommand(tmp_path, capsys):
+    err = replay_with(tmp_path, capsys, edit=lambda d: d.update(subcommand="bogus"))
+    assert "unknown subcommand 'bogus'" in err
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"subcommand": "smallball"}'])
+def test_replay_malformed_manifest(tmp_path, capsys, text):
+    replay_with(tmp_path, capsys, text=text)
+
+
+def test_replay_missing_manifest(tmp_path, capsys):
+    code = run_cli("--replay", str(tmp_path / "absent.json"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "cannot read manifest" in err and "Traceback" not in err
+
+
 def test_smallball_basis_file_matches_line(tmp_path):
     basis = coordinate_line_subspace(3, 2, 2)
     bpath = tmp_path / "basis.bin"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import types
 from functools import reduce
 
@@ -21,6 +22,7 @@ from tensorball import (
     kron,
     projection_norm,
 )
+from tensorball import tensor_core
 from tensorball.tensor_core import read_basis_payload
 
 
@@ -192,3 +194,51 @@ def test_contract_matches_per_row_loop(seed, dims, m):
         for k in range(m):
             want = float(np.dot(rows[k], flat))
             assert abs(got[b, k] - want) <= 1e-12 * max(1.0, np.linalg.norm(rows[k]) * np.linalg.norm(flat))
+
+
+def unblocked_contract(rows, shape, xs):
+    """``contract`` before it worked in blocks: the reference its bits must match."""
+    m = rows.shape[0]
+    ell = len(shape)
+    if ell == 1:
+        return xs[0] @ rows.T
+    cur = np.tensordot(xs[-1], rows.reshape((m,) + shape), axes=(1, ell))
+    rest = math.prod(shape[:-1])
+    size = xs[0].shape[0]
+    for j in range(ell - 2, 0, -1):
+        nj = shape[j]
+        cur = cur.reshape(size, m * (rest // nj), nj)
+        cur = np.einsum("bkj,bj->bk", cur, xs[j])
+        rest //= nj
+        cur = cur.reshape(size, m, rest)
+    return np.einsum("bmj,bj->bm", cur.reshape(size, m, rest), xs[0])
+
+
+@pytest.mark.parametrize(
+    "shape, m",
+    [((5,), 3), ((7, 9), 5), ((16, 16, 16), 16), ((8, 8, 8), 8), ((8, 8, 8), 1), ((8, 8, 8), 0), ((3, 5, 2, 4), 3)],
+)
+def test_contract_blocks_match_unblocked_bitwise(shape, m):
+    rng = np.random.default_rng(math.prod(shape) + m)
+    rows = rng.standard_normal((m, math.prod(shape)))
+    block = max(2, tensor_core._BLOCK_BYTES // (8 * max(1, m * math.prod(shape[:-1]))))
+    for size in (1, block - 1, block, block + 1, 3 * block + 5):
+        xs = [rng.standard_normal((size, n)) for n in shape]
+        got = contract(rows, shape, xs)
+        assert got.shape == (size, m)
+        assert np.array_equal(got, unblocked_contract(rows, shape, xs)), size
+
+
+def test_contract_memory_stays_within_blocks():
+    # the unblocked chain peaks at about 143 MB here
+    rng = np.random.default_rng(0)
+    shape, m, size = (16, 16, 16), 16, 4096
+    rows = rng.standard_normal((m, math.prod(shape)))
+    xs = [rng.standard_normal((size, n)) for n in shape]
+    tracemalloc.start()
+    try:
+        contract(rows, shape, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
