@@ -4,7 +4,10 @@ Each subcommand resolves its flags into a plain config dict, hashes
 {subcommand, config, seed, version} into a manifest hash that is stamped on
 every CSV it writes, then drops a JSON run manifest next to the artifacts.
 ``--replay <manifest.json>`` re-runs the stored config and reproduces the
-CSVs byte for byte (single-batch mode).
+CSVs byte for byte (single-batch mode).  The manifest also records the numpy
+version, outside the hash; replay prints one stderr line when it differs
+from the running one, since ``Generator`` streams are not promised stable
+across numpy releases (NEP 19).
 
 Exit codes: 0 success, 1 usage error, 2 validation/configuration error,
 3 numerical degeneracy, 4 selftest failure.
@@ -133,6 +136,7 @@ def _write_manifest(out_dir, subcommand, config, seed, outputs, started):
         "config": config,
         "seed": seed,
         "version": __version__,
+        "numpy": np.__version__,
         "manifest_hash": _manifest_hash(subcommand, config, seed),
         "outputs": outputs,
         "duration_s": round(time.perf_counter() - started, 3),
@@ -575,7 +579,8 @@ def _load_manifest(parser, path) -> tuple[str, dict]:
 
     The config must hold exactly the keys that the subcommand's flags
     resolve to, each of the type its default resolves to, and a known
-    ``dist``.
+    ``dist``.  A recorded numpy version other than the running one only
+    warns; manifests without one replay silently.
     """
     try:
         with open(path) as fh:
@@ -601,6 +606,13 @@ def _load_manifest(parser, path) -> tuple[str, dict]:
             raise ValidationError(f"manifest {path}: {subcommand} config {key}={config[key]!r} is not {type(default).__name__}")
     if "dist" in config and config["dist"] not in _DIST_KINDS:
         raise ValidationError(f"manifest {path}: unknown dist {config['dist']!r}")
+    recorded = manifest.get("numpy")
+    if recorded is not None and recorded != np.__version__:
+        print(
+            f"warning: manifest {path} was written with numpy {recorded}, running {np.__version__};"
+            " random streams may differ (NEP 19)",
+            file=sys.stderr,
+        )
     return subcommand, config
 
 

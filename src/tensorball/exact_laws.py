@@ -26,19 +26,13 @@ class BoundConfig:
 
     ``C_main`` is the generic leading constant, ``C_prime``/``C_dprime``
     the primed pair of the fixed-subspace bound, ``c_small`` the small
-    constant in the validity threshold exp(-c_small * l).  ``L_iso``,
-    ``C_P`` and ``C_K`` hold the isotropic constant, Poincare constant and
-    subgaussian norm for callers that compare against the log-concave and
-    subgaussian variants.
+    constant in the validity threshold exp(-c_small * l).
     """
 
     C_main: float = 1.0
     C_prime: float = 1.0
     C_dprime: float = 1.0
     c_small: float = 1.0
-    L_iso: float = 1.0
-    C_P: float = 1.0
-    C_K: float = 1.0
 
     def __post_init__(self):
         for f in fields(self):

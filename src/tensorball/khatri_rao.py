@@ -5,6 +5,13 @@ Schmidt norm of the pseudo-inverse equals the sum over rows of inverse
 squared distances to the span of the other rows.  Both sides are computed
 by independent routes (SVD vs least-squares residuals) so they can cross-
 check each other.
+
+The smoothed s_min tail never builds the n^ell x r Khatri-Rao matrix on its
+main route: (A (.) B)^T (A (.) B) = (A^T A) * (B^T B) (Kolda & Bader, SIAM
+Review 2009) gives s_min^2 as the smallest eigenvalue of an r x r Hadamard
+product of factor Grams.  Trials whose eigenvalue lies within a rounding
+band of zero or of a squared threshold are redone by SVD, so every count is
+the SVD's count.
 """
 
 from __future__ import annotations
@@ -21,6 +28,11 @@ from .montecarlo import ExperimentConfig, SmallBallCurve, _sum_over_batches
 from .tensor_core import kron
 
 _RANK_TOL = 1e-12
+
+# Relative half-width, in units of trace(G), of the band around 0 and around
+# each squared threshold inside which a Gram eigenvalue is not trusted to
+# decide a count (derivation in ``smin_tail_experiment``).
+_GRAM_BAND = 1e-10
 
 
 def khatri_rao(factor_matrices) -> np.ndarray:
@@ -171,12 +183,18 @@ def smin_tail_experiment(
 ) -> SminTailResult:
     """Monte-Carlo lower tail of s_min of the smoothed Khatri-Rao matrix.
 
-    Per trial, draws the smoothed factors, forms the Khatri-Rao matrix and
-    takes its smallest singular value by full SVD; hits are counted against
-    the threshold grid sqrt(1 - r/n^ell) * (c rho)^ell * eps.  The singular-
-    value sandwich 1/s_min^2 <= ||A^+||_HS^2 <= r/s_min^2 is checked on
-    every draw; a failure (non-finite or misordered singular values) raises
-    ``DegeneracyError``.
+    Per trial, draws the smoothed factors A_1..A_ell and takes s_min^2 as the
+    smallest eigenvalue of the r x r Gram G = (A_1^T A_1) * ... * (A_ell^T A_ell)
+    of the Khatri-Rao matrix, which is never formed.  A trial whose smallest
+    eigenvalue is non-finite, at most ``_GRAM_BAND * trace(G)``, or within
+    that band of a squared threshold is redone by full SVD of its Khatri-Rao
+    matrix, so every hit count equals the SVD's count.  Hits are counted
+    against the threshold grid sqrt(1 - r/n^ell) * (c rho)^ell * eps.  The
+    singular-value sandwich 1/s_min^2 <= ||A^+||_HS^2 <= r/s_min^2 is checked
+    on every draw, from the eigenvalues or the redone singular values; a
+    failure (non-finite or misordered values) raises ``DegeneracyError``.
+    Memory per batch is O(size * (ell*n*r + r^2)) plus the n^ell x r
+    matrices of the redone trials.
     """
     if e.r > e.n**e.ell / 2:
         raise HypothesisViolationError(f"need r <= n^ell/2 = {e.n ** e.ell / 2}, got r = {e.r}")
@@ -185,15 +203,52 @@ def smin_tail_experiment(
     eps = np.asarray(cfg.epsilon_grid)
     prefactor = math.sqrt(1.0 - e.r / e.n**e.ell) * (bound_cfg.c_small * e.rho) ** e.ell
     thresholds = prefactor * eps
+    thresholds_sq = thresholds**2
     sigma = e.rho / math.sqrt(e.n)
 
     def kernel(rng, size):
         mats = [e.base[j][None, :, :] + sigma * rng.standard_normal((size, e.n, e.r)) for j in range(e.ell)]
-        s = np.linalg.svd(kron(mats), compute_uv=False)
-        smin = s[:, -1]
-        pinv_sq = np.sum(1.0 / s**2, axis=1)
+        gram = np.matmul(mats[0].transpose(0, 2, 1), mats[0])
+        for a in mats[1:]:
+            gram *= np.matmul(a.transpose(0, 2, 1), a)
+        lam = np.linalg.eigvalsh(gram)
+        # Why the band certifies the count.  With u the unit roundoff, each
+        # computed Gram entry is off by at most n*u*|a_i||a_k| per mode, so
+        # the Hadamard product G is off entrywise by at most about
+        # ell*(n+1)*u*d_i*d_k, d_i = sqrt(G_ii) the Khatri-Rao column norms;
+        # that error matrix has spectral norm <= ell*(n+1)*u*trace(G), and by
+        # Weyl it moves every eigenvalue by no more.  ``eigvalsh`` is
+        # backward stable and adds O(u)*||G|| <= O(u)*trace(G); the reference
+        # SVD's s_min, rounding of the Khatri-Rao entries included, is off by
+        # O(ell*u)*s_max, so its square by O(ell*u)*trace(G).
+        # Measured, the computed lambda_min and the SVD's s_min^2 differ by
+        # under 4e-16*trace(G) (r up to 40, n up to 12, ell up to 4), so 1e-10
+        # leaves about six orders of headroom, and it keeps the worst-case
+        # bound ~100x inside the band while ell*(n+1) < 1e4.  Outside the
+        # band, lambda_min <= t^2 and the SVD's s_min <= t therefore agree:
+        # the count is the SVD's count, not a close one.  Inside it (or near
+        # lambda_min = 0, where squaring loses the small singular values) the
+        # trial is redone by SVD.  NaN fails every comparison below, so it is
+        # redone too.
+        band = _GRAM_BAND * np.trace(gram, axis1=1, axis2=2)
+        lam_min = lam[:, 0]
+        certified = (
+            np.all(np.isfinite(lam), axis=1)
+            & (lam_min > band)
+            & np.all(np.abs(lam_min[:, None] - thresholds_sq[None, :]) > band[:, None], axis=1)
+        )
+        smin = np.empty(size)
+        pinv_sq = np.empty(size)
+        smin[certified] = np.sqrt(lam_min[certified])
+        pinv_sq[certified] = np.sum(1.0 / lam[certified], axis=1)
+        finite = certified.copy()
+        redo = np.flatnonzero(~certified)
+        if redo.size:
+            s = np.linalg.svd(kron([a[redo] for a in mats]), compute_uv=False)
+            smin[redo] = s[:, -1]
+            pinv_sq[redo] = np.sum(1.0 / s**2, axis=1)
+            finite[redo] = np.all(np.isfinite(s), axis=1)
         inv_sq = 1.0 / smin**2
-        finite = np.all(np.isfinite(s), axis=1)
         ok = finite & (pinv_sq >= inv_sq * (1 - 1e-9)) & (pinv_sq <= e.r * inv_sq * (1 + 1e-9))
         if not np.all(ok):
             raise DegeneracyError(

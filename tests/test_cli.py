@@ -58,6 +58,7 @@ def test_smallball_outputs_and_determinism(tmp_path, capsys):
     assert manifest["subcommand"] == "smallball"
     assert manifest["seed"] == 3
     assert manifest["outputs"] == ["smallball.csv"]
+    assert manifest["numpy"] == np.__version__
     canon = json.dumps(
         {
             "subcommand": "smallball",
@@ -78,6 +79,28 @@ def test_replay_reproduces_bytes(tmp_path):
     assert run_cli(*SMALLBALL_ARGS, "--out", str(first)) == 0
     assert run_cli("--replay", str(first / "smallball_manifest.json"), "--out", str(again)) == 0
     assert (first / "smallball.csv").read_bytes() == (again / "smallball.csv").read_bytes()
+
+
+@pytest.mark.parametrize("recorded", ["0.0.0", None, np.__version__])
+def test_replay_notes_numpy_version_change(tmp_path, capsys, recorded):
+    """A different recorded numpy version warns in one line; a missing or equal one is silent."""
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run_cli(*SMALLBALL_ARGS, "--out", str(first)) == 0
+    manifest = first / "smallball_manifest.json"
+    data = json.loads(manifest.read_text())
+    data.pop("numpy")
+    if recorded is not None:
+        data["numpy"] = recorded
+    manifest.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("--replay", str(manifest), "--out", str(again)) == 0
+    err = capsys.readouterr().err
+    assert (first / "smallball.csv").read_bytes() == (again / "smallball.csv").read_bytes()
+    if recorded == "0.0.0":
+        assert len(err.splitlines()) == 1
+        assert f"numpy 0.0.0, running {np.__version__}" in err
+    else:
+        assert err == ""
 
 
 def replay_with(tmp_path, capsys, edit=None, text=None):
