@@ -13,7 +13,7 @@ import numpy as np
 from tensorball import DegeneracyError, SmoothedEnsemble, decompose_smoothed
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, default=10)
     ap.add_argument("--l", dest="ell", type=int, default=3)
@@ -22,7 +22,7 @@ def main():
     ap.add_argument("--seed", type=int, default=3)
     ap.add_argument("--decades", type=int, default=6)
     ap.add_argument("--out", default="decomposition_noise.csv")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     ensemble = SmoothedEnsemble.random(args.r, args.n, args.ell, args.rho, rng=args.seed)
     noises = [10.0**-k for k in range(4, 4 + args.decades)]

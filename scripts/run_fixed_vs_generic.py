@@ -10,24 +10,24 @@ from tensorball import (
     DistributionSpec,
     ExperimentConfig,
     coordinate_line_subspace,
+    curve_csv_bytes,
     estimate_smallball,
     fit_slope,
     haar_subspace,
-    write_curve,
 )
 import numpy as np
 
 GRID = (0.6, 0.5, 0.4, 0.3, 0.24, 0.19, 0.15, 0.12, 0.1, 0.08, 0.063, 0.05, 0.04, 0.03)
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, default=4)
     ap.add_argument("--l", dest="ell", type=int, default=2)
     ap.add_argument("--m", type=int, default=4)
     ap.add_argument("--trials", type=float, default=1e6)
     ap.add_argument("--seed", type=int, default=1)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     cfg = ExperimentConfig(seed=args.seed, trials=int(args.trials), epsilon_grid=GRID)
     shape = (args.n,) * args.ell
@@ -39,7 +39,8 @@ def main():
     slopes = {}
     for name, basis in bases.items():
         curve = estimate_smallball((DistributionSpec(kind="uniform-cube-sqrt3", dim=args.n),) * args.ell, basis, cfg)
-        write_curve(f"subspace_{name}", curve, cfg.to_json_dict())
+        with open(f"subspace_{name}.csv", "wb") as fh:
+            fh.write(curve_csv_bytes(curve))
         slopes[name] = fit_slope(curve, (0.05, 0.3)).slope
         print(f"{name}: slope {slopes[name]:.3f}, p(0.1) = {curve.p_hat[GRID.index(0.1)]:.3e}")
     print(f"slope gap {slopes['haar'] - slopes['line']:.3f}")

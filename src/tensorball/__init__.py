@@ -73,7 +73,6 @@ from .montecarlo import (
     git_blob_hash,
     negative_moment,
     norm_concentration,
-    write_curve,
 )
 from .subspaces import (
     SubspaceBasis,

@@ -95,10 +95,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_trials(text: str) -> int:
+    """A finite integral count, also in float notation (``1e6``, ``2e+04``)."""
     try:
-        return int(float(text))
+        value = float(text)
     except ValueError as exc:
         raise UsageError(f"bad trial count {text!r}") from exc
+    if not value.is_integer():
+        raise UsageError(f"trial count {text!r} is not a finite integer")
+    return int(value)
 
 
 def _parse_grid(text: str, log: bool = True) -> tuple[float, ...]:
@@ -262,6 +266,8 @@ def _run_bounds(cfg: dict, out_dir: str) -> list[str]:
 
 
 def _run_dominance(cfg: dict, out_dir: str) -> list[str]:
+    if cfg["bodies"] < 1:
+        raise ValidationError(f"need at least one body, got bodies = {cfg['bodies']}")
     spec = DistributionSpec(kind=_DIST_KINDS[cfg["dist"]], dim=cfg["n"])
     cube = matched_cube(spec)
     dim = cfg["n"] ** cfg["ell"]
@@ -520,6 +526,12 @@ def _resolve_seed(value) -> int:
     return 0
 
 
+def _check_config(cfg: dict) -> None:
+    """Refusals shared by fresh runs and ``--replay``, before anything is derived."""
+    if cfg.get("ell", 1) < 1:
+        raise ValidationError(f"tensor order must be >= 1, got l = {cfg['ell']}")
+
+
 def _config_from_args(args) -> dict:
     cfg = {}
     skip = {"subcommand", "replay", "out"}
@@ -534,6 +546,7 @@ def _config_from_args(args) -> dict:
         cfg["eps_grid"] = list(_parse_grid(cfg["eps_grid"]))
     if "t_grid" in cfg:
         cfg["t_grid"] = list(_parse_grid(cfg["t_grid"], log=False))
+    _check_config(cfg)
     if cfg.get("n") is None and "m" in cfg:
         n = max(2, math.ceil(cfg["m"] ** (1.0 / cfg["ell"])))
         while n ** cfg["ell"] < cfg["m"]:
@@ -606,6 +619,7 @@ def _load_manifest(parser, path) -> tuple[str, dict]:
             raise ValidationError(f"manifest {path}: {subcommand} config {key}={config[key]!r} is not {type(default).__name__}")
     if "dist" in config and config["dist"] not in _DIST_KINDS:
         raise ValidationError(f"manifest {path}: unknown dist {config['dist']!r}")
+    _check_config(config)
     recorded = manifest.get("numpy")
     if recorded is not None and recorded != np.__version__:
         print(

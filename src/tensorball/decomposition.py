@@ -10,7 +10,6 @@ pipeline can actually recover), never the unperturbed base.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
@@ -90,25 +89,6 @@ class Rank1Terms:
     def reconstruct(self) -> np.ndarray:
         """Dense tensor sum of the weighted rank-one terms."""
         return (khatri_rao(self.factors) @ self.weights).reshape(self.shape)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "weights": self.weights.tolist(),
-                "factors": [m.tolist() for m in self.factors],
-                "residual": self.residual,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, s: str) -> "Rank1Terms":
-        d = json.loads(s)
-        return cls(
-            weights=np.asarray(d["weights"]),
-            factors=tuple(np.asarray(m) for m in d["factors"]),
-            residual=d.get("residual"),
-        )
-
 
 @dataclass(frozen=True)
 class RecoveryReport:

@@ -18,9 +18,8 @@ and its density sup is infinite).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,37 +149,6 @@ class DistributionSpec:
         if self.shift is None:
             return np.zeros(self.dim)
         return np.asarray(self.shift, dtype=float)
-
-    def to_json_dict(self) -> dict:
-        out = {"kind": self.kind, "dim": self.dim, "shift": list(self.shift_array())}
-        out["density_bound"] = None if math.isinf(self.density_bound) else self.density_bound
-        if self.histogram is not None:
-            out["bins"] = {
-                "edges": list(self.histogram.bin_edges),
-                "heights": list(self.histogram.heights),
-            }
-        return out
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "DistributionSpec":
-        hist = None
-        if "bins" in d and d["bins"] is not None:
-            hist = HistogramDensity(tuple(d["bins"]["edges"]), tuple(d["bins"]["heights"]))
-        return cls(
-            kind=d["kind"],
-            dim=int(d["dim"]),
-            shift=tuple(d["shift"]) if d.get("shift") is not None else None,
-            density_bound=d.get("density_bound"),
-            histogram=hist,
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, s: str) -> "DistributionSpec":
-        return cls.from_json_dict(json.loads(s))
-
 
 def density_sup(spec: DistributionSpec) -> float:
     """Exact coordinate density sup-norm of ``spec`` (ignores the declared bound)."""

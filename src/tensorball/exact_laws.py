@@ -8,7 +8,6 @@ evaluator that bounds a probability caps its value at 1.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, fields
@@ -39,13 +38,6 @@ class BoundConfig:
             v = getattr(self, f.name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ValidationError(f"BoundConfig.{f.name} must be a positive real, got {v!r}")
-
-    def to_json(self) -> str:
-        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)})
-
-    @classmethod
-    def from_json(cls, s: str) -> "BoundConfig":
-        return cls(**json.loads(s))
 
 
 def _as_array(x):

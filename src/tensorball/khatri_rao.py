@@ -16,7 +16,6 @@ the SVD's count.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -122,30 +121,6 @@ class SmoothedEnsemble:
             g = rng.standard_normal((n, r))
             base.append(norm_cap * g / np.linalg.norm(g, axis=0))
         return cls(r=r, n=n, ell=ell, rho=rho, base=tuple(base), norm_cap=norm_cap)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "r": self.r,
-                "n": self.n,
-                "ell": self.ell,
-                "rho": self.rho,
-                "norm_cap": self.norm_cap,
-                "base": [b.tolist() for b in self.base],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, s: str) -> "SmoothedEnsemble":
-        d = json.loads(s)
-        return cls(
-            r=d["r"],
-            n=d["n"],
-            ell=d["ell"],
-            rho=d["rho"],
-            norm_cap=d["norm_cap"],
-            base=tuple(np.asarray(b) for b in d["base"]),
-        )
 
 
 def sample_smoothed_factors(e: SmoothedEnsemble, rng) -> list[np.ndarray]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -21,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.stats import beta as _beta
 
-from .distributions import DistributionSpec, sample_matrix
+from .distributions import sample_matrix
 from .errors import DataSparsityError, ValidationError
 from .subspaces import SubspaceBasis
 from .tensor_core import FlatTensor, contract, kron
@@ -71,19 +70,6 @@ class ExperimentConfig:
                 tuple(tuple(map(float, z)) for z in self.shift_vectors),
             )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "epsilon_grid": list(self.epsilon_grid),
-            "shift_vectors": None
-            if self.shift_vectors is None
-            else [list(z) for z in self.shift_vectors],
-            "confidence": self.confidence,
-            "batch_size": self.batch_size,
-            "batch_start": self.batch_start,
-            "threads": self.threads,
-        }
 
 
 def clopper_pearson(hits, trials: int, confidence: float) -> tuple[np.ndarray, np.ndarray]:
@@ -212,15 +198,6 @@ class DominanceReport:
     def consistent(self) -> bool:
         return not self.violation_candidate
 
-    def to_json_dict(self) -> dict:
-        out = {k: getattr(self, k) for k in (
-            "trials", "confidence", "hits_a", "hits_b", "p_hat_a", "p_hat_b",
-            "lower_a_one_sided", "upper_b_one_sided", "gap", "violation_candidate",
-        )}
-        out["ci_a"] = list(self.ci_a)
-        out["ci_b"] = list(self.ci_b)
-        out["consistent"] = self.consistent
-        return out
 
 
 @dataclass(frozen=True)
@@ -497,25 +474,3 @@ def curve_csv_bytes(curve: SmallBallCurve, extra_columns: dict | None = None, co
         writer.writerow(row)
     return buf.getvalue().encode()
 
-
-def write_curve(path_base, curve: SmallBallCurve, config: dict, extra_columns: dict | None = None,
-                comment: str | None = None) -> dict:
-    """Write <base>.csv plus a JSON sidecar with config, seed and content hash.
-
-    Returns the sidecar dict (including the git-style hash of the CSV bytes).
-    """
-    data = curve_csv_bytes(curve, extra_columns, comment)
-    csv_path = f"{path_base}.csv"
-    with open(csv_path, "wb") as fh:
-        fh.write(data)
-    sidecar = {
-        "config": config,
-        "seed": config.get("seed"),
-        "scaling": curve.scaling,
-        "content_hash": git_blob_hash(data),
-        "csv": csv_path,
-    }
-    with open(f"{path_base}.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return sidecar

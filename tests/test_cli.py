@@ -1,7 +1,11 @@
 import csv
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,7 +137,12 @@ def test_replay_config_unknown_key(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "key, value, message",
-    [("n", "3", "n='3' is not int"), ("eps_grid", ["x"], "eps_grid=['x'] is not list"), ("dist", "nope", "unknown dist")],
+    [
+        ("n", "3", "n='3' is not int"),
+        ("eps_grid", ["x"], "eps_grid=['x'] is not list"),
+        ("dist", "nope", "unknown dist"),
+        ("ell", 0, "tensor order must be >= 1"),
+    ],
 )
 def test_replay_config_bad_value(tmp_path, capsys, key, value, message):
     err = replay_with(tmp_path, capsys, edit=lambda d: d["config"].update({key: value}))
@@ -335,6 +344,33 @@ def test_usage_errors():
     assert run_cli("smallball", "--no-such-flag") == 1
     assert run_cli("smallball", "--eps-grid", "nonsense") == 1
     assert run_cli("smallball", "--trials", "many") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("direction", "--trials", "inf"), 1),
+        (("direction", "--trials", "1000.5"), 1),
+        (("bounds", "--l", "0"), 2),
+        (("bounds", "--l", "-1", "--m", "10"), 2),
+        (("dominance", "--bodies", "0"), 2),
+    ],
+    ids=["trials-inf", "trials-fractional", "l-zero", "l-negative", "no-bodies"],
+)
+def test_bad_argv_exit_code(tmp_path, capsys, argv, code):
+    argv = (*argv, "--out", str(tmp_path))
+    if "-1" in argv:
+        # deriving n from m once looped forever here: a subprocess with a timeout fails instead of hanging
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "tensorball.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        returncode, err = proc.returncode, proc.stderr
+    else:
+        returncode, err = run_cli(*argv), capsys.readouterr().err
+    assert returncode == code
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_validation_exit_code(tmp_path):

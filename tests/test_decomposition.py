@@ -59,14 +59,6 @@ def test_reconstruct_oracle():
     assert np.array_equal(terms.reconstruct(), np.diag([2.0, -1.0]))
 
 
-def test_terms_json_round_trip():
-    terms = random_terms(np.random.default_rng(0), (3, 4, 2), 2)
-    back = Rank1Terms.from_json(terms.to_json())
-    assert np.allclose(back.weights, terms.weights)
-    for a, b in zip(back.factors, terms.factors):
-        assert np.allclose(a, b)
-
-
 def test_contract_mode3_rank_one():
     u, v, w = np.array([1.0, 2.0]), np.array([3.0, 1.0]), np.array([0.5, -1.0, 2.0])
     t = np.einsum("i,j,k->ijk", u, v, w)

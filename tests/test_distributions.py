@@ -154,13 +154,6 @@ def test_matched_cube_density_exactly_the_bound():
     assert abs(hist.bin_edges[0] + hist.bin_edges[1]) < 1e-12
 
 
-def test_spec_json_roundtrip():
-    h = HistogramDensity(bin_edges=(-1.0, 0.0, 2.0), heights=(0.4, 0.3))
-    spec = DistributionSpec(kind="histogram", dim=4, shift=(1.0, 0.0, 0.0, -2.0), histogram=h)
-    again = DistributionSpec.from_json_dict(spec.to_json_dict())
-    assert again == spec
-
-
 def test_sampling_is_deterministic_per_seed():
     spec = DistributionSpec(kind="symmetric-exponential-unitvar", dim=3)
     a = sample_matrix(spec, np.random.default_rng(9), 100)

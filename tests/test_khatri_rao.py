@@ -1,5 +1,4 @@
 import importlib
-import json
 import math
 import tracemalloc
 
@@ -137,14 +136,6 @@ def test_ensemble_validation():
     big = np.full((3, 2), 2.0)
     with pytest.raises(ValidationError, match="norm_cap"):
         SmoothedEnsemble(r=2, n=3, ell=2, rho=0.1, base=(big, big), norm_cap=1.0)
-
-
-def test_ensemble_json_round_trip():
-    e = SmoothedEnsemble.random(3, 4, 2, 0.25, norm_cap=0.9, rng=7)
-    back = SmoothedEnsemble.from_json(e.to_json())
-    assert back.r == e.r and back.rho == e.rho and back.norm_cap == e.norm_cap
-    for a, b in zip(back.base, e.base):
-        assert np.array_equal(a, b)
 
 
 def smin_cfg(grid, trials=200, seed=0):

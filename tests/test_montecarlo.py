@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -26,7 +25,6 @@ from tensorball import (
     negative_moment,
     norm_concentration,
     product_uniform_smallball,
-    write_curve,
 )
 
 GAUSS2 = (DistributionSpec(kind="gaussian-std", dim=2),) * 2
@@ -202,15 +200,6 @@ def test_dominance_histogram_vs_matched_cube():
     assert rep.p_hat_a <= rep.p_hat_b + 0.01
 
 
-def test_dominance_report_json():
-    body = SlabBody.random(4, 2, 1.0, np.random.default_rng(1))
-    rep = dominance_test(GAUSS2, GAUSS2, body, cfg_of(trials=1000, grid=(1.0, 0.5)))
-    d = rep.to_json_dict()
-    parsed = json.loads(json.dumps(d))
-    assert parsed["trials"] == 1000
-    assert "violation_candidate" in parsed
-
-
 def test_negative_moment_values():
     assert negative_moment(np.full(100, 2.0), 0.5) == pytest.approx(2 ** -0.5)
     assert negative_moment(np.ones(10), 0.7) == 1.0
@@ -268,7 +257,7 @@ def test_git_blob_hash_known_value():
     assert git_blob_hash(b"hello\n") == "ce013625030ba8dba906f756967f9e9ca394464a"
 
 
-def test_curve_csv_and_sidecar(tmp_path):
+def test_curve_csv_and_sidecar():
     basis = coordinate_line_subspace(2, 2, 1)
     specs = (DistributionSpec(kind="gaussian-std", dim=2),) * 2
     cfg = cfg_of(seed=5, trials=1000, grid=(0.5, 0.1))
@@ -278,10 +267,3 @@ def test_curve_csv_and_sidecar(tmp_path):
     assert lines[0] == "# manifest: abc"
     assert lines[1] == "epsilon,hits,trials,p_hat,ci_low,ci_high"
     assert len(lines) == 4
-
-    sidecar = write_curve(tmp_path / "run", curve, cfg.to_json_dict())
-    csv_bytes = (tmp_path / "run.csv").read_bytes()
-    assert sidecar["content_hash"] == git_blob_hash(csv_bytes)
-    meta = json.loads((tmp_path / "run.json").read_text())
-    assert meta["seed"] == 5
-    assert meta["scaling"] == "eps*sqrt(m)"
