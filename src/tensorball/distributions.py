@@ -182,9 +182,16 @@ def _sample_histogram(h: HistogramDensity, rng: np.random.Generator, shape) -> n
         return np.full(shape, h.bin_edges[0], dtype=float)
     edges = np.asarray(h.bin_edges)
     widths = np.diff(edges)
+    u = rng.random(shape)
+    if widths.size == 1:
+        # every draw falls in the one bin; u was still drawn, so the stream
+        # and the values are those of the general route below
+        out = rng.random(shape, out=u)
+        out *= widths[0]
+        out += edges[0]
+        return out
     cum = np.cumsum(np.asarray(h.heights) * widths)
     cum = cum / cum[-1]
-    u = rng.random(shape)
     idx = np.searchsorted(cum, u, side="right")
     idx = np.minimum(idx, len(widths) - 1)
     return edges[idx] + rng.random(shape) * widths[idx]

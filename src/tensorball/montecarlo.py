@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -230,28 +231,54 @@ class NormTailCurves:
         return (up_lo, up_hi), (lo_lo, lo_hi)
 
 
-def _batch_plan(trials: int, batch_size: int) -> list[int]:
+# batches in flight per worker thread when ``threads > 1``
+_WINDOW_PER_THREAD = 2
+
+
+def _batch_plan(trials: int, batch_size: int):
+    """The batch sizes, lazily: a large ``trials`` has far too many to list."""
     full, rem = divmod(trials, batch_size)
-    return [batch_size] * full + ([rem] if rem else [])
+    for _ in range(full):
+        yield batch_size
+    if rem:
+        yield rem
+
+
+def _in_order(run, jobs, threads: int):
+    """``map(run, jobs)`` on a thread pool, at most ``_WINDOW_PER_THREAD * threads``
+    jobs in flight (``Executor.map`` would submit every job up front)."""
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = deque()
+        try:
+            for job in jobs:
+                pending.append(pool.submit(run, job))
+                if len(pending) == _WINDOW_PER_THREAD * threads:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def _sum_over_batches(cfg: ExperimentConfig, kernel: Callable[[np.random.Generator, int], np.ndarray]):
-    """Run ``kernel`` once per batch on its derived stream and add the results."""
-    plan = list(enumerate(_batch_plan(cfg.trials, cfg.batch_size)))
+    """Run ``kernel`` once per batch on its derived stream and add the results.
+
+    The plan is walked lazily into a running total, so memory does not grow
+    with the batch count; integer counts add associatively, so neither this
+    nor the thread count moves a count.
+    """
 
     def run(job):
         i, size = job
         seq = np.random.SeedSequence(cfg.seed, spawn_key=(cfg.batch_start + i,))
         return kernel(np.random.default_rng(seq), size)
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            parts = list(pool.map(run, plan))
-    else:
-        parts = [run(job) for job in plan]
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
+    jobs = enumerate(_batch_plan(cfg.trials, cfg.batch_size))
+    parts = _in_order(run, jobs, cfg.threads) if cfg.threads > 1 else map(run, jobs)
+    total = next(parts)
+    for part in parts:
+        total = total + part
     return total
 
 
@@ -332,7 +359,8 @@ def norm_concentration(specs, t_grid, cfg: ExperimentConfig) -> NormTailCurves:
         norm_prod = np.ones(size)
         for spec in specs:
             x = sample_matrix(spec, rng, size)
-            norm_prod = norm_prod * np.linalg.norm(x, axis=1)
+            # np.linalg.norm's own formula, squaring in place
+            norm_prod *= np.sqrt(np.add.reduce(np.multiply(x, x, out=x), axis=1))
         upper = np.count_nonzero(norm_prod[:, None] >= upper_thr[None, :], axis=0)
         lower = np.count_nonzero(norm_prod[:, None] <= lower_thr[None, :], axis=0)
         return np.stack([upper, lower])
@@ -359,10 +387,13 @@ def _membership_counts(specs, body: SlabBody, cfg: ExperimentConfig) -> int:
     def kernel(rng, size):
         hits = 0
         done = 0
+        # one product buffer for the batch's chunks; ``contains`` still runs
+        # its gemm on exactly one chunk's rows, since BLAS rounds by row count
+        buf = np.empty((min(chunk, size), ambient, 1))
         while done < size:
             cur = min(chunk, size - done)
             xs = _sample_factors(specs, rng, cur, cfg.shift_vectors)
-            flat = kron([x[:, :, None] for x in xs])[:, :, 0]
+            flat = kron([x[:, :, None] for x in xs], out=buf[:cur])[:, :, 0]
             hits += int(np.count_nonzero(body.contains(flat)))
             done += cur
         return np.asarray([hits])

@@ -90,7 +90,7 @@ def flatten(t: SimpleTensor, cap: int = FLATTEN_CAP) -> FlatTensor:
     return FlatTensor(shape=t.shape, data=data)
 
 
-def kron(mats) -> np.ndarray:
+def kron(mats, out=None) -> np.ndarray:
     """Row-major Kronecker product along axis -2 of ``(..., n_j, r)`` arrays.
 
     Row ``i_l + n_l * (i_{l-1} + ...)`` of the ``(..., prod n_j, r)`` result
@@ -99,26 +99,69 @@ def kron(mats) -> np.ndarray:
     (Khatri-Rao) product, with one column the flattened simple tensor.
     Factors multiply from the left, so a 1-d product rounds exactly like a
     left fold of NumPy's Kronecker product.
+
+    ``out``, a C-contiguous array of the result's shape, receives the last
+    stage's product in place of a fresh allocation and is returned; each
+    entry is the same product, so the bits do not change.
     """
-    out = mats[0]
-    for a in mats[1:]:
-        prod = out[..., :, None, :] * a[..., None, :, :]
-        out = prod.reshape(prod.shape[:-3] + (-1, prod.shape[-1]))
+    if out is not None and not out.flags.c_contiguous:
+        raise ValidationError("kron needs a C-contiguous out= array")
+    res = mats[0]
+    for j in range(1, len(mats)):
+        left, right = res[..., :, None, :], mats[j][..., None, :, :]
+        if out is not None and j == len(mats) - 1:
+            prod = np.multiply(left, right, out=out.reshape(np.broadcast_shapes(left.shape, right.shape)))
+        else:
+            prod = left * right
+        res = prod.reshape(prod.shape[:-3] + (-1, prod.shape[-1]))
+    if out is None:
+        return res
+    if len(mats) == 1:
+        np.copyto(out, res)
     return out
 
 
 def contract(rows: np.ndarray, shape: tuple[int, ...], xs) -> np.ndarray:
     """Inner products of every basis row with every trial's simple tensor.
 
-    rows: (m, D); xs: one (size, n_j) array per mode.  Contracts the last
-    mode first, vectorized over trials.  Returns (size, m).
+    rows: (m, D); xs: one (size, n_j) array per mode.  Returns (size, m).
 
+    When every row has exactly one nonzero ``c`` at ``(i_1, ..., i_l)`` (the
+    coordinate-line and diagonal constructions), the inner product is the
+    gathered product ``x_1[i_1] * (... * (x_l[i_l] * c))``, O(size * m * l).
+    For finite factors it is bitwise the dense chain's result: there every
+    other term of each sum is an exact zero, and the surviving products nest
+    in this order.  Any other row set takes the dense chain; the row check
+    runs once per call.
+
+    The dense chain contracts the last mode first, vectorized over trials.
     Trials go through in blocks whose first-mode intermediate fits in
     ``_BLOCK_BYTES``, so memory is O(size * (sum n_j + m)) plus one block
     instead of O(size * m * prod n_j[:-1]).  Each trial goes through the
     same BLAS and einsum steps whatever the block size, so the result is
     bitwise the one of a single block holding every trial.
     """
+    single = _single_entries(rows, shape)
+    if single is not None:
+        index, coef = single
+        out = xs[-1][:, index[-1]] * coef
+        for x, i in zip(xs[-2::-1], index[-2::-1]):
+            np.multiply(x[:, i], out, out=out)
+        return out
+    return _contract_dense(rows, shape, xs)
+
+
+def _single_entries(rows: np.ndarray, shape: tuple[int, ...]):
+    """Multi-index and value of each row's only nonzero, or None if a row has
+    none or several."""
+    nonzero = rows != 0
+    if not np.all(np.count_nonzero(nonzero, axis=1) == 1):
+        return None
+    flat = np.argmax(nonzero, axis=1)
+    return np.unravel_index(flat, shape), rows[np.arange(rows.shape[0]), flat]
+
+
+def _contract_dense(rows: np.ndarray, shape: tuple[int, ...], xs) -> np.ndarray:
     m = rows.shape[0]
     ell = len(shape)
     if ell == 1:

@@ -159,3 +159,24 @@ def test_sampling_is_deterministic_per_seed():
     a = sample_matrix(spec, np.random.default_rng(9), 100)
     b = sample_matrix(spec, np.random.default_rng(9), 100)
     assert np.array_equal(a, b)
+
+
+def searchsorted_histogram(h, rng, shape):
+    """The general histogram route, which a one-bin histogram skips."""
+    edges = np.asarray(h.bin_edges)
+    widths = np.diff(edges)
+    cum = np.cumsum(np.asarray(h.heights) * widths)
+    cum = cum / cum[-1]
+    u = rng.random(shape)
+    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(widths) - 1)
+    return edges[idx] + rng.random(shape) * widths[idx]
+
+
+@pytest.mark.parametrize("kind", ["gaussian-std", "symmetric-exponential-unitvar", "uniform-cube-unit"])
+def test_one_bin_histogram_draws_match_searchsorted_route(kind):
+    cube = matched_cube(DistributionSpec(kind=kind, dim=5))
+    for n in (1, 2, 1000):
+        ours, theirs = np.random.default_rng(n), np.random.default_rng(n)
+        got = sample_matrix(cube, ours, n)
+        assert np.array_equal(got, searchsorted_histogram(cube.histogram, theirs, (n, 5)))
+        assert ours.random() == theirs.random()

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -24,8 +25,11 @@ from tensorball import (
     matched_cube,
     negative_moment,
     norm_concentration,
+    kron,
     product_uniform_smallball,
+    sample_matrix,
 )
+from tensorball import montecarlo
 
 GAUSS2 = (DistributionSpec(kind="gaussian-std", dim=2),) * 2
 CUBE_UNIT_GRID = (0.5, 0.3, 0.2, 0.1, 0.05)
@@ -267,3 +271,83 @@ def test_curve_csv_and_sidecar():
     assert lines[0] == "# manifest: abc"
     assert lines[1] == "epsilon,hits,trials,p_hat,ci_low,ci_high"
     assert len(lines) == 4
+
+
+def batch_streams(cfg):
+    """(generator, size) of every batch, as the batch partition defines them."""
+    full, rem = divmod(cfg.trials, cfg.batch_size)
+    for i, size in enumerate([cfg.batch_size] * full + ([rem] if rem else [])):
+        yield np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(cfg.batch_start + i,))), size
+
+
+def reference_membership_hits(specs, body, cfg):
+    """Membership counts with a fresh Kronecker product for every chunk."""
+    chunk = (1 << 21) // body.ambient_dim
+    hits = 0
+    for rng, size in batch_streams(cfg):
+        for start in range(0, size, chunk):
+            xs = [sample_matrix(s, rng, min(chunk, size - start)) for s in specs]
+            hits += int(np.count_nonzero(body.contains(kron([x[:, :, None] for x in xs])[:, :, 0])))
+    return hits
+
+
+@pytest.mark.parametrize("tail, count, threads", [(1, 8, 1), (2, 8, 2), (1, 0, 1)])
+def test_membership_counts_match_fresh_products(tail, count, threads):
+    # n=4, l=3: chunks of 2^21 / 64 = 32768 trials, so each batch ends in a
+    # chunk of ``tail`` trials
+    spec = DistributionSpec(kind="symmetric-exponential-unitvar", dim=4)
+    specs = (spec,) * 3
+    body = SlabBody.random(64, count, 1.0, np.random.default_rng(count))
+    batch = 32768 + tail
+    cfg = cfg_of(seed=9, trials=2 * batch + 5, grid=(1.0, 0.5), batch_size=batch, threads=threads)
+    for laws in (specs, (matched_cube(spec),) * 3):
+        want = reference_membership_hits(laws, body, cfg)
+        assert montecarlo._membership_counts(laws, body, cfg) == want
+        assert 0 < want <= cfg.trials
+
+
+def test_norm_concentration_matches_linalg_norm():
+    specs = (DistributionSpec(kind="gaussian-std", dim=16), DistributionSpec(kind="uniform-cube-sqrt3", dim=8))
+    t = np.linspace(0.02, 0.6, 12)
+    cfg = cfg_of(seed=3, trials=25_000, grid=(1.0, 0.5), batch_size=7_001, threads=2)
+    upper = np.zeros(t.size, dtype=int)
+    lower = np.zeros(t.size, dtype=int)
+    scale = math.sqrt(16 * 8)
+    for rng, size in batch_streams(cfg):
+        norm_prod = np.ones(size)
+        for spec in specs:
+            norm_prod = norm_prod * np.linalg.norm(sample_matrix(spec, rng, size), axis=1)
+        upper += np.count_nonzero(norm_prod[:, None] >= (1.0 + t) * scale, axis=0)
+        lower += np.count_nonzero(norm_prod[:, None] <= (1.0 - t) * scale, axis=0)
+    curves = norm_concentration(specs, tuple(t), cfg)
+    assert curves.upper_counts == tuple(upper) and curves.lower_counts == tuple(lower)
+    assert upper[0] > 0 and lower[0] > 0
+
+
+class Sentinel(Exception):
+    pass
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_batch_driver_streams_a_huge_plan(threads):
+    calls = []
+    lock = threading.Lock()
+
+    def kernel(rng, size):
+        with lock:
+            calls.append(size)
+            if len(calls) > 3:
+                raise Sentinel
+        return np.asarray([size])
+
+    cfg = cfg_of(trials=10**30, grid=(1.0, 0.5), threads=threads)
+    with pytest.raises(Sentinel):
+        montecarlo._sum_over_batches(cfg, kernel)
+    assert 4 <= len(calls) <= 3 + montecarlo._WINDOW_PER_THREAD * threads
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_batch_driver_adds_every_batch_once(threads):
+    cfg = cfg_of(seed=1, trials=1_000_003, grid=(1.0, 0.5), batch_size=9_999, threads=threads)
+    total = montecarlo._sum_over_batches(cfg, lambda rng, size: np.asarray([size, 1]))
+    assert total.tolist() == [1_000_003, 101]

@@ -1,10 +1,11 @@
 """The benchmark's pinned hit counts, checked on every test run.
 
-Runs the ``dense-haar`` call and the ``mc-mixed`` smallball and direction
-calls of ``perfbench/workloads.py`` at the default workload seed through
-``cli.main`` and compares their CSV hit counts with ``perfbench/goldens.json``.
-Those counts go through the dense contraction, so a change that moves any of
-its bits shows here.  This test reads ``perfbench/`` and changes nothing
+Runs the ``dense-haar`` call and every ``mc-mixed`` call of
+``perfbench/workloads.py`` at the default workload seed through ``cli.main``
+and compares their hit counts with ``perfbench/goldens.json``.  Those counts
+go through the dense and the gathered contraction, the norm and Kronecker
+kernels and the histogram sampler, so a change that moves any of their bits
+shows here.  This test reads ``perfbench/`` and changes nothing
 there.
 """
 
@@ -29,13 +30,15 @@ def load_workloads(monkeypatch):
     return module
 
 
-@pytest.mark.parametrize("workload, index", [("dense-haar", 0), ("mc-mixed", 0), ("mc-mixed", 1)])
+@pytest.mark.parametrize(
+    "workload, index", [("dense-haar", 0), ("mc-mixed", 0), ("mc-mixed", 1), ("mc-mixed", 2), ("mc-mixed", 3)]
+)
 def test_hit_counts_match_goldens(tmp_path, capsys, monkeypatch, workload, index):
     workloads = load_workloads(monkeypatch)
     goldens = json.loads((_PERFBENCH / "goldens.json").read_text())
     assert goldens["seed"] == workloads.DEFAULT_SEED
     call = workloads.calls_for(workload, workloads.DEFAULT_SEED)[index]
-    assert call.subcommand in ("smallball", "direction")
+    assert call.subcommand in ("smallball", "direction", "norms", "dominance")
     assert cli.main([*call.argv, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert workloads.check_output(call, str(tmp_path)) == goldens["hits"][f"{workload}/{index}"]

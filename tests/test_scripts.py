@@ -6,6 +6,8 @@ import re
 import runpy
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -21,13 +23,23 @@ def read_csv(path):
 
 
 def test_fixed_vs_generic_script(tmp_path, monkeypatch, capsys):
-    out = run_script("run_fixed_vs_generic.py", ["--trials", "2000"], tmp_path, monkeypatch, capsys)
+    out = run_script("run_fixed_vs_generic.py", ["--trials", "2e3"], tmp_path, monkeypatch, capsys)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["subspace_haar.csv", "subspace_line.csv"]
     for name in ("haar", "line"):
         rows = read_csv(tmp_path / f"subspace_{name}.csv")
         assert len(rows) == 14 and all(row["trials"] == "2000" for row in rows)
     gap = re.search(r"^slope gap (\S+)$", out, re.M)
     assert gap and math.isfinite(float(gap.group(1)))
+
+
+@pytest.mark.parametrize("trials", ["1000.5", "inf"])
+def test_fixed_vs_generic_refuses_non_integral_trials(tmp_path, monkeypatch, capsys, trials):
+    with pytest.raises(SystemExit) as exc:
+        run_script("run_fixed_vs_generic.py", ["--trials", trials], tmp_path, monkeypatch, capsys)
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert "error: argument --trials: " in last and repr(trials) in last
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_decomposition_noise_script(tmp_path, monkeypatch, capsys):

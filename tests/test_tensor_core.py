@@ -242,3 +242,59 @@ def test_contract_memory_stays_within_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+def single_entry_rows(rng, shape, m, coefs):
+    """m rows with one nonzero each, at random positions, cycling through ``coefs``."""
+    rows = np.zeros((m, math.prod(shape)))
+    cols = rng.integers(0, rows.shape[1], size=m)
+    rows[np.arange(m), cols] = [coefs[k % len(coefs)] for k in range(m)]
+    return rows
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("m", [0, 1, 4, 9])
+def test_contract_single_entry_rows_match_unblocked_bitwise(ell, m):
+    rng = np.random.default_rng(10 * ell + m)
+    shape = tuple(int(n) for n in rng.integers(2, 6, size=ell))
+    rows = single_entry_rows(rng, shape, m, (1.0, -1.0, -3.7, 0.1, 1e-300, 1e300, 2.5e-310))
+    block = max(2, tensor_core._BLOCK_BYTES // (8 * max(1, m * math.prod(shape[:-1]))))
+    for size in (1, 2, 3, block - 1, block + 1, 3 * block + 5):
+        xs = [rng.standard_normal((size, n)) for n in shape]
+        got = contract(rows, shape, xs)
+        assert got.shape == (size, m)
+        assert np.array_equal(got, unblocked_contract(rows, shape, xs)), size
+
+
+def test_contract_gathers_only_when_every_row_has_one_nonzero(monkeypatch):
+    dense_calls = []
+    dense = tensor_core._contract_dense
+    monkeypatch.setattr(
+        tensor_core, "_contract_dense", lambda *args: dense_calls.append(1) or dense(*args)
+    )
+    rng = np.random.default_rng(3)
+    shape = (3, 4, 2)
+    xs = [rng.standard_normal((7, n)) for n in shape]
+    single = single_entry_rows(rng, shape, 3, (1.0, -2.0))
+    contract(single, shape, xs)
+    assert dense_calls == []
+    two = single.copy()
+    two[1, (np.flatnonzero(two[1])[0] + 1) % two.shape[1]] = 0.5
+    empty = single.copy()
+    empty[2] = 0.0
+    for rows in (two, empty):
+        got = contract(rows, shape, xs)
+        assert np.array_equal(got, unblocked_contract(rows, shape, xs))
+    assert dense_calls == [1, 1]
+
+
+@pytest.mark.parametrize("dims, r", [([3], 2), ([2, 3], 1), ([4, 4, 4], 1), ([3, 2, 4], 3)])
+def test_kron_out_matches_fresh_bitwise(dims, r):
+    rng = np.random.default_rng(sum(dims) + r)
+    mats = [rng.standard_normal((6, n, r)) for n in dims]
+    buf = np.empty((9, math.prod(dims), r))
+    got = kron(mats, out=buf[:6])
+    assert got.base is buf
+    assert np.array_equal(got, kron(mats))
+    with pytest.raises(ValidationError):
+        kron(mats, out=np.empty((6, 2 * math.prod(dims), r))[:, ::2])
