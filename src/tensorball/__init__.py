@@ -16,9 +16,7 @@ from .decomposition import (
 from .distributions import (
     DistributionSpec,
     HistogramDensity,
-    density_sup,
     matched_cube,
-    rearrange_histogram,
     sample_matrix,
 )
 from .errors import (
@@ -39,7 +37,6 @@ from .exact_laws import (
     bound_concentration_subgaussian,
     bound_fixed_subspace,
     bound_generic_subspace,
-    bound_negative_moment,
     bound_nondeterministic,
     bound_single_direction,
     bound_smin_tail,
@@ -54,7 +51,6 @@ from .khatri_rao import (
     khatri_rao,
     pinv_hs_norm_sq,
     projection_distance_sum,
-    sample_smoothed,
     sample_smoothed_factors,
     smin_tail_experiment,
 )
@@ -71,7 +67,6 @@ from .montecarlo import (
     estimate_smallball,
     fit_slope,
     git_blob_hash,
-    negative_moment,
     norm_concentration,
 )
 from .subspaces import (
@@ -79,16 +74,9 @@ from .subspaces import (
     coordinate_line_subspace,
     diagonal_direction,
     haar_subspace,
-    orthonormalize,
 )
 from .tensor_core import (
     FlatTensor,
-    SimpleTensor,
     contract,
-    flatten,
-    frobenius_norm,
-    inner_flat,
-    inner_simple,
     kron,
-    projection_norm,
 )

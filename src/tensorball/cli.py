@@ -78,6 +78,7 @@ from .subspaces import (
     diagonal_direction,
     haar_subspace,
 )
+from .tensor_core import FLATTEN_CAP
 
 _DIST_KINDS = {
     "cube": "uniform-cube-sqrt3",
@@ -526,10 +527,25 @@ def _resolve_seed(value) -> int:
     return 0
 
 
-def _check_config(cfg: dict) -> None:
-    """Refusals shared by fresh runs and ``--replay``, before anything is derived."""
+def _check_config(subcommand: str, cfg: dict) -> None:
+    """Refusals shared by fresh runs and ``--replay``, before anything is derived.
+
+    Runs whose flattened size is above ``FLATTEN_CAP`` entries (the m basis
+    rows of length n^l for smallball, one n^l tensor for direction,
+    dominance and decompose) are refused before anything is allocated.
+    """
     if cfg.get("ell", 1) < 1:
         raise ValidationError(f"tensor order must be >= 1, got l = {cfg['ell']}")
+    if cfg.get("m", 1) < 1:
+        raise ValidationError(f"subspace dimension must be >= 1, got m = {cfg['m']}")
+    if cfg.get("count", 0) < 0:
+        raise ValidationError(f"slab direction count must be >= 0, got count = {cfg['count']}")
+    if subcommand in ("smallball", "direction", "dominance", "decompose"):
+        rows = cfg["m"] if subcommand == "smallball" else 1
+        # for n >= 2, n^64 is above the cap already, so no larger power is built
+        if rows * cfg["n"] ** min(cfg["ell"], 64) > FLATTEN_CAP:
+            size = f"{cfg['n']}^{cfg['ell']}" if rows == 1 else f"{rows} x {cfg['n']}^{cfg['ell']}"
+            raise ResourceError(f"{subcommand} needs {size} flattened entries, above the cap of {FLATTEN_CAP}")
 
 
 def _config_from_args(args) -> dict:
@@ -546,7 +562,7 @@ def _config_from_args(args) -> dict:
         cfg["eps_grid"] = list(_parse_grid(cfg["eps_grid"]))
     if "t_grid" in cfg:
         cfg["t_grid"] = list(_parse_grid(cfg["t_grid"], log=False))
-    _check_config(cfg)
+    _check_config(args.subcommand, cfg)
     if cfg.get("n") is None and "m" in cfg:
         n = max(2, math.ceil(cfg["m"] ** (1.0 / cfg["ell"])))
         while n ** cfg["ell"] < cfg["m"]:
@@ -619,7 +635,7 @@ def _load_manifest(parser, path) -> tuple[str, dict]:
             raise ValidationError(f"manifest {path}: {subcommand} config {key}={config[key]!r} is not {type(default).__name__}")
     if "dist" in config and config["dist"] not in _DIST_KINDS:
         raise ValidationError(f"manifest {path}: unknown dist {config['dist']!r}")
-    _check_config(config)
+    _check_config(subcommand, config)
     recorded = manifest.get("numpy")
     if recorded is not None and recorded != np.__version__:
         print(

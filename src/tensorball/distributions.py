@@ -98,10 +98,6 @@ class DistributionSpec:
         One of ``KINDS``.
     dim : int
         Length of the factor vector, at least 1.
-    shift : tuple of float, optional
-        Additive offset applied after sampling (defaults to zero).  The
-        centered-at-arbitrary-point experiments subtract their own shift at
-        the consumer side; samplers stay centered unless this is set.
     density_bound : float, optional
         Declared upper bound on the coordinate density.  Defaults to the
         exact sup for the kind; an explicit value below the true sup is
@@ -112,7 +108,6 @@ class DistributionSpec:
 
     kind: str
     dim: int
-    shift: tuple[float, ...] | None = None
     density_bound: float | None = None
     histogram: HistogramDensity | None = None
 
@@ -127,11 +122,6 @@ class DistributionSpec:
                 raise ConfigurationError("kind 'histogram' requires a HistogramDensity")
         elif self.histogram is not None:
             raise ConfigurationError(f"kind {self.kind!r} does not take a histogram")
-        if self.shift is not None:
-            shift = np.asarray(self.shift, dtype=float)
-            if shift.shape != (self.dim,):
-                raise ValidationError(f"shift must have length dim={self.dim}, got shape {shift.shape}")
-            object.__setattr__(self, "shift", tuple(shift.tolist()))
         sup = self._exact_sup()
         if self.density_bound is None:
             object.__setattr__(self, "density_bound", sup)
@@ -145,36 +135,23 @@ class DistributionSpec:
             return self.histogram.sup()
         return _BUILTIN_SUP[self.kind]
 
-    def shift_array(self) -> np.ndarray:
-        if self.shift is None:
-            return np.zeros(self.dim)
-        return np.asarray(self.shift, dtype=float)
-
-def density_sup(spec: DistributionSpec) -> float:
-    """Exact coordinate density sup-norm of ``spec`` (ignores the declared bound)."""
-    return spec._exact_sup()
-
 
 def sample_matrix(spec: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw ``n`` factor vectors as the rows of an ``(n, dim)`` array.
 
-    Coordinates are i.i.d. from the spec's law, then shifted by
-    ``spec.shift`` componentwise.  Deterministic given the generator state.
+    Coordinates are i.i.d. from the spec's law.  Deterministic given the
+    generator state.
     """
     d = spec.dim
     if spec.kind == "uniform-cube-sqrt3":
-        out = rng.uniform(-_SQRT3, _SQRT3, size=(n, d))
-    elif spec.kind == "uniform-cube-unit":
-        out = rng.uniform(-1.0, 1.0, size=(n, d))
-    elif spec.kind == "gaussian-std":
-        out = rng.standard_normal((n, d))
-    elif spec.kind == "symmetric-exponential-unitvar":
-        out = rng.laplace(0.0, _LAPLACE_SCALE, size=(n, d))
-    else:
-        out = _sample_histogram(spec.histogram, rng, (n, d))
-    if spec.shift is not None:
-        out = out + spec.shift_array()
-    return out
+        return rng.uniform(-_SQRT3, _SQRT3, size=(n, d))
+    if spec.kind == "uniform-cube-unit":
+        return rng.uniform(-1.0, 1.0, size=(n, d))
+    if spec.kind == "gaussian-std":
+        return rng.standard_normal((n, d))
+    if spec.kind == "symmetric-exponential-unitvar":
+        return rng.laplace(0.0, _LAPLACE_SCALE, size=(n, d))
+    return _sample_histogram(spec.histogram, rng, (n, d))
 
 
 def _sample_histogram(h: HistogramDensity, rng: np.random.Generator, shape) -> np.ndarray:
@@ -195,50 +172,6 @@ def _sample_histogram(h: HistogramDensity, rng: np.random.Generator, shape) -> n
     idx = np.searchsorted(cum, u, side="right")
     idx = np.minimum(idx, len(widths) - 1)
     return edges[idx] + rng.random(shape) * widths[idx]
-
-
-def _is_symmetric_decreasing(h: HistogramDensity) -> bool:
-    if h.is_point_mass:
-        return h.bin_edges[0] == 0.0
-    edges = np.asarray(h.bin_edges)
-    heights = np.asarray(h.heights)
-    if not np.array_equal(edges, -edges[::-1]):
-        return False
-    if not np.array_equal(heights, heights[::-1]):
-        return False
-    k = (len(heights) + 1) // 2
-    return bool(np.all(np.diff(heights[:k]) >= 0))
-
-
-def rearrange_histogram(h: HistogramDensity) -> HistogramDensity:
-    """Symmetric decreasing rearrangement of a piecewise-constant density.
-
-    Level sets keep their measure: bins are sorted by height and laid out
-    around the origin, tallest innermost.  A histogram that is already even
-    and nonincreasing in ``|x|`` is returned unchanged, which makes the map
-    idempotent.
-    """
-    if _is_symmetric_decreasing(h):
-        return h
-    if h.is_point_mass:
-        return HistogramDensity((0.0, 0.0), h.heights)
-    edges = np.asarray(h.bin_edges)
-    heights = np.asarray(h.heights)
-    widths = np.diff(edges)
-    order = np.argsort(-heights, kind="stable")
-    hs = heights[order]
-    ws = widths[order]
-    r = np.cumsum(ws) / 2.0
-    out_edges = np.concatenate([-r[::-1], r])
-    out_heights = np.concatenate([hs[::-1], hs[1:]])
-    # merge adjacent equal heights so repeated application is stable
-    keep = np.ones(len(out_heights), dtype=bool)
-    keep[1:] = out_heights[1:] != out_heights[:-1]
-    merged_heights = out_heights[keep]
-    edge_keep = np.ones(len(out_edges), dtype=bool)
-    edge_keep[1:-1] = keep[1:]
-    merged_edges = out_edges[edge_keep]
-    return HistogramDensity(tuple(merged_edges.tolist()), tuple(merged_heights.tolist()))
 
 
 def matched_cube(spec: DistributionSpec) -> DistributionSpec:

@@ -252,15 +252,6 @@ def bound_smin_tail(eps, r: int, n: int, ell: int, rho: float, cfg: BoundConfig 
     return threshold, bound
 
 
-def bound_negative_moment(K: float, ell: int, q: float) -> float:
-    """Reference value (K ell^ell)^q / (1-q)^(q(ell-1)+1) for negative-moment diagnostics."""
-    if not 0 < q < 1:
-        raise ValidationError(f"q must lie in (0, 1), got {q}")
-    if K <= 0 or ell < 1:
-        raise ValidationError("K must be positive and ell >= 1")
-    return (K * ell**ell) ** q / (1.0 - q) ** (q * (ell - 1) + 1)
-
-
 @dataclass(frozen=True)
 class ConstantFit:
     constant: float

@@ -132,11 +132,6 @@ def sample_smoothed_factors(e: SmoothedEnsemble, rng) -> list[np.ndarray]:
     return [b + sigma * rng.standard_normal((e.n, e.r)) for b in e.base]
 
 
-def sample_smoothed(e: SmoothedEnsemble, rng) -> np.ndarray:
-    """Khatri-Rao matrix (n^ell x r) of one smoothed draw."""
-    return khatri_rao(sample_smoothed_factors(e, rng))
-
-
 @dataclass(frozen=True)
 class SminTailResult:
     """Empirical s_min tail curve plus the matching closed-form reference.
@@ -169,8 +164,10 @@ def smin_tail_experiment(
     on every draw, from the eigenvalues or the redone singular values; a
     failure (non-finite or misordered values) raises ``DegeneracyError``.
     Memory per batch is O(size * (ell*n*r + r^2)) plus the n^ell x r
-    matrices of the redone trials.
+    matrices of the redone trials.  ``cfg.shift_vectors`` must be unset.
     """
+    if cfg.shift_vectors is not None:
+        raise ValidationError("smin_tail_experiment does not take shift_vectors")
     if e.r > e.n**e.ell / 2:
         raise HypothesisViolationError(f"need r <= n^ell/2 = {e.n ** e.ell / 2}, got r = {e.r}")
     if e.rho <= 0:

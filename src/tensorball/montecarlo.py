@@ -35,9 +35,10 @@ class ExperimentConfig:
 
     ``epsilon_grid`` must be strictly decreasing so nested-event counts are
     monotone along the grid.  ``shift_vectors`` are subtracted from the
-    sampled factors (the arbitrary centers z_j); samplers themselves stay
-    centered.  ``batch_size``/``batch_start`` define the deterministic batch
-    partition; ``threads`` only changes scheduling, never results.
+    sampled factors (the arbitrary centers z_j) by the small-ball and
+    dominance experiments; the norm and s_min experiments refuse them.
+    ``batch_size``/``batch_start`` define the deterministic batch partition;
+    ``threads`` only changes scheduling, never results.
     """
 
     seed: int
@@ -172,10 +173,6 @@ class SlabBody:
     def random(cls, dim: int, count: int, scale: float, rng) -> "SlabBody":
         rng = np.random.default_rng(rng)
         return cls(directions=scale * rng.standard_normal((count, dim)))
-
-    @classmethod
-    def linf_ball(cls, dim: int, radius: float) -> "SlabBody":
-        return cls(directions=np.eye(dim) / radius)
 
 
 @dataclass(frozen=True)
@@ -341,10 +338,13 @@ def norm_concentration(specs, t_grid, cfg: ExperimentConfig) -> NormTailCurves:
     """Tail frequencies of the tensor norm around its isotropic scale sqrt(prod n_j).
 
     Counts P(prod ||X_j|| >= (1+t) * n^(l/2)) and P(<= (1-t) * n^(l/2)) for
-    every t.  Requires the unit-variance built-in kinds with no shift.
+    every t.  Requires the unit-variance built-in kinds and no
+    ``cfg.shift_vectors``.
     """
+    if cfg.shift_vectors is not None:
+        raise ValidationError("norm_concentration does not take shift_vectors")
     for spec in specs:
-        if spec.kind not in _ISOTROPIC_KINDS or spec.shift is not None:
+        if spec.kind not in _ISOTROPIC_KINDS:
             raise ValidationError(
                 f"norm_concentration needs centered isotropic kinds {_ISOTROPIC_KINDS}, got {spec.kind!r}"
             )
@@ -434,16 +434,6 @@ def dominance_test(specs_a, specs_b, body: SlabBody, cfg: ExperimentConfig) -> D
         gap=gap,
         violation_candidate=bool(gap > 0),
     )
-
-
-def negative_moment(samples, q: float) -> float:
-    """Empirical mean of samples^(-q) for 0 < q < 1; all samples must be positive."""
-    if not 0 < q < 1:
-        raise ValidationError(f"q must lie in (0, 1), got {q}")
-    x = np.asarray(samples, dtype=float)
-    if x.size == 0 or np.any(x <= 0):
-        raise ValidationError("samples must be nonempty and strictly positive")
-    return float(np.mean(x**-q))
 
 
 def fit_slope(curve: SmallBallCurve, eps_range: tuple[float, float], deflate_log_power: int = 0) -> SlopeFit:

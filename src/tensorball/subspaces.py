@@ -2,7 +2,7 @@
 
 Two regimes: Haar-random subspaces of the flattened tensor space, and the
 adversarial coordinate constructions aligned with the first mode.  Arbitrary
-user bases enter through ``orthonormalize``.
+user bases enter as basis files (``SubspaceBasis.load``).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_core
-from .errors import DegeneracyError, ValidationError
+from .errors import ValidationError
 
 _ORTHO_TOL = 1e-10
 
@@ -97,29 +97,3 @@ def coordinate_line_subspace(n: int, ell: int, m: int) -> SubspaceBasis:
     rows = np.zeros((m, d))
     rows[np.arange(m), np.arange(m) * n ** (ell - 1)] = 1.0
     return SubspaceBasis(shape=(n,) * ell, rows=rows)
-
-
-def orthonormalize(rows, tol: float = _ORTHO_TOL, shape=None) -> SubspaceBasis:
-    """Gram-Schmidt an arbitrary spanning set into a SubspaceBasis.
-
-    Modified Gram-Schmidt with one re-orthogonalization pass; a pivot whose
-    norm falls below ``tol`` (relative to the input row) raises
-    ``DegeneracyError`` naming the row.  ``shape`` defaults to the flat
-    one-mode shape ``(D,)``.
-    """
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    m, d = rows.shape
-    if shape is None:
-        shape = (d,)
-    out = np.empty_like(rows)
-    for i in range(m):
-        v = rows[i].copy()
-        scale = np.linalg.norm(v)
-        for _ in range(2):
-            for j in range(i):
-                v -= np.dot(out[j], v) * out[j]
-        norm = np.linalg.norm(v)
-        if scale == 0 or norm < tol * scale:
-            raise DegeneracyError(f"row {i} is linearly dependent on the preceding rows (pivot {norm:.3e})")
-        out[i] = v / norm
-    return SubspaceBasis(shape=tuple(shape), rows=out)

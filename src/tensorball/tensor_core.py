@@ -1,4 +1,4 @@
-"""Simple tensors, flattening, inner products, and projections.
+"""Flattening, Kronecker products and inner products of simple tensors.
 
 Flattening is row-major throughout (last index fastest), matching
 ``numpy.reshape`` order and columnwise Kronecker products.  Multi-index
@@ -17,40 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceError, ValidationError
+from .errors import ValidationError
 
+# most flattened entries a basis file or a CLI run may hold
 FLATTEN_CAP = 10_000_000
 
 # bytes of first-mode intermediate ``contract`` holds at once
 _BLOCK_BYTES = 1 << 20
 
 _BASIS_MAGIC = b"TBSB"
-
-
-@dataclass(frozen=True)
-class SimpleTensor:
-    """Rank-one tensor stored as its factor vectors."""
-
-    factors: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if len(self.factors) < 1:
-            raise ValidationError("a simple tensor needs at least one factor")
-        fixed = []
-        for j, f in enumerate(self.factors):
-            arr = np.asarray(f, dtype=float)
-            if arr.ndim != 1 or arr.size < 1:
-                raise ValidationError(f"factor {j} must be a nonempty 1-d vector")
-            fixed.append(arr)
-        object.__setattr__(self, "factors", tuple(fixed))
-
-    @property
-    def order(self) -> int:
-        return len(self.factors)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(f.size for f in self.factors)
 
 
 @dataclass(frozen=True)
@@ -75,19 +50,6 @@ class FlatTensor:
     @property
     def order(self) -> int:
         return len(self.shape)
-
-
-def flatten(t: SimpleTensor, cap: int = FLATTEN_CAP) -> FlatTensor:
-    """Materialize the rank-one tensor as a row-major flat vector.
-
-    Raises ``ResourceError`` when the entry count would exceed ``cap``
-    (default 10^7).
-    """
-    size = math.prod(t.shape)
-    if size > cap:
-        raise ResourceError(f"flattening would materialize {size} entries, above the cap of {cap}")
-    data = kron([f[:, None] for f in t.factors])[:, 0]
-    return FlatTensor(shape=t.shape, data=data)
 
 
 def kron(mats, out=None) -> np.ndarray:
@@ -190,47 +152,6 @@ def _contract_dense(rows: np.ndarray, shape: tuple[int, ...], xs) -> np.ndarray:
             rest //= nj
         np.einsum("bmj,bj->bm", cur.reshape(b, m, rest), xs[0][s : s + b], out=out[s : s + b])
     return out
-
-
-def inner_simple(a: SimpleTensor, b: SimpleTensor) -> float:
-    """Frobenius inner product of two simple tensors, as a product of factor inner products."""
-    if a.shape != b.shape:
-        raise ValidationError(f"shape mismatch {a.shape} vs {b.shape}")
-    out = 1.0
-    for fa, fb in zip(a.factors, b.factors):
-        out *= float(np.dot(fa, fb))
-    return out
-
-
-def inner_flat(t: SimpleTensor, f: FlatTensor) -> float:
-    """Frobenius inner product of a simple tensor with a dense one.
-
-    A ``contract`` over one row and one trial, so no rank-one tensor is
-    ever materialized.
-    """
-    if t.shape != f.shape:
-        raise ValidationError(f"shape mismatch {t.shape} vs {f.shape}")
-    return float(contract(f.data[None, :], f.shape, [v[None, :] for v in t.factors])[0, 0])
-
-
-def frobenius_norm(t: SimpleTensor) -> float:
-    """Frobenius norm, equal to the product of factor Euclidean norms."""
-    out = 1.0
-    for f in t.factors:
-        out *= float(np.linalg.norm(f))
-    return out
-
-
-def projection_norm(t: SimpleTensor, basis) -> float:
-    """Norm of the orthogonal projection of ``t`` onto ``span(basis.rows)``.
-
-    ``basis`` provides orthonormal rows of length ``prod(t.shape)`` (see
-    ``subspaces.SubspaceBasis``).  Computed as the root of the sum of
-    squared inner products against the rows, a ``contract`` over one trial.
-    """
-    if tuple(basis.shape) != t.shape:
-        raise ValidationError(f"basis shape {tuple(basis.shape)} does not match tensor shape {t.shape}")
-    return float(np.linalg.norm(contract(basis.rows, t.shape, [v[None, :] for v in t.factors])))
 
 
 def write_basis_payload(path, shape, rows: np.ndarray) -> None:

@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -142,6 +144,8 @@ def test_replay_config_unknown_key(tmp_path, capsys):
         ("eps_grid", ["x"], "eps_grid=['x'] is not list"),
         ("dist", "nope", "unknown dist"),
         ("ell", 0, "tensor order must be >= 1"),
+        ("m", 0, "subspace dimension must be >= 1"),
+        ("n", 10**10, "above the cap"),
     ],
 )
 def test_replay_config_bad_value(tmp_path, capsys, key, value, message):
@@ -354,8 +358,17 @@ def test_usage_errors():
         (("bounds", "--l", "0"), 2),
         (("bounds", "--l", "-1", "--m", "10"), 2),
         (("dominance", "--bodies", "0"), 2),
+        (("bounds", "--m", "-1"), 2),
+        (("dominance", "--count", "-1"), 2),
+        # 1e20 and 1e12 entries: refused before anything is allocated
+        (("direction", "--n", "100", "--l", "10"), 2),
+        (("smallball", "--subspace", "line", "--n", "100", "--l", "10", "--m", "2"), 2),
+        (("dominance", "--n", "1000", "--l", "4"), 2),
     ],
-    ids=["trials-inf", "trials-fractional", "l-zero", "l-negative", "no-bodies"],
+    ids=[
+        "trials-inf", "trials-fractional", "l-zero", "l-negative", "no-bodies", "m-negative",
+        "count-negative", "direction-oversized", "smallball-oversized", "dominance-oversized",
+    ],
 )
 def test_bad_argv_exit_code(tmp_path, capsys, argv, code):
     argv = (*argv, "--out", str(tmp_path))
@@ -371,6 +384,20 @@ def test_bad_argv_exit_code(tmp_path, capsys, argv, code):
         returncode, err = run_cli(*argv), capsys.readouterr().err
     assert returncode == code
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_readme_commands_parse(monkeypatch):
+    """Every ``tensorball ...`` command in README.md parses and resolves to a config."""
+    monkeypatch.delenv("TENSORBALL_SEED", raising=False)
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = re.findall(r"^tensorball (.+)$", text, re.M) + re.findall(r"`tensorball ([^`]+)`", text)
+    parser = cli.build_parser()
+    subcommands = set()
+    for command in commands:
+        args = parser.parse_args(shlex.split(command))
+        cli._config_from_args(args)
+        subcommands.add(args.subcommand)
+    assert subcommands >= {*cli._RUNNERS, "selftest"}
 
 
 def test_validation_exit_code(tmp_path):

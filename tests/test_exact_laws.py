@@ -14,7 +14,6 @@ from tensorball import (
     bound_concentration_subgaussian,
     bound_fixed_subspace,
     bound_generic_subspace,
-    bound_negative_moment,
     bound_nondeterministic,
     bound_single_direction,
     bound_smin_tail,
@@ -195,13 +194,6 @@ def test_smin_tail_vanishes():
     _, b1 = bound_smin_tail(1e-6, 8, 6, 2, 1.0)
     _, b2 = bound_smin_tail(1e-8, 8, 6, 2, 1.0)
     assert 0 < b2 < b1 < 1
-
-
-def test_negative_moment_bound_limits():
-    assert bound_negative_moment(1.0, 2, 1e-12) == pytest.approx(1.0, abs=1e-6)
-    small_q = bound_negative_moment(2.0, 3, 0.1)
-    big_q = bound_negative_moment(2.0, 3, 0.9)
-    assert small_q < big_q
 
 
 def test_bounds_monotone_in_eps():

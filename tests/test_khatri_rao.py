@@ -1,6 +1,7 @@
 import importlib
 import math
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -11,15 +12,12 @@ from tensorball import (
     DegeneracyError,
     ExperimentConfig,
     HypothesisViolationError,
-    SimpleTensor,
     SminTailResult,
     SmoothedEnsemble,
     ValidationError,
-    flatten,
     khatri_rao,
     pinv_hs_norm_sq,
     projection_distance_sum,
-    sample_smoothed,
     sample_smoothed_factors,
     smin_tail_experiment,
 )
@@ -52,8 +50,7 @@ def test_khatri_rao_columns_are_flattened_rank_one(seed):
     kr = khatri_rao(mats)
     assert kr.shape == (24, 2)
     for i in range(2):
-        t = SimpleTensor(factors=tuple(m[:, i] for m in mats))
-        assert np.allclose(kr[:, i], flatten(t).data, atol=1e-12)
+        assert np.allclose(kr[:, i], reduce(np.kron, [m[:, i] for m in mats]), atol=1e-12)
 
 
 def test_pinv_hs_diagonal():
@@ -110,13 +107,13 @@ def test_ensemble_zero_rho_reproduces_base():
     mats = sample_smoothed_factors(e, np.random.default_rng(99))
     for got, want in zip(mats, e.base):
         assert np.array_equal(got, want)
-    assert np.array_equal(sample_smoothed(e, 5), khatri_rao(e.base))
+    assert np.array_equal(khatri_rao(sample_smoothed_factors(e, 5)), khatri_rao(e.base))
 
 
 def test_ensemble_seeded_draws_identical():
     e = SmoothedEnsemble.random(2, 5, 3, 0.7, rng=4)
-    a = sample_smoothed(e, np.random.default_rng(11))
-    b = sample_smoothed(e, np.random.default_rng(11))
+    a = khatri_rao(sample_smoothed_factors(e, np.random.default_rng(11)))
+    b = khatri_rao(sample_smoothed_factors(e, np.random.default_rng(11)))
     assert np.array_equal(a, b)
     assert a.shape == (125, 2)
 
@@ -204,6 +201,13 @@ def test_smin_tail_rejects_bad_regimes():
     frozen = SmoothedEnsemble.random(2, 3, 2, 0.0, rng=0)
     with pytest.raises(ValidationError):
         smin_tail_experiment(frozen, smin_cfg((0.1, 0.01)))
+
+
+def test_smin_tail_refuses_shift_vectors():
+    e = SmoothedEnsemble.random(2, 3, 2, 0.5, rng=0)
+    cfg = ExperimentConfig(seed=0, trials=100, epsilon_grid=(0.1, 0.01), shift_vectors=((1.0,),))
+    with pytest.raises(ValidationError, match="shift_vectors"):
+        smin_tail_experiment(e, cfg)
 
 
 def test_smin_tail_counts_agree_with_direct_svd():

@@ -23,7 +23,6 @@ from tensorball import (
     fit_slope,
     git_blob_hash,
     matched_cube,
-    negative_moment,
     norm_concentration,
     kron,
     product_uniform_smallball,
@@ -177,6 +176,13 @@ def test_norm_concentration_rejects_anisotropic():
         norm_concentration(specs, (0.5,), cfg_of(trials=1000, grid=(1.0, 0.5)))
 
 
+def test_norm_concentration_refuses_shift_vectors():
+    specs = (DistributionSpec(kind="gaussian-std", dim=4),) * 2
+    cfg = cfg_of(trials=1000, grid=(1.0, 0.5), shift_vectors=(np.full(4, 100.0),) * 2)
+    with pytest.raises(ValidationError, match="shift_vectors"):
+        norm_concentration(specs, (0.5,), cfg)
+
+
 def test_dominance_identical_laws_consistent():
     body = SlabBody.random(4, 3, 1.0, np.random.default_rng(0))
     rep = dominance_test(GAUSS2, GAUSS2, body, cfg_of(seed=1, trials=50_000, grid=(1.0, 0.5)))
@@ -196,24 +202,12 @@ def test_dominance_histogram_vs_matched_cube():
     h = HistogramDensity(bin_edges=(-1.5, -0.5, 0.5, 1.5), heights=(0.15, 0.7, 0.15))
     spec = DistributionSpec(kind="histogram", dim=2, histogram=h)
     cube = matched_cube(spec)
-    body = SlabBody.linf_ball(4, 0.25)
+    body = SlabBody(np.eye(4) / 0.25)
     rep = dominance_test(
         (spec,) * 2, (cube,) * 2, body, cfg_of(seed=4, trials=200_000, grid=(1.0, 0.5))
     )
     assert not rep.violation_candidate
     assert rep.p_hat_a <= rep.p_hat_b + 0.01
-
-
-def test_negative_moment_values():
-    assert negative_moment(np.full(100, 2.0), 0.5) == pytest.approx(2 ** -0.5)
-    assert negative_moment(np.ones(10), 0.7) == 1.0
-    rng = np.random.default_rng(0)
-    est = negative_moment(rng.uniform(0, 1, 2_000_000), 0.5)
-    assert abs(est - 2.0) < 0.01
-    with pytest.raises(ValidationError):
-        negative_moment(np.array([1.0, 0.0]), 0.5)
-    with pytest.raises(ValidationError):
-        negative_moment(np.ones(5), 1.5)
 
 
 def synthetic_curve(fn, grid, trials=1_000_000):

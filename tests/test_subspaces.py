@@ -5,17 +5,18 @@ import pytest
 from scipy import stats
 
 from tensorball import (
-    DegeneracyError,
-    SimpleTensor,
     SubspaceBasis,
     ValidationError,
+    contract,
     coordinate_line_subspace,
     diagonal_direction,
     haar_subspace,
-    inner_flat,
-    orthonormalize,
-    projection_norm,
 )
+
+
+def projections(rows, shape, *factors):
+    """Inner products of ``rows`` with one simple tensor: a ``contract`` over one trial."""
+    return contract(rows, shape, [f[None, :] for f in factors])[0]
 
 
 def test_basis_invariant_rejects_non_orthonormal():
@@ -72,9 +73,8 @@ def test_diagonal_direction_small():
 
 
 def test_diagonal_direction_picks_first_coordinates():
-    t = SimpleTensor(factors=(np.array([2.0, 7.0]), np.array([3.0, -1.0])))
     f = diagonal_direction(2, 2)
-    assert inner_flat(t, f) == 6.0
+    assert projections(f.data[None, :], f.shape, np.array([2.0, 7.0]), np.array([3.0, -1.0])) == 6.0
     assert abs(np.linalg.norm(f.data) - 1.0) < 1e-15
 
 
@@ -88,45 +88,22 @@ def test_coordinate_line_rows():
 def test_coordinate_line_projection_formula():
     rng = np.random.default_rng(3)
     x, y = rng.standard_normal(3), rng.standard_normal(3)
-    t = SimpleTensor(factors=(x, y))
     b = coordinate_line_subspace(3, 2, 2)
     want = math.sqrt((x[0] ** 2 + x[1] ** 2) * y[0] ** 2)
-    assert abs(projection_norm(t, b) - want) < 1e-12
+    assert abs(np.linalg.norm(projections(b.rows, b.shape, x, y)) - want) < 1e-12
 
 
 def test_coordinate_line_full_first_mode():
     rng = np.random.default_rng(4)
     x, y, z = rng.standard_normal(4), rng.standard_normal(4), rng.standard_normal(4)
-    t = SimpleTensor(factors=(x, y, z))
     b = coordinate_line_subspace(4, 3, 4)
     want = np.linalg.norm(x) * abs(y[0] * z[0])
-    assert abs(projection_norm(t, b) - want) < 1e-12
+    assert abs(np.linalg.norm(projections(b.rows, b.shape, x, y, z)) - want) < 1e-12
 
 
 def test_coordinate_line_m_above_n():
     with pytest.raises(ValidationError):
         coordinate_line_subspace(3, 2, 4)
-
-
-def test_orthonormalize_keeps_orthonormal_rows():
-    b = haar_subspace((2, 3), 3, np.random.default_rng(1))
-    again = orthonormalize(b.rows, shape=(2, 3))
-    assert np.max(np.abs(np.abs(again.rows @ b.rows.T) - np.eye(3))) < 1e-10
-
-
-def test_orthonormalize_2d_pair():
-    b = orthonormalize(np.array([[1.0, 1.0], [1.0, 0.0]]))
-    gram = b.rows @ b.rows.T
-    assert np.max(np.abs(gram - np.eye(2))) <= 1e-12
-    # spans the plane: both coordinate vectors are representable
-    coeff = b.rows @ np.eye(2)
-    assert abs(abs(np.linalg.det(coeff)) - 1.0) < 1e-12
-
-
-def test_orthonormalize_duplicate_row():
-    rows = np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0]])
-    with pytest.raises(DegeneracyError, match="row 1"):
-        orthonormalize(rows)
 
 
 def test_basis_save_load(tmp_path):

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import types
 from functools import reduce
 
 import numpy as np
@@ -9,92 +8,73 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorball import (
-    FlatTensor,
-    ResourceError,
-    SimpleTensor,
     SubspaceBasis,
     ValidationError,
     contract,
-    flatten,
-    frobenius_norm,
-    inner_flat,
-    inner_simple,
     kron,
-    projection_norm,
 )
 from tensorball import tensor_core
 from tensorball.tensor_core import read_basis_payload
 
 
-def t_of(*factors):
-    return SimpleTensor(factors=tuple(np.asarray(f, dtype=float) for f in factors))
+# Flattenings, inner products and norms of simple tensors, worked by hand,
+# through the two primitives that compute them.
+
+
+def flat(*factors):
+    """Row-major flattening of the simple tensor with these factors."""
+    return kron([np.asarray(f, dtype=float)[:, None] for f in factors])[:, 0]
+
+
+def inner(rows, *factors):
+    """Inner products of ``rows`` with one simple tensor, by ``contract``."""
+    fs = [np.asarray(f, dtype=float) for f in factors]
+    return contract(np.atleast_2d(rows), tuple(f.size for f in fs), [f[None, :] for f in fs])[0]
 
 
 def test_flatten_2x2():
-    f = flatten(t_of([1, 2], [3, 4]))
-    assert f.shape == (2, 2)
-    assert np.array_equal(f.data, [3.0, 4.0, 6.0, 8.0])
+    assert np.array_equal(flat([1, 2], [3, 4]), [3.0, 4.0, 6.0, 8.0])
 
 
 def test_flatten_all_ones():
-    f = flatten(t_of([1], [1], [1]))
-    assert f.shape == (1, 1, 1)
-    assert np.array_equal(f.data, [1.0])
+    assert np.array_equal(flat([1], [1], [1]), [1.0])
 
 
 def test_flatten_entry_is_product():
     # entry (2,1,2), 1-based, last index fastest
-    f = flatten(t_of([1, 2], [3, 4], [5, 6]))
     idx = (2 - 1) * 4 + (1 - 1) * 2 + (2 - 1)
-    assert f.data[idx] == 2 * 3 * 6 == 36
-
-
-def test_flatten_cap():
-    t = t_of(*[[1.0] * 8 for _ in range(9)])
-    with pytest.raises(ResourceError):
-        flatten(t)
+    assert flat([1, 2], [3, 4], [5, 6])[idx] == 2 * 3 * 6 == 36
 
 
 def test_inner_simple_self():
-    t = t_of([1, 2], [3, 4])
-    assert inner_simple(t, t) == 125
+    t = ([1, 2], [3, 4])
+    assert inner(flat(*t), *t) == 125
 
 
 def test_inner_simple_matches_flatten_dot():
-    a = t_of([1, 2], [3, 4])
-    b = t_of([1, 0], [0, 1])
-    assert inner_simple(a, b) == 4
-    assert np.dot(flatten(a).data, flatten(b).data) == 4
+    a = ([1, 2], [3, 4])
+    b = ([1, 0], [0, 1])
+    assert inner(flat(*b), *a) == 4
+    assert np.dot(flat(*a), flat(*b)) == 4
 
 
 def test_inner_simple_zero_factor():
-    a = t_of([1, 2], [0, 0])
-    b = t_of([5, 5], [5, 5])
-    assert inner_simple(a, b) == 0
-
-
-def test_inner_simple_shape_mismatch():
-    with pytest.raises(ValidationError):
-        inner_simple(t_of([1, 2], [3, 4]), t_of([1, 2, 3], [4, 5, 6]))
+    assert inner(flat([5, 5], [5, 5]), [1, 2], [0, 0]) == 0
 
 
 def test_inner_flat_coordinate():
-    t = t_of([1, 2], [3, 4])
-    e11 = FlatTensor(shape=(2, 2), data=np.array([1.0, 0.0, 0.0, 0.0]))
-    assert inner_flat(t, e11) == 3.0
+    e11 = np.array([1.0, 0.0, 0.0, 0.0])
+    assert inner(e11, [1, 2], [3, 4]) == 3.0
 
 
 def test_inner_flat_self_direction():
-    t = t_of([1, 2], [3, 4], [1, 1])
-    f = flatten(t)
-    unit = FlatTensor(shape=f.shape, data=f.data / np.linalg.norm(f.data))
-    assert abs(inner_flat(t, unit) - np.linalg.norm(f.data)) < 1e-12
+    t = ([1, 2], [3, 4], [1, 1])
+    f = flat(*t)
+    assert abs(inner(f / np.linalg.norm(f), *t) - np.linalg.norm(f)) < 1e-12
 
 
 def test_inner_flat_zero_factor():
-    t = t_of([0, 0], [3, 4])
-    f = FlatTensor(shape=(2, 2), data=np.ones(4))
-    assert inner_flat(t, f) == 0
+    assert inner(np.ones(4), [0, 0], [3, 4]) == 0
 
 
 vectors = st.lists(st.floats(-3, 3), min_size=2, max_size=3)
@@ -106,38 +86,31 @@ def test_inner_flat_consistent_with_inner_simple(fa, fb):
     order = min(len(fa), len(fb))
     fa, fb = fa[:order], fb[:order]
     fb = [b[: len(a)] + [1.0] * (len(a) - len(b)) for a, b in zip(fa, fb)]
-    a, b = t_of(*fa), t_of(*fb)
-    lhs = inner_flat(a, flatten(b))
-    rhs = inner_simple(a, b)
+    lhs = inner(flat(*fb), *fa)[0]
+    rhs = math.prod(float(np.dot(a, b)) for a, b in zip(fa, fb))
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
 
 def test_projection_norm_full_space_is_frobenius():
-    t = t_of([1, 2], [3, 4])
-    basis = SubspaceBasis(shape=(2, 2), rows=np.eye(4))
-    assert abs(projection_norm(t, basis) - frobenius_norm(t)) < 1e-12
+    t = ([1, 2], [3, 4])
+    assert abs(np.linalg.norm(inner(np.eye(4), *t)) - math.sqrt(5) * 5) < 1e-12
 
 
 def test_projection_norm_two_coordinates():
-    t = t_of([1, 2], [3, 4])
     rows = np.zeros((2, 4))
     rows[0, 0] = 1.0  # e_(1,1)
     rows[1, 3] = 1.0  # e_(2,2)
-    basis = SubspaceBasis(shape=(2, 2), rows=rows)
-    assert abs(projection_norm(t, basis) - math.sqrt(73)) < 1e-12
+    assert abs(np.linalg.norm(inner(rows, [1, 2], [3, 4])) - math.sqrt(73)) < 1e-12
 
 
 def test_projection_norm_empty_basis():
-    # SubspaceBasis requires m >= 1, so the degenerate case goes through a stub
-    t = t_of([1, 2], [3, 4])
-    stub = types.SimpleNamespace(shape=(2, 2), rows=np.zeros((0, 4)), m=0)
-    assert projection_norm(t, stub) == 0.0
+    assert np.linalg.norm(inner(np.zeros((0, 4)), [1, 2], [3, 4])) == 0.0
 
 
 def test_frobenius_norm_values():
-    assert frobenius_norm(t_of([3, 4], [1, 0])) == 5
-    assert abs(frobenius_norm(t_of([1, 1], [1, 1], [1, 1])) - 2 * math.sqrt(2)) < 1e-12
-    assert frobenius_norm(t_of([0, 0], [1, 2])) == 0
+    assert np.linalg.norm(flat([3, 4], [1, 0])) == 5
+    assert abs(np.linalg.norm(flat([1, 1], [1, 1], [1, 1])) - 2 * math.sqrt(2)) < 1e-12
+    assert np.linalg.norm(flat([0, 0], [1, 2])) == 0
 
 
 def test_basis_file_rejects_garbage(tmp_path):
@@ -190,7 +163,7 @@ def test_contract_matches_per_row_loop(seed, dims, m):
     got = contract(rows, shape, xs)
     assert got.shape == (size, m)
     for b in range(size):
-        flat = flatten(t_of(*(x[b] for x in xs))).data
+        flat = reduce(np.kron, [x[b] for x in xs])
         for k in range(m):
             want = float(np.dot(rows[k], flat))
             assert abs(got[b, k] - want) <= 1e-12 * max(1.0, np.linalg.norm(rows[k]) * np.linalg.norm(flat))
