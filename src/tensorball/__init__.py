@@ -66,8 +66,8 @@ from .montecarlo import (
     estimate_direction_smallball,
     estimate_smallball,
     fit_slope,
-    git_blob_hash,
     norm_concentration,
+    rows_csv_bytes,
 )
 from .subspaces import (
     SubspaceBasis,
@@ -76,7 +76,6 @@ from .subspaces import (
     haar_subspace,
 )
 from .tensor_core import (
-    FlatTensor,
     contract,
     kron,
 )

@@ -1,8 +1,9 @@
 """Command-line front end: every experiment behind one reproducible binary.
 
-Each subcommand resolves its flags into a plain config dict, hashes
-{subcommand, config, seed, version} into a manifest hash that is stamped on
-every CSV it writes, then drops a JSON run manifest next to the artifacts.
+Each subcommand resolves its flags into a plain config dict and hashes
+{subcommand, config, seed, version} into a manifest hash.  Its runner
+computes the artifacts, every one stamped with that hash, as bytes; only
+``_dispatch`` writes them, followed by a JSON run manifest.
 ``--replay <manifest.json>`` re-runs the stored config and reproduces the
 CSVs byte for byte (single-batch mode).  The manifest also records the numpy
 version, outside the hash; replay prints one stderr line when it differs
@@ -16,7 +17,7 @@ Exit codes: 0 success, 1 usage error, 2 validation/configuration error,
 from __future__ import annotations
 
 import argparse
-import io
+import hashlib
 import json
 import math
 import os
@@ -69,8 +70,8 @@ from .montecarlo import (
     dominance_test,
     estimate_direction_smallball,
     estimate_smallball,
-    git_blob_hash,
     norm_concentration,
+    rows_csv_bytes,
 )
 from .subspaces import (
     SubspaceBasis,
@@ -79,6 +80,10 @@ from .subspaces import (
     haar_subspace,
 )
 from .tensor_core import FLATTEN_CAP
+
+# highest tensor order any subcommand accepts: numpy 1.x arrays have at most
+# 32 axes.  For n >= 2, FLATTEN_CAP stops l at 23 already.
+MAX_ORDER = 32
 
 _DIST_KINDS = {
     "cube": "uniform-cube-sqrt3",
@@ -126,6 +131,14 @@ def _aux_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2**32, stream)))
 
 
+def git_blob_hash(data: bytes) -> str:
+    """Content hash in git blob form (sha1 over a 'blob <len>\\0' header plus data)."""
+    h = hashlib.sha1()
+    h.update(b"blob %d\x00" % len(data))
+    h.update(data)
+    return h.hexdigest()
+
+
 def _manifest_hash(subcommand: str, config: dict, seed: int) -> str:
     canon = json.dumps(
         {"subcommand": subcommand, "config": config, "seed": seed, "version": __version__},
@@ -135,42 +148,13 @@ def _manifest_hash(subcommand: str, config: dict, seed: int) -> str:
     return git_blob_hash(canon.encode())
 
 
-def _write_manifest(out_dir, subcommand, config, seed, outputs, started):
-    manifest = {
-        "subcommand": subcommand,
-        "config": config,
-        "seed": seed,
-        "version": __version__,
-        "numpy": np.__version__,
-        "manifest_hash": _manifest_hash(subcommand, config, seed),
-        "outputs": outputs,
-        "duration_s": round(time.perf_counter() - started, 3),
-    }
-    path = os.path.join(out_dir, f"{subcommand}_manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-    return path
+def _json_bytes(obj) -> bytes:
+    return (json.dumps(obj, indent=2) + "\n").encode()
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        return repr(value)
-    return str(value)
-
-
-def _write_rows_csv(path: str, header: list[str], rows: list[dict], manifest_hash: str) -> None:
-    buf = io.StringIO()
-    buf.write(f"# manifest: {manifest_hash}\n")
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(row.get(col)) for col in header) + "\n")
-    with open(path, "w", newline="") as fh:
-        fh.write(buf.getvalue())
+def _table_csv(rows: list[dict], stamp: str) -> bytes:
+    """A table whose columns are the first row's keys; NaN and None are empty cells."""
+    return rows_csv_bytes(list(rows[0]), rows, comment=f"manifest: {stamp}")
 
 
 def _experiment_config(cfg: dict) -> ExperimentConfig:
@@ -205,17 +189,13 @@ def _resolve_subspace(cfg: dict) -> SubspaceBasis:
     raise UsageError(f"unknown subspace {choice!r} (want haar, line, or file:<path>)")
 
 
-def _run_smallball(cfg: dict, out_dir: str) -> list[str]:
+def _run_smallball(cfg: dict, stamp: str) -> list[tuple[str, bytes]]:
     basis = _resolve_subspace(cfg)
     curve = estimate_smallball(_specs(cfg), basis, _experiment_config(cfg))
-    mhash = _manifest_hash("smallball", cfg, cfg["seed"])
-    path = os.path.join(out_dir, "smallball.csv")
-    with open(path, "wb") as fh:
-        fh.write(curve_csv_bytes(curve, comment=f"manifest: {mhash}"))
-    return [path]
+    return [("smallball.csv", curve_csv_bytes(curve, comment=f"manifest: {stamp}"))]
 
 
-def _run_direction(cfg: dict, out_dir: str) -> list[str]:
+def _run_direction(cfg: dict, stamp: str) -> list[tuple[str, bytes]]:
     direction = diagonal_direction(cfg["n"], cfg["ell"])
     curve = estimate_direction_smallball(_specs(cfg), direction, _experiment_config(cfg))
     extra = None
@@ -224,11 +204,7 @@ def _run_direction(cfg: dict, out_dir: str) -> list[str]:
         support = math.sqrt(3.0) if kind == "uniform-cube-sqrt3" else 1.0
         exact = [float(product_uniform_smallball(cfg["ell"], support, e)) for e in curve.epsilon_grid]
         extra = {"exact": exact}
-    mhash = _manifest_hash("direction", cfg, cfg["seed"])
-    path = os.path.join(out_dir, "direction.csv")
-    with open(path, "wb") as fh:
-        fh.write(curve_csv_bytes(curve, extra_columns=extra, comment=f"manifest: {mhash}"))
-    return [path]
+    return [("direction.csv", curve_csv_bytes(curve, extra_columns=extra, comment=f"manifest: {stamp}"))]
 
 
 def _bounds_row(eps: float, cfg: dict, bc: BoundConfig) -> dict:
@@ -254,19 +230,15 @@ def _bounds_row(eps: float, cfg: dict, bc: BoundConfig) -> dict:
     return row
 
 
-def _run_bounds(cfg: dict, out_dir: str) -> list[str]:
+def _run_bounds(cfg: dict, stamp: str) -> list[tuple[str, bytes]]:
     bc = BoundConfig(
         C_main=cfg["c_main"], C_prime=cfg["c_prime"], C_dprime=cfg["c_dprime"], c_small=cfg["c_small"]
     )
     rows = [_bounds_row(eps, cfg, bc) for eps in cfg["eps_grid"]]
-    header = list(rows[0].keys())
-    mhash = _manifest_hash("bounds", cfg, cfg["seed"])
-    path = os.path.join(out_dir, "bounds.csv")
-    _write_rows_csv(path, header, rows, mhash)
-    return [path]
+    return [("bounds.csv", _table_csv(rows, stamp))]
 
 
-def _run_dominance(cfg: dict, out_dir: str) -> list[str]:
+def _run_dominance(cfg: dict, stamp: str) -> list[tuple[str, bytes]]:
     if cfg["bodies"] < 1:
         raise ValidationError(f"need at least one body, got bodies = {cfg['bodies']}")
     spec = DistributionSpec(kind=_DIST_KINDS[cfg["dist"]], dim=cfg["n"])
@@ -295,13 +267,10 @@ def _run_dominance(cfg: dict, out_dir: str) -> list[str]:
                 "violation_candidate": rep.violation_candidate,
             }
         )
-    mhash = _manifest_hash("dominance", cfg, cfg["seed"])
-    path = os.path.join(out_dir, "dominance.csv")
-    _write_rows_csv(path, list(rows[0].keys()), rows, mhash)
-    return [path]
+    return [("dominance.csv", _table_csv(rows, stamp))]
 
 
-def _run_norms(cfg: dict, out_dir: str) -> list[str]:
+def _run_norms(cfg: dict, stamp: str) -> list[tuple[str, bytes]]:
     t_grid = tuple(sorted(cfg["t_grid"]))
     curves = norm_concentration(_specs(cfg), t_grid, _experiment_config({**cfg, "eps_grid": (1.0, 0.5)}))
     (up_lo, up_hi), (lo_lo, lo_hi) = curves.intervals()
@@ -321,36 +290,24 @@ def _run_norms(cfg: dict, out_dir: str) -> list[str]:
                 "lower_ci_high": float(lo_hi[i]),
             }
         )
-    mhash = _manifest_hash("norms", cfg, cfg["seed"])
-    path = os.path.join(out_dir, "norms.csv")
-    _write_rows_csv(path, list(rows[0].keys()), rows, mhash)
-    return [path]
+    return [("norms.csv", _table_csv(rows, stamp))]
 
 
-def _run_smin(cfg: dict, out_dir: str) -> list[str]:
+def _run_smin(cfg: dict, stamp: str) -> list[tuple[str, bytes]]:
     ensemble = SmoothedEnsemble.random(cfg["r"], cfg["n"], cfg["ell"], cfg["rho"], rng=_aux_rng(cfg["seed"], 0))
     result = smin_tail_experiment(ensemble, _experiment_config(cfg))
     extra = {"threshold": list(result.thresholds), "bound": list(result.bound_values)}
-    mhash = _manifest_hash("smin", cfg, cfg["seed"])
-    path = os.path.join(out_dir, "smin.csv")
-    with open(path, "wb") as fh:
-        fh.write(curve_csv_bytes(result.curve, extra_columns=extra, comment=f"manifest: {mhash}"))
-    return [path]
+    return [("smin.csv", curve_csv_bytes(result.curve, extra_columns=extra, comment=f"manifest: {stamp}"))]
 
 
-def _run_decompose(cfg: dict, out_dir: str) -> list[str]:
+def _run_decompose(cfg: dict, stamp: str) -> list[tuple[str, bytes]]:
     ensemble = SmoothedEnsemble.random(cfg["r"], cfg["n"], cfg["ell"], cfg["rho"], rng=_aux_rng(cfg["seed"], 0))
     report = decompose_smoothed(ensemble, cfg["noise"], rng=_aux_rng(cfg["seed"], 1))
-    mhash = _manifest_hash("decompose", cfg, cfg["seed"])
-    rows = report.to_csv_rows()
-    csv_path = os.path.join(out_dir, "decompose_components.csv")
-    _write_rows_csv(csv_path, list(rows[0].keys()), rows, mhash)
-    json_path = os.path.join(out_dir, "decompose_report.json")
-    with open(json_path, "w") as fh:
-        json.dump({"manifest_hash": mhash, **report.to_json_dict()}, fh, indent=2)
-        fh.write("\n")
     print(f"max recovery error {report.max_error:.3e}")
-    return [csv_path, json_path]
+    return [
+        ("decompose_components.csv", _table_csv(report.to_csv_rows(), stamp)),
+        ("decompose_report.json", _json_bytes({"manifest_hash": stamp, **report.to_json_dict()})),
+    ]
 
 
 def _selftest_checks(quick: bool, seed: int):
@@ -414,7 +371,7 @@ def _selftest_checks(quick: bool, seed: int):
     ]
 
 
-def _run_selftest(cfg: dict, out_dir: str) -> int:
+def _run_selftest(cfg: dict) -> int:
     failures = 0
     for name, fn in _selftest_checks(cfg["quick"], cfg["seed"]):
         started = time.perf_counter()
@@ -530,20 +487,22 @@ def _resolve_seed(value) -> int:
 def _check_config(subcommand: str, cfg: dict) -> None:
     """Refusals shared by fresh runs and ``--replay``, before anything is derived.
 
-    Runs whose flattened size is above ``FLATTEN_CAP`` entries (the m basis
+    A tensor order above ``MAX_ORDER`` is refused on every subcommand, and
+    runs whose flattened size is above ``FLATTEN_CAP`` entries (the m basis
     rows of length n^l for smallball, one n^l tensor for direction,
     dominance and decompose) are refused before anything is allocated.
     """
     if cfg.get("ell", 1) < 1:
         raise ValidationError(f"tensor order must be >= 1, got l = {cfg['ell']}")
+    if cfg.get("ell", 1) > MAX_ORDER:
+        raise ValidationError(f"tensor order must be <= {MAX_ORDER}, got l = {cfg['ell']}")
     if cfg.get("m", 1) < 1:
         raise ValidationError(f"subspace dimension must be >= 1, got m = {cfg['m']}")
     if cfg.get("count", 0) < 0:
         raise ValidationError(f"slab direction count must be >= 0, got count = {cfg['count']}")
     if subcommand in ("smallball", "direction", "dominance", "decompose"):
         rows = cfg["m"] if subcommand == "smallball" else 1
-        # for n >= 2, n^64 is above the cap already, so no larger power is built
-        if rows * cfg["n"] ** min(cfg["ell"], 64) > FLATTEN_CAP:
+        if rows * cfg["n"] ** cfg["ell"] > FLATTEN_CAP:
             size = f"{cfg['n']}^{cfg['ell']}" if rows == 1 else f"{rows} x {cfg['n']}^{cfg['ell']}"
             raise ResourceError(f"{subcommand} needs {size} flattened entries, above the cap of {FLATTEN_CAP}")
 
@@ -583,13 +542,32 @@ _RUNNERS = {
 
 
 def _dispatch(subcommand: str, cfg: dict, out_dir: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
-    started = time.perf_counter()
+    """Run ``subcommand`` and write its artifacts, then its manifest, into ``out_dir``.
+
+    The manifest holds the hash every artifact is stamped with, and outside
+    the hash the numpy version and the run time.  ``selftest`` writes nothing.
+    """
     if subcommand == "selftest":
-        return _run_selftest(cfg, out_dir)
-    outputs = _RUNNERS[subcommand](cfg, out_dir)
-    manifest_path = _write_manifest(out_dir, subcommand, cfg, cfg["seed"], [os.path.basename(o) for o in outputs], started)
-    for path in outputs + [manifest_path]:
+        return _run_selftest(cfg)
+    started = time.perf_counter()
+    stamp = _manifest_hash(subcommand, cfg, cfg["seed"])
+    artifacts = _RUNNERS[subcommand](cfg, stamp)
+    manifest = {
+        "subcommand": subcommand,
+        "config": cfg,
+        "seed": cfg["seed"],
+        "version": __version__,
+        "numpy": np.__version__,
+        "manifest_hash": stamp,
+        "outputs": [name for name, _ in artifacts],
+        "duration_s": round(time.perf_counter() - started, 3),
+    }
+    artifacts.append((f"{subcommand}_manifest.json", _json_bytes(manifest)))
+    os.makedirs(out_dir, exist_ok=True)
+    for name, data in artifacts:
+        path = os.path.join(out_dir, name)
+        with open(path, "wb") as fh:
+            fh.write(data)
         print(f"wrote {path}")
     return 0
 

@@ -9,9 +9,6 @@ stream.  Every curve stores exact Clopper-Pearson intervals per grid point.
 
 from __future__ import annotations
 
-import csv
-import hashlib
-import io
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -24,7 +21,7 @@ from scipy.stats import beta as _beta
 from .distributions import sample_matrix
 from .errors import DataSparsityError, ValidationError
 from .subspaces import SubspaceBasis
-from .tensor_core import FlatTensor, contract, kron
+from .tensor_core import contract, kron
 
 _ISOTROPIC_KINDS = ("uniform-cube-sqrt3", "gaussian-std", "symmetric-exponential-unitvar")
 
@@ -185,8 +182,6 @@ class DominanceReport:
     hits_b: int
     p_hat_a: float
     p_hat_b: float
-    ci_a: tuple[float, float]
-    ci_b: tuple[float, float]
     lower_a_one_sided: float
     upper_b_one_sided: float
     gap: float
@@ -324,14 +319,14 @@ def estimate_smallball(specs, basis: SubspaceBasis, cfg: ExperimentConfig) -> Sm
     return _projection_curve(specs, basis.rows, basis.shape, thresholds, cfg, "eps*sqrt(m)")
 
 
-def estimate_direction_smallball(specs, f: FlatTensor, cfg: ExperimentConfig) -> SmallBallCurve:
+def estimate_direction_smallball(specs, f: SubspaceBasis, cfg: ExperimentConfig) -> SmallBallCurve:
     """Empirical P(|<x(X1-z1) x ... , f>| <= eps) per grid point (no sqrt(m) scaling).
 
-    The one-row case of ``estimate_smallball``: sqrt(x*x) == |x| in
-    round-to-nearest arithmetic barring over- or underflow, so the counts
-    are those of |<., f>|.
+    ``f`` is a one-row basis.  This is the m = 1 case of ``estimate_smallball``
+    without the sqrt(m) scaling: sqrt(x*x) == |x| in round-to-nearest
+    arithmetic barring over- or underflow, so the counts are those of |<., f>|.
     """
-    return _projection_curve(specs, f.data[None, :], f.shape, np.asarray(cfg.epsilon_grid), cfg, "eps")
+    return _projection_curve(specs, f.rows, f.shape, np.asarray(cfg.epsilon_grid), cfg, "eps")
 
 
 def norm_concentration(specs, t_grid, cfg: ExperimentConfig) -> NormTailCurves:
@@ -413,8 +408,6 @@ def dominance_test(specs_a, specs_b, body: SlabBody, cfg: ExperimentConfig) -> D
     hits_a = _membership_counts(specs_a, body, cfg)
     hits_b = _membership_counts(specs_b, body, cfg)
     n = cfg.trials
-    ci_a = clopper_pearson(hits_a, n, cfg.confidence)
-    ci_b = clopper_pearson(hits_b, n, cfg.confidence)
     # one-sided bounds at the same confidence level
     alpha = 1.0 - cfg.confidence
     lower_a = float(_beta.ppf(alpha, hits_a, n - hits_a + 1)) if hits_a > 0 else 0.0
@@ -427,8 +420,6 @@ def dominance_test(specs_a, specs_b, body: SlabBody, cfg: ExperimentConfig) -> D
         hits_b=hits_b,
         p_hat_a=hits_a / n,
         p_hat_b=hits_b / n,
-        ci_a=(float(ci_a[0]), float(ci_a[1])),
-        ci_b=(float(ci_b[0]), float(ci_b[1])),
         lower_a_one_sided=lower_a,
         upper_b_one_sided=upper_b,
         gap=gap,
@@ -466,32 +457,37 @@ def fit_slope(curve: SmallBallCurve, eps_range: tuple[float, float], deflate_log
     return SlopeFit(slope=slope, stderr=stderr, n_points=int(keep.sum()))
 
 
-def git_blob_hash(data: bytes) -> str:
-    """Content hash in git blob form (sha1 over a 'blob <len>\\0' header plus data)."""
-    h = hashlib.sha1()
-    h.update(b"blob %d\x00" % len(data))
-    h.update(data)
-    return h.hexdigest()
+def rows_csv_bytes(header, rows, comment: str | None = None, nan: str = "") -> bytes:
+    """Render dict rows to CSV bytes under ``header``, after an optional ``# comment`` line.
+
+    A float cell is its ``repr``, or ``nan`` if it is NaN; a missing key or
+    None is an empty cell; anything else is its ``str``.
+    """
+
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, float):
+            return nan if math.isnan(value) else repr(value)
+        return str(value)
+
+    lines = [f"# {comment}"] if comment else []
+    lines.append(",".join(header))
+    lines.extend(",".join(cell(row.get(col)) for col in header) for row in rows)
+    return "".join(line + "\n" for line in lines).encode()
 
 
 def curve_csv_bytes(curve: SmallBallCurve, extra_columns: dict | None = None, comment: str | None = None) -> bytes:
-    """Render a curve to CSV bytes: epsilon, hits, trials, p_hat, ci_low, ci_high [, extras]."""
-    buf = io.StringIO()
-    if comment:
-        buf.write(f"# {comment}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    extras = extra_columns or {}
-    writer.writerow(["epsilon", "hits", "trials", "p_hat", "ci_low", "ci_high", *extras.keys()])
-    for i, eps in enumerate(curve.epsilon_grid):
-        row = [
-            repr(eps),
-            curve.hit_counts[i],
-            curve.trials,
-            repr(curve.hit_counts[i] / curve.trials),
-            repr(curve.ci_low[i]),
-            repr(curve.ci_high[i]),
-        ]
-        row.extend(repr(float(col[i])) for col in extras.values())
-        writer.writerow(row)
-    return buf.getvalue().encode()
+    """Render a curve to CSV bytes: epsilon, hits, trials, p_hat, ci_low, ci_high [, extras].
 
+    Every float, extras included, is written as its ``repr``, NaN as ``nan``.
+    """
+    extras = extra_columns or {}
+    header = ["epsilon", "hits", "trials", "p_hat", "ci_low", "ci_high", *extras]
+    rows = []
+    for i, eps in enumerate(curve.epsilon_grid):
+        hits = curve.hit_counts[i]
+        values = [eps, hits, curve.trials, hits / curve.trials, curve.ci_low[i], curve.ci_high[i]]
+        values += [float(col[i]) for col in extras.values()]
+        rows.append(dict(zip(header, values)))
+    return rows_csv_bytes(header, rows, comment, nan="nan")

@@ -80,13 +80,13 @@ def haar_subspace(shape, m: int, rng) -> SubspaceBasis:
     return SubspaceBasis(shape=shape, rows=(q * signs).T)
 
 
-def diagonal_direction(n: int, ell: int) -> tensor_core.FlatTensor:
-    """Unit tensor e_1 x ... x e_1: a single 1 at the first multi-index."""
+def diagonal_direction(n: int, ell: int) -> SubspaceBasis:
+    """Unit tensor e_1 x ... x e_1, a single 1 at the first multi-index, as a one-row basis."""
     if n < 1 or ell < 1:
         raise ValidationError("n and ell must be at least 1")
-    data = np.zeros(n**ell)
-    data[0] = 1.0
-    return tensor_core.FlatTensor(shape=(n,) * ell, data=data)
+    rows = np.zeros((1, n**ell))
+    rows[0, 0] = 1.0
+    return SubspaceBasis(shape=(n,) * ell, rows=rows)
 
 
 def coordinate_line_subspace(n: int, ell: int, m: int) -> SubspaceBasis:

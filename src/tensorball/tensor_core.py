@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,30 +25,6 @@ FLATTEN_CAP = 10_000_000
 _BLOCK_BYTES = 1 << 20
 
 _BASIS_MAGIC = b"TBSB"
-
-
-@dataclass(frozen=True)
-class FlatTensor:
-    """Dense tensor flattened to a vector, with its original shape."""
-
-    shape: tuple[int, ...]
-    data: np.ndarray
-
-    def __post_init__(self):
-        shape = tuple(int(n) for n in self.shape)
-        if len(shape) < 1 or any(n < 1 for n in shape):
-            raise ValidationError(f"invalid tensor shape {shape}")
-        data = np.asarray(self.data, dtype=float).ravel()
-        if data.size != math.prod(shape):
-            raise ValidationError(
-                f"data length {data.size} does not match shape {shape} (= {math.prod(shape)} entries)"
-            )
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "data", data)
-
-    @property
-    def order(self) -> int:
-        return len(self.shape)
 
 
 def kron(mats, out=None) -> np.ndarray:

@@ -18,7 +18,6 @@ from tensorball import (
     bound_carbery_wright,
     bound_fixed_subspace,
     coordinate_line_subspace,
-    git_blob_hash,
     product_uniform_smallball,
 )
 from tensorball import cli
@@ -35,11 +34,14 @@ def read_rows(path):
     return lines[0], list(csv.DictReader(lines[1:]))
 
 
-def test_selftest_quick_passes(capsys):
-    assert run_cli("selftest", "--quick") == 0
+def test_selftest_quick_passes(tmp_path, capsys):
+    out_dir = tmp_path / "new"
+    assert run_cli("selftest", "--quick", "--out", str(out_dir)) == 0
     out = capsys.readouterr().out
     assert out.count("ok  ") == 4
     assert "FAIL" not in out
+    # selftest has no artifacts, so it creates no output directory
+    assert not out_dir.exists()
 
 
 def test_selftest_failure_exit_code(monkeypatch, capsys):
@@ -54,6 +56,10 @@ SMALLBALL_ARGS = (
 )
 
 
+def test_git_blob_hash_known_value():
+    assert cli.git_blob_hash(b"hello\n") == "ce013625030ba8dba906f756967f9e9ca394464a"
+
+
 def test_smallball_outputs_and_determinism(tmp_path, capsys):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     assert run_cli(*SMALLBALL_ARGS, "--out", str(d1)) == 0
@@ -65,26 +71,74 @@ def test_smallball_outputs_and_determinism(tmp_path, capsys):
     assert manifest["seed"] == 3
     assert manifest["outputs"] == ["smallball.csv"]
     assert manifest["numpy"] == np.__version__
+
+
+# one small run of every subcommand that writes artifacts
+ARTIFACT_ARGS = {
+    "smallball": SMALLBALL_ARGS,
+    "direction": (
+        "direction", "--n", "3", "--l", "2", "--dist", "cube-unit", "--trials", "200",
+        "--batch-size", "100", "--eps-grid", "0.1:0.5:4",
+    ),
+    "bounds": ("bounds", "--l", "3", "--m", "5", "--eps-grid", "1e-4:0.9:6", "--r", "4", "--rho", "0.5"),
+    "dominance": (
+        "dominance", "--n", "2", "--l", "2", "--bodies", "2", "--count", "2", "--trials", "500",
+        "--batch-size", "250",
+    ),
+    "norms": ("norms", "--n", "8", "--l", "2", "--trials", "400", "--batch-size", "200", "--t-grid", "0.1:0.9:3"),
+    "smin": (
+        "smin", "--n", "3", "--l", "2", "--r", "2", "--rho", "0.8", "--trials", "100",
+        "--eps-grid", "1e-4:0.5:4",
+    ),
+    "decompose": ("decompose", "--n", "4", "--l", "3", "--r", "2", "--rho", "0.5", "--seed", "1"),
+}
+
+
+def test_artifact_runs_cover_every_runner():
+    assert set(ARTIFACT_ARGS) == set(cli._RUNNERS)
+
+
+@pytest.mark.parametrize("sub", sorted(ARTIFACT_ARGS))
+def test_artifacts_stamped_with_manifest_hash(tmp_path, capsys, sub):
+    out_dir = tmp_path / "new"
+    assert run_cli(*ARTIFACT_ARGS[sub], "--out", str(out_dir)) == 0
+    manifest_name = f"{sub}_manifest.json"
+    manifest = json.loads((out_dir / manifest_name).read_text())
     canon = json.dumps(
-        {
-            "subcommand": "smallball",
-            "config": manifest["config"],
-            "seed": 3,
-            "version": manifest["version"],
-        },
+        {"subcommand": sub, "config": manifest["config"], "seed": manifest["seed"], "version": manifest["version"]},
         sort_keys=True,
         separators=(",", ":"),
     )
-    assert manifest["manifest_hash"] == git_blob_hash(canon.encode())
-    assert csv1.decode().splitlines()[0] == f"# manifest: {manifest['manifest_hash']}"
+    stamp = manifest["manifest_hash"]
+    assert stamp == cli.git_blob_hash(canon.encode())
+    # the manifest lists exactly the artifacts written, and they are printed in that order
+    assert sorted(os.listdir(out_dir)) == sorted([*manifest["outputs"], manifest_name])
+    wrote = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote ")]
+    assert wrote == [f"wrote {out_dir / name}" for name in [*manifest["outputs"], manifest_name]]
+    for name in manifest["outputs"]:
+        text = (out_dir / name).read_text()
+        if name.endswith(".csv"):
+            assert text.splitlines()[0] == f"# manifest: {stamp}"
+        else:
+            assert json.loads(text)["manifest_hash"] == stamp
 
 
-def test_replay_reproduces_bytes(tmp_path):
+@pytest.mark.parametrize("sub", sorted(ARTIFACT_ARGS))
+def test_replay_reproduces_bytes(tmp_path, sub):
     first = tmp_path / "first"
     again = tmp_path / "again"
-    assert run_cli(*SMALLBALL_ARGS, "--out", str(first)) == 0
-    assert run_cli("--replay", str(first / "smallball_manifest.json"), "--out", str(again)) == 0
-    assert (first / "smallball.csv").read_bytes() == (again / "smallball.csv").read_bytes()
+    manifest_name = f"{sub}_manifest.json"
+    assert run_cli(*ARTIFACT_ARGS[sub], "--out", str(first)) == 0
+    assert run_cli("--replay", str(first / manifest_name), "--out", str(again)) == 0
+    assert sorted(os.listdir(first)) == sorted(os.listdir(again))
+    manifests = []
+    for d in (first, again):
+        manifest = json.loads((d / manifest_name).read_text())
+        manifest.pop("duration_s")
+        manifests.append(manifest)
+    assert manifests[0] == manifests[1]
+    for name in manifests[0]["outputs"]:
+        assert (first / name).read_bytes() == (again / name).read_bytes()
 
 
 @pytest.mark.parametrize("recorded", ["0.0.0", None, np.__version__])
@@ -364,26 +418,86 @@ def test_usage_errors():
         (("direction", "--n", "100", "--l", "10"), 2),
         (("smallball", "--subspace", "line", "--n", "100", "--l", "10", "--m", "2"), 2),
         (("dominance", "--n", "1000", "--l", "4"), 2),
+        # n = 1 keeps n^l under the cap, so only the order cap refuses these
+        (("smallball", "--n", "1", "--l", "33", "--m", "1"), 2),
+        (("direction", "--n", "1", "--l", "33"), 2),
+        (("bounds", "--l", "33", "--m", "1"), 2),
+        (("dominance", "--n", "1", "--l", "33"), 2),
+        (("norms", "--n", "1", "--l", "33"), 2),
+        (("smin", "--l", "33"), 2),
+        (("decompose", "--n", "1", "--l", "33", "--r", "1"), 2),
+        (("smallball", "--n", "1", "--l", "65", "--m", "1"), 2),
+        (("direction", "--n", "1", "--l", "65"), 2),
+        (("decompose", "--n", "1", "--l", "65", "--r", "1"), 2),
+        (("bounds", "--l", "1023", "--m", "1"), 2),
+        (("smallball", "--n", "1", "--l", "1000000000", "--m", "1", "--trials", "100"), 2),
+        (("decompose", "--n", "1", "--l", "1000000000", "--r", "1"), 2),
+        (("bounds", "--l", "1000000000", "--m", "1"), 2),
     ],
     ids=[
         "trials-inf", "trials-fractional", "l-zero", "l-negative", "no-bodies", "m-negative",
         "count-negative", "direction-oversized", "smallball-oversized", "dominance-oversized",
+        "smallball-l33", "direction-l33", "bounds-l33", "dominance-l33", "norms-l33", "smin-l33",
+        "decompose-l33", "smallball-l65", "direction-l65", "decompose-l65", "bounds-l1023",
+        "smallball-l1e9", "decompose-l1e9", "bounds-l1e9",
     ],
 )
 def test_bad_argv_exit_code(tmp_path, capsys, argv, code):
     argv = (*argv, "--out", str(tmp_path))
-    if "-1" in argv:
-        # deriving n from m once looped forever here: a subprocess with a timeout fails instead of hanging
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "tensorball.cli", *argv], capture_output=True, text=True, env=env, timeout=60
-        )
-        returncode, err = proc.returncode, proc.stderr
+    if "-1" in argv or "1000000000" in argv:
+        # these once looped or ran until killed: a subprocess with a timeout fails instead of hanging
+        returncode, err = run_cli_subprocess(*argv)
     else:
         returncode, err = run_cli(*argv), capsys.readouterr().err
     assert returncode == code
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def run_cli_subprocess(*argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "tensorball.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "sub, ell",
+    [(sub, 33) for sub in sorted(ARTIFACT_ARGS)] + [("smallball", 10**9)],
+)
+def test_replay_refuses_order_above_cap(tmp_path, capsys, sub, ell):
+    config = cli._config_from_args(cli.build_parser().parse_args([sub, "--seed", "0"]))
+    config.update(ell=ell, n=1)
+    if sub == "smallball":
+        config["m"] = 1
+    manifest = tmp_path / f"{sub}_manifest.json"
+    manifest.write_text(json.dumps({"subcommand": sub, "config": config}))
+    if ell == 10**9:
+        code, err = run_cli_subprocess("--replay", str(manifest))
+    else:
+        code, err = run_cli("--replay", str(manifest)), capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: tensor order must be <= {cli.MAX_ORDER}, got l = {ell}\n"
+    assert not any(p.name != manifest.name for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("smallball", "--n", "1", "--l", "32", "--m", "1", "--trials", "100"),
+        ("direction", "--n", "1", "--l", "32", "--trials", "100"),
+        ("bounds", "--l", "32", "--m", "1"),
+        ("dominance", "--n", "1", "--l", "32", "--trials", "100"),
+        ("norms", "--n", "1", "--l", "32", "--trials", "100"),
+        ("decompose", "--n", "1", "--l", "32", "--r", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_order_cap_admits_32(tmp_path, argv):
+    assert run_cli(*argv, "--out", str(tmp_path)) == 0
+    manifest = json.loads((tmp_path / f"{argv[0]}_manifest.json").read_text())
+    assert manifest["config"]["ell"] == cli.MAX_ORDER == 32
 
 
 def test_readme_commands_parse(monkeypatch):

@@ -11,7 +11,6 @@ from tensorball import (
     HistogramDensity,
     SlabBody,
     SmallBallCurve,
-    SubspaceBasis,
     ValidationError,
     clopper_pearson,
     coordinate_line_subspace,
@@ -21,11 +20,11 @@ from tensorball import (
     estimate_direction_smallball,
     estimate_smallball,
     fit_slope,
-    git_blob_hash,
     matched_cube,
     norm_concentration,
     kron,
     product_uniform_smallball,
+    rows_csv_bytes,
     sample_matrix,
 )
 from tensorball import montecarlo
@@ -138,10 +137,9 @@ def test_direction_gaussian_matches_normal_cdf():
 def test_direction_counts_equal_one_row_smallball(kind):
     specs = (DistributionSpec(kind=kind, dim=3),) * 3
     direction = diagonal_direction(3, 3)
-    basis = SubspaceBasis(shape=direction.shape, rows=direction.data[None, :])
     cfg = cfg_of(seed=11, trials=5000, batch_size=2000)
     a = estimate_direction_smallball(specs, direction, cfg)
-    b = estimate_smallball(specs, basis, cfg)
+    b = estimate_smallball(specs, direction, cfg)
     assert a.hit_counts == b.hit_counts
     assert a.scaling == "eps" and b.scaling == "eps*sqrt(m)"
 
@@ -251,10 +249,6 @@ def test_fit_slope_sparsity():
         fit_slope(curve, (0.1, 0.5))
 
 
-def test_git_blob_hash_known_value():
-    assert git_blob_hash(b"hello\n") == "ce013625030ba8dba906f756967f9e9ca394464a"
-
-
 def test_curve_csv_and_sidecar():
     basis = coordinate_line_subspace(2, 2, 1)
     specs = (DistributionSpec(kind="gaussian-std", dim=2),) * 2
@@ -265,6 +259,18 @@ def test_curve_csv_and_sidecar():
     assert lines[0] == "# manifest: abc"
     assert lines[1] == "epsilon,hits,trials,p_hat,ci_low,ci_high"
     assert len(lines) == 4
+
+
+def test_csv_cell_spelling():
+    """Curve cells are reprs with NaN as ``nan``; table cells leave NaN and None empty."""
+    curve = SmallBallCurve(epsilon_grid=(0.5, 0.1), hit_counts=(3, 1), trials=10, confidence=0.9)
+    lines = curve_csv_bytes(curve, extra_columns={"bound": [float("nan"), 0.25]}).decode().splitlines()
+    assert lines[0] == "epsilon,hits,trials,p_hat,ci_low,ci_high,bound"
+    assert lines[1].startswith("0.5,3,10,0.3,") and lines[1].endswith(",nan")
+    assert lines[2].endswith(",0.25")
+    rows = [{"a": 1, "b": float("nan"), "c": None, "d": True}, {"a": 2.5, "b": float("inf")}]
+    raw = rows_csv_bytes(["a", "b", "c", "d"], rows, comment="manifest: abc")
+    assert raw == b"# manifest: abc\na,b,c,d\n1,,,True\n2.5,inf,,\n"
 
 
 def batch_streams(cfg):

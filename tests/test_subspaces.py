@@ -68,14 +68,14 @@ def test_haar_deterministic_per_seed():
 
 def test_diagonal_direction_small():
     f = diagonal_direction(2, 2)
-    assert f.shape == (2, 2)
-    assert np.array_equal(f.data, [1.0, 0.0, 0.0, 0.0])
+    assert f.shape == (2, 2) and f.m == 1
+    assert np.array_equal(f.rows, [[1.0, 0.0, 0.0, 0.0]])
 
 
 def test_diagonal_direction_picks_first_coordinates():
     f = diagonal_direction(2, 2)
-    assert projections(f.data[None, :], f.shape, np.array([2.0, 7.0]), np.array([3.0, -1.0])) == 6.0
-    assert abs(np.linalg.norm(f.data) - 1.0) < 1e-15
+    assert projections(f.rows, f.shape, np.array([2.0, 7.0]), np.array([3.0, -1.0])) == 6.0
+    assert abs(np.linalg.norm(f.rows) - 1.0) < 1e-15
 
 
 def test_coordinate_line_rows():
