@@ -39,7 +39,6 @@ from .errors import (
     ConfigurationError,
     DataSparsityError,
     DegeneracyError,
-    RangeError,
     ResourceError,
     UsageError,
     ValidationError,
@@ -214,7 +213,7 @@ def _bounds_row(eps: float, cfg: dict, bc: BoundConfig) -> dict:
     def guarded(name, fn):
         try:
             row[name] = float(fn())
-        except (RangeError, ValidationError):
+        except ValidationError:
             row[name] = float("nan")
 
     guarded("fixed_subspace", lambda: bound_fixed_subspace(eps, m, ell, bc))
@@ -487,11 +486,20 @@ def _resolve_seed(value) -> int:
 def _check_config(subcommand: str, cfg: dict) -> None:
     """Refusals shared by fresh runs and ``--replay``, before anything is derived.
 
-    A tensor order above ``MAX_ORDER`` is refused on every subcommand, and
-    runs whose flattened size is above ``FLATTEN_CAP`` entries (the m basis
-    rows of length n^l for smallball, one n^l tensor for direction,
-    dominance and decompose) are refused before anything is allocated.
+    A tensor order above ``MAX_ORDER`` and a given ``n`` or ``r`` below 1
+    are refused on every subcommand, ``rho <= 0`` on bounds, and runs whose
+    flattened size is above ``FLATTEN_CAP`` entries (the m basis rows of
+    length n^l for smallball, one n^l x r Khatri-Rao matrix for smin, one
+    n^l tensor for direction, dominance and decompose) are refused before
+    anything is allocated.
     """
+    for key, what in (("n", "dimension"), ("r", "rank")):
+        value = cfg.get(key)
+        if value is not None and not (isinstance(value, int) and value >= 1):
+            raise ValidationError(f"{what} must be an integer >= 1, got {key} = {value!r}")
+    rho = cfg.get("rho")
+    if subcommand == "bounds" and rho is not None and not (isinstance(rho, (int, float)) and rho > 0):
+        raise ValidationError(f"smoothing scale must be > 0, got rho = {rho!r}")
     if cfg.get("ell", 1) < 1:
         raise ValidationError(f"tensor order must be >= 1, got l = {cfg['ell']}")
     if cfg.get("ell", 1) > MAX_ORDER:
@@ -500,8 +508,8 @@ def _check_config(subcommand: str, cfg: dict) -> None:
         raise ValidationError(f"subspace dimension must be >= 1, got m = {cfg['m']}")
     if cfg.get("count", 0) < 0:
         raise ValidationError(f"slab direction count must be >= 0, got count = {cfg['count']}")
-    if subcommand in ("smallball", "direction", "dominance", "decompose"):
-        rows = cfg["m"] if subcommand == "smallball" else 1
+    if subcommand in ("smallball", "direction", "dominance", "decompose", "smin"):
+        rows = {"smallball": cfg.get("m"), "smin": cfg.get("r")}.get(subcommand, 1)
         if rows * cfg["n"] ** cfg["ell"] > FLATTEN_CAP:
             size = f"{cfg['n']}^{cfg['ell']}" if rows == 1 else f"{rows} x {cfg['n']}^{cfg['ell']}"
             raise ResourceError(f"{subcommand} needs {size} flattened entries, above the cap of {FLATTEN_CAP}")

@@ -21,6 +21,9 @@ from .khatri_rao import SmoothedEnsemble, khatri_rao, sample_smoothed_factors
 
 _UNIT_TOL = 1e-10
 
+# relative tolerance of the probe spectra in ``simultaneous_diagonalize``
+_SPECTRAL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class Rank1Terms:
@@ -136,14 +139,14 @@ def contract_mode3(t: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.tensordot(t, a, axes=(2, 0))
 
 
-def _pinv_rank(m: np.ndarray, r: int, tol: float) -> np.ndarray | None:
+def _pinv_rank(m: np.ndarray, r: int) -> np.ndarray | None:
     """Pseudo-inverse truncated to the top r singular values; None if rank-deficient.
 
     Truncating at the known rank, not at a threshold, keeps entry noise from
     leaking 1/noise-sized directions into the eigenproblem.
     """
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    if s[r - 1] <= tol * s[0]:
+    if s[r - 1] <= _SPECTRAL_TOL * s[0]:
         return None
     return (vt[:r].T / s[:r]) @ u[:, :r].T
 
@@ -160,7 +163,7 @@ def _realify_columns(vals, vecs, idx):
     return out, np.real(vals[idx])
 
 
-def simultaneous_diagonalize(t: np.ndarray, r: int, rng=None, tol: float = 1e-10) -> Rank1Terms:
+def simultaneous_diagonalize(t: np.ndarray, r: int, rng=None) -> Rank1Terms:
     """Recover rank-one terms of an order-3 tensor from two Gaussian probes.
 
     Eigenvectors of M_a M_b^+ give the mode-1 factors, of (M_a)^T (M_b^T)^+
@@ -185,7 +188,7 @@ def simultaneous_diagonalize(t: np.ndarray, r: int, rng=None, tol: float = 1e-10
         b = rng.standard_normal(n3)
         m_a = contract_mode3(t, a)
         m_b = contract_mode3(t, b)
-        pinv_b = _pinv_rank(m_b, r, tol)
+        pinv_b = _pinv_rank(m_b, r)
         if pinv_b is None:
             failure = "probe contraction nearly rank-deficient"
             continue
@@ -203,18 +206,18 @@ def simultaneous_diagonalize(t: np.ndarray, r: int, rng=None, tol: float = 1e-10
             failure = "all probe eigenvalues vanished"
             continue
         sel = np.concatenate([eig_u.eigenvalues[idx_u], eig_v.eigenvalues[idx_v]])
-        if np.max(np.abs(np.imag(sel))) > tol * radius:
+        if np.max(np.abs(np.imag(sel))) > _SPECTRAL_TOL * radius:
             failure = "complex eigenvalues beyond tolerance"
             continue
         lam_u = np.real(eig_u.eigenvalues[idx_u])
         lam_v = np.real(eig_v.eigenvalues[idx_v])
         gaps = np.abs(lam_u[:, None] - lam_u[None, :])[np.triu_indices(r, 1)]
-        if gaps.size and np.min(gaps) <= tol * radius:
+        if gaps.size and np.min(gaps) <= _SPECTRAL_TOL * radius:
             failure = "eigenvalue collision within tolerance"
             continue
         leak_u = np.max(np.abs(eig_u.eigenvalues[rest_u]), initial=0.0)
         leak_v = np.max(np.abs(eig_v.eigenvalues[rest_v]), initial=0.0)
-        if min(np.min(np.abs(lam_u)), np.min(np.abs(lam_v))) <= max(leak_u, leak_v) + tol * radius:
+        if min(np.min(np.abs(lam_u)), np.min(np.abs(lam_v))) <= max(leak_u, leak_v) + _SPECTRAL_TOL * radius:
             failure = "spectrum does not separate rank-r part from the null space"
             continue
         u_mat, lam_u = _realify_columns(eig_u.eigenvalues, eig_u.eigenvectors, idx_u)
@@ -341,7 +344,7 @@ def match_components(truth: Rank1Terms, est: Rank1Terms) -> RecoveryReport:
     )
 
 
-def decompose_smoothed(e: SmoothedEnsemble, noise_scale: float, rng=None, tol: float = 1e-10) -> RecoveryReport:
+def decompose_smoothed(e: SmoothedEnsemble, noise_scale: float, rng=None) -> RecoveryReport:
     """End-to-end smoothed recovery: draw, perturb, fold, diagonalize, match.
 
     Builds the dense tensor of one smoothed draw, adds i.i.d. uniform entry
@@ -365,7 +368,7 @@ def decompose_smoothed(e: SmoothedEnsemble, noise_scale: float, rng=None, tol: f
     if noise_scale > 0:
         dense = dense + rng.uniform(-noise_scale, noise_scale, dense.shape)
     folded = dense.reshape(plan.grouped_shape)
-    est3 = simultaneous_diagonalize(folded, e.r, rng, tol)
+    est3 = simultaneous_diagonalize(folded, e.r, rng)
     est = est3 if e.ell == 3 else unfold_terms(plan, est3)
     report = match_components(truth, est)
     diagnostics = {

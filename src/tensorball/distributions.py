@@ -98,17 +98,12 @@ class DistributionSpec:
         One of ``KINDS``.
     dim : int
         Length of the factor vector, at least 1.
-    density_bound : float, optional
-        Declared upper bound on the coordinate density.  Defaults to the
-        exact sup for the kind; an explicit value below the true sup is
-        rejected.
     histogram : HistogramDensity, optional
         Required when ``kind == "histogram"``.
     """
 
     kind: str
     dim: int
-    density_bound: float | None = None
     histogram: HistogramDensity | None = None
 
     def __post_init__(self):
@@ -122,15 +117,10 @@ class DistributionSpec:
                 raise ConfigurationError("kind 'histogram' requires a HistogramDensity")
         elif self.histogram is not None:
             raise ConfigurationError(f"kind {self.kind!r} does not take a histogram")
-        sup = self._exact_sup()
-        if self.density_bound is None:
-            object.__setattr__(self, "density_bound", sup)
-        elif self.density_bound < sup - 1e-12:
-            raise ValidationError(
-                f"density_bound {self.density_bound} is below the true density sup {sup}"
-            )
 
-    def _exact_sup(self) -> float:
+    @property
+    def density_bound(self) -> float:
+        """The exact sup of the coordinate density."""
         if self.kind == "histogram":
             return self.histogram.sup()
         return _BUILTIN_SUP[self.kind]

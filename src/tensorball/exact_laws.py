@@ -171,8 +171,8 @@ class NondeterministicBound(NamedTuple):
     exponent: float
 
 
-def bound_nondeterministic(eps, n: int, ell: int, m: int, c: float = 1.0) -> NondeterministicBound:
-    """Counting-argument bound 2 n^(ell-1) (c sqrt(n))^(ell e*) eps^(e*), capped at 1.
+def bound_nondeterministic(eps, n: int, ell: int, m: int) -> NondeterministicBound:
+    """Counting-argument bound 2 n^(ell-1) sqrt(n)^(ell e*) eps^(e*), capped at 1.
 
     Returns the pair (value, exponent) where the exponent
     e* = (n - (n^ell - m)^(1/ell)) / ell governs the decay rate.
@@ -183,7 +183,7 @@ def bound_nondeterministic(eps, n: int, ell: int, m: int, c: float = 1.0) -> Non
     if np.any(eps < 0):
         raise ValidationError("eps must be nonnegative")
     e_star = (n - (n**ell - m) ** (1.0 / ell)) / ell
-    prefactor = 2.0 * n ** (ell - 1) * (c * math.sqrt(n)) ** (ell * e_star)
+    prefactor = 2.0 * n ** (ell - 1) * math.sqrt(n) ** (ell * e_star)
     out = _cap(prefactor * eps**e_star)
     return NondeterministicBound(_ret(out, scalar), e_star)
 
@@ -258,12 +258,13 @@ class ConstantFit:
     sse: float
 
 
-def fit_constant(family, epsilons, p_hat, log_c_range=(-10.0, 10.0)) -> ConstantFit:
+def fit_constant(family, epsilons, p_hat) -> ConstantFit:
     """Least-squares fit of a single constant to an empirical curve.
 
     ``family(c, eps_array)`` evaluates a bound family at constant ``c``; the
     objective is the sum of squared differences of log-bound vs log-empirical
-    over the points with positive empirical probability.
+    over the points with positive empirical probability, and ``log c`` is
+    searched in [-10, 10].
     """
     epsilons = np.asarray(epsilons, dtype=float)
     p_hat = np.asarray(p_hat, dtype=float)
@@ -279,5 +280,5 @@ def fit_constant(family, epsilons, p_hat, log_c_range=(-10.0, 10.0)) -> Constant
             return 1e300
         return float(np.sum((np.log(vals) - log_p) ** 2))
 
-    res = minimize_scalar(objective, bounds=log_c_range, method="bounded")
+    res = minimize_scalar(objective, bounds=(-10.0, 10.0), method="bounded")
     return ConstantFit(constant=math.exp(res.x), sse=float(res.fun))

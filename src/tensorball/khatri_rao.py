@@ -12,6 +12,9 @@ Review 2009) gives s_min^2 as the smallest eigenvalue of an r x r Hadamard
 product of factor Grams.  Trials whose eigenvalue lies within a rounding
 band of zero or of a squared threshold are redone by SVD, so every count is
 the SVD's count.
+
+The rank tolerance, the rounding band, the base-vector norm cap (1) and the
+bound constants (``BoundConfig()``) are fixed module values.
 """
 
 from __future__ import annotations
@@ -46,22 +49,22 @@ def khatri_rao(factor_matrices) -> np.ndarray:
     return kron(mats)
 
 
-def pinv_hs_norm_sq(a: np.ndarray, rank_tol: float = _RANK_TOL) -> float:
+def pinv_hs_norm_sq(a: np.ndarray) -> float:
     """Sum of 1/s_i^2 over the singular values, via full SVD.
 
     Requires full rank min(rows, cols); a singular value below
-    ``rank_tol * s_max`` raises ``DegeneracyError``.
+    ``1e-12 * s_max`` (``_RANK_TOL``) raises ``DegeneracyError``.
     """
     a = np.asarray(a, dtype=float)
     s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0 or s[-1] < rank_tol * s[0]:
+    if s[0] == 0 or s[-1] < _RANK_TOL * s[0]:
         raise DegeneracyError(
             f"matrix is rank-deficient to tolerance (s_min/s_max = {s[-1] / max(s[0], 1e-300):.3e})"
         )
     return float(np.sum(1.0 / s**2))
 
 
-def projection_distance_sum(a: np.ndarray, rank_tol: float = _RANK_TOL) -> float:
+def projection_distance_sum(a: np.ndarray) -> float:
     """Sum over rows of 1/dist(v_i, span of other rows)^2, via least squares.
 
     The sum ranges over the r rows of the matrix.  A residual below
@@ -77,7 +80,7 @@ def projection_distance_sum(a: np.ndarray, rank_tol: float = _RANK_TOL) -> float
         coef, *_ = np.linalg.lstsq(others.T, v, rcond=None)
         resid = v - others.T @ coef
         dist_sq = float(resid @ resid)
-        if dist_sq <= (rank_tol * max(scale, 1.0)) ** 2:
+        if dist_sq <= (_RANK_TOL * max(scale, 1.0)) ** 2:
             raise DegeneracyError(f"row {i} lies in the span of the other rows (distance {math.sqrt(dist_sq):.3e})")
         total += 1.0 / dist_sq
     return total
@@ -88,8 +91,8 @@ class SmoothedEnsemble:
     """Base simple tensors plus per-mode Gaussian smoothing.
 
     ``base`` holds one (n x r) matrix per mode; column i of mode j is the
-    base vector X_i^(j), with norm at most ``norm_cap``.  Smoothing adds
-    independent N(0, rho^2/n I_n) noise per vector.
+    base vector X_i^(j), with norm at most 1.  Smoothing adds independent
+    N(0, rho^2/n I_n) noise per vector.
     """
 
     r: int
@@ -97,30 +100,29 @@ class SmoothedEnsemble:
     ell: int
     rho: float
     base: tuple[np.ndarray, ...]
-    norm_cap: float = 1.0
 
     def __post_init__(self):
         if self.r < 1 or self.n < 1 or self.ell < 1:
             raise ValidationError("r, n and ell must be positive")
-        if self.rho < 0 or self.norm_cap <= 0:
-            raise ValidationError("need rho >= 0 and norm_cap > 0")
+        if self.rho < 0:
+            raise ValidationError("need rho >= 0")
         base = tuple(np.asarray(b, dtype=float) for b in self.base)
         if len(base) != self.ell or any(b.shape != (self.n, self.r) for b in base):
             raise ValidationError(f"base must be {self.ell} matrices of shape ({self.n}, {self.r})")
         worst = max(float(np.max(np.linalg.norm(b, axis=0))) for b in base)
-        if worst > self.norm_cap + 1e-12:
-            raise ValidationError(f"base vector norm {worst} exceeds norm_cap {self.norm_cap}")
+        if worst > 1.0 + 1e-12:
+            raise ValidationError(f"base vector norm {worst} exceeds 1")
         object.__setattr__(self, "base", base)
 
     @classmethod
-    def random(cls, r: int, n: int, ell: int, rho: float, norm_cap: float = 1.0, rng=None) -> "SmoothedEnsemble":
-        """Base vectors drawn uniformly on the radius-``norm_cap`` sphere."""
+    def random(cls, r: int, n: int, ell: int, rho: float, rng=None) -> "SmoothedEnsemble":
+        """Base vectors drawn uniformly on the unit sphere."""
         rng = np.random.default_rng(rng)
         base = []
         for _ in range(ell):
             g = rng.standard_normal((n, r))
-            base.append(norm_cap * g / np.linalg.norm(g, axis=0))
-        return cls(r=r, n=n, ell=ell, rho=rho, base=tuple(base), norm_cap=norm_cap)
+            base.append(g / np.linalg.norm(g, axis=0))
+        return cls(r=r, n=n, ell=ell, rho=rho, base=tuple(base))
 
 
 def sample_smoothed_factors(e: SmoothedEnsemble, rng) -> list[np.ndarray]:
@@ -146,11 +148,7 @@ class SminTailResult:
     bound_values: tuple[float, ...]
 
 
-def smin_tail_experiment(
-    e: SmoothedEnsemble,
-    cfg: ExperimentConfig,
-    bound_cfg: BoundConfig = BoundConfig(),
-) -> SminTailResult:
+def smin_tail_experiment(e: SmoothedEnsemble, cfg: ExperimentConfig) -> SminTailResult:
     """Monte-Carlo lower tail of s_min of the smoothed Khatri-Rao matrix.
 
     Per trial, draws the smoothed factors A_1..A_ell and takes s_min^2 as the
@@ -164,10 +162,10 @@ def smin_tail_experiment(
     on every draw, from the eigenvalues or the redone singular values; a
     failure (non-finite or misordered values) raises ``DegeneracyError``.
     Memory per batch is O(size * (ell*n*r + r^2)) plus the n^ell x r
-    matrices of the redone trials.  ``cfg.shift_vectors`` must be unset.
+    matrices of the redone trials.  The constants c and C are those of the
+    default ``BoundConfig``.
     """
-    if cfg.shift_vectors is not None:
-        raise ValidationError("smin_tail_experiment does not take shift_vectors")
+    bound_cfg = BoundConfig()
     if e.r > e.n**e.ell / 2:
         raise HypothesisViolationError(f"need r <= n^ell/2 = {e.n ** e.ell / 2}, got r = {e.r}")
     if e.rho <= 0:

@@ -1,10 +1,9 @@
 """Seeded Monte-Carlo engine for small-ball, norm, and dominance experiments.
 
 Trials are partitioned into batches; batch ``i`` of a run draws from
-``SeedSequence(seed, spawn_key=(batch_start + i,))``, so counts merge
-exactly across runs that agree on the batch partition, schedulers cannot
-change results, and a run with ``batch_start = k`` continues another run's
-stream.  Every curve stores exact Clopper-Pearson intervals per grid point.
+``SeedSequence(seed, spawn_key=(i,))``, so the counts depend on the seed and
+the batch partition only, and schedulers cannot change them.  Every curve
+stores exact Clopper-Pearson intervals per grid point.
 """
 
 from __future__ import annotations
@@ -31,20 +30,15 @@ class ExperimentConfig:
     """Reproducibility contract for one experiment run.
 
     ``epsilon_grid`` must be strictly decreasing so nested-event counts are
-    monotone along the grid.  ``shift_vectors`` are subtracted from the
-    sampled factors (the arbitrary centers z_j) by the small-ball and
-    dominance experiments; the norm and s_min experiments refuse them.
-    ``batch_size``/``batch_start`` define the deterministic batch partition;
-    ``threads`` only changes scheduling, never results.
+    monotone along the grid.  ``batch_size`` defines the deterministic batch
+    partition; ``threads`` only changes scheduling, never results.
     """
 
     seed: int
     trials: int
     epsilon_grid: tuple[float, ...]
-    shift_vectors: tuple[tuple[float, ...], ...] | None = None
     confidence: float = 0.99
     batch_size: int = 100_000
-    batch_start: int = 0
     threads: int = 1
 
     def __post_init__(self):
@@ -60,15 +54,8 @@ class ExperimentConfig:
         object.__setattr__(self, "epsilon_grid", tuple(grid.tolist()))
         if not 0 < self.confidence < 1:
             raise ValidationError(f"confidence must lie in (0, 1), got {self.confidence}")
-        if self.batch_size < 1 or self.batch_start < 0 or self.threads < 1:
-            raise ValidationError("batch_size, threads must be >= 1 and batch_start >= 0")
-        if self.shift_vectors is not None:
-            object.__setattr__(
-                self,
-                "shift_vectors",
-                tuple(tuple(map(float, z)) for z in self.shift_vectors),
-            )
-
+        if self.batch_size < 1 or self.threads < 1:
+            raise ValidationError("batch_size and threads must be >= 1")
 
 
 def clopper_pearson(hits, trials: int, confidence: float) -> tuple[np.ndarray, np.ndarray]:
@@ -94,8 +81,8 @@ class SmallBallCurve:
     hit_counts: tuple[int, ...]
     trials: int
     confidence: float
-    ci_low: tuple[float, ...] = field(default=None)
-    ci_high: tuple[float, ...] = field(default=None)
+    ci_low: tuple[float, ...] = field(init=False)
+    ci_high: tuple[float, ...] = field(init=False)
     scaling: str = "eps"
 
     def __post_init__(self):
@@ -109,31 +96,13 @@ class SmallBallCurve:
             raise ValidationError("hit counts must be nonincreasing along the decreasing grid (nested events)")
         object.__setattr__(self, "epsilon_grid", tuple(grid.tolist()))
         object.__setattr__(self, "hit_counts", tuple(int(c) for c in counts))
-        if self.ci_low is None or self.ci_high is None:
-            low, high = clopper_pearson(counts, self.trials, self.confidence)
-            object.__setattr__(self, "ci_low", tuple(low.tolist()))
-            object.__setattr__(self, "ci_high", tuple(high.tolist()))
+        low, high = clopper_pearson(counts, self.trials, self.confidence)
+        object.__setattr__(self, "ci_low", tuple(low.tolist()))
+        object.__setattr__(self, "ci_high", tuple(high.tolist()))
 
     @property
     def p_hat(self) -> np.ndarray:
         return np.asarray(self.hit_counts, dtype=float) / self.trials
-
-    def merge(self, other: "SmallBallCurve") -> "SmallBallCurve":
-        """Exact count merge of two runs over the same grid."""
-        if (
-            self.epsilon_grid != other.epsilon_grid
-            or self.confidence != other.confidence
-            or self.scaling != other.scaling
-        ):
-            raise ValidationError("curves must share grid, confidence and scaling to merge")
-        counts = np.asarray(self.hit_counts) + np.asarray(other.hit_counts)
-        return SmallBallCurve(
-            epsilon_grid=self.epsilon_grid,
-            hit_counts=tuple(int(c) for c in counts),
-            trials=self.trials + other.trials,
-            confidence=self.confidence,
-            scaling=self.scaling,
-        )
 
 
 class SlopeFit(NamedTuple):
@@ -186,11 +155,6 @@ class DominanceReport:
     upper_b_one_sided: float
     gap: float
     violation_candidate: bool
-
-    @property
-    def consistent(self) -> bool:
-        return not self.violation_candidate
-
 
 
 @dataclass(frozen=True)
@@ -263,7 +227,7 @@ def _sum_over_batches(cfg: ExperimentConfig, kernel: Callable[[np.random.Generat
 
     def run(job):
         i, size = job
-        seq = np.random.SeedSequence(cfg.seed, spawn_key=(cfg.batch_start + i,))
+        seq = np.random.SeedSequence(cfg.seed, spawn_key=(i,))
         return kernel(np.random.default_rng(seq), size)
 
     jobs = enumerate(_batch_plan(cfg.trials, cfg.batch_size))
@@ -274,19 +238,6 @@ def _sum_over_batches(cfg: ExperimentConfig, kernel: Callable[[np.random.Generat
     return total
 
 
-def _sample_factors(specs, rng, size, shift_vectors):
-    xs = [sample_matrix(spec, rng, size) for spec in specs]
-    if shift_vectors is not None:
-        if len(shift_vectors) != len(specs):
-            raise ValidationError("need one shift vector per factor")
-        for j, z in enumerate(shift_vectors):
-            z = np.asarray(z, dtype=float)
-            if z.shape != (specs[j].dim,):
-                raise ValidationError(f"shift vector {j} has wrong length")
-            xs[j] = xs[j] - z
-    return xs
-
-
 def _projection_curve(specs, rows, shape, thresholds, cfg: ExperimentConfig, scaling: str) -> SmallBallCurve:
     """Counts of ||(<row_k, x_1 x ... x x_l>)_k|| <= threshold, one sample per trial for the whole grid."""
     dims = tuple(s.dim for s in specs)
@@ -294,7 +245,7 @@ def _projection_curve(specs, rows, shape, thresholds, cfg: ExperimentConfig, sca
         raise ValidationError(f"factor dims {dims} do not match shape {tuple(shape)}")
 
     def kernel(rng, size):
-        xs = _sample_factors(specs, rng, size, cfg.shift_vectors)
+        xs = [sample_matrix(s, rng, size) for s in specs]
         inner = contract(rows, shape, xs)
         norms = np.sqrt(np.einsum("bm,bm->b", inner, inner))
         return np.count_nonzero(norms[:, None] <= thresholds[None, :], axis=0)
@@ -310,7 +261,7 @@ def _projection_curve(specs, rows, shape, thresholds, cfg: ExperimentConfig, sca
 
 
 def estimate_smallball(specs, basis: SubspaceBasis, cfg: ExperimentConfig) -> SmallBallCurve:
-    """Empirical P(||proj of (x(X1-z1) x ... x (Xl-zl))|| <= eps*sqrt(m)) per grid point.
+    """Empirical P(||proj of (X1 x ... x Xl)|| <= eps*sqrt(m)) per grid point.
 
     One sample per trial is tested against the whole nested grid, so counts
     are exactly monotone.
@@ -320,7 +271,7 @@ def estimate_smallball(specs, basis: SubspaceBasis, cfg: ExperimentConfig) -> Sm
 
 
 def estimate_direction_smallball(specs, f: SubspaceBasis, cfg: ExperimentConfig) -> SmallBallCurve:
-    """Empirical P(|<x(X1-z1) x ... , f>| <= eps) per grid point (no sqrt(m) scaling).
+    """Empirical P(|<X1 x ... x Xl, f>| <= eps) per grid point (no sqrt(m) scaling).
 
     ``f`` is a one-row basis.  This is the m = 1 case of ``estimate_smallball``
     without the sqrt(m) scaling: sqrt(x*x) == |x| in round-to-nearest
@@ -333,11 +284,8 @@ def norm_concentration(specs, t_grid, cfg: ExperimentConfig) -> NormTailCurves:
     """Tail frequencies of the tensor norm around its isotropic scale sqrt(prod n_j).
 
     Counts P(prod ||X_j|| >= (1+t) * n^(l/2)) and P(<= (1-t) * n^(l/2)) for
-    every t.  Requires the unit-variance built-in kinds and no
-    ``cfg.shift_vectors``.
+    every t.  Requires the unit-variance built-in kinds.
     """
-    if cfg.shift_vectors is not None:
-        raise ValidationError("norm_concentration does not take shift_vectors")
     for spec in specs:
         if spec.kind not in _ISOTROPIC_KINDS:
             raise ValidationError(
@@ -387,7 +335,7 @@ def _membership_counts(specs, body: SlabBody, cfg: ExperimentConfig) -> int:
         buf = np.empty((min(chunk, size), ambient, 1))
         while done < size:
             cur = min(chunk, size - done)
-            xs = _sample_factors(specs, rng, cur, cfg.shift_vectors)
+            xs = [sample_matrix(s, rng, cur) for s in specs]
             flat = kron([x[:, :, None] for x in xs], out=buf[:cur])[:, :, 0]
             hits += int(np.count_nonzero(body.contains(flat)))
             done += cur

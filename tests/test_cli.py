@@ -163,10 +163,11 @@ def test_replay_notes_numpy_version_change(tmp_path, capsys, recorded):
         assert err == ""
 
 
-def replay_with(tmp_path, capsys, edit=None, text=None):
-    """Replay a smallball manifest after ``edit`` mutates it, or replay ``text`` as the file."""
-    manifest = tmp_path / "first" / "smallball_manifest.json"
-    assert run_cli(*SMALLBALL_ARGS, "--out", str(manifest.parent)) == 0
+def replay_with(tmp_path, capsys, edit=None, text=None, args=SMALLBALL_ARGS):
+    """Replay the manifest of ``args`` (smallball by default) after ``edit``
+    mutates it, or replay ``text`` as the file."""
+    manifest = tmp_path / "first" / f"{args[0]}_manifest.json"
+    assert run_cli(*args, "--out", str(manifest.parent)) == 0
     if edit is not None:
         data = json.loads(manifest.read_text())
         edit(data)
@@ -200,10 +201,18 @@ def test_replay_config_unknown_key(tmp_path, capsys):
         ("ell", 0, "tensor order must be >= 1"),
         ("m", 0, "subspace dimension must be >= 1"),
         ("n", 10**10, "above the cap"),
+        ("n", 0, "dimension must be an integer >= 1, got n = 0"),
+        ("n", -3, "dimension must be an integer >= 1, got n = -3"),
+        ("r", 0, "rank must be an integer >= 1, got r = 0"),
+        ("r", "4", "rank must be an integer >= 1, got r = '4'"),
+        ("rho", 0, "smoothing scale must be > 0, got rho = 0"),
+        ("rho", -1.0, "smoothing scale must be > 0, got rho = -1.0"),
     ],
 )
 def test_replay_config_bad_value(tmp_path, capsys, key, value, message):
-    err = replay_with(tmp_path, capsys, edit=lambda d: d["config"].update({key: value}))
+    # r and rho are keys of the bounds manifest, the one that takes both
+    args = ARTIFACT_ARGS["bounds"] if key in ("r", "rho") else SMALLBALL_ARGS
+    err = replay_with(tmp_path, capsys, edit=lambda d: d["config"].update({key: value}), args=args)
     assert message in err
 
 
@@ -433,13 +442,25 @@ def test_usage_errors():
         (("smallball", "--n", "1", "--l", "1000000000", "--m", "1", "--trials", "100"), 2),
         (("decompose", "--n", "1", "--l", "1000000000", "--r", "1"), 2),
         (("bounds", "--l", "1000000000", "--m", "1"), 2),
+        # without the refusal, bounds writes blank columns or drops smin_tail, with exit 0
+        (("bounds", "--n", "-3"), 2),
+        (("bounds", "--n", "0"), 2),
+        (("bounds", "--r", "-2", "--rho", "0.5"), 2),
+        (("bounds", "--r", "4", "--rho", "-1"), 2),
+        (("bounds", "--r", "0", "--rho", "0.5"), 2),
+        (("bounds", "--r", "4", "--rho", "0"), 2),
+        (("smallball", "--n", "0"), 2),
+        (("smin", "--r", "0"), 2),
+        (("decompose", "--n", "-3"), 2),
     ],
     ids=[
         "trials-inf", "trials-fractional", "l-zero", "l-negative", "no-bodies", "m-negative",
         "count-negative", "direction-oversized", "smallball-oversized", "dominance-oversized",
         "smallball-l33", "direction-l33", "bounds-l33", "dominance-l33", "norms-l33", "smin-l33",
         "decompose-l33", "smallball-l65", "direction-l65", "decompose-l65", "bounds-l1023",
-        "smallball-l1e9", "decompose-l1e9", "bounds-l1e9",
+        "smallball-l1e9", "decompose-l1e9", "bounds-l1e9", "bounds-n-negative", "bounds-n-zero",
+        "bounds-r-negative", "bounds-rho-negative", "bounds-r-zero", "bounds-rho-zero", "smallball-n-zero",
+        "smin-r-zero", "decompose-n-negative",
     ],
 )
 def test_bad_argv_exit_code(tmp_path, capsys, argv, code):
@@ -460,6 +481,19 @@ def run_cli_subprocess(*argv):
         [sys.executable, "-m", "tensorball.cli", *argv], capture_output=True, text=True, env=env, timeout=60
     )
     return proc.returncode, proc.stderr
+
+
+def test_smin_refused_above_flatten_cap(tmp_path):
+    """2 x 2^24 Khatri-Rao entries are refused before the SVD fallback could build them."""
+    code, err = run_cli_subprocess("smin", "--n", "2", "--l", "24", "--r", "2", "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err == f"error: smin needs 2 x 2^24 flattened entries, above the cap of {cli.FLATTEN_CAP}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_decompose_admits_rho_zero(tmp_path):
+    """rho > 0 is a bounds refusal only: an unsmoothed decomposition is a valid run."""
+    assert run_cli("decompose", "--n", "4", "--l", "3", "--r", "2", "--rho", "0", "--out", str(tmp_path)) == 0
 
 
 @pytest.mark.parametrize(

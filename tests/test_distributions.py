@@ -37,11 +37,6 @@ def test_density_sup_histogram_is_max_height():
     assert DistributionSpec(kind="histogram", dim=1, histogram=h).density_bound == 0.8
 
 
-def test_density_bound_below_sup_rejected():
-    with pytest.raises(ValidationError):
-        DistributionSpec(kind="gaussian-std", dim=1, density_bound=0.1)
-
-
 def test_cube_sqrt3_support_and_moments():
     spec = DistributionSpec(kind="uniform-cube-sqrt3", dim=2)
     x = sample_matrix(spec, np.random.default_rng(0), 200_000)
