@@ -110,7 +110,7 @@ def _parse_trials(text: str) -> int:
     return int(value)
 
 
-def _parse_grid(text: str, log: bool = True) -> tuple[float, ...]:
+def _parse_grid(text: str, log: bool = True) -> list[float]:
     """start:end:count, log-spaced by default, returned sorted decreasing."""
     parts = text.split(":")
     if len(parts) != 3:
@@ -119,10 +119,10 @@ def _parse_grid(text: str, log: bool = True) -> tuple[float, ...]:
         start, end, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise UsageError(f"grid {text!r} is not start:end:count") from exc
-    if count < 2 or start <= 0 or end <= 0 or start == end:
-        raise UsageError(f"grid {text!r} needs two distinct positive endpoints and count >= 2")
+    if count < 2 or not (0 < start < math.inf and 0 < end < math.inf) or start == end:
+        raise UsageError(f"grid {text!r} needs two distinct finite positive endpoints and count >= 2")
     vals = np.geomspace(start, end, count) if log else np.linspace(start, end, count)
-    return tuple(sorted((float(v) for v in vals), reverse=True))
+    return sorted((float(v) for v in vals), reverse=True)
 
 
 def _aux_rng(seed: int, stream: int) -> np.random.Generator:
@@ -224,7 +224,7 @@ def _bounds_row(eps: float, cfg: dict, bc: BoundConfig) -> dict:
     guarded("concentration_vershynin", lambda: bound_concentration_subgaussian(eps, m, n, ell, bc, "vershynin"))
     guarded("concentration_bamberger", lambda: bound_concentration_subgaussian(eps, m, n, ell, bc, "bamberger"))
     guarded("sharpness_lower", lambda: sharpness_lower_bound(eps, ell, bc))
-    if cfg.get("r") and cfg.get("rho"):
+    if cfg["r"] is not None:
         guarded("smin_tail", lambda: bound_smin_tail(eps, cfg["r"], n, ell, cfg["rho"], bc)[1])
     return row
 
@@ -238,8 +238,6 @@ def _run_bounds(cfg: dict, stamp: str) -> list[tuple[str, bytes]]:
 
 
 def _run_dominance(cfg: dict, stamp: str) -> list[tuple[str, bytes]]:
-    if cfg["bodies"] < 1:
-        raise ValidationError(f"need at least one body, got bodies = {cfg['bodies']}")
     spec = DistributionSpec(kind=_DIST_KINDS[cfg["dist"]], dim=cfg["n"])
     cube = matched_cube(spec)
     dim = cfg["n"] ** cfg["ell"]
@@ -384,13 +382,21 @@ def _run_selftest(cfg: dict) -> int:
     return 4 if failures else 0
 
 
-def _add_common(p, trials_default: str):
-    p.add_argument("--seed", type=int, default=None)
+def _add_subcommand(sub, name: str, summary: str, trials: str | None = None) -> _Parser:
+    """A subparser with ``--seed`` and ``--out``, and the Monte-Carlo flags when ``trials`` is given.
+
+    argparse converts a string default only when its flag is absent, so
+    ``TENSORBALL_SEED`` is read then, and an explicit ``--seed`` wins.
+    """
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--seed", type=int, default=os.environ.get("TENSORBALL_SEED", "0"))
     p.add_argument("--out", default=".")
-    p.add_argument("--trials", default=trials_default)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--batch-size", type=int, default=100_000)
-    p.add_argument("--confidence", type=float, default=0.99)
+    if trials is not None:
+        p.add_argument("--trials", type=_parse_trials, default=trials)
+        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--batch-size", type=int, default=100_000)
+        p.add_argument("--confidence", type=float, default=0.99)
+    return p
 
 
 def build_parser() -> _Parser:
@@ -400,38 +406,33 @@ def build_parser() -> _Parser:
     parser.add_argument("--out", default=None, help="output directory override for --replay")
     sub = parser.add_subparsers(dest="subcommand")
 
-    p = sub.add_parser("smallball", help="projection small-ball curve onto a subspace")
-    _add_common(p, "1e6")
+    p = _add_subcommand(sub, "smallball", "projection small-ball curve onto a subspace", trials="1e6")
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--l", dest="ell", type=int, default=3)
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--dist", choices=sorted(_DIST_KINDS), default="cube")
     p.add_argument("--subspace", default="haar")
-    p.add_argument("--eps-grid", default="1e-3:1e-1:20")
+    p.add_argument("--eps-grid", type=_parse_grid, default="1e-3:1e-1:20")
 
-    p = sub.add_parser("direction", help="single-direction small-ball curve (diagonal direction)")
-    _add_common(p, "1e6")
+    p = _add_subcommand(sub, "direction", "single-direction small-ball curve (diagonal direction)", trials="1e6")
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--l", dest="ell", type=int, default=3)
     p.add_argument("--dist", choices=sorted(_DIST_KINDS), default="cube")
-    p.add_argument("--eps-grid", default="1e-3:1e-1:20")
+    p.add_argument("--eps-grid", type=_parse_grid, default="1e-3:1e-1:20")
 
-    p = sub.add_parser("bounds", help="tabulate every closed-form bound on an epsilon grid")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=".")
+    p = _add_subcommand(sub, "bounds", "tabulate every closed-form bound on an epsilon grid")
     p.add_argument("--l", dest="ell", type=int, default=2)
     p.add_argument("--m", type=int, default=10)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--eps-grid", default="1e-3:1e-1:20")
+    p.add_argument("--eps-grid", type=_parse_grid, default="1e-3:1e-1:20")
     p.add_argument("--c-main", type=float, default=1.0)
     p.add_argument("--c-prime", type=float, default=1.0)
     p.add_argument("--c-dprime", type=float, default=1.0)
     p.add_argument("--c-small", type=float, default=1.0)
 
-    p = sub.add_parser("dominance", help="slab-body dominance test versus the matched uniform cube")
-    _add_common(p, "2e5")
+    p = _add_subcommand(sub, "dominance", "slab-body dominance test versus the matched uniform cube", trials="2e5")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--l", dest="ell", type=int, default=2)
     p.add_argument("--dist", choices=sorted(_DIST_KINDS), default="gauss")
@@ -439,96 +440,88 @@ def build_parser() -> _Parser:
     p.add_argument("--count", type=int, default=4, help="slab directions per body")
     p.add_argument("--scale", type=float, default=1.0)
 
-    p = sub.add_parser("norms", help="two-sided norm concentration tails")
-    _add_common(p, "1e5")
+    p = _add_subcommand(sub, "norms", "two-sided norm concentration tails", trials="1e5")
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--l", dest="ell", type=int, default=2)
     p.add_argument("--dist", choices=sorted(_DIST_KINDS), default="gauss")
-    p.add_argument("--t-grid", default="0.05:0.95:10")
+    p.add_argument("--t-grid", type=lambda text: _parse_grid(text, log=False), default="0.05:0.95:10")
 
-    p = sub.add_parser("smin", help="smoothed Khatri-Rao smallest-singular-value tail")
-    _add_common(p, "1e4")
+    p = _add_subcommand(sub, "smin", "smoothed Khatri-Rao smallest-singular-value tail", trials="1e4")
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--l", dest="ell", type=int, default=2)
     p.add_argument("--r", type=int, default=8)
     p.add_argument("--rho", type=float, default=1.0)
-    p.add_argument("--eps-grid", default="1e-3:5e-1:15")
+    p.add_argument("--eps-grid", type=_parse_grid, default="1e-3:5e-1:15")
 
-    p = sub.add_parser("decompose", help="smoothed rank-r recovery via simultaneous diagonalization")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=".")
+    p = _add_subcommand(sub, "decompose", "smoothed rank-r recovery via simultaneous diagonalization")
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--l", dest="ell", type=int, default=3)
     p.add_argument("--r", type=int, default=6)
     p.add_argument("--rho", type=float, default=0.1)
     p.add_argument("--noise", type=float, default=0.0)
 
-    p = sub.add_parser("selftest", help="exact-identity checks; exit 4 on any failure")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=".")
+    p = _add_subcommand(sub, "selftest", "exact-identity checks; exit 4 on any failure")
     p.add_argument("--quick", action="store_true")
 
     return parser
 
 
-def _resolve_seed(value) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("TENSORBALL_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise UsageError(f"TENSORBALL_SEED={env!r} is not an integer") from exc
-    return 0
+# least value of each integer config key, and what the key counts
+_LEAST = {
+    "seed": ("seed", 0),
+    "n": ("dimension", 1),
+    "r": ("rank", 1),
+    "m": ("subspace dimension", 1),
+    "ell": ("tensor order", 1),
+    "count": ("slab direction count", 0),
+    "bodies": ("body count", 1),
+}
 
 
 def _check_config(subcommand: str, cfg: dict) -> None:
     """Refusals shared by fresh runs and ``--replay``, before anything is derived.
 
-    A tensor order above ``MAX_ORDER`` and a given ``n`` or ``r`` below 1
-    are refused on every subcommand, ``rho <= 0`` on bounds, and runs whose
-    flattened size is above ``FLATTEN_CAP`` entries (the m basis rows of
-    length n^l for smallball, one n^l x r Khatri-Rao matrix for smin, one
-    n^l tensor for direction, dominance and decompose) are refused before
-    anything is allocated.
+    Each ``_LEAST`` key that is given (bounds leaves n and r as None) must
+    be an integer, not a boolean, at or above its least value.  Every float,
+    grid entries included, must be finite, and no grid may be empty.  A
+    tensor order above ``MAX_ORDER`` is refused on every subcommand; on
+    bounds, ``rho <= 0`` and ``r`` or ``rho`` given without the other; on
+    decompose, a rank above n^floor((l-1)/2), the most it can recover.  Runs
+    whose flattened size is above ``FLATTEN_CAP`` entries (the m basis rows
+    of length n^l for smallball, one n^l x r Khatri-Rao matrix for smin,
+    one n^l tensor for direction, dominance and decompose) are refused
+    before anything is allocated.
     """
-    for key, what in (("n", "dimension"), ("r", "rank")):
+    for key, (what, least) in _LEAST.items():
         value = cfg.get(key)
-        if value is not None and not (isinstance(value, int) and value >= 1):
-            raise ValidationError(f"{what} must be an integer >= 1, got {key} = {value!r}")
-    rho = cfg.get("rho")
-    if subcommand == "bounds" and rho is not None and not (isinstance(rho, (int, float)) and rho > 0):
-        raise ValidationError(f"smoothing scale must be > 0, got rho = {rho!r}")
-    if cfg.get("ell", 1) < 1:
-        raise ValidationError(f"tensor order must be >= 1, got l = {cfg['ell']}")
+        if value is not None and not (type(value) is int and value >= least):
+            raise ValidationError(f"{what} must be an integer >= {least}, got {key} = {value!r}")
+    for key, value in cfg.items():
+        if value == []:
+            raise ValidationError(f"{key} must not be empty")
+        if any(isinstance(v, float) and not math.isfinite(v) for v in (value if isinstance(value, list) else [value])):
+            raise ValidationError(f"{key} must be finite, got {key} = {value!r}")
     if cfg.get("ell", 1) > MAX_ORDER:
         raise ValidationError(f"tensor order must be <= {MAX_ORDER}, got l = {cfg['ell']}")
-    if cfg.get("m", 1) < 1:
-        raise ValidationError(f"subspace dimension must be >= 1, got m = {cfg['m']}")
-    if cfg.get("count", 0) < 0:
-        raise ValidationError(f"slab direction count must be >= 0, got count = {cfg['count']}")
+    if subcommand == "bounds":
+        rho = cfg["rho"]
+        if rho is not None and not (type(rho) in (int, float) and rho > 0):
+            raise ValidationError(f"smoothing scale must be > 0, got rho = {rho!r}")
+        if (cfg["r"] is None) != (rho is None):
+            raise ValidationError("the smin_tail column needs both --r and --rho")
     if subcommand in ("smallball", "direction", "dominance", "decompose", "smin"):
         rows = {"smallball": cfg.get("m"), "smin": cfg.get("r")}.get(subcommand, 1)
         if rows * cfg["n"] ** cfg["ell"] > FLATTEN_CAP:
             size = f"{cfg['n']}^{cfg['ell']}" if rows == 1 else f"{rows} x {cfg['n']}^{cfg['ell']}"
             raise ResourceError(f"{subcommand} needs {size} flattened entries, above the cap of {FLATTEN_CAP}")
+    if subcommand == "decompose" and cfg["ell"] >= 3:
+        max_rank = cfg["n"] ** ((cfg["ell"] - 1) // 2)
+        if cfg["r"] > max_rank:
+            raise ValidationError(f"need r <= n^floor((ell-1)/2) = {max_rank}, got r = {cfg['r']}")
 
 
 def _config_from_args(args) -> dict:
-    cfg = {}
-    skip = {"subcommand", "replay", "out"}
-    for key, value in vars(args).items():
-        if key in skip:
-            continue
-        cfg[key] = value
-    cfg["seed"] = _resolve_seed(cfg.get("seed"))
-    if "trials" in cfg:
-        cfg["trials"] = _parse_trials(cfg["trials"])
-    if "eps_grid" in cfg:
-        cfg["eps_grid"] = list(_parse_grid(cfg["eps_grid"]))
-    if "t_grid" in cfg:
-        cfg["t_grid"] = list(_parse_grid(cfg["t_grid"], log=False))
+    cfg = {key: value for key, value in vars(args).items() if key not in ("subcommand", "replay", "out")}
     _check_config(args.subcommand, cfg)
     if cfg.get("n") is None and "m" in cfg:
         n = max(2, math.ceil(cfg["m"] ** (1.0 / cfg["ell"])))
@@ -581,12 +574,12 @@ def _dispatch(subcommand: str, cfg: dict, out_dir: str) -> int:
 
 
 def _same_kind(value, default) -> bool:
-    """Whether a manifest value has the type of the flag default it replaces."""
+    """Whether a manifest value has the type of the flag default it replaces; a boolean is no number."""
     if default is None:
         return True
     if isinstance(default, list):
         return isinstance(value, list) and all(_same_kind(v, d) for v in value for d in default[:1])
-    return isinstance(value, type(default)) or (isinstance(default, float) and type(value) is int)
+    return type(value) is type(default) or (type(default) is float and type(value) is int)
 
 
 def _load_manifest(parser, path) -> tuple[str, dict]:

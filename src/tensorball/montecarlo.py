@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.stats import beta as _beta
+from scipy.special import betaincinv
 
 from .distributions import sample_matrix
 from .errors import DataSparsityError, ValidationError
@@ -63,8 +63,8 @@ def clopper_pearson(hits, trials: int, confidence: float) -> tuple[np.ndarray, n
     k = np.asarray(hits, dtype=float)
     alpha = 1.0 - confidence
     with np.errstate(invalid="ignore"):
-        low = np.where(k > 0, _beta.ppf(alpha / 2, k, trials - k + 1), 0.0)
-        high = np.where(k < trials, _beta.ppf(1 - alpha / 2, k + 1, trials - k), 1.0)
+        low = np.where(k > 0, betaincinv(k, trials - k + 1, alpha / 2), 0.0)
+        high = np.where(k < trials, betaincinv(k + 1, trials - k, 1 - alpha / 2), 1.0)
     return low, high
 
 
@@ -358,8 +358,8 @@ def dominance_test(specs_a, specs_b, body: SlabBody, cfg: ExperimentConfig) -> D
     n = cfg.trials
     # one-sided bounds at the same confidence level
     alpha = 1.0 - cfg.confidence
-    lower_a = float(_beta.ppf(alpha, hits_a, n - hits_a + 1)) if hits_a > 0 else 0.0
-    upper_b = float(_beta.ppf(1 - alpha, hits_b + 1, n - hits_b)) if hits_b < n else 1.0
+    lower_a = float(betaincinv(hits_a, n - hits_a + 1, alpha)) if hits_a > 0 else 0.0
+    upper_b = float(betaincinv(hits_b + 1, n - hits_b, 1 - alpha)) if hits_b < n else 1.0
     gap = lower_a - upper_b
     return DominanceReport(
         trials=n,

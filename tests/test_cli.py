@@ -51,7 +51,7 @@ def test_selftest_failure_exit_code(monkeypatch, capsys):
 
 
 SMALLBALL_ARGS = (
-    "smallball", "--n", "3", "--l", "2", "--m", "2", "--trials", "300",
+    "smallball", "--n", "3", "--l", "2", "--m", "2", "--trials", "200",
     "--batch-size", "100", "--eps-grid", "0.05:0.5:5", "--seed", "3",
 )
 
@@ -73,7 +73,7 @@ def test_smallball_outputs_and_determinism(tmp_path, capsys):
     assert manifest["numpy"] == np.__version__
 
 
-# one small run of every subcommand that writes artifacts
+# one small run of every subcommand that writes artifacts, at most 200 trials each
 ARTIFACT_ARGS = {
     "smallball": SMALLBALL_ARGS,
     "direction": (
@@ -82,10 +82,10 @@ ARTIFACT_ARGS = {
     ),
     "bounds": ("bounds", "--l", "3", "--m", "5", "--eps-grid", "1e-4:0.9:6", "--r", "4", "--rho", "0.5"),
     "dominance": (
-        "dominance", "--n", "2", "--l", "2", "--bodies", "2", "--count", "2", "--trials", "500",
-        "--batch-size", "250",
+        "dominance", "--n", "2", "--l", "2", "--bodies", "2", "--count", "2", "--trials", "200",
+        "--batch-size", "100",
     ),
-    "norms": ("norms", "--n", "8", "--l", "2", "--trials", "400", "--batch-size", "200", "--t-grid", "0.1:0.9:3"),
+    "norms": ("norms", "--n", "8", "--l", "2", "--trials", "200", "--batch-size", "100", "--t-grid", "0.1:0.9:3"),
     "smin": (
         "smin", "--n", "3", "--l", "2", "--r", "2", "--rho", "0.8", "--trials", "100",
         "--eps-grid", "1e-4:0.5:4",
@@ -198,8 +198,8 @@ def test_replay_config_unknown_key(tmp_path, capsys):
         ("n", "3", "n='3' is not int"),
         ("eps_grid", ["x"], "eps_grid=['x'] is not list"),
         ("dist", "nope", "unknown dist"),
-        ("ell", 0, "tensor order must be >= 1"),
-        ("m", 0, "subspace dimension must be >= 1"),
+        ("ell", 0, "tensor order must be an integer >= 1, got ell = 0"),
+        ("m", 0, "subspace dimension must be an integer >= 1, got m = 0"),
         ("n", 10**10, "above the cap"),
         ("n", 0, "dimension must be an integer >= 1, got n = 0"),
         ("n", -3, "dimension must be an integer >= 1, got n = -3"),
@@ -207,11 +207,16 @@ def test_replay_config_unknown_key(tmp_path, capsys):
         ("r", "4", "rank must be an integer >= 1, got r = '4'"),
         ("rho", 0, "smoothing scale must be > 0, got rho = 0"),
         ("rho", -1.0, "smoothing scale must be > 0, got rho = -1.0"),
+        ("rho", math.nan, "rho must be finite, got rho = nan"),
+        ("seed", -1, "seed must be an integer >= 0, got seed = -1"),
+        ("bodies", 0, "body count must be an integer >= 1, got bodies = 0"),
+        ("batch_size", True, "batch_size=True is not int"),
+        ("eps_grid", [math.nan], "eps_grid must be finite, got eps_grid = [nan]"),
     ],
 )
 def test_replay_config_bad_value(tmp_path, capsys, key, value, message):
-    # r and rho are keys of the bounds manifest, the one that takes both
-    args = ARTIFACT_ARGS["bounds"] if key in ("r", "rho") else SMALLBALL_ARGS
+    # r and rho are keys of the bounds manifest, the one that takes both; bodies is dominance's
+    args = ARTIFACT_ARGS[{"r": "bounds", "rho": "bounds", "bodies": "dominance"}.get(key, "smallball")]
     err = replay_with(tmp_path, capsys, edit=lambda d: d["config"].update({key: value}), args=args)
     assert message in err
 
@@ -236,6 +241,39 @@ def test_replay_missing_manifest(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "cannot read manifest" in err and "Traceback" not in err
+
+
+# no large count among them: a value the refusals miss runs for real, in-process
+FUZZ_VALUES = [math.nan, math.inf, -math.inf, -1, 0, 1.5, "x", None, True, [], [math.nan], [0.5]]
+FUZZ_CASES = [
+    pytest.param(sub, key, value, id=f"{sub}-{key}-{value!r}")
+    for sub in ARTIFACT_ARGS
+    for key in cli._config_from_args(cli.build_parser().parse_args([sub, "--seed", "0"]))
+    for value in FUZZ_VALUES
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_manifests(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    manifests = {}
+    for sub, args in ARTIFACT_ARGS.items():
+        assert run_cli(*args, "--out", str(root / sub)) == 0
+        manifests[sub] = json.loads((root / sub / f"{sub}_manifest.json").read_text())
+    return manifests
+
+
+@pytest.mark.parametrize("sub, key, value", FUZZ_CASES)
+def test_replay_fuzz(tmp_path, capsys, fuzz_manifests, sub, key, value):
+    """Any value of any config key replays to an exit code in 0-4 with at most one stderr line."""
+    manifest = {**fuzz_manifests[sub], "config": {**fuzz_manifests[sub]["config"], key: value}}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = run_cli("--replay", str(path))
+    err = capsys.readouterr().err
+    assert code in range(5)
+    assert len(err.splitlines()) <= 1
 
 
 def test_smallball_basis_file_matches_line(tmp_path):
@@ -452,6 +490,20 @@ def test_usage_errors():
         (("smallball", "--n", "0"), 2),
         (("smin", "--r", "0"), 2),
         (("decompose", "--n", "-3"), 2),
+        # non-finite floats once reached numpy: tracebacks, or exit 0 with a run the manifest misdescribes
+        (("smin", "--rho", "nan", "--trials", "100"), 2),
+        (("smin", "--rho", "inf", "--trials", "100"), 2),
+        (("decompose", "--rho", "nan"), 2),
+        (("decompose", "--noise", "nan"), 2),
+        (("dominance", "--scale", "nan", "--trials", "100"), 2),
+        (("smallball", "--eps-grid", "nan:0.1:5"), 1),
+        (("norms", "--t-grid", "0.05:inf:3"), 1),
+        (("decompose", "--seed", "-1"), 2),
+        (("selftest", "--seed", "-1"), 2),
+        (("smallball", "--seed", "-1"), 2),
+        # without the refusal, bounds drops the smin_tail column with exit 0
+        (("bounds", "--r", "4"), 2),
+        (("bounds", "--rho", "0.5"), 2),
     ],
     ids=[
         "trials-inf", "trials-fractional", "l-zero", "l-negative", "no-bodies", "m-negative",
@@ -460,7 +512,9 @@ def test_usage_errors():
         "decompose-l33", "smallball-l65", "direction-l65", "decompose-l65", "bounds-l1023",
         "smallball-l1e9", "decompose-l1e9", "bounds-l1e9", "bounds-n-negative", "bounds-n-zero",
         "bounds-r-negative", "bounds-rho-negative", "bounds-r-zero", "bounds-rho-zero", "smallball-n-zero",
-        "smin-r-zero", "decompose-n-negative",
+        "smin-r-zero", "decompose-n-negative", "smin-rho-nan", "smin-rho-inf", "decompose-rho-nan",
+        "decompose-noise-nan", "dominance-scale-nan", "smallball-eps-grid-nan", "norms-t-grid-inf",
+        "decompose-seed-negative", "selftest-seed-negative", "seed-negative", "bounds-r-alone", "bounds-rho-alone",
     ],
 )
 def test_bad_argv_exit_code(tmp_path, capsys, argv, code):
@@ -488,6 +542,22 @@ def test_smin_refused_above_flatten_cap(tmp_path):
     code, err = run_cli_subprocess("smin", "--n", "2", "--l", "24", "--r", "2", "--out", str(tmp_path / "out"))
     assert code == 2
     assert err == f"error: smin needs 2 x 2^24 flattened entries, above the cap of {cli.FLATTEN_CAP}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("replay", [False, True], ids=["fresh", "replay"])
+def test_decompose_refuses_rank_before_drawing(tmp_path, replay):
+    """A rank above n^floor((l-1)/2) is refused before the 10 x 10^12 factors (72.8 TiB) are drawn."""
+    argv = ("decompose", "--r", str(10**12), "--out", str(tmp_path / "out"))
+    if replay:
+        config = cli._config_from_args(cli.build_parser().parse_args(["decompose", "--seed", "0"]))
+        config["r"] = 10**12
+        manifest = tmp_path / "decompose_manifest.json"
+        manifest.write_text(json.dumps({"subcommand": "decompose", "config": config}))
+        argv = ("--replay", str(manifest), "--out", str(tmp_path / "out"))
+    code, err = run_cli_subprocess(*argv)
+    assert code == 2
+    assert err == f"error: need r <= n^floor((ell-1)/2) = 10, got r = {10**12}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -563,6 +633,8 @@ def test_seed_from_environment(tmp_path, monkeypatch):
     assert manifest["seed"] == 7
     monkeypatch.setenv("TENSORBALL_SEED", "pi")
     assert run_cli("bounds", "--out", str(tmp_path)) == 1
+    monkeypatch.setenv("TENSORBALL_SEED", "-3")
+    assert run_cli("bounds", "--out", str(tmp_path)) == 2
 
 
 def test_explicit_seed_beats_environment(tmp_path, monkeypatch):
@@ -580,13 +652,18 @@ def test_version_flag(capsys):
 
 
 def test_grid_parser():
-    assert cli._parse_grid("0.1:0.4:3", log=False) == (0.4, 0.25, 0.1)
+    # a list, like the grids a manifest holds
+    assert cli._parse_grid("0.1:0.4:3", log=False) == [0.4, 0.25, 0.1]
     with pytest.raises(cli.UsageError):
         cli._parse_grid("1:2")
     with pytest.raises(cli.UsageError):
         cli._parse_grid("0:1:5")
     with pytest.raises(cli.UsageError):
         cli._parse_grid("1:1:5")
+    with pytest.raises(cli.UsageError):
+        cli._parse_grid("nan:0.1:5")
+    with pytest.raises(cli.UsageError):
+        cli._parse_grid("0.05:inf:3")
 
 
 def test_aux_rng_streams_disjoint_from_batches():

@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.stats import beta
 
 from tensorball import (
     DataSparsityError,
@@ -66,6 +67,19 @@ def test_clopper_pearson_brackets_estimate():
     assert lo < 0.037 < hi
     lo99, hi99 = clopper_pearson(37, 1000, 0.99)
     assert lo99 < lo and hi < hi99
+
+
+@pytest.mark.parametrize("trials", [1, 2, 7, 100, 1001, 10**5, 10**7])
+def test_clopper_pearson_matches_beta_ppf_bitwise(trials):
+    """The Boost quantile called directly gives the bits of ``scipy.stats.beta.ppf``, the reference route."""
+    k = np.unique(np.linspace(0, trials, min(trials + 1, 300)).round())
+    for confidence in (0.5, 0.9, 0.95, 0.98, 0.99, 0.999):
+        alpha = 1 - confidence
+        lo, hi = clopper_pearson(k, trials, confidence)
+        with np.errstate(invalid="ignore"):
+            want_lo = np.where(k > 0, beta.ppf(alpha / 2, k, trials - k + 1), 0.0)
+            want_hi = np.where(k < trials, beta.ppf(1 - alpha / 2, k + 1, trials - k), 1.0)
+        assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
 
 
 def test_curve_rejects_nonmonotone_counts():

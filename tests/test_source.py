@@ -33,3 +33,14 @@ def test_readme_python_blocks_run(tmp_path):
             capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
         )
         assert proc.returncode == 0, f"README block failed:\n{block}\n{proc.stderr}"
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    """The beta quantile comes from ``scipy.special``, so no run pays for importing ``scipy.stats``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, tensorball.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
