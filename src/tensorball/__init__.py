@@ -32,7 +32,6 @@ from .errors import (
 )
 from .exact_laws import (
     BoundConfig,
-    ConstantFit,
     bound_carbery_wright,
     bound_concentration_subgaussian,
     bound_fixed_subspace,
@@ -40,7 +39,6 @@ from .exact_laws import (
     bound_nondeterministic,
     bound_single_direction,
     bound_smin_tail,
-    fit_constant,
     product_uniform_cdf,
     product_uniform_smallball,
     sharpness_lower_bound,

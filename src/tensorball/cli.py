@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 usage error, 2 validation/configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -151,6 +152,16 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2) + "\n").encode()
 
 
+@contextlib.contextmanager
+def _float_range(what: str):
+    """Refuse, as a validation error, a computation that overflows a float on the way."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except (OverflowError, FloatingPointError) as exc:
+        raise ValidationError(f"{what} overflows a float") from exc
+
+
 def _table_csv(rows: list[dict], stamp: str) -> bytes:
     """A table whose columns are the first row's keys; NaN and None are empty cells."""
     return rows_csv_bytes(list(rows[0]), rows, comment=f"manifest: {stamp}")
@@ -211,10 +222,11 @@ def _bounds_row(eps: float, cfg: dict, bc: BoundConfig) -> dict:
     row = {"epsilon": eps}
 
     def guarded(name, fn):
-        try:
-            row[name] = float(fn())
-        except ValidationError:
-            row[name] = float("nan")
+        with _float_range(f"the {name} bound at epsilon = {eps:g}"):
+            try:
+                row[name] = float(fn())
+            except ValidationError:
+                row[name] = float("nan")
 
     guarded("fixed_subspace", lambda: bound_fixed_subspace(eps, m, ell, bc))
     guarded("single_direction", lambda: bound_single_direction(eps, ell, bc))
@@ -299,7 +311,8 @@ def _run_smin(cfg: dict, stamp: str) -> list[tuple[str, bytes]]:
 
 def _run_decompose(cfg: dict, stamp: str) -> list[tuple[str, bytes]]:
     ensemble = SmoothedEnsemble.random(cfg["r"], cfg["n"], cfg["ell"], cfg["rho"], rng=_aux_rng(cfg["seed"], 0))
-    report = decompose_smoothed(ensemble, cfg["noise"], rng=_aux_rng(cfg["seed"], 1))
+    with _float_range(f"decompose at rho = {cfg['rho']:g}, noise = {cfg['noise']:g}"):
+        report = decompose_smoothed(ensemble, cfg["noise"], rng=_aux_rng(cfg["seed"], 1))
     print(f"max recovery error {report.max_error:.3e}")
     return [
         ("decompose_components.csv", _table_csv(report.to_csv_rows(), stamp)),

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DegeneracyError, ValidationError
 from .khatri_rao import SmoothedEnsemble, khatri_rao, sample_smoothed_factors
@@ -151,6 +150,71 @@ def _pinv_rank(m: np.ndarray, r: int) -> np.ndarray | None:
     return (vt[:r].T / s[:r]) @ u[:, :r].T
 
 
+def _assign(cost: np.ndarray) -> np.ndarray:
+    """Minimum-cost perfect matching of a square cost matrix: the column of each row.
+
+    Hungarian method by shortest augmenting paths (Kuhn, Naval Res. Logist.
+    Q. 2, 1955) with the initialization of Jonker & Volgenant (Computing 38,
+    1987): the row duals start at the row minima and each row, in order,
+    takes its argmin column if that column is still free.  A cost close to a
+    permutation is solved there; each row left over is joined by one
+    Dijkstra search over reduced costs, after which the duals are updated so
+    every matched pair keeps reduced cost zero.
+    """
+    c = np.asarray(cost, dtype=float)
+    if not np.isfinite(c).all():
+        raise ValidationError("assignment costs must be finite")
+    n = c.shape[0]
+    first = c.argmin(axis=1)
+    col_of = [-1] * n
+    row_of = [-1] * n
+    for i, j in enumerate(first.tolist()):
+        if row_of[j] < 0:
+            row_of[j] = i
+            col_of[i] = j
+    if -1 not in col_of:
+        return np.array(col_of)
+    col_of = np.array(col_of)
+    row_of = np.array(row_of)
+    u = c[np.arange(n), first]
+    v = np.zeros(n)
+    for start in np.flatnonzero(col_of < 0).tolist():
+        dist = np.full(n, np.inf)
+        pred = np.zeros(n, dtype=int)
+        scanned = np.zeros(n, dtype=bool)
+        reached = []
+        i, d, sink = start, 0.0, -1
+        while sink < 0:
+            reduced = d + c[i] - u[i] - v
+            better = ~scanned & (reduced < dist)
+            dist[better] = reduced[better]
+            pred[better] = i
+            open_dist = np.where(scanned, np.inf, dist)
+            d = float(open_dist.min())
+            ties = np.flatnonzero(open_dist == d)
+            free = ties[row_of[ties] < 0]
+            # among equally short paths, end at a free column when one exists
+            j = int(free[0] if free.size else ties[0])
+            scanned[j] = True
+            if row_of[j] < 0:
+                sink = j
+            else:
+                i = int(row_of[j])
+                reached.append(i)
+        u[start] += d
+        reached = np.asarray(reached, dtype=int)
+        u[reached] += d - dist[col_of[reached]]
+        v[scanned] -= d - dist[scanned]
+        j = sink
+        while True:
+            i = int(pred[j])
+            row_of[j] = i
+            col_of[i], j = j, int(col_of[i])
+            if i == start:
+                break
+    return col_of
+
+
 def _realify_columns(vals, vecs, idx):
     """Phase-align selected eigenvectors and drop residual imaginary parts."""
     out = np.empty((vecs.shape[0], len(idx)))
@@ -169,8 +233,9 @@ def simultaneous_diagonalize(t: np.ndarray, r: int, rng=None) -> Rank1Terms:
     Eigenvectors of M_a M_b^+ give the mode-1 factors, of (M_a)^T (M_b^T)^+
     the mode-2 factors (paired by eigenvalue), and least squares recovers the
     weighted mode-3 factors.  Eigenvalue collisions or complex spectra
-    trigger fresh probes, up to 5 draws, then ``DegeneracyError``.  The
-    relative reconstruction residual is stored on the result.
+    trigger fresh probes, up to 5 draws, then ``DegeneracyError`` naming
+    each draw's reason.  The relative reconstruction residual is stored on
+    the result.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 3:
@@ -182,7 +247,7 @@ def simultaneous_diagonalize(t: np.ndarray, r: int, rng=None) -> Rank1Terms:
     t_norm = np.linalg.norm(t)
     if t_norm == 0:
         raise ValidationError("cannot decompose the zero tensor")
-    failure = None
+    failures = []
     for _ in range(5):
         a = rng.standard_normal(n3)
         b = rng.standard_normal(n3)
@@ -190,7 +255,7 @@ def simultaneous_diagonalize(t: np.ndarray, r: int, rng=None) -> Rank1Terms:
         m_b = contract_mode3(t, b)
         pinv_b = _pinv_rank(m_b, r)
         if pinv_b is None:
-            failure = "probe contraction nearly rank-deficient"
+            failures.append("probe contraction nearly rank-deficient")
             continue
         eig_u = np.linalg.eig(m_a @ pinv_b)
         eig_v = np.linalg.eig(m_a.T @ pinv_b.T)
@@ -203,37 +268,38 @@ def simultaneous_diagonalize(t: np.ndarray, r: int, rng=None) -> Rank1Terms:
         idx_v, rest_v = select(eig_v.eigenvalues)
         radius = max(np.max(np.abs(eig_u.eigenvalues)), np.max(np.abs(eig_v.eigenvalues)))
         if radius == 0:
-            failure = "all probe eigenvalues vanished"
+            failures.append("all probe eigenvalues vanished")
             continue
         sel = np.concatenate([eig_u.eigenvalues[idx_u], eig_v.eigenvalues[idx_v]])
         if np.max(np.abs(np.imag(sel))) > _SPECTRAL_TOL * radius:
-            failure = "complex eigenvalues beyond tolerance"
+            failures.append("complex eigenvalues beyond tolerance")
             continue
         lam_u = np.real(eig_u.eigenvalues[idx_u])
         lam_v = np.real(eig_v.eigenvalues[idx_v])
         gaps = np.abs(lam_u[:, None] - lam_u[None, :])[np.triu_indices(r, 1)]
         if gaps.size and np.min(gaps) <= _SPECTRAL_TOL * radius:
-            failure = "eigenvalue collision within tolerance"
+            failures.append("eigenvalue collision within tolerance")
             continue
         leak_u = np.max(np.abs(eig_u.eigenvalues[rest_u]), initial=0.0)
         leak_v = np.max(np.abs(eig_v.eigenvalues[rest_v]), initial=0.0)
         if min(np.min(np.abs(lam_u)), np.min(np.abs(lam_v))) <= max(leak_u, leak_v) + _SPECTRAL_TOL * radius:
-            failure = "spectrum does not separate rank-r part from the null space"
+            failures.append("spectrum does not separate rank-r part from the null space")
             continue
         u_mat, lam_u = _realify_columns(eig_u.eigenvalues, eig_u.eigenvectors, idx_u)
         v_mat, lam_v = _realify_columns(eig_v.eigenvalues, eig_v.eigenvectors, idx_v)
-        _, pairing = linear_sum_assignment(np.abs(lam_u[:, None] - lam_v[None, :]))
+        pairing = _assign(np.abs(lam_u[:, None] - lam_v[None, :]))
         v_mat = v_mat[:, pairing]
         design = khatri_rao([u_mat, v_mat])
         sol, *_ = np.linalg.lstsq(design, t.reshape(n1 * n2, n3), rcond=None)
         scales = np.linalg.norm(sol, axis=1)
         if np.any(scales == 0):
-            failure = "a recovered component collapsed to zero"
+            failures.append("a recovered component collapsed to zero")
             continue
         terms = Rank1Terms.from_raw([u_mat, v_mat, sol.T], weights=None)
         residual = float(np.linalg.norm(t - terms.reconstruct()) / t_norm)
         return dataclasses.replace(terms, residual=residual)
-    raise DegeneracyError(f"no usable probe pair after 5 draws: {failure}")
+    attempts = "; ".join(f"draw {k}: {reason}" for k, reason in enumerate(failures, 1))
+    raise DegeneracyError(f"no usable probe pair after 5 draws ({attempts})")
 
 
 @dataclass(frozen=True)
@@ -320,7 +386,7 @@ def match_components(truth: Rank1Terms, est: Rank1Terms) -> RecoveryReport:
     score = np.ones((r, r))
     for mode in range(truth.order):
         score *= np.abs(truth.factors[mode].T @ est.factors[mode])
-    _, col = linear_sum_assignment(-score)
+    col = _assign(-score)
     factor_errors = np.zeros((r, truth.order))
     weight_errors = np.zeros(r)
     for i in range(r):

@@ -2,8 +2,8 @@
 
 The anti-concentration bounds carry universal constants that are never
 pinned down; they are exposed as ``BoundConfig`` fields defaulting to 1 so
-curves can be overlaid and constants fitted against empirical data.  Every
-evaluator that bounds a probability caps its value at 1.
+curves can be overlaid on empirical data.  Every evaluator that bounds a
+probability caps its value at 1.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import RangeError, ValidationError
 
@@ -250,35 +249,3 @@ def bound_smin_tail(eps, r: int, n: int, ell: int, rho: float, cfg: BoundConfig 
     if scalar:
         return float(threshold), float(bound)
     return threshold, bound
-
-
-@dataclass(frozen=True)
-class ConstantFit:
-    constant: float
-    sse: float
-
-
-def fit_constant(family, epsilons, p_hat) -> ConstantFit:
-    """Least-squares fit of a single constant to an empirical curve.
-
-    ``family(c, eps_array)`` evaluates a bound family at constant ``c``; the
-    objective is the sum of squared differences of log-bound vs log-empirical
-    over the points with positive empirical probability, and ``log c`` is
-    searched in [-10, 10].
-    """
-    epsilons = np.asarray(epsilons, dtype=float)
-    p_hat = np.asarray(p_hat, dtype=float)
-    keep = p_hat > 0
-    if keep.sum() < 2:
-        raise ValidationError("need at least two positive empirical points to fit a constant")
-    eps, p = epsilons[keep], p_hat[keep]
-    log_p = np.log(p)
-
-    def objective(log_c):
-        vals = np.asarray(family(math.exp(log_c), eps), dtype=float)
-        if np.any(vals <= 0) or not np.all(np.isfinite(vals)):
-            return 1e300
-        return float(np.sum((np.log(vals) - log_p) ** 2))
-
-    res = minimize_scalar(objective, bounds=(-10.0, 10.0), method="bounded")
-    return ConstantFit(constant=math.exp(res.x), sse=float(res.fun))

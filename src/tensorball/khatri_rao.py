@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, HypothesisViolationError, ValidationError
+from .errors import DegeneracyError, HypothesisViolationError, RangeError, ValidationError
 from .exact_laws import BoundConfig, bound_smin_tail
 from .montecarlo import ExperimentConfig, SmallBallCurve, _sum_over_batches
 from .tensor_core import kron
@@ -171,7 +171,13 @@ def smin_tail_experiment(e: SmoothedEnsemble, cfg: ExperimentConfig) -> SminTail
     if e.rho <= 0:
         raise ValidationError("the smoothed experiment needs rho > 0")
     eps = np.asarray(cfg.epsilon_grid)
-    prefactor = math.sqrt(1.0 - e.r / e.n**e.ell) * (bound_cfg.c_small * e.rho) ** e.ell
+    try:
+        prefactor = math.sqrt(1.0 - e.r / e.n**e.ell) * (bound_cfg.c_small * e.rho) ** e.ell
+    except OverflowError:
+        prefactor = math.inf
+    # squared thresholds meet Gram eigenvalues, so they too must be finite floats
+    if not math.isfinite(prefactor * prefactor):
+        raise RangeError(f"threshold scale (c rho)^l squared overflows a float at rho = {e.rho:g}, l = {e.ell}")
     thresholds = prefactor * eps
     thresholds_sq = thresholds**2
     sigma = e.rho / math.sqrt(e.n)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .distributions import sample_matrix
 from .errors import DataSparsityError, ValidationError
@@ -60,6 +59,9 @@ class ExperimentConfig:
 
 def clopper_pearson(hits, trials: int, confidence: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact binomial two-sided confidence bounds from beta quantiles."""
+    # imported here so that runs which report no interval never load scipy
+    from scipy.special import betaincinv
+
     k = np.asarray(hits, dtype=float)
     alpha = 1.0 - confidence
     with np.errstate(invalid="ignore"):
@@ -121,6 +123,8 @@ class SlabBody:
         d = np.asarray(self.directions, dtype=float)
         if d.ndim != 2:
             raise ValidationError("directions must be a 2-d array (count x ambient dim)")
+        if not np.isfinite(d).all():
+            raise ValidationError("every slab direction must be finite")
         if d.shape[0] > 0 and np.any(np.linalg.norm(d, axis=1) == 0):
             raise ValidationError("every slab direction must be nonzero")
         object.__setattr__(self, "directions", d)
@@ -133,12 +137,16 @@ class SlabBody:
         pts = np.atleast_2d(points)
         if self.directions.shape[0] == 0:
             return np.ones(pts.shape[0], dtype=bool)
-        return np.all(np.abs(pts @ self.directions.T) <= 1.0, axis=1)
+        # a product past the float range is far outside its slab, and inf counts it so
+        with np.errstate(over="ignore"):
+            return np.all(np.abs(pts @ self.directions.T) <= 1.0, axis=1)
 
     @classmethod
     def random(cls, dim: int, count: int, scale: float, rng) -> "SlabBody":
         rng = np.random.default_rng(rng)
-        return cls(directions=scale * rng.standard_normal((count, dim)))
+        # a scale past the float range gives infinite directions, which __post_init__ refuses
+        with np.errstate(over="ignore"):
+            return cls(directions=scale * rng.standard_normal((count, dim)))
 
 
 @dataclass(frozen=True)
@@ -356,6 +364,8 @@ def dominance_test(specs_a, specs_b, body: SlabBody, cfg: ExperimentConfig) -> D
     hits_a = _membership_counts(specs_a, body, cfg)
     hits_b = _membership_counts(specs_b, body, cfg)
     n = cfg.trials
+    from scipy.special import betaincinv
+
     # one-sided bounds at the same confidence level
     alpha = 1.0 - cfg.confidence
     lower_a = float(betaincinv(hits_a, n - hits_a + 1, alpha)) if hits_a > 0 else 0.0

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorball import (
     BoundConfig,
@@ -504,6 +508,12 @@ def test_usage_errors():
         # without the refusal, bounds drops the smin_tail column with exit 0
         (("bounds", "--r", "4"), 2),
         (("bounds", "--rho", "0.5"), 2),
+        # finite but past the float range once the code raises them to a power or draws with them
+        (("bounds", "--c-prime", "1e200", "--l", "3"), 2),
+        (("smin", "--rho", "1e308", "--trials", "100"), 2),
+        (("decompose", "--rho", "1e308"), 2),
+        (("decompose", "--noise", "1e308"), 2),
+        (("dominance", "--scale", "1e308", "--trials", "100"), 2),
     ],
     ids=[
         "trials-inf", "trials-fractional", "l-zero", "l-negative", "no-bodies", "m-negative",
@@ -515,6 +525,7 @@ def test_usage_errors():
         "smin-r-zero", "decompose-n-negative", "smin-rho-nan", "smin-rho-inf", "decompose-rho-nan",
         "decompose-noise-nan", "dominance-scale-nan", "smallball-eps-grid-nan", "norms-t-grid-inf",
         "decompose-seed-negative", "selftest-seed-negative", "seed-negative", "bounds-r-alone", "bounds-rho-alone",
+        "bounds-c-prime-huge", "smin-rho-huge", "decompose-rho-huge", "decompose-noise-huge", "dominance-scale-huge",
     ],
 )
 def test_bad_argv_exit_code(tmp_path, capsys, argv, code):
@@ -526,6 +537,37 @@ def test_bad_argv_exit_code(tmp_path, capsys, argv, code):
         returncode, err = run_cli(*argv), capsys.readouterr().err
     assert returncode == code
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+FLOAT_FLAGS = {
+    name: [a.option_strings[0] for a in sub._actions if a.type is float]
+    for name, sub in cli.build_parser()._subparsers._group_actions[0].choices.items()
+}
+EXTREME_FLOATS = st.one_of(
+    st.floats(min_value=1e100, max_value=sys.float_info.max),
+    st.floats(min_value=5e-324, max_value=1e-100),
+    st.sampled_from([0.0, -0.0]),
+    st.floats(max_value=-5e-324, allow_infinity=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_float_flag_fuzz(tmp_path_factory, data):
+    """Huge, tiny, zero or negative values of any float flags end in exit 0-3, one stderr line on failure."""
+    sub = data.draw(st.sampled_from(sorted(ARTIFACT_ARGS)))
+    flags = sorted(data.draw(st.sets(st.sampled_from(FLOAT_FLAGS[sub]), min_size=1)))
+    argv = list(ARTIFACT_ARGS[sub])
+    if "--trials" in argv:
+        argv += ["--trials", "100"]
+    argv += [f"{flag}={data.draw(EXTREME_FLOATS)!r}" for flag in flags]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run_cli(*argv, "--out", str(tmp_path_factory.getbasetemp() / "float_fuzz"))
+    assert code in range(4), argv
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
 
 
 def run_cli_subprocess(*argv):

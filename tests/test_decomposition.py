@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from tensorball import (
     DegeneracyError,
@@ -17,7 +18,7 @@ from tensorball import (
     simultaneous_diagonalize,
     unfold_terms,
 )
-from tensorball.decomposition import folding_plan
+from tensorball.decomposition import _assign, folding_plan
 
 
 def random_terms(rng, shape, r):
@@ -124,8 +125,47 @@ def test_diagonalize_exhausts_probes_on_rank_deficiency():
     t = np.zeros((4, 4, 4))
     t[0, 0, 0] = 1.0
     t[1, 1, 1] = 1.0
-    with pytest.raises(DegeneracyError, match="5 draws"):
+    with pytest.raises(DegeneracyError, match="5 draws") as info:
         simultaneous_diagonalize(t, 3, rng=0)
+    # every draw's reason, not only the last one
+    assert [f"draw {k}:" in str(info.value) for k in range(1, 6)] == [True] * 5
+
+
+@pytest.mark.parametrize("r", range(1, 41))
+def test_assign_matches_scipy_on_random_costs(r):
+    rng = np.random.default_rng(r)
+    for cost in (rng.standard_normal((r, r)), -rng.uniform(0.0, 1.0, (r, r)), rng.exponential(size=(r, r))):
+        np.testing.assert_array_equal(_assign(cost), linear_sum_assignment(cost)[1])
+
+
+@pytest.mark.parametrize("kind", ["all-equal", "duplicate-rows", "duplicate-columns", "small-integers"])
+@pytest.mark.parametrize("r", [1, 2, 5, 12, 30])
+def test_assign_optimal_total_with_ties(kind, r):
+    rng = np.random.default_rng(r)
+    cost = {
+        "all-equal": np.full((r, r), 0.5),
+        "duplicate-rows": np.repeat(rng.standard_normal((1, r)), r, axis=0),
+        "duplicate-columns": np.repeat(rng.standard_normal((r, 2)), (r + 1) // 2, axis=1)[:, :r],
+        "small-integers": rng.integers(0, 3, (r, r)).astype(float),
+    }[kind]
+    col = _assign(cost)
+    assert sorted(col.tolist()) == list(range(r))
+    rows = np.arange(r)
+    assert cost[rows, col].sum() == pytest.approx(cost[rows, linear_sum_assignment(cost)[1]].sum(), abs=1e-12)
+
+
+@pytest.mark.parametrize("r", [1, 3, 20, 30])
+def test_assign_near_permutation(r):
+    """The shape both callers pass: a permutation plus small off-diagonal mass."""
+    rng = np.random.default_rng(r)
+    perm = rng.permutation(r)
+    score = np.eye(r)[perm] + 1e-3 * rng.uniform(size=(r, r))
+    np.testing.assert_array_equal(_assign(-score), perm)
+
+
+def test_assign_refuses_non_finite_costs():
+    with pytest.raises(ValidationError, match="finite"):
+        _assign(np.array([[0.0, np.nan], [1.0, 0.0]]))
 
 
 def test_folding_plan_groups():

@@ -17,7 +17,6 @@ from tensorball import (
     bound_nondeterministic,
     bound_single_direction,
     bound_smin_tail,
-    fit_constant,
     product_uniform_cdf,
     product_uniform_smallball,
     sharpness_lower_bound,
@@ -211,11 +210,3 @@ def test_bounds_monotone_in_eps():
 def test_bound_config_validation_and_json():
     with pytest.raises(ValidationError):
         BoundConfig(C_main=-1.0)
-
-
-def test_fit_constant_recovers_scale():
-    eps = np.geomspace(1e-4, 1e-1, 12)
-    truth = 2.5 * eps
-    fit = fit_constant(lambda c, e: c * e, eps, truth)
-    assert abs(fit.constant - 2.5) < 1e-3
-    assert fit.sse < 1e-10

@@ -35,12 +35,30 @@ def test_readme_python_blocks_run(tmp_path):
         assert proc.returncode == 0, f"README block failed:\n{block}\n{proc.stderr}"
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    """The beta quantile comes from ``scipy.special``, so no run pays for importing ``scipy.stats``."""
+def test_scipy_loaded_only_where_an_interval_is_computed(tmp_path):
+    """Start-up pays for no scipy module: ``decompose`` and ``bounds`` never load one, and runs with
+    Clopper-Pearson intervals load ``scipy.special`` alone, for its beta quantile."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, tensorball.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=120,
+    program = (
+        "import sys, tensorball.cli as cli\n"
+        "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print(code, *sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    runs = {
+        "import": (),
+        "decompose": ("decompose", "--out", str(tmp_path)),
+        "bounds": ("bounds", "--out", str(tmp_path)),
+        "smallball": ("smallball", "--subspace", "line", "--trials", "1e4", "--out", str(tmp_path)),
+    }
+    loaded = {}
+    for name, argv in runs.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", program, *argv], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, *modules = proc.stdout.splitlines()[-1].split()
+        assert code == "0", proc.stdout
+        loaded[name] = set(modules)
+    assert loaded["import"] == loaded["decompose"] == loaded["bounds"] == set()
+    assert "scipy.special" in loaded["smallball"]
+    assert not any(m.startswith(("scipy.optimize", "scipy.stats")) for m in loaded["smallball"])
