@@ -11,7 +11,7 @@ from the running one, since ``Generator`` streams are not promised stable
 across numpy releases (NEP 19).
 
 Exit codes: 0 success, 1 usage error, 2 validation/configuration error,
-3 numerical degeneracy, 4 selftest failure.
+3 numerical degeneracy, 4 an acceptance gate failed (``selftest``).
 """
 
 from __future__ import annotations
@@ -28,13 +28,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .decomposition import (
-    Rank1Terms,
-    decompose_smoothed,
-    fold_higher_order,
-    match_components,
-    unfold_terms,
-)
+from .decomposition import decompose_smoothed
 from .distributions import DistributionSpec, matched_cube
 from .errors import (
     ConfigurationError,
@@ -53,16 +47,10 @@ from .exact_laws import (
     bound_nondeterministic,
     bound_single_direction,
     bound_smin_tail,
-    product_uniform_cdf,
     product_uniform_smallball,
     sharpness_lower_bound,
 )
-from .khatri_rao import (
-    SmoothedEnsemble,
-    pinv_hs_norm_sq,
-    projection_distance_sum,
-    smin_tail_experiment,
-)
+from .khatri_rao import SmoothedEnsemble, smin_tail_experiment
 from .montecarlo import (
     ExperimentConfig,
     SlabBody,
@@ -320,79 +308,16 @@ def _run_decompose(cfg: dict, stamp: str) -> list[tuple[str, bytes]]:
     ]
 
 
-def _selftest_checks(quick: bool, seed: int):
-    rng = np.random.default_rng(seed)
+def _run_selftest() -> int:
+    # imported here, not at the top: start-up pays nothing for the gates
+    from .gates import GATES
 
-    def check_pinv_identity():
-        reps = 20 if quick else 50
-        for _ in range(reps):
-            r = int(rng.integers(1, 9))
-            d = int(rng.integers(r, 17))
-            a = rng.standard_normal((r, d))
-            lhs = pinv_hs_norm_sq(a)
-            rhs = projection_distance_sum(a)
-            if abs(lhs - rhs) > 1e-8 * max(lhs, rhs):
-                return f"pseudo-inverse row-distance identity off by {abs(lhs - rhs):.2e}"
-        return None
-
-    def check_product_cdf():
-        n = 200_000 if quick else 1_000_000
-        samples = np.sort(rng.uniform(-1.0, 1.0, size=(n, 2)).prod(axis=1))
-        zs = np.linspace(-0.999, 0.999, 401)
-        emp = np.searchsorted(samples, zs, side="right") / n
-        band = math.sqrt(math.log(2 / 0.001) / (2 * n))
-        worst = float(np.max(np.abs(emp - product_uniform_cdf(2, zs))))
-        if worst > band:
-            return f"product-of-uniforms CDF deviates {worst:.2e} > DKW band {band:.2e}"
-        return None
-
-    def check_haar_moments():
-        draws = 2000 if quick else 6000
-        shape, m = (3, 3), 2
-        dim = 9
-        acc = np.zeros((2, 2))
-        cross = 0.0
-        for _ in range(draws):
-            basis = haar_subspace(shape, m, rng)
-            acc += basis.rows[:, :2] ** 2
-            cross += basis.rows[0, 0] * basis.rows[0, 1]
-        acc /= draws
-        cross /= draws
-        tol = 6.0 / math.sqrt(draws)
-        if np.max(np.abs(acc - 1.0 / dim)) > tol or abs(cross) > tol:
-            return f"orthogonal-row second moments off: {acc.ravel()} vs {1 / dim:.4f}"
-        return None
-
-    def check_folding_roundtrip():
-        factors = [rng.standard_normal((3, 2)) for _ in range(4)]
-        terms = Rank1Terms.from_raw(factors, weights=rng.uniform(0.5, 2.0, 2))
-        plan, folded = fold_higher_order(terms)
-        back = unfold_terms(plan, folded)
-        report = match_components(terms, back)
-        if report.max_error > 1e-10:
-            return f"fold/unfold round trip error {report.max_error:.2e}"
-        return None
-
-    return [
-        ("pinv-row-distance identity", check_pinv_identity),
-        ("product-of-uniforms law vs MC", check_product_cdf),
-        ("orthogonal second moments", check_haar_moments),
-        ("folding round trip", check_folding_roundtrip),
-    ]
-
-
-def _run_selftest(cfg: dict) -> int:
-    failures = 0
-    for name, fn in _selftest_checks(cfg["quick"], cfg["seed"]):
-        started = time.perf_counter()
-        problem = fn()
-        took = time.perf_counter() - started
-        if problem is None:
-            print(f"ok   {name} ({took:.1f}s)")
-        else:
-            failures += 1
-            print(f"FAIL {name}: {problem}")
-    return 4 if failures else 0
+    failed = False
+    for gate in GATES:
+        ok, line = gate()
+        print(line)
+        failed |= not ok
+    return 4 if failed else 0
 
 
 def _add_subcommand(sub, name: str, summary: str, trials: str | None = None) -> _Parser:
@@ -473,8 +398,7 @@ def build_parser() -> _Parser:
     p.add_argument("--rho", type=float, default=0.1)
     p.add_argument("--noise", type=float, default=0.0)
 
-    p = _add_subcommand(sub, "selftest", "exact-identity checks; exit 4 on any failure")
-    p.add_argument("--quick", action="store_true")
+    sub.add_parser("selftest", help="run the nine acceptance gates; exit 4 if any fails")
 
     return parser
 
@@ -559,10 +483,8 @@ def _dispatch(subcommand: str, cfg: dict, out_dir: str) -> int:
     """Run ``subcommand`` and write its artifacts, then its manifest, into ``out_dir``.
 
     The manifest holds the hash every artifact is stamped with, and outside
-    the hash the numpy version and the run time.  ``selftest`` writes nothing.
+    the hash the numpy version and the run time.
     """
-    if subcommand == "selftest":
-        return _run_selftest(cfg)
     started = time.perf_counter()
     stamp = _manifest_hash(subcommand, cfg, cfg["seed"])
     artifacts = _RUNNERS[subcommand](cfg, stamp)
@@ -613,7 +535,7 @@ def _load_manifest(parser, path) -> tuple[str, dict]:
     if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
         raise ValidationError(f"manifest {path} has no config object")
     subcommand = manifest.get("subcommand")
-    if subcommand not in (*_RUNNERS, "selftest"):
+    if subcommand not in _RUNNERS:
         raise ValidationError(f"manifest {path} names unknown subcommand {subcommand!r}")
     config = manifest["config"]
     # an explicit seed keeps TENSORBALL_SEED out of it: only keys and types count
@@ -647,6 +569,8 @@ def run(argv) -> int:
         return _dispatch(subcommand, config, out_dir)
     if args.subcommand is None:
         raise UsageError("missing subcommand (see --help)")
+    if args.subcommand == "selftest":
+        return _run_selftest()
     cfg = _config_from_args(args)
     return _dispatch(args.subcommand, cfg, args.out or ".")
 

@@ -175,9 +175,11 @@ def smin_tail_experiment(e: SmoothedEnsemble, cfg: ExperimentConfig) -> SminTail
         prefactor = math.sqrt(1.0 - e.r / e.n**e.ell) * (bound_cfg.c_small * e.rho) ** e.ell
     except OverflowError:
         prefactor = math.inf
-    # squared thresholds meet Gram eigenvalues, so they too must be finite floats
-    if not math.isfinite(prefactor * prefactor):
-        raise RangeError(f"threshold scale (c rho)^l squared overflows a float at rho = {e.rho:g}, l = {e.ell}")
+    # squared thresholds meet Gram eigenvalues, so they too must be finite floats,
+    # the largest grid threshold's as well as the scale's
+    widest = prefactor * max(1.0, cfg.epsilon_grid[0])
+    if not math.isfinite(widest * widest):
+        raise RangeError(f"squared threshold overflows a float at rho = {e.rho:g}, l = {e.ell}, eps = {cfg.epsilon_grid[0]:g}")
     thresholds = prefactor * eps
     thresholds_sq = thresholds**2
     sigma = e.rho / math.sqrt(e.n)

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .distributions import sample_matrix
-from .errors import DataSparsityError, ValidationError
+from .errors import DataSparsityError, RangeError, ValidationError
 from .subspaces import SubspaceBasis
 from .tensor_core import contract, kron
 
@@ -125,7 +125,8 @@ class SlabBody:
             raise ValidationError("directions must be a 2-d array (count x ambient dim)")
         if not np.isfinite(d).all():
             raise ValidationError("every slab direction must be finite")
-        if d.shape[0] > 0 and np.any(np.linalg.norm(d, axis=1) == 0):
+        # entries, not norms: the norm of a row of tiny entries underflows to 0
+        if not np.any(d != 0, axis=1).all():
             raise ValidationError("every slab direction must be nonzero")
         object.__setattr__(self, "directions", d)
 
@@ -274,7 +275,10 @@ def estimate_smallball(specs, basis: SubspaceBasis, cfg: ExperimentConfig) -> Sm
     One sample per trial is tested against the whole nested grid, so counts
     are exactly monotone.
     """
-    thresholds = np.asarray(cfg.epsilon_grid) * math.sqrt(basis.m)
+    root_m = math.sqrt(basis.m)
+    if not math.isfinite(cfg.epsilon_grid[0] * root_m):
+        raise RangeError(f"threshold eps*sqrt(m) overflows a float at eps = {cfg.epsilon_grid[0]:g}, m = {basis.m}")
+    thresholds = np.asarray(cfg.epsilon_grid) * root_m
     return _projection_curve(specs, basis.rows, basis.shape, thresholds, cfg, "eps*sqrt(m)")
 
 
@@ -303,6 +307,10 @@ def norm_concentration(specs, t_grid, cfg: ExperimentConfig) -> NormTailCurves:
     if t.size < 1 or np.any(np.diff(t) <= 0):
         raise ValidationError("t_grid must be strictly increasing")
     scale = math.sqrt(math.prod(s.dim for s in specs))
+    # |1 +- t| <= 1 + |t|, so this bounds both thresholds of every t
+    widest = 1.0 + float(np.max(np.abs(t)))
+    if not math.isfinite(widest * scale):
+        raise RangeError(f"threshold (1+t)*sqrt(prod n_j) overflows a float at t = {widest - 1.0:g}")
     upper_thr = (1.0 + t) * scale
     lower_thr = (1.0 - t) * scale
 

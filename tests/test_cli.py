@@ -24,7 +24,7 @@ from tensorball import (
     coordinate_line_subspace,
     product_uniform_smallball,
 )
-from tensorball import cli
+from tensorball import cli, gates
 
 
 def run_cli(*argv):
@@ -38,20 +38,28 @@ def read_rows(path):
     return lines[0], list(csv.DictReader(lines[1:]))
 
 
-def test_selftest_quick_passes(tmp_path, capsys):
-    out_dir = tmp_path / "new"
-    assert run_cli("selftest", "--quick", "--out", str(out_dir)) == 0
-    out = capsys.readouterr().out
-    assert out.count("ok  ") == 4
-    assert "FAIL" not in out
-    # selftest has no artifacts, so it creates no output directory
-    assert not out_dir.exists()
+def test_selftest_prints_each_gate_line(monkeypatch, tmp_path, capsys):
+    lines = ["acceptance 1 fake: PASS (one)", "acceptance 2 fake: PASS (two)"]
+    monkeypatch.setattr(gates, "GATES", tuple(lambda line=line: (True, line) for line in lines))
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("selftest") == 0
+    assert capsys.readouterr().out.splitlines() == lines
+    # selftest has no artifacts
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_selftest_failure_exit_code(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_selftest_checks", lambda quick, seed: [("bad", lambda: "broken")])
+    monkeypatch.setattr(gates, "GATES", (lambda: (True, "ok"), lambda: (False, "acceptance 2 bad: FAIL (broken)")))
     assert run_cli("selftest") == 4
-    assert "FAIL bad: broken" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines() == ["ok", "acceptance 2 bad: FAIL (broken)"]
+
+
+def test_selftest_runs_the_acceptance_table():
+    import test_acceptance  # tests/ is on sys.path under pytest's default import mode
+
+    tests = [f for name, f in vars(test_acceptance).items() if name.startswith("test_acceptance_")]
+    assert test_acceptance.GATES is gates.GATES
+    assert [t.gate for t in tests] == list(gates.GATES)
 
 
 SMALLBALL_ARGS = (
@@ -403,6 +411,13 @@ def test_dominance_runs(tmp_path):
         assert row["violation_candidate"] == "False"
 
 
+def test_dominance_tiny_scale_holds_every_trial(tmp_path):
+    # slab directions of entries near 1e-300 have norms that underflow to 0, but they are nonzero
+    assert run_cli("dominance", "--scale", "1e-300", "--trials", "100", "--out", str(tmp_path)) == 0
+    _, rows = read_rows(tmp_path / "dominance.csv")
+    assert [(row["hits_a"], row["hits_b"], row["trials"]) for row in rows] == [("100", "100", "100")]
+
+
 def test_norms_runs(tmp_path):
     assert run_cli(
         "norms", "--n", "8", "--l", "2", "--trials", "400", "--batch-size", "200",
@@ -503,7 +518,7 @@ def test_usage_errors():
         (("smallball", "--eps-grid", "nan:0.1:5"), 1),
         (("norms", "--t-grid", "0.05:inf:3"), 1),
         (("decompose", "--seed", "-1"), 2),
-        (("selftest", "--seed", "-1"), 2),
+        (("selftest", "--quick"), 1),
         (("smallball", "--seed", "-1"), 2),
         # without the refusal, bounds drops the smin_tail column with exit 0
         (("bounds", "--r", "4"), 2),
@@ -514,6 +529,10 @@ def test_usage_errors():
         (("decompose", "--rho", "1e308"), 2),
         (("decompose", "--noise", "1e308"), 2),
         (("dominance", "--scale", "1e308", "--trials", "100"), 2),
+        # a grid threshold past the float range: numpy warned on stderr and the run exited 0
+        (("smallball", "--eps-grid", "1e300:1.7e308:3", "--trials", "100"), 2),
+        (("norms", "--t-grid", "1e300:1.7e308:3", "--trials", "100"), 2),
+        (("smin", "--eps-grid", "1e-300:1e300:3", "--trials", "100"), 2),
     ],
     ids=[
         "trials-inf", "trials-fractional", "l-zero", "l-negative", "no-bodies", "m-negative",
@@ -524,8 +543,9 @@ def test_usage_errors():
         "bounds-r-negative", "bounds-rho-negative", "bounds-r-zero", "bounds-rho-zero", "smallball-n-zero",
         "smin-r-zero", "decompose-n-negative", "smin-rho-nan", "smin-rho-inf", "decompose-rho-nan",
         "decompose-noise-nan", "dominance-scale-nan", "smallball-eps-grid-nan", "norms-t-grid-inf",
-        "decompose-seed-negative", "selftest-seed-negative", "seed-negative", "bounds-r-alone", "bounds-rho-alone",
+        "decompose-seed-negative", "selftest-quick", "seed-negative", "bounds-r-alone", "bounds-rho-alone",
         "bounds-c-prime-huge", "smin-rho-huge", "decompose-rho-huge", "decompose-noise-huge", "dominance-scale-huge",
+        "smallball-eps-grid-huge", "norms-t-grid-huge", "smin-eps-grid-huge",
     ],
 )
 def test_bad_argv_exit_code(tmp_path, capsys, argv, code):

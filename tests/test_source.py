@@ -62,3 +62,12 @@ def test_scipy_loaded_only_where_an_interval_is_computed(tmp_path):
     assert loaded["import"] == loaded["decompose"] == loaded["bounds"] == set()
     assert "scipy.special" in loaded["smallball"]
     assert not any(m.startswith(("scipy.optimize", "scipy.stats")) for m in loaded["smallball"])
+
+
+def test_cli_start_up_leaves_out_the_gates():
+    """Only ``selftest`` imports ``tensorball.gates``, so building the parser never pays for it."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    program = "import sys, tensorball.cli as cli\ncli.build_parser()\nprint('tensorball.gates' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
