@@ -341,7 +341,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="tensorball", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"tensorball {__version__}")
     parser.add_argument("--replay", metavar="MANIFEST", help="re-run a stored manifest")
-    parser.add_argument("--out", default=None, help="output directory override for --replay")
+    # its own dest: each subcommand's --out default would overwrite a shared one
+    parser.add_argument("--out", dest="replay_out", default=None, help="output directory override for --replay")
     sub = parser.add_subparsers(dest="subcommand")
 
     p = _add_subcommand(sub, "smallball", "projection small-ball curve onto a subspace", trials="1e6")
@@ -458,7 +459,7 @@ def _check_config(subcommand: str, cfg: dict) -> None:
 
 
 def _config_from_args(args) -> dict:
-    cfg = {key: value for key, value in vars(args).items() if key not in ("subcommand", "replay", "out")}
+    cfg = {key: value for key, value in vars(args).items() if key not in ("subcommand", "replay", "replay_out", "out")}
     _check_config(args.subcommand, cfg)
     if cfg.get("n") is None and "m" in cfg:
         n = max(2, math.ceil(cfg["m"] ** (1.0 / cfg["ell"])))
@@ -565,8 +566,10 @@ def run(argv) -> int:
     args = parser.parse_args(argv)
     if args.replay is not None:
         subcommand, config = _load_manifest(parser, args.replay)
-        out_dir = args.out if args.out is not None else os.path.dirname(os.path.abspath(args.replay))
+        out_dir = args.replay_out if args.replay_out is not None else os.path.dirname(os.path.abspath(args.replay))
         return _dispatch(subcommand, config, out_dir)
+    if args.replay_out is not None:
+        raise UsageError("--out before the subcommand applies to --replay only; give it after the subcommand")
     if args.subcommand is None:
         raise UsageError("missing subcommand (see --help)")
     if args.subcommand == "selftest":

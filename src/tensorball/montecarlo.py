@@ -19,7 +19,7 @@ import numpy as np
 from .distributions import sample_matrix
 from .errors import DataSparsityError, RangeError, ValidationError
 from .subspaces import SubspaceBasis
-from .tensor_core import contract, kron
+from .tensor_core import contract
 
 _ISOTROPIC_KINDS = ("uniform-cube-sqrt3", "gaussian-std", "symmetric-exponential-unitvar")
 
@@ -335,25 +335,27 @@ def norm_concentration(specs, t_grid, cfg: ExperimentConfig) -> NormTailCurves:
 
 
 def _membership_counts(specs, body: SlabBody, cfg: ExperimentConfig) -> int:
-    dims = [s.dim for s in specs]
+    dims = tuple(s.dim for s in specs)
     ambient = math.prod(dims)
     if body.ambient_dim != ambient:
         raise ValidationError(
             f"slab body lives in dimension {body.ambient_dim}, tensors in {ambient}"
         )
+    # trials drawn per call of ``sample_matrix``: the chunk boundaries are
+    # part of the random stream, so this defines the stream, not the memory
+    # (``contract`` never builds the n^l tensors)
     chunk = max(1, (1 << 21) // max(ambient, 1))
 
     def kernel(rng, size):
         hits = 0
         done = 0
-        # one product buffer for the batch's chunks; ``contains`` still runs
-        # its gemm on exactly one chunk's rows, since BLAS rounds by row count
-        buf = np.empty((min(chunk, size), ambient, 1))
         while done < size:
             cur = min(chunk, size - done)
             xs = [sample_matrix(s, rng, cur) for s in specs]
-            flat = kron([x[:, :, None] for x in xs], out=buf[:cur])[:, :, 0]
-            hits += int(np.count_nonzero(body.contains(flat)))
+            # a product past the float range is far outside its slab, and inf counts it so
+            with np.errstate(over="ignore"):
+                inside = np.all(np.abs(contract(body.directions, dims, xs)) <= 1.0, axis=1)
+            hits += int(np.count_nonzero(inside))
             done += cur
         return np.asarray([hits])
 

@@ -5,7 +5,7 @@ Flattening is row-major throughout (last index fastest), matching
 ``(i_1, ..., i_l)`` maps to flat position ``i_l + n_l * (i_{l-1} + ...)``.
 Two primitives own that order: ``kron`` builds flattened (Khatri-Rao)
 products and ``contract`` takes inner products with dense rows without
-building them; every other module goes through these.
+building the whole products; every other module goes through these.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import ValidationError
 # most flattened entries a basis file or a CLI run may hold
 FLATTEN_CAP = 10_000_000
 
-# bytes of first-mode intermediate ``contract`` holds at once
+# bytes of intermediates the dense path of ``contract`` holds per block of trials
 _BLOCK_BYTES = 1 << 20
 
 _BASIS_MAGIC = b"TBSB"
@@ -40,17 +40,27 @@ def kron(mats, out=None) -> np.ndarray:
     ``out``, a C-contiguous array of the result's shape, receives the last
     stage's product in place of a fresh allocation and is returned; each
     entry is the same product, so the bits do not change.
+
+    With one column the factors multiply as ``(..., n_j)`` arrays, so
+    numpy's inner loop runs along the contiguous factor axis instead of over
+    a single column; every entry is still the same product.
     """
     if out is not None and not out.flags.c_contiguous:
         raise ValidationError("kron needs a C-contiguous out= array")
-    res = mats[0]
+    one = all(a.shape[-1] == 1 for a in mats)
+    res = mats[0][..., 0] if one else mats[0]
     for j in range(1, len(mats)):
-        left, right = res[..., :, None, :], mats[j][..., None, :, :]
+        if one:
+            left, right = res[..., :, None], mats[j][..., None, :, 0]
+        else:
+            left, right = res[..., :, None, :], mats[j][..., None, :, :]
         if out is not None and j == len(mats) - 1:
             prod = np.multiply(left, right, out=out.reshape(np.broadcast_shapes(left.shape, right.shape)))
         else:
             prod = left * right
-        res = prod.reshape(prod.shape[:-3] + (-1, prod.shape[-1]))
+        res = prod.reshape(prod.shape[:-2] + (-1,)) if one else prod.reshape(prod.shape[:-3] + (-1, prod.shape[-1]))
+    if one:
+        res = res[..., None]
     if out is None:
         return res
     if len(mats) == 1:
@@ -66,17 +76,24 @@ def contract(rows: np.ndarray, shape: tuple[int, ...], xs) -> np.ndarray:
     When every row has exactly one nonzero ``c`` at ``(i_1, ..., i_l)`` (the
     coordinate-line and diagonal constructions), the inner product is the
     gathered product ``x_1[i_1] * (... * (x_l[i_l] * c))``, O(size * m * l).
-    For finite factors it is bitwise the dense chain's result: there every
-    other term of each sum is an exact zero, and the surviving products nest
-    in this order.  Any other row set takes the dense chain; the row check
-    runs once per call.
+    For finite factors it is bitwise what contracting the last mode first
+    gives: there every other term of each sum is an exact zero, and the
+    surviving products nest in this order.  Any other row set takes the
+    dense path; the row check runs once per call.
 
-    The dense chain contracts the last mode first, vectorized over trials.
-    Trials go through in blocks whose first-mode intermediate fits in
+    With one mode the dense path is one gemm.  With more it splits the
+    modes at the ``t`` that holds the fewest entries per trial
+    (``_split``), forms the trailing factors' product
+    ``x_{t+1} x ... x x_l`` with ``kron``, multiplies it by the rows, viewed
+    as ``(m * prod n[:t], prod n[t:])``, in one gemm, and finishes with one
+    batched dot against the leading factors' product ``x_1 x ... x x_t``.
+    That sums in another order than the last-mode-first chain, so the two
+    agree up to rounding only.  Trials go through in blocks that fit in
     ``_BLOCK_BYTES``, so memory is O(size * (sum n_j + m)) plus one block
-    instead of O(size * m * prod n_j[:-1]).  Each trial goes through the
-    same BLAS and einsum steps whatever the block size, so the result is
-    bitwise the one of a single block holding every trial.
+    instead of O(size * prod n_j).  Every gemm of a call has the same row
+    count, so the result is bitwise the one of a single block holding every
+    trial wherever BLAS rounds a row alike in products of that many rows and
+    more, as it does for every shape the tests check.
     """
     single = _single_entries(rows, shape)
     if single is not None:
@@ -98,34 +115,42 @@ def _single_entries(rows: np.ndarray, shape: tuple[int, ...]):
     return np.unravel_index(flat, shape), rows[np.arange(rows.shape[0]), flat]
 
 
+def _split(shape: tuple[int, ...], m: int) -> int:
+    """The mode ``1 <= t < l`` whose split holds the fewest entries per
+    trial: the trailing product ``prod n[t:]``, the ``m * prod n[:t]`` partial
+    sums and the leading product ``prod n[:t]``."""
+    return min(range(1, len(shape)), key=lambda t: math.prod(shape[t:]) + (m + 1) * math.prod(shape[:t]))
+
+
 def _contract_dense(rows: np.ndarray, shape: tuple[int, ...], xs) -> np.ndarray:
     m = rows.shape[0]
-    ell = len(shape)
-    if ell == 1:
+    if len(shape) == 1:
+        # no intermediate to block: the one factor is its own product
         return xs[0] @ rows.T
-    # (n_l, m * prod n_j[:-1]), built as tensordot builds it: for C-ordered
-    # rows a Fortran-ordered view, which BLAS reads transposed.  A C-ordered
-    # copy rounds differently.
-    right = np.moveaxis(rows.reshape((m,) + shape), ell, 0).reshape(shape[-1], -1)
+    t = _split(shape, m)
+    lead, trail = math.prod(shape[:t]), math.prod(shape[t:])
+    # (prod n[t:], m * prod n[:t]): for C-ordered rows a Fortran-ordered
+    # view, which BLAS reads transposed, so no copy is made
+    right = rows.reshape(m * lead, trail).T
     size = xs[0].shape[0]
-    block = min(size, max(2, _BLOCK_BYTES // (8 * max(1, right.shape[1]))))
-    # one buffer for every block: a fresh allocation this large would be
+    most = max(2, _BLOCK_BYTES // (8 * (trail + (m + 1) * lead)))
+    # equal blocks, as few as the bound allows; the last one ends at ``size``
+    # and repeats (with the same bits) fewer trials than there are blocks.
+    # So every gemm has ``block`` rows: numpy sends one row to gemv, and
+    # OpenBLAS a few rows to a small-matrix kernel, both rounding unlike a
+    # gemm of many rows.
+    block = -(-size // -(-size // most)) if size else 0
+    # one buffer each for every block: fresh allocations this large would be
     # mapped and page-faulted anew each time
-    buf = np.empty((block, right.shape[1]))
+    trail_buf = np.empty((block, trail, 1))
+    sums_buf = np.empty((block, m * lead))
     out = np.empty((size, m))
     for s in range(0, size, max(block, 1)):
-        b = min(block, size - s)
-        if b == 1 and size > 1:
-            # numpy sends a one-row product to gemv, which rounds unlike
-            # gemm: take the previous trial along again (same bits)
-            s, b = s - 1, 2
-        cur = np.dot(xs[-1][s : s + b], right, out=buf[:b])
-        rest = math.prod(shape[:-1])
-        for j in range(ell - 2, 0, -1):
-            nj = shape[j]
-            cur = np.einsum("bkj,bj->bk", cur.reshape(b, m * (rest // nj), nj), xs[j][s : s + b])
-            rest //= nj
-        np.einsum("bmj,bj->bm", cur.reshape(b, m, rest), xs[0][s : s + b], out=out[s : s + b])
+        s = min(s, size - block)
+        tail = kron([x[s : s + block, :, None] for x in xs[t:]], out=trail_buf)[:, :, 0]
+        sums = np.dot(tail, right, out=sums_buf).reshape(block, m, lead)
+        head = kron([x[s : s + block, :, None] for x in xs[:t]])[:, :, 0]
+        np.einsum("bmk,bk->bm", sums, head, out=out[s : s + block])
     return out
 
 

@@ -533,6 +533,9 @@ def test_usage_errors():
         (("smallball", "--eps-grid", "1e300:1.7e308:3", "--trials", "100"), 2),
         (("norms", "--t-grid", "1e300:1.7e308:3", "--trials", "100"), 2),
         (("smin", "--eps-grid", "1e-300:1e300:3", "--trials", "100"), 2),
+        # a top-level --out is for --replay: a fresh run ignored it and wrote into the working directory
+        (("--out", "elsewhere", "bounds"), 1),
+        (("--out", "elsewhere", "selftest"), 1),
     ],
     ids=[
         "trials-inf", "trials-fractional", "l-zero", "l-negative", "no-bodies", "m-negative",
@@ -545,11 +548,14 @@ def test_usage_errors():
         "decompose-noise-nan", "dominance-scale-nan", "smallball-eps-grid-nan", "norms-t-grid-inf",
         "decompose-seed-negative", "selftest-quick", "seed-negative", "bounds-r-alone", "bounds-rho-alone",
         "bounds-c-prime-huge", "smin-rho-huge", "decompose-rho-huge", "decompose-noise-huge", "dominance-scale-huge",
-        "smallball-eps-grid-huge", "norms-t-grid-huge", "smin-eps-grid-huge",
+        "smallball-eps-grid-huge", "norms-t-grid-huge", "smin-eps-grid-huge", "bounds-top-level-out",
+        "selftest-top-level-out",
     ],
 )
-def test_bad_argv_exit_code(tmp_path, capsys, argv, code):
-    argv = (*argv, "--out", str(tmp_path))
+def test_bad_argv_exit_code(tmp_path, capsys, monkeypatch, argv, code):
+    monkeypatch.chdir(tmp_path)
+    if "--out" not in argv:
+        argv = (*argv, "--out", str(tmp_path))
     if "-1" in argv or "1000000000" in argv:
         # these once looped or ran until killed: a subprocess with a timeout fails instead of hanging
         returncode, err = run_cli_subprocess(*argv)

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -298,6 +299,21 @@ def test_membership_counts_match_fresh_products(tail, count, threads):
         want = reference_membership_hits(laws, body, cfg)
         assert montecarlo._membership_counts(laws, body, cfg) == want
         assert 0 < want <= cfg.trials
+
+
+def test_membership_counts_never_build_the_tensors():
+    # n=4, l=3: a batch of 1e5 trials in 2^21-entry chunks; one chunk's
+    # n^l tensors alone take 16 MB
+    spec = DistributionSpec(kind="symmetric-exponential-unitvar", dim=4)
+    body = SlabBody.random(64, 8, 1.0, np.random.default_rng(0))
+    cfg = cfg_of(seed=0, trials=100_000, grid=(1.0,), batch_size=100_000)
+    tracemalloc.start()
+    try:
+        montecarlo._membership_counts((spec,) * 3, body, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def test_norm_concentration_matches_linalg_norm():

@@ -169,8 +169,9 @@ def test_contract_matches_per_row_loop(seed, dims, m):
             assert abs(got[b, k] - want) <= 1e-12 * max(1.0, np.linalg.norm(rows[k]) * np.linalg.norm(flat))
 
 
-def unblocked_contract(rows, shape, xs):
-    """``contract`` before it worked in blocks: the reference its bits must match."""
+def last_mode_first_contract(rows, shape, xs):
+    """The dense chain before the Kronecker split: contract the last mode
+    first, in one block.  The one-nonzero gather must match its bits."""
     m = rows.shape[0]
     ell = len(shape)
     if ell == 1:
@@ -187,19 +188,52 @@ def unblocked_contract(rows, shape, xs):
     return np.einsum("bmj,bj->bm", cur.reshape(size, m, rest), xs[0])
 
 
-@pytest.mark.parametrize(
-    "shape, m",
-    [((5,), 3), ((7, 9), 5), ((16, 16, 16), 16), ((8, 8, 8), 8), ((8, 8, 8), 1), ((8, 8, 8), 0), ((3, 5, 2, 4), 3)],
-)
+def unblocked_contract(rows, shape, xs):
+    """The dense path in one block holding every trial: the reference its bits must match."""
+    m = rows.shape[0]
+    if len(shape) == 1:
+        return xs[0] @ rows.T
+    t = tensor_core._split(shape, m)
+    lead, trail = math.prod(shape[:t]), math.prod(shape[t:])
+    sums = kron([x[:, :, None] for x in xs[t:]])[:, :, 0] @ rows.reshape(m * lead, trail).T
+    head = kron([x[:, :, None] for x in xs[:t]])[:, :, 0]
+    return np.einsum("bmk,bk->bm", sums.reshape(len(sums), m, lead), head)
+
+
+def dense_block(shape, m):
+    """Most trials per block of the dense path (one mode is not blocked)."""
+    if len(shape) == 1:
+        return 2
+    t = tensor_core._split(shape, m)
+    lead, trail = math.prod(shape[:t]), math.prod(shape[t:])
+    return max(2, tensor_core._BLOCK_BYTES // (8 * (trail + (m + 1) * lead)))
+
+
+DENSE_SHAPES = [((5,), 3), ((7, 9), 5), ((16, 16, 16), 16), ((8, 8, 8), 8), ((8, 8, 8), 1), ((8, 8, 8), 0), ((3, 5, 2, 4), 3)]
+
+
+@pytest.mark.parametrize("shape, m", DENSE_SHAPES)
 def test_contract_blocks_match_unblocked_bitwise(shape, m):
     rng = np.random.default_rng(math.prod(shape) + m)
     rows = rng.standard_normal((m, math.prod(shape)))
-    block = max(2, tensor_core._BLOCK_BYTES // (8 * max(1, m * math.prod(shape[:-1]))))
+    block = dense_block(shape, m)
     for size in (1, block - 1, block, block + 1, 3 * block + 5):
         xs = [rng.standard_normal((size, n)) for n in shape]
         got = contract(rows, shape, xs)
         assert got.shape == (size, m)
         assert np.array_equal(got, unblocked_contract(rows, shape, xs)), size
+
+
+@pytest.mark.parametrize("shape, m", DENSE_SHAPES)
+def test_contract_dense_matches_last_mode_first_chain(shape, m):
+    # the Kronecker split sums in another order: equal up to rounding
+    rng = np.random.default_rng(math.prod(shape) + m)
+    rows = rng.standard_normal((m, math.prod(shape)))
+    size = 3 * dense_block(shape, m) + 5
+    xs = [rng.standard_normal((size, n)) for n in shape]
+    scale = np.linalg.norm(rows, axis=1) * math.prod(np.linalg.norm(x, axis=1) for x in xs)[:, None]
+    err = np.abs(contract(rows, shape, xs) - last_mode_first_contract(rows, shape, xs))
+    assert np.all(err <= 1e-12 * scale)
 
 
 def test_contract_memory_stays_within_blocks():
@@ -236,7 +270,7 @@ def test_contract_single_entry_rows_match_unblocked_bitwise(ell, m):
         xs = [rng.standard_normal((size, n)) for n in shape]
         got = contract(rows, shape, xs)
         assert got.shape == (size, m)
-        assert np.array_equal(got, unblocked_contract(rows, shape, xs)), size
+        assert np.array_equal(got, last_mode_first_contract(rows, shape, xs)), size
 
 
 def test_contract_gathers_only_when_every_row_has_one_nonzero(monkeypatch):
