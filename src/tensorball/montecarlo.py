@@ -138,9 +138,14 @@ class SlabBody:
         pts = np.atleast_2d(points)
         if self.directions.shape[0] == 0:
             return np.ones(pts.shape[0], dtype=bool)
+        return self.inside(lambda d: pts @ d.T)
+
+    def inside(self, inner) -> np.ndarray:
+        """Which points lie in every slab, given ``inner(directions)``: their
+        ``(points, count)`` inner products with the directions."""
         # a product past the float range is far outside its slab, and inf counts it so
         with np.errstate(over="ignore"):
-            return np.all(np.abs(pts @ self.directions.T) <= 1.0, axis=1)
+            return np.all(np.abs(inner(self.directions)) <= 1.0, axis=1)
 
     @classmethod
     def random(cls, dim: int, count: int, scale: float, rng) -> "SlabBody":
@@ -352,10 +357,7 @@ def _membership_counts(specs, body: SlabBody, cfg: ExperimentConfig) -> int:
         while done < size:
             cur = min(chunk, size - done)
             xs = [sample_matrix(s, rng, cur) for s in specs]
-            # a product past the float range is far outside its slab, and inf counts it so
-            with np.errstate(over="ignore"):
-                inside = np.all(np.abs(contract(body.directions, dims, xs)) <= 1.0, axis=1)
-            hits += int(np.count_nonzero(inside))
+            hits += int(np.count_nonzero(body.inside(lambda d: contract(d, dims, xs))))
             done += cur
         return np.asarray([hits])
 

@@ -40,27 +40,17 @@ def kron(mats, out=None) -> np.ndarray:
     ``out``, a C-contiguous array of the result's shape, receives the last
     stage's product in place of a fresh allocation and is returned; each
     entry is the same product, so the bits do not change.
-
-    With one column the factors multiply as ``(..., n_j)`` arrays, so
-    numpy's inner loop runs along the contiguous factor axis instead of over
-    a single column; every entry is still the same product.
     """
     if out is not None and not out.flags.c_contiguous:
         raise ValidationError("kron needs a C-contiguous out= array")
-    one = all(a.shape[-1] == 1 for a in mats)
-    res = mats[0][..., 0] if one else mats[0]
+    res = mats[0]
     for j in range(1, len(mats)):
-        if one:
-            left, right = res[..., :, None], mats[j][..., None, :, 0]
-        else:
-            left, right = res[..., :, None, :], mats[j][..., None, :, :]
+        left, right = res[..., :, None, :], mats[j][..., None, :, :]
         if out is not None and j == len(mats) - 1:
             prod = np.multiply(left, right, out=out.reshape(np.broadcast_shapes(left.shape, right.shape)))
         else:
             prod = left * right
-        res = prod.reshape(prod.shape[:-2] + (-1,)) if one else prod.reshape(prod.shape[:-3] + (-1, prod.shape[-1]))
-    if one:
-        res = res[..., None]
+        res = prod.reshape(prod.shape[:-3] + (-1, prod.shape[-1]))
     if out is None:
         return res
     if len(mats) == 1:
