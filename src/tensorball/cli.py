@@ -565,6 +565,8 @@ def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.replay is not None:
+        if args.subcommand is not None:
+            raise UsageError(f"--replay re-runs its manifest alone; drop the {args.subcommand} subcommand")
         subcommand, config = _load_manifest(parser, args.replay)
         out_dir = args.replay_out if args.replay_out is not None else os.path.dirname(os.path.abspath(args.replay))
         return _dispatch(subcommand, config, out_dir)

@@ -24,6 +24,13 @@ _UNIT_TOL = 1e-10
 _SPECTRAL_TOL = 1e-10
 
 
+def _leading(m: np.ndarray) -> np.ndarray:
+    """First nonzero entry of each column of ``m``; 0 for a zero column."""
+    if m.size == 0:
+        return np.zeros(m.shape[1])
+    return m[(m != 0).argmax(axis=0), np.arange(m.shape[1])]
+
+
 @dataclass(frozen=True)
 class Rank1Terms:
     """Weighted sum of rank-one terms with canonicalized unit factors.
@@ -48,10 +55,9 @@ class Rank1Terms:
             norms = np.linalg.norm(m, axis=0)
             if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
                 raise ValidationError(f"mode-{j} factor columns must be unit vectors (within {_UNIT_TOL})")
-            for i in range(r):
-                nz = np.flatnonzero(m[:, i])
-                if nz.size and m[nz[0], i] < 0:
-                    raise ValidationError(f"mode-{j} column {i} violates the nonnegative-leading-sign convention")
+            negative = np.flatnonzero(_leading(m) < 0)
+            if negative.size:
+                raise ValidationError(f"mode-{j} column {negative[0]} violates the nonnegative-leading-sign convention")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "factors", mats)
 
@@ -81,11 +87,9 @@ class Rank1Terms:
                 raise ValidationError("cannot normalize a zero factor column")
             m /= norms
             w *= norms
-            for i in range(r):
-                nz = np.flatnonzero(m[:, i])
-                if m[nz[0], i] < 0:
-                    m[:, i] = -m[:, i]
-                    w[i] = -w[i]
+            flip = _leading(m) < 0
+            m[:, flip] = -m[:, flip]
+            w[flip] = -w[flip]
         return cls(weights=w, factors=tuple(mats), residual=residual)
 
     def reconstruct(self) -> np.ndarray:
@@ -216,15 +220,15 @@ def _assign(cost: np.ndarray) -> np.ndarray:
 
 
 def _realify_columns(vals, vecs, idx):
-    """Phase-align selected eigenvectors and drop residual imaginary parts."""
-    out = np.empty((vecs.shape[0], len(idx)))
-    for k, i in enumerate(idx):
-        v = vecs[:, i]
-        pivot = np.argmax(np.abs(v))
-        phase = v[pivot] / abs(v[pivot])
-        w = np.real(v / phase)
-        out[:, k] = w / np.linalg.norm(w)
-    return out, np.real(vals[idx])
+    """Phase-align selected eigenvectors and drop residual imaginary parts.
+
+    Each column is divided by the phase of its largest-modulus entry; that
+    modulus is ``np.hypot``, which gives the bits of the scalar ``abs``.
+    """
+    v = vecs[:, idx]
+    pivots = v[np.abs(v).argmax(axis=0), np.arange(len(idx))]
+    w = np.real(v / (pivots / np.hypot(pivots.real, pivots.imag)))
+    return w / np.array([np.linalg.norm(c) for c in w.T]), np.real(vals[idx])
 
 
 def simultaneous_diagonalize(t: np.ndarray, r: int, rng=None) -> Rank1Terms:
@@ -335,38 +339,35 @@ def fold_higher_order(terms: Rank1Terms) -> tuple[FoldingPlan, Rank1Terms]:
     return plan, folded
 
 
-def _best_rank1(vec: np.ndarray, dims: tuple[int, ...]):
-    """Split a (nearly) simple flattened vector into unit factors plus a scale."""
+def _best_rank1(vecs: np.ndarray, dims: tuple[int, ...]):
+    """Split (nearly) simple flattened vectors, one per row, into unit factors plus scales.
+
+    One stacked SVD per leading mode; row i gets the bits it would get alone.
+    """
     if len(dims) == 1:
-        norm = float(np.linalg.norm(vec))
-        if norm == 0:
+        norms = np.array([np.linalg.norm(v) for v in vecs])
+        if np.any(norms == 0):
             raise ValidationError("cannot factor a zero vector")
-        return [vec / norm], norm
-    mat = vec.reshape(dims[0], -1)
-    u_mat, s, vt = np.linalg.svd(mat, full_matrices=False)
-    tail, scale = _best_rank1(s[0] * vt[0], dims[1:])
-    return [u_mat[:, 0]] + tail, scale
+        return [vecs / norms[:, None]], norms
+    u_mat, s, vt = np.linalg.svd(vecs.reshape(len(vecs), dims[0], -1), full_matrices=False)
+    tail, scales = _best_rank1(s[:, :1] * vt[:, 0], dims[1:])
+    return [u_mat[:, :, 0]] + tail, scales
 
 
 def unfold_terms(plan: FoldingPlan, folded: Rank1Terms) -> Rank1Terms:
     """Invert the fold: split grouped factor columns back into per-mode unit vectors."""
     if folded.order != 3:
         raise ValidationError("unfold expects order-3 grouped terms")
-    r = folded.r
-    ell = len(plan.shape)
-    new_factors = [np.empty((plan.shape[j], r)) for j in range(ell)]
+    new_factors = [None] * len(plan.shape)
     new_weights = folded.weights.copy()
-    for i in range(r):
-        for g_idx, group in enumerate(plan.groups):
-            col = folded.factors[g_idx][:, i]
-            dims = tuple(plan.shape[j] for j in group)
-            if len(dims) == 1:
-                new_factors[group[0]][:, i] = col
-            else:
-                parts, scale = _best_rank1(col, dims)
-                for j, part in zip(group, parts):
-                    new_factors[j][:, i] = part
-                new_weights[i] *= scale
+    for group, grouped in zip(plan.groups, folded.factors):
+        if len(group) == 1:
+            new_factors[group[0]] = grouped
+            continue
+        parts, scales = _best_rank1(grouped.T, tuple(plan.shape[j] for j in group))
+        for j, part in zip(group, parts):
+            new_factors[j] = part.T
+        new_weights *= scales
     return Rank1Terms.from_raw(new_factors, weights=new_weights, residual=folded.residual)
 
 
@@ -388,19 +389,15 @@ def match_components(truth: Rank1Terms, est: Rank1Terms) -> RecoveryReport:
         score *= np.abs(truth.factors[mode].T @ est.factors[mode])
     col = _assign(-score)
     factor_errors = np.zeros((r, truth.order))
-    weight_errors = np.zeros(r)
-    for i in range(r):
-        j = col[i]
-        flip = 1.0
-        for mode in range(truth.order):
-            tv = truth.factors[mode][:, i]
-            ev = est.factors[mode][:, j]
-            sign = 1.0 if float(tv @ ev) >= 0 else -1.0
-            flip *= sign
-            factor_errors[i, mode] = float(np.linalg.norm(tv - sign * ev))
-        aligned_weight = est.weights[j] * flip
-        denom = max(abs(truth.weights[i]), np.finfo(float).tiny)
-        weight_errors[i] = abs(truth.weights[i] - aligned_weight) / denom
+    flip = np.ones(r)
+    for mode in range(truth.order):
+        tm, em = truth.factors[mode], est.factors[mode][:, col]
+        # np.vecdot calls BLAS dot once per column pair, as ``a @ b`` on two columns does
+        sign = np.where(np.vecdot(tm.T, em.T) >= 0, 1.0, -1.0)
+        flip *= sign
+        factor_errors[:, mode] = [np.linalg.norm(d) for d in (tm - sign * em).T]
+    denom = np.maximum(np.abs(truth.weights), np.finfo(float).tiny)
+    weight_errors = np.abs(truth.weights - est.weights[col] * flip) / denom
     max_error = float(max(factor_errors.max(), weight_errors.max()))
     return RecoveryReport(
         permutation=tuple(int(c) for c in col),

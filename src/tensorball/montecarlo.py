@@ -430,15 +430,16 @@ def fit_slope(curve: SmallBallCurve, eps_range: tuple[float, float], deflate_log
 def rows_csv_bytes(header, rows, comment: str | None = None, nan: str = "") -> bytes:
     """Render dict rows to CSV bytes under ``header``, after an optional ``# comment`` line.
 
-    A float cell is its ``repr``, or ``nan`` if it is NaN; a missing key or
-    None is an empty cell; anything else is its ``str``.
+    A float cell, numpy floats included, is the ``repr`` of its Python
+    float, or ``nan`` if it is NaN; a missing key or None is an empty cell;
+    anything else is its ``str``.
     """
 
     def cell(value) -> str:
         if value is None:
             return ""
         if isinstance(value, float):
-            return nan if math.isnan(value) else repr(value)
+            return nan if math.isnan(value) else repr(float(value))
         return str(value)
 
     lines = [f"# {comment}"] if comment else []

@@ -248,6 +248,18 @@ def test_replay_malformed_manifest(tmp_path, capsys, text):
     replay_with(tmp_path, capsys, text=text)
 
 
+def test_replay_refuses_a_subcommand(tmp_path, capsys):
+    """A subcommand after ``--replay`` once ran nothing of its own, replayed the manifest and exited 0."""
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run_cli("bounds", "--out", str(first)) == 0
+    capsys.readouterr()
+    code = run_cli("--replay", str(first / "bounds_manifest.json"), *SMALLBALL_ARGS, "--out", str(again))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and "--replay" in err and "smallball" in err
+    assert not again.exists()
+
+
 def test_replay_missing_manifest(tmp_path, capsys):
     code = run_cli("--replay", str(tmp_path / "absent.json"))
     err = capsys.readouterr().err
@@ -454,6 +466,18 @@ def test_decompose_runs(tmp_path, capsys):
     assert len(rows) == 2
 
 
+@pytest.mark.parametrize("ell, r", [(3, 2), (4, 3)])
+def test_decompose_csv_cells_are_plain_numbers(tmp_path, capsys, ell, r):
+    """Every cell parses with ``float()``: numpy scalars once wrote ``np.float64(...)``."""
+    argv = ("decompose", "--n", "4", "--l", str(ell), "--r", str(r), "--rho", "0.5", "--noise", "1e-8")
+    assert run_cli(*argv, "--out", str(tmp_path)) == 0
+    _, rows = read_rows(tmp_path / "decompose_components.csv")
+    assert len(rows) == r and len(rows[0]) == 2 + 1 + ell
+    for row in rows:
+        for value in row.values():
+            float(value)
+
+
 def test_decompose_degeneracy_exit_code(tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise DegeneracyError("no usable probe pair")
@@ -536,6 +560,8 @@ def test_usage_errors():
         # a top-level --out is for --replay: a fresh run ignored it and wrote into the working directory
         (("--out", "elsewhere", "bounds"), 1),
         (("--out", "elsewhere", "selftest"), 1),
+        # replay ran the manifest and dropped the subcommand's own run, with exit 0
+        (("--replay", "a/bounds_manifest.json", "smallball", "--n", "4"), 1),
     ],
     ids=[
         "trials-inf", "trials-fractional", "l-zero", "l-negative", "no-bodies", "m-negative",
@@ -549,7 +575,7 @@ def test_usage_errors():
         "decompose-seed-negative", "selftest-quick", "seed-negative", "bounds-r-alone", "bounds-rho-alone",
         "bounds-c-prime-huge", "smin-rho-huge", "decompose-rho-huge", "decompose-noise-huge", "dominance-scale-huge",
         "smallball-eps-grid-huge", "norms-t-grid-huge", "smin-eps-grid-huge", "bounds-top-level-out",
-        "selftest-top-level-out",
+        "selftest-top-level-out", "replay-with-subcommand",
     ],
 )
 def test_bad_argv_exit_code(tmp_path, capsys, monkeypatch, argv, code):

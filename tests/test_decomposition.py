@@ -18,7 +18,7 @@ from tensorball import (
     simultaneous_diagonalize,
     unfold_terms,
 )
-from tensorball.decomposition import _assign, folding_plan
+from tensorball.decomposition import _assign, _realify_columns, folding_plan
 
 
 def random_terms(rng, shape, r):
@@ -288,3 +288,166 @@ def test_decompose_smoothed_validation():
         decompose_smoothed(SmoothedEnsemble.random(4, 3, 3, 0.5, rng=0), 0.0)
     with pytest.raises(ValidationError, match="noise"):
         decompose_smoothed(SmoothedEnsemble.random(2, 3, 3, 0.5, rng=0), -1.0)
+
+
+# Reference per-column loops: the code before decomposition worked on whole
+# factor matrices.  The whole-matrix code must reproduce them bit for bit.
+
+
+def ref_from_raw(factors, weights):
+    mats = [np.asarray(f, dtype=float).copy() for f in factors]
+    w = np.asarray(weights, dtype=float).copy()
+    for m in mats:
+        norms = np.linalg.norm(m, axis=0)
+        m /= norms
+        w *= norms
+        for i in range(m.shape[1]):
+            nz = np.flatnonzero(m[:, i])
+            if m[nz[0], i] < 0:
+                m[:, i] = -m[:, i]
+                w[i] = -w[i]
+    return w, mats
+
+
+def ref_best_rank1(vec, dims):
+    if len(dims) == 1:
+        norm = float(np.linalg.norm(vec))
+        return [vec / norm], norm
+    u_mat, s, vt = np.linalg.svd(vec.reshape(dims[0], -1), full_matrices=False)
+    tail, scale = ref_best_rank1(s[0] * vt[0], dims[1:])
+    return [u_mat[:, 0]] + tail, scale
+
+
+def ref_unfold(plan, folded):
+    r = folded.r
+    new_factors = [np.empty((n, r)) for n in plan.shape]
+    new_weights = folded.weights.copy()
+    for i in range(r):
+        for g_idx, group in enumerate(plan.groups):
+            col = folded.factors[g_idx][:, i]
+            dims = tuple(plan.shape[j] for j in group)
+            if len(dims) == 1:
+                new_factors[group[0]][:, i] = col
+            else:
+                parts, scale = ref_best_rank1(col, dims)
+                for j, part in zip(group, parts):
+                    new_factors[j][:, i] = part
+                new_weights[i] *= scale
+    return ref_from_raw(new_factors, new_weights)
+
+
+def ref_match(truth, est, col):
+    r = truth.r
+    factor_errors = np.zeros((r, truth.order))
+    weight_errors = np.zeros(r)
+    for i in range(r):
+        j = col[i]
+        flip = 1.0
+        for mode in range(truth.order):
+            tv = truth.factors[mode][:, i]
+            ev = est.factors[mode][:, j]
+            sign = 1.0 if float(tv @ ev) >= 0 else -1.0
+            flip *= sign
+            factor_errors[i, mode] = float(np.linalg.norm(tv - sign * ev))
+        aligned_weight = est.weights[j] * flip
+        denom = max(abs(truth.weights[i]), np.finfo(float).tiny)
+        weight_errors[i] = abs(truth.weights[i] - aligned_weight) / denom
+    return factor_errors, weight_errors
+
+
+def ref_realify(vals, vecs, idx):
+    out = np.empty((vecs.shape[0], len(idx)))
+    for k, i in enumerate(idx):
+        v = vecs[:, i]
+        pivot = np.argmax(np.abs(v))
+        phase = v[pivot] / abs(v[pivot])
+        w = np.real(v / phase)
+        out[:, k] = w / np.linalg.norm(w)
+    return out, np.real(vals[idx])
+
+
+def awkward_matrix(rng, n, r, zeros):
+    """Columns spread over six decades, with exact zeros (leading ones too) and either sign."""
+    m = rng.standard_normal((n, r)) * 10.0 ** rng.uniform(-3, 3, (n, r))
+    m[rng.uniform(size=(n, r)) < zeros] = 0.0
+    lead_zeros = rng.integers(0, n, r)
+    m[np.arange(n)[:, None] < lead_zeros] = 0.0
+    m[-1, ~m.any(axis=0)] = -1.0
+    return m
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(3, 7), st.integers(1, 30), st.sampled_from([0.0, 0.3, 0.7]))
+@settings(max_examples=60, deadline=None)
+def test_from_raw_matches_column_loop(seed, ell, r, zeros):
+    rng = np.random.default_rng(seed)
+    mats = [awkward_matrix(rng, int(n), r, zeros) for n in rng.integers(1, 6, ell)]
+    weights = rng.standard_normal(r)
+    want_w, want = ref_from_raw(mats, weights)
+    terms = Rank1Terms.from_raw(mats, weights=weights)
+    assert np.array_equal(terms.weights, want_w)
+    assert all(np.array_equal(a, b) for a, b in zip(terms.factors, want))
+
+
+def test_awkward_matrix_has_the_awkward_cases():
+    m = awkward_matrix(np.random.default_rng(0), 5, 30, 0.3)
+    lead = np.array([c[np.flatnonzero(c)[0]] for c in m.T])
+    assert (m == 0).any() and (lead < 0).any() and (m[0] == 0).any()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(4, 7), st.integers(1, 30), st.sampled_from([0.0, 1e-8, 1e-2]))
+@settings(max_examples=60, deadline=None)
+def test_unfold_matches_column_loop(seed, ell, r, noise):
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(n) for n in rng.integers(2, 5, ell))
+    plan, folded = fold_higher_order(random_terms(rng, shape, r))
+    # estimates are only nearly simple: perturb the grouped columns
+    noisy = [m + noise * rng.standard_normal(m.shape) for m in folded.factors]
+    folded = Rank1Terms.from_raw(noisy, weights=folded.weights, residual=0.5)
+    want_w, want = ref_unfold(plan, folded)
+    got = unfold_terms(plan, folded)
+    assert np.array_equal(got.weights, want_w) and got.residual == 0.5
+    assert all(np.array_equal(a, b) for a, b in zip(got.factors, want))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(3, 7), st.integers(1, 30), st.sampled_from([0.0, 0.3, 0.7]))
+@settings(max_examples=60, deadline=None)
+def test_match_matches_column_loop(seed, ell, r, zeros):
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(n) for n in rng.integers(1, 6, ell))
+    truth = Rank1Terms.from_raw([awkward_matrix(rng, n, r, zeros) for n in shape], weights=rng.standard_normal(r))
+    perm = rng.permutation(r)
+    mats = [m[:, perm] * rng.choice([-1.0, 1.0], r) + 0.3 * awkward_matrix(rng, m.shape[0], r, zeros) for m in truth.factors]
+    est = Rank1Terms.from_raw(mats, weights=truth.weights[perm] * rng.uniform(0.5, 2.0, r))
+    report = match_components(truth, est)
+    factor_errors, weight_errors = ref_match(truth, est, report.permutation)
+    assert np.array_equal(report.factor_errors, factor_errors)
+    assert np.array_equal(report.weight_errors, weight_errors)
+    assert report.max_error == max(factor_errors.max(), weight_errors.max())
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.sampled_from([0.0, 0.3]))
+@settings(max_examples=60, deadline=None)
+def test_realify_matches_column_loop(seed, n, zeros):
+    rng = np.random.default_rng(seed)
+    eig = np.linalg.eig(awkward_matrix(rng, n, n, zeros))
+    # LAPACK makes each eigenvector's largest entry real; a random phase per column makes it complex
+    vecs = eig.eigenvectors * np.exp(2j * np.pi * rng.uniform(size=n))
+    idx = rng.permutation(n)[: rng.integers(1, n + 1)]
+    out, vals = _realify_columns(eig.eigenvalues, vecs, idx)
+    want, want_vals = ref_realify(eig.eigenvalues, vecs, idx)
+    assert np.array_equal(out, want) and np.array_equal(vals, want_vals)
+
+
+def test_sign_check_names_the_first_offending_column():
+    ok = np.eye(5)
+    mode1 = np.eye(5)[::-1].copy()
+    mode1[:, [2, 4]] *= -1.0
+    with pytest.raises(ValidationError, match="mode-1 column 2 violates"):
+        Rank1Terms(weights=np.ones(5), factors=(ok, mode1))
+
+
+def test_from_raw_refuses_a_later_zero_column():
+    m = np.ones((3, 4))
+    m[:, 2] = 0.0
+    with pytest.raises(ValidationError, match="zero"):
+        Rank1Terms.from_raw([np.ones((3, 4)), m])
