@@ -269,22 +269,21 @@ def _run_dominance(cfg: dict, stamp: str) -> list[tuple[str, bytes]]:
 
 def _run_norms(cfg: dict, stamp: str) -> list[tuple[str, bytes]]:
     t_grid = tuple(sorted(cfg["t_grid"]))
-    curves = norm_concentration(_specs(cfg), t_grid, _experiment_config({**cfg, "eps_grid": (1.0, 0.5)}))
-    (up_lo, up_hi), (lo_lo, lo_hi) = curves.intervals()
+    upper, lower = norm_concentration(_specs(cfg), t_grid, _experiment_config({**cfg, "eps_grid": (1.0, 0.5)}))
     rows = []
-    for i, t in enumerate(curves.t_grid):
+    for i, t in enumerate(upper.epsilon_grid):
         rows.append(
             {
                 "t": t,
-                "upper_hits": int(curves.upper_counts[i]),
-                "lower_hits": int(curves.lower_counts[i]),
-                "trials": curves.trials,
-                "p_upper": curves.upper_counts[i] / curves.trials,
-                "p_lower": curves.lower_counts[i] / curves.trials,
-                "upper_ci_low": float(up_lo[i]),
-                "upper_ci_high": float(up_hi[i]),
-                "lower_ci_low": float(lo_lo[i]),
-                "lower_ci_high": float(lo_hi[i]),
+                "upper_hits": upper.hit_counts[i],
+                "lower_hits": lower.hit_counts[i],
+                "trials": upper.trials,
+                "p_upper": upper.hit_counts[i] / upper.trials,
+                "p_lower": lower.hit_counts[i] / lower.trials,
+                "upper_ci_low": upper.ci_low[i],
+                "upper_ci_high": upper.ci_high[i],
+                "lower_ci_low": lower.ci_low[i],
+                "lower_ci_high": lower.ci_high[i],
             }
         )
     return [("norms.csv", _table_csv(rows, stamp))]
@@ -427,8 +426,9 @@ def _check_config(subcommand: str, cfg: dict) -> None:
     decompose, a rank above n^floor((l-1)/2), the most it can recover.  Runs
     whose flattened size is above ``FLATTEN_CAP`` entries (the m basis rows
     of length n^l for smallball, one n^l x r Khatri-Rao matrix for smin,
-    one n^l tensor for direction, dominance and decompose) are refused
-    before anything is allocated.
+    the count slab directions of length n^l for dominance, at least one,
+    and one n^l tensor for direction and decompose) are refused before
+    anything is allocated.
     """
     for key, (what, least) in _LEAST.items():
         value = cfg.get(key)
@@ -448,7 +448,8 @@ def _check_config(subcommand: str, cfg: dict) -> None:
         if (cfg["r"] is None) != (rho is None):
             raise ValidationError("the smin_tail column needs both --r and --rho")
     if subcommand in ("smallball", "direction", "dominance", "decompose", "smin"):
-        rows = {"smallball": cfg.get("m"), "smin": cfg.get("r")}.get(subcommand, 1)
+        # a dominance run without slab directions still counts as one row
+        rows = {"smallball": cfg.get("m"), "smin": cfg.get("r"), "dominance": cfg.get("count")}.get(subcommand) or 1
         if rows * cfg["n"] ** cfg["ell"] > FLATTEN_CAP:
             size = f"{cfg['n']}^{cfg['ell']}" if rows == 1 else f"{rows} x {cfg['n']}^{cfg['ell']}"
             raise ResourceError(f"{subcommand} needs {size} flattened entries, above the cap of {FLATTEN_CAP}")
@@ -591,6 +592,10 @@ def main(argv=None) -> int:
         return 3
     except (ValidationError, ConfigurationError, ResourceError, DataSparsityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy's message names the size it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

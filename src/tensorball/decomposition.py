@@ -53,7 +53,8 @@ class Rank1Terms:
             raise ValidationError("each factor matrix needs one column per weight")
         for j, m in enumerate(mats):
             norms = np.linalg.norm(m, axis=0)
-            if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
+            # written so that a NaN norm fails it
+            if not np.all(np.abs(norms - 1.0) <= _UNIT_TOL):
                 raise ValidationError(f"mode-{j} factor columns must be unit vectors (within {_UNIT_TOL})")
             negative = np.flatnonzero(_leading(m) < 0)
             if negative.size:
@@ -83,8 +84,8 @@ class Rank1Terms:
             raise ValidationError(f"need {r} weights, got {w.size}")
         for m in mats:
             norms = np.linalg.norm(m, axis=0)
-            if np.any(norms == 0):
-                raise ValidationError("cannot normalize a zero factor column")
+            if not np.all(norms > 0):
+                raise ValidationError("cannot normalize a zero or NaN factor column")
             m /= norms
             w *= norms
             flip = _leading(m) < 0

@@ -9,7 +9,6 @@ probability caps its value at 1.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -81,8 +80,8 @@ def product_uniform_smallball(ell: int, s: float, eps):
     """Exact P(|U_1 ... U_ell| <= eps) for U_j uniform on [-s, s].
 
     Uses the substitution Z = s^ell * Z' with Z' a product of uniform [-1, 1]
-    variables, i.e. F(eps / s^ell) - F(-eps / s^ell).  Values of ``eps``
-    beyond the support clamp to 1 with a warning.
+    variables, i.e. F(eps / s^ell) - F(-eps / s^ell).  Beyond the support
+    radius s^ell the probability is exactly 1.
     """
     if s <= 0:
         raise ValidationError(f"half-width s must be positive, got {s}")
@@ -91,11 +90,6 @@ def product_uniform_smallball(ell: int, s: float, eps):
         raise ValidationError("eps must be nonnegative")
     support = s**ell
     clipped = eps > support
-    if np.any(clipped):
-        warnings.warn(
-            f"eps beyond the support radius {support:.6g}; probability clamped to 1",
-            stacklevel=2,
-        )
     z = np.minimum(eps, support) / support
     out = np.asarray(product_uniform_cdf(ell, z) - product_uniform_cdf(ell, -z))
     out[np.asarray(clipped)] = 1.0

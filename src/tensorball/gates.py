@@ -138,11 +138,11 @@ def norm_concentration_tails():
     specs = (DistributionSpec(kind="gaussian-std", dim=64),) * 2
     t_grid = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
     cfg = ExperimentConfig(seed=SEED, trials=100_000, epsilon_grid=(1.0, 0.5))
-    curves = norm_concentration(specs, t_grid, cfg)
-    p_half = curves.upper_counts[t_grid.index(0.5)] / curves.trials
+    upper, lower = norm_concentration(specs, t_grid, cfg)
+    p_half = upper.hit_counts[t_grid.index(0.5)] / upper.trials
     nested = (
-        list(curves.upper_counts) == sorted(curves.upper_counts, reverse=True)
-        and list(curves.lower_counts) == sorted(curves.lower_counts, reverse=True)
+        list(upper.hit_counts) == sorted(upper.hit_counts, reverse=True)
+        and list(lower.hit_counts) == sorted(lower.hit_counts, reverse=True)
     )
     ok = p_half <= 0.01 and nested
     return _verdict(6, "norm concentration", ok, f"upper tail at t=0.5 is {p_half:.1e}, nested={nested}", started, 60.0)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DegeneracyError, HypothesisViolationError, RangeError, ValidationError
 from .exact_laws import BoundConfig, bound_smin_tail
-from .montecarlo import ExperimentConfig, SmallBallCurve, _sum_over_batches
+from .montecarlo import ExperimentConfig, SmallBallCurve, _hit_curve
 from .tensor_core import kron
 
 _RANK_TOL = 1e-12
@@ -104,13 +104,14 @@ class SmoothedEnsemble:
     def __post_init__(self):
         if self.r < 1 or self.n < 1 or self.ell < 1:
             raise ValidationError("r, n and ell must be positive")
-        if self.rho < 0:
-            raise ValidationError("need rho >= 0")
+        # each check is written so that NaN fails it
+        if not self.rho >= 0:
+            raise ValidationError(f"need rho >= 0, got {self.rho}")
         base = tuple(np.asarray(b, dtype=float) for b in self.base)
         if len(base) != self.ell or any(b.shape != (self.n, self.r) for b in base):
             raise ValidationError(f"base must be {self.ell} matrices of shape ({self.n}, {self.r})")
         worst = max(float(np.max(np.linalg.norm(b, axis=0))) for b in base)
-        if worst > 1.0 + 1e-12:
+        if not worst <= 1.0 + 1e-12:
             raise ValidationError(f"base vector norm {worst} exceeds 1")
         object.__setattr__(self, "base", base)
 
@@ -235,14 +236,7 @@ def smin_tail_experiment(e: SmoothedEnsemble, cfg: ExperimentConfig) -> SminTail
             )
         return np.count_nonzero(smin[:, None] <= thresholds[None, :], axis=0)
 
-    counts = _sum_over_batches(cfg, kernel)
-    curve = SmallBallCurve(
-        epsilon_grid=cfg.epsilon_grid,
-        hit_counts=tuple(int(c) for c in counts),
-        trials=cfg.trials,
-        confidence=cfg.confidence,
-        scaling="smin-threshold",
-    )
+    curve = _hit_curve(cfg, kernel)
     bounds = []
     limit = math.exp(-bound_cfg.C_main * e.ell)
     for x in eps:

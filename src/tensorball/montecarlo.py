@@ -57,26 +57,31 @@ class ExperimentConfig:
             raise ValidationError("batch_size and threads must be >= 1")
 
 
-def clopper_pearson(hits, trials: int, confidence: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact binomial two-sided confidence bounds from beta quantiles."""
+def _beta_bounds(hits, trials: int, tail: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact binomial bounds with ``tail`` probability beyond each: the
+    ``tail`` quantile of Beta(k, n-k+1) (0 at k = 0) and the ``1 - tail``
+    quantile of Beta(k+1, n-k) (1 at k = n)."""
     # imported here so that runs which report no interval never load scipy
     from scipy.special import betaincinv
 
     k = np.asarray(hits, dtype=float)
-    alpha = 1.0 - confidence
     with np.errstate(invalid="ignore"):
-        low = np.where(k > 0, betaincinv(k, trials - k + 1, alpha / 2), 0.0)
-        high = np.where(k < trials, betaincinv(k + 1, trials - k, 1 - alpha / 2), 1.0)
+        low = np.where(k > 0, betaincinv(k, trials - k + 1, tail), 0.0)
+        high = np.where(k < trials, betaincinv(k + 1, trials - k, 1 - tail), 1.0)
     return low, high
+
+
+def clopper_pearson(hits, trials: int, confidence: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact binomial two-sided confidence bounds from beta quantiles."""
+    return _beta_bounds(hits, trials, (1.0 - confidence) / 2)
 
 
 @dataclass(frozen=True)
 class SmallBallCurve:
-    """Empirical small-ball curve with exact binomial intervals.
+    """Empirical curve of nested hit counts with exact binomial intervals.
 
-    ``scaling`` records the threshold convention the counts were taken
-    against ("eps*sqrt(m)" for subspace events, "eps" for single directions,
-    "smin-threshold" for least-singular-value tails).
+    Counts must be nonincreasing along ``epsilon_grid``; each estimator's
+    docstring states what its grid values threshold.
     """
 
     epsilon_grid: tuple[float, ...]
@@ -85,7 +90,6 @@ class SmallBallCurve:
     confidence: float
     ci_low: tuple[float, ...] = field(init=False)
     ci_high: tuple[float, ...] = field(init=False)
-    scaling: str = "eps"
 
     def __post_init__(self):
         grid = np.asarray(self.epsilon_grid, dtype=float)
@@ -171,34 +175,11 @@ class DominanceReport:
     violation_candidate: bool
 
 
-@dataclass(frozen=True)
-class NormTailCurves:
-    """Empirical upper/lower norm-deviation tails over an increasing t grid."""
+class NormTailCurves(NamedTuple):
+    """Upper and lower norm-deviation tails, each a curve over the increasing t grid."""
 
-    t_grid: tuple[float, ...]
-    upper_counts: tuple[int, ...]
-    lower_counts: tuple[int, ...]
-    trials: int
-    confidence: float
-
-    def __post_init__(self):
-        t = np.asarray(self.t_grid, dtype=float)
-        up = np.asarray(self.upper_counts)
-        lo = np.asarray(self.lower_counts)
-        if t.size < 1 or np.any(np.diff(t) <= 0):
-            raise ValidationError("t_grid must be strictly increasing")
-        if t.shape != up.shape or t.shape != lo.shape:
-            raise ValidationError("count arrays must match the t grid")
-        if np.any(np.diff(up) > 0) or np.any(np.diff(lo) > 0):
-            raise ValidationError("tail counts must be nonincreasing in t (nested events)")
-        object.__setattr__(self, "t_grid", tuple(t.tolist()))
-        object.__setattr__(self, "upper_counts", tuple(int(c) for c in up))
-        object.__setattr__(self, "lower_counts", tuple(int(c) for c in lo))
-
-    def intervals(self):
-        up_lo, up_hi = clopper_pearson(np.asarray(self.upper_counts), self.trials, self.confidence)
-        lo_lo, lo_hi = clopper_pearson(np.asarray(self.lower_counts), self.trials, self.confidence)
-        return (up_lo, up_hi), (lo_lo, lo_hi)
+    upper: SmallBallCurve
+    lower: SmallBallCurve
 
 
 # batches in flight per worker thread when ``threads > 1``
@@ -252,7 +233,13 @@ def _sum_over_batches(cfg: ExperimentConfig, kernel: Callable[[np.random.Generat
     return total
 
 
-def _projection_curve(specs, rows, shape, thresholds, cfg: ExperimentConfig, scaling: str) -> SmallBallCurve:
+def _hit_curve(cfg: ExperimentConfig, kernel: Callable[[np.random.Generator, int], np.ndarray]) -> SmallBallCurve:
+    """The curve of ``kernel``'s per-batch hit counts on ``cfg.epsilon_grid``, summed over the run."""
+    counts = _sum_over_batches(cfg, kernel)
+    return SmallBallCurve(epsilon_grid=cfg.epsilon_grid, hit_counts=counts, trials=cfg.trials, confidence=cfg.confidence)
+
+
+def _projection_curve(specs, rows, shape, thresholds, cfg: ExperimentConfig) -> SmallBallCurve:
     """Counts of ||(<row_k, x_1 x ... x x_l>)_k|| <= threshold, one sample per trial for the whole grid."""
     dims = tuple(s.dim for s in specs)
     if dims != tuple(shape):
@@ -264,14 +251,7 @@ def _projection_curve(specs, rows, shape, thresholds, cfg: ExperimentConfig, sca
         norms = np.sqrt(np.einsum("bm,bm->b", inner, inner))
         return np.count_nonzero(norms[:, None] <= thresholds[None, :], axis=0)
 
-    counts = _sum_over_batches(cfg, kernel)
-    return SmallBallCurve(
-        epsilon_grid=cfg.epsilon_grid,
-        hit_counts=tuple(int(c) for c in counts),
-        trials=cfg.trials,
-        confidence=cfg.confidence,
-        scaling=scaling,
-    )
+    return _hit_curve(cfg, kernel)
 
 
 def estimate_smallball(specs, basis: SubspaceBasis, cfg: ExperimentConfig) -> SmallBallCurve:
@@ -284,7 +264,7 @@ def estimate_smallball(specs, basis: SubspaceBasis, cfg: ExperimentConfig) -> Sm
     if not math.isfinite(cfg.epsilon_grid[0] * root_m):
         raise RangeError(f"threshold eps*sqrt(m) overflows a float at eps = {cfg.epsilon_grid[0]:g}, m = {basis.m}")
     thresholds = np.asarray(cfg.epsilon_grid) * root_m
-    return _projection_curve(specs, basis.rows, basis.shape, thresholds, cfg, "eps*sqrt(m)")
+    return _projection_curve(specs, basis.rows, basis.shape, thresholds, cfg)
 
 
 def estimate_direction_smallball(specs, f: SubspaceBasis, cfg: ExperimentConfig) -> SmallBallCurve:
@@ -294,14 +274,15 @@ def estimate_direction_smallball(specs, f: SubspaceBasis, cfg: ExperimentConfig)
     without the sqrt(m) scaling: sqrt(x*x) == |x| in round-to-nearest
     arithmetic barring over- or underflow, so the counts are those of |<., f>|.
     """
-    return _projection_curve(specs, f.rows, f.shape, np.asarray(cfg.epsilon_grid), cfg, "eps")
+    return _projection_curve(specs, f.rows, f.shape, np.asarray(cfg.epsilon_grid), cfg)
 
 
 def norm_concentration(specs, t_grid, cfg: ExperimentConfig) -> NormTailCurves:
     """Tail frequencies of the tensor norm around its isotropic scale sqrt(prod n_j).
 
     Counts P(prod ||X_j|| >= (1+t) * n^(l/2)) and P(<= (1-t) * n^(l/2)) for
-    every t.  Requires the unit-variance built-in kinds.
+    every t, as two curves on the increasing ``t_grid`` (both tails shrink
+    as t grows).  Requires the unit-variance built-in kinds.
     """
     for spec in specs:
         if spec.kind not in _ISOTROPIC_KINDS:
@@ -329,13 +310,10 @@ def norm_concentration(specs, t_grid, cfg: ExperimentConfig) -> NormTailCurves:
         lower = np.count_nonzero(norm_prod[:, None] <= lower_thr[None, :], axis=0)
         return np.stack([upper, lower])
 
-    both = _sum_over_batches(cfg, kernel)
+    upper, lower = _sum_over_batches(cfg, kernel)
     return NormTailCurves(
-        t_grid=tuple(t.tolist()),
-        upper_counts=tuple(int(c) for c in both[0]),
-        lower_counts=tuple(int(c) for c in both[1]),
-        trials=cfg.trials,
-        confidence=cfg.confidence,
+        upper=SmallBallCurve(epsilon_grid=t, hit_counts=upper, trials=cfg.trials, confidence=cfg.confidence),
+        lower=SmallBallCurve(epsilon_grid=t, hit_counts=lower, trials=cfg.trials, confidence=cfg.confidence),
     )
 
 
@@ -376,12 +354,9 @@ def dominance_test(specs_a, specs_b, body: SlabBody, cfg: ExperimentConfig) -> D
     hits_a = _membership_counts(specs_a, body, cfg)
     hits_b = _membership_counts(specs_b, body, cfg)
     n = cfg.trials
-    from scipy.special import betaincinv
-
     # one-sided bounds at the same confidence level
-    alpha = 1.0 - cfg.confidence
-    lower_a = float(betaincinv(hits_a, n - hits_a + 1, alpha)) if hits_a > 0 else 0.0
-    upper_b = float(betaincinv(hits_b + 1, n - hits_b, 1 - alpha)) if hits_b < n else 1.0
+    low, high = _beta_bounds([hits_a, hits_b], n, 1.0 - cfg.confidence)
+    lower_a, upper_b = float(low[0]), float(high[1])
     gap = lower_a - upper_b
     return DominanceReport(
         trials=n,

@@ -508,6 +508,8 @@ def test_usage_errors():
         (("direction", "--n", "100", "--l", "10"), 2),
         (("smallball", "--subspace", "line", "--n", "100", "--l", "10", "--m", "2"), 2),
         (("dominance", "--n", "1000", "--l", "4"), 2),
+        # 10^6 slab directions of length 10^6: a numpy allocation traceback with exit 1
+        (("dominance", "--n", "10", "--l", "6", "--count", "1000000", "--trials", "100"), 2),
         # n = 1 keeps n^l under the cap, so only the order cap refuses these
         (("smallball", "--n", "1", "--l", "33", "--m", "1"), 2),
         (("direction", "--n", "1", "--l", "33"), 2),
@@ -566,6 +568,7 @@ def test_usage_errors():
     ids=[
         "trials-inf", "trials-fractional", "l-zero", "l-negative", "no-bodies", "m-negative",
         "count-negative", "direction-oversized", "smallball-oversized", "dominance-oversized",
+        "dominance-directions-oversized",
         "smallball-l33", "direction-l33", "bounds-l33", "dominance-l33", "norms-l33", "smin-l33",
         "decompose-l33", "smallball-l65", "direction-l65", "decompose-l65", "bounds-l1023",
         "smallball-l1e9", "decompose-l1e9", "bounds-l1e9", "bounds-n-negative", "bounds-n-zero",
@@ -620,6 +623,25 @@ def test_float_flag_fuzz(tmp_path_factory, data):
     assert "Traceback" not in err.getvalue()
     if code:
         assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+
+
+@pytest.mark.parametrize(
+    "message, line",
+    [
+        ("Unable to allocate 72.8 TiB for an array", "error: Unable to allocate 72.8 TiB for an array"),
+        ("", "error: out of memory"),
+    ],
+)
+def test_failed_allocation_exits_2(tmp_path, capsys, monkeypatch, message, line):
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    # no cap covers norms: n = 10^8 would ask numpy for 72.8 TiB per batch
+    monkeypatch.setattr("tensorball.montecarlo.sample_matrix", refuse)
+    code = run_cli("norms", "--n", "100000000", "--l", "1", "--trials", "1e5", "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not (tmp_path / "out").exists()
 
 
 def run_cli_subprocess(*argv):

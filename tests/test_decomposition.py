@@ -55,6 +55,18 @@ def test_constructor_rejects_noncanonical():
         Rank1Terms.from_raw([np.zeros((2, 1)), ok])
 
 
+def test_constructor_rejects_nan_column():
+    # |norm - 1| > tol is False for a NaN norm, so the check must be written the other way
+    nan_col = np.array([[np.nan], [0.0]])
+    with pytest.raises(ValidationError, match="unit"):
+        Rank1Terms(weights=np.ones(1), factors=(nan_col, np.array([[1.0], [0.0]])))
+
+
+def test_from_raw_rejects_nan_column():
+    with pytest.raises(ValidationError, match="NaN"):
+        Rank1Terms.from_raw([np.array([[np.nan, 1.0], [0.0, 1.0]]), np.eye(2)])
+
+
 def test_reconstruct_oracle():
     terms = Rank1Terms(weights=np.array([2.0, -1.0]), factors=(np.eye(2), np.eye(2)))
     assert np.array_equal(terms.reconstruct(), np.diag([2.0, -1.0]))

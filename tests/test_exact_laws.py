@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,10 +67,12 @@ def test_smallball_at_zero():
     assert product_uniform_smallball(4, 1.0, 0.0) == 0.0
 
 
-def test_smallball_clamps_with_warning():
-    with pytest.warns(UserWarning):
-        v = product_uniform_smallball(2, 1.0, 2.0)
-    assert v == 1.0
+def test_smallball_beyond_support_is_one_without_warning():
+    # the value there is exact, not a clamped extrapolation, so nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert product_uniform_smallball(2, 1.0, 2.0) == 1.0
+        assert product_uniform_smallball(2, 1.0, np.array([0.5, 1.0, 2.0]))[2] == 1.0
 
 
 def test_bound_fixed_subspace_examples():

@@ -135,6 +135,18 @@ def test_ensemble_validation():
         SmoothedEnsemble(r=2, n=3, ell=2, rho=0.1, base=(big, big))
 
 
+def test_ensemble_rejects_nan_rho():
+    base = np.array([[1.0], [0.0]])
+    with pytest.raises(ValidationError, match="rho"):
+        SmoothedEnsemble(r=1, n=2, ell=1, rho=float("nan"), base=(base,))
+
+
+def test_ensemble_rejects_nan_base_column():
+    base = np.array([[1.0, np.nan], [0.0, 0.0]])
+    with pytest.raises(ValidationError, match="base vector norm"):
+        SmoothedEnsemble(r=2, n=2, ell=1, rho=0.5, base=(base,))
+
+
 def smin_cfg(grid, trials=200, seed=0):
     return ExperimentConfig(seed=seed, trials=trials, epsilon_grid=grid, batch_size=100)
 
@@ -172,7 +184,6 @@ def test_smin_tail_thresholds_and_labels():
     grid = (0.1, 0.01)
     res = smin_tail_experiment(e, smin_cfg(grid))
     assert isinstance(res, SminTailResult)
-    assert res.curve.scaling == "smin-threshold"
     pre = math.sqrt(1 - 3 / 9) * (0.5) ** 2
     assert res.thresholds == pytest.approx((pre * 0.1, pre * 0.01))
 

@@ -96,7 +96,6 @@ def test_smallball_deterministic():
     a = estimate_smallball(specs, basis, cfg_of(seed=5))
     b = estimate_smallball(specs, basis, cfg_of(seed=5))
     assert a.hit_counts == b.hit_counts
-    assert a.scaling == "eps*sqrt(m)"
 
 
 def test_threads_do_not_change_counts():
@@ -130,7 +129,6 @@ def test_direction_gaussian_matches_normal_cdf():
     specs = (DistributionSpec(kind="gaussian-std", dim=4),)
     f = diagonal_direction(4, 1)
     curve = estimate_direction_smallball(specs, f, cfg_of(seed=3, trials=200_000))
-    assert curve.scaling == "eps"
     for eps, lo, hi in zip(curve.epsilon_grid, curve.ci_low, curve.ci_high):
         want = 2 * norm.cdf(eps) - 1
         assert lo - 2e-3 <= want <= hi + 2e-3
@@ -144,7 +142,6 @@ def test_direction_counts_equal_one_row_smallball(kind):
     a = estimate_direction_smallball(specs, direction, cfg)
     b = estimate_smallball(specs, direction, cfg)
     assert a.hit_counts == b.hit_counts
-    assert a.scaling == "eps" and b.scaling == "eps*sqrt(m)"
 
 
 def test_direction_cube_matches_product_law():
@@ -160,7 +157,7 @@ def test_norm_concentration_split_at_zero_grid():
     specs = (DistributionSpec(kind="gaussian-std", dim=8),) * 2
     curves = norm_concentration(specs, (1e-9, 0.5), cfg_of(trials=2000, grid=(1.0, 0.5)))
     # thresholds straddle the scale: essentially every draw is on one side
-    assert curves.upper_counts[0] + curves.lower_counts[0] == 2000
+    assert curves.upper.hit_counts[0] + curves.lower.hit_counts[0] == 2000
 
 
 def test_norm_concentration_support_bound():
@@ -168,7 +165,7 @@ def test_norm_concentration_support_bound():
     specs = (DistributionSpec(kind="uniform-cube-sqrt3", dim=4),) * ell
     t = 3.0 ** (ell / 2.0) - 1.0
     curves = norm_concentration(specs, (0.5, t), cfg_of(trials=5000, grid=(1.0, 0.5)))
-    assert curves.upper_counts[-1] == 0
+    assert curves.upper.hit_counts[-1] == 0
 
 
 def test_norm_concentration_rejects_anisotropic():
@@ -201,6 +198,37 @@ def test_dominance_histogram_vs_matched_cube():
     )
     assert not rep.violation_candidate
     assert rep.p_hat_a <= rep.p_hat_b + 0.01
+
+
+@pytest.mark.parametrize("trials", [100, 7001])
+@pytest.mark.parametrize("confidence", [0.9, 0.99, 0.999])
+def test_dominance_one_sided_bounds_are_beta_quantiles(monkeypatch, trials, confidence):
+    from scipy.special import betaincinv
+
+    body = SlabBody.random(4, 3, 1.0, np.random.default_rng(0))
+    cfg = cfg_of(trials=trials, grid=(1.0, 0.5), confidence=confidence)
+    for k in (0, 1, trials - 1, trials):
+        monkeypatch.setattr(montecarlo, "_membership_counts", lambda specs, body, cfg: k)
+        rep = dominance_test(GAUSS2, GAUSS2, body, cfg)
+        want_low = betaincinv(k, trials - k + 1, 1 - confidence) if k > 0 else 0.0
+        want_high = betaincinv(k + 1, trials - k, confidence) if k < trials else 1.0
+        assert (rep.hits_a, rep.hits_b) == (k, k)
+        assert type(rep.lower_a_one_sided) is float and type(rep.upper_b_one_sided) is float
+        assert rep.lower_a_one_sided == want_low and rep.upper_b_one_sided == want_high
+        assert rep.gap == want_low - want_high
+
+
+def test_norm_tail_intervals_are_clopper_pearson_of_their_counts():
+    specs = (DistributionSpec(kind="gaussian-std", dim=8),) * 2
+    t_grid = (0.01, 0.1, 0.3, 3.0)
+    curves = norm_concentration(specs, t_grid, cfg_of(seed=2, trials=3000, grid=(1.0, 0.5), confidence=0.95))
+    for curve in curves:
+        assert curve.epsilon_grid == t_grid and curve.trials == 3000
+        low, high = clopper_pearson(curve.hit_counts, 3000, 0.95)
+        assert curve.ci_low == tuple(low.tolist()) and curve.ci_high == tuple(high.tolist())
+    # t = 3 lies past both tails: a zero count, whose interval starts at 0
+    assert curves.upper.hit_counts[-1] == curves.lower.hit_counts[-1] == 0
+    assert curves.upper.ci_low[-1] == 0.0
 
 
 def synthetic_curve(fn, grid, trials=1_000_000):
@@ -330,7 +358,7 @@ def test_norm_concentration_matches_linalg_norm():
         upper += np.count_nonzero(norm_prod[:, None] >= (1.0 + t) * scale, axis=0)
         lower += np.count_nonzero(norm_prod[:, None] <= (1.0 - t) * scale, axis=0)
     curves = norm_concentration(specs, tuple(t), cfg)
-    assert curves.upper_counts == tuple(upper) and curves.lower_counts == tuple(lower)
+    assert curves.upper.hit_counts == tuple(upper) and curves.lower.hit_counts == tuple(lower)
     assert upper[0] > 0 and lower[0] > 0
 
 

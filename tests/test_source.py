@@ -71,3 +71,22 @@ def test_cli_start_up_leaves_out_the_gates():
     proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+def test_betaincinv_lives_in_one_function():
+    """Every exact binomial interval comes from one beta-quantile routine."""
+    owners = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+            if "betaincinv" not in names:
+                continue
+            owner = node
+            while owner is not None and not isinstance(owner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = parent.get(owner)
+            owners.add(f"{path.name}:{owner.name if owner else '<module>'}")
+    assert owners == {"montecarlo.py:_beta_bounds"}
