@@ -8,7 +8,6 @@ from .decomposition import (
     RecoveryReport,
     contract_mode3,
     decompose_smoothed,
-    fold_higher_order,
     match_components,
     simultaneous_diagonalize,
     unfold_terms,

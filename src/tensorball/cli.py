@@ -159,7 +159,6 @@ def _experiment_config(cfg: dict) -> ExperimentConfig:
     return ExperimentConfig(
         seed=cfg["seed"],
         trials=cfg["trials"],
-        epsilon_grid=tuple(cfg["eps_grid"]),
         confidence=cfg["confidence"],
         batch_size=cfg["batch_size"],
         threads=cfg["threads"],
@@ -189,18 +188,18 @@ def _resolve_subspace(cfg: dict) -> SubspaceBasis:
 
 def _run_smallball(cfg: dict, stamp: str) -> list[tuple[str, bytes]]:
     basis = _resolve_subspace(cfg)
-    curve = estimate_smallball(_specs(cfg), basis, _experiment_config(cfg))
+    curve = estimate_smallball(_specs(cfg), basis, _experiment_config(cfg), cfg["eps_grid"])
     return [("smallball.csv", curve_csv_bytes(curve, comment=f"manifest: {stamp}"))]
 
 
 def _run_direction(cfg: dict, stamp: str) -> list[tuple[str, bytes]]:
     direction = diagonal_direction(cfg["n"], cfg["ell"])
-    curve = estimate_direction_smallball(_specs(cfg), direction, _experiment_config(cfg))
+    curve = estimate_direction_smallball(_specs(cfg), direction, _experiment_config(cfg), cfg["eps_grid"])
     extra = None
     kind = _DIST_KINDS[cfg["dist"]]
     if kind.startswith("uniform-cube"):
         support = math.sqrt(3.0) if kind == "uniform-cube-sqrt3" else 1.0
-        exact = [float(product_uniform_smallball(cfg["ell"], support, e)) for e in curve.epsilon_grid]
+        exact = [float(product_uniform_smallball(cfg["ell"], support, e)) for e in cfg["eps_grid"]]
         extra = {"exact": exact}
     return [("direction.csv", curve_csv_bytes(curve, extra_columns=extra, comment=f"manifest: {stamp}"))]
 
@@ -244,12 +243,7 @@ def _run_dominance(cfg: dict, stamp: str) -> list[tuple[str, bytes]]:
     rows = []
     for b in range(cfg["bodies"]):
         body = SlabBody.random(dim, cfg["count"], cfg["scale"], _aux_rng(cfg["seed"], b))
-        rep = dominance_test(
-            (spec,) * cfg["ell"],
-            (cube,) * cfg["ell"],
-            body,
-            _experiment_config({**cfg, "eps_grid": (1.0, 0.5)}),
-        )
+        rep = dominance_test((spec,) * cfg["ell"], (cube,) * cfg["ell"], body, _experiment_config(cfg))
         rows.append(
             {
                 "body": b,
@@ -268,10 +262,10 @@ def _run_dominance(cfg: dict, stamp: str) -> list[tuple[str, bytes]]:
 
 
 def _run_norms(cfg: dict, stamp: str) -> list[tuple[str, bytes]]:
-    t_grid = tuple(sorted(cfg["t_grid"]))
-    upper, lower = norm_concentration(_specs(cfg), t_grid, _experiment_config({**cfg, "eps_grid": (1.0, 0.5)}))
+    t_grid = tuple(float(t) for t in sorted(cfg["t_grid"]))
+    upper, lower = norm_concentration(_specs(cfg), t_grid, _experiment_config(cfg))
     rows = []
-    for i, t in enumerate(upper.epsilon_grid):
+    for i, t in enumerate(t_grid):
         rows.append(
             {
                 "t": t,
@@ -291,7 +285,7 @@ def _run_norms(cfg: dict, stamp: str) -> list[tuple[str, bytes]]:
 
 def _run_smin(cfg: dict, stamp: str) -> list[tuple[str, bytes]]:
     ensemble = SmoothedEnsemble.random(cfg["r"], cfg["n"], cfg["ell"], cfg["rho"], rng=_aux_rng(cfg["seed"], 0))
-    result = smin_tail_experiment(ensemble, _experiment_config(cfg))
+    result = smin_tail_experiment(ensemble, _experiment_config(cfg), cfg["eps_grid"])
     extra = {"threshold": list(result.thresholds), "bound": list(result.bound_values)}
     return [("smin.csv", curve_csv_bytes(result.curve, extra_columns=extra, comment=f"manifest: {stamp}"))]
 

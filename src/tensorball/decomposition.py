@@ -51,6 +51,8 @@ class Rank1Terms:
         r = w.size
         if len(mats) < 1 or any(m.shape[1] != r for m in mats):
             raise ValidationError("each factor matrix needs one column per weight")
+        if not np.all(np.isfinite(w)):
+            raise ValidationError("weights must be finite")
         for j, m in enumerate(mats):
             norms = np.linalg.norm(m, axis=0)
             # written so that a NaN norm fails it
@@ -328,16 +330,6 @@ def folding_plan(shape) -> FoldingPlan:
     g1 = (ell - 1) // 2
     groups = (tuple(range(g1)), tuple(range(g1, ell - 1)), (ell - 1,))
     return FoldingPlan(shape=shape, groups=groups)
-
-
-def fold_higher_order(terms: Rank1Terms) -> tuple[FoldingPlan, Rank1Terms]:
-    """Group the modes of order >= 4 terms into order-3 Khatri-Rao flattenings."""
-    if terms.order < 4:
-        raise ValidationError(f"fold_higher_order needs order >= 4, got {terms.order}")
-    plan = folding_plan(terms.shape)
-    grouped = [khatri_rao([terms.factors[j] for j in g]) for g in plan.groups]
-    folded = Rank1Terms.from_raw(grouped, weights=terms.weights.copy())
-    return plan, folded
 
 
 def _best_rank1(vecs: np.ndarray, dims: tuple[int, ...]):

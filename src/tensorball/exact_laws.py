@@ -3,7 +3,8 @@
 The anti-concentration bounds carry universal constants that are never
 pinned down; they are exposed as ``BoundConfig`` fields defaulting to 1 so
 curves can be overlaid on empirical data.  Every evaluator that bounds a
-probability caps its value at 1.
+probability caps its value at 1.  Every range check is written so that NaN
+fails it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import RangeError, ValidationError
+from .errors import HypothesisViolationError, RangeError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ def product_uniform_cdf(ell: int, z):
         raise ValidationError(f"ell must be >= 1, got {ell}")
     z, scalar = _as_array(z)
     az = np.abs(z)
-    if np.any(az > 1):
+    if not np.all(az <= 1):
         raise RangeError("product_uniform_cdf requires |z| <= 1 (the product lives in [-1, 1])")
     with np.errstate(divide="ignore"):
         log_inv = np.where(az > 0, -np.log(az), 0.0)
@@ -83,10 +84,10 @@ def product_uniform_smallball(ell: int, s: float, eps):
     variables, i.e. F(eps / s^ell) - F(-eps / s^ell).  Beyond the support
     radius s^ell the probability is exactly 1.
     """
-    if s <= 0:
+    if not s > 0:
         raise ValidationError(f"half-width s must be positive, got {s}")
     eps, scalar = _as_array(eps)
-    if np.any(eps < 0):
+    if not np.all(eps >= 0):
         raise ValidationError("eps must be nonnegative")
     support = s**ell
     clipped = eps > support
@@ -98,7 +99,7 @@ def product_uniform_smallball(ell: int, s: float, eps):
 
 def _check_eps_validity(eps, ell, c_small, what):
     thr = math.exp(-c_small * ell)
-    if np.any(eps <= 0) or np.any(eps >= thr):
+    if not np.all((eps > 0) & (eps < thr)):
         raise RangeError(
             f"{what} is valid for 0 < eps < exp(-c_small*ell) = {thr:.6g} "
             f"(anti-concentration validity range); got eps outside it"
@@ -142,7 +143,7 @@ def bound_generic_subspace(eps, m: int, n: int, ell: int, cfg: BoundConfig = Bou
     if m < 1 or n < 1 or ell < 1:
         raise ValidationError("m, n and ell must be positive")
     eps, scalar = _as_array(eps)
-    if np.any(eps <= 0) or np.any(eps >= 1):
+    if not np.all((eps > 0) & (eps < 1)):
         raise RangeError("bound_generic_subspace requires 0 < eps < 1")
     out = _cap((cfg.C_prime * eps) ** (cfg.C_dprime * min(m, n)) + math.exp(-cfg.C_main * n))
     return _ret(out, scalar)
@@ -153,7 +154,7 @@ def bound_carbery_wright(eps, ell: int, cfg: BoundConfig = BoundConfig()):
     if ell < 1:
         raise ValidationError(f"ell must be >= 1, got {ell}")
     eps, scalar = _as_array(eps)
-    if np.any(eps < 0) or np.any(eps > 1):
+    if not np.all((eps >= 0) & (eps <= 1)):
         raise RangeError("bound_carbery_wright requires 0 <= eps <= 1")
     out = _cap(cfg.C_main * ell * eps ** (1.0 / ell))
     return _ret(out, scalar)
@@ -173,7 +174,7 @@ def bound_nondeterministic(eps, n: int, ell: int, m: int) -> NondeterministicBou
     if not 0 <= m <= n**ell:
         raise ValidationError(f"need 0 <= m <= n^ell = {n ** ell}, got m = {m}")
     eps, scalar = _as_array(eps)
-    if np.any(eps < 0):
+    if not np.all(eps >= 0):
         raise ValidationError("eps must be nonnegative")
     e_star = (n - (n**ell - m) ** (1.0 / ell)) / ell
     prefactor = 2.0 * n ** (ell - 1) * math.sqrt(n) ** (ell * e_star)
@@ -195,7 +196,7 @@ def bound_concentration_subgaussian(
     if m < 1 or n < 1 or ell < 1:
         raise ValidationError("m, n and ell must be positive")
     eps, scalar = _as_array(eps)
-    if np.any(eps < 0) or np.any(eps > 1):
+    if not np.all((eps >= 0) & (eps <= 1)):
         raise RangeError("bound_concentration_subgaussian requires 0 <= eps <= 1")
     rate = cfg.C_main * (1.0 - eps) ** 2 * m / n ** (ell - 1)
     if variant == "vershynin":
@@ -210,7 +211,7 @@ def sharpness_lower_bound(eps, ell: int, cfg: BoundConfig = BoundConfig()):
     if ell < 2:
         raise ValidationError(f"ell must be >= 2, got {ell}")
     eps, scalar = _as_array(eps)
-    if np.any(eps <= 0) or np.any(eps >= 1):
+    if not np.all((eps > 0) & (eps < 1)):
         raise RangeError("sharpness_lower_bound requires 0 < eps < 1")
     log_inv = np.log(1.0 / eps)
     out = _cap(cfg.C_main * eps / math.factorial(ell - 2) * log_inv ** (ell - 2))
@@ -225,15 +226,13 @@ def bound_smin_tail(eps, r: int, n: int, ell: int, rho: float, cfg: BoundConfig 
     bound = eps * r / (ell-1)! * (C' log(1/eps))^ell, capped at 1.
     Requires r <= n^ell / 2 and 0 < eps < exp(-C_main * ell).
     """
-    from .errors import HypothesisViolationError
-
-    if r < 1 or n < 1 or ell < 1 or rho <= 0:
+    if r < 1 or n < 1 or ell < 1 or not rho > 0:
         raise ValidationError("r, n, ell must be positive and rho > 0")
     if r > n**ell / 2:
         raise HypothesisViolationError(f"need r <= n^ell/2 = {n ** ell / 2}, got r = {r}")
     eps, scalar = _as_array(eps)
     thr_limit = math.exp(-cfg.C_main * ell)
-    if np.any(eps <= 0) or np.any(eps >= thr_limit):
+    if not np.all((eps > 0) & (eps < thr_limit)):
         raise RangeError(
             f"bound_smin_tail is valid for 0 < eps < exp(-C_main*ell) = {thr_limit:.6g}"
         )

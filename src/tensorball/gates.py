@@ -84,11 +84,11 @@ def single_direction_sharpness():
     started = time.perf_counter()
     grid = tuple(sorted((float(e) for e in np.geomspace(1e-3, 1e-1, 20)), reverse=True))
     specs = (DistributionSpec(kind="uniform-cube-unit", dim=8),) * 3
-    cfg = ExperimentConfig(seed=SEED, trials=1_000_000, epsilon_grid=grid, confidence=0.999)
-    curve = estimate_direction_smallball(specs, diagonal_direction(8, 3), cfg)
+    cfg = ExperimentConfig(seed=SEED, trials=1_000_000, confidence=0.999)
+    curve = estimate_direction_smallball(specs, diagonal_direction(8, 3), cfg, grid)
     inside = sum(
         lo <= product_uniform_smallball(3, 1.0, e) <= hi
-        for e, lo, hi in zip(curve.epsilon_grid, curve.ci_low, curve.ci_high)
+        for e, lo, hi in zip(grid, curve.ci_low, curve.ci_high)
     )
     fit = fit_slope(curve, (1e-3, 1e-1), deflate_log_power=2)
     ok = inside == len(grid) and abs(fit.slope - 1.0) <= 0.15
@@ -100,9 +100,9 @@ def fixed_vs_generic_separation():
     started = time.perf_counter()
     grid = (0.6, 0.5, 0.4, 0.3, 0.24, 0.19, 0.15, 0.12, 0.1, 0.08, 0.063, 0.05, 0.04, 0.03)
     specs = (DistributionSpec(kind="uniform-cube-sqrt3", dim=4),) * 2
-    cfg = ExperimentConfig(seed=SEED, trials=1_000_000, epsilon_grid=grid, confidence=0.99)
-    line = estimate_smallball(specs, coordinate_line_subspace(4, 2, 4), cfg)
-    haar = estimate_smallball(specs, haar_subspace((4, 4), 4, _aux_rng(0)), cfg)
+    cfg = ExperimentConfig(seed=SEED, trials=1_000_000, confidence=0.99)
+    line = estimate_smallball(specs, coordinate_line_subspace(4, 2, 4), cfg, grid)
+    haar = estimate_smallball(specs, haar_subspace((4, 4), 4, _aux_rng(0)), cfg, grid)
     i = grid.index(0.1)
     disjoint = haar.ci_high[i] < line.ci_low[i]
     slope_gap = fit_slope(haar, (0.05, 0.3)).slope - fit_slope(line, (0.05, 0.3)).slope
@@ -122,7 +122,7 @@ def dominance_by_matched_cube():
         DistributionSpec(kind="symmetric-exponential-unitvar", dim=2),
         DistributionSpec(kind="histogram", dim=2, histogram=hist),
     )
-    cfg = ExperimentConfig(seed=SEED, trials=1_000_000, epsilon_grid=(1.0, 0.5), confidence=0.99)
+    cfg = ExperimentConfig(seed=SEED, trials=1_000_000, confidence=0.99)
     violations = 0
     for li, law in enumerate(laws):
         cube = matched_cube(law)
@@ -137,7 +137,7 @@ def norm_concentration_tails():
     started = time.perf_counter()
     specs = (DistributionSpec(kind="gaussian-std", dim=64),) * 2
     t_grid = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-    cfg = ExperimentConfig(seed=SEED, trials=100_000, epsilon_grid=(1.0, 0.5))
+    cfg = ExperimentConfig(seed=SEED, trials=100_000)
     upper, lower = norm_concentration(specs, t_grid, cfg)
     p_half = upper.hit_counts[t_grid.index(0.5)] / upper.trials
     nested = (
@@ -152,8 +152,8 @@ def smoothed_smin_tail_slope():
     started = time.perf_counter()
     grid = tuple(sorted((float(e) for e in np.geomspace(0.01, 3.0, 22)), reverse=True))
     ensemble = SmoothedEnsemble.random(8, 6, 2, 1.0, rng=_aux_rng(0))
-    cfg = ExperimentConfig(seed=SEED, trials=10_000, epsilon_grid=grid)
-    result = smin_tail_experiment(ensemble, cfg)
+    cfg = ExperimentConfig(seed=SEED, trials=10_000)
+    result = smin_tail_experiment(ensemble, cfg, grid)
     counts = np.asarray(result.curve.hit_counts)
     ok_idx = np.flatnonzero(counts >= 30)
     estar = grid[int(ok_idx.max())]
@@ -200,12 +200,10 @@ def determinism():
     basis = coordinate_line_subspace(3, 2, 2)
     grid = (0.5, 0.1)
     serial = estimate_smallball(
-        specs, basis,
-        ExperimentConfig(seed=SEED, trials=40_000, epsilon_grid=grid, batch_size=10_000, threads=1),
+        specs, basis, ExperimentConfig(seed=SEED, trials=40_000, batch_size=10_000, threads=1), grid
     )
     threaded = estimate_smallball(
-        specs, basis,
-        ExperimentConfig(seed=SEED, trials=40_000, epsilon_grid=grid, batch_size=10_000, threads=4),
+        specs, basis, ExperimentConfig(seed=SEED, trials=40_000, batch_size=10_000, threads=4), grid
     )
     same_counts = serial.hit_counts == threaded.hit_counts
     ok = byte_identical and same_counts

@@ -149,7 +149,61 @@ class SminTailResult:
     bound_values: tuple[float, ...]
 
 
-def smin_tail_experiment(e: SmoothedEnsemble, cfg: ExperimentConfig) -> SminTailResult:
+def _smin_hits(e: SmoothedEnsemble, thresholds: np.ndarray, rng, size: int) -> np.ndarray:
+    """One batch of ``smin_tail_experiment``: hit counts of s_min <= each threshold."""
+    sigma = e.rho / math.sqrt(e.n)
+    mats = [e.base[j][None, :, :] + sigma * rng.standard_normal((size, e.n, e.r)) for j in range(e.ell)]
+    gram = np.matmul(mats[0].transpose(0, 2, 1), mats[0])
+    for a in mats[1:]:
+        gram *= np.matmul(a.transpose(0, 2, 1), a)
+    lam = np.linalg.eigvalsh(gram)
+    # Why the band certifies the count.  With u the unit roundoff, each
+    # computed Gram entry is off by at most n*u*|a_i||a_k| per mode, so
+    # the Hadamard product G is off entrywise by at most about
+    # ell*(n+1)*u*d_i*d_k, d_i = sqrt(G_ii) the Khatri-Rao column norms;
+    # that error matrix has spectral norm <= ell*(n+1)*u*trace(G), and by
+    # Weyl it moves every eigenvalue by no more.  ``eigvalsh`` is
+    # backward stable and adds O(u)*||G|| <= O(u)*trace(G); the reference
+    # SVD's s_min, rounding of the Khatri-Rao entries included, is off by
+    # O(ell*u)*s_max, so its square by O(ell*u)*trace(G).
+    # Measured, the computed lambda_min and the SVD's s_min^2 differ by
+    # under 4e-16*trace(G) (r up to 40, n up to 12, ell up to 4), so 1e-10
+    # leaves about six orders of headroom, and it keeps the worst-case
+    # bound ~100x inside the band while ell*(n+1) < 1e4.  Outside the
+    # band, lambda_min <= t^2 and the SVD's s_min <= t therefore agree:
+    # the count is the SVD's count, not a close one.  Inside it (or near
+    # lambda_min = 0, where squaring loses the small singular values) the
+    # trial is redone by SVD.  NaN fails every comparison below, so it is
+    # redone too.
+    band = _GRAM_BAND * np.trace(gram, axis1=1, axis2=2)
+    lam_min = lam[:, 0]
+    certified = (
+        np.all(np.isfinite(lam), axis=1)
+        & (lam_min > band)
+        & np.all(np.abs(lam_min[:, None] - thresholds[None, :] ** 2) > band[:, None], axis=1)
+    )
+    smin = np.empty(size)
+    pinv_sq = np.empty(size)
+    smin[certified] = np.sqrt(lam_min[certified])
+    pinv_sq[certified] = np.sum(1.0 / lam[certified], axis=1)
+    finite = certified.copy()
+    redo = np.flatnonzero(~certified)
+    if redo.size:
+        s = np.linalg.svd(kron([a[redo] for a in mats]), compute_uv=False)
+        smin[redo] = s[:, -1]
+        pinv_sq[redo] = np.sum(1.0 / s**2, axis=1)
+        finite[redo] = np.all(np.isfinite(s), axis=1)
+    inv_sq = 1.0 / smin**2
+    ok = finite & (pinv_sq >= inv_sq * (1 - 1e-9)) & (pinv_sq <= e.r * inv_sq * (1 + 1e-9))
+    if not np.all(ok):
+        raise DegeneracyError(
+            f"singular-value sandwich violated on {size - np.count_nonzero(ok)} of {size} draws"
+            " (non-finite or misordered singular values)"
+        )
+    return np.count_nonzero(smin[:, None] <= thresholds[None, :], axis=0)
+
+
+def smin_tail_experiment(e: SmoothedEnsemble, cfg: ExperimentConfig, eps_grid) -> SminTailResult:
     """Monte-Carlo lower tail of s_min of the smoothed Khatri-Rao matrix.
 
     Per trial, draws the smoothed factors A_1..A_ell and takes s_min^2 as the
@@ -158,10 +212,11 @@ def smin_tail_experiment(e: SmoothedEnsemble, cfg: ExperimentConfig) -> SminTail
     eigenvalue is non-finite, at most ``_GRAM_BAND * trace(G)``, or within
     that band of a squared threshold is redone by full SVD of its Khatri-Rao
     matrix, so every hit count equals the SVD's count.  Hits are counted
-    against the threshold grid sqrt(1 - r/n^ell) * (c rho)^ell * eps.  The
-    singular-value sandwich 1/s_min^2 <= ||A^+||_HS^2 <= r/s_min^2 is checked
-    on every draw, from the eigenvalues or the redone singular values; a
-    failure (non-finite or misordered values) raises ``DegeneracyError``.
+    against the thresholds sqrt(1 - r/n^ell) * (c rho)^ell * eps, one per
+    point of the decreasing ``eps_grid``.  The singular-value sandwich
+    1/s_min^2 <= ||A^+||_HS^2 <= r/s_min^2 is checked on every draw, from
+    the eigenvalues or the redone singular values; a failure (non-finite or
+    misordered values) raises ``DegeneracyError``.
     Memory per batch is O(size * (ell*n*r + r^2)) plus the n^ell x r
     matrices of the redone trials.  The constants c and C are those of the
     default ``BoundConfig``.
@@ -171,72 +226,22 @@ def smin_tail_experiment(e: SmoothedEnsemble, cfg: ExperimentConfig) -> SminTail
         raise HypothesisViolationError(f"need r <= n^ell/2 = {e.n ** e.ell / 2}, got r = {e.r}")
     if e.rho <= 0:
         raise ValidationError("the smoothed experiment needs rho > 0")
-    eps = np.asarray(cfg.epsilon_grid)
     try:
         prefactor = math.sqrt(1.0 - e.r / e.n**e.ell) * (bound_cfg.c_small * e.rho) ** e.ell
     except OverflowError:
         prefactor = math.inf
-    # squared thresholds meet Gram eigenvalues, so they too must be finite floats,
-    # the largest grid threshold's as well as the scale's
-    widest = prefactor * max(1.0, cfg.epsilon_grid[0])
-    if not math.isfinite(widest * widest):
-        raise RangeError(f"squared threshold overflows a float at rho = {e.rho:g}, l = {e.ell}, eps = {cfg.epsilon_grid[0]:g}")
-    thresholds = prefactor * eps
-    thresholds_sq = thresholds**2
-    sigma = e.rho / math.sqrt(e.n)
 
-    def kernel(rng, size):
-        mats = [e.base[j][None, :, :] + sigma * rng.standard_normal((size, e.n, e.r)) for j in range(e.ell)]
-        gram = np.matmul(mats[0].transpose(0, 2, 1), mats[0])
-        for a in mats[1:]:
-            gram *= np.matmul(a.transpose(0, 2, 1), a)
-        lam = np.linalg.eigvalsh(gram)
-        # Why the band certifies the count.  With u the unit roundoff, each
-        # computed Gram entry is off by at most n*u*|a_i||a_k| per mode, so
-        # the Hadamard product G is off entrywise by at most about
-        # ell*(n+1)*u*d_i*d_k, d_i = sqrt(G_ii) the Khatri-Rao column norms;
-        # that error matrix has spectral norm <= ell*(n+1)*u*trace(G), and by
-        # Weyl it moves every eigenvalue by no more.  ``eigvalsh`` is
-        # backward stable and adds O(u)*||G|| <= O(u)*trace(G); the reference
-        # SVD's s_min, rounding of the Khatri-Rao entries included, is off by
-        # O(ell*u)*s_max, so its square by O(ell*u)*trace(G).
-        # Measured, the computed lambda_min and the SVD's s_min^2 differ by
-        # under 4e-16*trace(G) (r up to 40, n up to 12, ell up to 4), so 1e-10
-        # leaves about six orders of headroom, and it keeps the worst-case
-        # bound ~100x inside the band while ell*(n+1) < 1e4.  Outside the
-        # band, lambda_min <= t^2 and the SVD's s_min <= t therefore agree:
-        # the count is the SVD's count, not a close one.  Inside it (or near
-        # lambda_min = 0, where squaring loses the small singular values) the
-        # trial is redone by SVD.  NaN fails every comparison below, so it is
-        # redone too.
-        band = _GRAM_BAND * np.trace(gram, axis1=1, axis2=2)
-        lam_min = lam[:, 0]
-        certified = (
-            np.all(np.isfinite(lam), axis=1)
-            & (lam_min > band)
-            & np.all(np.abs(lam_min[:, None] - thresholds_sq[None, :]) > band[:, None], axis=1)
-        )
-        smin = np.empty(size)
-        pinv_sq = np.empty(size)
-        smin[certified] = np.sqrt(lam_min[certified])
-        pinv_sq[certified] = np.sum(1.0 / lam[certified], axis=1)
-        finite = certified.copy()
-        redo = np.flatnonzero(~certified)
-        if redo.size:
-            s = np.linalg.svd(kron([a[redo] for a in mats]), compute_uv=False)
-            smin[redo] = s[:, -1]
-            pinv_sq[redo] = np.sum(1.0 / s**2, axis=1)
-            finite[redo] = np.all(np.isfinite(s), axis=1)
-        inv_sq = 1.0 / smin**2
-        ok = finite & (pinv_sq >= inv_sq * (1 - 1e-9)) & (pinv_sq <= e.r * inv_sq * (1 + 1e-9))
-        if not np.all(ok):
-            raise DegeneracyError(
-                f"singular-value sandwich violated on {size - np.count_nonzero(ok)} of {size} draws"
-                " (non-finite or misordered singular values)"
-            )
-        return np.count_nonzero(smin[:, None] <= thresholds[None, :], axis=0)
+    def kernel_for(eps):
+        # squared thresholds meet Gram eigenvalues, so they too must be finite floats,
+        # the largest grid threshold's as well as the scale's
+        widest = prefactor * max(1.0, float(eps[0]))
+        if not math.isfinite(widest * widest):
+            raise RangeError(f"squared threshold overflows a float at rho = {e.rho:g}, l = {e.ell}, eps = {eps[0]:g}")
+        thresholds = prefactor * eps
+        return lambda rng, size: _smin_hits(e, thresholds, rng, size)
 
-    curve = _hit_curve(cfg, kernel)
+    curve = _hit_curve(cfg, eps_grid, kernel_for)
+    eps = np.asarray(curve.epsilon_grid)
     bounds = []
     limit = math.exp(-bound_cfg.C_main * e.ell)
     for x in eps:
@@ -244,4 +249,4 @@ def smin_tail_experiment(e: SmoothedEnsemble, cfg: ExperimentConfig) -> SminTail
             bounds.append(bound_smin_tail(float(x), e.r, e.n, e.ell, e.rho, bound_cfg)[1])
         else:
             bounds.append(math.nan)
-    return SminTailResult(curve=curve, thresholds=tuple(thresholds.tolist()), bound_values=tuple(bounds))
+    return SminTailResult(curve=curve, thresholds=tuple((prefactor * eps).tolist()), bound_values=tuple(bounds))

@@ -28,14 +28,13 @@ _ISOTROPIC_KINDS = ("uniform-cube-sqrt3", "gaussian-std", "symmetric-exponential
 class ExperimentConfig:
     """Reproducibility contract for one experiment run.
 
-    ``epsilon_grid`` must be strictly decreasing so nested-event counts are
-    monotone along the grid.  ``batch_size`` defines the deterministic batch
-    partition; ``threads`` only changes scheduling, never results.
+    ``batch_size`` defines the deterministic batch partition; ``threads``
+    only changes scheduling, never results.  A grid is not part of the run:
+    the estimators that count on one take it as an argument.
     """
 
     seed: int
     trials: int
-    epsilon_grid: tuple[float, ...]
     confidence: float = 0.99
     batch_size: int = 100_000
     threads: int = 1
@@ -43,14 +42,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not isinstance(self.trials, (int, np.integer)):
-            raise ValidationError(f"trials must be an integer, got {self.trials!r}")
+        counts = {"trials": self.trials, "batch_size": self.batch_size, "threads": self.threads}
+        if not all(isinstance(v, (int, np.integer)) for v in counts.values()):
+            raise ValidationError(f"trials, batch_size and threads must be integers, got {counts}")
         if self.trials < 100:
             raise ValidationError(f"need at least 100 trials, got {self.trials}")
-        grid = np.asarray(self.epsilon_grid, dtype=float)
-        if grid.size < 1 or np.any(grid <= 0) or np.any(np.diff(grid) >= 0):
-            raise ValidationError("epsilon_grid must be strictly decreasing positive reals")
-        object.__setattr__(self, "epsilon_grid", tuple(grid.tolist()))
         if not 0 < self.confidence < 1:
             raise ValidationError(f"confidence must lie in (0, 1), got {self.confidence}")
         if self.batch_size < 1 or self.threads < 1:
@@ -233,48 +229,57 @@ def _sum_over_batches(cfg: ExperimentConfig, kernel: Callable[[np.random.Generat
     return total
 
 
-def _hit_curve(cfg: ExperimentConfig, kernel: Callable[[np.random.Generator, int], np.ndarray]) -> SmallBallCurve:
-    """The curve of ``kernel``'s per-batch hit counts on ``cfg.epsilon_grid``, summed over the run."""
-    counts = _sum_over_batches(cfg, kernel)
-    return SmallBallCurve(epsilon_grid=cfg.epsilon_grid, hit_counts=counts, trials=cfg.trials, confidence=cfg.confidence)
+def _hit_curve(cfg: ExperimentConfig, eps_grid, kernel_for) -> SmallBallCurve:
+    """The curve of the hit counts of ``kernel_for(eps)``, the per-batch counter on the
+    checked grid, summed over the run.  This is the one check of an epsilon grid:
+    finite, positive and strictly decreasing, so the counted events are nested."""
+    eps = np.asarray(eps_grid, dtype=float)
+    # written so that NaN fails it
+    if eps.ndim != 1 or eps.size < 1 or not (np.all(np.isfinite(eps) & (eps > 0)) and np.all(np.diff(eps) < 0)):
+        raise ValidationError(f"eps_grid must be strictly decreasing positive reals, got {eps_grid!r}")
+    counts = _sum_over_batches(cfg, kernel_for(eps))
+    return SmallBallCurve(epsilon_grid=eps, hit_counts=counts, trials=cfg.trials, confidence=cfg.confidence)
 
 
-def _projection_curve(specs, rows, shape, thresholds, cfg: ExperimentConfig) -> SmallBallCurve:
-    """Counts of ||(<row_k, x_1 x ... x x_l>)_k|| <= threshold, one sample per trial for the whole grid."""
+def _projection_curve(specs, basis: SubspaceBasis, cfg: ExperimentConfig, eps_grid, scale: float) -> SmallBallCurve:
+    """Counts of ||(<row_k, x_1 x ... x x_l>)_k|| <= scale * eps, one sample per trial for the whole grid."""
     dims = tuple(s.dim for s in specs)
-    if dims != tuple(shape):
-        raise ValidationError(f"factor dims {dims} do not match shape {tuple(shape)}")
+    if dims != basis.shape:
+        raise ValidationError(f"factor dims {dims} do not match shape {basis.shape}")
 
-    def kernel(rng, size):
-        xs = [sample_matrix(s, rng, size) for s in specs]
-        inner = contract(rows, shape, xs)
-        norms = np.sqrt(np.einsum("bm,bm->b", inner, inner))
-        return np.count_nonzero(norms[:, None] <= thresholds[None, :], axis=0)
+    def kernel_for(eps):
+        if not math.isfinite(float(eps[0]) * scale):
+            raise RangeError(f"threshold eps*sqrt(m) overflows a float at eps = {eps[0]:g}, m = {basis.m}")
+        thresholds = eps * scale
 
-    return _hit_curve(cfg, kernel)
+        def kernel(rng, size):
+            xs = [sample_matrix(s, rng, size) for s in specs]
+            inner = contract(basis.rows, basis.shape, xs)
+            norms = np.sqrt(np.einsum("bm,bm->b", inner, inner))
+            return np.count_nonzero(norms[:, None] <= thresholds[None, :], axis=0)
+
+        return kernel
+
+    return _hit_curve(cfg, eps_grid, kernel_for)
 
 
-def estimate_smallball(specs, basis: SubspaceBasis, cfg: ExperimentConfig) -> SmallBallCurve:
-    """Empirical P(||proj of (X1 x ... x Xl)|| <= eps*sqrt(m)) per grid point.
+def estimate_smallball(specs, basis: SubspaceBasis, cfg: ExperimentConfig, eps_grid) -> SmallBallCurve:
+    """Empirical P(||proj of (X1 x ... x Xl)|| <= eps*sqrt(m)) per point of the decreasing ``eps_grid``.
 
     One sample per trial is tested against the whole nested grid, so counts
     are exactly monotone.
     """
-    root_m = math.sqrt(basis.m)
-    if not math.isfinite(cfg.epsilon_grid[0] * root_m):
-        raise RangeError(f"threshold eps*sqrt(m) overflows a float at eps = {cfg.epsilon_grid[0]:g}, m = {basis.m}")
-    thresholds = np.asarray(cfg.epsilon_grid) * root_m
-    return _projection_curve(specs, basis.rows, basis.shape, thresholds, cfg)
+    return _projection_curve(specs, basis, cfg, eps_grid, math.sqrt(basis.m))
 
 
-def estimate_direction_smallball(specs, f: SubspaceBasis, cfg: ExperimentConfig) -> SmallBallCurve:
-    """Empirical P(|<X1 x ... x Xl, f>| <= eps) per grid point (no sqrt(m) scaling).
+def estimate_direction_smallball(specs, f: SubspaceBasis, cfg: ExperimentConfig, eps_grid) -> SmallBallCurve:
+    """Empirical P(|<X1 x ... x Xl, f>| <= eps) per point of the decreasing ``eps_grid`` (no sqrt(m) scaling).
 
     ``f`` is a one-row basis.  This is the m = 1 case of ``estimate_smallball``
     without the sqrt(m) scaling: sqrt(x*x) == |x| in round-to-nearest
     arithmetic barring over- or underflow, so the counts are those of |<., f>|.
     """
-    return _projection_curve(specs, f.rows, f.shape, np.asarray(cfg.epsilon_grid), cfg)
+    return _projection_curve(specs, f, cfg, eps_grid, 1.0)
 
 
 def norm_concentration(specs, t_grid, cfg: ExperimentConfig) -> NormTailCurves:
@@ -290,8 +295,9 @@ def norm_concentration(specs, t_grid, cfg: ExperimentConfig) -> NormTailCurves:
                 f"norm_concentration needs centered isotropic kinds {_ISOTROPIC_KINDS}, got {spec.kind!r}"
             )
     t = np.asarray(t_grid, dtype=float)
-    if t.size < 1 or np.any(np.diff(t) <= 0):
-        raise ValidationError("t_grid must be strictly increasing")
+    # written so that NaN fails it
+    if t.ndim != 1 or t.size < 1 or not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)):
+        raise ValidationError(f"t_grid must be strictly increasing finite reals, got {t_grid!r}")
     scale = math.sqrt(math.prod(s.dim for s in specs))
     # |1 +- t| <= 1 + |t|, so this bounds both thresholds of every t
     widest = 1.0 + float(np.max(np.abs(t)))

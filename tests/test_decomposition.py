@@ -13,7 +13,7 @@ from tensorball import (
     ValidationError,
     contract_mode3,
     decompose_smoothed,
-    fold_higher_order,
+    khatri_rao,
     match_components,
     simultaneous_diagonalize,
     unfold_terms,
@@ -25,6 +25,13 @@ def random_terms(rng, shape, r):
     mats = [rng.standard_normal((n, r)) for n in shape]
     weights = rng.uniform(0.5, 2.0, r) * rng.choice([-1.0, 1.0], r)
     return Rank1Terms.from_raw(mats, weights=weights)
+
+
+def fold_terms(terms):
+    """The folding plan of ``terms`` and the terms grouped by it into order-3 Khatri-Rao flattenings."""
+    plan = folding_plan(terms.shape)
+    grouped = [khatri_rao([terms.factors[j] for j in g]) for g in plan.groups]
+    return plan, Rank1Terms.from_raw(grouped, weights=terms.weights)
 
 
 def test_from_raw_canonicalizes():
@@ -65,6 +72,15 @@ def test_constructor_rejects_nan_column():
 def test_from_raw_rejects_nan_column():
     with pytest.raises(ValidationError, match="NaN"):
         Rank1Terms.from_raw([np.array([[np.nan, 1.0], [0.0, 1.0]]), np.eye(2)])
+
+
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+def test_constructor_rejects_non_finite_weights(weight):
+    unit = np.array([[1.0], [0.0]])
+    with pytest.raises(ValidationError, match="weights must be finite"):
+        Rank1Terms(weights=np.array([weight]), factors=(unit, unit))
+    with pytest.raises(ValidationError, match="weights must be finite"):
+        Rank1Terms.from_raw([unit, unit], weights=[weight])
 
 
 def test_reconstruct_oracle():
@@ -193,15 +209,9 @@ def test_folding_plan_groups():
         folding_plan((4, 4))
 
 
-def test_fold_requires_order_four():
-    terms = random_terms(np.random.default_rng(0), (3, 3, 3), 2)
-    with pytest.raises(ValidationError):
-        fold_higher_order(terms)
-
-
 def test_fold_unfold_round_trip():
     terms = random_terms(np.random.default_rng(3), (3, 2, 4, 3), 2)
-    plan, folded = fold_higher_order(terms)
+    plan, folded = fold_terms(terms)
     assert folded.shape == plan.grouped_shape
     back = unfold_terms(plan, folded)
     assert np.allclose(back.weights, terms.weights, atol=1e-12)
@@ -215,7 +225,7 @@ def test_fold_round_trip_property(seed, ell):
     rng = np.random.default_rng(seed)
     shape = tuple(int(d) for d in rng.integers(2, 4, ell))
     terms = random_terms(rng, shape, 2)
-    plan, folded = fold_higher_order(terms)
+    plan, folded = fold_terms(terms)
     back = unfold_terms(plan, folded)
     assert np.allclose(back.weights, terms.weights, atol=1e-10)
     for a, b in zip(back.factors, terms.factors):
@@ -411,7 +421,7 @@ def test_awkward_matrix_has_the_awkward_cases():
 def test_unfold_matches_column_loop(seed, ell, r, noise):
     rng = np.random.default_rng(seed)
     shape = tuple(int(n) for n in rng.integers(2, 5, ell))
-    plan, folded = fold_higher_order(random_terms(rng, shape, r))
+    plan, folded = fold_terms(random_terms(rng, shape, r))
     # estimates are only nearly simple: perturb the grouped columns
     noisy = [m + noise * rng.standard_normal(m.shape) for m in folded.factors]
     folded = Rank1Terms.from_raw(noisy, weights=folded.weights, residual=0.5)

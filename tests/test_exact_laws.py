@@ -210,6 +210,37 @@ def test_bounds_monotone_in_eps():
         assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
 
 
+# every evaluator at a point inside its range, with eps (or z) as the one argument
+IN_RANGE = {
+    "product_uniform_cdf": (lambda x: product_uniform_cdf(2, x), 0.5),
+    "product_uniform_smallball": (lambda x: product_uniform_smallball(2, 1.0, x), 0.1),
+    "bound_fixed_subspace": (lambda x: bound_fixed_subspace(x, 4, 2), 0.01),
+    "bound_single_direction": (lambda x: bound_single_direction(x, 3), 0.01),
+    "bound_generic_subspace": (lambda x: bound_generic_subspace(x, 4, 8, 2), 0.01),
+    "bound_carbery_wright": (lambda x: bound_carbery_wright(x, 3), 0.01),
+    "bound_nondeterministic": (lambda x: bound_nondeterministic(x, 4, 2, 3).value, 0.01),
+    "bound_concentration_subgaussian": (lambda x: bound_concentration_subgaussian(x, 4, 8, 2), 0.5),
+    "sharpness_lower_bound": (lambda x: sharpness_lower_bound(x, 3), 0.01),
+    "bound_smin_tail": (lambda x: bound_smin_tail(x, 8, 6, 2, 1.0)[1], 0.01),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IN_RANGE))
+def test_evaluators_refuse_nan(name):
+    # a check written ``eps < 0`` or ``eps >= thr`` is False for NaN and lets it through
+    fn, inside = IN_RANGE[name]
+    assert math.isfinite(fn(inside))
+    with pytest.raises(ValidationError):
+        fn(math.nan)
+    with pytest.raises(ValidationError):
+        fn(np.array([inside, math.nan]))
+
+
+def test_smin_tail_refuses_nan_rho():
+    with pytest.raises(ValidationError, match="rho"):
+        bound_smin_tail(0.01, 8, 6, 2, math.nan)
+
+
 def test_bound_config_validation_and_json():
     with pytest.raises(ValidationError):
         BoundConfig(C_main=-1.0)

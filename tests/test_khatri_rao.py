@@ -147,8 +147,8 @@ def test_ensemble_rejects_nan_base_column():
         SmoothedEnsemble(r=2, n=2, ell=1, rho=0.5, base=(base,))
 
 
-def smin_cfg(grid, trials=200, seed=0):
-    return ExperimentConfig(seed=seed, trials=trials, epsilon_grid=grid, batch_size=100)
+def smin_cfg(trials=200, seed=0):
+    return ExperimentConfig(seed=seed, trials=trials, batch_size=100)
 
 
 def replayed_smin(e, cfg):
@@ -182,7 +182,7 @@ def svd_spy(monkeypatch):
 def test_smin_tail_thresholds_and_labels():
     e = SmoothedEnsemble.random(3, 3, 2, 0.5, rng=0)
     grid = (0.1, 0.01)
-    res = smin_tail_experiment(e, smin_cfg(grid))
+    res = smin_tail_experiment(e, smin_cfg(), grid)
     assert isinstance(res, SminTailResult)
     pre = math.sqrt(1 - 3 / 9) * (0.5) ** 2
     assert res.thresholds == pytest.approx((pre * 0.1, pre * 0.01))
@@ -190,7 +190,7 @@ def test_smin_tail_thresholds_and_labels():
 
 def test_smin_tail_tiny_eps_never_hits():
     e = SmoothedEnsemble.random(2, 3, 2, 0.2, rng=3)
-    res = smin_tail_experiment(e, smin_cfg((1e-10, 1e-12)))
+    res = smin_tail_experiment(e, smin_cfg(), (1e-10, 1e-12))
     assert res.curve.hit_counts == (0, 0)
 
 
@@ -198,7 +198,7 @@ def test_smin_tail_bound_validity_window():
     """Bound values only where eps < exp(-C_main * ell); NaN outside."""
     e = SmoothedEnsemble.random(2, 3, 2, 0.5, rng=1)
     grid = (0.5, math.exp(-2) * 0.9, 1e-4)
-    res = smin_tail_experiment(e, smin_cfg(grid))
+    res = smin_tail_experiment(e, smin_cfg(), grid)
     assert math.isnan(res.bound_values[0])
     assert res.bound_values[1] > 0
     assert res.bound_values[2] > 0
@@ -208,17 +208,25 @@ def test_smin_tail_bound_validity_window():
 def test_smin_tail_rejects_bad_regimes():
     crowded = SmoothedEnsemble.random(5, 3, 1, 0.5, rng=0)
     with pytest.raises(HypothesisViolationError):
-        smin_tail_experiment(crowded, smin_cfg((0.1, 0.01)))
+        smin_tail_experiment(crowded, smin_cfg(), (0.1, 0.01))
     frozen = SmoothedEnsemble.random(2, 3, 2, 0.0, rng=0)
     with pytest.raises(ValidationError):
-        smin_tail_experiment(frozen, smin_cfg((0.1, 0.01)))
+        smin_tail_experiment(frozen, smin_cfg(), (0.1, 0.01))
+
+
+@pytest.mark.parametrize("grid", [(math.nan,), (0.5, math.nan), (0.1, 0.5), (0.5, 0.0), ()])
+def test_smin_tail_refuses_bad_eps_grid(grid):
+    # NaN passes a check written ``grid <= 0`` or ``diff >= 0``: it must be refused, not counted
+    e = SmoothedEnsemble.random(2, 3, 2, 0.5, rng=0)
+    with pytest.raises(ValidationError, match="strictly decreasing"):
+        smin_tail_experiment(e, smin_cfg(), grid)
 
 
 def test_smin_tail_counts_agree_with_direct_svd():
     """Replay the experiment's own stream and recount by hand."""
     e = SmoothedEnsemble.random(2, 3, 2, 0.8, rng=6)
-    cfg = ExperimentConfig(seed=9, trials=150, epsilon_grid=(0.8, 0.3), batch_size=150)
-    res = smin_tail_experiment(e, cfg)
+    cfg = ExperimentConfig(seed=9, trials=150, batch_size=150)
+    res = smin_tail_experiment(e, cfg, (0.8, 0.3))
     assert res.curve.hit_counts == svd_counts(replayed_smin(e, cfg), res.thresholds)
 
 
@@ -239,14 +247,14 @@ def test_smin_tail_rejects_non_finite_singular_values(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", nan_eigvalsh)
     monkeypatch.setattr(np.linalg, "svd", nan_svd)
     with pytest.raises(DegeneracyError, match="sandwich"):
-        smin_tail_experiment(e, smin_cfg((0.1, 0.01)))
+        smin_tail_experiment(e, smin_cfg(), (0.1, 0.01))
 
 
 def test_smin_tail_nan_eigenvalues_fall_back_to_svd(monkeypatch, svd_spy):
     e = SmoothedEnsemble.random(3, 3, 2, 0.7, rng=2)
-    cfg = ExperimentConfig(seed=4, trials=120, epsilon_grid=(1.5, 0.8, 0.3), batch_size=120)
+    cfg = ExperimentConfig(seed=4, trials=120, batch_size=120)
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, UPLO="L": np.full(a.shape[:-1], np.nan))
-    res = smin_tail_experiment(e, cfg)
+    res = smin_tail_experiment(e, cfg, (1.5, 0.8, 0.3))
     assert sum(svd_spy) == 120
     assert res.curve.hit_counts == svd_counts(replayed_smin(e, cfg), res.thresholds)
 
@@ -257,8 +265,8 @@ def test_smin_tail_nan_eigenvalues_fall_back_to_svd(monkeypatch, svd_spy):
 )
 def test_smin_tail_gram_counts_equal_svd_counts(svd_spy, r, n, ell, rho, seed):
     e = SmoothedEnsemble.random(r, n, ell, rho, rng=seed)
-    cfg = ExperimentConfig(seed=seed, trials=200, epsilon_grid=(2.0, 1.0, 0.5, 0.2, 0.05), batch_size=200)
-    res = smin_tail_experiment(e, cfg)
+    cfg = ExperimentConfig(seed=seed, trials=200, batch_size=200)
+    res = smin_tail_experiment(e, cfg, (2.0, 1.0, 0.5, 0.2, 0.05))
     assert svd_spy == []
     counts = svd_counts(replayed_smin(e, cfg), res.thresholds)
     assert res.curve.hit_counts == counts
@@ -271,8 +279,8 @@ def test_smin_tail_ill_conditioned_ensemble_falls_back(svd_spy):
     g /= np.linalg.norm(g, axis=0)
     base = np.hstack([g, g])
     e = SmoothedEnsemble(r=6, n=4, ell=2, rho=1e-6, base=(base, base))
-    cfg = ExperimentConfig(seed=1, trials=100, epsilon_grid=(1e7, 1e6, 3e5, 1e5), batch_size=100)
-    res = smin_tail_experiment(e, cfg)
+    cfg = ExperimentConfig(seed=1, trials=100, batch_size=100)
+    res = smin_tail_experiment(e, cfg, (1e7, 1e6, 3e5, 1e5))
     assert sum(svd_spy) == 100
     assert res.curve.hit_counts == svd_counts(replayed_smin(e, cfg), res.thresholds)
     assert any(0 < c < 100 for c in res.curve.hit_counts)
@@ -292,13 +300,12 @@ def tie_epsilon(prefactor, target):
 def test_smin_tail_threshold_tie_counts_as_hit(svd_spy):
     """A threshold equal to a trial's SVD s_min bit for bit is a hit (``<=``)."""
     e = SmoothedEnsemble.random(4, 3, 2, 0.9, rng=5)
-    cfg = ExperimentConfig(seed=2, trials=100, epsilon_grid=(1.0,), batch_size=100)
-    prefactor = smin_tail_experiment(e, cfg).thresholds[0]
+    cfg = ExperimentConfig(seed=2, trials=100, batch_size=100)
+    prefactor = smin_tail_experiment(e, cfg, (1.0,)).thresholds[0]
     smin = replayed_smin(e, cfg)
     target, eps = next((s, x) for s in np.sort(smin) if (x := tie_epsilon(prefactor, s)) is not None)
-    tie_cfg = ExperimentConfig(seed=2, trials=100, epsilon_grid=(2 * eps, eps, eps / 2), batch_size=100)
     svd_spy.clear()
-    res = smin_tail_experiment(e, tie_cfg)
+    res = smin_tail_experiment(e, cfg, (2 * eps, eps, eps / 2))
     assert res.thresholds[1] == target
     assert np.count_nonzero(smin < target) < np.count_nonzero(smin <= target)
     assert res.curve.hit_counts == svd_counts(smin, res.thresholds)
@@ -309,8 +316,8 @@ def test_smin_tail_forced_fallback_keeps_counts(monkeypatch, svd_spy):
     kr_module = importlib.import_module("tensorball.khatri_rao")
     monkeypatch.setattr(kr_module, "_GRAM_BAND", 1e-2)
     e = SmoothedEnsemble.random(5, 3, 3, 1.0, rng=7)
-    cfg = ExperimentConfig(seed=6, trials=300, epsilon_grid=(2.0, 1.0, 0.5, 0.2), batch_size=300)
-    res = smin_tail_experiment(e, cfg)
+    cfg = ExperimentConfig(seed=6, trials=300, batch_size=300)
+    res = smin_tail_experiment(e, cfg, (2.0, 1.0, 0.5, 0.2))
     assert 0 < sum(svd_spy) < 300
     assert res.curve.hit_counts == svd_counts(replayed_smin(e, cfg), res.thresholds)
 
@@ -318,10 +325,10 @@ def test_smin_tail_forced_fallback_keeps_counts(monkeypatch, svd_spy):
 def test_smin_tail_memory_stays_off_the_khatri_rao_matrix():
     """1e3 trials at r=20, n=8, ell=3: the 512 x 20 matrices alone would take 82 MB."""
     e = SmoothedEnsemble.random(20, 8, 3, 1.0, rng=0)
-    cfg = ExperimentConfig(seed=0, trials=1000, epsilon_grid=(0.5, 0.1, 0.01))
+    cfg = ExperimentConfig(seed=0, trials=1000)
     tracemalloc.start()
     try:
-        smin_tail_experiment(e, cfg)
+        smin_tail_experiment(e, cfg, (0.5, 0.1, 0.01))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

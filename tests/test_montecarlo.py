@@ -35,15 +35,13 @@ GAUSS2 = (DistributionSpec(kind="gaussian-std", dim=2),) * 2
 CUBE_UNIT_GRID = (0.5, 0.3, 0.2, 0.1, 0.05)
 
 
-def cfg_of(seed=0, trials=10_000, grid=CUBE_UNIT_GRID, **kw):
-    return ExperimentConfig(seed=seed, trials=trials, epsilon_grid=grid, **kw)
+def cfg_of(seed=0, trials=10_000, **kw):
+    return ExperimentConfig(seed=seed, trials=trials, **kw)
 
 
 def test_config_validation():
     with pytest.raises(ValidationError):
         cfg_of(trials=10)
-    with pytest.raises(ValidationError):
-        cfg_of(grid=(0.1, 0.2))
     with pytest.raises(ValidationError):
         cfg_of(seed=-1)
     with pytest.raises(ValidationError):
@@ -54,6 +52,30 @@ def test_config_validation():
 def test_config_requires_integral_trials(trials):
     with pytest.raises(ValidationError):
         cfg_of(trials=trials)
+
+
+@pytest.mark.parametrize("field, value", [("batch_size", 50.5), ("batch_size", 100.0), ("threads", 1.5), ("threads", "2")])
+def test_config_requires_integral_batch_size_and_threads(field, value):
+    with pytest.raises(ValidationError):
+        cfg_of(**{field: value})
+
+
+BAD_EPS_GRIDS = [(0.1, 0.2), (0.5, 0.5), (0.5, math.nan), (math.nan,), (0.5, 0.0), (0.5, -0.1), (math.inf, 0.5), ()]
+
+
+@pytest.mark.parametrize("grid", BAD_EPS_GRIDS)
+@pytest.mark.parametrize("estimator", [estimate_smallball, estimate_direction_smallball])
+def test_eps_grid_check(estimator, grid):
+    # NaN passes a check written ``grid <= 0`` or ``diff >= 0``: it must be refused, not counted
+    specs = (DistributionSpec(kind="uniform-cube-unit", dim=3),) * 2
+    with pytest.raises(ValidationError, match="strictly decreasing"):
+        estimator(specs, diagonal_direction(3, 2), cfg_of(trials=100), grid)
+
+
+@pytest.mark.parametrize("t_grid", [(0.5, math.nan), (math.nan,), (0.5, math.inf), (0.5, 0.1), ()])
+def test_t_grid_check(t_grid):
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        norm_concentration(GAUSS2, t_grid, cfg_of(trials=100))
 
 
 def test_clopper_pearson_edges():
@@ -93,16 +115,20 @@ def test_curve_rejects_nonmonotone_counts():
 def test_smallball_deterministic():
     basis = coordinate_line_subspace(3, 2, 2)
     specs = (DistributionSpec(kind="uniform-cube-sqrt3", dim=3),) * 2
-    a = estimate_smallball(specs, basis, cfg_of(seed=5))
-    b = estimate_smallball(specs, basis, cfg_of(seed=5))
+    a = estimate_smallball(specs, basis, cfg_of(seed=5), CUBE_UNIT_GRID)
+    b = estimate_smallball(specs, basis, cfg_of(seed=5), CUBE_UNIT_GRID)
     assert a.hit_counts == b.hit_counts
 
 
 def test_threads_do_not_change_counts():
     basis = coordinate_line_subspace(4, 2, 3)
     specs = (DistributionSpec(kind="gaussian-std", dim=4),) * 2
-    one = estimate_smallball(specs, basis, cfg_of(seed=2, trials=30_000, batch_size=5_000, threads=1))
-    four = estimate_smallball(specs, basis, cfg_of(seed=2, trials=30_000, batch_size=5_000, threads=4))
+    one = estimate_smallball(
+        specs, basis, cfg_of(seed=2, trials=30_000, batch_size=5_000, threads=1), CUBE_UNIT_GRID
+    )
+    four = estimate_smallball(
+        specs, basis, cfg_of(seed=2, trials=30_000, batch_size=5_000, threads=4), CUBE_UNIT_GRID
+    )
     assert one.hit_counts == four.hit_counts
 
 
@@ -111,15 +137,15 @@ def test_degenerate_shifted_point_mass_always_hits():
     h = HistogramDensity(bin_edges=(0.7 - 0.7, 0.7 - 0.7), heights=(0.0,))
     specs = (DistributionSpec(kind="histogram", dim=2, histogram=h),) * 2
     basis = coordinate_line_subspace(2, 2, 2)
-    cfg = ExperimentConfig(seed=0, trials=1000, epsilon_grid=(0.1, 0.01))
-    curve = estimate_smallball(specs, basis, cfg)
+    cfg = ExperimentConfig(seed=0, trials=1000)
+    curve = estimate_smallball(specs, basis, cfg, (0.1, 0.01))
     assert curve.hit_counts == (1000, 1000)
 
 
 def test_huge_eps_always_hits():
     specs = (DistributionSpec(kind="uniform-cube-unit", dim=2),) * 2
     basis = coordinate_line_subspace(2, 2, 1)
-    curve = estimate_smallball(specs, basis, cfg_of(trials=1000, grid=(10.0, 5.0)))
+    curve = estimate_smallball(specs, basis, cfg_of(trials=1000), (10.0, 5.0))
     assert curve.hit_counts == (1000, 1000)
 
 
@@ -128,7 +154,7 @@ def test_direction_gaussian_matches_normal_cdf():
 
     specs = (DistributionSpec(kind="gaussian-std", dim=4),)
     f = diagonal_direction(4, 1)
-    curve = estimate_direction_smallball(specs, f, cfg_of(seed=3, trials=200_000))
+    curve = estimate_direction_smallball(specs, f, cfg_of(seed=3, trials=200_000), CUBE_UNIT_GRID)
     for eps, lo, hi in zip(curve.epsilon_grid, curve.ci_low, curve.ci_high):
         want = 2 * norm.cdf(eps) - 1
         assert lo - 2e-3 <= want <= hi + 2e-3
@@ -139,8 +165,8 @@ def test_direction_counts_equal_one_row_smallball(kind):
     specs = (DistributionSpec(kind=kind, dim=3),) * 3
     direction = diagonal_direction(3, 3)
     cfg = cfg_of(seed=11, trials=5000, batch_size=2000)
-    a = estimate_direction_smallball(specs, direction, cfg)
-    b = estimate_smallball(specs, direction, cfg)
+    a = estimate_direction_smallball(specs, direction, cfg, CUBE_UNIT_GRID)
+    b = estimate_smallball(specs, direction, cfg, CUBE_UNIT_GRID)
     assert a.hit_counts == b.hit_counts
 
 
@@ -148,14 +174,14 @@ def test_direction_cube_matches_product_law():
     specs = (DistributionSpec(kind="uniform-cube-unit", dim=3),) * 2
     f = diagonal_direction(3, 2)
     cfg = cfg_of(seed=8, trials=400_000, confidence=0.999)
-    curve = estimate_direction_smallball(specs, f, cfg)
+    curve = estimate_direction_smallball(specs, f, cfg, CUBE_UNIT_GRID)
     for eps, lo, hi in zip(curve.epsilon_grid, curve.ci_low, curve.ci_high):
         assert lo <= product_uniform_smallball(2, 1.0, eps) <= hi
 
 
 def test_norm_concentration_split_at_zero_grid():
     specs = (DistributionSpec(kind="gaussian-std", dim=8),) * 2
-    curves = norm_concentration(specs, (1e-9, 0.5), cfg_of(trials=2000, grid=(1.0, 0.5)))
+    curves = norm_concentration(specs, (1e-9, 0.5), cfg_of(trials=2000))
     # thresholds straddle the scale: essentially every draw is on one side
     assert curves.upper.hit_counts[0] + curves.lower.hit_counts[0] == 2000
 
@@ -164,26 +190,26 @@ def test_norm_concentration_support_bound():
     ell = 2
     specs = (DistributionSpec(kind="uniform-cube-sqrt3", dim=4),) * ell
     t = 3.0 ** (ell / 2.0) - 1.0
-    curves = norm_concentration(specs, (0.5, t), cfg_of(trials=5000, grid=(1.0, 0.5)))
+    curves = norm_concentration(specs, (0.5, t), cfg_of(trials=5000))
     assert curves.upper.hit_counts[-1] == 0
 
 
 def test_norm_concentration_rejects_anisotropic():
     specs = (DistributionSpec(kind="uniform-cube-unit", dim=4),) * 2
     with pytest.raises(ValidationError, match="isotropic"):
-        norm_concentration(specs, (0.5,), cfg_of(trials=1000, grid=(1.0, 0.5)))
+        norm_concentration(specs, (0.5,), cfg_of(trials=1000))
 
 
 def test_dominance_identical_laws_consistent():
     body = SlabBody.random(4, 3, 1.0, np.random.default_rng(0))
-    rep = dominance_test(GAUSS2, GAUSS2, body, cfg_of(seed=1, trials=50_000, grid=(1.0, 0.5)))
+    rep = dominance_test(GAUSS2, GAUSS2, body, cfg_of(seed=1, trials=50_000))
     assert not rep.violation_candidate
     assert abs(rep.gap) < 0.02
 
 
 def test_dominance_empty_body_everything_inside():
     body = SlabBody(directions=np.zeros((0, 4)))
-    rep = dominance_test(GAUSS2, GAUSS2, body, cfg_of(trials=1000, grid=(1.0, 0.5)))
+    rep = dominance_test(GAUSS2, GAUSS2, body, cfg_of(trials=1000))
     assert rep.p_hat_a == 1.0 and rep.p_hat_b == 1.0
 
 
@@ -194,7 +220,7 @@ def test_dominance_histogram_vs_matched_cube():
     cube = matched_cube(spec)
     body = SlabBody(np.eye(4) / 0.25)
     rep = dominance_test(
-        (spec,) * 2, (cube,) * 2, body, cfg_of(seed=4, trials=200_000, grid=(1.0, 0.5))
+        (spec,) * 2, (cube,) * 2, body, cfg_of(seed=4, trials=200_000)
     )
     assert not rep.violation_candidate
     assert rep.p_hat_a <= rep.p_hat_b + 0.01
@@ -206,7 +232,7 @@ def test_dominance_one_sided_bounds_are_beta_quantiles(monkeypatch, trials, conf
     from scipy.special import betaincinv
 
     body = SlabBody.random(4, 3, 1.0, np.random.default_rng(0))
-    cfg = cfg_of(trials=trials, grid=(1.0, 0.5), confidence=confidence)
+    cfg = cfg_of(trials=trials, confidence=confidence)
     for k in (0, 1, trials - 1, trials):
         monkeypatch.setattr(montecarlo, "_membership_counts", lambda specs, body, cfg: k)
         rep = dominance_test(GAUSS2, GAUSS2, body, cfg)
@@ -221,7 +247,7 @@ def test_dominance_one_sided_bounds_are_beta_quantiles(monkeypatch, trials, conf
 def test_norm_tail_intervals_are_clopper_pearson_of_their_counts():
     specs = (DistributionSpec(kind="gaussian-std", dim=8),) * 2
     t_grid = (0.01, 0.1, 0.3, 3.0)
-    curves = norm_concentration(specs, t_grid, cfg_of(seed=2, trials=3000, grid=(1.0, 0.5), confidence=0.95))
+    curves = norm_concentration(specs, t_grid, cfg_of(seed=2, trials=3000, confidence=0.95))
     for curve in curves:
         assert curve.epsilon_grid == t_grid and curve.trials == 3000
         low, high = clopper_pearson(curve.hit_counts, 3000, 0.95)
@@ -275,8 +301,8 @@ def test_fit_slope_sparsity():
 def test_curve_csv_and_sidecar():
     basis = coordinate_line_subspace(2, 2, 1)
     specs = (DistributionSpec(kind="gaussian-std", dim=2),) * 2
-    cfg = cfg_of(seed=5, trials=1000, grid=(0.5, 0.1))
-    curve = estimate_smallball(specs, basis, cfg)
+    cfg = cfg_of(seed=5, trials=1000)
+    curve = estimate_smallball(specs, basis, cfg, (0.5, 0.1))
     raw = curve_csv_bytes(curve, comment="manifest: abc")
     lines = raw.decode().splitlines()
     assert lines[0] == "# manifest: abc"
@@ -322,7 +348,7 @@ def test_membership_counts_match_fresh_products(tail, count, threads):
     specs = (spec,) * 3
     body = SlabBody.random(64, count, 1.0, np.random.default_rng(count))
     batch = 32768 + tail
-    cfg = cfg_of(seed=9, trials=2 * batch + 5, grid=(1.0, 0.5), batch_size=batch, threads=threads)
+    cfg = cfg_of(seed=9, trials=2 * batch + 5, batch_size=batch, threads=threads)
     for laws in (specs, (matched_cube(spec),) * 3):
         want = reference_membership_hits(laws, body, cfg)
         assert montecarlo._membership_counts(laws, body, cfg) == want
@@ -334,7 +360,7 @@ def test_membership_counts_never_build_the_tensors():
     # n^l tensors alone take 16 MB
     spec = DistributionSpec(kind="symmetric-exponential-unitvar", dim=4)
     body = SlabBody.random(64, 8, 1.0, np.random.default_rng(0))
-    cfg = cfg_of(seed=0, trials=100_000, grid=(1.0,), batch_size=100_000)
+    cfg = cfg_of(seed=0, trials=100_000, batch_size=100_000)
     tracemalloc.start()
     try:
         montecarlo._membership_counts((spec,) * 3, body, cfg)
@@ -347,7 +373,7 @@ def test_membership_counts_never_build_the_tensors():
 def test_norm_concentration_matches_linalg_norm():
     specs = (DistributionSpec(kind="gaussian-std", dim=16), DistributionSpec(kind="uniform-cube-sqrt3", dim=8))
     t = np.linspace(0.02, 0.6, 12)
-    cfg = cfg_of(seed=3, trials=25_000, grid=(1.0, 0.5), batch_size=7_001, threads=2)
+    cfg = cfg_of(seed=3, trials=25_000, batch_size=7_001, threads=2)
     upper = np.zeros(t.size, dtype=int)
     lower = np.zeros(t.size, dtype=int)
     scale = math.sqrt(16 * 8)
@@ -378,7 +404,7 @@ def test_batch_driver_streams_a_huge_plan(threads):
                 raise Sentinel
         return np.asarray([size])
 
-    cfg = cfg_of(trials=10**30, grid=(1.0, 0.5), threads=threads)
+    cfg = cfg_of(trials=10**30, threads=threads)
     with pytest.raises(Sentinel):
         montecarlo._sum_over_batches(cfg, kernel)
     assert 4 <= len(calls) <= 3 + montecarlo._WINDOW_PER_THREAD * threads
@@ -386,6 +412,6 @@ def test_batch_driver_streams_a_huge_plan(threads):
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_batch_driver_adds_every_batch_once(threads):
-    cfg = cfg_of(seed=1, trials=1_000_003, grid=(1.0, 0.5), batch_size=9_999, threads=threads)
+    cfg = cfg_of(seed=1, trials=1_000_003, batch_size=9_999, threads=threads)
     total = montecarlo._sum_over_batches(cfg, lambda rng, size: np.asarray([size, 1]))
     assert total.tolist() == [1_000_003, 101]

@@ -9,6 +9,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import tensorball  # noqa: F401  (loads every tensorball module the tracer patches)
 from tensorball import cli
 
@@ -62,3 +64,43 @@ def test_tracer_records_spans_and_restores_originals(tmp_path):
     assert tracer.counters["trials"] == 200
     assert {(m, a): resolve(m, a) for m, a in spans.WRAPPED} == before
     assert cli.estimate_direction_smallball is cli_direction
+
+
+def run_traced(spans, argv):
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(argv)
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    return tracer
+
+
+# (argv, traced estimator, work counter, its value): the counters read ``cfg`` by
+# argument position, so each pins where that estimator takes its run config
+MC_CALLS = {
+    "smallball": (
+        ["smallball", "--subspace", "line", "--n", "3", "--l", "2", "--m", "2", "--trials", "200"],
+        "montecarlo.estimate_smallball", "trials", 200,
+    ),
+    "norms": (["norms", "--n", "4", "--l", "2", "--trials", "300"], "montecarlo.norm_concentration", "trials", 300),
+    # one run per law for each body: 2 bodies x 2 laws x 150 trials
+    "dominance": (
+        ["dominance", "--n", "2", "--l", "2", "--bodies", "2", "--trials", "150"],
+        "montecarlo.dominance_test", "trials", 600,
+    ),
+    # trials x (2 n^l r^2 + 2 r^3) at n=3, l=2, r=2
+    "smin": (
+        ["smin", "--n", "3", "--l", "2", "--r", "2", "--trials", "200"],
+        "khatri_rao.smin_tail_experiment", "svd_flop", 200 * (2 * 9 * 4 + 2 * 8),
+    ),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(MC_CALLS))
+def test_tracer_counts_the_work_of_each_monte_carlo_subcommand(tmp_path, subcommand):
+    argv, estimator, counter, want = MC_CALLS[subcommand]
+    tracer = run_traced(load_spans(), [*argv, "--seed", "0", "--out", str(tmp_path)])
+    assert tracer.call_counts()[estimator] == (2 if subcommand == "dominance" else 1)
+    assert tracer.counters[counter] == want
