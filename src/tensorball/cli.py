@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -316,11 +317,11 @@ def _run_selftest() -> int:
 def _add_subcommand(sub, name: str, summary: str, trials: str | None = None) -> _Parser:
     """A subparser with ``--seed`` and ``--out``, and the Monte-Carlo flags when ``trials`` is given.
 
-    argparse converts a string default only when its flag is absent, so
-    ``TENSORBALL_SEED`` is read then, and an explicit ``--seed`` wins.
+    ``--seed`` defaults to None: the parser is built once per process, so
+    ``TENSORBALL_SEED`` is read per call, by ``_resolve_seed``.
     """
     p = sub.add_parser(name, help=summary)
-    p.add_argument("--seed", type=int, default=os.environ.get("TENSORBALL_SEED", "0"))
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=".")
     if trials is not None:
         p.add_argument("--trials", type=_parse_trials, default=trials)
@@ -330,7 +331,13 @@ def _add_subcommand(sub, name: str, summary: str, trials: str | None = None) -> 
     return p
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of the process, built on first use; every call returns it.
+
+    Parsing leaves it unchanged (argparse converts string defaults afresh
+    for each namespace), so calls share it.
+    """
     parser = _Parser(prog="tensorball", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"tensorball {__version__}")
     parser.add_argument("--replay", metavar="MANIFEST", help="re-run a stored manifest")
@@ -453,8 +460,21 @@ def _check_config(subcommand: str, cfg: dict) -> None:
             raise ValidationError(f"need r <= n^floor((ell-1)/2) = {max_rank}, got r = {cfg['r']}")
 
 
+def _resolve_seed(seed: int | None) -> int:
+    """``--seed`` if given, else ``TENSORBALL_SEED``, else 0; read on every call."""
+    if seed is not None:
+        return seed
+    text = os.environ.get("TENSORBALL_SEED", "0")
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise UsageError(f"TENSORBALL_SEED={text!r} is not an integer") from exc
+
+
 def _config_from_args(args) -> dict:
     cfg = {key: value for key, value in vars(args).items() if key not in ("subcommand", "replay", "replay_out", "out")}
+    if "seed" in cfg:  # every subcommand but selftest
+        cfg["seed"] = _resolve_seed(cfg["seed"])
     _check_config(args.subcommand, cfg)
     if cfg.get("n") is None and "m" in cfg:
         n = max(2, math.ceil(cfg["m"] ** (1.0 / cfg["ell"])))

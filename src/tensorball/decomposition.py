@@ -17,11 +17,15 @@ import numpy as np
 
 from .errors import DegeneracyError, ValidationError
 from .khatri_rao import SmoothedEnsemble, khatri_rao, sample_smoothed_factors
+from .tensor_core import _BLOCK_BYTES, kron
 
 _UNIT_TOL = 1e-10
 
 # relative tolerance of the probe spectra in ``simultaneous_diagonalize``
 _SPECTRAL_TOL = 1e-10
+
+# ``Rank1Terms.reconstruct`` starts its blocks on multiples of this many rows
+_ROW_ALIGN = 64
 
 
 def _leading(m: np.ndarray) -> np.ndarray:
@@ -96,8 +100,35 @@ class Rank1Terms:
         return cls(weights=w, factors=tuple(mats), residual=residual)
 
     def reconstruct(self) -> np.ndarray:
-        """Dense tensor sum of the weighted rank-one terms."""
-        return (khatri_rao(self.factors) @ self.weights).reshape(self.shape)
+        """Dense tensor sum of the weighted rank-one terms.
+
+        Bitwise ``(khatri_rao(factors) @ weights).reshape(shape)`` without the
+        prod(n) x r Khatri-Rao matrix.  The leading product
+        ``kron(factors[:-1])`` is formed once; its rows then go through in
+        blocks, each block's last Kronecker stage built into one reused
+        buffer and multiplied by the weights straight into the output rows.
+        Every entry is the same left-fold product as in the whole matrix.
+        BLAS rounds a gemv row by where it sits among the rows of its call,
+        so block starts fall on multiples of ``_ROW_ALIGN`` rows, and a last
+        block of one row joins the block before it (numpy hands a one-row
+        product to dot).  Memory is O(prod(n[:-1]) * r) for the leading
+        product plus one block of about ``_BLOCK_BYTES``.
+        """
+        *head, last = self.factors
+        r, n_l = self.r, last.shape[0]
+        lead = kron(head) if head else np.ones((1, r))
+        count = lead.shape[0]
+        step = _ROW_ALIGN // math.gcd(_ROW_ALIGN, n_l)
+        rows = max(step, _BLOCK_BYTES // (8 * n_l * max(r, 1)) // step * step)
+        bounds = [*range(0, count, rows), count]
+        if len(bounds) > 2 and (count - bounds[-2]) * n_l == 1:
+            del bounds[-2]
+        buf = np.empty((max(e - s for s, e in zip(bounds, bounds[1:])) * n_l, r))
+        out = np.empty(count * n_l)
+        for s, e in zip(bounds, bounds[1:]):
+            block = kron([lead[s:e], last], out=buf[: (e - s) * n_l])
+            np.matmul(block, self.weights, out=out[s * n_l : e * n_l])
+        return out.reshape(self.shape)
 
 @dataclass(frozen=True)
 class RecoveryReport:

@@ -82,14 +82,22 @@ def product_uniform_smallball(ell: int, s: float, eps):
 
     Uses the substitution Z = s^ell * Z' with Z' a product of uniform [-1, 1]
     variables, i.e. F(eps / s^ell) - F(-eps / s^ell).  Beyond the support
-    radius s^ell the probability is exactly 1.
+    radius s^ell the probability is exactly 1.  A radius that overflows a
+    float raises ``RangeError``.
     """
     if not s > 0:
         raise ValidationError(f"half-width s must be positive, got {s}")
     eps, scalar = _as_array(eps)
     if not np.all(eps >= 0):
         raise ValidationError("eps must be nonnegative")
-    support = s**ell
+    try:
+        with np.errstate(over="ignore"):
+            support = s**ell
+        finite = math.isfinite(support)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise RangeError(f"support radius s^ell overflows a float at s = {s:g}, ell = {ell}")
     clipped = eps > support
     z = np.minimum(eps, support) / support
     out = np.asarray(product_uniform_cdf(ell, z) - product_uniform_cdf(ell, -z))

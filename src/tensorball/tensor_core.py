@@ -21,7 +21,8 @@ from .errors import ValidationError
 # most flattened entries a basis file or a CLI run may hold
 FLATTEN_CAP = 10_000_000
 
-# bytes of intermediates the dense path of ``contract`` holds per block of trials
+# bytes of intermediates one block holds: of trials in the dense path of
+# ``contract``, of output rows in ``Rank1Terms.reconstruct``
 _BLOCK_BYTES = 1 << 20
 
 _BASIS_MAGIC = b"TBSB"

@@ -760,6 +760,18 @@ def test_explicit_seed_beats_environment(tmp_path, monkeypatch):
     assert manifest["seed"] == 5
 
 
+def test_one_parser_per_process_keeps_no_state_between_parses():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    first = parser.parse_args(["smallball", "--eps-grid", "0.1:0.4:3"])
+    second = parser.parse_args(["smallball"])
+    assert second == cli.build_parser.__wrapped__().parse_args(["smallball"])
+    assert second.eps_grid != first.eps_grid
+    # the default grid is converted afresh for every namespace, never shared
+    assert parser.parse_args(["smallball"]).eps_grid is not second.eps_grid
+    assert second.seed is None
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("--version")

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from tensorball import (
     simultaneous_diagonalize,
     unfold_terms,
 )
+from tensorball import decomposition
 from tensorball.decomposition import _assign, _realify_columns, folding_plan
 
 
@@ -86,6 +88,65 @@ def test_constructor_rejects_non_finite_weights(weight):
 def test_reconstruct_oracle():
     terms = Rank1Terms(weights=np.array([2.0, -1.0]), factors=(np.eye(2), np.eye(2)))
     assert np.array_equal(terms.reconstruct(), np.diag([2.0, -1.0]))
+
+
+def whole_matrix_reconstruct(terms):
+    return (khatri_rao(terms.factors) @ terms.weights).reshape(terms.shape)
+
+
+@pytest.mark.parametrize(
+    "shape, r",
+    [
+        ((30, 30, 30), 20),  # the smoothed workload's shapes
+        ((6,) * 5, 30),
+        ((10, 10, 10), 6),
+        ((4,) * 4, 4),
+        ((7,), 3),  # order 1
+        ((9, 5), 4),  # order 2
+        ((30, 30, 30), 1),
+        ((1, 1, 1), 2),
+    ],
+)
+def test_reconstruct_bitwise_whole_matrix(shape, r):
+    terms = random_terms(np.random.default_rng(len(shape) * r), shape, r)
+    assert np.array_equal(terms.reconstruct(), whole_matrix_reconstruct(terms))
+
+
+@pytest.mark.parametrize("ell, n, r", [(3, 30, 20), (5, 6, 30)])
+def test_reconstruct_bitwise_on_folded_terms(ell, n, r):
+    # the order-3 terms simultaneous_diagonalize reconstructs: (30, 30, 30) and (36, 36, 6)
+    _, folded = fold_terms(random_terms(np.random.default_rng(n), (n,) * ell, r))
+    assert folded.shape == {3: (30, 30, 30), 5: (36, 36, 6)}[ell]
+    assert np.array_equal(folded.reconstruct(), whole_matrix_reconstruct(folded))
+
+
+@pytest.mark.parametrize(
+    "shape, r, most_rows",
+    [
+        ((13, 11, 5), 33, 3),  # 3 lead rows of 5 would start blocks off the row grid
+        ((129, 1), 37, 64),  # the one-row last block joins the block before it
+        ((193, 1), 40, 64),
+        ((3, 3, 64), 1, 1),
+    ],
+)
+def test_reconstruct_bitwise_in_small_blocks(monkeypatch, shape, r, most_rows):
+    # blocks of at most ``most_rows`` lead rows by the byte budget; the lead
+    # row count is no multiple of the block
+    monkeypatch.setattr(decomposition, "_BLOCK_BYTES", 8 * shape[-1] * r * most_rows)
+    terms = random_terms(np.random.default_rng(r), shape, r)
+    assert np.array_equal(terms.reconstruct(), whole_matrix_reconstruct(terms))
+
+
+def test_reconstruct_peaks_well_under_the_whole_matrix():
+    terms = random_terms(np.random.default_rng(0), (30, 30, 30), 20)
+    whole_bytes = 30**3 * 20 * 8  # 4.3 MB
+    tracemalloc.start()
+    try:
+        terms.reconstruct()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < whole_bytes / 2
 
 
 def test_contract_mode3_rank_one():

@@ -75,6 +75,15 @@ def test_smallball_beyond_support_is_one_without_warning():
         assert product_uniform_smallball(2, 1.0, np.array([0.5, 1.0, 2.0]))[2] == 1.0
 
 
+def test_smallball_refuses_a_support_radius_beyond_float_range():
+    with pytest.raises(RangeError, match="overflows a float"):
+        product_uniform_smallball(3, 1e200, 0.5)
+    with pytest.raises(RangeError, match="overflows a float"):
+        product_uniform_smallball(3, np.float64(1e200), 0.5)
+    # a radius near the top of the float range still gives a value
+    assert product_uniform_smallball(1, 1e300, 0.5) == pytest.approx(0.5e-300)
+
+
 def test_bound_fixed_subspace_examples():
     assert abs(bound_fixed_subspace(0.01, 10, 2) - 0.21208) < 5e-5
     assert abs(bound_fixed_subspace(0.01, 1, 2) - 0.0460517) < 1e-6

@@ -170,6 +170,13 @@ def test_direction_counts_equal_one_row_smallball(kind):
     assert a.hit_counts == b.hit_counts
 
 
+def test_direction_refuses_a_basis_of_several_rows():
+    # counted, such a basis would follow a third threshold convention: no sqrt(m), yet m rows
+    specs = (DistributionSpec(kind="gaussian-std", dim=3),) * 2
+    with pytest.raises(ValidationError, match="one-row basis, got m = 3"):
+        estimate_direction_smallball(specs, coordinate_line_subspace(3, 2, 3), cfg_of(trials=1000), (0.5, 0.1))
+
+
 def test_direction_cube_matches_product_law():
     specs = (DistributionSpec(kind="uniform-cube-unit", dim=3),) * 2
     f = diagonal_direction(3, 2)
