@@ -5,10 +5,13 @@ Each subcommand resolves its flags into a plain config dict and hashes
 computes the artifacts, every one stamped with that hash, as bytes; only
 ``_dispatch`` writes them, followed by a JSON run manifest.
 ``--replay <manifest.json>`` re-runs the stored config and reproduces the
-CSVs byte for byte (single-batch mode).  The manifest also records the numpy
-version, outside the hash; replay prints one stderr line when it differs
-from the running one, since ``Generator`` streams are not promised stable
-across numpy releases (NEP 19).
+CSVs byte for byte (single-batch mode).  The manifest also records, outside
+the hash, what can move those bytes without a config change: the numpy
+version, whose ``Generator`` streams are not promised stable across releases
+(NEP 19), the BLAS and its version, the ``OPENBLAS_NUM_THREADS`` and
+``OMP_NUM_THREADS`` settings (OpenBLAS splits a sum over its threads, which
+can move its last bit) and the CPU count.  Replay prints one stderr line
+when any of them differs from the running process.
 
 Exit codes: 0 success, 1 usage error, 2 validation/configuration error,
 3 numerical degeneracy, 4 an acceptance gate failed (``selftest``).
@@ -495,11 +498,28 @@ _RUNNERS = {
 }
 
 
+def _environment() -> dict:
+    """The manifest's record of what can move a run's bytes without a config change."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        # numpy before 1.25 reports its build configuration only as text
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _dispatch(subcommand: str, cfg: dict, out_dir: str) -> int:
     """Run ``subcommand`` and write its artifacts, then its manifest, into ``out_dir``.
 
     The manifest holds the hash every artifact is stamped with, and outside
-    the hash the numpy version and the run time.
+    the hash the ``_environment`` record and the run time.
     """
     started = time.perf_counter()
     stamp = _manifest_hash(subcommand, cfg, cfg["seed"])
@@ -509,7 +529,7 @@ def _dispatch(subcommand: str, cfg: dict, out_dir: str) -> int:
         "config": cfg,
         "seed": cfg["seed"],
         "version": __version__,
-        "numpy": np.__version__,
+        **_environment(),
         "manifest_hash": stamp,
         "outputs": [name for name, _ in artifacts],
         "duration_s": round(time.perf_counter() - started, 3),
@@ -538,8 +558,9 @@ def _load_manifest(parser, path) -> tuple[str, dict]:
 
     The config must hold exactly the keys that the subcommand's flags
     resolve to, each of the type its default resolves to, and a known
-    ``dist``.  A recorded numpy version other than the running one only
-    warns; manifests without one replay silently.
+    ``dist``.  An ``_environment`` entry recorded with another value than
+    the running one only warns, in one line for all of them; an entry the
+    manifest lacks is not compared.
     """
     try:
         with open(path) as fh:
@@ -566,14 +587,22 @@ def _load_manifest(parser, path) -> tuple[str, dict]:
     if "dist" in config and config["dist"] not in _DIST_KINDS:
         raise ValidationError(f"manifest {path}: unknown dist {config['dist']!r}")
     _check_config(subcommand, config)
-    recorded = manifest.get("numpy")
-    if recorded is not None and recorded != np.__version__:
+    moved = [
+        f"{key} {_shown(manifest[key])}, running {_shown(value)}"
+        for key, value in _environment().items()
+        if key in manifest and manifest[key] != value
+    ]
+    if moved:
         print(
-            f"warning: manifest {path} was written with numpy {recorded}, running {np.__version__};"
-            " random streams may differ (NEP 19)",
+            f"warning: manifest {path} was written with {'; '.join(moved)};"
+            " random streams (NEP 19) or BLAS sums may differ",
             file=sys.stderr,
         )
     return subcommand, config
+
+
+def _shown(value) -> str:
+    return "unset" if value is None else str(value)
 
 
 def run(argv) -> int:

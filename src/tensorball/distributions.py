@@ -126,34 +126,53 @@ class DistributionSpec:
         return _BUILTIN_SUP[self.kind]
 
 
-def sample_matrix(spec: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarray:
+def sample_matrix(spec: DistributionSpec, rng: np.random.Generator, n: int, out=None) -> np.ndarray:
     """Draw ``n`` factor vectors as the rows of an ``(n, dim)`` array.
 
     Coordinates are i.i.d. from the spec's law.  Deterministic given the
     generator state.
+
+    ``out``, a C-contiguous float64 array of shape ``(n, dim)``, receives the
+    draws in place of a fresh allocation and is returned, with the same bits
+    and the generator left where the call without it leaves it.  The Laplace
+    kind ignores it and returns a fresh array: ``Generator.laplace`` has no
+    ``out=``.
     """
     d = spec.dim
+    if out is not None and (out.shape != (n, d) or out.dtype != np.float64 or not out.flags.c_contiguous):
+        raise ValidationError(f"sample_matrix needs a C-contiguous float64 out= of shape {(n, d)}")
     if spec.kind == "uniform-cube-sqrt3":
-        return rng.uniform(-_SQRT3, _SQRT3, size=(n, d))
+        return _sample_uniform(rng, -_SQRT3, _SQRT3, (n, d), out)
     if spec.kind == "uniform-cube-unit":
-        return rng.uniform(-1.0, 1.0, size=(n, d))
+        return _sample_uniform(rng, -1.0, 1.0, (n, d), out)
     if spec.kind == "gaussian-std":
-        return rng.standard_normal((n, d))
+        return rng.standard_normal((n, d), out=out)
     if spec.kind == "symmetric-exponential-unitvar":
         return rng.laplace(0.0, _LAPLACE_SCALE, size=(n, d))
-    return _sample_histogram(spec.histogram, rng, (n, d))
+    return _sample_histogram(spec.histogram, rng, (n, d), out)
 
 
-def _sample_histogram(h: HistogramDensity, rng: np.random.Generator, shape) -> np.ndarray:
+def _sample_uniform(rng: np.random.Generator, low: float, high: float, shape, out) -> np.ndarray:
+    # ``Generator.uniform(low, high)`` computes ``low + (high - low) * U`` per
+    # value; the same two roundings in place give its bits and stream
+    x = rng.random(shape, out=out)
+    x *= high - low
+    x += low
+    return x
+
+
+def _sample_histogram(h: HistogramDensity, rng: np.random.Generator, shape, out) -> np.ndarray:
     if h.is_point_mass:
-        return np.full(shape, h.bin_edges[0], dtype=float)
+        x = np.empty(shape) if out is None else out
+        x.fill(h.bin_edges[0])
+        return x
     edges = np.asarray(h.bin_edges)
     widths = np.diff(edges)
-    u = rng.random(shape)
+    u = rng.random(shape, out=out)
     if widths.size == 1:
         # every draw falls in the one bin; u was still drawn, so the stream
         # and the values are those of the general route below
-        out = rng.random(shape, out=u)
+        out = rng.random(out=u)
         out *= widths[0]
         out += edges[0]
         return out
@@ -161,7 +180,12 @@ def _sample_histogram(h: HistogramDensity, rng: np.random.Generator, shape) -> n
     cum = cum / cum[-1]
     idx = np.searchsorted(cum, u, side="right")
     idx = np.minimum(idx, len(widths) - 1)
-    return edges[idx] + rng.random(shape) * widths[idx]
+    # u is spent: the positions within the bins go where it was,
+    # ``edges[idx] + U * widths[idx]`` with the same roundings
+    pos = rng.random(out=u)
+    pos *= widths[idx]
+    pos += edges[idx]
+    return pos
 
 
 def matched_cube(spec: DistributionSpec) -> DistributionSpec:

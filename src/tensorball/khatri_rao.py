@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DegeneracyError, HypothesisViolationError, RangeError, ValidationError
 from .exact_laws import BoundConfig, bound_smin_tail
-from .montecarlo import ExperimentConfig, SmallBallCurve, _hit_curve
+from .montecarlo import ExperimentConfig, SmallBallCurve, _count_hits, _hit_curve, _Scratch
 from .tensor_core import kron
 
 _RANK_TOL = 1e-12
@@ -149,13 +149,20 @@ class SminTailResult:
     bound_values: tuple[float, ...]
 
 
-def _smin_hits(e: SmoothedEnsemble, thresholds: np.ndarray, rng, size: int) -> np.ndarray:
+def _smin_hits(e: SmoothedEnsemble, thresholds: np.ndarray, rng, size: int, scratch: _Scratch) -> np.ndarray:
     """One batch of ``smin_tail_experiment``: hit counts of s_min <= each threshold."""
     sigma = e.rho / math.sqrt(e.n)
-    mats = [e.base[j][None, :, :] + sigma * rng.standard_normal((size, e.n, e.r)) for j in range(e.ell)]
-    gram = np.matmul(mats[0].transpose(0, 2, 1), mats[0])
+    mats = []
+    for j in range(e.ell):
+        # base + sigma * G, the same two roundings in place
+        a = rng.standard_normal(out=scratch.array(f"a{j}", (size, e.n, e.r)))
+        a *= sigma
+        a += e.base[j]
+        mats.append(a)
+    gram = np.matmul(mats[0].transpose(0, 2, 1), mats[0], out=scratch.array("gram", (size, e.r, e.r)))
+    mode_gram = scratch.array("mode_gram", (size, e.r, e.r))
     for a in mats[1:]:
-        gram *= np.matmul(a.transpose(0, 2, 1), a)
+        gram *= np.matmul(a.transpose(0, 2, 1), a, out=mode_gram)
     lam = np.linalg.eigvalsh(gram)
     # Why the band certifies the count.  With u the unit roundoff, each
     # computed Gram entry is off by at most n*u*|a_i||a_k| per mode, so
@@ -200,7 +207,7 @@ def _smin_hits(e: SmoothedEnsemble, thresholds: np.ndarray, rng, size: int) -> n
             f"singular-value sandwich violated on {size - np.count_nonzero(ok)} of {size} draws"
             " (non-finite or misordered singular values)"
         )
-    return np.count_nonzero(smin[:, None] <= thresholds[None, :], axis=0)
+    return _count_hits(smin, thresholds)
 
 
 def smin_tail_experiment(e: SmoothedEnsemble, cfg: ExperimentConfig, eps_grid) -> SminTailResult:
@@ -238,7 +245,7 @@ def smin_tail_experiment(e: SmoothedEnsemble, cfg: ExperimentConfig, eps_grid) -
         if not math.isfinite(widest * widest):
             raise RangeError(f"squared threshold overflows a float at rho = {e.rho:g}, l = {e.ell}, eps = {eps[0]:g}")
         thresholds = prefactor * eps
-        return lambda rng, size: _smin_hits(e, thresholds, rng, size)
+        return lambda rng, size, scratch: _smin_hits(e, thresholds, rng, size, scratch)
 
     curve = _hit_curve(cfg, eps_grid, kernel_for)
     eps = np.asarray(curve.epsilon_grid)

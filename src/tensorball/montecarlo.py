@@ -9,6 +9,7 @@ stores exact Clopper-Pearson intervals per grid point.
 from __future__ import annotations
 
 import math
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -142,10 +143,12 @@ class SlabBody:
 
     def inside(self, inner) -> np.ndarray:
         """Which points lie in every slab, given ``inner(directions)``: their
-        ``(points, count)`` inner products with the directions."""
+        ``(points, count)`` inner products with the directions, a fresh array
+        or one the caller owns, which is overwritten with its absolute values."""
         # a product past the float range is far outside its slab, and inf counts it so
         with np.errstate(over="ignore"):
-            return np.all(np.abs(inner(self.directions)) <= 1.0, axis=1)
+            products = inner(self.directions)
+            return np.all(np.abs(products, out=products) <= 1.0, axis=1)
 
     @classmethod
     def random(cls, dim: int, count: int, scale: float, rng) -> "SlabBody":
@@ -208,18 +211,78 @@ def _in_order(run, jobs, threads: int):
                 future.cancel()
 
 
-def _sum_over_batches(cfg: ExperimentConfig, kernel: Callable[[np.random.Generator, int], np.ndarray]):
-    """Run ``kernel`` once per batch on its derived stream and add the results.
+class _Scratch(threading.local):
+    """Arrays that the batches of one run reuse, kept per worker thread.
+
+    A fresh array of a batch's size would be mapped and page-faulted anew for
+    every batch.  Instead each thread keeps, by name, the flat array that the
+    name's first use allocated (a factor drawn by ``sample_matrix``, or an
+    ``np.empty``), and later uses get its leading ``prod(shape)`` entries as a
+    C-contiguous array of their shape.  Batches and chunks only shrink along a
+    run, and a larger request allocates anew and keeps that array instead.
+    The draws and every operation on them are those of fresh arrays, so no
+    bit changes.  No kernel returns a view of a kept array, and
+    ``_sum_over_batches`` makes one holder per run and drops it when the
+    batches are done, so nothing outlives them.
+    """
+
+    def __init__(self):
+        self.kept = {}
+
+    def _slice(self, name: str, shape):
+        flat = self.kept.get(name)
+        size = math.prod(shape)
+        if flat is None or flat.size < size:
+            return None
+        return flat[:size].reshape(shape)
+
+    def array(self, name: str, shape) -> np.ndarray:
+        """An uninitialised float array of ``shape``, backed by the kept array when that is large enough."""
+        out = self._slice(name, shape)
+        if out is None:
+            out = np.empty(shape)
+            self.kept[name] = out.reshape(-1)
+        return out
+
+    def sample(self, name: str, spec, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``sample_matrix(spec, rng, n)`` drawn into the kept array; the first
+        draw allocates inside ``sample_matrix``, and its array is kept."""
+        out = self._slice(name, (n, spec.dim))
+        x = sample_matrix(spec, rng, n, out=out)
+        if x is not out:
+            # a first draw, a larger one, or a law that allocates anyway,
+            # whose array then replaces the one it did not use
+            self.kept[name] = x.reshape(-1)
+        return x
+
+
+def _count_hits(values: np.ndarray, thresholds: np.ndarray, at_least: bool = False) -> np.ndarray:
+    """Per threshold, how many ``values`` lie at or below it (at or above it
+    with ``at_least``): the counts of ``values[:, None] <= thresholds``.
+
+    Sorts ``values`` in place and searches it.  NaN sorts last and searches
+    as above inf, so neither side counts it, as no comparison holds for it.
+    """
+    values.sort()
+    if at_least:
+        return np.searchsorted(values, np.inf, side="right") - np.searchsorted(values, thresholds, side="left")
+    return np.searchsorted(values, thresholds, side="right")
+
+
+def _sum_over_batches(cfg: ExperimentConfig, kernel: Callable[[np.random.Generator, int, _Scratch], np.ndarray]):
+    """Run ``kernel(rng, size, scratch)`` once per batch on its derived stream and add the results.
 
     The plan is walked lazily into a running total, so memory does not grow
     with the batch count; integer counts add associatively, so neither this
-    nor the thread count moves a count.
+    nor the thread count moves a count.  Every batch of the run gets the same
+    ``_Scratch``.
     """
+    scratch = _Scratch()
 
     def run(job):
         i, size = job
         seq = np.random.SeedSequence(cfg.seed, spawn_key=(i,))
-        return kernel(np.random.default_rng(seq), size)
+        return kernel(np.random.default_rng(seq), size, scratch)
 
     jobs = enumerate(_batch_plan(cfg.trials, cfg.batch_size))
     parts = _in_order(run, jobs, cfg.threads) if cfg.threads > 1 else map(run, jobs)
@@ -252,11 +315,11 @@ def _projection_curve(specs, basis: SubspaceBasis, cfg: ExperimentConfig, eps_gr
             raise RangeError(f"threshold eps*sqrt(m) overflows a float at eps = {eps[0]:g}, m = {basis.m}")
         thresholds = eps * scale
 
-        def kernel(rng, size):
-            xs = [sample_matrix(s, rng, size) for s in specs]
-            inner = contract(basis.rows, basis.shape, xs)
-            norms = np.sqrt(np.einsum("bm,bm->b", inner, inner))
-            return np.count_nonzero(norms[:, None] <= thresholds[None, :], axis=0)
+        def kernel(rng, size, scratch):
+            xs = [scratch.sample(f"x{j}", s, rng, size) for j, s in enumerate(specs)]
+            inner = contract(basis.rows, basis.shape, xs, out=scratch.array("inner", (size, basis.m)))
+            norms = np.einsum("bm,bm->b", inner, inner, out=scratch.array("norms", (size,)))
+            return _count_hits(np.sqrt(norms, out=norms), thresholds)
 
         return kernel
 
@@ -309,14 +372,18 @@ def norm_concentration(specs, t_grid, cfg: ExperimentConfig) -> NormTailCurves:
     upper_thr = (1.0 + t) * scale
     lower_thr = (1.0 - t) * scale
 
-    def kernel(rng, size):
-        norm_prod = np.ones(size)
+    def kernel(rng, size, scratch):
+        norm_prod = scratch.array("prod", (size,))
+        norm_prod.fill(1.0)
+        norm = scratch.array("norm", (size,))
         for spec in specs:
-            x = sample_matrix(spec, rng, size)
+            # every factor draws into one array: its norm is taken before the next draw
+            x = scratch.sample("x", spec, rng, size)
             # np.linalg.norm's own formula, squaring in place
-            norm_prod *= np.sqrt(np.add.reduce(np.multiply(x, x, out=x), axis=1))
-        upper = np.count_nonzero(norm_prod[:, None] >= upper_thr[None, :], axis=0)
-        lower = np.count_nonzero(norm_prod[:, None] <= lower_thr[None, :], axis=0)
+            np.add.reduce(np.multiply(x, x, out=x), axis=1, out=norm)
+            norm_prod *= np.sqrt(norm, out=norm)
+        upper = _count_hits(norm_prod, upper_thr, at_least=True)
+        lower = _count_hits(norm_prod, lower_thr)
         return np.stack([upper, lower])
 
     upper, lower = _sum_over_batches(cfg, kernel)
@@ -338,13 +405,14 @@ def _membership_counts(specs, body: SlabBody, cfg: ExperimentConfig) -> int:
     # (``contract`` never builds the n^l tensors)
     chunk = max(1, (1 << 21) // max(ambient, 1))
 
-    def kernel(rng, size):
+    def kernel(rng, size, scratch):
         hits = 0
         done = 0
         while done < size:
             cur = min(chunk, size - done)
-            xs = [sample_matrix(s, rng, cur) for s in specs]
-            hits += int(np.count_nonzero(body.inside(lambda d: contract(d, dims, xs))))
+            xs = [scratch.sample(f"x{j}", s, rng, cur) for j, s in enumerate(specs)]
+            inside = body.inside(lambda d: contract(d, dims, xs, out=scratch.array("inner", (cur, d.shape[0]))))
+            hits += int(np.count_nonzero(inside))
             done += cur
         return np.asarray([hits])
 

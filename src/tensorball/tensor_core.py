@@ -59,10 +59,12 @@ def kron(mats, out=None) -> np.ndarray:
     return out
 
 
-def contract(rows: np.ndarray, shape: tuple[int, ...], xs) -> np.ndarray:
+def contract(rows: np.ndarray, shape: tuple[int, ...], xs, out=None) -> np.ndarray:
     """Inner products of every basis row with every trial's simple tensor.
 
-    rows: (m, D); xs: one (size, n_j) array per mode.  Returns (size, m).
+    rows: (m, D); xs: one (size, n_j) array per mode.  Returns (size, m);
+    ``out``, a C-contiguous float64 array of that shape, receives the result
+    in place of a fresh allocation and is returned, with the same bits.
 
     When every row has exactly one nonzero ``c`` at ``(i_1, ..., i_l)`` (the
     coordinate-line and diagonal constructions), the inner product is the
@@ -86,14 +88,30 @@ def contract(rows: np.ndarray, shape: tuple[int, ...], xs) -> np.ndarray:
     trial wherever BLAS rounds a row alike in products of that many rows and
     more, as it does for every shape the tests check.
     """
+    size, m = xs[0].shape[0], rows.shape[0]
+    if out is None:
+        out = np.empty((size, m))
+    elif out.shape != (size, m) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValidationError(f"contract needs a C-contiguous float64 out= of shape {(size, m)}")
     single = _single_entries(rows, shape)
     if single is not None:
         index, coef = single
-        out = xs[-1][:, index[-1]] * coef
+        np.multiply(_columns(xs[-1], index[-1]), coef, out=out)
         for x, i in zip(xs[-2::-1], index[-2::-1]):
-            np.multiply(x[:, i], out, out=out)
+            np.multiply(_columns(x, i), out, out=out)
         return out
-    return _contract_dense(rows, shape, xs)
+    return _contract_dense(rows, shape, xs, out)
+
+
+def _columns(x: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``x[:, index]``, as a view when ``index`` steps evenly (one repeated
+    column broadcasts), so no gathered copy is made; the values are the same."""
+    step = index[1] - index[0] if index.size > 1 else 1
+    if index.size and step >= 0 and np.all(np.diff(index) == step):
+        if step == 0:
+            return x[:, index[0], None]
+        return x[:, index[0] : index[-1] + 1 : step]
+    return x[:, index]
 
 
 def _single_entries(rows: np.ndarray, shape: tuple[int, ...]):
@@ -113,11 +131,11 @@ def _split(shape: tuple[int, ...], m: int) -> int:
     return min(range(1, len(shape)), key=lambda t: math.prod(shape[t:]) + (m + 1) * math.prod(shape[:t]))
 
 
-def _contract_dense(rows: np.ndarray, shape: tuple[int, ...], xs) -> np.ndarray:
+def _contract_dense(rows: np.ndarray, shape: tuple[int, ...], xs, out: np.ndarray) -> np.ndarray:
     m = rows.shape[0]
     if len(shape) == 1:
         # no intermediate to block: the one factor is its own product
-        return xs[0] @ rows.T
+        return np.matmul(xs[0], rows.T, out=out)
     t = _split(shape, m)
     lead, trail = math.prod(shape[:t]), math.prod(shape[t:])
     # (prod n[t:], m * prod n[:t]): for C-ordered rows a Fortran-ordered
@@ -135,7 +153,6 @@ def _contract_dense(rows: np.ndarray, shape: tuple[int, ...], xs) -> np.ndarray:
     # mapped and page-faulted anew each time
     trail_buf = np.empty((block, trail, 1))
     sums_buf = np.empty((block, m * lead))
-    out = np.empty((size, m))
     for s in range(0, size, max(block, 1)):
         s = min(s, size - block)
         tail = kron([x[s : s + block, :, None] for x in xs[t:]], out=trail_buf)[:, :, 0]

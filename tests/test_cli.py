@@ -175,6 +175,44 @@ def test_replay_notes_numpy_version_change(tmp_path, capsys, recorded):
         assert err == ""
 
 
+def test_manifest_records_blas_threads_and_cores(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    assert run_cli(*SMALLBALL_ARGS, "--out", str(tmp_path)) == 0
+    manifest = json.loads((tmp_path / "smallball_manifest.json").read_text())
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["blas"] == blas["name"] and manifest["blas_version"] == blas["version"]
+    assert manifest["OPENBLAS_NUM_THREADS"] == "1" and manifest["OMP_NUM_THREADS"] is None
+    assert manifest["cpu_count"] == os.cpu_count()
+    # outside the hash: the stamp is that of the subcommand, config, seed and version alone
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert run_cli(*SMALLBALL_ARGS, "--out", str(tmp_path / "again")) == 0
+    assert (tmp_path / "smallball.csv").read_bytes() == (tmp_path / "again" / "smallball.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "recorded, named",
+    [
+        ({"OPENBLAS_NUM_THREADS": "7"}, ["OPENBLAS_NUM_THREADS 7, running unset"]),
+        ({"blas_version": "0.0.1", "cpu_count": 999}, ["blas_version 0.0.1, running", "cpu_count 999, running"]),
+        ({"numpy": "0.0.0", "OMP_NUM_THREADS": "3"}, ["numpy 0.0.0, running", "OMP_NUM_THREADS 3, running unset"]),
+    ],
+)
+def test_replay_warns_once_when_blas_threads_or_cores_differ(tmp_path, capsys, monkeypatch, recorded, named):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run_cli(*SMALLBALL_ARGS, "--out", str(first)) == 0
+    manifest = first / "smallball_manifest.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), **recorded}))
+    capsys.readouterr()
+    assert run_cli("--replay", str(manifest), "--out", str(again)) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert (first / "smallball.csv").read_bytes() == (again / "smallball.csv").read_bytes()
+    assert len(err) == 1 and err[0].startswith("warning: ")
+    assert all(part in err[0] for part in named)
+
+
 def replay_with(tmp_path, capsys, edit=None, text=None, args=SMALLBALL_ARGS):
     """Replay the manifest of ``args`` (smallball by default) after ``edit``
     mutates it, or replay ``text`` as the file."""

@@ -11,6 +11,7 @@ from tensorball import (
     matched_cube,
     sample_matrix,
 )
+from tensorball.distributions import KINDS
 
 SQRT3 = math.sqrt(3.0)
 
@@ -115,3 +116,50 @@ def test_one_bin_histogram_draws_match_searchsorted_route(kind):
         got = sample_matrix(cube, ours, n)
         assert np.array_equal(got, searchsorted_histogram(cube.histogram, theirs, (n, 5)))
         assert ours.random() == theirs.random()
+
+
+OUT_SPECS = {
+    **{kind: DistributionSpec(kind=kind, dim=7) for kind in KINDS if kind != "histogram"},
+    "one-bin": matched_cube(DistributionSpec(kind="gaussian-std", dim=7)),
+    "multi-bin": DistributionSpec(
+        kind="histogram", dim=7, histogram=HistogramDensity(bin_edges=(-1.0, 0.0, 0.5, 2.0), heights=(0.5, 0.4, 0.2))
+    ),
+    "point-mass": DistributionSpec(kind="histogram", dim=7, histogram=HistogramDensity(bin_edges=(1.5, 1.5), heights=(1.0,))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_SPECS))
+def test_sample_into_out_matches_fresh_draw(name):
+    """``out=`` changes where the draws go, not their bits or the generator's state."""
+    spec = OUT_SPECS[name]
+    for n in (1, 3, 1000):
+        fresh_rng, out_rng = np.random.default_rng(n), np.random.default_rng(n)
+        fresh = sample_matrix(spec, fresh_rng, n)
+        # a slice of a larger used array, as a batch reusing an earlier batch's array gets
+        buf = np.full(9 * n + 5, np.nan)[: 7 * n].reshape(n, 7)
+        got = sample_matrix(spec, out_rng, n, out=buf)
+        assert got.shape == (n, 7) and np.array_equal(got, fresh)
+        # Generator.laplace has no out=, so that kind alone returns a fresh array
+        assert (got is buf) == (spec.kind != "symmetric-exponential-unitvar")
+        assert out_rng.random() == fresh_rng.random()
+
+
+@pytest.mark.parametrize("kind, low", [("uniform-cube-sqrt3", -SQRT3), ("uniform-cube-unit", -1.0)])
+def test_uniform_kinds_draw_the_bits_of_generator_uniform(kind, low):
+    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+    got = sample_matrix(DistributionSpec(kind=kind, dim=7), ours, 1000)
+    assert np.array_equal(got, theirs.uniform(low, -low, size=(1000, 7)))
+    assert ours.random() == theirs.random()
+
+
+def test_multi_bin_histogram_matches_searchsorted_route():
+    spec = OUT_SPECS["multi-bin"]
+    ours, theirs = np.random.default_rng(4), np.random.default_rng(4)
+    assert np.array_equal(sample_matrix(spec, ours, 500), searchsorted_histogram(spec.histogram, theirs, (500, 7)))
+    assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("out", [np.empty((10, 6)), np.empty((7, 10)).T, np.empty((10, 7), dtype=np.float32)])
+def test_sample_refuses_an_out_of_another_layout(out):
+    with pytest.raises(ValidationError):
+        sample_matrix(OUT_SPECS["gaussian-std"], np.random.default_rng(0), 10, out=out)

@@ -13,6 +13,7 @@ from tensorball import (
     HistogramDensity,
     SlabBody,
     SmallBallCurve,
+    SmoothedEnsemble,
     ValidationError,
     clopper_pearson,
     coordinate_line_subspace,
@@ -28,6 +29,7 @@ from tensorball import (
     product_uniform_smallball,
     rows_csv_bytes,
     sample_matrix,
+    smin_tail_experiment,
 )
 from tensorball import montecarlo
 
@@ -377,6 +379,91 @@ def test_membership_counts_never_build_the_tensors():
     assert peak < 12e6
 
 
+@pytest.mark.parametrize("at_least", [False, True])
+def test_count_hits_match_comparisons(at_least):
+    rng = np.random.default_rng(8)
+    thresholds = np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, np.inf])
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 0.5, 0.5, 1.0, -1.0, np.nan]
+    for values in (np.array(special), np.concatenate([rng.standard_normal(500), special]), np.array([])):
+        want = np.count_nonzero((values[:, None] >= thresholds) if at_least else (values[:, None] <= thresholds), axis=0)
+        got = montecarlo._count_hits(values.copy(), thresholds, at_least=at_least)
+        assert np.array_equal(got, want)
+
+
+def test_norm_concentration_holds_one_factor_array():
+    # both factors draw into one array, each norm taken before the next draw
+    specs = (DistributionSpec(kind="gaussian-std", dim=64),) * 2
+    cfg = cfg_of(seed=0, trials=20_000, batch_size=20_000)
+    one_factor = 20_000 * 64 * 8
+    tracemalloc.start()
+    try:
+        norm_concentration(specs, np.linspace(0.05, 0.95, 10), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * one_factor
+
+
+def _reuse_direction(cfg):
+    specs = (DistributionSpec(kind="uniform-cube-unit", dim=5),) * 3
+    return estimate_direction_smallball(specs, diagonal_direction(5, 3), cfg, CUBE_UNIT_GRID).hit_counts
+
+
+def _reuse_norms(cfg):
+    # unequal dims: the shared factor array is sliced to either shape
+    specs = (DistributionSpec(kind="gaussian-std", dim=16), DistributionSpec(kind="uniform-cube-sqrt3", dim=8))
+    curves = norm_concentration(specs, np.linspace(0.02, 0.6, 8), cfg)
+    return curves.upper.hit_counts + curves.lower.hit_counts
+
+
+def _reuse_dominance(cfg):
+    # n=16, l=3: chunks of 2^21 / 4096 = 512 trials, so batches of 1300 end
+    # in a chunk of 276 and the last batch of 700 in one of 188
+    spec = DistributionSpec(kind="gaussian-std", dim=16)
+    body = SlabBody.random(16**3, 3, 1 / 64, np.random.default_rng(5))
+    rep = dominance_test((spec,) * 3, (matched_cube(spec),) * 3, body, cfg)
+    return rep.hits_a, rep.hits_b
+
+
+def _reuse_smin(cfg):
+    e = SmoothedEnsemble.random(4, 4, 2, 0.5, rng=1)
+    return smin_tail_experiment(e, cfg, (2.0, 1.0, 0.5, 0.2)).curve.hit_counts
+
+
+# each run has at least three batches and a shorter last one, so a worker
+# thread re-enters its kernel with a shorter slice of its kept arrays
+REUSE_RUNS = {
+    "direction": (_reuse_direction, 13_500, 4_000),
+    "norms": (_reuse_norms, 13_500, 4_000),
+    "dominance": (_reuse_dominance, 4_600, 1_300),
+    "smin": (_reuse_smin, 1_000, 300),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REUSE_RUNS))
+def test_reused_batch_arrays_change_no_count(name, monkeypatch):
+    estimate, trials, batch = REUSE_RUNS[name]
+    one, two = (estimate(cfg_of(seed=6, trials=trials, batch_size=batch, threads=t)) for t in (1, 2))
+    # every batch on fresh arrays
+    monkeypatch.setattr(montecarlo._Scratch, "_slice", lambda self, name, shape: None)
+    fresh = estimate(cfg_of(seed=6, trials=trials, batch_size=batch, threads=1))
+    assert one == two == fresh
+    assert 0 < sum(one) < trials * len(one)
+
+
+def test_later_batches_draw_into_the_first_batch_arrays(monkeypatch):
+    outs = []
+
+    def recording(spec, rng, n, out=None):
+        outs.append(out is not None)
+        return sample_matrix(spec, rng, n, out=out)
+
+    monkeypatch.setattr(montecarlo, "sample_matrix", recording)
+    _reuse_direction(cfg_of(seed=6, trials=13_500, batch_size=4_000))
+    # the first batch allocates its three factors; the other three batches reuse them
+    assert outs == [False] * 3 + [True] * 9
+
+
 def test_norm_concentration_matches_linalg_norm():
     specs = (DistributionSpec(kind="gaussian-std", dim=16), DistributionSpec(kind="uniform-cube-sqrt3", dim=8))
     t = np.linspace(0.02, 0.6, 12)
@@ -404,7 +491,7 @@ def test_batch_driver_streams_a_huge_plan(threads):
     calls = []
     lock = threading.Lock()
 
-    def kernel(rng, size):
+    def kernel(rng, size, scratch):
         with lock:
             calls.append(size)
             if len(calls) > 3:
@@ -420,5 +507,5 @@ def test_batch_driver_streams_a_huge_plan(threads):
 @pytest.mark.parametrize("threads", [1, 3])
 def test_batch_driver_adds_every_batch_once(threads):
     cfg = cfg_of(seed=1, trials=1_000_003, batch_size=9_999, threads=threads)
-    total = montecarlo._sum_over_batches(cfg, lambda rng, size: np.asarray([size, 1]))
+    total = montecarlo._sum_over_batches(cfg, lambda rng, size, scratch: np.asarray([size, 1]))
     assert total.tolist() == [1_000_003, 101]

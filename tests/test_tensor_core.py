@@ -273,6 +273,52 @@ def test_contract_single_entry_rows_match_unblocked_bitwise(ell, m):
         assert np.array_equal(got, last_mode_first_contract(rows, shape, xs)), size
 
 
+def rows_at(shape, indices, coefs):
+    """One row per multi-index, holding its coefficient there."""
+    rows = np.zeros((len(indices), math.prod(shape)))
+    rows[np.arange(len(indices)), np.ravel_multi_index(tuple(np.array(indices).T), shape)] = coefs
+    return rows
+
+
+# the coordinate line and the diagonal (every mode's columns step evenly, so
+# they are read as views), a stepped and a shuffled column order
+GATHER_ROWS = {
+    "line": ((6, 6, 6), [(k, 0, 0) for k in range(5)]),
+    "diagonal": ((6, 6, 6), [(0, 0, 0)]),
+    "stepped": ((7, 5, 4), [(2 * k, 3, 3 - k) for k in range(4)]),
+    "shuffled": ((7, 5, 4), [(3, 1, 2), (0, 4, 2), (6, 0, 1), (3, 2, 0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATHER_ROWS))
+def test_contract_into_out_gathers_bitwise(name):
+    shape, indices = GATHER_ROWS[name]
+    rows = rows_at(shape, indices, [(-1.0) ** k * (1 + k / 3) for k in range(len(indices))])
+    rng = np.random.default_rng(len(name))
+    xs = [rng.standard_normal((50, n)) for n in shape]
+    out = np.full(60 * len(indices), np.nan)[: 50 * len(indices)].reshape(50, len(indices))
+    assert contract(rows, shape, xs, out=out) is out
+    assert np.array_equal(out, last_mode_first_contract(rows, shape, xs))
+
+
+@pytest.mark.parametrize("shape, m", [((5,), 3), ((8, 8, 8), 8)])
+def test_contract_into_out_dense_bitwise(shape, m):
+    rng = np.random.default_rng(m)
+    rows = rng.standard_normal((m, math.prod(shape)))
+    xs = [rng.standard_normal((3 * dense_block(shape, m) + 5, n)) for n in shape]
+    out = np.empty((len(xs[0]), m))
+    assert contract(rows, shape, xs, out=out) is out
+    assert np.array_equal(out, unblocked_contract(rows, shape, xs))
+
+
+@pytest.mark.parametrize("out", [np.empty((4, 2)), np.empty((3, 4)).T, np.empty((4, 3), dtype=np.float32)])
+def test_contract_refuses_an_out_of_another_layout(out):
+    shape, indices = GATHER_ROWS["stepped"]
+    rows = rows_at(shape, indices[:3], 1.0)
+    with pytest.raises(ValidationError):
+        contract(rows, shape, [np.ones((4, n)) for n in shape], out=out)
+
+
 def test_contract_gathers_only_when_every_row_has_one_nonzero(monkeypatch):
     dense_calls = []
     dense = tensor_core._contract_dense
