@@ -450,7 +450,7 @@ def decompose_smoothed(e: SmoothedEnsemble, noise_scale: float, rng=None) -> Rec
         raise ValidationError(f"need r <= n^floor((ell-1)/2) = {max_rank}, got r = {e.r}")
     rng = np.random.default_rng(rng)
     factors = sample_smoothed_factors(e, rng)
-    truth = Rank1Terms.from_raw([f.copy() for f in factors])
+    truth = Rank1Terms.from_raw(factors)
     dense = truth.reconstruct()
     if noise_scale > 0:
         dense = dense + rng.uniform(-noise_scale, noise_scale, dense.shape)

@@ -9,6 +9,7 @@ stores exact Clopper-Pearson intervals per grid point.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -181,28 +182,24 @@ class NormTailCurves(NamedTuple):
     lower: SmallBallCurve
 
 
-# batches in flight per worker thread when ``threads > 1``
+# batches in flight per worker thread when a run has several workers
 _WINDOW_PER_THREAD = 2
 
 
-def _batch_plan(trials: int, batch_size: int):
-    """The batch sizes, lazily: a large ``trials`` has far too many to list."""
-    full, rem = divmod(trials, batch_size)
-    for _ in range(full):
-        yield batch_size
-    if rem:
-        yield rem
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where the OS cannot say)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _in_order(run, jobs, threads: int):
-    """``map(run, jobs)`` on a thread pool, at most ``_WINDOW_PER_THREAD * threads``
+def _in_order(run, jobs, workers: int):
+    """``map(run, jobs)`` on ``workers`` threads, at most ``_WINDOW_PER_THREAD * workers``
     jobs in flight (``Executor.map`` would submit every job up front)."""
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         try:
             for job in jobs:
                 pending.append(pool.submit(run, job))
-                if len(pending) == _WINDOW_PER_THREAD * threads:
+                if len(pending) == _WINDOW_PER_THREAD * workers:
                     yield pending.popleft().result()
             while pending:
                 yield pending.popleft().result()
@@ -215,45 +212,24 @@ class _Scratch(threading.local):
     """Arrays that the batches of one run reuse, kept per worker thread.
 
     A fresh array of a batch's size would be mapped and page-faulted anew for
-    every batch.  Instead each thread keeps, by name, the flat array that the
-    name's first use allocated (a factor drawn by ``sample_matrix``, or an
-    ``np.empty``), and later uses get its leading ``prod(shape)`` entries as a
-    C-contiguous array of their shape.  Batches and chunks only shrink along a
-    run, and a larger request allocates anew and keeps that array instead.
-    The draws and every operation on them are those of fresh arrays, so no
-    bit changes.  No kernel returns a view of a kept array, and
-    ``_sum_over_batches`` makes one holder per run and drops it when the
-    batches are done, so nothing outlives them.
+    every batch.  Instead each thread keeps, by name, the flat array of the
+    name's largest request so far, and every request gets its leading
+    ``prod(shape)`` entries as a C-contiguous array of that shape.  Kernels
+    draw into these arrays and treat them as fresh ones, so no bit changes.
+    No kernel returns a view of a kept array, and ``_sum_over_batches`` makes
+    one holder per run, so nothing outlives the run's batches.
     """
 
     def __init__(self):
         self.kept = {}
 
-    def _slice(self, name: str, shape):
+    def array(self, name: str, shape) -> np.ndarray:
+        """An uninitialised float array of ``shape``, backed by the kept array when that is large enough."""
         flat = self.kept.get(name)
         size = math.prod(shape)
         if flat is None or flat.size < size:
-            return None
+            flat = self.kept[name] = np.empty(size)
         return flat[:size].reshape(shape)
-
-    def array(self, name: str, shape) -> np.ndarray:
-        """An uninitialised float array of ``shape``, backed by the kept array when that is large enough."""
-        out = self._slice(name, shape)
-        if out is None:
-            out = np.empty(shape)
-            self.kept[name] = out.reshape(-1)
-        return out
-
-    def sample(self, name: str, spec, rng: np.random.Generator, n: int) -> np.ndarray:
-        """``sample_matrix(spec, rng, n)`` drawn into the kept array; the first
-        draw allocates inside ``sample_matrix``, and its array is kept."""
-        out = self._slice(name, (n, spec.dim))
-        x = sample_matrix(spec, rng, n, out=out)
-        if x is not out:
-            # a first draw, a larger one, or a law that allocates anyway,
-            # whose array then replaces the one it did not use
-            self.kept[name] = x.reshape(-1)
-        return x
 
 
 def _count_hits(values: np.ndarray, thresholds: np.ndarray, at_least: bool = False) -> np.ndarray:
@@ -272,24 +248,22 @@ def _count_hits(values: np.ndarray, thresholds: np.ndarray, at_least: bool = Fal
 def _sum_over_batches(cfg: ExperimentConfig, kernel: Callable[[np.random.Generator, int, _Scratch], np.ndarray]):
     """Run ``kernel(rng, size, scratch)`` once per batch on its derived stream and add the results.
 
-    The plan is walked lazily into a running total, so memory does not grow
-    with the batch count; integer counts add associatively, so neither this
-    nor the thread count moves a count.  Every batch of the run gets the same
-    ``_Scratch``.
+    Batch ``i`` holds ``min(batch_size, trials - i * batch_size)`` trials.  The
+    lazy ``range`` of batches feeds a running total, so memory does not grow
+    with the batch count, and integer counts add associatively, so no count
+    depends on the thread count.  ``threads`` workers, at most one per usable
+    CPU, share one ``_Scratch``, each holding one batch's arrays.
     """
     scratch = _Scratch()
 
-    def run(job):
-        i, size = job
+    def run(i):
+        size = min(cfg.batch_size, cfg.trials - i * cfg.batch_size)
         seq = np.random.SeedSequence(cfg.seed, spawn_key=(i,))
         return kernel(np.random.default_rng(seq), size, scratch)
 
-    jobs = enumerate(_batch_plan(cfg.trials, cfg.batch_size))
-    parts = _in_order(run, jobs, cfg.threads) if cfg.threads > 1 else map(run, jobs)
-    total = next(parts)
-    for part in parts:
-        total = total + part
-    return total
+    jobs = range(-(-cfg.trials // cfg.batch_size))
+    workers = min(cfg.threads, _usable_cpus())
+    return sum(_in_order(run, jobs, workers) if workers > 1 else map(run, jobs))
 
 
 def _hit_curve(cfg: ExperimentConfig, eps_grid, kernel_for) -> SmallBallCurve:
@@ -304,11 +278,12 @@ def _hit_curve(cfg: ExperimentConfig, eps_grid, kernel_for) -> SmallBallCurve:
     return SmallBallCurve(epsilon_grid=eps, hit_counts=counts, trials=cfg.trials, confidence=cfg.confidence)
 
 
-def _projection_curve(specs, basis: SubspaceBasis, cfg: ExperimentConfig, eps_grid, scale: float) -> SmallBallCurve:
-    """Counts of ||(<row_k, x_1 x ... x x_l>)_k|| <= scale * eps, one sample per trial for the whole grid."""
+def _projection_curve(specs, basis: SubspaceBasis, cfg: ExperimentConfig, eps_grid) -> SmallBallCurve:
+    """Counts of ||(<row_k, x_1 x ... x x_l>)_k|| <= sqrt(m) * eps, one sample per trial for the whole grid."""
     dims = tuple(s.dim for s in specs)
     if dims != basis.shape:
         raise ValidationError(f"factor dims {dims} do not match shape {basis.shape}")
+    scale = math.sqrt(basis.m)
 
     def kernel_for(eps):
         if not math.isfinite(float(eps[0]) * scale):
@@ -316,7 +291,7 @@ def _projection_curve(specs, basis: SubspaceBasis, cfg: ExperimentConfig, eps_gr
         thresholds = eps * scale
 
         def kernel(rng, size, scratch):
-            xs = [scratch.sample(f"x{j}", s, rng, size) for j, s in enumerate(specs)]
+            xs = [sample_matrix(s, rng, size, out=scratch.array(f"x{j}", (size, s.dim))) for j, s in enumerate(specs)]
             inner = contract(basis.rows, basis.shape, xs, out=scratch.array("inner", (size, basis.m)))
             norms = np.einsum("bm,bm->b", inner, inner, out=scratch.array("norms", (size,)))
             return _count_hits(np.sqrt(norms, out=norms), thresholds)
@@ -332,7 +307,7 @@ def estimate_smallball(specs, basis: SubspaceBasis, cfg: ExperimentConfig, eps_g
     One sample per trial is tested against the whole nested grid, so counts
     are exactly monotone.
     """
-    return _projection_curve(specs, basis, cfg, eps_grid, math.sqrt(basis.m))
+    return _projection_curve(specs, basis, cfg, eps_grid)
 
 
 def estimate_direction_smallball(specs, f: SubspaceBasis, cfg: ExperimentConfig, eps_grid) -> SmallBallCurve:
@@ -345,7 +320,7 @@ def estimate_direction_smallball(specs, f: SubspaceBasis, cfg: ExperimentConfig,
     """
     if f.m != 1:
         raise ValidationError(f"a single direction is a one-row basis, got m = {f.m} rows")
-    return _projection_curve(specs, f, cfg, eps_grid, 1.0)
+    return _projection_curve(specs, f, cfg, eps_grid)
 
 
 def norm_concentration(specs, t_grid, cfg: ExperimentConfig) -> NormTailCurves:
@@ -378,7 +353,7 @@ def norm_concentration(specs, t_grid, cfg: ExperimentConfig) -> NormTailCurves:
         norm = scratch.array("norm", (size,))
         for spec in specs:
             # every factor draws into one array: its norm is taken before the next draw
-            x = scratch.sample("x", spec, rng, size)
+            x = sample_matrix(spec, rng, size, out=scratch.array("x", (size, spec.dim)))
             # np.linalg.norm's own formula, squaring in place
             np.add.reduce(np.multiply(x, x, out=x), axis=1, out=norm)
             norm_prod *= np.sqrt(norm, out=norm)
@@ -410,7 +385,7 @@ def _membership_counts(specs, body: SlabBody, cfg: ExperimentConfig) -> int:
         done = 0
         while done < size:
             cur = min(chunk, size - done)
-            xs = [scratch.sample(f"x{j}", s, rng, cur) for j, s in enumerate(specs)]
+            xs = [sample_matrix(s, rng, cur, out=scratch.array(f"x{j}", (cur, s.dim))) for j, s in enumerate(specs)]
             inside = body.inside(lambda d: contract(d, dims, xs, out=scratch.array("inner", (cur, d.shape[0]))))
             hits += int(np.count_nonzero(inside))
             done += cur

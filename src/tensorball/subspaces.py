@@ -37,9 +37,11 @@ class SubspaceBasis:
             raise ValidationError(f"rows have length {rows.shape[1]}, expected prod{shape} = {d}")
         if rows.shape[0] < 1 or rows.shape[0] > d:
             raise ValidationError(f"need 1 <= m <= {d}, got m = {rows.shape[0]}")
-        gram = rows @ rows.T
-        resid = np.max(np.abs(gram - np.eye(rows.shape[0])))
-        if resid > _ORTHO_TOL:
+        # a NaN or inf entry, or a Gram entry past the float range, gives a
+        # NaN or inf residual, and the check is written so that both fail it
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = np.max(np.abs(rows @ rows.T - np.eye(rows.shape[0])))
+        if not resid <= _ORTHO_TOL:
             raise ValidationError(f"rows are not orthonormal (residual {resid:.3e} > {_ORTHO_TOL})")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "rows", rows)

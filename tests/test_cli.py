@@ -24,7 +24,7 @@ from tensorball import (
     coordinate_line_subspace,
     product_uniform_smallball,
 )
-from tensorball import cli, gates
+from tensorball import cli, gates, montecarlo, tensor_core
 
 
 def run_cli(*argv):
@@ -188,6 +188,18 @@ def test_manifest_records_blas_threads_and_cores(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     assert run_cli(*SMALLBALL_ARGS, "--out", str(tmp_path / "again")) == 0
     assert (tmp_path / "smallball.csv").read_bytes() == (tmp_path / "again" / "smallball.csv").read_bytes()
+
+
+def test_threads_past_the_cpus_keep_counts_and_manifest(tmp_path, monkeypatch, inline_pool):
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    args = (
+        "smallball", "--n", "4", "--l", "2", "--m", "3", "--subspace", "line", "--trials", "1e4", "--batch-size", "999",
+    )
+    assert run_cli(*args, "--threads", "1", "--out", str(tmp_path / "one")) == 0
+    assert run_cli(*args, "--threads", "100000", "--out", str(tmp_path / "many")) == 0
+    assert inline_pool == [2]
+    assert read_rows(tmp_path / "one" / "smallball.csv")[1] == read_rows(tmp_path / "many" / "smallball.csv")[1]
+    assert json.loads((tmp_path / "many" / "smallball_manifest.json").read_text())["config"]["threads"] == 100_000
 
 
 @pytest.mark.parametrize(
@@ -404,6 +416,51 @@ def test_smallball_basis_file_bad_header(tmp_path, capsys, payload):
     code, err = run_with_basis_file(tmp_path, payload, capsys)
     assert code == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_smallball_basis_file_non_finite_entry(tmp_path, capsys, entry):
+    bpath = tmp_path / "good.bin"
+    rows = coordinate_line_subspace(3, 2, 2).rows.copy()
+    rows[0, 0] = entry
+    tensor_core.write_basis_payload(bpath, (3, 3), rows)
+    code, err = run_with_basis_file(tmp_path, bpath.read_bytes(), capsys)
+    assert code == 2
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+BASIS_EDITS = st.one_of(
+    st.tuples(st.just("overwrite"), st.integers(min_value=0), st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("truncate"), st.integers(min_value=0)),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=16)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edits=st.lists(BASIS_EDITS, min_size=1, max_size=3))
+def test_corrupted_basis_file_fuzz(tmp_path_factory, edits):
+    """Overwritten, truncated or extended bytes of a valid basis file end in exit 0 or 2, one stderr line on failure."""
+    base = tmp_path_factory.getbasetemp() / "basis_fuzz"
+    base.mkdir(exist_ok=True)
+    bpath = base / "basis.bin"
+    coordinate_line_subspace(3, 2, 2).save(bpath)
+    data = bytearray(bpath.read_bytes())
+    for edit in edits:
+        if edit[0] == "overwrite" and data:
+            at = edit[1] % len(data)
+            data[at : at + len(edit[2])] = edit[2]
+        elif edit[0] == "truncate":
+            del data[edit[1] % (len(data) + 1) :]
+        elif edit[0] == "extend":
+            data += edit[1]
+    bpath.write_bytes(bytes(data))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run_cli(*SMALLBALL_ARGS, "--subspace", f"file:{bpath}", "--out", str(base / "out"))
+    assert code in (0, 2), edits
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) == (1 if code else 0), (edits, err.getvalue())
 
 
 def test_direction_exact_column(tmp_path):
@@ -674,8 +731,9 @@ def test_failed_allocation_exits_2(tmp_path, capsys, monkeypatch, message, line)
     def refuse(*args, **kwargs):
         raise MemoryError(message)
 
-    # no cap covers norms: n = 10^8 would ask numpy for 72.8 TiB per batch
-    monkeypatch.setattr("tensorball.montecarlo.sample_matrix", refuse)
+    # no cap covers norms: n = 10^8 would ask numpy for 72.8 TiB per batch,
+    # and the first array of a batch is the first thing to allocate
+    monkeypatch.setattr(montecarlo._Scratch, "array", refuse)
     code = run_cli("norms", "--n", "100000000", "--l", "1", "--trials", "1e5", "--out", str(tmp_path / "out"))
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [line]

@@ -41,6 +41,12 @@ def cfg_of(seed=0, trials=10_000, **kw):
     return ExperimentConfig(seed=seed, trials=trials, **kw)
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs on any machine, so a run with ``threads >= 2`` has a pool of two."""
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+
+
 def test_config_validation():
     with pytest.raises(ValidationError):
         cfg_of(trials=10)
@@ -122,7 +128,7 @@ def test_smallball_deterministic():
     assert a.hit_counts == b.hit_counts
 
 
-def test_threads_do_not_change_counts():
+def test_threads_do_not_change_counts(two_cpus):
     basis = coordinate_line_subspace(4, 2, 3)
     specs = (DistributionSpec(kind="gaussian-std", dim=4),) * 2
     one = estimate_smallball(
@@ -350,7 +356,7 @@ def reference_membership_hits(specs, body, cfg):
 
 
 @pytest.mark.parametrize("tail, count, threads", [(1, 8, 1), (2, 8, 2), (1, 0, 1)])
-def test_membership_counts_match_fresh_products(tail, count, threads):
+def test_membership_counts_match_fresh_products(tail, count, threads, two_cpus):
     # n=4, l=3: chunks of 2^21 / 64 = 32768 trials, so each batch ends in a
     # chunk of ``tail`` trials
     spec = DistributionSpec(kind="symmetric-exponential-unitvar", dim=4)
@@ -425,6 +431,13 @@ def _reuse_dominance(cfg):
     return rep.hits_a, rep.hits_b
 
 
+def _reuse_norms_laplace(cfg):
+    # Laplace draws allocate anyway; the arrays kept for them stay unused
+    specs = (DistributionSpec(kind="symmetric-exponential-unitvar", dim=16),) * 2
+    curves = norm_concentration(specs, np.linspace(0.02, 0.6, 8), cfg)
+    return curves.upper.hit_counts + curves.lower.hit_counts
+
+
 def _reuse_smin(cfg):
     e = SmoothedEnsemble.random(4, 4, 2, 0.5, rng=1)
     return smin_tail_experiment(e, cfg, (2.0, 1.0, 0.5, 0.2)).curve.hit_counts
@@ -435,36 +448,65 @@ def _reuse_smin(cfg):
 REUSE_RUNS = {
     "direction": (_reuse_direction, 13_500, 4_000),
     "norms": (_reuse_norms, 13_500, 4_000),
+    "norms-laplace": (_reuse_norms_laplace, 13_500, 4_000),
     "dominance": (_reuse_dominance, 4_600, 1_300),
     "smin": (_reuse_smin, 1_000, 300),
 }
 
 
 @pytest.mark.parametrize("name", sorted(REUSE_RUNS))
-def test_reused_batch_arrays_change_no_count(name, monkeypatch):
+def test_reused_batch_arrays_change_no_count(name, monkeypatch, two_cpus):
     estimate, trials, batch = REUSE_RUNS[name]
     one, two = (estimate(cfg_of(seed=6, trials=trials, batch_size=batch, threads=t)) for t in (1, 2))
     # every batch on fresh arrays
-    monkeypatch.setattr(montecarlo._Scratch, "_slice", lambda self, name, shape: None)
+    monkeypatch.setattr(montecarlo._Scratch, "array", lambda self, name, shape: np.empty(shape))
     fresh = estimate(cfg_of(seed=6, trials=trials, batch_size=batch, threads=1))
     assert one == two == fresh
     assert 0 < sum(one) < trials * len(one)
 
 
 def test_later_batches_draw_into_the_first_batch_arrays(monkeypatch):
-    outs = []
+    addresses = []
 
     def recording(spec, rng, n, out=None):
-        outs.append(out is not None)
-        return sample_matrix(spec, rng, n, out=out)
+        x = sample_matrix(spec, rng, n, out=out)
+        assert out is not None and x is out
+        addresses.append(out.ctypes.data)
+        return x
 
     monkeypatch.setattr(montecarlo, "sample_matrix", recording)
     _reuse_direction(cfg_of(seed=6, trials=13_500, batch_size=4_000))
-    # the first batch allocates its three factors; the other three batches reuse them
-    assert outs == [False] * 3 + [True] * 9
+    # four batches of three factors: batches 2-4 draw into the arrays of batch 1
+    assert len(addresses) == 12 and len(set(addresses[:3])) == 3
+    assert addresses[3:] == addresses[:3] * 3
 
 
-def test_norm_concentration_matches_linalg_norm():
+def test_scratch_keeps_one_array_per_name_and_thread():
+    scratch = montecarlo._Scratch()
+    first = scratch.array("x", (100, 4))
+    assert first.shape == (100, 4) and first.flags.c_contiguous
+    # shrinking shapes are views of the one allocation, shaped as asked
+    for shape in ((100, 3), (37, 4), (400,), (1, 1)):
+        view = scratch.array("x", shape)
+        assert view.shape == shape and view.flags.c_contiguous
+        assert view.ctypes.data == first.ctypes.data and view.base is first.base
+    # other names get their own arrays
+    assert not np.shares_memory(scratch.array("y", (100, 4)), first)
+    # a larger shape allocates anew, and that array is kept
+    larger = scratch.array("x", (101, 4))
+    assert not np.shares_memory(larger, first)
+    assert scratch.array("x", (100, 4)).ctypes.data == larger.ctypes.data
+    # another thread keeps its own arrays under the same name
+    other = []
+    worker = threading.Thread(target=lambda: other.append(scratch.array("x", (10, 4))))
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert not np.shares_memory(other[0], larger)
+    assert scratch.array("x", (10, 4)).ctypes.data == larger.ctypes.data
+
+
+def test_norm_concentration_matches_linalg_norm(two_cpus):
     specs = (DistributionSpec(kind="gaussian-std", dim=16), DistributionSpec(kind="uniform-cube-sqrt3", dim=8))
     t = np.linspace(0.02, 0.6, 12)
     cfg = cfg_of(seed=3, trials=25_000, batch_size=7_001, threads=2)
@@ -487,7 +529,7 @@ class Sentinel(Exception):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_batch_driver_streams_a_huge_plan(threads):
+def test_batch_driver_streams_a_huge_plan(threads, two_cpus):
     calls = []
     lock = threading.Lock()
 
@@ -505,7 +547,16 @@ def test_batch_driver_streams_a_huge_plan(threads):
 
 
 @pytest.mark.parametrize("threads", [1, 3])
-def test_batch_driver_adds_every_batch_once(threads):
+def test_batch_driver_adds_every_batch_once(threads, two_cpus):
     cfg = cfg_of(seed=1, trials=1_000_003, batch_size=9_999, threads=threads)
     total = montecarlo._sum_over_batches(cfg, lambda rng, size, scratch: np.asarray([size, 1]))
     assert total.tolist() == [1_000_003, 101]
+
+
+@pytest.mark.parametrize("cpus, threads, pools", [(3, 100_000, [3]), (3, 2, [2]), (1, 100_000, [])])
+def test_pool_never_has_more_workers_than_cpus(monkeypatch, inline_pool, cpus, threads, pools):
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    cfg = cfg_of(seed=1, trials=1_000_003, batch_size=9_999, threads=threads)
+    total = montecarlo._sum_over_batches(cfg, lambda rng, size, scratch: np.asarray([size, 1]))
+    assert total.tolist() == [1_000_003, 101]
+    assert inline_pool == pools

@@ -24,6 +24,15 @@ def test_basis_invariant_rejects_non_orthonormal():
         SubspaceBasis(shape=(2, 2), rows=np.array([[1.0, 1.0, 0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 1e200], ids=["nan", "inf", "-inf", "overflow"])
+def test_basis_rejects_non_finite_rows(entry):
+    # an otherwise orthonormal basis; 1e200 is finite, but its Gram entry is not
+    rows = coordinate_line_subspace(3, 2, 2).rows.copy()
+    rows[1, 4] = entry
+    with pytest.raises(ValidationError, match="not orthonormal"):
+        SubspaceBasis(shape=(3, 3), rows=rows)
+
+
 def test_basis_rejects_m_above_dim():
     with pytest.raises(ValidationError):
         haar_subspace((2, 2), 5, np.random.default_rng(0))
