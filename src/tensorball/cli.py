@@ -244,24 +244,23 @@ def _run_dominance(cfg: dict, stamp: str) -> list[tuple[str, bytes]]:
     spec = DistributionSpec(kind=_DIST_KINDS[cfg["dist"]], dim=cfg["n"])
     cube = matched_cube(spec)
     dim = cfg["n"] ** cfg["ell"]
-    rows = []
-    for b in range(cfg["bodies"]):
-        body = SlabBody.random(dim, cfg["count"], cfg["scale"], _aux_rng(cfg["seed"], b))
-        rep = dominance_test((spec,) * cfg["ell"], (cube,) * cfg["ell"], body, _experiment_config(cfg))
-        rows.append(
-            {
-                "body": b,
-                "hits_a": rep.hits_a,
-                "hits_b": rep.hits_b,
-                "trials": rep.trials,
-                "p_hat_a": rep.p_hat_a,
-                "p_hat_b": rep.p_hat_b,
-                "lower_a": rep.lower_a_one_sided,
-                "upper_b": rep.upper_b_one_sided,
-                "gap": rep.gap,
-                "violation_candidate": rep.violation_candidate,
-            }
-        )
+    bodies = [SlabBody.random(dim, cfg["count"], cfg["scale"], _aux_rng(cfg["seed"], b)) for b in range(cfg["bodies"])]
+    reports = dominance_test((spec,) * cfg["ell"], (cube,) * cfg["ell"], bodies, _experiment_config(cfg))
+    rows = [
+        {
+            "body": b,
+            "hits_a": rep.hits_a,
+            "hits_b": rep.hits_b,
+            "trials": rep.trials,
+            "p_hat_a": rep.p_hat_a,
+            "p_hat_b": rep.p_hat_b,
+            "lower_a": rep.lower_a_one_sided,
+            "upper_b": rep.upper_b_one_sided,
+            "gap": rep.gap,
+            "violation_candidate": rep.violation_candidate,
+        }
+        for b, rep in enumerate(reports)
+    ]
     return [("dominance.csv", _table_csv(rows, stamp))]
 
 
@@ -430,9 +429,9 @@ def _check_config(subcommand: str, cfg: dict) -> None:
     decompose, a rank above n^floor((l-1)/2), the most it can recover.  Runs
     whose flattened size is above ``FLATTEN_CAP`` entries (the m basis rows
     of length n^l for smallball, one n^l x r Khatri-Rao matrix for smin,
-    the count slab directions of length n^l for dominance, at least one,
-    and one n^l tensor for direction and decompose) are refused before
-    anything is allocated.
+    the bodies x count slab directions of length n^l for dominance, at
+    least one, and one n^l tensor for direction and decompose) are refused
+    before anything is allocated.
     """
     for key, (what, least) in _LEAST.items():
         value = cfg.get(key)
@@ -452,8 +451,9 @@ def _check_config(subcommand: str, cfg: dict) -> None:
         if (cfg["r"] is None) != (rho is None):
             raise ValidationError("the smin_tail column needs both --r and --rho")
     if subcommand in ("smallball", "direction", "dominance", "decompose", "smin"):
-        # a dominance run without slab directions still counts as one row
-        rows = {"smallball": cfg.get("m"), "smin": cfg.get("r"), "dominance": cfg.get("count")}.get(subcommand) or 1
+        # dominance holds every body's slab directions at once; a run without any still counts as one row
+        directions = cfg.get("bodies", 0) * cfg.get("count", 0)
+        rows = {"smallball": cfg.get("m"), "smin": cfg.get("r"), "dominance": directions}.get(subcommand) or 1
         if rows * cfg["n"] ** cfg["ell"] > FLATTEN_CAP:
             size = f"{cfg['n']}^{cfg['ell']}" if rows == 1 else f"{rows} x {cfg['n']}^{cfg['ell']}"
             raise ResourceError(f"{subcommand} needs {size} flattened entries, above the cap of {FLATTEN_CAP}")

@@ -126,10 +126,9 @@ def dominance_by_matched_cube():
     violations = 0
     for li, law in enumerate(laws):
         cube = matched_cube(law)
-        for b in range(5):
-            body = SlabBody.random(4, 3, 1.0, _aux_rng(10 * li + b))
-            rep = dominance_test((law,) * 2, (cube,) * 2, body, cfg)
-            violations += int(rep.violation_candidate)
+        bodies = [SlabBody.random(4, 3, 1.0, _aux_rng(10 * li + b)) for b in range(5)]
+        reports = dominance_test((law,) * 2, (cube,) * 2, bodies, cfg)
+        violations += sum(rep.violation_candidate for rep in reports)
     return _verdict(5, "dominance by matched cube", violations == 0, f"{violations}/15 violation candidates", started, 300.0)
 
 

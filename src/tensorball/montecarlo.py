@@ -368,60 +368,78 @@ def norm_concentration(specs, t_grid, cfg: ExperimentConfig) -> NormTailCurves:
     )
 
 
-def _membership_counts(specs, body: SlabBody, cfg: ExperimentConfig) -> int:
+def _membership_counts(specs, bodies, cfg: ExperimentConfig) -> np.ndarray:
+    """Per body of ``bodies``, in order, how many trials land inside it.
+
+    Each chunk's factors are drawn once and tested against every body, each
+    body with the ``contract`` call it would take alone, so a body's count
+    does not depend on the others.
+    """
+    if not bodies:
+        raise ValidationError("need at least one slab body")
     dims = tuple(s.dim for s in specs)
     ambient = math.prod(dims)
-    if body.ambient_dim != ambient:
-        raise ValidationError(
-            f"slab body lives in dimension {body.ambient_dim}, tensors in {ambient}"
-        )
+    for body in bodies:
+        if body.ambient_dim != ambient:
+            raise ValidationError(
+                f"slab body lives in dimension {body.ambient_dim}, tensors in {ambient}"
+            )
     # trials drawn per call of ``sample_matrix``: the chunk boundaries are
     # part of the random stream, so this defines the stream, not the memory
     # (``contract`` never builds the n^l tensors)
     chunk = max(1, (1 << 21) // max(ambient, 1))
 
     def kernel(rng, size, scratch):
-        hits = 0
+        hits = np.zeros(len(bodies), dtype=np.int64)
         done = 0
         while done < size:
             cur = min(chunk, size - done)
             xs = [sample_matrix(s, rng, cur, out=scratch.array(f"x{j}", (cur, s.dim))) for j, s in enumerate(specs)]
-            inside = body.inside(lambda d: contract(d, dims, xs, out=scratch.array("inner", (cur, d.shape[0]))))
-            hits += int(np.count_nonzero(inside))
+            for k, body in enumerate(bodies):
+                inside = body.inside(lambda d: contract(d, dims, xs, out=scratch.array("inner", (cur, d.shape[0]))))
+                hits[k] += np.count_nonzero(inside)
             done += cur
-        return np.asarray([hits])
+        return hits
 
-    return int(_sum_over_batches(cfg, kernel)[0])
+    return _sum_over_batches(cfg, kernel)
 
 
-def dominance_test(specs_a, specs_b, body: SlabBody, cfg: ExperimentConfig) -> DominanceReport:
-    """Check consistency of P(tensor(A) in K) <= P(tensor(B) in K) at cfg.confidence.
+def dominance_test(specs_a, specs_b, bodies, cfg: ExperimentConfig) -> tuple[DominanceReport, ...]:
+    """Check consistency of P(tensor(A) in K) <= P(tensor(B) in K) at cfg.confidence
+    for every slab body K of ``bodies``; one report per body, in order.
 
-    Flags a violation candidate only when the one-sided exact intervals are
-    disjoint in the wrong order; sampling noise alone never contradicts the
-    dominance direction.
+    Each law's factors are drawn once for all the bodies, and every body's
+    counts are those of a call with that body alone.  Flags a violation
+    candidate only when the one-sided exact intervals are disjoint in the
+    wrong order; sampling noise alone never contradicts the dominance
+    direction.
     """
     if tuple(s.dim for s in specs_a) != tuple(s.dim for s in specs_b):
         raise ValidationError("specs_a and specs_b must have matching factor dims")
-    hits_a = _membership_counts(specs_a, body, cfg)
-    hits_b = _membership_counts(specs_b, body, cfg)
+    bodies = tuple(bodies)
+    hits_a = _membership_counts(specs_a, bodies, cfg)
+    hits_b = _membership_counts(specs_b, bodies, cfg)
     n = cfg.trials
     # one-sided bounds at the same confidence level
     low, high = _beta_bounds([hits_a, hits_b], n, 1.0 - cfg.confidence)
-    lower_a, upper_b = float(low[0]), float(high[1])
-    gap = lower_a - upper_b
-    return DominanceReport(
-        trials=n,
-        confidence=cfg.confidence,
-        hits_a=hits_a,
-        hits_b=hits_b,
-        p_hat_a=hits_a / n,
-        p_hat_b=hits_b / n,
-        lower_a_one_sided=lower_a,
-        upper_b_one_sided=upper_b,
-        gap=gap,
-        violation_candidate=bool(gap > 0),
-    )
+    reports = []
+    for a, b, lower_a, upper_b in zip(hits_a.tolist(), hits_b.tolist(), low[0].tolist(), high[1].tolist()):
+        gap = lower_a - upper_b
+        reports.append(
+            DominanceReport(
+                trials=n,
+                confidence=cfg.confidence,
+                hits_a=a,
+                hits_b=b,
+                p_hat_a=a / n,
+                p_hat_b=b / n,
+                lower_a_one_sided=lower_a,
+                upper_b_one_sided=upper_b,
+                gap=gap,
+                violation_candidate=gap > 0,
+            )
+        )
+    return tuple(reports)
 
 
 def fit_slope(curve: SmallBallCurve, eps_range: tuple[float, float], deflate_log_power: int = 0) -> SlopeFit:

@@ -525,6 +525,25 @@ def test_dominance_tiny_scale_holds_every_trial(tmp_path):
     assert [(row["hits_a"], row["hits_b"], row["trials"]) for row in rows] == [("100", "100", "100")]
 
 
+def test_dominance_cap_counts_every_body(tmp_path, capsys, monkeypatch):
+    """2 bodies of 501 slab directions of length 10^4: each body is under the cap, the two together above it."""
+    drawn = []
+    monkeypatch.setattr(cli.SlabBody, "random", lambda *args: drawn.append(args))
+    argv = ["dominance", "--n", "10", "--l", "4", "--bodies", "2", "--count", "501", "--trials", "100"]
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (
+        f"error: dominance needs 1002 x 10^4 flattened entries, above the cap of {cli.FLATTEN_CAP}\n"
+    )
+    assert drawn == [] and not (tmp_path / "out").exists()
+
+
+def test_dominance_cap_admits_every_body_at_the_cap():
+    # checked without drawing the 80 MB of directions the run would hold
+    argv = ["dominance", "--n", "10", "--l", "4", "--bodies", "2", "--count", "500", "--seed", "0"]
+    cfg = cli._config_from_args(cli.build_parser().parse_args(argv))
+    assert cfg["bodies"] * cfg["count"] * cfg["n"] ** cfg["ell"] == cli.FLATTEN_CAP
+
+
 def test_norms_runs(tmp_path):
     assert run_cli(
         "norms", "--n", "8", "--l", "2", "--trials", "400", "--batch-size", "200",

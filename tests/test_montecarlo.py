@@ -217,14 +217,14 @@ def test_norm_concentration_rejects_anisotropic():
 
 def test_dominance_identical_laws_consistent():
     body = SlabBody.random(4, 3, 1.0, np.random.default_rng(0))
-    rep = dominance_test(GAUSS2, GAUSS2, body, cfg_of(seed=1, trials=50_000))
+    (rep,) = dominance_test(GAUSS2, GAUSS2, [body], cfg_of(seed=1, trials=50_000))
     assert not rep.violation_candidate
     assert abs(rep.gap) < 0.02
 
 
 def test_dominance_empty_body_everything_inside():
     body = SlabBody(directions=np.zeros((0, 4)))
-    rep = dominance_test(GAUSS2, GAUSS2, body, cfg_of(trials=1000))
+    (rep,) = dominance_test(GAUSS2, GAUSS2, [body], cfg_of(trials=1000))
     assert rep.p_hat_a == 1.0 and rep.p_hat_b == 1.0
 
 
@@ -234,11 +234,54 @@ def test_dominance_histogram_vs_matched_cube():
     spec = DistributionSpec(kind="histogram", dim=2, histogram=h)
     cube = matched_cube(spec)
     body = SlabBody(np.eye(4) / 0.25)
-    rep = dominance_test(
-        (spec,) * 2, (cube,) * 2, body, cfg_of(seed=4, trials=200_000)
-    )
+    (rep,) = dominance_test((spec,) * 2, (cube,) * 2, [body], cfg_of(seed=4, trials=200_000))
     assert not rep.violation_candidate
     assert rep.p_hat_a <= rep.p_hat_b + 0.01
+
+
+def dominance_bodies(kind):
+    """Gaussian or Laplace factors at n=16, l=3 against slab bodies of 0, 3 and 8 directions."""
+    spec = DistributionSpec(kind=kind, dim=16)
+    bodies = [SlabBody.random(16**3, count, 1 / 64, np.random.default_rng(count)) for count in (0, 3, 8)]
+    return (spec,) * 3, (matched_cube(spec),) * 3, bodies
+
+
+@pytest.mark.parametrize("kind", ["gaussian-std", "symmetric-exponential-unitvar"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_dominance_bodies_share_draws(kind, threads, two_cpus):
+    specs_a, specs_b, bodies = dominance_bodies(kind)
+    # chunks of 2^21 / 4096 = 512 trials: batches of 1300 end in a chunk of
+    # 276, and the last batch of 700 in one of 188
+    cfg = cfg_of(seed=6, trials=4_600, batch_size=1_300, threads=threads)
+    together = dominance_test(specs_a, specs_b, bodies, cfg)
+    alone = tuple(dominance_test(specs_a, specs_b, [body], cfg)[0] for body in bodies)
+    assert together == alone
+    assert together[0].hits_a == together[0].hits_b == cfg.trials
+    # strictly below the matched cube, which with the Laplace law lands in both bodies on every trial
+    assert all(0 < rep.hits_a < rep.hits_b for rep in together[1:])
+
+
+def test_dominance_draws_once_for_every_body(monkeypatch):
+    specs_a, specs_b, bodies = dominance_bodies("gaussian-std")
+    draws = []
+
+    def counting(spec, rng, n, out=None):
+        draws.append(n)
+        return sample_matrix(spec, rng, n, out=out)
+
+    monkeypatch.setattr(montecarlo, "sample_matrix", counting)
+    cfg = cfg_of(seed=6, trials=4_600, batch_size=1_300)
+    dominance_test(specs_a, specs_b, bodies[2:], cfg)
+    one = list(draws)
+    draws.clear()
+    dominance_test(specs_a, specs_b, [*bodies, *bodies[1:]], cfg)
+    # 2 laws x 11 chunks x 3 factors
+    assert draws == one and len(one) == 66
+
+
+def test_dominance_needs_a_body():
+    with pytest.raises(ValidationError, match="at least one slab body"):
+        dominance_test(GAUSS2, GAUSS2, [], cfg_of(trials=1000))
 
 
 @pytest.mark.parametrize("trials", [100, 7001])
@@ -249,8 +292,8 @@ def test_dominance_one_sided_bounds_are_beta_quantiles(monkeypatch, trials, conf
     body = SlabBody.random(4, 3, 1.0, np.random.default_rng(0))
     cfg = cfg_of(trials=trials, confidence=confidence)
     for k in (0, 1, trials - 1, trials):
-        monkeypatch.setattr(montecarlo, "_membership_counts", lambda specs, body, cfg: k)
-        rep = dominance_test(GAUSS2, GAUSS2, body, cfg)
+        monkeypatch.setattr(montecarlo, "_membership_counts", lambda specs, bodies, cfg: np.full(len(bodies), k))
+        (rep,) = dominance_test(GAUSS2, GAUSS2, [body], cfg)
         want_low = betaincinv(k, trials - k + 1, 1 - confidence) if k > 0 else 0.0
         want_high = betaincinv(k + 1, trials - k, confidence) if k < trials else 1.0
         assert (rep.hits_a, rep.hits_b) == (k, k)
@@ -366,7 +409,7 @@ def test_membership_counts_match_fresh_products(tail, count, threads, two_cpus):
     cfg = cfg_of(seed=9, trials=2 * batch + 5, batch_size=batch, threads=threads)
     for laws in (specs, (matched_cube(spec),) * 3):
         want = reference_membership_hits(laws, body, cfg)
-        assert montecarlo._membership_counts(laws, body, cfg) == want
+        assert montecarlo._membership_counts(laws, [body], cfg).tolist() == [want]
         assert 0 < want <= cfg.trials
 
 
@@ -378,7 +421,7 @@ def test_membership_counts_never_build_the_tensors():
     cfg = cfg_of(seed=0, trials=100_000, batch_size=100_000)
     tracemalloc.start()
     try:
-        montecarlo._membership_counts((spec,) * 3, body, cfg)
+        montecarlo._membership_counts((spec,) * 3, [body], cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -427,7 +470,7 @@ def _reuse_dominance(cfg):
     # in a chunk of 276 and the last batch of 700 in one of 188
     spec = DistributionSpec(kind="gaussian-std", dim=16)
     body = SlabBody.random(16**3, 3, 1 / 64, np.random.default_rng(5))
-    rep = dominance_test((spec,) * 3, (matched_cube(spec),) * 3, body, cfg)
+    (rep,) = dominance_test((spec,) * 3, (matched_cube(spec),) * 3, [body], cfg)
     return rep.hits_a, rep.hits_b
 
 

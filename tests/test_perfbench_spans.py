@@ -85,10 +85,10 @@ MC_CALLS = {
         "montecarlo.estimate_smallball", "trials", 200,
     ),
     "norms": (["norms", "--n", "4", "--l", "2", "--trials", "300"], "montecarlo.norm_concentration", "trials", 300),
-    # one run per law for each body: 2 bodies x 2 laws x 150 trials
+    # one call for both bodies, one run per law: 2 laws x 150 trials
     "dominance": (
         ["dominance", "--n", "2", "--l", "2", "--bodies", "2", "--trials", "150"],
-        "montecarlo.dominance_test", "trials", 600,
+        "montecarlo.dominance_test", "trials", 300,
     ),
     # trials x (2 n^l r^2 + 2 r^3) at n=3, l=2, r=2
     "smin": (
@@ -102,5 +102,5 @@ MC_CALLS = {
 def test_tracer_counts_the_work_of_each_monte_carlo_subcommand(tmp_path, subcommand):
     argv, estimator, counter, want = MC_CALLS[subcommand]
     tracer = run_traced(load_spans(), [*argv, "--seed", "0", "--out", str(tmp_path)])
-    assert tracer.call_counts()[estimator] == (2 if subcommand == "dominance" else 1)
+    assert tracer.call_counts()[estimator] == 1
     assert tracer.counters[counter] == want
