@@ -32,7 +32,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .decomposition import decompose_smoothed
+from .decomposition import decompose_smoothed, folding_plan
 from .distributions import DistributionSpec, matched_cube
 from .errors import (
     ConfigurationError,
@@ -197,14 +197,13 @@ def _run_smallball(cfg: dict, stamp: str) -> list[tuple[str, bytes]]:
 
 
 def _run_direction(cfg: dict, stamp: str) -> list[tuple[str, bytes]]:
+    specs = _specs(cfg)
     direction = diagonal_direction(cfg["n"], cfg["ell"])
-    curve = estimate_direction_smallball(_specs(cfg), direction, _experiment_config(cfg), cfg["eps_grid"])
+    curve = estimate_direction_smallball(specs, direction, _experiment_config(cfg), cfg["eps_grid"])
     extra = None
-    kind = _DIST_KINDS[cfg["dist"]]
-    if kind.startswith("uniform-cube"):
-        support = math.sqrt(3.0) if kind == "uniform-cube-sqrt3" else 1.0
-        exact = [float(product_uniform_smallball(cfg["ell"], support, e)) for e in cfg["eps_grid"]]
-        extra = {"exact": exact}
+    s = specs[0].uniform_half_width
+    if s is not None:
+        extra = {"exact": [float(product_uniform_smallball(cfg["ell"], s, e)) for e in cfg["eps_grid"]]}
     return [("direction.csv", curve_csv_bytes(curve, extra_columns=extra, comment=f"manifest: {stamp}"))]
 
 
@@ -458,7 +457,7 @@ def _check_config(subcommand: str, cfg: dict) -> None:
             size = f"{cfg['n']}^{cfg['ell']}" if rows == 1 else f"{rows} x {cfg['n']}^{cfg['ell']}"
             raise ResourceError(f"{subcommand} needs {size} flattened entries, above the cap of {FLATTEN_CAP}")
     if subcommand == "decompose" and cfg["ell"] >= 3:
-        max_rank = cfg["n"] ** ((cfg["ell"] - 1) // 2)
+        max_rank = folding_plan((cfg["n"],) * cfg["ell"]).grouped_shape[0]
         if cfg["r"] > max_rank:
             raise ValidationError(f"need r <= n^floor((ell-1)/2) = {max_rank}, got r = {cfg['r']}")
 

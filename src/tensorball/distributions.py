@@ -1,7 +1,8 @@
 """Coordinate distributions for tensor factors.
 
 Every factor vector is sampled with i.i.d. coordinates from a symmetric
-one-dimensional law.  Cube conventions used throughout the package:
+one-dimensional law.  The built-in laws and their facts live in one table,
+``_LAWS``; ``KINDS`` lists its keys, then ``histogram``:
 
 * ``uniform-cube-sqrt3``: uniform on ``[-sqrt(3), sqrt(3)]``, variance 1,
   density ``1/(2*sqrt(3))``.
@@ -10,38 +11,36 @@ one-dimensional law.  Cube conventions used throughout the package:
 * ``symmetric-exponential-unitvar``: Laplace with scale ``1/sqrt(2)``
   (variance 1), density sup ``1/sqrt(2)``.
 * ``histogram``: user-supplied piecewise-constant density.
-
-A histogram with two equal bin edges is accepted as a point mass at that
-value; it is the one degenerate form allowed (its mass constraint is vacuous
-and its density sup is infinite).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
 
-KINDS = (
-    "uniform-cube-sqrt3",
-    "uniform-cube-unit",
-    "gaussian-std",
-    "symmetric-exponential-unitvar",
-    "histogram",
-)
-
 _SQRT3 = math.sqrt(3.0)
 _LAPLACE_SCALE = 1.0 / math.sqrt(2.0)
 
-_BUILTIN_SUP = {
-    "uniform-cube-sqrt3": 1.0 / (2.0 * _SQRT3),
-    "uniform-cube-unit": 0.5,
-    "gaussian-std": 1.0 / math.sqrt(2.0 * math.pi),
-    "symmetric-exponential-unitvar": 1.0 / math.sqrt(2.0),
+
+class _Law(NamedTuple):
+    sup: float  # exact sup of the density
+    half_width: float | None  # s for a law uniform on [-s, s], else None
+    isotropic: bool  # mean 0 and variance 1
+
+
+_LAWS = {
+    "uniform-cube-sqrt3": _Law(1.0 / (2.0 * _SQRT3), _SQRT3, True),
+    "uniform-cube-unit": _Law(0.5, 1.0, False),
+    "gaussian-std": _Law(1.0 / math.sqrt(2.0 * math.pi), None, True),
+    "symmetric-exponential-unitvar": _Law(1.0 / math.sqrt(2.0), None, True),
 }
+
+KINDS = (*_LAWS, "histogram")
 
 _MASS_TOL = 1e-12
 
@@ -52,8 +51,7 @@ class HistogramDensity:
 
     ``bin_edges`` must be strictly increasing with ``len(heights) ==
     len(bin_edges) - 1``, heights nonnegative and total mass 1 within
-    1e-12.  The degenerate form ``bin_edges == [c, c]`` is a point mass
-    at ``c``.
+    1e-12.
     """
 
     bin_edges: tuple[float, ...]
@@ -68,23 +66,16 @@ class HistogramDensity:
             raise ValidationError(
                 "histogram needs 1-d edges and heights with len(edges) == len(heights) + 1"
             )
-        if self.is_point_mass:
-            return
+        # each check is written so that NaN fails it
         if not np.all(np.diff(edges) > 0):
             raise ValidationError("histogram bin edges must be strictly increasing")
-        if np.any(heights < 0):
+        if not np.all(heights >= 0):
             raise ValidationError("histogram heights must be nonnegative")
         mass = float(np.sum(heights * np.diff(edges)))
-        if abs(mass - 1.0) > _MASS_TOL:
+        if not abs(mass - 1.0) <= _MASS_TOL:
             raise ValidationError(f"histogram mass {mass!r} differs from 1 by more than {_MASS_TOL}")
 
-    @property
-    def is_point_mass(self) -> bool:
-        return len(self.bin_edges) == 2 and self.bin_edges[0] == self.bin_edges[1]
-
     def sup(self) -> float:
-        if self.is_point_mass:
-            return math.inf
         return float(np.max(self.heights))
 
 
@@ -123,7 +114,19 @@ class DistributionSpec:
         """The exact sup of the coordinate density."""
         if self.kind == "histogram":
             return self.histogram.sup()
-        return _BUILTIN_SUP[self.kind]
+        return _LAWS[self.kind].sup
+
+    @property
+    def uniform_half_width(self) -> float | None:
+        """``s`` when the law is uniform on ``[-s, s]``, else None (histograms included)."""
+        law = _LAWS.get(self.kind)
+        return law.half_width if law else None
+
+    @property
+    def isotropic(self) -> bool:
+        """Whether the law is centered with unit variance; False for histograms."""
+        law = _LAWS.get(self.kind)
+        return law.isotropic if law else False
 
 
 def sample_matrix(spec: DistributionSpec, rng: np.random.Generator, n: int, out=None) -> np.ndarray:
@@ -141,10 +144,9 @@ def sample_matrix(spec: DistributionSpec, rng: np.random.Generator, n: int, out=
     d = spec.dim
     if out is not None and (out.shape != (n, d) or out.dtype != np.float64 or not out.flags.c_contiguous):
         raise ValidationError(f"sample_matrix needs a C-contiguous float64 out= of shape {(n, d)}")
-    if spec.kind == "uniform-cube-sqrt3":
-        return _sample_uniform(rng, -_SQRT3, _SQRT3, (n, d), out)
-    if spec.kind == "uniform-cube-unit":
-        return _sample_uniform(rng, -1.0, 1.0, (n, d), out)
+    s = spec.uniform_half_width
+    if s is not None:
+        return _sample_uniform(rng, -s, s, (n, d), out)
     if spec.kind == "gaussian-std":
         return rng.standard_normal((n, d), out=out)
     if spec.kind == "symmetric-exponential-unitvar":
@@ -162,10 +164,6 @@ def _sample_uniform(rng: np.random.Generator, low: float, high: float, shape, ou
 
 
 def _sample_histogram(h: HistogramDensity, rng: np.random.Generator, shape, out) -> np.ndarray:
-    if h.is_point_mass:
-        x = np.empty(shape) if out is None else out
-        x.fill(h.bin_edges[0])
-        return x
     edges = np.asarray(h.bin_edges)
     widths = np.diff(edges)
     u = rng.random(shape, out=out)

@@ -215,7 +215,12 @@ def bound_concentration_subgaussian(
 
 
 def sharpness_lower_bound(eps, ell: int, cfg: BoundConfig = BoundConfig()):
-    """Matching lower bound C eps/(ell-2)! * log(1/eps)^(ell-2) for the adversarial subspace."""
+    """Lower bound C eps/(ell-2)! * log(1/eps)^(ell-2) for the adversarial subspace, capped at 1.
+
+    Not a matching bound: it sits one log(1/eps) factor below the exact
+    product-of-uniforms law, whose ratio to it grows without bound as
+    eps -> 0 (28.6 at eps = 1e-12 for ell = 2, C = 1; ROADMAP.md item 4).
+    """
     if ell < 2:
         raise ValidationError(f"ell must be >= 2, got {ell}")
     eps, scalar = _as_array(eps)

@@ -250,10 +250,9 @@ def smin_tail_experiment(e: SmoothedEnsemble, cfg: ExperimentConfig, eps_grid) -
     curve = _hit_curve(cfg, eps_grid, kernel_for)
     eps = np.asarray(curve.epsilon_grid)
     bounds = []
-    limit = math.exp(-bound_cfg.C_main * e.ell)
     for x in eps:
-        if 0 < x < limit:
+        try:
             bounds.append(bound_smin_tail(float(x), e.r, e.n, e.ell, e.rho, bound_cfg)[1])
-        else:
+        except RangeError:
             bounds.append(math.nan)
     return SminTailResult(curve=curve, thresholds=tuple((prefactor * eps).tolist()), bound_values=tuple(bounds))

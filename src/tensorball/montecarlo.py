@@ -23,8 +23,6 @@ from .errors import DataSparsityError, RangeError, ValidationError
 from .subspaces import SubspaceBasis
 from .tensor_core import contract
 
-_ISOTROPIC_KINDS = ("uniform-cube-sqrt3", "gaussian-std", "symmetric-exponential-unitvar")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -328,13 +326,11 @@ def norm_concentration(specs, t_grid, cfg: ExperimentConfig) -> NormTailCurves:
 
     Counts P(prod ||X_j|| >= (1+t) * n^(l/2)) and P(<= (1-t) * n^(l/2)) for
     every t, as two curves on the increasing ``t_grid`` (both tails shrink
-    as t grows).  Requires the unit-variance built-in kinds.
+    as t grows).  Requires centered isotropic laws (``DistributionSpec.isotropic``).
     """
     for spec in specs:
-        if spec.kind not in _ISOTROPIC_KINDS:
-            raise ValidationError(
-                f"norm_concentration needs centered isotropic kinds {_ISOTROPIC_KINDS}, got {spec.kind!r}"
-            )
+        if not spec.isotropic:
+            raise ValidationError(f"norm_concentration needs centered isotropic laws, got {spec.kind!r}")
     t = np.asarray(t_grid, dtype=float)
     # written so that NaN fails it
     if t.ndim != 1 or t.size < 1 or not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)):

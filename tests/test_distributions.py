@@ -26,16 +26,46 @@ def test_histogram_must_be_normalized():
         HistogramDensity(bin_edges=(0.0, 1.0), heights=(0.7,))
 
 
+@pytest.mark.parametrize(
+    "edges, heights",
+    [
+        ((0.7, 0.7), (0.0,)),
+        ((0.0, 1.0), (math.nan,)),
+        ((0.0, 1.0, 2.0), (math.nan, 1.0)),
+        ((0.0, 1.0, 2.0), (0.5, math.nan)),
+        ((0.0, math.nan), (1.0,)),
+    ],
+    ids=["point-mass", "nan-one-bin", "nan-first-bin", "nan-second-bin", "nan-edge"],
+)
+def test_histogram_refuses_what_is_not_a_bounded_density(edges, heights):
+    """A point mass has no bounded density, and NaN fails every check, as it does in ``exact_laws``."""
+    with pytest.raises(ValidationError):
+        HistogramDensity(bin_edges=edges, heights=heights)
+
+
 def test_density_sup_builtins():
     assert DistributionSpec(kind="uniform-cube-unit", dim=1).density_bound == 0.5
     got = DistributionSpec(kind="gaussian-std", dim=1).density_bound
     assert abs(got - 0.3989423) < 1e-7
     assert abs(DistributionSpec(kind="symmetric-exponential-unitvar", dim=1).density_bound - 1 / math.sqrt(2)) < 1e-12
+    # a law uniform on [-s, s] has density 1/(2s), bit for bit
+    halves = {}
+    for kind in KINDS[:-1]:
+        spec = DistributionSpec(kind=kind, dim=1)
+        if spec.uniform_half_width is not None:
+            halves[kind] = spec.uniform_half_width
+            assert spec.density_bound == 1 / (2 * spec.uniform_half_width), kind
+    assert halves == {"uniform-cube-sqrt3": SQRT3, "uniform-cube-unit": 1.0}
 
 
 def test_density_sup_histogram_is_max_height():
     h = HistogramDensity(bin_edges=(-1.0, 0.0, 1.0), heights=(0.2, 0.8))
-    assert DistributionSpec(kind="histogram", dim=1, histogram=h).density_bound == 0.8
+    spec = DistributionSpec(kind="histogram", dim=1, histogram=h)
+    assert spec.density_bound == 0.8
+    # histograms report neither fact, not even the one-bin uniform law matched_cube builds
+    assert spec.uniform_half_width is None and spec.isotropic is False
+    cube = matched_cube(DistributionSpec(kind="uniform-cube-unit", dim=1))
+    assert cube.uniform_half_width is None and cube.isotropic is False
 
 
 def test_cube_sqrt3_support_and_moments():
@@ -53,11 +83,16 @@ def test_gaussian_mean_near_zero():
 
 
 def test_unit_variance_kinds():
-    # cube-unit is on [-1, 1], variance 1/3 by construction; the others are unit
-    for kind, var in [("uniform-cube-sqrt3", 1.0), ("gaussian-std", 1.0),
-                      ("symmetric-exponential-unitvar", 1.0), ("uniform-cube-unit", 1.0 / 3.0)]:
-        x = sample_matrix(DistributionSpec(kind=kind, dim=1), np.random.default_rng(2), 400_000)
+    # cube-unit is on [-1, 1], variance 1/3 by construction; the others are unit,
+    # and exactly those are marked isotropic
+    variances = {"uniform-cube-sqrt3": 1.0, "gaussian-std": 1.0,
+                 "symmetric-exponential-unitvar": 1.0, "uniform-cube-unit": 1.0 / 3.0}
+    assert sorted(variances) == sorted(KINDS[:-1])
+    for kind, var in variances.items():
+        spec = DistributionSpec(kind=kind, dim=1)
+        x = sample_matrix(spec, np.random.default_rng(2), 400_000)
         assert abs(x.var() - var) < 0.02, kind
+        assert spec.isotropic is (var == 1.0), kind
 
 
 def test_histogram_sampling_respects_bins():
@@ -68,14 +103,6 @@ def test_histogram_sampling_respects_bins():
     xs = sample_matrix(spec, np.random.default_rng(4), 100_000).ravel()
     frac_right = (xs >= 0).mean()
     assert abs(frac_right - 0.8) < 0.01
-
-
-def test_point_mass_histogram_samples_constant():
-    h = HistogramDensity(bin_edges=(0.7, 0.7), heights=(0.0,))
-    assert h.is_point_mass
-    spec = DistributionSpec(kind="histogram", dim=3, histogram=h)
-    xs = sample_matrix(spec, np.random.default_rng(5), 50)
-    assert np.all(xs == 0.7)
 
 
 def test_matched_cube_density_exactly_the_bound():
@@ -124,7 +151,6 @@ OUT_SPECS = {
     "multi-bin": DistributionSpec(
         kind="histogram", dim=7, histogram=HistogramDensity(bin_edges=(-1.0, 0.0, 0.5, 2.0), heights=(0.5, 0.4, 0.2))
     ),
-    "point-mass": DistributionSpec(kind="histogram", dim=7, histogram=HistogramDensity(bin_edges=(1.5, 1.5), heights=(1.0,))),
 }
 
 
@@ -146,10 +172,13 @@ def test_sample_into_out_matches_fresh_draw(name):
 
 @pytest.mark.parametrize("kind, low", [("uniform-cube-sqrt3", -SQRT3), ("uniform-cube-unit", -1.0)])
 def test_uniform_kinds_draw_the_bits_of_generator_uniform(kind, low):
-    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
-    got = sample_matrix(DistributionSpec(kind=kind, dim=7), ours, 1000)
-    assert np.array_equal(got, theirs.uniform(low, -low, size=(1000, 7)))
-    assert ours.random() == theirs.random()
+    spec = DistributionSpec(kind=kind, dim=7)
+    assert spec.uniform_half_width == -low
+    for out in (None, np.empty((1000, 7))):
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        got = sample_matrix(spec, ours, 1000, out=out)
+        assert np.array_equal(got, theirs.uniform(low, -low, size=(1000, 7)))
+        assert ours.random() == theirs.random()
 
 
 def test_multi_bin_histogram_matches_searchsorted_route():

@@ -140,16 +140,6 @@ def test_threads_do_not_change_counts(two_cpus):
     assert one.hit_counts == four.hit_counts
 
 
-def test_degenerate_shifted_point_mass_always_hits():
-    # the point mass at 0.7 minus its centre 0.7: a shift is written into the edges
-    h = HistogramDensity(bin_edges=(0.7 - 0.7, 0.7 - 0.7), heights=(0.0,))
-    specs = (DistributionSpec(kind="histogram", dim=2, histogram=h),) * 2
-    basis = coordinate_line_subspace(2, 2, 2)
-    cfg = ExperimentConfig(seed=0, trials=1000)
-    curve = estimate_smallball(specs, basis, cfg, (0.1, 0.01))
-    assert curve.hit_counts == (1000, 1000)
-
-
 def test_huge_eps_always_hits():
     specs = (DistributionSpec(kind="uniform-cube-unit", dim=2),) * 2
     basis = coordinate_line_subspace(2, 2, 1)
@@ -210,9 +200,11 @@ def test_norm_concentration_support_bound():
 
 
 def test_norm_concentration_rejects_anisotropic():
-    specs = (DistributionSpec(kind="uniform-cube-unit", dim=4),) * 2
-    with pytest.raises(ValidationError, match="isotropic"):
-        norm_concentration(specs, (0.5,), cfg_of(trials=1000))
+    # cube-unit has variance 1/3; a histogram is refused whatever its moments
+    gauss = DistributionSpec(kind="gaussian-std", dim=4)
+    for spec in (DistributionSpec(kind="uniform-cube-unit", dim=4), matched_cube(gauss)):
+        with pytest.raises(ValidationError, match="isotropic"):
+            norm_concentration((gauss, spec), (0.5,), cfg_of(trials=1000))
 
 
 def test_dominance_identical_laws_consistent():

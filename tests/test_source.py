@@ -90,3 +90,38 @@ def test_betaincinv_lives_in_one_function():
                 owner = parent.get(owner)
             owners.add(f"{path.name}:{owner.name if owner else '<module>'}")
     assert owners == {"montecarlo.py:_beta_bounds"}
+
+
+def test_only_distributions_tests_a_law_kind():
+    """Per-law facts have one owner: outside ``distributions`` (and ``gates``, which builds its
+    gate laws by kind) no comparison and no ``startswith``/``endswith`` call has a ``.kind``
+    attribute, a ``KINDS`` string or a prefix of one as an operand."""
+    from tensorball.distributions import KINDS
+
+    def is_kind_operand(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(is_kind_operand(elt) for elt in node.elts)
+        if isinstance(node, ast.Attribute) and node.attr == "kind":
+            return True
+        return (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and any(kind.startswith(node.value) for kind in KINDS)
+        )
+
+    sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name not in ("distributions.py", "gates.py")]
+    assert {path.name for path in sources} >= {"cli.py", "montecarlo.py"}
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops
+            ):
+                operands = [node.left, *node.comparators]
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("startswith", "endswith"):
+                operands = [node.func.value, *node.args]
+            else:
+                continue
+            if any(is_kind_operand(operand) for operand in operands):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == [], f"law kinds tested outside distributions: {', '.join(found)}"
