@@ -1,5 +1,9 @@
 """Command-line front end: every experiment behind one reproducible binary.
 
+Two tables build the parser: ``_FLAGS`` declares each flag once, by config
+key, and ``_SUBCOMMANDS`` gives each subcommand its runner, help line and
+flag defaults, in the order of its config's keys.
+
 Each subcommand resolves its flags into a plain config dict and hashes
 {subcommand, config, seed, version} into a manifest hash.  Its runner
 computes the artifacts, every one stamped with that hash, as bytes; only
@@ -116,6 +120,32 @@ def _parse_grid(text: str, log: bool = True) -> list[float]:
         raise UsageError(f"grid {text!r} needs two distinct finite positive endpoints and count >= 2")
     vals = np.geomspace(start, end, count) if log else np.linspace(start, end, count)
     return sorted((float(v) for v in vals), reverse=True)
+
+
+# each subcommand flag but --seed and --out, by config key: its option string and argparse settings
+_FLAGS = {
+    "trials": ("--trials", {"type": _parse_trials}),
+    "threads": ("--threads", {"type": int}),
+    "batch_size": ("--batch-size", {"type": int}),
+    "confidence": ("--confidence", {"type": float}),
+    "n": ("--n", {"type": int}),
+    "ell": ("--l", {"type": int}),
+    "m": ("--m", {"type": int}),
+    "r": ("--r", {"type": int}),
+    "rho": ("--rho", {"type": float}),
+    "dist": ("--dist", {"choices": sorted(_DIST_KINDS)}),
+    "subspace": ("--subspace", {}),
+    "eps_grid": ("--eps-grid", {"type": _parse_grid}),
+    "t_grid": ("--t-grid", {"type": functools.partial(_parse_grid, log=False)}),
+    "c_main": ("--c-main", {"type": float}),
+    "c_prime": ("--c-prime", {"type": float}),
+    "c_dprime": ("--c-dprime", {"type": float}),
+    "c_small": ("--c-small", {"type": float}),
+    "bodies": ("--bodies", {"type": int}),
+    "count": ("--count", {"type": int, "help": "slab directions per body"}),
+    "scale": ("--scale", {"type": float}),
+    "noise": ("--noise", {"type": float}),
+}
 
 
 def _aux_rng(seed: int, stream: int) -> np.random.Generator:
@@ -315,21 +345,46 @@ def _run_selftest() -> int:
     return 4 if failed else 0
 
 
-def _add_subcommand(sub, name: str, summary: str, trials: str | None = None) -> _Parser:
-    """A subparser with ``--seed`` and ``--out``, and the Monte-Carlo flags when ``trials`` is given.
+# defaults of the Monte-Carlo flags that follow --trials
+_MONTE_CARLO = {"threads": 1, "batch_size": 100_000, "confidence": 0.99}
 
-    ``--seed`` defaults to None: the parser is built once per process, so
-    ``TENSORBALL_SEED`` is read per call, by ``_resolve_seed``.
-    """
-    p = sub.add_parser(name, help=summary)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=".")
-    if trials is not None:
-        p.add_argument("--trials", type=_parse_trials, default=trials)
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--batch-size", type=int, default=100_000)
-        p.add_argument("--confidence", type=float, default=0.99)
-    return p
+# each subcommand but selftest: its runner, help line and flag defaults, in the order of its config keys
+_SUBCOMMANDS = {
+    "smallball": (
+        _run_smallball, "projection small-ball curve onto a subspace",
+        {
+            "trials": "1e6", **_MONTE_CARLO,
+            "n": 8, "ell": 3, "m": 4, "dist": "cube", "subspace": "haar", "eps_grid": "1e-3:1e-1:20",
+        },
+    ),
+    "direction": (
+        _run_direction, "single-direction small-ball curve (diagonal direction)",
+        {"trials": "1e6", **_MONTE_CARLO, "n": 8, "ell": 3, "dist": "cube", "eps_grid": "1e-3:1e-1:20"},
+    ),
+    "bounds": (
+        _run_bounds, "tabulate every closed-form bound on an epsilon grid",
+        {
+            "ell": 2, "m": 10, "n": None, "r": None, "rho": None, "eps_grid": "1e-3:1e-1:20",
+            "c_main": 1.0, "c_prime": 1.0, "c_dprime": 1.0, "c_small": 1.0,
+        },
+    ),
+    "dominance": (
+        _run_dominance, "slab-body dominance test versus the matched uniform cube",
+        {"trials": "2e5", **_MONTE_CARLO, "n": 2, "ell": 2, "dist": "gauss", "bodies": 1, "count": 4, "scale": 1.0},
+    ),
+    "norms": (
+        _run_norms, "two-sided norm concentration tails",
+        {"trials": "1e5", **_MONTE_CARLO, "n": 64, "ell": 2, "dist": "gauss", "t_grid": "0.05:0.95:10"},
+    ),
+    "smin": (
+        _run_smin, "smoothed Khatri-Rao smallest-singular-value tail",
+        {"trials": "1e4", **_MONTE_CARLO, "n": 6, "ell": 2, "r": 8, "rho": 1.0, "eps_grid": "1e-3:5e-1:15"},
+    ),
+    "decompose": (
+        _run_decompose, "smoothed rank-r recovery via simultaneous diagonalization",
+        {"n": 10, "ell": 3, "r": 6, "rho": 0.1, "noise": 0.0},
+    ),
+}
 
 
 @functools.cache
@@ -345,63 +400,15 @@ def build_parser() -> _Parser:
     # its own dest: each subcommand's --out default would overwrite a shared one
     parser.add_argument("--out", dest="replay_out", default=None, help="output directory override for --replay")
     sub = parser.add_subparsers(dest="subcommand")
-
-    p = _add_subcommand(sub, "smallball", "projection small-ball curve onto a subspace", trials="1e6")
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--l", dest="ell", type=int, default=3)
-    p.add_argument("--m", type=int, default=4)
-    p.add_argument("--dist", choices=sorted(_DIST_KINDS), default="cube")
-    p.add_argument("--subspace", default="haar")
-    p.add_argument("--eps-grid", type=_parse_grid, default="1e-3:1e-1:20")
-
-    p = _add_subcommand(sub, "direction", "single-direction small-ball curve (diagonal direction)", trials="1e6")
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--l", dest="ell", type=int, default=3)
-    p.add_argument("--dist", choices=sorted(_DIST_KINDS), default="cube")
-    p.add_argument("--eps-grid", type=_parse_grid, default="1e-3:1e-1:20")
-
-    p = _add_subcommand(sub, "bounds", "tabulate every closed-form bound on an epsilon grid")
-    p.add_argument("--l", dest="ell", type=int, default=2)
-    p.add_argument("--m", type=int, default=10)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--eps-grid", type=_parse_grid, default="1e-3:1e-1:20")
-    p.add_argument("--c-main", type=float, default=1.0)
-    p.add_argument("--c-prime", type=float, default=1.0)
-    p.add_argument("--c-dprime", type=float, default=1.0)
-    p.add_argument("--c-small", type=float, default=1.0)
-
-    p = _add_subcommand(sub, "dominance", "slab-body dominance test versus the matched uniform cube", trials="2e5")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--l", dest="ell", type=int, default=2)
-    p.add_argument("--dist", choices=sorted(_DIST_KINDS), default="gauss")
-    p.add_argument("--bodies", type=int, default=1)
-    p.add_argument("--count", type=int, default=4, help="slab directions per body")
-    p.add_argument("--scale", type=float, default=1.0)
-
-    p = _add_subcommand(sub, "norms", "two-sided norm concentration tails", trials="1e5")
-    p.add_argument("--n", type=int, default=64)
-    p.add_argument("--l", dest="ell", type=int, default=2)
-    p.add_argument("--dist", choices=sorted(_DIST_KINDS), default="gauss")
-    p.add_argument("--t-grid", type=lambda text: _parse_grid(text, log=False), default="0.05:0.95:10")
-
-    p = _add_subcommand(sub, "smin", "smoothed Khatri-Rao smallest-singular-value tail", trials="1e4")
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--l", dest="ell", type=int, default=2)
-    p.add_argument("--r", type=int, default=8)
-    p.add_argument("--rho", type=float, default=1.0)
-    p.add_argument("--eps-grid", type=_parse_grid, default="1e-3:5e-1:15")
-
-    p = _add_subcommand(sub, "decompose", "smoothed rank-r recovery via simultaneous diagonalization")
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--l", dest="ell", type=int, default=3)
-    p.add_argument("--r", type=int, default=6)
-    p.add_argument("--rho", type=float, default=0.1)
-    p.add_argument("--noise", type=float, default=0.0)
-
+    for name, (_, summary, defaults) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        # None, not TENSORBALL_SEED: the parser is built once per process, and _resolve_seed reads it per call
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--out", default=".")
+        for key, default in defaults.items():
+            option, settings = _FLAGS[key]
+            p.add_argument(option, dest=key, default=default, **settings)
     sub.add_parser("selftest", help="run the nine acceptance gates; exit 4 if any fails")
-
     return parser
 
 
@@ -486,17 +493,6 @@ def _config_from_args(args) -> dict:
     return cfg
 
 
-_RUNNERS = {
-    "smallball": _run_smallball,
-    "direction": _run_direction,
-    "bounds": _run_bounds,
-    "dominance": _run_dominance,
-    "norms": _run_norms,
-    "smin": _run_smin,
-    "decompose": _run_decompose,
-}
-
-
 def _environment() -> dict:
     """The manifest's record of what can move a run's bytes without a config change."""
     try:
@@ -522,7 +518,8 @@ def _dispatch(subcommand: str, cfg: dict, out_dir: str) -> int:
     """
     started = time.perf_counter()
     stamp = _manifest_hash(subcommand, cfg, cfg["seed"])
-    artifacts = _RUNNERS[subcommand](cfg, stamp)
+    runner, _, _ = _SUBCOMMANDS[subcommand]
+    artifacts = runner(cfg, stamp)
     manifest = {
         "subcommand": subcommand,
         "config": cfg,
@@ -571,7 +568,7 @@ def _load_manifest(parser, path) -> tuple[str, dict]:
     if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
         raise ValidationError(f"manifest {path} has no config object")
     subcommand = manifest.get("subcommand")
-    if subcommand not in _RUNNERS:
+    if subcommand not in _SUBCOMMANDS:
         raise ValidationError(f"manifest {path} names unknown subcommand {subcommand!r}")
     config = manifest["config"]
     # an explicit seed keeps TENSORBALL_SEED out of it: only keys and types count

@@ -136,8 +136,6 @@ class SlabBody:
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
-        if self.directions.shape[0] == 0:
-            return np.ones(pts.shape[0], dtype=bool)
         return self.inside(lambda d: pts @ d.T)
 
     def inside(self, inner) -> np.ndarray:

@@ -50,10 +50,6 @@ class SubspaceBasis:
     def m(self) -> int:
         return self.rows.shape[0]
 
-    @property
-    def ambient_dim(self) -> int:
-        return math.prod(self.shape)
-
     def save(self, path) -> None:
         tensor_core.write_basis_payload(path, self.shape, self.rows)
 

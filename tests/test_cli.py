@@ -107,7 +107,7 @@ ARTIFACT_ARGS = {
 
 
 def test_artifact_runs_cover_every_runner():
-    assert set(ARTIFACT_ARGS) == set(cli._RUNNERS)
+    assert set(ARTIFACT_ARGS) == set(DEFAULT_CONFIGS) == set(cli._SUBCOMMANDS)
 
 
 @pytest.mark.parametrize("sub", sorted(ARTIFACT_ARGS))
@@ -657,6 +657,8 @@ def test_usage_errors():
         (("dominance", "--scale", "nan", "--trials", "100"), 2),
         (("smallball", "--eps-grid", "nan:0.1:5"), 1),
         (("norms", "--t-grid", "0.05:inf:3"), 1),
+        (("smallball", "--eps-grid", "a:0.1:5"), 1),
+        (("norms", "--t-grid", "0.05:0.95:ten"), 1),
         (("decompose", "--seed", "-1"), 2),
         (("selftest", "--quick"), 1),
         (("smallball", "--seed", "-1"), 2),
@@ -689,6 +691,7 @@ def test_usage_errors():
         "bounds-r-negative", "bounds-rho-negative", "bounds-r-zero", "bounds-rho-zero", "smallball-n-zero",
         "smin-r-zero", "decompose-n-negative", "smin-rho-nan", "smin-rho-inf", "decompose-rho-nan",
         "decompose-noise-nan", "dominance-scale-nan", "smallball-eps-grid-nan", "norms-t-grid-inf",
+        "smallball-eps-grid-not-a-number", "norms-t-grid-count-not-a-number",
         "decompose-seed-negative", "selftest-quick", "seed-negative", "bounds-r-alone", "bounds-rho-alone",
         "bounds-c-prime-huge", "smin-rho-huge", "decompose-rho-huge", "decompose-noise-huge", "dominance-scale-huge",
         "smallball-eps-grid-huge", "norms-t-grid-huge", "smin-eps-grid-huge", "bounds-top-level-out",
@@ -846,7 +849,64 @@ def test_readme_commands_parse(monkeypatch):
         args = parser.parse_args(shlex.split(command))
         cli._config_from_args(args)
         subcommands.add(args.subcommand)
-    assert subcommands >= {*cli._RUNNERS, "selftest"}
+    assert subcommands >= {*cli._SUBCOMMANDS, "selftest"}
+
+
+# the default grids as every manifest holds them, sorted decreasing
+EPS_GRID_20 = [
+    0.1, 0.07847599703514611, 0.06158482110660261, 0.04832930238571752, 0.0379269019073225,
+    0.029763514416313176, 0.023357214690901212, 0.018329807108324356, 0.01438449888287663,
+    0.011288378916846888, 0.008858667904100823, 0.0069519279617756054, 0.00545559478116852,
+    0.004281332398719396, 0.003359818286283781, 0.0026366508987303583, 0.00206913808111479,
+    0.0016237767391887208, 0.0012742749857031334, 0.001,
+]
+MONTE_CARLO_DEFAULTS = {"threads": 1, "batch_size": 100000, "confidence": 0.99}
+DEFAULT_CONFIGS = {
+    "smallball": {
+        "seed": 0, "trials": 1000000, **MONTE_CARLO_DEFAULTS,
+        "n": 8, "ell": 3, "m": 4, "dist": "cube", "subspace": "haar", "eps_grid": EPS_GRID_20,
+    },
+    "direction": {
+        "seed": 0, "trials": 1000000, **MONTE_CARLO_DEFAULTS, "n": 8, "ell": 3, "dist": "cube", "eps_grid": EPS_GRID_20,
+    },
+    "bounds": {
+        "seed": 0, "ell": 2, "m": 10, "n": 4, "r": None, "rho": None, "eps_grid": EPS_GRID_20,
+        "c_main": 1.0, "c_prime": 1.0, "c_dprime": 1.0, "c_small": 1.0,
+    },
+    "dominance": {
+        "seed": 0, "trials": 200000, **MONTE_CARLO_DEFAULTS,
+        "n": 2, "ell": 2, "dist": "gauss", "bodies": 1, "count": 4, "scale": 1.0,
+    },
+    "norms": {
+        "seed": 0, "trials": 100000, **MONTE_CARLO_DEFAULTS, "n": 64, "ell": 2, "dist": "gauss",
+        "t_grid": [0.95, 0.85, 0.75, 0.65, 0.5499999999999999, 0.44999999999999996, 0.35, 0.25, 0.15, 0.05],
+    },
+    "smin": {
+        "seed": 0, "trials": 10000, **MONTE_CARLO_DEFAULTS, "n": 6, "ell": 2, "r": 8, "rho": 1.0,
+        "eps_grid": [
+            0.5, 0.3207645997392824, 0.2057798568918039, 0.1320137868606126, 0.08469069900482264,
+            0.05433155633584393, 0.03485527984255849, 0.022360679774997894, 0.014345028995850929,
+            0.009202754968205043, 0.005903836027749967, 0.003787483200735143, 0.0024297810658061286,
+            0.0015587755020547783, 0.001,
+        ],
+    },
+    "decompose": {"seed": 0, "n": 10, "ell": 3, "r": 6, "rho": 0.1, "noise": 0.0},
+}
+
+
+@pytest.mark.parametrize("sub", sorted(DEFAULT_CONFIGS))
+def test_default_config_pinned(sub):
+    """Each subcommand's resolved default config, key order and value types included: both reach manifest bytes."""
+    cfg = cli._config_from_args(cli.build_parser().parse_args([sub, "--seed", "0"]))
+    want = DEFAULT_CONFIGS[sub]
+    assert list(cfg.items()) == list(want.items())
+    assert [type(v) for v in cfg.values()] == [type(v) for v in want.values()]
+
+
+def test_bounds_resolves_n_past_float_square_root():
+    # m = 2^52 + 1: the ceiling of the float square root is 2^26, whose square is below m
+    cfg = cli._config_from_args(cli.build_parser().parse_args(["bounds", "--m", "4503599627370497", "--l", "2"]))
+    assert cfg["n"] == 67108865
 
 
 def test_validation_exit_code(tmp_path):

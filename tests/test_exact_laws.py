@@ -201,6 +201,14 @@ def test_smin_tail_validity():
         bound_smin_tail(0.5, 8, 6, 2, 1.0)
 
 
+def test_smin_tail_array_matches_scalar_calls():
+    eps = [1e-12, 1e-8, 1e-5, 1e-3, 0.01]
+    thresholds, bounds = bound_smin_tail(np.array(eps), 8, 6, 2, 1.0)
+    assert isinstance(thresholds, np.ndarray) and isinstance(bounds, np.ndarray)
+    assert thresholds.tolist() == [bound_smin_tail(e, 8, 6, 2, 1.0)[0] for e in eps]
+    assert bounds.tolist() == [bound_smin_tail(e, 8, 6, 2, 1.0)[1] for e in eps]
+
+
 def test_smin_tail_vanishes():
     _, b1 = bound_smin_tail(1e-6, 8, 6, 2, 1.0)
     _, b2 = bound_smin_tail(1e-8, 8, 6, 2, 1.0)
