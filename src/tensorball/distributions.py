@@ -11,6 +11,13 @@ one-dimensional law.  The built-in laws and their facts live in one table,
 * ``symmetric-exponential-unitvar``: Laplace with scale ``1/sqrt(2)``
   (variance 1), density sup ``1/sqrt(2)``.
 * ``histogram``: user-supplied piecewise-constant density.
+
+``sample_matrix`` draws a batch of factor vectors at once, and
+``sample_chunks`` draws the same batch as consecutive row chunks, so a
+kernel that keeps only a reduction or a few columns of each factor holds
+one chunk at a time.  The built-in laws fill their rows in order, one value
+after another, so chunks move no value and no generator state; a histogram
+draws in two passes over the whole batch and arrives in one piece.
 """
 
 from __future__ import annotations
@@ -152,6 +159,26 @@ def sample_matrix(spec: DistributionSpec, rng: np.random.Generator, n: int, out=
     if spec.kind == "symmetric-exponential-unitvar":
         return rng.laplace(0.0, _LAPLACE_SCALE, size=(n, d))
     return _sample_histogram(spec.histogram, rng, (n, d), out)
+
+
+def sample_chunks(spec: DistributionSpec, rng: np.random.Generator, n: int, rows: int, buffer):
+    """Yield ``(start, x)``: rows ``start:start + len(x)`` of ``sample_matrix(spec, rng, n)``,
+    drawn as consecutive chunks of at most ``rows`` rows, each when it is asked for.
+
+    Every chunk is one ``sample_matrix`` call, looked up when it is made, with
+    ``out=buffer((len(x), spec.dim))``: ``buffer`` returns an array that call
+    accepts, such as a fresh one or a kept one the next chunk overwrites.
+    The built-in laws fill their output in C order, one value after another,
+    so the chunks together are that call's array bit for bit, and the
+    generator ends where that call leaves it.  A histogram draws in two
+    passes over the whole array (bins, then positions), so it comes as one
+    chunk of ``n`` rows, with that call's memory.
+    """
+    if spec.histogram is not None:
+        rows = n
+    for start in range(0, n, rows):
+        cur = min(rows, n - start)
+        yield start, sample_matrix(spec, rng, cur, out=buffer((cur, spec.dim)))
 
 
 def _sample_uniform(rng: np.random.Generator, low: float, high: float, shape, out) -> np.ndarray:

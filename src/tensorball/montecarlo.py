@@ -4,6 +4,13 @@ Trials are partitioned into batches; batch ``i`` of a run draws from
 ``SeedSequence(seed, spawn_key=(i,))``, so the counts depend on the seed and
 the batch partition only, and schedulers cannot change them.  Every curve
 stores exact Clopper-Pearson intervals per grid point.
+
+A kernel holds only what it reads of a batch's factors.  ``norm_concentration``
+reduces each row chunk of ``sample_chunks`` to row norms as it is drawn, and
+a projection whose rows ``contract`` gathers keeps only the columns they read
+(``read_columns``); both hold one chunk of about ``_BLOCK_BYTES`` at a time,
+a histogram law its whole factor.  Dense rows draw whole factors, and the
+dominance bodies chunks of 2^21 tensor entries, which define its stream.
 """
 
 from __future__ import annotations
@@ -18,10 +25,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .distributions import sample_matrix
+from .distributions import sample_chunks, sample_matrix
 from .errors import DataSparsityError, RangeError, ValidationError
 from .subspaces import SubspaceBasis
-from .tensor_core import contract
+from .tensor_core import _BLOCK_BYTES, contract, read_columns
 
 
 @dataclass(frozen=True)
@@ -274,12 +281,33 @@ def _hit_curve(cfg: ExperimentConfig, eps_grid, kernel_for) -> SmallBallCurve:
     return SmallBallCurve(epsilon_grid=eps, hit_counts=counts, trials=cfg.trials, confidence=cfg.confidence)
 
 
+def _chunk_rows(dim: int) -> int:
+    """Rows of a ``dim``-long factor that fit in one chunk of ``_BLOCK_BYTES`` (at least one)."""
+    return max(1, _BLOCK_BYTES // (8 * dim))
+
+
 def _projection_curve(specs, basis: SubspaceBasis, cfg: ExperimentConfig, eps_grid) -> SmallBallCurve:
-    """Counts of ||(<row_k, x_1 x ... x x_l>)_k|| <= sqrt(m) * eps, one sample per trial for the whole grid."""
+    """Counts of ||(<row_k, x_1 x ... x x_l>)_k|| <= sqrt(m) * eps, one sample per trial for the whole grid.
+
+    When ``contract`` gathers, each factor keeps only the columns its rows
+    read, drawn in row chunks; dense rows read every column and draw whole
+    factors.
+    """
     dims = tuple(s.dim for s in specs)
     if dims != basis.shape:
         raise ValidationError(f"factor dims {dims} do not match shape {basis.shape}")
     scale = math.sqrt(basis.m)
+    read = read_columns(basis.rows, basis.shape)
+    cols, rows, shape = (None, basis.rows, basis.shape) if read is None else read
+
+    def factor(j, spec, rng, size, scratch):
+        if cols is None:
+            return sample_matrix(spec, rng, size, out=scratch.array(f"x{j}", (size, spec.dim)))
+        kept = scratch.array(f"x{j}", (size, cols[j].size))
+        chunks = sample_chunks(spec, rng, size, _chunk_rows(spec.dim), lambda s: scratch.array("chunk", s))
+        for start, x in chunks:
+            kept[start : start + len(x)] = x[:, cols[j]]
+        return kept
 
     def kernel_for(eps):
         if not math.isfinite(float(eps[0]) * scale):
@@ -287,8 +315,8 @@ def _projection_curve(specs, basis: SubspaceBasis, cfg: ExperimentConfig, eps_gr
         thresholds = eps * scale
 
         def kernel(rng, size, scratch):
-            xs = [sample_matrix(s, rng, size, out=scratch.array(f"x{j}", (size, s.dim))) for j, s in enumerate(specs)]
-            inner = contract(basis.rows, basis.shape, xs, out=scratch.array("inner", (size, basis.m)))
+            xs = [factor(j, s, rng, size, scratch) for j, s in enumerate(specs)]
+            inner = contract(rows, shape, xs, out=scratch.array("inner", (size, basis.m)))
             norms = np.einsum("bm,bm->b", inner, inner, out=scratch.array("norms", (size,)))
             return _count_hits(np.sqrt(norms, out=norms), thresholds)
 
@@ -344,13 +372,14 @@ def norm_concentration(specs, t_grid, cfg: ExperimentConfig) -> NormTailCurves:
     def kernel(rng, size, scratch):
         norm_prod = scratch.array("prod", (size,))
         norm_prod.fill(1.0)
-        norm = scratch.array("norm", (size,))
         for spec in specs:
-            # every factor draws into one array: its norm is taken before the next draw
-            x = sample_matrix(spec, rng, size, out=scratch.array("x", (size, spec.dim)))
-            # np.linalg.norm's own formula, squaring in place
-            np.add.reduce(np.multiply(x, x, out=x), axis=1, out=norm)
-            norm_prod *= np.sqrt(norm, out=norm)
+            # every chunk of every factor draws into one array: its norms are taken before the next draw
+            for start, x in sample_chunks(spec, rng, size, _chunk_rows(spec.dim), lambda s: scratch.array("x", s)):
+                norm = scratch.array("norm", (len(x),))
+                # np.linalg.norm's own formula, squaring in place; each row
+                # sums alone, so a chunk's norms are the whole factor's bits
+                np.add.reduce(np.multiply(x, x, out=x), axis=1, out=norm)
+                norm_prod[start : start + len(x)] *= np.sqrt(norm, out=norm)
         upper = _count_hits(norm_prod, upper_thr, at_least=True)
         lower = _count_hits(norm_prod, lower_thr)
         return np.stack([upper, lower])

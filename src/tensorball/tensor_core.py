@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import threading
 
 import numpy as np
 
@@ -114,6 +115,30 @@ def _columns(x: np.ndarray, index: np.ndarray) -> np.ndarray:
     return x[:, index]
 
 
+def read_columns(rows: np.ndarray, shape: tuple[int, ...]):
+    """The columns that rows of one nonzero each read, or None when ``contract``
+    would not gather: some row has no nonzero or several.
+
+    Returns ``(cols, read_rows, read_shape)``.  ``cols[j]`` lists, in
+    increasing order, the columns of mode ``j`` that some row reads, and
+    ``read_rows`` holds each row's nonzero at its multi-index among those
+    columns, on ``read_shape = tuple(c.size for c in cols)``.  So
+    ``contract(read_rows, read_shape, [x[:, c] for x, c in zip(xs, cols)])``
+    is ``contract(rows, shape, xs)`` bit for bit: it gathers the same entries
+    and multiplies them in the same nesting, and a caller may keep only
+    those columns of each factor.
+    """
+    single = _single_entries(rows, shape)
+    if single is None:
+        return None
+    index, coef = single
+    cols, local = zip(*(np.unique(i, return_inverse=True) for i in index))
+    read_shape = tuple(c.size for c in cols)
+    read_rows = np.zeros((rows.shape[0], math.prod(read_shape)))
+    read_rows[np.arange(rows.shape[0]), np.ravel_multi_index(local, read_shape)] = coef
+    return cols, read_rows, read_shape
+
+
 def _single_entries(rows: np.ndarray, shape: tuple[int, ...]):
     """Multi-index and value of each row's only nonzero, or None if a row has
     none or several."""
@@ -149,10 +174,7 @@ def _contract_dense(rows: np.ndarray, shape: tuple[int, ...], xs, out: np.ndarra
     # OpenBLAS a few rows to a small-matrix kernel, both rounding unlike a
     # gemm of many rows.
     block = -(-size // -(-size // most)) if size else 0
-    # one buffer each for every block: fresh allocations this large would be
-    # mapped and page-faulted anew each time
-    trail_buf = np.empty((block, trail, 1))
-    sums_buf = np.empty((block, m * lead))
+    trail_buf, sums_buf = _block_buffers.pair(block, trail, m * lead)
     for s in range(0, size, max(block, 1)):
         s = min(s, size - block)
         tail = kron([x[s : s + block, :, None] for x in xs[t:]], out=trail_buf)[:, :, 0]
@@ -160,6 +182,34 @@ def _contract_dense(rows: np.ndarray, shape: tuple[int, ...], xs, out: np.ndarra
         head = kron([x[s : s + block, :, None] for x in xs[:t]])[:, :, 0]
         np.einsum("bmk,bk->bm", sums, head, out=out[s : s + block])
     return out
+
+
+class _BlockBuffers(threading.local):
+    """``_contract_dense``'s two block buffers, kept per thread.
+
+    Fresh arrays of a block's size would be mapped and page-faulted anew on
+    every call.  Instead each thread keeps one flat array, the largest pair
+    asked for so far that fits in ``_BLOCK_BYTES``, and hands out its leading
+    entries; a pair past that bound is allocated for its call alone, so no
+    thread keeps more than one block.  The pair is overwritten before it is
+    read, so no bit changes, and no call returns a view of it.
+    """
+
+    def __init__(self):
+        self.flat = np.empty(0)
+
+    def pair(self, block: int, trail: int, sums: int) -> tuple[np.ndarray, np.ndarray]:
+        """Uninitialised ``(block, trail, 1)`` and ``(block, sums)`` float arrays that do not overlap."""
+        size = block * (trail + sums)
+        flat = self.flat
+        if flat.size < size:
+            flat = np.empty(size)
+            if 8 * size <= _BLOCK_BYTES:
+                self.flat = flat
+        return flat[: block * trail].reshape(block, trail, 1), flat[block * trail : size].reshape(block, sums)
+
+
+_block_buffers = _BlockBuffers()
 
 
 def write_basis_payload(path, shape, rows: np.ndarray) -> None:

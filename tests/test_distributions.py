@@ -11,7 +11,7 @@ from tensorball import (
     matched_cube,
     sample_matrix,
 )
-from tensorball.distributions import KINDS
+from tensorball.distributions import KINDS, sample_chunks
 
 SQRT3 = math.sqrt(3.0)
 
@@ -168,6 +168,27 @@ def test_sample_into_out_matches_fresh_draw(name):
         # Generator.laplace has no out=, so that kind alone returns a fresh array
         assert (got is buf) == (spec.kind != "symmetric-exponential-unitvar")
         assert out_rng.random() == fresh_rng.random()
+
+
+@pytest.mark.parametrize("name", sorted(OUT_SPECS))
+def test_chunks_cut_one_draw_into_rows(name):
+    """``sample_chunks`` draws ``sample_matrix``'s bits and stream in row chunks; a histogram comes whole."""
+    spec, n = OUT_SPECS[name], 300
+    assert {s.kind for s in OUT_SPECS.values()} == set(KINDS)
+    for rows in (1, 7, n - 1, n, n + 1):
+        step = n if spec.histogram is not None else rows
+        # fresh arrays, and one array every chunk draws into, as a kernel's kept array is
+        buf = np.full(7 * max(rows, n), np.nan)
+        for buffer in (np.empty, lambda shape: buf[: math.prod(shape)].reshape(shape)):
+            whole_rng, chunk_rng = np.random.default_rng(rows), np.random.default_rng(rows)
+            whole = sample_matrix(spec, whole_rng, n)
+            starts, parts = [], []
+            for start, x in sample_chunks(spec, chunk_rng, n, rows, buffer):
+                starts.append(start)
+                parts.append(x.copy())
+            assert starts == list(range(0, n, step))
+            assert np.array_equal(np.concatenate(parts), whole)
+            assert chunk_rng.random() == whole_rng.random()
 
 
 @pytest.mark.parametrize("kind, low", [("uniform-cube-sqrt3", -SQRT3), ("uniform-cube-unit", -1.0)])

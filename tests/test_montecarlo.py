@@ -14,8 +14,10 @@ from tensorball import (
     SlabBody,
     SmallBallCurve,
     SmoothedEnsemble,
+    SubspaceBasis,
     ValidationError,
     clopper_pearson,
+    contract,
     coordinate_line_subspace,
     curve_csv_bytes,
     diagonal_direction,
@@ -31,7 +33,8 @@ from tensorball import (
     sample_matrix,
     smin_tail_experiment,
 )
-from tensorball import montecarlo
+from tensorball import distributions, montecarlo
+from test_tensor_core import GATHER_ROWS, rows_at
 
 GAUSS2 = (DistributionSpec(kind="gaussian-std", dim=2),) * 2
 CUBE_UNIT_GRID = (0.5, 0.3, 0.2, 0.1, 0.05)
@@ -431,18 +434,37 @@ def test_count_hits_match_comparisons(at_least):
         assert np.array_equal(got, want)
 
 
-def test_norm_concentration_holds_one_factor_array():
-    # both factors draw into one array, each norm taken before the next draw
-    specs = (DistributionSpec(kind="gaussian-std", dim=64),) * 2
-    cfg = cfg_of(seed=0, trials=20_000, batch_size=20_000)
-    one_factor = 20_000 * 64 * 8
+def traced_peak(run):
+    """tracemalloc's peak over ``run()``, after one untraced call has loaded
+    what ``run`` imports lazily (``scipy.special``, about 13 MB)."""
+    run()
     tracemalloc.start()
     try:
-        norm_concentration(specs, np.linspace(0.05, 0.95, 10), cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * one_factor
+
+
+def test_norm_concentration_holds_one_factor_array():
+    # every factor reduces chunk by chunk: the peak does not grow with the
+    # batch by more than one chunk, and stays below one factor of the smaller batch
+    specs = (DistributionSpec(kind="gaussian-std", dim=64),) * 2
+    t = np.linspace(0.05, 0.95, 10)
+    small, large = (
+        traced_peak(lambda: norm_concentration(specs, t, cfg_of(seed=0, trials=b, batch_size=b)))
+        for b in (20_000, 60_000)
+    )
+    assert abs(large - small) < montecarlo._BLOCK_BYTES
+    assert large < 20_000 * 64 * 8
+
+
+def test_direction_keeps_less_than_one_factor_array():
+    # n=8, l=3: each factor keeps the one column the direction reads
+    specs = (DistributionSpec(kind="uniform-cube-unit", dim=8),) * 3
+    cfg = cfg_of(seed=0, trials=100_000, batch_size=100_000)
+    peak = traced_peak(lambda: estimate_direction_smallball(specs, diagonal_direction(8, 3), cfg, CUBE_UNIT_GRID))
+    assert peak < 100_000 * 8 * 8
 
 
 def _reuse_direction(cfg):
@@ -501,19 +523,24 @@ def test_reused_batch_arrays_change_no_count(name, monkeypatch, two_cpus):
 
 
 def test_later_batches_draw_into_the_first_batch_arrays(monkeypatch):
-    addresses = []
+    draws = []
 
     def recording(spec, rng, n, out=None):
         x = sample_matrix(spec, rng, n, out=out)
         assert out is not None and x is out
-        addresses.append(out.ctypes.data)
+        draws.append((n, out.ctypes.data))
         return x
 
-    monkeypatch.setattr(montecarlo, "sample_matrix", recording)
+    for module in (montecarlo, distributions):
+        monkeypatch.setattr(module, "sample_matrix", recording)
+    # n=5: chunks of 1000 rows, so batches of 4000 draw four chunks per factor
+    monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 8 * 5 * 1000)
     _reuse_direction(cfg_of(seed=6, trials=13_500, batch_size=4_000))
-    # four batches of three factors: batches 2-4 draw into the arrays of batch 1
-    assert len(addresses) == 12 and len(set(addresses[:3])) == 3
-    assert addresses[3:] == addresses[:3] * 3
+    # three batches of 4000 and one of 1500, three factors each
+    assert sum(n for n, _ in draws) == 3 * 13_500 and max(n for n, _ in draws) == 1000
+    first = 12
+    assert sum(n for n, _ in draws[:first]) == 3 * 4_000
+    assert {a for _, a in draws[first:]} <= {a for _, a in draws[:first]}
 
 
 def test_scratch_keeps_one_array_per_name_and_thread():
@@ -541,21 +568,94 @@ def test_scratch_keeps_one_array_per_name_and_thread():
     assert scratch.array("x", (10, 4)).ctypes.data == larger.ctypes.data
 
 
-def test_norm_concentration_matches_linalg_norm(two_cpus):
-    specs = (DistributionSpec(kind="gaussian-std", dim=16), DistributionSpec(kind="uniform-cube-sqrt3", dim=8))
-    t = np.linspace(0.02, 0.6, 12)
-    cfg = cfg_of(seed=3, trials=25_000, batch_size=7_001, threads=2)
+def whole_factor_norm_tails(specs, t, cfg):
+    """Upper and lower norm-tail counts with every factor drawn whole and normed by ``np.linalg.norm``."""
     upper = np.zeros(t.size, dtype=int)
     lower = np.zeros(t.size, dtype=int)
-    scale = math.sqrt(16 * 8)
+    scale = math.sqrt(math.prod(s.dim for s in specs))
     for rng, size in batch_streams(cfg):
         norm_prod = np.ones(size)
         for spec in specs:
             norm_prod = norm_prod * np.linalg.norm(sample_matrix(spec, rng, size), axis=1)
         upper += np.count_nonzero(norm_prod[:, None] >= (1.0 + t) * scale, axis=0)
         lower += np.count_nonzero(norm_prod[:, None] <= (1.0 - t) * scale, axis=0)
+    return tuple(upper), tuple(lower)
+
+
+def test_norm_concentration_matches_linalg_norm(two_cpus):
+    specs = (DistributionSpec(kind="gaussian-std", dim=16), DistributionSpec(kind="uniform-cube-sqrt3", dim=8))
+    t = np.linspace(0.02, 0.6, 12)
+    cfg = cfg_of(seed=3, trials=25_000, batch_size=7_001, threads=2)
+    upper, lower = whole_factor_norm_tails(specs, t, cfg)
     curves = norm_concentration(specs, tuple(t), cfg)
-    assert curves.upper.hit_counts == tuple(upper) and curves.lower.hit_counts == tuple(lower)
+    assert curves.upper.hit_counts == upper and curves.lower.hit_counts == lower
+    assert upper[0] > 0 and lower[0] > 0
+
+
+def whole_factor_projection_hits(specs, basis, cfg, eps):
+    """Projection counts with every factor drawn whole and contracted by ``contract``."""
+    hits = np.zeros(len(eps), dtype=int)
+    for rng, size in batch_streams(cfg):
+        inner = contract(basis.rows, basis.shape, [sample_matrix(s, rng, size) for s in specs])
+        norms = np.sqrt(np.einsum("bm,bm->b", inner, inner))
+        hits += np.count_nonzero(norms[:, None] <= eps * math.sqrt(basis.m), axis=0)
+    return tuple(hits)
+
+
+def gather_basis(name):
+    shape, indices = GATHER_ROWS[name]
+    return SubspaceBasis(shape=shape, rows=rows_at(shape, indices, [(-1.0) ** k for k in range(len(indices))]))
+
+
+MULTI_BIN = HistogramDensity(bin_edges=(-1.0, 0.0, 0.5, 2.0), heights=(0.5, 0.4, 0.2))
+
+# (laws, basis): every basis has rows of one nonzero each, so ``contract`` gathers
+CHUNKED_PROJECTIONS = {
+    "direction": ((DistributionSpec(kind="uniform-cube-unit", dim=8),) * 3, diagonal_direction(8, 3)),
+    "line": ((DistributionSpec(kind="uniform-cube-sqrt3", dim=8),) * 3, coordinate_line_subspace(8, 3, 5)),
+    "stepped": (tuple(DistributionSpec(kind="gaussian-std", dim=n) for n in (7, 5, 4)), gather_basis("stepped")),
+    "shuffled": (
+        tuple(DistributionSpec(kind="symmetric-exponential-unitvar", dim=n) for n in (7, 5, 4)),
+        gather_basis("shuffled"),
+    ),
+    "histogram": (
+        (DistributionSpec(kind="histogram", dim=7, histogram=MULTI_BIN),) * 2,
+        coordinate_line_subspace(7, 2, 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(CHUNKED_PROJECTIONS))
+def test_projection_counts_hold_at_many_chunk_boundaries(name, threads, monkeypatch, two_cpus):
+    # chunks of 24 // n rows (3 at n = 8), so every batch crosses hundreds of
+    # chunk boundaries, and the last batch of 507 is shorter
+    monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 8 * 24)
+    specs, basis = CHUNKED_PROJECTIONS[name]
+    eps = np.geomspace(2.0, 0.05, 8)
+    cfg = cfg_of(seed=5, trials=2_507, batch_size=1_000, threads=threads)
+    estimate = estimate_direction_smallball if name == "direction" else estimate_smallball
+    want = whole_factor_projection_hits(specs, basis, cfg, eps)
+    assert estimate(specs, basis, cfg, eps).hit_counts == want
+    assert 0 < sum(want) < cfg.trials * len(eps)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "specs",
+    [
+        (DistributionSpec(kind="gaussian-std", dim=16), DistributionSpec(kind="uniform-cube-sqrt3", dim=8)),
+        (DistributionSpec(kind="symmetric-exponential-unitvar", dim=16),) * 2,
+    ],
+)
+def test_norm_counts_hold_at_many_chunk_boundaries(specs, threads, monkeypatch, two_cpus):
+    # chunks of one row at n = 16 and three at n = 8
+    monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 8 * 24)
+    t = np.linspace(0.02, 0.6, 12)
+    cfg = cfg_of(seed=3, trials=2_507, batch_size=1_000, threads=threads)
+    upper, lower = whole_factor_norm_tails(specs, t, cfg)
+    curves = norm_concentration(specs, tuple(t), cfg)
+    assert curves.upper.hit_counts == upper and curves.lower.hit_counts == lower
     assert upper[0] > 0 and lower[0] > 0
 
 

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from functools import reduce
 
@@ -251,6 +252,38 @@ def test_contract_memory_stays_within_blocks():
     assert peak < 16e6
 
 
+def in_thread(run):
+    """``run()``'s result, computed on a fresh thread."""
+    results = []
+    worker = threading.Thread(target=lambda: results.append(run()))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    return results[0]
+
+
+def test_dense_blocks_reuse_one_kept_array_per_thread(monkeypatch):
+    rng = np.random.default_rng(4)
+    shape, m = (8, 8, 8), 8
+    rows = rng.standard_normal((m, math.prod(shape)))
+    xs = [rng.standard_normal((3 * dense_block(shape, m) + 5, n)) for n in shape]
+
+    def twice():
+        first = contract(rows, shape, xs)
+        kept = tensor_core._block_buffers.flat
+        return first, kept, contract(rows, shape, xs), tensor_core._block_buffers.flat
+
+    first, kept, second, again = in_thread(twice)
+    assert np.array_equal(first, second) and np.array_equal(first, unblocked_contract(rows, shape, xs))
+    assert again is kept and 0 < kept.nbytes <= tensor_core._BLOCK_BYTES
+    assert not np.shares_memory(kept, tensor_core._block_buffers.flat)
+    # a pair past one block is allocated for its call alone (two-trial gemms
+    # round unlike long ones, so only the values agree)
+    monkeypatch.setattr(tensor_core, "_BLOCK_BYTES", 64)
+    got, kept, _, _ = in_thread(twice)
+    assert np.allclose(got, first) and kept.size == 0
+
+
 def single_entry_rows(rng, shape, m, coefs):
     """m rows with one nonzero each, at random positions, cycling through ``coefs``."""
     rows = np.zeros((m, math.prod(shape)))
@@ -301,6 +334,19 @@ def test_contract_into_out_gathers_bitwise(name):
     assert np.array_equal(out, last_mode_first_contract(rows, shape, xs))
 
 
+@pytest.mark.parametrize("name", sorted(GATHER_ROWS))
+def test_read_columns_restate_the_gather_bitwise(name):
+    shape, indices = GATHER_ROWS[name]
+    rows = rows_at(shape, indices, [(-1.0) ** k * (1 + k / 3) for k in range(len(indices))])
+    cols, read_rows, read_shape = tensor_core.read_columns(rows, shape)
+    assert [c.tolist() for c in cols] == [sorted({i[j] for i in indices}) for j in range(len(shape))]
+    assert read_shape == tuple(c.size for c in cols) and read_rows.shape == (len(indices), math.prod(read_shape))
+    rng = np.random.default_rng(len(name))
+    xs = [rng.standard_normal((50, n)) for n in shape]
+    got = contract(read_rows, read_shape, [x[:, c] for x, c in zip(xs, cols)])
+    assert np.array_equal(got, contract(rows, shape, xs))
+
+
 @pytest.mark.parametrize("shape, m", [((5,), 3), ((8, 8, 8), 8)])
 def test_contract_into_out_dense_bitwise(shape, m):
     rng = np.random.default_rng(m)
@@ -338,6 +384,7 @@ def test_contract_gathers_only_when_every_row_has_one_nonzero(monkeypatch):
     for rows in (two, empty):
         got = contract(rows, shape, xs)
         assert np.array_equal(got, unblocked_contract(rows, shape, xs))
+        assert tensor_core.read_columns(rows, shape) is None
     assert dense_calls == [1, 1]
 
 
