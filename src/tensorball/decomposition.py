@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegeneracyError, ValidationError
 from .khatri_rao import SmoothedEnsemble, khatri_rao, sample_smoothed_factors
-from .tensor_core import _BLOCK_BYTES, kron
+from .tensor_core import _BLOCK_BYTES, _block_buffers, kron
 
 _UNIT_TOL = 1e-10
 
@@ -26,6 +26,16 @@ _SPECTRAL_TOL = 1e-10
 
 # ``Rank1Terms.reconstruct`` starts its blocks on multiples of this many rows
 _ROW_ALIGN = 64
+
+
+def _column_norms(m: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of every column of a real matrix, bit for bit, in one call.
+
+    ``norm`` takes one BLAS dot of a contiguous copy of the column with
+    itself; ``vecdot`` takes the same dot of each contiguous row of ``m.T``.
+    """
+    c = np.ascontiguousarray(m.T)
+    return np.sqrt(np.vecdot(c, c))
 
 
 def _leading(m: np.ndarray) -> np.ndarray:
@@ -105,14 +115,18 @@ class Rank1Terms:
         Bitwise ``(khatri_rao(factors) @ weights).reshape(shape)`` without the
         prod(n) x r Khatri-Rao matrix.  The leading product
         ``kron(factors[:-1])`` is formed once; its rows then go through in
-        blocks, each block's last Kronecker stage built into one reused
-        buffer and multiplied by the weights straight into the output rows.
+        blocks, each block's last Kronecker stage built into one buffer and
+        multiplied by the weights straight into the output rows.  The buffer
+        is the per-thread block that ``tensor_core._BlockBuffers`` keeps for
+        this method and for ``tensor_core._contract_dense``; neither holds it
+        while calling the other, and it is never returned.
         Every entry is the same left-fold product as in the whole matrix.
         BLAS rounds a gemv row by where it sits among the rows of its call,
         so block starts fall on multiples of ``_ROW_ALIGN`` rows, and a last
         block of one row joins the block before it (numpy hands a one-row
         product to dot).  Memory is O(prod(n[:-1]) * r) for the leading
-        product plus one block of about ``_BLOCK_BYTES``.
+        product plus one block of about ``_BLOCK_BYTES``; a block past that
+        bound is allocated for its call alone.
         """
         *head, last = self.factors
         r, n_l = self.r, last.shape[0]
@@ -123,7 +137,7 @@ class Rank1Terms:
         bounds = [*range(0, count, rows), count]
         if len(bounds) > 2 and (count - bounds[-2]) * n_l == 1:
             del bounds[-2]
-        buf = np.empty((max(e - s for s, e in zip(bounds, bounds[1:])) * n_l, r))
+        (buf,) = _block_buffers.take((max(e - s for s, e in zip(bounds, bounds[1:])) * n_l, r))
         out = np.empty(count * n_l)
         for s, e in zip(bounds, bounds[1:]):
             block = kron([lead[s:e], last], out=buf[: (e - s) * n_l])
@@ -262,7 +276,7 @@ def _realify_columns(vals, vecs, idx):
     v = vecs[:, idx]
     pivots = v[np.abs(v).argmax(axis=0), np.arange(len(idx))]
     w = np.real(v / (pivots / np.hypot(pivots.real, pivots.imag)))
-    return w / np.array([np.linalg.norm(c) for c in w.T]), np.real(vals[idx])
+    return w / _column_norms(w), np.real(vals[idx])
 
 
 def simultaneous_diagonalize(t: np.ndarray, r: int, rng=None) -> Rank1Terms:
@@ -273,7 +287,7 @@ def simultaneous_diagonalize(t: np.ndarray, r: int, rng=None) -> Rank1Terms:
     weighted mode-3 factors.  Eigenvalue collisions or complex spectra
     trigger fresh probes, up to 5 draws, then ``DegeneracyError`` naming
     each draw's reason.  The relative reconstruction residual is stored on
-    the result.
+    the result.  A tensor with a non-finite entry is refused.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 3:
@@ -281,6 +295,8 @@ def simultaneous_diagonalize(t: np.ndarray, r: int, rng=None) -> Rank1Terms:
     n1, n2, n3 = t.shape
     if not 1 <= r <= min(n1, n2):
         raise ValidationError(f"rank r = {r} unsupported: need 1 <= r <= min(n1, n2) = {min(n1, n2)}")
+    if not np.isfinite(t).all():
+        raise ValidationError("cannot decompose a tensor with a non-finite entry")
     rng = np.random.default_rng(rng)
     t_norm = np.linalg.norm(t)
     if t_norm == 0:
@@ -334,8 +350,12 @@ def simultaneous_diagonalize(t: np.ndarray, r: int, rng=None) -> Rank1Terms:
             failures.append("a recovered component collapsed to zero")
             continue
         terms = Rank1Terms.from_raw([u_mat, v_mat, sol.T], weights=None)
-        residual = float(np.linalg.norm(t - terms.reconstruct()) / t_norm)
-        return dataclasses.replace(terms, residual=residual)
+        diff = terms.reconstruct()
+        np.subtract(t, diff, out=diff)
+        # set on the result no caller has seen yet: ``dataclasses.replace``
+        # would run every check of ``__post_init__`` a second time
+        object.__setattr__(terms, "residual", float(np.linalg.norm(diff) / t_norm))
+        return terms
     attempts = "; ".join(f"draw {k}: {reason}" for k, reason in enumerate(failures, 1))
     raise DegeneracyError(f"no usable probe pair after 5 draws ({attempts})")
 
@@ -369,7 +389,7 @@ def _best_rank1(vecs: np.ndarray, dims: tuple[int, ...]):
     One stacked SVD per leading mode; row i gets the bits it would get alone.
     """
     if len(dims) == 1:
-        norms = np.array([np.linalg.norm(v) for v in vecs])
+        norms = _column_norms(vecs.T)
         if np.any(norms == 0):
             raise ValidationError("cannot factor a zero vector")
         return [vecs / norms[:, None]], norms
@@ -419,7 +439,7 @@ def match_components(truth: Rank1Terms, est: Rank1Terms) -> RecoveryReport:
         # np.vecdot calls BLAS dot once per column pair, as ``a @ b`` on two columns does
         sign = np.where(np.vecdot(tm.T, em.T) >= 0, 1.0, -1.0)
         flip *= sign
-        factor_errors[:, mode] = [np.linalg.norm(d) for d in (tm - sign * em).T]
+        factor_errors[:, mode] = _column_norms(tm - sign * em)
     denom = np.maximum(np.abs(truth.weights), np.finfo(float).tiny)
     weight_errors = np.abs(truth.weights - est.weights[col] * flip) / denom
     max_error = float(max(factor_errors.max(), weight_errors.max()))
@@ -442,8 +462,9 @@ def decompose_smoothed(e: SmoothedEnsemble, noise_scale: float, rng=None) -> Rec
     """
     if e.ell < 3:
         raise ValidationError(f"decomposition needs ell >= 3, got {e.ell}")
-    if noise_scale < 0:
-        raise ValidationError("noise_scale must be nonnegative")
+    # written so that a NaN scale fails it
+    if not 0 <= noise_scale < math.inf:
+        raise ValidationError(f"noise_scale must be finite and nonnegative, got {noise_scale}")
     plan = folding_plan((e.n,) * e.ell)
     max_rank = plan.grouped_shape[0]
     if e.r > max_rank:
@@ -453,7 +474,7 @@ def decompose_smoothed(e: SmoothedEnsemble, noise_scale: float, rng=None) -> Rec
     truth = Rank1Terms.from_raw(factors)
     dense = truth.reconstruct()
     if noise_scale > 0:
-        dense = dense + rng.uniform(-noise_scale, noise_scale, dense.shape)
+        dense += rng.uniform(-noise_scale, noise_scale, dense.shape)
     folded = dense.reshape(plan.grouped_shape)
     est3 = simultaneous_diagonalize(folded, e.r, rng)
     est = est3 if e.ell == 3 else unfold_terms(plan, est3)

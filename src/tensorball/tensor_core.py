@@ -10,6 +10,7 @@ building the whole products; every other module goes through these.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
@@ -174,7 +175,7 @@ def _contract_dense(rows: np.ndarray, shape: tuple[int, ...], xs, out: np.ndarra
     # OpenBLAS a few rows to a small-matrix kernel, both rounding unlike a
     # gemm of many rows.
     block = -(-size // -(-size // most)) if size else 0
-    trail_buf, sums_buf = _block_buffers.pair(block, trail, m * lead)
+    trail_buf, sums_buf = _block_buffers.take((block, trail, 1), (block, m * lead))
     for s in range(0, size, max(block, 1)):
         s = min(s, size - block)
         tail = kron([x[s : s + block, :, None] for x in xs[t:]], out=trail_buf)[:, :, 0]
@@ -185,28 +186,30 @@ def _contract_dense(rows: np.ndarray, shape: tuple[int, ...], xs, out: np.ndarra
 
 
 class _BlockBuffers(threading.local):
-    """``_contract_dense``'s two block buffers, kept per thread.
+    """Block buffers kept per thread, for ``_contract_dense`` (its pair) and
+    ``Rank1Terms.reconstruct`` (its one Khatri-Rao block).
 
     Fresh arrays of a block's size would be mapped and page-faulted anew on
-    every call.  Instead each thread keeps one flat array, the largest pair
-    asked for so far that fits in ``_BLOCK_BYTES``, and hands out its leading
-    entries; a pair past that bound is allocated for its call alone, so no
-    thread keeps more than one block.  The pair is overwritten before it is
-    read, so no bit changes, and no call returns a view of it.
+    every call.  Instead each thread keeps one flat array, the largest
+    request so far that fits in ``_BLOCK_BYTES``, and hands out its leading
+    entries; a request past that bound is allocated for its call alone, so
+    no thread keeps more than one block.  Neither user holds its buffers
+    while calling the other, buffers are overwritten before they are read,
+    so no bit changes, and no call returns a view of them.
     """
 
     def __init__(self):
         self.flat = np.empty(0)
 
-    def pair(self, block: int, trail: int, sums: int) -> tuple[np.ndarray, np.ndarray]:
-        """Uninitialised ``(block, trail, 1)`` and ``(block, sums)`` float arrays that do not overlap."""
-        size = block * (trail + sums)
+    def take(self, *shapes) -> tuple[np.ndarray, ...]:
+        """Uninitialised float arrays of the given shapes that do not overlap."""
+        starts = [0, *itertools.accumulate(math.prod(shape) for shape in shapes)]
         flat = self.flat
-        if flat.size < size:
-            flat = np.empty(size)
-            if 8 * size <= _BLOCK_BYTES:
+        if flat.size < starts[-1]:
+            flat = np.empty(starts[-1])
+            if 8 * starts[-1] <= _BLOCK_BYTES:
                 self.flat = flat
-        return flat[: block * trail].reshape(block, trail, 1), flat[block * trail : size].reshape(block, sums)
+        return tuple(flat[a:b].reshape(shape) for a, b, shape in zip(starts, starts[1:], shapes))
 
 
 _block_buffers = _BlockBuffers()

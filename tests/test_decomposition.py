@@ -1,4 +1,5 @@
 import json
+import threading
 import tracemalloc
 
 import numpy as np
@@ -19,8 +20,8 @@ from tensorball import (
     simultaneous_diagonalize,
     unfold_terms,
 )
-from tensorball import decomposition
-from tensorball.decomposition import _assign, _realify_columns, folding_plan
+from tensorball import decomposition, tensor_core
+from tensorball.decomposition import _assign, _column_norms, _realify_columns, folding_plan
 
 
 def random_terms(rng, shape, r):
@@ -149,6 +150,55 @@ def test_reconstruct_peaks_well_under_the_whole_matrix():
     assert peak < whole_bytes / 2
 
 
+def test_warm_reconstruct_allocates_no_block():
+    terms = random_terms(np.random.default_rng(0), (30, 30, 30), 20)
+    # blocks of 192 lead rows: the most that fit in _BLOCK_BYTES, a multiple of 32 so that
+    # each block's 192 * 30 rows of 20 start on a multiple of 64 rows
+    block_bytes = 192 * 30 * 20 * 8
+    assert block_bytes <= tensor_core._BLOCK_BYTES < (192 + 32) * 30 * 20 * 8
+    terms.reconstruct()
+    tracemalloc.start()
+    try:
+        terms.reconstruct()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the lead product (144 kB) and the output (216 kB); the block is the kept one
+    assert peak < block_bytes
+
+
+def test_kept_block_carries_nothing_between_calls():
+    rng = np.random.default_rng(8)
+    a = random_terms(rng, (30, 30, 30), 20)  # n_l * r = 600
+    b = random_terms(rng, (6,) * 5, 30)  # n_l * r = 180
+    shape = (8, 8, 8)
+    rows = rng.standard_normal((8, 512))  # no row has one nonzero: the dense path
+    xs = [rng.standard_normal((700, n)) for n in shape]
+
+    def run():
+        first = a.reconstruct()
+        other = b.reconstruct()
+        dense = tensor_core.contract(rows, shape, xs)
+        again = a.reconstruct()
+        kept = tensor_core._block_buffers.flat
+        assert 0 < kept.nbytes <= tensor_core._BLOCK_BYTES
+        assert not any(np.shares_memory(x, kept) for x in (first, other, dense, again))
+        return first, other, dense, again
+
+    # on this thread, whose buffers other tests have used, and on a fresh one
+    # (where a failed assertion leaves ``results`` one short)
+    results = [run()]
+    worker = threading.Thread(target=lambda: results.append(run()))
+    worker.start()
+    worker.join(timeout=60)
+    assert len(results) == 2
+    for first, other, dense, again in results:
+        assert np.array_equal(first.view(np.int64), again.view(np.int64))
+        assert np.array_equal(first, whole_matrix_reconstruct(a))
+        assert np.array_equal(other, whole_matrix_reconstruct(b))
+        assert np.array_equal(dense, results[0][2])
+
+
 def test_contract_mode3_rank_one():
     u, v, w = np.array([1.0, 2.0]), np.array([3.0, 1.0]), np.array([0.5, -1.0, 2.0])
     t = np.einsum("i,j,k->ijk", u, v, w)
@@ -208,6 +258,18 @@ def test_diagonalize_validation():
         simultaneous_diagonalize(np.ones((2, 2)), 1, rng=0)
     with pytest.raises(ValidationError, match="zero"):
         simultaneous_diagonalize(np.zeros((2, 2, 2)), 1, rng=0)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_diagonalize_refuses_non_finite_entries(entry):
+    # a NaN entry used to reach the probe SVD and fail there with LinAlgError
+    t = random_terms(np.random.default_rng(3), (5, 5, 5), 3).reconstruct()
+    t[1, 2, 3] = entry
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValidationError, match="non-finite"):
+        simultaneous_diagonalize(t, 3, rng)
+    assert rng.bit_generator.state == state  # refused before any probe was drawn
 
 
 def test_diagonalize_exhausts_probes_on_rank_deficiency():
@@ -373,6 +435,13 @@ def test_decompose_smoothed_validation():
         decompose_smoothed(SmoothedEnsemble.random(2, 3, 3, 0.5, rng=0), -1.0)
 
 
+@pytest.mark.parametrize("noise", [np.nan, np.inf, -np.inf])
+def test_decompose_smoothed_refuses_non_finite_noise(noise):
+    # NaN fails both ``< 0`` and ``> 0``: it used to run as noiseless, and inf overflowed in numpy
+    with pytest.raises(ValidationError, match="noise_scale must be finite and nonnegative"):
+        decompose_smoothed(SmoothedEnsemble.random(2, 3, 3, 0.5, rng=0), noise, rng=1)
+
+
 # Reference per-column loops: the code before decomposition worked on whole
 # factor matrices.  The whole-matrix code must reproduce them bit for bit.
 
@@ -519,6 +588,37 @@ def test_realify_matches_column_loop(seed, n, zeros):
     out, vals = _realify_columns(eig.eigenvalues, vecs, idx)
     want, want_vals = ref_realify(eig.eigenvalues, vecs, idx)
     assert np.array_equal(out, want) and np.array_equal(vals, want_vals)
+
+
+def column_norm_cases():
+    rng = np.random.default_rng(11)
+    wide = rng.standard_normal((9, 14))
+    zeros = wide.copy()
+    zeros[:, [0, 5]] = 0.0
+    zeros[3, :] = 0.0
+    return {
+        "one row": rng.standard_normal((1, 7)),
+        "one column": rng.standard_normal((40, 1)),
+        "Fortran order": np.asfortranarray(wide),
+        "strided": rng.standard_normal((20, 33))[::3, ::2],
+        "transposed view": rng.standard_normal((12, 25)).T,
+        "exact zeros": zeros,
+        # squared norms near the top of the float range, some past it (inf on both sides)
+        "near overflow": wide * np.array([1e150, 1e154, 1e155, 1.3e154, 1e-300, 1, 2, 3, 4, 5, 6, 7, 8, 9]),
+        # squares below the smallest normal, down to the smallest subnormal
+        "near underflow": wide * np.array([1e-155, 1e-160, 1e-162, 5e-324, 1e-200, 1, 2, 3, 4, 5, 6, 7, 8, 9]),
+        "awkward": awkward_matrix(rng, 30, 20, 0.3),
+    }
+
+
+@pytest.mark.parametrize("case", list(column_norm_cases()))
+def test_column_norms_are_norm_per_column_bitwise(case):
+    m = column_norm_cases()[case]
+    with np.errstate(over="ignore", under="ignore"):
+        want = np.array([np.linalg.norm(c) for c in m.T])
+        got = _column_norms(m)
+    assert got.shape == (m.shape[1],)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_sign_check_names_the_first_offending_column():
