@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import DegeneracyError, ValidationError
 from .khatri_rao import SmoothedEnsemble, khatri_rao, sample_smoothed_factors
-from .tensor_core import _BLOCK_BYTES, _block_buffers, kron
+from . import tensor_core
+from .tensor_core import _block_rows, kron
 
 _UNIT_TOL = 1e-10
 
@@ -117,27 +118,26 @@ class Rank1Terms:
         ``kron(factors[:-1])`` is formed once; its rows then go through in
         blocks, each block's last Kronecker stage built into one buffer and
         multiplied by the weights straight into the output rows.  The buffer
-        is the per-thread block that ``tensor_core._BlockBuffers`` keeps for
-        this method and for ``tensor_core._contract_dense``; neither holds it
-        while calling the other, and it is never returned.
+        is this method's block in ``tensor_core._blocks``, and it is never
+        returned.
         Every entry is the same left-fold product as in the whole matrix.
         BLAS rounds a gemv row by where it sits among the rows of its call,
         so block starts fall on multiples of ``_ROW_ALIGN`` rows, and a last
         block of one row joins the block before it (numpy hands a one-row
         product to dot).  Memory is O(prod(n[:-1]) * r) for the leading
-        product plus one block of about ``_BLOCK_BYTES``; a block past that
-        bound is allocated for its call alone.
+        product plus one block of ``_block_rows`` rows; a block past the
+        kept size is allocated for its call alone.
         """
         *head, last = self.factors
         r, n_l = self.r, last.shape[0]
         lead = kron(head) if head else np.ones((1, r))
         count = lead.shape[0]
         step = _ROW_ALIGN // math.gcd(_ROW_ALIGN, n_l)
-        rows = max(step, _BLOCK_BYTES // (8 * n_l * max(r, 1)) // step * step)
+        rows = max(step, _block_rows(n_l * max(r, 1)) // step * step)
         bounds = [*range(0, count, rows), count]
         if len(bounds) > 2 and (count - bounds[-2]) * n_l == 1:
             del bounds[-2]
-        (buf,) = _block_buffers.take((max(e - s for s, e in zip(bounds, bounds[1:])) * n_l, r))
+        buf = tensor_core._blocks.array("reconstruct", (max(e - s for s, e in zip(bounds, bounds[1:])) * n_l, r))
         out = np.empty(count * n_l)
         for s, e in zip(bounds, bounds[1:]):
             block = kron([lead[s:e], last], out=buf[: (e - s) * n_l])

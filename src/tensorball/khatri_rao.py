@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import DegeneracyError, HypothesisViolationError, RangeError, ValidationError
 from .exact_laws import BoundConfig, bound_smin_tail
-from .montecarlo import ExperimentConfig, SmallBallCurve, _count_hits, _hit_curve, _Scratch
-from .tensor_core import kron
+from .montecarlo import ExperimentConfig, SmallBallCurve, _count_hits, _hit_curve
+from .tensor_core import _Scratch, kron
 
 _RANK_TOL = 1e-12
 

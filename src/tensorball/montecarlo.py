@@ -8,16 +8,16 @@ stores exact Clopper-Pearson intervals per grid point.
 A kernel holds only what it reads of a batch's factors.  ``norm_concentration``
 reduces each row chunk of ``sample_chunks`` to row norms as it is drawn, and
 a projection whose rows ``contract`` gathers keeps only the columns they read
-(``read_columns``); both hold one chunk of about ``_BLOCK_BYTES`` at a time,
-a histogram law its whole factor.  Dense rows draw whole factors, and the
-dominance bodies chunks of 2^21 tensor entries, which define its stream.
+(``read_columns``); both hold one chunk of ``tensor_core._block_rows`` rows
+at a time, a histogram law its whole factor.  Dense rows draw whole
+factors, and the dominance bodies chunks of 2^21 tensor entries, which
+define its stream.  Every kept array comes from ``tensor_core._Scratch``.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -28,7 +28,7 @@ import numpy as np
 from .distributions import sample_chunks, sample_matrix
 from .errors import DataSparsityError, RangeError, ValidationError
 from .subspaces import SubspaceBasis
-from .tensor_core import _BLOCK_BYTES, contract, read_columns
+from .tensor_core import _block_rows, _Scratch, contract, read_columns
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,11 @@ class SmallBallCurve:
     ci_high: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
+        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
+            raise ValidationError(f"trials must be a positive integer, got {self.trials!r}")
+        # written so that NaN fails it
+        if not 0 < self.confidence < 1:
+            raise ValidationError(f"confidence must lie in (0, 1), got {self.confidence}")
         grid = np.asarray(self.epsilon_grid, dtype=float)
         counts = np.asarray(self.hit_counts)
         if grid.shape != counts.shape:
@@ -211,30 +216,6 @@ def _in_order(run, jobs, workers: int):
                 future.cancel()
 
 
-class _Scratch(threading.local):
-    """Arrays that the batches of one run reuse, kept per worker thread.
-
-    A fresh array of a batch's size would be mapped and page-faulted anew for
-    every batch.  Instead each thread keeps, by name, the flat array of the
-    name's largest request so far, and every request gets its leading
-    ``prod(shape)`` entries as a C-contiguous array of that shape.  Kernels
-    draw into these arrays and treat them as fresh ones, so no bit changes.
-    No kernel returns a view of a kept array, and ``_sum_over_batches`` makes
-    one holder per run, so nothing outlives the run's batches.
-    """
-
-    def __init__(self):
-        self.kept = {}
-
-    def array(self, name: str, shape) -> np.ndarray:
-        """An uninitialised float array of ``shape``, backed by the kept array when that is large enough."""
-        flat = self.kept.get(name)
-        size = math.prod(shape)
-        if flat is None or flat.size < size:
-            flat = self.kept[name] = np.empty(size)
-        return flat[:size].reshape(shape)
-
-
 def _count_hits(values: np.ndarray, thresholds: np.ndarray, at_least: bool = False) -> np.ndarray:
     """Per threshold, how many ``values`` lie at or below it (at or above it
     with ``at_least``): the counts of ``values[:, None] <= thresholds``.
@@ -255,7 +236,9 @@ def _sum_over_batches(cfg: ExperimentConfig, kernel: Callable[[np.random.Generat
     lazy ``range`` of batches feeds a running total, so memory does not grow
     with the batch count, and integer counts add associatively, so no count
     depends on the thread count.  ``threads`` workers, at most one per usable
-    CPU, share one ``_Scratch``, each holding one batch's arrays.
+    CPU, share one uncapped ``_Scratch``, each holding one batch's arrays.
+    The holder is the run's own, so nothing it keeps outlives the run's
+    batches, and no kernel returns a view of it.
     """
     scratch = _Scratch()
 
@@ -281,11 +264,6 @@ def _hit_curve(cfg: ExperimentConfig, eps_grid, kernel_for) -> SmallBallCurve:
     return SmallBallCurve(epsilon_grid=eps, hit_counts=counts, trials=cfg.trials, confidence=cfg.confidence)
 
 
-def _chunk_rows(dim: int) -> int:
-    """Rows of a ``dim``-long factor that fit in one chunk of ``_BLOCK_BYTES`` (at least one)."""
-    return max(1, _BLOCK_BYTES // (8 * dim))
-
-
 def _projection_curve(specs, basis: SubspaceBasis, cfg: ExperimentConfig, eps_grid) -> SmallBallCurve:
     """Counts of ||(<row_k, x_1 x ... x x_l>)_k|| <= sqrt(m) * eps, one sample per trial for the whole grid.
 
@@ -304,7 +282,7 @@ def _projection_curve(specs, basis: SubspaceBasis, cfg: ExperimentConfig, eps_gr
         if cols is None:
             return sample_matrix(spec, rng, size, out=scratch.array(f"x{j}", (size, spec.dim)))
         kept = scratch.array(f"x{j}", (size, cols[j].size))
-        chunks = sample_chunks(spec, rng, size, _chunk_rows(spec.dim), lambda s: scratch.array("chunk", s))
+        chunks = sample_chunks(spec, rng, size, _block_rows(spec.dim), lambda s: scratch.array("chunk", s))
         for start, x in chunks:
             kept[start : start + len(x)] = x[:, cols[j]]
         return kept
@@ -374,7 +352,7 @@ def norm_concentration(specs, t_grid, cfg: ExperimentConfig) -> NormTailCurves:
         norm_prod.fill(1.0)
         for spec in specs:
             # every chunk of every factor draws into one array: its norms are taken before the next draw
-            for start, x in sample_chunks(spec, rng, size, _chunk_rows(spec.dim), lambda s: scratch.array("x", s)):
+            for start, x in sample_chunks(spec, rng, size, _block_rows(spec.dim), lambda s: scratch.array("x", s)):
                 norm = scratch.array("norm", (len(x),))
                 # np.linalg.norm's own formula, squaring in place; each row
                 # sums alone, so a chunk's norms are the whole factor's bits

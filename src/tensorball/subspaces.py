@@ -18,6 +18,14 @@ from .errors import ValidationError
 _ORTHO_TOL = 1e-10
 
 
+def _dims(shape) -> tuple[int, ...]:
+    """``shape`` as a tuple of ints, refused unless it has at least one mode and every dim is at least 1."""
+    dims = tuple(int(n) for n in shape)
+    if not dims or min(dims) < 1:
+        raise ValidationError(f"a tensor shape needs at least one mode and dims >= 1, got {dims}")
+    return dims
+
+
 @dataclass(frozen=True)
 class SubspaceBasis:
     """Orthonormal rows spanning an m-dimensional subspace of the flattened space.
@@ -30,7 +38,7 @@ class SubspaceBasis:
     rows: np.ndarray
 
     def __post_init__(self):
-        shape = tuple(int(n) for n in self.shape)
+        shape = _dims(self.shape)
         rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
         d = math.prod(shape)
         if rows.shape[1] != d:
@@ -67,7 +75,7 @@ def haar_subspace(shape, m: int, rng) -> SubspaceBasis:
     convention that makes the factorization unique.
     """
     rng = np.random.default_rng(rng)
-    shape = tuple(int(n) for n in shape)
+    shape = _dims(shape)
     d = math.prod(shape)
     if not 1 <= m <= d:
         raise ValidationError(f"need 1 <= m <= {d}, got m = {m}")
@@ -89,8 +97,8 @@ def diagonal_direction(n: int, ell: int) -> SubspaceBasis:
 
 def coordinate_line_subspace(n: int, ell: int, m: int) -> SubspaceBasis:
     """Adversarial coordinate subspace spanned by e_k x e_1 x ... x e_1, k = 1..m."""
-    if not 1 <= m <= n:
-        raise ValidationError(f"need 1 <= m <= n = {n}, got m = {m}")
+    if ell < 1 or not 1 <= m <= n:
+        raise ValidationError(f"need ell >= 1 and 1 <= m <= n = {n}, got ell = {ell}, m = {m}")
     d = n**ell
     rows = np.zeros((m, d))
     rows[np.arange(m), np.arange(m) * n ** (ell - 1)] = 1.0

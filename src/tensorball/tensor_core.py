@@ -6,11 +6,12 @@ Flattening is row-major throughout (last index fastest), matching
 Two primitives own that order: ``kron`` builds flattened (Khatri-Rao)
 products and ``contract`` takes inner products with dense rows without
 building the whole products; every other module goes through these.
+This module also owns the reuse of working arrays (``_Scratch``) and the
+byte budget of one block (``_block_rows``).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import struct
@@ -24,7 +25,8 @@ from .errors import ValidationError
 FLATTEN_CAP = 10_000_000
 
 # bytes of intermediates one block holds: of trials in the dense path of
-# ``contract``, of output rows in ``Rank1Terms.reconstruct``
+# ``contract``, of output rows in ``Rank1Terms.reconstruct``, of factor rows
+# in a Monte-Carlo chunk
 _BLOCK_BYTES = 1 << 20
 
 _BASIS_MAGIC = b"TBSB"
@@ -168,14 +170,14 @@ def _contract_dense(rows: np.ndarray, shape: tuple[int, ...], xs, out: np.ndarra
     # view, which BLAS reads transposed, so no copy is made
     right = rows.reshape(m * lead, trail).T
     size = xs[0].shape[0]
-    most = max(2, _BLOCK_BYTES // (8 * (trail + (m + 1) * lead)))
+    most = max(2, _block_rows(trail + (m + 1) * lead))
     # equal blocks, as few as the bound allows; the last one ends at ``size``
     # and repeats (with the same bits) fewer trials than there are blocks.
     # So every gemm has ``block`` rows: numpy sends one row to gemv, and
     # OpenBLAS a few rows to a small-matrix kernel, both rounding unlike a
     # gemm of many rows.
     block = -(-size // -(-size // most)) if size else 0
-    trail_buf, sums_buf = _block_buffers.take((block, trail, 1), (block, m * lead))
+    trail_buf, sums_buf = _blocks.array("trail", (block, trail, 1)), _blocks.array("sums", (block, m * lead))
     for s in range(0, size, max(block, 1)):
         s = min(s, size - block)
         tail = kron([x[s : s + block, :, None] for x in xs[t:]], out=trail_buf)[:, :, 0]
@@ -185,34 +187,44 @@ def _contract_dense(rows: np.ndarray, shape: tuple[int, ...], xs, out: np.ndarra
     return out
 
 
-class _BlockBuffers(threading.local):
-    """Block buffers kept per thread, for ``_contract_dense`` (its pair) and
-    ``Rank1Terms.reconstruct`` (its one Khatri-Rao block).
+def _block_rows(width: int) -> int:
+    """Rows of ``width`` floats that fit in one block of ``_BLOCK_BYTES`` (at least one)."""
+    return max(1, _BLOCK_BYTES // (8 * width))
 
-    Fresh arrays of a block's size would be mapped and page-faulted anew on
-    every call.  Instead each thread keeps one flat array, the largest
-    request so far that fits in ``_BLOCK_BYTES``, and hands out its leading
-    entries; a request past that bound is allocated for its call alone, so
-    no thread keeps more than one block.  Neither user holds its buffers
-    while calling the other, buffers are overwritten before they are read,
-    so no bit changes, and no call returns a view of them.
+
+class _Scratch(threading.local):
+    """Arrays reused from call to call, kept per thread and per name.
+
+    A fresh array past the allocator's mmap threshold is mapped and
+    page-faulted anew on every call.  Instead each thread keeps, by name, the
+    flat array of the name's largest request so far, and every request gets
+    its leading ``prod(shape)`` entries as a C-contiguous array of that
+    shape.  A request of more than ``cap`` bytes is allocated for its call
+    alone and not kept; the cap holds for each name alone.  Callers overwrite what they take before they read
+    it, so no bit changes, and return no view of it.
     """
 
-    def __init__(self):
-        self.flat = np.empty(0)
+    def __init__(self, cap: float = math.inf):
+        self.cap = cap
+        self.kept = {}
 
-    def take(self, *shapes) -> tuple[np.ndarray, ...]:
-        """Uninitialised float arrays of the given shapes that do not overlap."""
-        starts = [0, *itertools.accumulate(math.prod(shape) for shape in shapes)]
-        flat = self.flat
-        if flat.size < starts[-1]:
-            flat = np.empty(starts[-1])
-            if 8 * starts[-1] <= _BLOCK_BYTES:
-                self.flat = flat
-        return tuple(flat[a:b].reshape(shape) for a, b, shape in zip(starts, starts[1:], shapes))
+    def array(self, name: str, shape) -> np.ndarray:
+        """An uninitialised float array of ``shape``, backed by the kept array when that is large enough."""
+        flat = self.kept.get(name)
+        size = math.prod(shape)
+        if flat is None or flat.size < size:
+            flat = np.empty(size)
+            if 8 * size <= self.cap:
+                self.kept[name] = flat
+        return flat[:size].reshape(shape)
 
 
-_block_buffers = _BlockBuffers()
+# the blocks of ``_contract_dense`` ("trail", "sums") and ``Rank1Terms.reconstruct``
+# ("reconstruct"), kept for the thread's life.  The cap applies to each name
+# alone and is read from ``_BLOCK_BYTES`` once, here, so a thread that runs both
+# users keeps about two blocks: the dense pair fits one block together unless
+# its two-trial floor makes it larger, and the reconstruct block fits another.
+_blocks = _Scratch(_BLOCK_BYTES)
 
 
 def write_basis_payload(path, shape, rows: np.ndarray) -> None:

@@ -755,7 +755,7 @@ def test_failed_allocation_exits_2(tmp_path, capsys, monkeypatch, message, line)
 
     # no cap covers norms, and the first array of a batch is the first thing
     # to allocate: a refused allocation there must end the run with exit 2
-    monkeypatch.setattr(montecarlo._Scratch, "array", refuse)
+    monkeypatch.setattr(tensor_core._Scratch, "array", refuse)
     code = run_cli("norms", "--n", "100000000", "--l", "1", "--trials", "1e5", "--out", str(tmp_path / "out"))
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [line]

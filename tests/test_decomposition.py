@@ -20,7 +20,7 @@ from tensorball import (
     simultaneous_diagonalize,
     unfold_terms,
 )
-from tensorball import decomposition, tensor_core
+from tensorball import tensor_core
 from tensorball.decomposition import _assign, _column_norms, _realify_columns, folding_plan
 
 
@@ -133,7 +133,7 @@ def test_reconstruct_bitwise_on_folded_terms(ell, n, r):
 def test_reconstruct_bitwise_in_small_blocks(monkeypatch, shape, r, most_rows):
     # blocks of at most ``most_rows`` lead rows by the byte budget; the lead
     # row count is no multiple of the block
-    monkeypatch.setattr(decomposition, "_BLOCK_BYTES", 8 * shape[-1] * r * most_rows)
+    monkeypatch.setattr(tensor_core, "_BLOCK_BYTES", 8 * shape[-1] * r * most_rows)
     terms = random_terms(np.random.default_rng(r), shape, r)
     assert np.array_equal(terms.reconstruct(), whole_matrix_reconstruct(terms))
 
@@ -180,9 +180,10 @@ def test_kept_block_carries_nothing_between_calls():
         other = b.reconstruct()
         dense = tensor_core.contract(rows, shape, xs)
         again = a.reconstruct()
-        kept = tensor_core._block_buffers.flat
-        assert 0 < kept.nbytes <= tensor_core._BLOCK_BYTES
-        assert not any(np.shares_memory(x, kept) for x in (first, other, dense, again))
+        kept = tensor_core._blocks.kept
+        assert set(kept) == {"reconstruct", "trail", "sums"}
+        assert all(0 < block.nbytes <= tensor_core._BLOCK_BYTES for block in kept.values())
+        assert not any(np.shares_memory(x, block) for x in (first, other, dense, again) for block in kept.values())
         return first, other, dense, again
 
     # on this thread, whose buffers other tests have used, and on a fresh one

@@ -33,7 +33,7 @@ from tensorball import (
     sample_matrix,
     smin_tail_experiment,
 )
-from tensorball import distributions, montecarlo
+from tensorball import distributions, montecarlo, tensor_core
 from test_tensor_core import GATHER_ROWS, rows_at
 
 GAUSS2 = (DistributionSpec(kind="gaussian-std", dim=2),) * 2
@@ -121,6 +121,16 @@ def test_curve_rejects_nonmonotone_counts():
         SmallBallCurve(
             epsilon_grid=(0.2, 0.1), hit_counts=(5, 50), trials=100, confidence=0.99
         )
+
+
+@pytest.mark.parametrize(
+    "trials, confidence",
+    [(0, 0.99), (-5, 0.99), (100.0, 0.99), (100, 1.5), (100, 1.0), (100, 0.0), (100, float("nan"))],
+)
+def test_curve_rejects_bad_trials_or_confidence(trials, confidence):
+    # trials = 0 would divide by zero in p_hat, and these confidences give NaN intervals
+    with pytest.raises(ValidationError):
+        SmallBallCurve(epsilon_grid=(0.2, 0.1), hit_counts=(0, 0), trials=trials, confidence=confidence)
 
 
 def test_smallball_deterministic():
@@ -455,7 +465,7 @@ def test_norm_concentration_holds_one_factor_array():
         traced_peak(lambda: norm_concentration(specs, t, cfg_of(seed=0, trials=b, batch_size=b)))
         for b in (20_000, 60_000)
     )
-    assert abs(large - small) < montecarlo._BLOCK_BYTES
+    assert abs(large - small) < tensor_core._BLOCK_BYTES
     assert large < 20_000 * 64 * 8
 
 
@@ -516,7 +526,7 @@ def test_reused_batch_arrays_change_no_count(name, monkeypatch, two_cpus):
     estimate, trials, batch = REUSE_RUNS[name]
     one, two = (estimate(cfg_of(seed=6, trials=trials, batch_size=batch, threads=t)) for t in (1, 2))
     # every batch on fresh arrays
-    monkeypatch.setattr(montecarlo._Scratch, "array", lambda self, name, shape: np.empty(shape))
+    monkeypatch.setattr(tensor_core._Scratch, "array", lambda self, name, shape: np.empty(shape))
     fresh = estimate(cfg_of(seed=6, trials=trials, batch_size=batch, threads=1))
     assert one == two == fresh
     assert 0 < sum(one) < trials * len(one)
@@ -534,38 +544,13 @@ def test_later_batches_draw_into_the_first_batch_arrays(monkeypatch):
     for module in (montecarlo, distributions):
         monkeypatch.setattr(module, "sample_matrix", recording)
     # n=5: chunks of 1000 rows, so batches of 4000 draw four chunks per factor
-    monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 8 * 5 * 1000)
+    monkeypatch.setattr(tensor_core, "_BLOCK_BYTES", 8 * 5 * 1000)
     _reuse_direction(cfg_of(seed=6, trials=13_500, batch_size=4_000))
     # three batches of 4000 and one of 1500, three factors each
     assert sum(n for n, _ in draws) == 3 * 13_500 and max(n for n, _ in draws) == 1000
     first = 12
     assert sum(n for n, _ in draws[:first]) == 3 * 4_000
     assert {a for _, a in draws[first:]} <= {a for _, a in draws[:first]}
-
-
-def test_scratch_keeps_one_array_per_name_and_thread():
-    scratch = montecarlo._Scratch()
-    first = scratch.array("x", (100, 4))
-    assert first.shape == (100, 4) and first.flags.c_contiguous
-    # shrinking shapes are views of the one allocation, shaped as asked
-    for shape in ((100, 3), (37, 4), (400,), (1, 1)):
-        view = scratch.array("x", shape)
-        assert view.shape == shape and view.flags.c_contiguous
-        assert view.ctypes.data == first.ctypes.data and view.base is first.base
-    # other names get their own arrays
-    assert not np.shares_memory(scratch.array("y", (100, 4)), first)
-    # a larger shape allocates anew, and that array is kept
-    larger = scratch.array("x", (101, 4))
-    assert not np.shares_memory(larger, first)
-    assert scratch.array("x", (100, 4)).ctypes.data == larger.ctypes.data
-    # another thread keeps its own arrays under the same name
-    other = []
-    worker = threading.Thread(target=lambda: other.append(scratch.array("x", (10, 4))))
-    worker.start()
-    worker.join(timeout=10)
-    assert not worker.is_alive()
-    assert not np.shares_memory(other[0], larger)
-    assert scratch.array("x", (10, 4)).ctypes.data == larger.ctypes.data
 
 
 def whole_factor_norm_tails(specs, t, cfg):
@@ -630,7 +615,7 @@ CHUNKED_PROJECTIONS = {
 def test_projection_counts_hold_at_many_chunk_boundaries(name, threads, monkeypatch, two_cpus):
     # chunks of 24 // n rows (3 at n = 8), so every batch crosses hundreds of
     # chunk boundaries, and the last batch of 507 is shorter
-    monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 8 * 24)
+    monkeypatch.setattr(tensor_core, "_BLOCK_BYTES", 8 * 24)
     specs, basis = CHUNKED_PROJECTIONS[name]
     eps = np.geomspace(2.0, 0.05, 8)
     cfg = cfg_of(seed=5, trials=2_507, batch_size=1_000, threads=threads)
@@ -650,7 +635,7 @@ def test_projection_counts_hold_at_many_chunk_boundaries(name, threads, monkeypa
 )
 def test_norm_counts_hold_at_many_chunk_boundaries(specs, threads, monkeypatch, two_cpus):
     # chunks of one row at n = 16 and three at n = 8
-    monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 8 * 24)
+    monkeypatch.setattr(tensor_core, "_BLOCK_BYTES", 8 * 24)
     t = np.linspace(0.02, 0.6, 12)
     cfg = cfg_of(seed=3, trials=2_507, batch_size=1_000, threads=threads)
     upper, lower = whole_factor_norm_tails(specs, t, cfg)

@@ -92,6 +92,25 @@ def test_betaincinv_lives_in_one_function():
     assert owners == {"montecarlo.py:_beta_bounds"}
 
 
+def test_array_keeping_and_block_size_live_in_tensor_core():
+    """One keeper of reused arrays and one block budget: only ``tensor_core`` subclasses
+    ``threading.local`` or names ``_BLOCK_BYTES``, and it has one such subclass."""
+    keepers, budget = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(base) in ("threading.local", "local") for base in node.bases
+            ):
+                keepers.append(f"{path.name}:{node.name}")
+            names = {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
+            if isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+            if "_BLOCK_BYTES" in names:
+                budget.add(path.name)
+    assert keepers == ["tensor_core.py:_Scratch"]
+    assert budget == {"tensor_core.py"}
+
+
 def test_only_distributions_tests_a_law_kind():
     """Per-law facts have one owner: outside ``distributions`` (and ``gates``, which builds its
     gate laws by kind) no comparison and no ``startswith``/``endswith`` call has a ``.kind``

@@ -33,6 +33,25 @@ def test_basis_rejects_non_finite_rows(entry):
         SubspaceBasis(shape=(3, 3), rows=rows)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SubspaceBasis(shape=(-2, -2), rows=np.eye(4)),
+        lambda: SubspaceBasis(shape=(2, 0), rows=np.eye(1)),
+        lambda: SubspaceBasis(shape=(), rows=[[1.0]]),
+        lambda: haar_subspace((-2, -2), 2, 0),
+        lambda: haar_subspace((), 1, 0),
+        lambda: coordinate_line_subspace(3, 0, 1),
+        lambda: coordinate_line_subspace(3, -1, 1),
+    ],
+    ids=["negative-dims", "zero-dim", "no-mode", "haar-negative-dims", "haar-no-mode", "line-ell-0", "line-ell-negative"],
+)
+def test_bad_shapes_are_refused(build):
+    # an even count of negative dims has a positive product, and () has product 1
+    with pytest.raises(ValidationError):
+        build()
+
+
 def test_basis_rejects_m_above_dim():
     with pytest.raises(ValidationError):
         haar_subspace((2, 2), 5, np.random.default_rng(0))

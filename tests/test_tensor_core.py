@@ -262,6 +262,34 @@ def in_thread(run):
     return results[0]
 
 
+def test_scratch_keeps_one_array_per_name_and_thread():
+    scratch = tensor_core._Scratch(8 * 500)
+    first = scratch.array("x", (100, 4))
+    assert first.shape == (100, 4) and first.flags.c_contiguous
+    # shrinking shapes are views of the one allocation, shaped as asked
+    for shape in ((100, 3), (37, 4), (400,), (1, 1)):
+        view = scratch.array("x", shape)
+        assert view.shape == shape and view.flags.c_contiguous
+        assert view.ctypes.data == first.ctypes.data and view.base is first.base
+    # other names get their own arrays
+    assert not np.shares_memory(scratch.array("y", (100, 4)), first)
+    # a larger shape allocates anew, and that array is kept
+    larger = scratch.array("x", (101, 4))
+    assert not np.shares_memory(larger, first)
+    assert scratch.array("x", (100, 4)).ctypes.data == larger.ctypes.data
+    # a request above the cap is served on its own array, and the kept one stays
+    above = scratch.array("x", (501,))
+    assert above.shape == (501,) and not np.shares_memory(above, larger)
+    assert larger.base is scratch.kept["x"] and scratch.array("x", (404,)).ctypes.data == larger.ctypes.data
+    scratch.array("z", (501,))
+    assert "z" not in scratch.kept
+    # another thread keeps its own arrays under the same name, with the same cap
+    other = in_thread(lambda: (scratch.array("x", (10, 4)), scratch.array("x", (501,)), dict(scratch.kept)))
+    assert not np.shares_memory(other[0], larger)
+    assert other[2]["x"].size == 40
+    assert scratch.array("x", (10, 4)).ctypes.data == larger.ctypes.data
+
+
 def test_dense_blocks_reuse_one_kept_array_per_thread(monkeypatch):
     rng = np.random.default_rng(4)
     shape, m = (8, 8, 8), 8
@@ -270,18 +298,21 @@ def test_dense_blocks_reuse_one_kept_array_per_thread(monkeypatch):
 
     def twice():
         first = contract(rows, shape, xs)
-        kept = tensor_core._block_buffers.flat
-        return first, kept, contract(rows, shape, xs), tensor_core._block_buffers.flat
+        kept = dict(tensor_core._blocks.kept)
+        return first, kept, contract(rows, shape, xs), dict(tensor_core._blocks.kept)
 
     first, kept, second, again = in_thread(twice)
     assert np.array_equal(first, second) and np.array_equal(first, unblocked_contract(rows, shape, xs))
-    assert again is kept and 0 < kept.nbytes <= tensor_core._BLOCK_BYTES
-    assert not np.shares_memory(kept, tensor_core._block_buffers.flat)
-    # a pair past one block is allocated for its call alone (two-trial gemms
-    # round unlike long ones, so only the values agree)
+    assert set(kept) == {"trail", "sums"} and all(again[k] is kept[k] for k in kept)
+    assert 0 < sum(a.nbytes for a in kept.values()) <= tensor_core._BLOCK_BYTES
+    assert not any(np.shares_memory(a, b) for a in kept.values() for b in tensor_core._blocks.kept.values())
+    # at a 64-byte budget the blocks fall to two trials each, past the
+    # holder's cap, so they are allocated for their call alone (two-trial
+    # gemms round unlike long ones, so only the values agree)
     monkeypatch.setattr(tensor_core, "_BLOCK_BYTES", 64)
+    monkeypatch.setattr(tensor_core, "_blocks", tensor_core._Scratch(64))
     got, kept, _, _ = in_thread(twice)
-    assert np.allclose(got, first) and kept.size == 0
+    assert np.allclose(got, first) and kept == {}
 
 
 def single_entry_rows(rng, shape, m, coefs):
