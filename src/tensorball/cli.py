@@ -62,6 +62,7 @@ from .khatri_rao import SmoothedEnsemble, smin_tail_experiment
 from .montecarlo import (
     ExperimentConfig,
     SlabBody,
+    _aux_rng,
     curve_csv_bytes,
     dominance_test,
     estimate_direction_smallball,
@@ -70,15 +71,15 @@ from .montecarlo import (
     rows_csv_bytes,
 )
 from .subspaces import (
+    FLATTEN_CAP,
     SubspaceBasis,
     coordinate_line_subspace,
     diagonal_direction,
     haar_subspace,
 )
-from .tensor_core import FLATTEN_CAP
 
-# highest tensor order any subcommand accepts: numpy 1.x arrays have at most
-# 32 axes.  For n >= 2, FLATTEN_CAP stops l at 23 already.
+# highest tensor order any subcommand accepts, the package's own cap; for
+# n >= 2, FLATTEN_CAP stops l at 23 already.
 MAX_ORDER = 32
 
 _DIST_KINDS = {
@@ -146,11 +147,6 @@ _FLAGS = {
     "scale": ("--scale", {"type": float}),
     "noise": ("--noise", {"type": float}),
 }
-
-
-def _aux_rng(seed: int, stream: int) -> np.random.Generator:
-    # spawn keys of length 2 cannot collide with the length-1 batch keys
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2**32, stream)))
 
 
 def git_blob_hash(data: bytes) -> str:
@@ -497,8 +493,7 @@ def _environment() -> dict:
     """The manifest's record of what can move a run's bytes without a config change."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):
-        # numpy before 1.25 reports its build configuration only as text
+    except KeyError:
         blas = {}
     return {
         "numpy": np.__version__,

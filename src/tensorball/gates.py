@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .cli import _aux_rng as _cli_aux_rng
 from .cli import main as cli_main
 from .decomposition import decompose_smoothed
 from .distributions import DistributionSpec, HistogramDensity, matched_cube
@@ -26,6 +25,7 @@ from .khatri_rao import SmoothedEnsemble, pinv_hs_norm_sq, projection_distance_s
 from .montecarlo import (
     ExperimentConfig,
     SlabBody,
+    _aux_rng,
     dominance_test,
     estimate_direction_smallball,
     estimate_smallball,
@@ -35,10 +35,6 @@ from .montecarlo import (
 from .subspaces import coordinate_line_subspace, diagonal_direction, haar_subspace
 
 SEED = 1
-
-
-def _aux_rng(stream):
-    return _cli_aux_rng(SEED, stream)
 
 
 def _verdict(num, name, ok, detail, started, budget_s):
@@ -102,7 +98,7 @@ def fixed_vs_generic_separation():
     specs = (DistributionSpec(kind="uniform-cube-sqrt3", dim=4),) * 2
     cfg = ExperimentConfig(seed=SEED, trials=1_000_000, confidence=0.99)
     line = estimate_smallball(specs, coordinate_line_subspace(4, 2, 4), cfg, grid)
-    haar = estimate_smallball(specs, haar_subspace((4, 4), 4, _aux_rng(0)), cfg, grid)
+    haar = estimate_smallball(specs, haar_subspace((4, 4), 4, _aux_rng(SEED, 0)), cfg, grid)
     i = grid.index(0.1)
     disjoint = haar.ci_high[i] < line.ci_low[i]
     slope_gap = fit_slope(haar, (0.05, 0.3)).slope - fit_slope(line, (0.05, 0.3)).slope
@@ -126,7 +122,7 @@ def dominance_by_matched_cube():
     violations = 0
     for li, law in enumerate(laws):
         cube = matched_cube(law)
-        bodies = [SlabBody.random(4, 3, 1.0, _aux_rng(10 * li + b)) for b in range(5)]
+        bodies = [SlabBody.random(4, 3, 1.0, _aux_rng(SEED, 10 * li + b)) for b in range(5)]
         reports = dominance_test((law,) * 2, (cube,) * 2, bodies, cfg)
         violations += sum(rep.violation_candidate for rep in reports)
     return _verdict(5, "dominance by matched cube", violations == 0, f"{violations}/15 violation candidates", started, 300.0)
@@ -150,7 +146,7 @@ def norm_concentration_tails():
 def smoothed_smin_tail_slope():
     started = time.perf_counter()
     grid = tuple(sorted((float(e) for e in np.geomspace(0.01, 3.0, 22)), reverse=True))
-    ensemble = SmoothedEnsemble.random(8, 6, 2, 1.0, rng=_aux_rng(0))
+    ensemble = SmoothedEnsemble.random(8, 6, 2, 1.0, rng=_aux_rng(SEED, 0))
     cfg = ExperimentConfig(seed=SEED, trials=10_000)
     result = smin_tail_experiment(ensemble, cfg, grid)
     counts = np.asarray(result.curve.hit_counts)

@@ -1,8 +1,12 @@
 """Seeded Monte-Carlo engine for small-ball, norm, and dominance experiments.
 
-Trials are partitioned into batches; batch ``i`` of a run draws from
-``SeedSequence(seed, spawn_key=(i,))``, so the counts depend on the seed and
-the batch partition only, and schedulers cannot change them.  Every curve
+This module owns every random stream of a run.  Trials are partitioned into
+batches; batch ``i`` draws from ``SeedSequence(seed, spawn_key=(i,))``, so
+the counts depend on the seed and the batch partition only, and schedulers
+cannot change them.  What a run draws outside its batches (a Haar basis,
+slab bodies, a smoothed ensemble, a decomposition's factors, noise and
+probes) comes from auxiliary stream ``k``,
+``SeedSequence(seed, spawn_key=(2**32, k))`` (``_aux_rng``).  Every curve
 stores exact Clopper-Pearson intervals per grid point.
 
 A kernel holds only what it reads of a batch's factors.  ``norm_concentration``
@@ -250,6 +254,12 @@ def _sum_over_batches(cfg: ExperimentConfig, kernel: Callable[[np.random.Generat
     jobs = range(-(-cfg.trials // cfg.batch_size))
     workers = min(cfg.threads, _usable_cpus())
     return sum(_in_order(run, jobs, workers) if workers > 1 else map(run, jobs))
+
+
+def _aux_rng(seed: int, stream: int) -> np.random.Generator:
+    """Auxiliary stream ``stream`` of a run with ``seed``, for draws outside its batches."""
+    # spawn keys of length 2 cannot collide with the length-1 batch keys
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2**32, stream)))
 
 
 def _hit_curve(cfg: ExperimentConfig, eps_grid, kernel_for) -> SmallBallCurve:

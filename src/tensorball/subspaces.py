@@ -2,28 +2,40 @@
 
 Two regimes: Haar-random subspaces of the flattened tensor space, and the
 adversarial coordinate constructions aligned with the first mode.  Arbitrary
-user bases enter as basis files (``SubspaceBasis.load``).
+user bases enter as basis files, whose layout ``SubspaceBasis.save`` writes
+and ``SubspaceBasis.load`` reads and checks.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor_core
 from .errors import ValidationError
 
 _ORTHO_TOL = 1e-10
 
+# most flattened entries a basis file or a CLI run may hold
+FLATTEN_CAP = 10_000_000
+
+_BASIS_MAGIC = b"TBSB"
+
+
+def _is_int(value) -> bool:
+    """Whether a size (a dim, ``m``, ``n`` or ``ell``) is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
 
 def _dims(shape) -> tuple[int, ...]:
-    """``shape`` as a tuple of ints, refused unless it has at least one mode and every dim is at least 1."""
-    dims = tuple(int(n) for n in shape)
-    if not dims or min(dims) < 1:
-        raise ValidationError(f"a tensor shape needs at least one mode and dims >= 1, got {dims}")
-    return dims
+    """``shape`` as a tuple of ints, refused unless it has at least one mode and every dim is an integer >= 1."""
+    dims = tuple(shape)
+    if not dims or not all(_is_int(n) and n >= 1 for n in dims):
+        raise ValidationError(f"a tensor shape needs at least one mode and integer dims >= 1, got {dims}")
+    return tuple(int(n) for n in dims)
 
 
 @dataclass(frozen=True)
@@ -59,12 +71,45 @@ class SubspaceBasis:
         return self.rows.shape[0]
 
     def save(self, path) -> None:
-        tensor_core.write_basis_payload(path, self.shape, self.rows)
+        """Binary basis file, all little-endian: magic ``TBSB``, order l (uint32),
+        the l dims (uint32), the row count m (uint32), then the m x prod(dims)
+        rows as float64 in row-major order."""
+        order = len(self.shape)
+        with open(path, "wb") as fh:
+            fh.write(struct.pack(f"<4sI{order}II", _BASIS_MAGIC, order, *self.shape, self.m))
+            fh.write(np.ascontiguousarray(self.rows, dtype="<f8").tobytes())
 
     @classmethod
     def load(cls, path) -> "SubspaceBasis":
-        shape, rows = tensor_core.read_basis_payload(path)
-        return cls(shape=shape, rows=rows)
+        """Read a ``save`` file; any defect raises ``ValidationError``.
+
+        The header is checked field by field, and a claimed size above
+        ``FLATTEN_CAP`` entries is refused before any data is read.  The payload
+        must hold exactly the claimed number of entries, and the rows must make
+        a valid basis.
+        """
+        try:
+            with open(path, "rb") as fh:
+                size = os.fstat(fh.fileno()).st_size
+                head = fh.read(8)
+                if len(head) < 8 or head[:4] != _BASIS_MAGIC:
+                    raise ValidationError(f"{path} is not a basis file (bad magic {head[:4]!r})")
+                (order,) = struct.unpack("<I", head[4:])
+                header_len = 12 + 4 * order
+                if order < 1 or header_len > size:
+                    raise ValidationError(f"{path}: header claims order {order}, file has {size} bytes")
+                *shape, m = struct.unpack(f"<{order + 1}I", fh.read(header_len - 8))
+                if min(shape) < 1 or m < 1:
+                    raise ValidationError(f"{path}: dims {tuple(shape)} and row count {m} must be positive")
+                entries = m * math.prod(shape)
+                if entries > FLATTEN_CAP:
+                    raise ValidationError(f"{path}: header claims {entries} entries, above the cap of {FLATTEN_CAP}")
+                if size - header_len != 8 * entries:
+                    raise ValidationError(f"{path}: payload has {size - header_len} bytes, header claims {8 * entries}")
+                data = np.frombuffer(fh.read(8 * entries), dtype="<f8")
+        except OSError as exc:
+            raise ValidationError(f"cannot read basis file {path}: {exc.strerror or exc}") from exc
+        return cls(shape=tuple(shape), rows=data.reshape(m, -1).copy())
 
 
 def haar_subspace(shape, m: int, rng) -> SubspaceBasis:
@@ -77,7 +122,7 @@ def haar_subspace(shape, m: int, rng) -> SubspaceBasis:
     rng = np.random.default_rng(rng)
     shape = _dims(shape)
     d = math.prod(shape)
-    if not 1 <= m <= d:
+    if not (_is_int(m) and 1 <= m <= d):
         raise ValidationError(f"need 1 <= m <= {d}, got m = {m}")
     g = rng.standard_normal((d, m))
     q, r = np.linalg.qr(g)
@@ -88,8 +133,9 @@ def haar_subspace(shape, m: int, rng) -> SubspaceBasis:
 
 def diagonal_direction(n: int, ell: int) -> SubspaceBasis:
     """Unit tensor e_1 x ... x e_1, a single 1 at the first multi-index, as a one-row basis."""
-    if n < 1 or ell < 1:
-        raise ValidationError("n and ell must be at least 1")
+    if not (all(map(_is_int, (n, ell))) and n >= 1 and ell >= 1):
+        raise ValidationError(f"n and ell must be integers >= 1, got n = {n!r}, ell = {ell!r}")
+    n, ell = int(n), int(ell)
     rows = np.zeros((1, n**ell))
     rows[0, 0] = 1.0
     return SubspaceBasis(shape=(n,) * ell, rows=rows)
@@ -97,8 +143,9 @@ def diagonal_direction(n: int, ell: int) -> SubspaceBasis:
 
 def coordinate_line_subspace(n: int, ell: int, m: int) -> SubspaceBasis:
     """Adversarial coordinate subspace spanned by e_k x e_1 x ... x e_1, k = 1..m."""
-    if ell < 1 or not 1 <= m <= n:
-        raise ValidationError(f"need ell >= 1 and 1 <= m <= n = {n}, got ell = {ell}, m = {m}")
+    if not (all(map(_is_int, (n, ell, m))) and ell >= 1 and 1 <= m <= n):
+        raise ValidationError(f"need integers ell >= 1 and 1 <= m <= n = {n!r}, got ell = {ell!r}, m = {m!r}")
+    n, ell, m = int(n), int(ell), int(m)
     d = n**ell
     rows = np.zeros((m, d))
     rows[np.arange(m), np.arange(m) * n ** (ell - 1)] = 1.0

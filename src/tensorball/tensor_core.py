@@ -7,29 +7,23 @@ Two primitives own that order: ``kron`` builds flattened (Khatri-Rao)
 products and ``contract`` takes inner products with dense rows without
 building the whole products; every other module goes through these.
 This module also owns the reuse of working arrays (``_Scratch``) and the
-byte budget of one block (``_block_rows``).
+byte budget of one block (``_block_rows``).  It is the contraction layer
+alone: it opens no file and draws no random number.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import struct
 import threading
 
 import numpy as np
 
 from .errors import ValidationError
 
-# most flattened entries a basis file or a CLI run may hold
-FLATTEN_CAP = 10_000_000
-
 # bytes of intermediates one block holds: of trials in the dense path of
 # ``contract``, of output rows in ``Rank1Terms.reconstruct``, of factor rows
 # in a Monte-Carlo chunk
 _BLOCK_BYTES = 1 << 20
-
-_BASIS_MAGIC = b"TBSB"
 
 
 def kron(mats, out=None) -> np.ndarray:
@@ -226,46 +220,3 @@ class _Scratch(threading.local):
 # its two-trial floor makes it larger, and the reconstruct block fits another.
 _blocks = _Scratch(_BLOCK_BYTES)
 
-
-def write_basis_payload(path, shape, rows: np.ndarray) -> None:
-    """Binary basis file, all little-endian: magic ``TBSB``, order l (uint32),
-    the l dims (uint32), the row count m (uint32), then the m x prod(dims)
-    rows as float64 in row-major order."""
-    order = len(shape)
-    m = rows.shape[0]
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sI", _BASIS_MAGIC, order))
-        fh.write(struct.pack(f"<{order}I", *shape))
-        fh.write(struct.pack("<I", m))
-        fh.write(np.ascontiguousarray(rows, dtype="<f8").tobytes())
-
-
-def read_basis_payload(path) -> tuple[tuple[int, ...], np.ndarray]:
-    """Read a ``write_basis_payload`` file; any defect raises ``ValidationError``.
-
-    The header is checked field by field, and a claimed size above
-    ``FLATTEN_CAP`` entries is refused before any data is read.  The payload
-    must hold exactly the claimed number of entries.
-    """
-    try:
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            head = fh.read(8)
-            if len(head) < 8 or head[:4] != _BASIS_MAGIC:
-                raise ValidationError(f"{path} is not a basis file (bad magic {head[:4]!r})")
-            (order,) = struct.unpack("<I", head[4:])
-            header_len = 12 + 4 * order
-            if order < 1 or header_len > size:
-                raise ValidationError(f"{path}: header claims order {order}, file has {size} bytes")
-            *shape, m = struct.unpack(f"<{order + 1}I", fh.read(header_len - 8))
-            if min(shape) < 1 or m < 1:
-                raise ValidationError(f"{path}: dims {tuple(shape)} and row count {m} must be positive")
-            entries = m * math.prod(shape)
-            if entries > FLATTEN_CAP:
-                raise ValidationError(f"{path}: header claims {entries} entries, above the cap of {FLATTEN_CAP}")
-            if size - header_len != 8 * entries:
-                raise ValidationError(f"{path}: payload has {size - header_len} bytes, header claims {8 * entries}")
-            data = np.frombuffer(fh.read(8 * entries), dtype="<f8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read basis file {path}: {exc.strerror or exc}") from exc
-    return tuple(shape), data.reshape(m, -1).copy()

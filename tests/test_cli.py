@@ -421,10 +421,11 @@ def test_smallball_basis_file_bad_header(tmp_path, capsys, payload):
 @pytest.mark.parametrize("entry", [np.nan, np.inf])
 def test_smallball_basis_file_non_finite_entry(tmp_path, capsys, entry):
     bpath = tmp_path / "good.bin"
-    rows = coordinate_line_subspace(3, 2, 2).rows.copy()
-    rows[0, 0] = entry
-    tensor_core.write_basis_payload(bpath, (3, 3), rows)
-    code, err = run_with_basis_file(tmp_path, bpath.read_bytes(), capsys)
+    coordinate_line_subspace(3, 2, 2).save(bpath)
+    data = bytearray(bpath.read_bytes())
+    # rows[0, 0], right after the 20-byte header of an order-2 file
+    data[20:28] = struct.pack("<d", entry)
+    code, err = run_with_basis_file(tmp_path, bytes(data), capsys)
     assert code == 2
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
@@ -970,6 +971,6 @@ def test_grid_parser():
 
 
 def test_aux_rng_streams_disjoint_from_batches():
-    a = cli._aux_rng(0, 0).standard_normal(4)
+    a = montecarlo._aux_rng(0, 0).standard_normal(4)
     b = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(0,))).standard_normal(4)
     assert not np.allclose(a, b)

@@ -673,6 +673,21 @@ def test_batch_driver_adds_every_batch_once(threads, two_cpus):
     assert total.tolist() == [1_000_003, 101]
 
 
+def test_float_batch_sums_do_not_depend_on_the_thread_count(two_cpus):
+    """Batch results add in batch order, so float partials give the same bits at any thread count."""
+    def kernel(rng, size, scratch):
+        return rng.random(3) * size
+
+    trials, batch = 10_007, 997  # ten full batches and one of 37 trials
+    in_order = sum(
+        kernel(np.random.default_rng(np.random.SeedSequence(2, spawn_key=(i,))), min(batch, trials - i * batch), None)
+        for i in range(11)
+    )
+    for threads in (1, 2):
+        total = montecarlo._sum_over_batches(cfg_of(seed=2, trials=trials, batch_size=batch, threads=threads), kernel)
+        assert total.tobytes() == in_order.tobytes()
+
+
 @pytest.mark.parametrize("cpus, threads, pools", [(3, 100_000, [3]), (3, 2, [2]), (1, 100_000, [])])
 def test_pool_never_has_more_workers_than_cpus(monkeypatch, inline_pool, cpus, threads, pools):
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)

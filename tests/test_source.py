@@ -144,3 +144,58 @@ def test_only_distributions_tests_a_law_kind():
             if any(is_kind_operand(operand) for operand in operands):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == [], f"law kinds tested outside distributions: {', '.join(found)}"
+
+
+def _module_trees():
+    return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_seed_sequences_live_in_montecarlo():
+    """Every random stream key is built in one module: only ``montecarlo`` names ``SeedSequence``."""
+    owners = set()
+    for name, tree in _module_trees().items():
+        for node in ast.walk(tree):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+            if "SeedSequence" in names:
+                owners.add(name)
+    assert owners == {"montecarlo.py"}
+
+
+def test_only_gates_imports_from_cli_and_only_main():
+    """The front end sits on top: no library module reads a ``cli`` name, and ``gates`` runs it through ``main``."""
+    found = set()
+    for name, tree in _module_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in ("cli", "tensorball.cli"):
+                found |= {(name, alias.name) for alias in node.names}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                found |= {(name, alias.name) for alias in node.names if alias.name in ("cli", "tensorball.cli")}
+    assert found == {("gates.py", "main")}
+
+
+def test_basis_magic_lives_in_subspaces():
+    """The basis-file layout has one owner: only ``subspaces`` spells its magic ``TBSB``."""
+    owners = {
+        name
+        for name, tree in _module_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, (str, bytes))
+        and (b"TBSB" if isinstance(node.value, bytes) else "TBSB") in node.value
+    }
+    assert owners == {"subspaces.py"}
+
+
+def test_tensor_core_imports_no_file_modules():
+    """``tensor_core`` is the contraction layer alone: it imports neither ``os`` nor ``struct``."""
+    tree = _module_trees()["tensor_core.py"]
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert "math" in imported
+    assert not imported & {"os", "struct"}

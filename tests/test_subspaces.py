@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -50,6 +51,43 @@ def test_bad_shapes_are_refused(build):
     # an even count of negative dims has a positive product, and () has product 1
     with pytest.raises(ValidationError):
         build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SubspaceBasis(shape=(2.5, 2), rows=np.eye(4)),
+        lambda: SubspaceBasis(shape=(2.0, 2), rows=np.eye(4)),
+        lambda: SubspaceBasis(shape=(True, 4), rows=np.eye(4)),
+        lambda: haar_subspace((2, 2), 2.5, 0),
+        lambda: haar_subspace((2, 2), True, 0),
+        lambda: haar_subspace((2, 2.0), 2, 0),
+        lambda: coordinate_line_subspace(3, 2, 1.5),
+        lambda: coordinate_line_subspace(3, 2.0, 1),
+        lambda: coordinate_line_subspace(3.0, 2, 1),
+        lambda: diagonal_direction(2.5, 2),
+        lambda: diagonal_direction(2, True),
+    ],
+    ids=[
+        "basis-fractional-dim", "basis-float-dim", "basis-bool-dim", "haar-fractional-m", "haar-bool-m",
+        "haar-float-dim", "line-fractional-m", "line-float-ell", "line-float-n", "direction-fractional-n",
+        "direction-bool-ell",
+    ],
+)
+def test_non_integral_sizes_are_refused(build):
+    # a fractional dim was once truncated, and a fractional m or n ended in a raw TypeError
+    with pytest.raises(ValidationError):
+        build()
+
+
+def test_numpy_integer_sizes_are_accepted():
+    # 16**3 overflows a uint8, so n**ell must be taken in Python integers
+    two, sixteen = np.int64(2), np.uint8(16)
+    assert SubspaceBasis(shape=(two, two), rows=np.eye(4)).shape == (2, 2)
+    assert haar_subspace((two, sixteen), two, 0).m == 2
+    line = coordinate_line_subspace(sixteen, 3, two)
+    assert line.shape == (16, 16, 16) and line.rows[1, 256] == 1.0
+    assert diagonal_direction(sixteen, 3).rows.shape == (1, 4096)
 
 
 def test_basis_rejects_m_above_dim():
@@ -132,6 +170,32 @@ def test_coordinate_line_full_first_mode():
 def test_coordinate_line_m_above_n():
     with pytest.raises(ValidationError):
         coordinate_line_subspace(3, 2, 4)
+
+
+def test_basis_file_rejects_garbage(tmp_path):
+    p = tmp_path / "bad.bin"
+    p.write_bytes(b"not a tensor at all")
+    with pytest.raises(ValidationError):
+        SubspaceBasis.load(p)
+
+
+def test_basis_file_bytes_follow_the_readme_table(tmp_path):
+    """The layout README's basis-file table gives: magic, order, dims, row count, then the
+    rows as row-major float64, every field little-endian."""
+    basis = haar_subspace((3, 4, 2), 5, np.random.default_rng(1))
+    want = (
+        b"TBSB"
+        + struct.pack("<I", 3)
+        + struct.pack("<3I", 3, 4, 2)
+        + struct.pack("<I", 5)
+        + struct.pack(f"<{5 * 24}d", *basis.rows.ravel())
+    )
+    p = tmp_path / "basis.bin"
+    basis.save(p)
+    assert p.read_bytes() == want
+    back = SubspaceBasis.load(p)
+    assert back.shape == (3, 4, 2)
+    assert np.array_equal(back.rows, basis.rows)
 
 
 def test_basis_save_load(tmp_path):

@@ -9,13 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorball import (
-    SubspaceBasis,
     ValidationError,
     contract,
     kron,
 )
 from tensorball import tensor_core
-from tensorball.tensor_core import read_basis_payload
 
 
 # Flattenings, inner products and norms of simple tensors, worked by hand,
@@ -112,23 +110,6 @@ def test_frobenius_norm_values():
     assert np.linalg.norm(flat([3, 4], [1, 0])) == 5
     assert abs(np.linalg.norm(flat([1, 1], [1, 1], [1, 1])) - 2 * math.sqrt(2)) < 1e-12
     assert np.linalg.norm(flat([0, 0], [1, 2])) == 0
-
-
-def test_basis_file_rejects_garbage(tmp_path):
-    p = tmp_path / "bad.bin"
-    p.write_bytes(b"not a tensor at all")
-    with pytest.raises(ValidationError):
-        read_basis_payload(p)
-
-
-def test_basis_file_round_trip(tmp_path):
-    basis = SubspaceBasis(shape=(2, 3), rows=np.eye(6)[[1, 4]])
-    p = tmp_path / "basis.bin"
-    basis.save(p)
-    assert p.stat().st_size == 4 + 4 + 2 * 4 + 4 + 2 * 6 * 8
-    back = SubspaceBasis.load(p)
-    assert back.shape == (2, 3)
-    assert np.array_equal(back.rows, basis.rows)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.data())
