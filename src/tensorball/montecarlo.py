@@ -9,13 +9,20 @@ probes) comes from auxiliary stream ``k``,
 ``SeedSequence(seed, spawn_key=(2**32, k))`` (``_aux_rng``).  Every curve
 stores exact Clopper-Pearson intervals per grid point.
 
-A kernel holds only what it reads of a batch's factors.  ``norm_concentration``
-reduces each row chunk of ``sample_chunks`` to row norms as it is drawn, and
-a projection whose rows ``contract`` gathers keeps only the columns they read
-(``read_columns``); both hold one chunk of ``tensor_core._block_rows`` rows
-at a time, a histogram law its whole factor.  Dense rows draw whole
-factors, and the dominance bodies chunks of 2^21 tensor entries, which
-define its stream.  Every kept array comes from ``tensor_core._Scratch``.
+A kernel holds only what it reads of a batch's factors, and reduces each
+block of products as it comes.  ``norm_concentration`` reduces each row
+chunk of ``sample_chunks`` to row norms as it is drawn, and a projection
+whose rows ``contract`` gathers keeps only the columns they read
+(``read_columns``), copied from each chunk through column views; both hold
+one chunk of ``tensor_core._block_rows`` rows at a time, a histogram law its
+whole factor.  A factor whose every column is read (every factor of dense
+rows) is drawn whole into its kept array, and the dominance bodies draw in
+chunks of 2^21 tensor entries, which define its stream.  Projections and
+slab tests take their products from ``tensor_core.contract_blocks``, one
+block at a time: a projection reduces each block to row norms, and the
+dominance kernel makes one pass per chunk for every body and counts each
+body's slab test per block.  Every kept array, the product blocks included,
+comes from the run's ``tensor_core._Scratch``.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import numpy as np
 from .distributions import sample_chunks, sample_matrix
 from .errors import DataSparsityError, RangeError, ValidationError
 from .subspaces import SubspaceBasis
-from .tensor_core import _block_rows, _Scratch, contract, read_columns
+from .tensor_core import _block_rows, _columns, _Scratch, contract_blocks, read_columns
 
 
 @dataclass(frozen=True)
@@ -152,16 +159,15 @@ class SlabBody:
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
-        return self.inside(lambda d: pts @ d.T)
-
-    def inside(self, inner) -> np.ndarray:
-        """Which points lie in every slab, given ``inner(directions)``: their
-        ``(points, count)`` inner products with the directions, a fresh array
-        or one the caller owns, which is overwritten with its absolute values."""
         # a product past the float range is far outside its slab, and inf counts it so
         with np.errstate(over="ignore"):
-            products = inner(self.directions)
-            return np.all(np.abs(products, out=products) <= 1.0, axis=1)
+            return self.inside(pts @ self.directions.T)
+
+    def inside(self, products: np.ndarray) -> np.ndarray:
+        """Which points lie in every slab, given their ``(points, count)``
+        inner products with the directions, which are overwritten with their
+        absolute values.  Each point's test reads its own row alone."""
+        return np.all(np.abs(products, out=products) <= 1.0, axis=1)
 
     @classmethod
     def random(cls, dim: int, count: int, scale: float, rng) -> "SlabBody":
@@ -278,8 +284,11 @@ def _projection_curve(specs, basis: SubspaceBasis, cfg: ExperimentConfig, eps_gr
     """Counts of ||(<row_k, x_1 x ... x x_l>)_k|| <= sqrt(m) * eps, one sample per trial for the whole grid.
 
     When ``contract`` gathers, each factor keeps only the columns its rows
-    read, drawn in row chunks; dense rows read every column and draw whole
-    factors.
+    read, drawn in row chunks and copied through column views; a factor
+    whose every column is read, as every factor of dense rows is, is drawn
+    whole into its kept array.  Each block of ``contract_blocks`` is reduced
+    to row norms as it comes; a row's norm sums its own m squares, so the
+    block partition changes no bit.
     """
     dims = tuple(s.dim for s in specs)
     if dims != basis.shape:
@@ -289,12 +298,13 @@ def _projection_curve(specs, basis: SubspaceBasis, cfg: ExperimentConfig, eps_gr
     cols, rows, shape = (None, basis.rows, basis.shape) if read is None else read
 
     def factor(j, spec, rng, size, scratch):
-        if cols is None:
+        # ``cols[j]`` is sorted and unique, so at full size it reads every column in order
+        if cols is None or cols[j].size == spec.dim:
             return sample_matrix(spec, rng, size, out=scratch.array(f"x{j}", (size, spec.dim)))
         kept = scratch.array(f"x{j}", (size, cols[j].size))
         chunks = sample_chunks(spec, rng, size, _block_rows(spec.dim), lambda s: scratch.array("chunk", s))
         for start, x in chunks:
-            kept[start : start + len(x)] = x[:, cols[j]]
+            kept[start : start + len(x)] = _columns(x, cols[j])
         return kept
 
     def kernel_for(eps):
@@ -304,8 +314,9 @@ def _projection_curve(specs, basis: SubspaceBasis, cfg: ExperimentConfig, eps_gr
 
         def kernel(rng, size, scratch):
             xs = [factor(j, s, rng, size, scratch) for j, s in enumerate(specs)]
-            inner = contract(rows, shape, xs, out=scratch.array("inner", (size, basis.m)))
-            norms = np.einsum("bm,bm->b", inner, inner, out=scratch.array("norms", (size,)))
+            norms = scratch.array("norms", (size,))
+            for start, (inner,) in contract_blocks([rows], shape, xs, scratch):
+                np.einsum("bm,bm->b", inner, inner, out=norms[start : start + len(inner)])
             return _count_hits(np.sqrt(norms, out=norms), thresholds)
 
         return kernel
@@ -382,9 +393,10 @@ def norm_concentration(specs, t_grid, cfg: ExperimentConfig) -> NormTailCurves:
 def _membership_counts(specs, bodies, cfg: ExperimentConfig) -> np.ndarray:
     """Per body of ``bodies``, in order, how many trials land inside it.
 
-    Each chunk's factors are drawn once and tested against every body, each
-    body with the ``contract`` call it would take alone, so a body's count
-    does not depend on the others.
+    Each chunk's factors are drawn once and go through one ``contract_blocks``
+    call with every body's directions, whose products for each body are
+    those of a call with that body alone; each block's slab tests are counted
+    as it comes, row by row, so a body's count does not depend on the others.
     """
     if not bodies:
         raise ValidationError("need at least one slab body")
@@ -397,8 +409,9 @@ def _membership_counts(specs, bodies, cfg: ExperimentConfig) -> np.ndarray:
             )
     # trials drawn per call of ``sample_matrix``: the chunk boundaries are
     # part of the random stream, so this defines the stream, not the memory
-    # (``contract`` never builds the n^l tensors)
+    # (``contract_blocks`` never builds the n^l tensors)
     chunk = max(1, (1 << 21) // max(ambient, 1))
+    directions = [body.directions for body in bodies]
 
     def kernel(rng, size, scratch):
         hits = np.zeros(len(bodies), dtype=np.int64)
@@ -406,9 +419,10 @@ def _membership_counts(specs, bodies, cfg: ExperimentConfig) -> np.ndarray:
         while done < size:
             cur = min(chunk, size - done)
             xs = [sample_matrix(s, rng, cur, out=scratch.array(f"x{j}", (cur, s.dim))) for j, s in enumerate(specs)]
-            for k, body in enumerate(bodies):
-                inside = body.inside(lambda d: contract(d, dims, xs, out=scratch.array("inner", (cur, d.shape[0]))))
-                hits[k] += np.count_nonzero(inside)
+            # a product past the float range is far outside its slab, and inf counts it so
+            with np.errstate(over="ignore"):
+                for _, products in contract_blocks(directions, dims, xs, scratch):
+                    hits += [np.count_nonzero(body.inside(p)) for body, p in zip(bodies, products)]
             done += cur
         return hits
 

@@ -4,15 +4,19 @@ Flattening is row-major throughout (last index fastest), matching
 ``numpy.reshape`` order and columnwise Kronecker products.  Multi-index
 ``(i_1, ..., i_l)`` maps to flat position ``i_l + n_l * (i_{l-1} + ...)``.
 Two primitives own that order: ``kron`` builds flattened (Khatri-Rao)
-products and ``contract`` takes inner products with dense rows without
-building the whole products; every other module goes through these.
-This module also owns the reuse of working arrays (``_Scratch``) and the
-byte budget of one block (``_block_rows``).  It is the contraction layer
-alone: it opens no file and draws no random number.
+products, and ``contract_blocks`` takes inner products of row sets with
+simple tensors a block of trials at a time, without building the whole
+products; ``contract`` is its one-set loop.  Every other module goes
+through these, and every Monte-Carlo kernel reduces each block as it comes,
+so no kernel holds a ``(size, m)`` products array.  This module also owns
+the reuse of working arrays (``_Scratch``) and the byte budget of one block
+(``_block_rows``).  It is the contraction layer alone: it opens no file and
+draws no random number.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 
@@ -60,45 +64,124 @@ def kron(mats, out=None) -> np.ndarray:
 def contract(rows: np.ndarray, shape: tuple[int, ...], xs, out=None) -> np.ndarray:
     """Inner products of every basis row with every trial's simple tensor.
 
-    rows: (m, D); xs: one (size, n_j) array per mode.  Returns (size, m);
+    rows: (m, D); xs: one (size, n_j) array per mode.  Returns (size, m):
+    the blocks of ``contract_blocks`` for this one row set, in order.
     ``out``, a C-contiguous float64 array of that shape, receives the result
     in place of a fresh allocation and is returned, with the same bits.
-
-    When every row has exactly one nonzero ``c`` at ``(i_1, ..., i_l)`` (the
-    coordinate-line and diagonal constructions), the inner product is the
-    gathered product ``x_1[i_1] * (... * (x_l[i_l] * c))``, O(size * m * l).
-    For finite factors it is bitwise what contracting the last mode first
-    gives: there every other term of each sum is an exact zero, and the
-    surviving products nest in this order.  Any other row set takes the
-    dense path; the row check runs once per call.
-
-    With one mode the dense path is one gemm.  With more it splits the
-    modes at the ``t`` that holds the fewest entries per trial
-    (``_split``), forms the trailing factors' product
-    ``x_{t+1} x ... x x_l`` with ``kron``, multiplies it by the rows, viewed
-    as ``(m * prod n[:t], prod n[t:])``, in one gemm, and finishes with one
-    batched dot against the leading factors' product ``x_1 x ... x x_t``.
-    That sums in another order than the last-mode-first chain, so the two
-    agree up to rounding only.  Trials go through in blocks that fit in
-    ``_BLOCK_BYTES``, so memory is O(size * (sum n_j + m)) plus one block
-    instead of O(size * prod n_j).  Every gemm of a call has the same row
-    count, so the result is bitwise the one of a single block holding every
-    trial wherever BLAS rounds a row alike in products of that many rows and
-    more, as it does for every shape the tests check.
     """
-    size, m = xs[0].shape[0], rows.shape[0]
+    size, m = _trials([rows], shape, xs), np.shape(rows)[0]
     if out is None:
         out = np.empty((size, m))
     elif out.shape != (size, m) or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValidationError(f"contract needs a C-contiguous float64 out= of shape {(size, m)}")
-    single = _single_entries(rows, shape)
-    if single is not None:
-        index, coef = single
-        np.multiply(_columns(xs[-1], index[-1]), coef, out=out)
-        for x, i in zip(xs[-2::-1], index[-2::-1]):
-            np.multiply(_columns(x, i), out, out=out)
-        return out
-    return _contract_dense(rows, shape, xs, out)
+    for start, (block,) in contract_blocks([rows], shape, xs):
+        out[start : start + len(block)] = block
+    return out
+
+
+def contract_blocks(row_sets, shape: tuple[int, ...], xs, scratch=None):
+    """Inner products of several row sets with every trial's simple tensor,
+    one block of trials at a time.
+
+    row_sets: (m_k, D) arrays; xs: one (size, n_j) array per mode.  Returns
+    an iterator of ``(start, products)`` over consecutive, non-overlapping
+    trial ranges that cover the ``size`` trials.  ``products[k]``, of shape
+    ``(len, m_k)``, holds row set ``k``'s inner products with trials
+    ``start : start + len``, which the one-set ``contract`` gives bit for
+    bit.  The arrays are views of one buffer, the ``"products"`` array of
+    ``scratch`` (a ``_Scratch``) or a fresh one per call; the next step
+    overwrites them, and so may the caller.  Memory is one block per row set.
+
+    When every row of a set has exactly one nonzero ``c`` at
+    ``(i_1, ..., i_l)`` (the coordinate-line and diagonal constructions), its
+    inner product is the gathered product ``x_1[i_1] * (... * (x_l[i_l] * c))``,
+    O(len * m_k * l).  For finite factors it is bitwise what contracting the
+    last mode first gives: there every other term of each sum is an exact
+    zero, and the surviving products nest in this order.  The work is
+    elementwise, so every block partition gives the same bits.
+
+    Every other set takes the dense path (``_dense_blocks``).  With one mode
+    it is one gemm over every trial.  With more it splits the modes at the
+    ``t`` that holds the fewest entries per trial (``_split``), forms the
+    trailing factors' product ``x_{t+1} x ... x x_l`` with ``kron``,
+    multiplies it by the rows, viewed as ``(m * prod n[:t], prod n[t:])``, in
+    one gemm, and finishes with one batched dot against the leading factors'
+    product ``x_1 x ... x x_t``.  That sums in another order than the
+    last-mode-first chain, so the two agree up to rounding only.  Trials go
+    through in equal blocks that fit in ``_BLOCK_BYTES``, so memory is
+    O(size * sum n_j) plus one block instead of O(size * prod n_j).  Every
+    gemm of a set has the same row count, so its products are bitwise those
+    of a single block holding every trial wherever BLAS rounds a row alike in
+    products of that many rows and more, as it does for every shape the
+    tests check.  The split and the blocks depend on the shape and the row
+    count alone, so dense sets of equal row count share each block's two
+    Kronecker products and still take the gemm and the batched dot of a
+    one-set call.  Sets of other row counts block on their own; a yielded
+    range ends where any set's block ends, and the trials that a set's last
+    block repeats are yielded once.
+    """
+    size = _trials(row_sets, shape, xs)
+    gathers, groups = {}, {}
+    for k, rows in enumerate(row_sets):
+        single = _single_entries(rows, shape)
+        if single is None:
+            groups.setdefault(rows.shape[0], []).append(k)
+        else:
+            gathers[k] = single
+    if size == 0:
+        return iter(())
+    blocks = {m: _dense_block(shape, m, size) for m in groups}
+    # a gather block is any length; within dense blocks it needs no more than the shortest
+    glen = min(blocks.values(), default=min(size, _block_rows(max(1, sum(row_sets[k].shape[0] for k in gathers)))))
+    shapes = [(glen if k in gathers else blocks[rows.shape[0]], rows.shape[0]) for k, rows in enumerate(row_sets)]
+    ends = list(itertools.accumulate((math.prod(s) for s in shapes), initial=0))
+    buf = np.empty(ends[-1]) if scratch is None else scratch.array("products", (ends[-1],))
+    outs = [buf[a:b].reshape(s) for a, b, s in zip(ends, ends[1:], shapes)]
+    dense = [
+        (_dense_blocks([row_sets[k] for k in ks], shape, xs, [outs[k] for k in ks]), blocks[m], ks)
+        for m, ks in groups.items()
+    ]
+    gathered = [(k, [_columns(x, i) for x, i in zip(xs, index)], coef) for k, (index, coef) in gathers.items()]
+    return _merged_blocks(size, dense, gathered, glen, outs)
+
+
+def _merged_blocks(size: int, dense, gathered, glen: int, outs):
+    """The steps of ``contract_blocks``: ``dense`` holds each group's block
+    iterator, block length and sets, ``gathered`` each gather set's column
+    views and coefficients, and ``outs[k]`` set ``k``'s block array."""
+    starts = [-math.inf] * len(dense)
+    cur = 0
+    while cur < size:
+        for g, (steps, block, _) in enumerate(dense):
+            if starts[g] + block <= cur:
+                starts[g] = next(steps)
+        end = min([s + block for s, (_, block, _) in zip(starts, dense)] + [cur + glen, size])
+        products = [None] * len(outs)
+        for s, (_, _, ks) in zip(starts, dense):
+            for k in ks:
+                products[k] = outs[k][cur - s : end - s]
+        for k, cols, coef in gathered:
+            block = products[k] = outs[k][: end - cur]
+            np.multiply(cols[-1][cur:end], coef, out=block)
+            for c in cols[-2::-1]:
+                np.multiply(c[cur:end], block, out=block)
+        yield cur, products
+        cur = end
+
+
+def _trials(row_sets, shape: tuple[int, ...], xs) -> int:
+    """The trial count of ``xs``, once every factor is ``(size, n_j)`` for
+    its mode of ``shape`` and every row set ``(m_k, prod shape)``."""
+    dims = [np.shape(x) for x in xs]
+    if not dims or len(dims) != len(shape) or any(len(d) != 2 or d[1] != n for d, n in zip(dims, shape)):
+        raise ValidationError(f"contract needs one (size, n_j) factor per mode of shape {tuple(shape)}, got {dims}")
+    if any(d[0] != dims[0][0] for d in dims):
+        raise ValidationError(f"contract needs factors of one trial count, got shapes {dims}")
+    width = math.prod(shape)
+    for rows in row_sets:
+        if np.ndim(rows) != 2 or np.shape(rows)[1] != width:
+            raise ValidationError(f"contract needs rows of width prod{tuple(shape)} = {width}, got shape {np.shape(rows)}")
+    return dims[0][0]
 
 
 def _columns(x: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -153,32 +236,48 @@ def _split(shape: tuple[int, ...], m: int) -> int:
     return min(range(1, len(shape)), key=lambda t: math.prod(shape[t:]) + (m + 1) * math.prod(shape[:t]))
 
 
-def _contract_dense(rows: np.ndarray, shape: tuple[int, ...], xs, out: np.ndarray) -> np.ndarray:
-    m = rows.shape[0]
+def _dense_block(shape: tuple[int, ...], m: int, size: int) -> int:
+    """Trials per block of the dense path with ``m`` rows: ``size`` with one
+    mode, else equal blocks, as few as ``_BLOCK_BYTES`` allows."""
     if len(shape) == 1:
         # no intermediate to block: the one factor is its own product
-        return np.matmul(xs[0], rows.T, out=out)
+        return size
+    t = _split(shape, m)
+    most = max(2, _block_rows(math.prod(shape[t:]) + (m + 1) * math.prod(shape[:t])))
+    # the last block ends at ``size`` and repeats (with the same bits) fewer
+    # trials than there are blocks.  So every gemm has ``block`` rows: numpy
+    # sends one row to gemv, and OpenBLAS a few rows to a small-matrix
+    # kernel, both rounding unlike a gemm of many rows.
+    return -(-size // -(-size // most))
+
+
+def _dense_blocks(row_sets, shape: tuple[int, ...], xs, outs):
+    """Per block of the dense path, in order: write each row set's products
+    with the block's trials into its ``outs`` array, of the block's length,
+    and yield the block's first trial.  The sets share the row count ``m``,
+    so the split, the block and the two Kronecker products of a block."""
+    size = xs[0].shape[0]
+    block, m = outs[0].shape
+    if len(shape) == 1:
+        for rows, out in zip(row_sets, outs):
+            np.matmul(xs[0], rows.T, out=out)
+        yield 0
+        return
     t = _split(shape, m)
     lead, trail = math.prod(shape[:t]), math.prod(shape[t:])
     # (prod n[t:], m * prod n[:t]): for C-ordered rows a Fortran-ordered
     # view, which BLAS reads transposed, so no copy is made
-    right = rows.reshape(m * lead, trail).T
-    size = xs[0].shape[0]
-    most = max(2, _block_rows(trail + (m + 1) * lead))
-    # equal blocks, as few as the bound allows; the last one ends at ``size``
-    # and repeats (with the same bits) fewer trials than there are blocks.
-    # So every gemm has ``block`` rows: numpy sends one row to gemv, and
-    # OpenBLAS a few rows to a small-matrix kernel, both rounding unlike a
-    # gemm of many rows.
-    block = -(-size // -(-size // most)) if size else 0
-    trail_buf, sums_buf = _blocks.array("trail", (block, trail, 1)), _blocks.array("sums", (block, m * lead))
-    for s in range(0, size, max(block, 1)):
+    rights = [rows.reshape(m * lead, trail).T for rows in row_sets]
+    for s in range(0, size, block):
         s = min(s, size - block)
-        tail = kron([x[s : s + block, :, None] for x in xs[t:]], out=trail_buf)[:, :, 0]
-        sums = np.dot(tail, right, out=sums_buf).reshape(block, m, lead)
+        # looked up per block: another group's blocks take the same names in between
+        tail = kron([x[s : s + block, :, None] for x in xs[t:]], out=_blocks.array("trail", (block, trail, 1)))[:, :, 0]
         head = kron([x[s : s + block, :, None] for x in xs[:t]])[:, :, 0]
-        np.einsum("bmk,bk->bm", sums, head, out=out[s : s + block])
-    return out
+        sums_buf = _blocks.array("sums", (block, m * lead))
+        for right, out in zip(rights, outs):
+            sums = np.dot(tail, right, out=sums_buf).reshape(block, m, lead)
+            np.einsum("bmk,bk->bm", sums, head, out=out)
+        yield s
 
 
 def _block_rows(width: int) -> int:
@@ -213,7 +312,7 @@ class _Scratch(threading.local):
         return flat[:size].reshape(shape)
 
 
-# the blocks of ``_contract_dense`` ("trail", "sums") and ``Rank1Terms.reconstruct``
+# the blocks of ``_dense_blocks`` ("trail", "sums") and ``Rank1Terms.reconstruct``
 # ("reconstruct"), kept for the thread's life.  The cap applies to each name
 # alone and is read from ``_BLOCK_BYTES`` once, here, so a thread that runs both
 # users keeps about two blocks: the dense pair fits one block together unless

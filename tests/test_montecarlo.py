@@ -34,7 +34,8 @@ from tensorball import (
     smin_tail_experiment,
 )
 from tensorball import distributions, montecarlo, tensor_core
-from test_tensor_core import GATHER_ROWS, rows_at
+from tensorball.tensor_core import contract_blocks
+from test_tensor_core import BLOCK_CASES, GATHER_ROWS, blocks_match_contract, in_thread, rows_at
 
 GAUSS2 = (DistributionSpec(kind="gaussian-std", dim=2),) * 2
 CUBE_UNIT_GRID = (0.5, 0.3, 0.2, 0.1, 0.05)
@@ -274,14 +275,23 @@ def test_dominance_draws_once_for_every_body(monkeypatch):
         draws.append(n)
         return sample_matrix(spec, rng, n, out=out)
 
+    passes = []
+
+    def one_pass(row_sets, shape, xs, scratch=None):
+        passes.append(len(row_sets))
+        return contract_blocks(row_sets, shape, xs, scratch)
+
     monkeypatch.setattr(montecarlo, "sample_matrix", counting)
+    monkeypatch.setattr(montecarlo, "contract_blocks", one_pass)
     cfg = cfg_of(seed=6, trials=4_600, batch_size=1_300)
     dominance_test(specs_a, specs_b, bodies[2:], cfg)
     one = list(draws)
     draws.clear()
+    passes.clear()
     dominance_test(specs_a, specs_b, [*bodies, *bodies[1:]], cfg)
-    # 2 laws x 11 chunks x 3 factors
+    # 2 laws x 11 chunks x 3 factors, and one pass per chunk over all five bodies
     assert draws == one and len(one) == 66
+    assert passes == [5] * 22
 
 
 def test_dominance_needs_a_body():
@@ -416,6 +426,46 @@ def test_membership_counts_match_fresh_products(tail, count, threads, two_cpus):
         want = reference_membership_hits(laws, body, cfg)
         assert montecarlo._membership_counts(laws, [body], cfg).tolist() == [want]
         assert 0 < want <= cfg.trials
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_block_iterator_matches_contract_in_every_batch(name, threads, two_cpus):
+    # each worker thread takes its blocks from its own slice of the run's holder
+    shape, row_sets = BLOCK_CASES[name]
+
+    def kernel(rng, size, scratch):
+        xs = [rng.standard_normal((size, n)) for n in shape]
+        return np.asarray([blocks_match_contract(row_sets, shape, xs, scratch), 1])
+
+    cfg = cfg_of(seed=3, trials=2_507, batch_size=1_000, threads=threads)
+    assert montecarlo._sum_over_batches(cfg, kernel).tolist() == [3, 3]
+
+
+def test_line_smallball_holds_no_products_array():
+    # n = 8, l = 3, m = 8: a batch keeps the first factor whole, one column of
+    # each other factor and the row norms, plus a draw chunk and a block of
+    # products; a (size, m) products array would add 6.4 MB more
+    specs = (DistributionSpec(kind="uniform-cube-sqrt3", dim=8),) * 3
+    size = 100_000
+    cfg = cfg_of(seed=0, trials=size, batch_size=size)
+    peak = traced_peak(lambda: estimate_smallball(specs, coordinate_line_subspace(8, 3, 8), cfg, CUBE_UNIT_GRID))
+    kept = 8 * size * (8 + 1 + 1 + 1)
+    assert peak < kept + 3 * tensor_core._BLOCK_BYTES < kept + 8 * size * 8
+
+
+def test_held_blocks_do_not_grow_with_the_body_count():
+    # n = 4, l = 3: every body's products live in the run's holder, so the
+    # thread's block holder keeps the same arrays for 3 bodies as for 30
+    specs = (DistributionSpec(kind="symmetric-exponential-unitvar", dim=4),) * 3
+
+    def held(count):
+        bodies = [SlabBody.random(64, 8, 1.0, np.random.default_rng(k)) for k in range(count)]
+        dominance_test(specs, (matched_cube(specs[0]),) * 3, bodies, cfg_of(seed=1, trials=5_000))
+        return {name: a.size for name, a in tensor_core._blocks.kept.items()}
+
+    three, thirty = in_thread(lambda: (held(3), held(30)))
+    assert three == thirty and set(three) == {"trail", "sums"}
 
 
 def test_membership_counts_never_build_the_tensors():

@@ -379,10 +379,8 @@ def test_contract_refuses_an_out_of_another_layout(out):
 
 def test_contract_gathers_only_when_every_row_has_one_nonzero(monkeypatch):
     dense_calls = []
-    dense = tensor_core._contract_dense
-    monkeypatch.setattr(
-        tensor_core, "_contract_dense", lambda *args: dense_calls.append(1) or dense(*args)
-    )
+    dense = tensor_core._dense_blocks
+    monkeypatch.setattr(tensor_core, "_dense_blocks", lambda *args: dense_calls.append(1) or dense(*args))
     rng = np.random.default_rng(3)
     shape = (3, 4, 2)
     xs = [rng.standard_normal((7, n)) for n in shape]
@@ -398,6 +396,128 @@ def test_contract_gathers_only_when_every_row_has_one_nonzero(monkeypatch):
         assert np.array_equal(got, unblocked_contract(rows, shape, xs))
         assert tensor_core.read_columns(rows, shape) is None
     assert dense_calls == [1, 1]
+
+
+def _one_nonzero_rows(shape):
+    """Two rows on ``shape`` with one nonzero each."""
+    return rows_at(shape, [(0,) * len(shape), (1,) + (0,) * (len(shape) - 1)], [1.0, -2.0])
+
+
+# (rows, factors) on shape (2, 2) that do not fit each other
+MISFITS = {
+    "gather-wide-factors": (_one_nonzero_rows((2, 2)), [np.ones((5, 3))] * 2),
+    "dense-wide-factors": (np.ones((2, 4)), [np.ones((5, 3))] * 2),
+    "gather-unequal-trials": (_one_nonzero_rows((2, 2)), [np.ones((5, 2)), np.ones((4, 2))]),
+    "dense-unequal-trials": (np.ones((2, 4)), [np.ones((5, 2)), np.ones((4, 2))]),
+    "rows-too-wide": (np.ones((2, 5)), [np.ones((5, 2))] * 2),
+    "rows-too-narrow": (np.ones((2, 3)), [np.ones((5, 2))] * 2),
+    "one-dim-rows": (np.ones(4), [np.ones((5, 2))] * 2),
+    "too-few-factors": (np.ones((2, 4)), [np.ones((5, 2))]),
+    "too-many-factors": (np.ones((2, 4)), [np.ones((5, 2))] * 3),
+    "one-dim-factors": (np.ones((2, 4)), [np.ones(2)] * 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISFITS))
+def test_contract_refuses_rows_and_factors_that_do_not_fit(name):
+    rows, xs = MISFITS[name]
+    with pytest.raises(ValidationError, match="contract needs"):
+        contract(rows, (2, 2), xs)
+    # the iterator checks before its first block
+    with pytest.raises(ValidationError, match="contract needs"):
+        tensor_core.contract_blocks([np.ones((1, 4)), rows], (2, 2), xs)
+
+
+def body_rows(shape, counts, seed):
+    """Dense Gaussian rows, one set per count (a count of 0 is a set of no rows, which gathers)."""
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((c, math.prod(shape))) for c in counts]
+
+
+# row sets on one shape: dense sets of unequal row counts block on their own
+# partitions, equal counts share theirs, and one-nonzero sets gather
+BLOCK_CASES = {
+    "bodies-0-3-8": ((16, 16, 16), body_rows((16, 16, 16), (0, 3, 8), 1)),
+    "mixed": (
+        (7, 5, 4),
+        [
+            *body_rows((7, 5, 4), (4,), 2),
+            rows_at((7, 5, 4), GATHER_ROWS["stepped"][1], [1.0, -2.0, 0.5, 3.0]),
+            *body_rows((7, 5, 4), (4, 2), 3),
+            rows_at((7, 5, 4), GATHER_ROWS["shuffled"][1], -1.5),
+        ],
+    ),
+    "one-mode": ((5,), [*body_rows((5,), (3,), 4), rows_at((5,), [(4,), (1,)], 2.0), *body_rows((5,), (3,), 5)]),
+}
+
+
+def block_sizes(shape, row_sets):
+    """Trial counts that end every dense set's partition in an overlapping last block, and 0."""
+    sizes = {0, 1, 2}
+    for rows in row_sets:
+        if tensor_core.read_columns(rows, shape) is None:
+            block = dense_block(shape, rows.shape[0])
+            sizes |= {block - 1, block + 1, 3 * block + 5}
+    return sorted(sizes)
+
+
+def blocks_match_contract(row_sets, shape, xs, scratch=None):
+    """Whether ``contract_blocks`` covers the trials in consecutive ranges and
+    gives each set the bits of its own ``contract`` call."""
+    want = [contract(rows, shape, xs) for rows in row_sets]
+    got = [np.full_like(w, np.nan) for w in want]
+    end = 0
+    for start, products in tensor_core.contract_blocks(row_sets, shape, xs, scratch):
+        assert start == end and len(products) == len(row_sets)
+        end = start + len(products[0])
+        assert end > start or len(xs[0]) == 0
+        for g, p, rows in zip(got, products, row_sets):
+            assert p.shape == (end - start, rows.shape[0])
+            g[start:end] = p
+    assert end == len(xs[0])
+    return all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_block_iterator_matches_one_contract_per_row_set(name):
+    shape, row_sets = BLOCK_CASES[name]
+    rng = np.random.default_rng(len(name))
+    for size in block_sizes(shape, row_sets):
+        xs = [rng.standard_normal((size, n)) for n in shape]
+        assert blocks_match_contract(row_sets, shape, xs), size
+        # each set alone partitions as the one-set call does
+        assert all(blocks_match_contract([rows], shape, xs) for rows in row_sets), size
+
+
+def test_block_iterator_draws_its_blocks_from_the_scratch_holder():
+    shape, row_sets = BLOCK_CASES["bodies-0-3-8"]
+    rng = np.random.default_rng(0)
+    xs = [rng.standard_normal((1000, n)) for n in shape]
+    scratch = tensor_core._Scratch()
+    assert blocks_match_contract(row_sets, shape, xs, scratch)
+    assert set(scratch.kept) == {"products"}
+    products = scratch.kept["products"]
+    for _, arrays in tensor_core.contract_blocks(row_sets, shape, xs, scratch):
+        assert all(a.size == 0 or np.shares_memory(a, products) for a in arrays)
+    assert list(tensor_core.contract_blocks(row_sets, shape, [x[:0] for x in xs], scratch)) == []
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 16, 17])
+def test_row_norms_are_the_same_on_any_block_partition(m):
+    # a kernel reduces each block to row norms: on any partition, and from
+    # any base offset of the block in memory, the bits are the whole array's
+    rng = np.random.default_rng(m)
+    size = 1000
+    a = rng.standard_normal((size, m)) * np.exp(rng.uniform(-30, 30, (size, m)))
+    whole = np.einsum("bm,bm->b", a, a)
+    for offset in range(4):
+        b = np.empty(size * m + offset)[offset:].reshape(size, m)
+        b[...] = a
+        for step in (1, 2, 3, 7, 64, 333, size):
+            got = np.empty(size)
+            for s in range(0, size, step):
+                np.einsum("bm,bm->b", b[s : s + step], b[s : s + step], out=got[s : s + step])
+            assert got.tobytes() == whole.tobytes(), (offset, step)
 
 
 @pytest.mark.parametrize("dims, r", [([3], 2), ([2, 3], 1), ([4, 4, 4], 1), ([3, 2, 4], 3)])
