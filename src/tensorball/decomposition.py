@@ -17,16 +17,13 @@ import numpy as np
 
 from .errors import DegeneracyError, ValidationError
 from .khatri_rao import SmoothedEnsemble, khatri_rao, sample_smoothed_factors
-from . import tensor_core
-from .tensor_core import _block_rows, kron
+from .subspaces import _is_int
+from .tensor_core import kron
 
 _UNIT_TOL = 1e-10
 
 # relative tolerance of the probe spectra in ``simultaneous_diagonalize``
 _SPECTRAL_TOL = 1e-10
-
-# ``Rank1Terms.reconstruct`` starts its blocks on multiples of this many rows
-_ROW_ALIGN = 64
 
 
 def _column_norms(m: np.ndarray) -> np.ndarray:
@@ -95,6 +92,8 @@ class Rank1Terms:
     def from_raw(cls, factors, weights=None, residual: float | None = None) -> "Rank1Terms":
         """Normalize arbitrary factor columns, absorbing norms and signs into weights."""
         mats = [np.atleast_2d(np.asarray(f, dtype=float)).copy() for f in factors]
+        if not mats or any(m.shape[1] != mats[0].shape[1] for m in mats):
+            raise ValidationError("each factor matrix needs one column per weight")
         r = mats[0].shape[1]
         w = np.ones(r) if weights is None else np.asarray(weights, dtype=float).ravel().copy()
         if w.size != r:
@@ -113,36 +112,23 @@ class Rank1Terms:
     def reconstruct(self) -> np.ndarray:
         """Dense tensor sum of the weighted rank-one terms.
 
-        Bitwise ``(khatri_rao(factors) @ weights).reshape(shape)`` without the
-        prod(n) x r Khatri-Rao matrix.  The leading product
-        ``kron(factors[:-1])`` is formed once; its rows then go through in
-        blocks, each block's last Kronecker stage built into one buffer and
-        multiplied by the weights straight into the output rows.  The buffer
-        is this method's block in ``tensor_core._blocks``, and it is never
-        returned.
-        Every entry is the same left-fold product as in the whole matrix.
-        BLAS rounds a gemv row by where it sits among the rows of its call,
-        so block starts fall on multiples of ``_ROW_ALIGN`` rows, and a last
-        block of one row joins the block before it (numpy hands a one-row
-        product to dot).  Memory is O(prod(n[:-1]) * r) for the leading
-        product plus one block of ``_block_rows`` rows; a block past the
-        kept size is allocated for its call alone.
+        One gemm of the unfolding identity (Kolda & Bader, SIAM Review 2009):
+        the tensor viewed as ``(prod(n[:-1]), n_l)`` is
+        ``kron(factors[:-1]) @ (weights * factors[-1]).T``, so the weights
+        scale the last factor's columns and the leading Khatri-Rao product
+        is formed once; order 1 takes a row of ones for it.  Each entry is
+        ``sum_i lead[p, i] * (w_i * last[k, i])``: the terms of the
+        whole-matrix ``khatri_rao(factors) @ weights`` associated another
+        way and summed in the gemm's order, so the two agree to within about
+        (r + l) roundings of ``sum_i |w_i| |a_i| x |b_i| x ...`` per entry,
+        not bit for bit.  No terms (r = 0) give zeros.  Memory is the lead
+        product and the output, O(prod(n[:-1]) * r + prod(n)), never the
+        prod(n) x r Khatri-Rao matrix.
         """
         *head, last = self.factors
-        r, n_l = self.r, last.shape[0]
-        lead = kron(head) if head else np.ones((1, r))
-        count = lead.shape[0]
-        step = _ROW_ALIGN // math.gcd(_ROW_ALIGN, n_l)
-        rows = max(step, _block_rows(n_l * max(r, 1)) // step * step)
-        bounds = [*range(0, count, rows), count]
-        if len(bounds) > 2 and (count - bounds[-2]) * n_l == 1:
-            del bounds[-2]
-        buf = tensor_core._blocks.array("reconstruct", (max(e - s for s, e in zip(bounds, bounds[1:])) * n_l, r))
-        out = np.empty(count * n_l)
-        for s, e in zip(bounds, bounds[1:]):
-            block = kron([lead[s:e], last], out=buf[: (e - s) * n_l])
-            np.matmul(block, self.weights, out=out[s * n_l : e * n_l])
-        return out.reshape(self.shape)
+        lead = kron(head) if head else np.ones((1, self.r))
+        return np.matmul(lead, (self.weights * last).T).reshape(self.shape)
+
 
 @dataclass(frozen=True)
 class RecoveryReport:
@@ -293,8 +279,8 @@ def simultaneous_diagonalize(t: np.ndarray, r: int, rng=None) -> Rank1Terms:
     if t.ndim != 3:
         raise ValidationError(f"need an order-3 tensor, got order {t.ndim}")
     n1, n2, n3 = t.shape
-    if not 1 <= r <= min(n1, n2):
-        raise ValidationError(f"rank r = {r} unsupported: need 1 <= r <= min(n1, n2) = {min(n1, n2)}")
+    if not (_is_int(r) and 1 <= r <= min(n1, n2)):
+        raise ValidationError(f"rank r = {r!r} unsupported: need an integer 1 <= r <= min(n1, n2) = {min(n1, n2)}")
     if not np.isfinite(t).all():
         raise ValidationError("cannot decompose a tensor with a non-finite entry")
     rng = np.random.default_rng(rng)
@@ -374,10 +360,13 @@ class FoldingPlan:
 
 def folding_plan(shape) -> FoldingPlan:
     """Mode grouping 1..floor((l-1)/2), the rest up to l-1, then l alone."""
-    shape = tuple(int(n) for n in shape)
+    shape = tuple(shape)
     ell = len(shape)
     if ell < 3:
         raise ValidationError(f"folding needs order >= 3, got {ell}")
+    if not all(_is_int(n) and n >= 1 for n in shape):
+        raise ValidationError(f"folding needs integer dims >= 1, got {shape}")
+    shape = tuple(int(n) for n in shape)
     g1 = (ell - 1) // 2
     groups = (tuple(range(g1)), tuple(range(g1, ell - 1)), (ell - 1,))
     return FoldingPlan(shape=shape, groups=groups)

@@ -25,8 +25,7 @@ import numpy as np
 from .errors import ValidationError
 
 # bytes of intermediates one block holds: of trials in the dense path of
-# ``contract``, of output rows in ``Rank1Terms.reconstruct``, of factor rows
-# in a Monte-Carlo chunk
+# ``contract``, of factor rows in a Monte-Carlo chunk
 _BLOCK_BYTES = 1 << 20
 
 
@@ -53,7 +52,8 @@ def kron(mats, out=None) -> np.ndarray:
             prod = np.multiply(left, right, out=out.reshape(np.broadcast_shapes(left.shape, right.shape)))
         else:
             prod = left * right
-        res = prod.reshape(prod.shape[:-3] + (-1, prod.shape[-1]))
+        *batch, rows, cols, r = prod.shape
+        res = prod.reshape(*batch, rows * cols, r)
     if out is None:
         return res
     if len(mats) == 1:
@@ -64,12 +64,14 @@ def kron(mats, out=None) -> np.ndarray:
 def contract(rows: np.ndarray, shape: tuple[int, ...], xs, out=None) -> np.ndarray:
     """Inner products of every basis row with every trial's simple tensor.
 
-    rows: (m, D); xs: one (size, n_j) array per mode.  Returns (size, m):
-    the blocks of ``contract_blocks`` for this one row set, in order.
-    ``out``, a C-contiguous float64 array of that shape, receives the result
-    in place of a fresh allocation and is returned, with the same bits.
+    rows: (m, D); xs: one (size, n_j) array per mode; both are read as
+    float arrays.  Returns (size, m): the blocks of ``contract_blocks`` for
+    this one row set, in order.  ``out``, a C-contiguous float64 array of
+    that shape, receives the result in place of a fresh allocation and is
+    returned, with the same bits.
     """
-    size, m = _trials([rows], shape, xs), np.shape(rows)[0]
+    (rows,), xs, size = _arrays([rows], shape, xs)
+    m = rows.shape[0]
     if out is None:
         out = np.empty((size, m))
     elif out.shape != (size, m) or out.dtype != np.float64 or not out.flags.c_contiguous:
@@ -83,7 +85,8 @@ def contract_blocks(row_sets, shape: tuple[int, ...], xs, scratch=None):
     """Inner products of several row sets with every trial's simple tensor,
     one block of trials at a time.
 
-    row_sets: (m_k, D) arrays; xs: one (size, n_j) array per mode.  Returns
+    row_sets: (m_k, D) arrays; xs: one (size, n_j) array per mode; both are
+    read as float arrays, and float64 arrays are used as they are.  Returns
     an iterator of ``(start, products)`` over consecutive, non-overlapping
     trial ranges that cover the ``size`` trials.  ``products[k]``, of shape
     ``(len, m_k)``, holds row set ``k``'s inner products with trials
@@ -120,7 +123,7 @@ def contract_blocks(row_sets, shape: tuple[int, ...], xs, scratch=None):
     range ends where any set's block ends, and the trials that a set's last
     block repeats are yielded once.
     """
-    size = _trials(row_sets, shape, xs)
+    row_sets, xs, size = _arrays(row_sets, shape, xs)
     gathers, groups = {}, {}
     for k, rows in enumerate(row_sets):
         single = _single_entries(rows, shape)
@@ -169,19 +172,30 @@ def _merged_blocks(size: int, dense, gathered, glen: int, outs):
         cur = end
 
 
-def _trials(row_sets, shape: tuple[int, ...], xs) -> int:
-    """The trial count of ``xs``, once every factor is ``(size, n_j)`` for
-    its mode of ``shape`` and every row set ``(m_k, prod shape)``."""
-    dims = [np.shape(x) for x in xs]
+def _arrays(row_sets, shape: tuple[int, ...], xs):
+    """``row_sets`` and ``xs`` as lists of float arrays (float64 arrays pass
+    through uncopied) and their trial count, once every factor is
+    ``(size, n_j)`` for its mode of ``shape`` and every row set
+    ``(m_k, prod shape)``."""
+    row_sets = list(row_sets)
+    try:
+        arrays = [np.asarray(a) for a in (*row_sets, *xs)]
+    except ValueError as exc:
+        raise ValidationError(f"contract needs rows and factors that are arrays: {exc}") from None
+    if not all(np.can_cast(a.dtype, float, casting="same_kind") for a in arrays):
+        raise ValidationError(f"contract needs real numeric rows and factors, got {sorted({str(a.dtype) for a in arrays})}")
+    arrays = [a.astype(float, copy=False) for a in arrays]
+    row_sets, xs = arrays[: len(row_sets)], arrays[len(row_sets) :]
+    dims = [x.shape for x in xs]
     if not dims or len(dims) != len(shape) or any(len(d) != 2 or d[1] != n for d, n in zip(dims, shape)):
         raise ValidationError(f"contract needs one (size, n_j) factor per mode of shape {tuple(shape)}, got {dims}")
     if any(d[0] != dims[0][0] for d in dims):
         raise ValidationError(f"contract needs factors of one trial count, got shapes {dims}")
     width = math.prod(shape)
     for rows in row_sets:
-        if np.ndim(rows) != 2 or np.shape(rows)[1] != width:
-            raise ValidationError(f"contract needs rows of width prod{tuple(shape)} = {width}, got shape {np.shape(rows)}")
-    return dims[0][0]
+        if rows.ndim != 2 or rows.shape[1] != width:
+            raise ValidationError(f"contract needs rows of width prod{tuple(shape)} = {width}, got shape {rows.shape}")
+    return row_sets, xs, dims[0][0]
 
 
 def _columns(x: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -312,10 +326,9 @@ class _Scratch(threading.local):
         return flat[:size].reshape(shape)
 
 
-# the blocks of ``_dense_blocks`` ("trail", "sums") and ``Rank1Terms.reconstruct``
-# ("reconstruct"), kept for the thread's life.  The cap applies to each name
-# alone and is read from ``_BLOCK_BYTES`` once, here, so a thread that runs both
-# users keeps about two blocks: the dense pair fits one block together unless
-# its two-trial floor makes it larger, and the reconstruct block fits another.
+# the blocks of ``_dense_blocks`` ("trail", "sums"), kept for the thread's
+# life.  The cap applies to each name alone and is read from ``_BLOCK_BYTES``
+# once, here; the pair fits one block together unless its two-trial floor
+# makes it larger.
 _blocks = _Scratch(_BLOCK_BYTES)
 

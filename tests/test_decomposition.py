@@ -95,47 +95,105 @@ def whole_matrix_reconstruct(terms):
     return (khatri_rao(terms.factors) @ terms.weights).reshape(terms.shape)
 
 
-@pytest.mark.parametrize(
-    "shape, r",
-    [
-        ((30, 30, 30), 20),  # the smoothed workload's shapes
-        ((6,) * 5, 30),
-        ((10, 10, 10), 6),
-        ((4,) * 4, 4),
-        ((7,), 3),  # order 1
-        ((9, 5), 4),  # order 2
-        ((30, 30, 30), 1),
-        ((1, 1, 1), 2),
-    ],
-)
-def test_reconstruct_bitwise_whole_matrix(shape, r):
-    terms = random_terms(np.random.default_rng(len(shape) * r), shape, r)
-    assert np.array_equal(terms.reconstruct(), whole_matrix_reconstruct(terms))
+def integer_terms(rng, shape, r):
+    """Terms from integer factors and weights whose every product and sum is exact.
+
+    A unit column with integer entries is ``±e_k``, so each raw column holds
+    one entry ±1 or, where n >= 4, four; ``from_raw`` divides the latter by
+    their norm 2, which leaves entries 0 and ±1/2, and takes integer weights
+    times powers of two.
+    """
+    mats = []
+    for n in shape:
+        m = np.zeros((n, r))
+        for i in range(r):
+            at = rng.choice(n, size=4 if n >= 4 and rng.random() < 0.75 else 1, replace=False)
+            m[at, i] = rng.choice([-1.0, 1.0], size=at.size)
+        mats.append(m)
+    weights = rng.integers(1, 10, r) * rng.choice([-1.0, 1.0], r)
+    return Rank1Terms.from_raw(mats, weights=weights)
 
 
-@pytest.mark.parametrize("ell, n, r", [(3, 30, 20), (5, 6, 30)])
-def test_reconstruct_bitwise_on_folded_terms(ell, n, r):
-    # the order-3 terms simultaneous_diagonalize reconstructs: (30, 30, 30) and (36, 36, 6)
-    _, folded = fold_terms(random_terms(np.random.default_rng(n), (n,) * ell, r))
+WHOLE_CASES = [
+    ((30, 30, 30), 20),  # the smoothed workload's shapes
+    ((6,) * 5, 30),
+    ((10, 10, 10), 6),
+    ((4,) * 4, 4),
+    ((7,), 3),  # order 1
+    ((9, 5), 4),  # order 2
+    ((30, 30, 30), 1),
+    ((1, 1, 1), 2),
+]
+
+# the order-3 terms simultaneous_diagonalize reconstructs: (30, 30, 30) and (36, 36, 6)
+FOLDED_CASES = [(3, 30, 20), (5, 6, 30)]
+
+
+def folded_case(make_terms, ell, n, r):
+    _, folded = fold_terms(make_terms(np.random.default_rng(n), (n,) * ell, r))
     assert folded.shape == {3: (30, 30, 30), 5: (36, 36, 6)}[ell]
+    return folded
+
+
+@pytest.mark.parametrize("shape, r", WHOLE_CASES)
+def test_reconstruct_bitwise_whole_matrix(shape, r):
+    # the gemm associates each term and orders each sum unlike the whole
+    # matrix's gemv, so the bits agree where every product and sum is exact
+    terms = integer_terms(np.random.default_rng(len(shape) * r), shape, r)
+    got = terms.reconstruct()
+    assert got.shape == shape and np.any(got)
+    assert np.array_equal(got, whole_matrix_reconstruct(terms))
+
+
+@pytest.mark.parametrize("ell, n, r", FOLDED_CASES)
+def test_reconstruct_bitwise_on_folded_terms(ell, n, r):
+    folded = folded_case(integer_terms, ell, n, r)
     assert np.array_equal(folded.reconstruct(), whole_matrix_reconstruct(folded))
 
 
-@pytest.mark.parametrize(
-    "shape, r, most_rows",
-    [
-        ((13, 11, 5), 33, 3),  # 3 lead rows of 5 would start blocks off the row grid
-        ((129, 1), 37, 64),  # the one-row last block joins the block before it
-        ((193, 1), 40, 64),
-        ((3, 3, 64), 1, 1),
-    ],
-)
-def test_reconstruct_bitwise_in_small_blocks(monkeypatch, shape, r, most_rows):
-    # blocks of at most ``most_rows`` lead rows by the byte budget; the lead
-    # row count is no multiple of the block
-    monkeypatch.setattr(tensor_core, "_BLOCK_BYTES", 8 * shape[-1] * r * most_rows)
-    terms = random_terms(np.random.default_rng(r), shape, r)
-    assert np.array_equal(terms.reconstruct(), whole_matrix_reconstruct(terms))
+# every case above, on random terms
+RANDOM_CASES = [("whole", case) for case in WHOLE_CASES] + [("folded", case) for case in FOLDED_CASES]
+
+
+def random_case(kind, case):
+    if kind == "folded":
+        return folded_case(random_terms, *case)
+    shape, r = case
+    return random_terms(np.random.default_rng(len(shape) * r), shape, r)
+
+
+@pytest.mark.parametrize("kind, case", RANDOM_CASES)
+def test_reconstruct_within_its_forward_error_bound(kind, case):
+    """Both the gemm and the whole-matrix product compute each entry
+    ``sum_i w_i a_i x b_i x ...`` with at most l roundings per term and r - 1
+    per sum, so each is within gamma_{r+l} * M of the exact tensor, where
+    ``M = sum_i |w_i| |a_i| x |b_i| x ...`` (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3).  Their difference is at most 2 gamma_{r+l} M;
+    the bound below adds room for the rounding of M itself."""
+    terms = random_case(kind, case)
+    u = np.finfo(float).eps / 2
+    magnitude = (khatri_rao([np.abs(f) for f in terms.factors]) @ np.abs(terms.weights)).reshape(terms.shape)
+    error = np.abs(terms.reconstruct() - whole_matrix_reconstruct(terms))
+    assert np.all(error <= 3 * (terms.r + terms.order) * u * magnitude)
+
+
+@pytest.mark.parametrize("kind, case", RANDOM_CASES)
+def test_reconstruct_bitwise_on_a_fresh_thread(kind, case):
+    terms = random_case(kind, case)
+    here = terms.reconstruct()
+    there = []
+    worker = threading.Thread(target=lambda: there.append(terms.reconstruct()))
+    worker.start()
+    worker.join(timeout=60)
+    assert np.array_equal(here.view(np.int64), there[0].view(np.int64))
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 4), (2, 3, 4), (1, 1, 1)])
+def test_reconstruct_of_no_terms_is_zero(shape):
+    terms = Rank1Terms(weights=np.zeros(0), factors=tuple(np.zeros((n, 0)) for n in shape))
+    assert terms.r == 0
+    got = terms.reconstruct()
+    assert got.shape == shape and not np.any(got)
 
 
 def test_reconstruct_peaks_well_under_the_whole_matrix():
@@ -152,10 +210,7 @@ def test_reconstruct_peaks_well_under_the_whole_matrix():
 
 def test_warm_reconstruct_allocates_no_block():
     terms = random_terms(np.random.default_rng(0), (30, 30, 30), 20)
-    # blocks of 192 lead rows: the most that fit in _BLOCK_BYTES, a multiple of 32 so that
-    # each block's 192 * 30 rows of 20 start on a multiple of 64 rows
-    block_bytes = 192 * 30 * 20 * 8
-    assert block_bytes <= tensor_core._BLOCK_BYTES < (192 + 32) * 30 * 20 * 8
+    lead_bytes, out_bytes, scaled_bytes = 900 * 20 * 8, 30**3 * 8, 30 * 20 * 8
     terms.reconstruct()
     tracemalloc.start()
     try:
@@ -163,8 +218,9 @@ def test_warm_reconstruct_allocates_no_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the lead product (144 kB) and the output (216 kB); the block is the kept one
-    assert peak < block_bytes
+    # the lead product (144 kB), the scaled last factor (4.8 kB) and the
+    # output (216 kB); no n_l-row block of the Khatri-Rao matrix
+    assert peak < lead_bytes + out_bytes + scaled_bytes + 4096
 
 
 def test_kept_block_carries_nothing_between_calls():
@@ -181,7 +237,7 @@ def test_kept_block_carries_nothing_between_calls():
         dense = tensor_core.contract(rows, shape, xs)
         again = a.reconstruct()
         kept = tensor_core._blocks.kept
-        assert set(kept) == {"reconstruct", "trail", "sums"}
+        assert set(kept) == {"trail", "sums"}
         assert all(0 < block.nbytes <= tensor_core._BLOCK_BYTES for block in kept.values())
         assert not any(np.shares_memory(x, block) for x in (first, other, dense, again) for block in kept.values())
         return first, other, dense, again
@@ -195,8 +251,8 @@ def test_kept_block_carries_nothing_between_calls():
     assert len(results) == 2
     for first, other, dense, again in results:
         assert np.array_equal(first.view(np.int64), again.view(np.int64))
-        assert np.array_equal(first, whole_matrix_reconstruct(a))
-        assert np.array_equal(other, whole_matrix_reconstruct(b))
+        assert np.array_equal(first.view(np.int64), results[0][0].view(np.int64))
+        assert np.array_equal(other.view(np.int64), results[0][1].view(np.int64))
         assert np.array_equal(dense, results[0][2])
 
 
@@ -261,6 +317,30 @@ def test_diagonalize_validation():
         simultaneous_diagonalize(np.zeros((2, 2, 2)), 1, rng=0)
 
 
+@pytest.mark.parametrize("r", [1.5, 2.0, np.float64(2.0), True, "2", None])
+def test_diagonalize_refuses_a_rank_that_is_not_an_integer(r):
+    # 1.5 passed the range check and ended in an IndexError of the probe SVD
+    t = random_terms(np.random.default_rng(3), (5, 5, 5), 2).reconstruct()
+    with pytest.raises(ValidationError, match="integer"):
+        simultaneous_diagonalize(t, r, rng=0)
+
+
+def test_diagonalize_takes_a_numpy_integer_rank():
+    t = random_terms(np.random.default_rng(3), (5, 5, 5), 2).reconstruct()
+    a, b = simultaneous_diagonalize(t, 2, rng=0), simultaneous_diagonalize(t, np.int64(2), rng=0)
+    assert np.array_equal(a.weights, b.weights) and a.residual == b.residual
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [[], [np.ones((2, 2)), np.ones((2, 3))], [np.ones((3, 1)), np.ones((3, 2)), np.ones((3, 1))]],
+    ids=["no-factors", "two-then-three-columns", "one-two-one-columns"],
+)
+def test_from_raw_refuses_factors_without_one_column_per_weight(factors):
+    with pytest.raises(ValidationError, match="one column per weight"):
+        Rank1Terms.from_raw(factors)
+
+
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
 def test_diagonalize_refuses_non_finite_entries(entry):
     # a NaN entry used to reach the probe SVD and fail there with LinAlgError
@@ -281,6 +361,19 @@ def test_diagonalize_exhausts_probes_on_rank_deficiency():
         simultaneous_diagonalize(t, 3, rng=0)
     # every draw's reason, not only the last one
     assert [f"draw {k}:" in str(info.value) for k in range(1, 6)] == [True] * 5
+
+
+@pytest.mark.parametrize("shape", [(2.5, 2, 2), (2, 2, 2.0), (True, 2, 2), (2, "2", 2), (2, 2, 0), (2, -1, 2, 2)])
+def test_folding_plan_refuses_dims_that_are_not_positive_integers(shape):
+    # (2.5, 2, 2) used to fold as (2, 2, 2)
+    with pytest.raises(ValidationError, match="integer dims"):
+        folding_plan(shape)
+
+
+def test_folding_plan_takes_numpy_integer_dims():
+    plan = folding_plan((np.int64(2), np.uint8(3), 4, 5))
+    assert plan.shape == (2, 3, 4, 5) and all(type(n) is int for n in plan.shape)
+    assert plan.grouped_shape == (2, 12, 5)
 
 
 @pytest.mark.parametrize("r", range(1, 41))

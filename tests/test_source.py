@@ -199,3 +199,17 @@ def test_tensor_core_imports_no_file_modules():
             imported.add(node.module.split(".")[0])
     assert "math" in imported
     assert not imported & {"os", "struct"}
+
+
+def test_only_tensor_core_names_its_kept_blocks():
+    """The process-wide block holder serves the dense contraction alone: only
+    ``tensor_core`` names ``_blocks``."""
+    owners = set()
+    for name, tree in _module_trees().items():
+        for node in ast.walk(tree):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= {alias.name for alias in node.names}
+            if "_blocks" in names:
+                owners.add(name)
+    assert owners == {"tensor_core.py"}

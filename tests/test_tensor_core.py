@@ -415,6 +415,14 @@ MISFITS = {
     "too-few-factors": (np.ones((2, 4)), [np.ones((5, 2))]),
     "too-many-factors": (np.ones((2, 4)), [np.ones((5, 2))] * 3),
     "one-dim-factors": (np.ones((2, 4)), [np.ones(2)] * 2),
+    "list-rows-wide-factors": ([[1.0, 0.0, 0.0, 0.0]], [np.ones((3, 3))] * 2),
+    "list-factors-unequal-trials": (np.ones((2, 4)), [np.ones((5, 2)).tolist(), np.ones((4, 2)).tolist()]),
+    "ragged-rows": ([[1.0, 0.0, 0.0, 0.0], [1.0, 0.0]], [np.ones((5, 2))] * 2),
+    "text-rows": ([["1", "0", "x", "0"]], [np.ones((5, 2))] * 2),
+    "text-factors": (np.ones((2, 4)), [[["a", "b"]]] * 2),
+    "complex-rows": (np.ones((2, 4)) * 1j, [np.ones((5, 2))] * 2),
+    "complex-factors": (_one_nonzero_rows((2, 2)), [np.ones((5, 2)) + 0j] * 2),
+    "object-factors": (np.ones((2, 4)), [np.full((5, 2), None)] * 2),
 }
 
 
@@ -426,6 +434,25 @@ def test_contract_refuses_rows_and_factors_that_do_not_fit(name):
     # the iterator checks before its first block
     with pytest.raises(ValidationError, match="contract needs"):
         tensor_core.contract_blocks([np.ones((1, 4)), rows], (2, 2), xs)
+
+
+@pytest.mark.parametrize("gather", [True, False])
+def test_contract_reads_lists_and_integers_as_float_arrays(gather):
+    # list rows on the gather path ended in an AxisError, list factors in a TypeError
+    rng = np.random.default_rng(6)
+    shape = (3, 4)
+    rows = _one_nonzero_rows(shape) if gather else rng.integers(-3, 4, (2, 12)).astype(float)
+    xs = [rng.integers(-5, 6, (7, n)).astype(float) for n in shape]
+    want = contract(rows, shape, xs)
+    for got_rows, got_xs in [
+        (rows.tolist(), [x.tolist() for x in xs]),
+        (rows.astype(np.int64), [x.astype(np.int32) for x in xs]),
+        (rows, tuple(xs)),
+    ]:
+        assert np.array_equal(contract(got_rows, shape, got_xs).view(np.int64), want.view(np.int64))
+        [(_, (block,))] = tensor_core.contract_blocks([got_rows], shape, got_xs)
+        assert np.array_equal(block, want)
+    assert np.array_equal(contract([[1.0, 0, 0, 0]], (2, 2), [np.ones((3, 2))] * 2), np.ones((3, 1)))
 
 
 def body_rows(shape, counts, seed):
