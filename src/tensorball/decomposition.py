@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, ValidationError
-from .khatri_rao import SmoothedEnsemble, khatri_rao, sample_smoothed_factors
+from .khatri_rao import SmoothedEnsemble, _matrices, khatri_rao, sample_smoothed_factors
 from .subspaces import _is_int
 from .tensor_core import kron
 
@@ -59,7 +59,7 @@ class Rank1Terms:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).ravel()
-        mats = tuple(np.atleast_2d(np.asarray(f, dtype=float)) for f in self.factors)
+        mats = tuple(_matrices(self.factors))
         r = w.size
         if len(mats) < 1 or any(m.shape[1] != r for m in mats):
             raise ValidationError("each factor matrix needs one column per weight")
@@ -91,7 +91,7 @@ class Rank1Terms:
     @classmethod
     def from_raw(cls, factors, weights=None, residual: float | None = None) -> "Rank1Terms":
         """Normalize arbitrary factor columns, absorbing norms and signs into weights."""
-        mats = [np.atleast_2d(np.asarray(f, dtype=float)).copy() for f in factors]
+        mats = [m.copy() for m in _matrices(factors)]
         if not mats or any(m.shape[1] != mats[0].shape[1] for m in mats):
             raise ValidationError("each factor matrix needs one column per weight")
         r = mats[0].shape[1]

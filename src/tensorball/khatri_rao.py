@@ -27,6 +27,7 @@ import numpy as np
 from .errors import DegeneracyError, HypothesisViolationError, RangeError, ValidationError
 from .exact_laws import BoundConfig, bound_smin_tail
 from .montecarlo import ExperimentConfig, SmallBallCurve, _count_hits, _hit_curve
+from .subspaces import _is_int
 from .tensor_core import _Scratch, kron
 
 _RANK_TOL = 1e-12
@@ -37,10 +38,18 @@ _RANK_TOL = 1e-12
 _GRAM_BAND = 1e-10
 
 
+def _matrices(factors) -> list[np.ndarray]:
+    """``factors`` as float arrays, refused unless every one is a 2-d (n_j x r) matrix."""
+    mats = [np.asarray(a, dtype=float) for a in factors]
+    if any(a.ndim != 2 for a in mats):
+        raise ValidationError(f"each factor must be a 2-d (n_j x r) matrix, got shapes {[a.shape for a in mats]}")
+    return mats
+
+
 def khatri_rao(factor_matrices) -> np.ndarray:
     """Columnwise Kronecker product: column i is the flattened simple tensor
     of the i-th columns of the factors, in the global row-major order."""
-    mats = [np.atleast_2d(np.asarray(a, dtype=float)) for a in factor_matrices]
+    mats = _matrices(factor_matrices)
     if not mats:
         raise ValidationError("need at least one factor matrix")
     r = mats[0].shape[1]
@@ -86,6 +95,12 @@ def projection_distance_sum(a: np.ndarray) -> float:
     return total
 
 
+def _check_sizes(r, n, ell) -> None:
+    """Refuse ``r``, ``n`` and ``ell`` unless each is an integer >= 1."""
+    if not (all(map(_is_int, (r, n, ell))) and r >= 1 and n >= 1 and ell >= 1):
+        raise ValidationError(f"r, n and ell must be positive integers, got {r!r}, {n!r}, {ell!r}")
+
+
 @dataclass(frozen=True)
 class SmoothedEnsemble:
     """Base simple tensors plus per-mode Gaussian smoothing.
@@ -102,8 +117,7 @@ class SmoothedEnsemble:
     base: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if self.r < 1 or self.n < 1 or self.ell < 1:
-            raise ValidationError("r, n and ell must be positive")
+        _check_sizes(self.r, self.n, self.ell)
         # each check is written so that NaN fails it
         if not self.rho >= 0:
             raise ValidationError(f"need rho >= 0, got {self.rho}")
@@ -118,6 +132,7 @@ class SmoothedEnsemble:
     @classmethod
     def random(cls, r: int, n: int, ell: int, rho: float, rng=None) -> "SmoothedEnsemble":
         """Base vectors drawn uniformly on the unit sphere."""
+        _check_sizes(r, n, ell)
         rng = np.random.default_rng(rng)
         base = []
         for _ in range(ell):

@@ -20,9 +20,9 @@ rows) is drawn whole into its kept array, and the dominance bodies draw in
 chunks of 2^21 tensor entries, which define its stream.  Projections and
 slab tests take their products from ``tensor_core.contract_blocks``, one
 block at a time: a projection reduces each block to row norms, and the
-dominance kernel makes one pass per chunk for every body and counts each
-body's slab test per block.  Every kept array, the product blocks included,
-comes from the run's ``tensor_core._Scratch``.
+dominance kernel makes one pass per chunk and direction count and counts
+each body's slab test per block.  Every kept array, the blocks included,
+comes from the run's ``tensor_core._Scratch``, which goes with the run.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from .distributions import sample_chunks, sample_matrix
 from .errors import DataSparsityError, RangeError, ValidationError
-from .subspaces import SubspaceBasis
+from .subspaces import SubspaceBasis, _is_int
 from .tensor_core import _block_rows, _columns, _Scratch, contract_blocks, read_columns
 
 
@@ -171,6 +171,8 @@ class SlabBody:
 
     @classmethod
     def random(cls, dim: int, count: int, scale: float, rng) -> "SlabBody":
+        if not (_is_int(dim) and _is_int(count) and dim >= 0 and count >= 0):
+            raise ValidationError(f"dim and count must be integers >= 0, got {dim!r}, {count!r}")
         rng = np.random.default_rng(rng)
         # a scale past the float range gives infinite directions, which __post_init__ refuses
         with np.errstate(over="ignore"):
@@ -246,7 +248,7 @@ def _sum_over_batches(cfg: ExperimentConfig, kernel: Callable[[np.random.Generat
     lazy ``range`` of batches feeds a running total, so memory does not grow
     with the batch count, and integer counts add associatively, so no count
     depends on the thread count.  ``threads`` workers, at most one per usable
-    CPU, share one uncapped ``_Scratch``, each holding one batch's arrays.
+    CPU, share one ``_Scratch``, each holding one batch's arrays.
     The holder is the run's own, so nothing it keeps outlives the run's
     batches, and no kernel returns a view of it.
     """
@@ -394,9 +396,9 @@ def _membership_counts(specs, bodies, cfg: ExperimentConfig) -> np.ndarray:
     """Per body of ``bodies``, in order, how many trials land inside it.
 
     Each chunk's factors are drawn once and go through one ``contract_blocks``
-    call with every body's directions, whose products for each body are
-    those of a call with that body alone; each block's slab tests are counted
-    as it comes, row by row, so a body's count does not depend on the others.
+    pass per direction count, whose products for each body are those of a
+    call with that body alone; each block's slab tests are counted as it
+    comes, row by row, so a body's count does not depend on the others.
     """
     if not bodies:
         raise ValidationError("need at least one slab body")
@@ -411,7 +413,8 @@ def _membership_counts(specs, bodies, cfg: ExperimentConfig) -> np.ndarray:
     # part of the random stream, so this defines the stream, not the memory
     # (``contract_blocks`` never builds the n^l tensors)
     chunk = max(1, (1 << 21) // max(ambient, 1))
-    directions = [body.directions for body in bodies]
+    counts = [len(body.directions) for body in bodies]
+    groups = [[k for k, c in enumerate(counts) if c == count] for count in dict.fromkeys(counts)]
 
     def kernel(rng, size, scratch):
         hits = np.zeros(len(bodies), dtype=np.int64)
@@ -421,8 +424,9 @@ def _membership_counts(specs, bodies, cfg: ExperimentConfig) -> np.ndarray:
             xs = [sample_matrix(s, rng, cur, out=scratch.array(f"x{j}", (cur, s.dim))) for j, s in enumerate(specs)]
             # a product past the float range is far outside its slab, and inf counts it so
             with np.errstate(over="ignore"):
-                for _, products in contract_blocks(directions, dims, xs, scratch):
-                    hits += [np.count_nonzero(body.inside(p)) for body, p in zip(bodies, products)]
+                for ks in groups:
+                    for _, products in contract_blocks([bodies[k].directions for k in ks], dims, xs, scratch):
+                        hits[ks] += [np.count_nonzero(bodies[k].inside(p)) for k, p in zip(ks, products)]
             done += cur
         return hits
 

@@ -4,19 +4,19 @@ Flattening is row-major throughout (last index fastest), matching
 ``numpy.reshape`` order and columnwise Kronecker products.  Multi-index
 ``(i_1, ..., i_l)`` maps to flat position ``i_l + n_l * (i_{l-1} + ...)``.
 Two primitives own that order: ``kron`` builds flattened (Khatri-Rao)
-products, and ``contract_blocks`` takes inner products of row sets with
-simple tensors a block of trials at a time, without building the whole
-products; ``contract`` is its one-set loop.  Every other module goes
-through these, and every Monte-Carlo kernel reduces each block as it comes,
-so no kernel holds a ``(size, m)`` products array.  This module also owns
-the reuse of working arrays (``_Scratch``) and the byte budget of one block
+products, and ``contract_blocks`` takes inner products of row sets of one
+row count with simple tensors a block of trials at a time, without building
+the whole products; ``contract`` is its one-set loop.  Every other module
+goes through these, and every Monte-Carlo kernel reduces each block as it
+comes, so no kernel holds a ``(size, m)`` products array.  This module also
+owns the reuse of working arrays (``_Scratch``, whose holders belong to a
+run or a call, never to the process) and the byte budget of one block
 (``_block_rows``).  It is the contraction layer alone: it opens no file and
 draws no random number.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 
@@ -82,23 +82,24 @@ def contract(rows: np.ndarray, shape: tuple[int, ...], xs, out=None) -> np.ndarr
 
 
 def contract_blocks(row_sets, shape: tuple[int, ...], xs, scratch=None):
-    """Inner products of several row sets with every trial's simple tensor,
-    one block of trials at a time.
+    """Inner products of row sets of one row count with every trial's simple
+    tensor, one block of trials at a time.
 
-    row_sets: (m_k, D) arrays; xs: one (size, n_j) array per mode; both are
-    read as float arrays, and float64 arrays are used as they are.  Returns
-    an iterator of ``(start, products)`` over consecutive, non-overlapping
-    trial ranges that cover the ``size`` trials.  ``products[k]``, of shape
-    ``(len, m_k)``, holds row set ``k``'s inner products with trials
-    ``start : start + len``, which the one-set ``contract`` gives bit for
-    bit.  The arrays are views of one buffer, the ``"products"`` array of
-    ``scratch`` (a ``_Scratch``) or a fresh one per call; the next step
-    overwrites them, and so may the caller.  Memory is one block per row set.
+    row_sets: one or more (m, D) arrays, all of the same ``m``; xs: one
+    (size, n_j) array per mode; both are read as float arrays, and float64
+    arrays are used as they are.  Returns an iterator of ``(start, products)``
+    over consecutive, non-overlapping trial ranges that cover the ``size``
+    trials.  ``products[k]``, of shape ``(len, m)``, holds row set ``k``'s
+    inner products with trials ``start : start + len``, which the one-set
+    ``contract`` gives bit for bit.  Every array of the call comes from
+    ``scratch`` (a ``_Scratch``, or one made for the call): the products are
+    views of its ``"products"`` array, which the next step overwrites, and
+    so may the caller.  Memory is one block per row set.
 
     When every row of a set has exactly one nonzero ``c`` at
     ``(i_1, ..., i_l)`` (the coordinate-line and diagonal constructions), its
     inner product is the gathered product ``x_1[i_1] * (... * (x_l[i_l] * c))``,
-    O(len * m_k * l).  For finite factors it is bitwise what contracting the
+    O(len * m * l).  For finite factors it is bitwise what contracting the
     last mode first gives: there every other term of each sum is an exact
     zero, and the surviving products nest in this order.  The work is
     elementwise, so every block partition gives the same bits.
@@ -117,59 +118,41 @@ def contract_blocks(row_sets, shape: tuple[int, ...], xs, scratch=None):
     of a single block holding every trial wherever BLAS rounds a row alike in
     products of that many rows and more, as it does for every shape the
     tests check.  The split and the blocks depend on the shape and the row
-    count alone, so dense sets of equal row count share each block's two
-    Kronecker products and still take the gemm and the batched dot of a
-    one-set call.  Sets of other row counts block on their own; a yielded
-    range ends where any set's block ends, and the trials that a set's last
-    block repeats are yielded once.
+    count alone, so the dense sets share each block's two Kronecker products
+    and each still takes the gemm and the batched dot of a one-set call.
+    Gather sets follow the dense blocks, or blocks of
+    ``_block_rows(len(row_sets) * m)`` trials when no set is dense; the
+    trials that the last dense block repeats are yielded once.
     """
     row_sets, xs, size = _arrays(row_sets, shape, xs)
-    gathers, groups = {}, {}
-    for k, rows in enumerate(row_sets):
-        single = _single_entries(rows, shape)
-        if single is None:
-            groups.setdefault(rows.shape[0], []).append(k)
-        else:
-            gathers[k] = single
+    counts = [rows.shape[0] for rows in row_sets]
+    if len(set(counts)) != 1:
+        raise ValidationError(f"contract needs one or more row sets of one row count, got counts {counts}")
+    m = counts[0]
+    singles = [_single_entries(rows, shape) for rows in row_sets]
+    dense = [k for k, single in enumerate(singles) if single is None]
     if size == 0:
         return iter(())
-    blocks = {m: _dense_block(shape, m, size) for m in groups}
-    # a gather block is any length; within dense blocks it needs no more than the shortest
-    glen = min(blocks.values(), default=min(size, _block_rows(max(1, sum(row_sets[k].shape[0] for k in gathers)))))
-    shapes = [(glen if k in gathers else blocks[rows.shape[0]], rows.shape[0]) for k, rows in enumerate(row_sets)]
-    ends = list(itertools.accumulate((math.prod(s) for s in shapes), initial=0))
-    buf = np.empty(ends[-1]) if scratch is None else scratch.array("products", (ends[-1],))
-    outs = [buf[a:b].reshape(s) for a, b, s in zip(ends, ends[1:], shapes)]
-    dense = [
-        (_dense_blocks([row_sets[k] for k in ks], shape, xs, [outs[k] for k in ks]), blocks[m], ks)
-        for m, ks in groups.items()
-    ]
-    gathered = [(k, [_columns(x, i) for x, i in zip(xs, index)], coef) for k, (index, coef) in gathers.items()]
-    return _merged_blocks(size, dense, gathered, glen, outs)
+    block = _dense_block(shape, m, size) if dense else min(size, _block_rows(max(1, len(row_sets) * m)))
+    scratch = _Scratch() if scratch is None else scratch
+    outs = list(scratch.array("products", (len(row_sets), block, m)))
+    dense_rows, dense_outs = [row_sets[k] for k in dense], [outs[k] for k in dense]
+    starts = _dense_blocks(dense_rows, shape, xs, dense_outs, scratch) if dense else range(0, size, block)
+    gathered = [(k, [_columns(x, i) for x, i in zip(xs, g[0])], g[1]) for k, g in enumerate(singles) if g is not None]
 
+    def steps():
+        cur = 0
+        for s in starts:
+            end = min(s + block, size)
+            products = [out[cur - s : end - s] for out in outs]
+            for k, cols, coef in gathered:
+                np.multiply(cols[-1][cur:end], coef, out=products[k])
+                for c in cols[-2::-1]:
+                    np.multiply(c[cur:end], products[k], out=products[k])
+            yield cur, products
+            cur = end
 
-def _merged_blocks(size: int, dense, gathered, glen: int, outs):
-    """The steps of ``contract_blocks``: ``dense`` holds each group's block
-    iterator, block length and sets, ``gathered`` each gather set's column
-    views and coefficients, and ``outs[k]`` set ``k``'s block array."""
-    starts = [-math.inf] * len(dense)
-    cur = 0
-    while cur < size:
-        for g, (steps, block, _) in enumerate(dense):
-            if starts[g] + block <= cur:
-                starts[g] = next(steps)
-        end = min([s + block for s, (_, block, _) in zip(starts, dense)] + [cur + glen, size])
-        products = [None] * len(outs)
-        for s, (_, _, ks) in zip(starts, dense):
-            for k in ks:
-                products[k] = outs[k][cur - s : end - s]
-        for k, cols, coef in gathered:
-            block = products[k] = outs[k][: end - cur]
-            np.multiply(cols[-1][cur:end], coef, out=block)
-            for c in cols[-2::-1]:
-                np.multiply(c[cur:end], block, out=block)
-        yield cur, products
-        cur = end
+    return steps()
 
 
 def _arrays(row_sets, shape: tuple[int, ...], xs):
@@ -265,11 +248,12 @@ def _dense_block(shape: tuple[int, ...], m: int, size: int) -> int:
     return -(-size // -(-size // most))
 
 
-def _dense_blocks(row_sets, shape: tuple[int, ...], xs, outs):
+def _dense_blocks(row_sets, shape: tuple[int, ...], xs, outs, scratch):
     """Per block of the dense path, in order: write each row set's products
     with the block's trials into its ``outs`` array, of the block's length,
     and yield the block's first trial.  The sets share the row count ``m``,
-    so the split, the block and the two Kronecker products of a block."""
+    so the split, the block and the two Kronecker products of a block;
+    ``scratch`` holds the trailing one and the sums (``"trail"``, ``"sums"``)."""
     size = xs[0].shape[0]
     block, m = outs[0].shape
     if len(shape) == 1:
@@ -282,14 +266,14 @@ def _dense_blocks(row_sets, shape: tuple[int, ...], xs, outs):
     # (prod n[t:], m * prod n[:t]): for C-ordered rows a Fortran-ordered
     # view, which BLAS reads transposed, so no copy is made
     rights = [rows.reshape(m * lead, trail).T for rows in row_sets]
+    tail_out = scratch.array("trail", (block, trail, 1))
+    sums_out = scratch.array("sums", (block, m * lead))
     for s in range(0, size, block):
         s = min(s, size - block)
-        # looked up per block: another group's blocks take the same names in between
-        tail = kron([x[s : s + block, :, None] for x in xs[t:]], out=_blocks.array("trail", (block, trail, 1)))[:, :, 0]
+        tail = kron([x[s : s + block, :, None] for x in xs[t:]], out=tail_out)[:, :, 0]
         head = kron([x[s : s + block, :, None] for x in xs[:t]])[:, :, 0]
-        sums_buf = _blocks.array("sums", (block, m * lead))
         for right, out in zip(rights, outs):
-            sums = np.dot(tail, right, out=sums_buf).reshape(block, m, lead)
+            sums = np.dot(tail, right, out=sums_out).reshape(block, m, lead)
             np.einsum("bmk,bk->bm", sums, head, out=out)
         yield s
 
@@ -306,13 +290,12 @@ class _Scratch(threading.local):
     page-faulted anew on every call.  Instead each thread keeps, by name, the
     flat array of the name's largest request so far, and every request gets
     its leading ``prod(shape)`` entries as a C-contiguous array of that
-    shape.  A request of more than ``cap`` bytes is allocated for its call
-    alone and not kept; the cap holds for each name alone.  Callers overwrite what they take before they read
-    it, so no bit changes, and return no view of it.
+    shape.  A holder belongs to one run or one ``contract_blocks`` call, and
+    what it keeps goes with it.  Callers overwrite what they take before they
+    read it, so no bit changes, and return no view of it.
     """
 
-    def __init__(self, cap: float = math.inf):
-        self.cap = cap
+    def __init__(self):
         self.kept = {}
 
     def array(self, name: str, shape) -> np.ndarray:
@@ -320,15 +303,5 @@ class _Scratch(threading.local):
         flat = self.kept.get(name)
         size = math.prod(shape)
         if flat is None or flat.size < size:
-            flat = np.empty(size)
-            if 8 * size <= self.cap:
-                self.kept[name] = flat
+            flat = self.kept[name] = np.empty(size)
         return flat[:size].reshape(shape)
-
-
-# the blocks of ``_dense_blocks`` ("trail", "sums"), kept for the thread's
-# life.  The cap applies to each name alone and is read from ``_BLOCK_BYTES``
-# once, here; the pair fits one block together unless its two-trial floor
-# makes it larger.
-_blocks = _Scratch(_BLOCK_BYTES)
-

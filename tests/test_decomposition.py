@@ -1,3 +1,4 @@
+import itertools
 import json
 import threading
 import tracemalloc
@@ -236,14 +237,12 @@ def test_kept_block_carries_nothing_between_calls():
         other = b.reconstruct()
         dense = tensor_core.contract(rows, shape, xs)
         again = a.reconstruct()
-        kept = tensor_core._blocks.kept
-        assert set(kept) == {"trail", "sums"}
-        assert all(0 < block.nbytes <= tensor_core._BLOCK_BYTES for block in kept.values())
-        assert not any(np.shares_memory(x, block) for x in (first, other, dense, again) for block in kept.values())
+        # every call returns arrays of its own, no view of a kept one
+        assert not any(np.shares_memory(x, y) for x, y in itertools.combinations((first, other, dense, again), 2))
         return first, other, dense, again
 
-    # on this thread, whose buffers other tests have used, and on a fresh one
-    # (where a failed assertion leaves ``results`` one short)
+    # on this thread, which other tests have used, and on a fresh one (where
+    # a failed assertion leaves ``results`` one short)
     results = [run()]
     worker = threading.Thread(target=lambda: results.append(run()))
     worker.start()
@@ -721,6 +720,23 @@ def test_sign_check_names_the_first_offending_column():
     mode1[:, [2, 4]] *= -1.0
     with pytest.raises(ValidationError, match="mode-1 column 2 violates"):
         Rank1Terms(weights=np.ones(5), factors=(ok, mode1))
+
+
+# 1-d factors were read as one row each, and 3-d ones ended in a raw ValueError
+NOT_MATRICES = {
+    "vectors": [np.ones(3)] * 2,
+    "3-d": [np.ones((3, 2, 2))] * 2,
+    "one-vector": [np.eye(3)[:, :1], np.ones(3)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_MATRICES))
+def test_terms_refuse_factors_that_are_not_matrices(name):
+    factors = NOT_MATRICES[name]
+    with pytest.raises(ValidationError, match="2-d"):
+        Rank1Terms.from_raw(factors)
+    with pytest.raises(ValidationError, match="2-d"):
+        Rank1Terms(weights=np.ones(1), factors=tuple(factors))
 
 
 def test_from_raw_refuses_a_later_zero_column():

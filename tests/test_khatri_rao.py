@@ -42,6 +42,28 @@ def test_khatri_rao_rejects_bad_input():
         khatri_rao([np.ones((2, 3)), np.ones((2, 2))])
 
 
+@pytest.mark.parametrize("mats", [[np.ones((2, 2, 2))] * 2, [np.ones(2), np.ones((2, 1))]], ids=["3-d", "1-d"])
+def test_khatri_rao_refuses_factors_that_are_not_matrices(mats):
+    # 3-d factors gave a batched product, 1-d ones were read as one row
+    with pytest.raises(ValidationError, match="2-d"):
+        khatri_rao(mats)
+
+
+@pytest.mark.parametrize("sizes", [(2.5, 4, 3), (2, 4, 2.0), (2, 4.0, 2), (True, 4, 2), (0, 4, 2), (2, 4, -1)])
+def test_ensemble_refuses_sizes_that_are_not_positive_integers(sizes):
+    with pytest.raises(ValidationError, match="positive integers"):
+        SmoothedEnsemble.random(*sizes, 1.0, 0)
+    r, n, ell = sizes
+    with pytest.raises(ValidationError, match="positive integers"):
+        SmoothedEnsemble(r=r, n=n, ell=ell, rho=1.0, base=())
+
+
+def test_ensemble_takes_numpy_integer_sizes():
+    e = SmoothedEnsemble.random(np.int64(2), np.int32(4), np.uint8(3), 1.0, 0)
+    want = SmoothedEnsemble.random(2, 4, 3, 1.0, 0)
+    assert len(e.base) == 3 and all(np.array_equal(a, b) for a, b in zip(e.base, want.base))
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=30, deadline=None)
 def test_khatri_rao_columns_are_flattened_rank_one(seed):

@@ -25,6 +25,7 @@ from tensorball import (
     estimate_direction_smallball,
     estimate_smallball,
     fit_slope,
+    haar_subspace,
     matched_cube,
     norm_concentration,
     kron,
@@ -289,9 +290,16 @@ def test_dominance_draws_once_for_every_body(monkeypatch):
     draws.clear()
     passes.clear()
     dominance_test(specs_a, specs_b, [*bodies, *bodies[1:]], cfg)
-    # 2 laws x 11 chunks x 3 factors, and one pass per chunk over all five bodies
+    # 2 laws x 11 chunks x 3 factors, and per chunk one pass per direction
+    # count: the body of 0, the two of 3 and the two of 8
     assert draws == one and len(one) == 66
-    assert passes == [5] * 22
+    assert passes == [1, 2, 2] * 22
+
+
+@pytest.mark.parametrize("dim, count", [(4, 2.5), (4.0, 2), (4, -1), (4, True)])
+def test_slab_body_refuses_sizes_that_are_not_integers(dim, count):
+    with pytest.raises(ValidationError, match="integers"):
+        SlabBody.random(dim, count, 1.0, 0)
 
 
 def test_dominance_needs_a_body():
@@ -454,18 +462,46 @@ def test_line_smallball_holds_no_products_array():
     assert peak < kept + 3 * tensor_core._BLOCK_BYTES < kept + 8 * size * 8
 
 
-def test_held_blocks_do_not_grow_with_the_body_count():
-    # n = 4, l = 3: every body's products live in the run's holder, so the
-    # thread's block holder keeps the same arrays for 3 bodies as for 30
+def test_held_blocks_do_not_grow_with_the_body_count(monkeypatch):
+    # n = 4, l = 3: each run's holder keeps one products block per body, and
+    # the same Kronecker blocks for 3 bodies as for 30
     specs = (DistributionSpec(kind="symmetric-exponential-unitvar", dim=4),) * 3
+    holders = []
+    monkeypatch.setattr(montecarlo, "_Scratch", lambda: holders.append(tensor_core._Scratch()) or holders[-1])
 
     def held(count):
+        holders.clear()
         bodies = [SlabBody.random(64, 8, 1.0, np.random.default_rng(k)) for k in range(count)]
         dominance_test(specs, (matched_cube(specs[0]),) * 3, bodies, cfg_of(seed=1, trials=5_000))
-        return {name: a.size for name, a in tensor_core._blocks.kept.items()}
+        assert len(holders) == 2
+        return [{name: a.size for name, a in h.kept.items()} for h in holders]
 
-    three, thirty = in_thread(lambda: (held(3), held(30)))
-    assert three == thirty and set(three) == {"trail", "sums"}
+    three, thirty = held(3), held(30)
+    for few, many in zip(three, thirty):
+        assert set(few) == set(many) == {"x0", "x1", "x2", "products", "trail", "sums"}
+        assert many["products"] == 10 * few["products"]
+        assert all(few[name] == many[name] for name in few if name != "products")
+
+
+def test_dense_smallball_keeps_no_array_once_it_returns():
+    # the run's holder goes with the run: nothing of a dense contraction's
+    # blocks outlives it on the calling thread, here a fresh one
+    specs = (DistributionSpec(kind="gaussian-std", dim=8),) * 3
+    basis = haar_subspace((8, 8, 8), 8, np.random.default_rng(0))
+    cfg = cfg_of(seed=0, trials=20_000, batch_size=10_000)
+
+    def traced():
+        tracemalloc.start()
+        try:
+            return estimate_smallball(specs, basis, cfg, CUBE_UNIT_GRID), tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    # one untraced call loads what the run imports lazily
+    want = in_thread(lambda: estimate_smallball(specs, basis, cfg, CUBE_UNIT_GRID))
+    got, held = in_thread(traced)
+    assert got == want
+    assert held < 64 * 1024
 
 
 def test_membership_counts_never_build_the_tensors():

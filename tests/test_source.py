@@ -201,15 +201,24 @@ def test_tensor_core_imports_no_file_modules():
     assert not imported & {"os", "struct"}
 
 
-def test_only_tensor_core_names_its_kept_blocks():
-    """The process-wide block holder serves the dense contraction alone: only
-    ``tensor_core`` names ``_blocks``."""
-    owners = set()
+def test_no_module_builds_a_scratch_holder_at_import():
+    """Every ``_Scratch`` belongs to a run or a call: no module builds one when it
+    is imported, at module level, in a class body or as a default argument."""
+    found, inside = [], set()
     for name, tree in _module_trees().items():
+        deferred = {
+            id(node)
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            for stmt in (func.body if isinstance(func.body, list) else [func.body])
+            for node in ast.walk(stmt)
+        }
         for node in ast.walk(tree):
-            names = {getattr(node, "id", None), getattr(node, "attr", None)}
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                names |= {alias.name for alias in node.names}
-            if "_blocks" in names:
-                owners.add(name)
-    assert owners == {"tensor_core.py"}
+            if not (isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_Scratch"):
+                continue
+            if id(node) in deferred:
+                inside.add(name)
+            else:
+                found.append(f"{name}:{node.lineno}")
+    assert "montecarlo.py" in inside
+    assert found == [], f"holders built at import: {', '.join(found)}"

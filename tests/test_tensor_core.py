@@ -244,7 +244,7 @@ def in_thread(run):
 
 
 def test_scratch_keeps_one_array_per_name_and_thread():
-    scratch = tensor_core._Scratch(8 * 500)
+    scratch = tensor_core._Scratch()
     first = scratch.array("x", (100, 4))
     assert first.shape == (100, 4) and first.flags.c_contiguous
     # shrinking shapes are views of the one allocation, shaped as asked
@@ -257,18 +257,17 @@ def test_scratch_keeps_one_array_per_name_and_thread():
     # a larger shape allocates anew, and that array is kept
     larger = scratch.array("x", (101, 4))
     assert not np.shares_memory(larger, first)
-    assert scratch.array("x", (100, 4)).ctypes.data == larger.ctypes.data
-    # a request above the cap is served on its own array, and the kept one stays
-    above = scratch.array("x", (501,))
-    assert above.shape == (501,) and not np.shares_memory(above, larger)
-    assert larger.base is scratch.kept["x"] and scratch.array("x", (404,)).ctypes.data == larger.ctypes.data
-    scratch.array("z", (501,))
-    assert "z" not in scratch.kept
-    # another thread keeps its own arrays under the same name, with the same cap
-    other = in_thread(lambda: (scratch.array("x", (10, 4)), scratch.array("x", (501,)), dict(scratch.kept)))
+    assert larger.base is scratch.kept["x"] and scratch.array("x", (100, 4)).ctypes.data == larger.ctypes.data
+    # another thread keeps its own arrays under the same name
+    other = in_thread(lambda: (scratch.array("x", (10, 4)), dict(scratch.kept)))
     assert not np.shares_memory(other[0], larger)
-    assert other[2]["x"].size == 40
+    assert set(other[1]) == {"x"} and other[1]["x"].size == 40
     assert scratch.array("x", (10, 4)).ctypes.data == larger.ctypes.data
+
+
+def blocks_into(rows, shape, xs, scratch):
+    """The one-set products of ``contract_blocks`` with ``scratch``, copied into one array."""
+    return np.concatenate([block.copy() for _, (block,) in tensor_core.contract_blocks([rows], shape, xs, scratch)])
 
 
 def test_dense_blocks_reuse_one_kept_array_per_thread(monkeypatch):
@@ -277,23 +276,45 @@ def test_dense_blocks_reuse_one_kept_array_per_thread(monkeypatch):
     rows = rng.standard_normal((m, math.prod(shape)))
     xs = [rng.standard_normal((3 * dense_block(shape, m) + 5, n)) for n in shape]
 
-    def twice():
-        first = contract(rows, shape, xs)
-        kept = dict(tensor_core._blocks.kept)
-        return first, kept, contract(rows, shape, xs), dict(tensor_core._blocks.kept)
+    def twice(scratch):
+        first = blocks_into(rows, shape, xs, scratch)
+        kept = dict(scratch.kept)
+        return first, kept, blocks_into(rows, shape, xs, scratch), dict(scratch.kept)
 
-    first, kept, second, again = in_thread(twice)
+    scratch = tensor_core._Scratch()
+    first, kept, second, again = in_thread(lambda: twice(scratch))
     assert np.array_equal(first, second) and np.array_equal(first, unblocked_contract(rows, shape, xs))
-    assert set(kept) == {"trail", "sums"} and all(again[k] is kept[k] for k in kept)
-    assert 0 < sum(a.nbytes for a in kept.values()) <= tensor_core._BLOCK_BYTES
-    assert not any(np.shares_memory(a, b) for a in kept.values() for b in tensor_core._blocks.kept.values())
-    # at a 64-byte budget the blocks fall to two trials each, past the
-    # holder's cap, so they are allocated for their call alone (two-trial
-    # gemms round unlike long ones, so only the values agree)
+    assert set(kept) == {"products", "trail", "sums"} and all(again[k] is kept[k] for k in kept)
+    assert 0 < kept["trail"].nbytes + kept["sums"].nbytes <= tensor_core._BLOCK_BYTES
+    # this thread's arrays under the same names are its own
+    mine = twice(scratch)[1]
+    assert not any(np.shares_memory(a, b) for a in kept.values() for b in mine.values())
+    # at a 64-byte budget the blocks fall to two trials each, kept by the
+    # holder like any others (two-trial gemms round unlike long ones, so
+    # only the values agree)
     monkeypatch.setattr(tensor_core, "_BLOCK_BYTES", 64)
-    monkeypatch.setattr(tensor_core, "_blocks", tensor_core._Scratch(64))
-    got, kept, _, _ = in_thread(twice)
-    assert np.allclose(got, first) and kept == {}
+    got, kept, _, _ = in_thread(lambda: twice(tensor_core._Scratch()))
+    assert np.allclose(got, first) and kept["sums"].size == 2 * m * math.prod(shape[: tensor_core._split(shape, m)])
+
+
+def test_contract_keeps_no_array_once_it_returns():
+    # without a holder, ``contract_blocks`` makes one for the call: nothing
+    # of it outlives the call on the calling thread, here a fresh one
+    rng = np.random.default_rng(5)
+    shape, m = (8, 8, 8), 8
+    rows = rng.standard_normal((m, math.prod(shape)))
+    xs = [rng.standard_normal((3 * dense_block(shape, m) + 5, n)) for n in shape]
+
+    def traced():
+        tracemalloc.start()
+        try:
+            return contract(rows, shape, xs), tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    got, held = in_thread(traced)
+    assert np.array_equal(got, unblocked_contract(rows, shape, xs))
+    assert held < got.nbytes + 4096
 
 
 def single_entry_rows(rng, shape, m, coefs):
@@ -433,7 +454,7 @@ def test_contract_refuses_rows_and_factors_that_do_not_fit(name):
         contract(rows, (2, 2), xs)
     # the iterator checks before its first block
     with pytest.raises(ValidationError, match="contract needs"):
-        tensor_core.contract_blocks([np.ones((1, 4)), rows], (2, 2), xs)
+        tensor_core.contract_blocks([rows, rows], (2, 2), xs)
 
 
 @pytest.mark.parametrize("gather", [True, False])
@@ -461,8 +482,9 @@ def body_rows(shape, counts, seed):
     return [rng.standard_normal((c, math.prod(shape))) for c in counts]
 
 
-# row sets on one shape: dense sets of unequal row counts block on their own
-# partitions, equal counts share theirs, and one-nonzero sets gather
+# row sets on one shape, contracted in one call per row count: dense sets of
+# one count share their partition, and one-nonzero sets gather, alongside
+# dense sets of their count (mixed) or alone
 BLOCK_CASES = {
     "bodies-0-3-8": ((16, 16, 16), body_rows((16, 16, 16), (0, 3, 8), 1)),
     "mixed": (
@@ -478,6 +500,14 @@ BLOCK_CASES = {
 }
 
 
+def by_count(row_sets):
+    """``row_sets`` grouped by row count, in order of first appearance."""
+    groups = {}
+    for rows in row_sets:
+        groups.setdefault(rows.shape[0], []).append(rows)
+    return list(groups.values())
+
+
 def block_sizes(shape, row_sets):
     """Trial counts that end every dense set's partition in an overlapping last block, and 0."""
     sizes = {0, 1, 2}
@@ -489,8 +519,13 @@ def block_sizes(shape, row_sets):
 
 
 def blocks_match_contract(row_sets, shape, xs, scratch=None):
-    """Whether ``contract_blocks`` covers the trials in consecutive ranges and
-    gives each set the bits of its own ``contract`` call."""
+    """Whether ``contract_blocks``, called once per row count, covers the
+    trials in consecutive ranges and gives each set the bits of its own
+    ``contract`` call."""
+    return all(one_call_matches_contract(sets, shape, xs, scratch) for sets in by_count(row_sets))
+
+
+def one_call_matches_contract(row_sets, shape, xs, scratch):
     want = [contract(rows, shape, xs) for rows in row_sets]
     got = [np.full_like(w, np.nan) for w in want]
     end = 0
@@ -516,17 +551,28 @@ def test_block_iterator_matches_one_contract_per_row_set(name):
         assert all(blocks_match_contract([rows], shape, xs) for rows in row_sets), size
 
 
+@pytest.mark.parametrize("counts", [(), (3, 2), (0, 1, 1), (2, 2, 0)], ids=["none", "3-2", "0-1-1", "2-2-0"])
+def test_block_iterator_refuses_row_sets_of_unequal_counts(counts):
+    shape = (2, 2)
+    row_sets = body_rows(shape, counts, 0)
+    with pytest.raises(ValidationError, match="contract needs one or more row sets of one row count"):
+        tensor_core.contract_blocks(row_sets, shape, [np.ones((5, 2))] * 2)
+
+
 def test_block_iterator_draws_its_blocks_from_the_scratch_holder():
     shape, row_sets = BLOCK_CASES["bodies-0-3-8"]
     rng = np.random.default_rng(0)
     xs = [rng.standard_normal((1000, n)) for n in shape]
     scratch = tensor_core._Scratch()
     assert blocks_match_contract(row_sets, shape, xs, scratch)
-    assert set(scratch.kept) == {"products"}
-    products = scratch.kept["products"]
-    for _, arrays in tensor_core.contract_blocks(row_sets, shape, xs, scratch):
-        assert all(a.size == 0 or np.shares_memory(a, products) for a in arrays)
-    assert list(tensor_core.contract_blocks(row_sets, shape, [x[:0] for x in xs], scratch)) == []
+    kept = dict(scratch.kept)
+    assert set(kept) == {"products", "trail", "sums"}
+    for sets in by_count(row_sets):
+        for _, arrays in tensor_core.contract_blocks(sets, shape, xs, scratch):
+            assert all(a.size == 0 or np.shares_memory(a, kept["products"]) for a in arrays)
+        assert list(tensor_core.contract_blocks(sets, shape, [x[:0] for x in xs], scratch)) == []
+    # the second round takes the arrays of the first
+    assert all(scratch.kept[name] is a for name, a in kept.items())
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 8, 16, 17])
