@@ -38,6 +38,7 @@ from .exact_laws import (
     bound_nondeterministic,
     bound_single_direction,
     bound_smin_tail,
+    exact_smallball,
     product_uniform_cdf,
     product_uniform_smallball,
     sharpness_lower_bound,

@@ -55,7 +55,7 @@ from .exact_laws import (
     bound_nondeterministic,
     bound_single_direction,
     bound_smin_tail,
-    product_uniform_smallball,
+    exact_smallball,
     sharpness_lower_bound,
 )
 from .khatri_rao import SmoothedEnsemble, smin_tail_experiment
@@ -65,7 +65,6 @@ from .montecarlo import (
     _aux_rng,
     curve_csv_bytes,
     dominance_test,
-    estimate_direction_smallball,
     estimate_smallball,
     norm_concentration,
     rows_csv_bytes,
@@ -74,7 +73,6 @@ from .subspaces import (
     FLATTEN_CAP,
     SubspaceBasis,
     coordinate_line_subspace,
-    diagonal_direction,
     haar_subspace,
 )
 
@@ -199,38 +197,34 @@ def _specs(cfg: dict) -> tuple[DistributionSpec, ...]:
     return (DistributionSpec(kind=_DIST_KINDS[cfg["dist"]], dim=cfg["n"]),) * cfg["ell"]
 
 
+def _known_subspace(choice: str) -> bool:
+    """Whether ``choice`` names a subspace: haar, line, or file:<path>."""
+    return choice in ("haar", "line") or choice.startswith("file:")
+
+
 def _resolve_subspace(cfg: dict) -> SubspaceBasis:
     choice = cfg["subspace"]
+    if not _known_subspace(choice):
+        raise UsageError(f"unknown subspace {choice!r} (want haar, line, or file:<path>)")
     shape = (cfg["n"],) * cfg["ell"]
     if choice == "haar":
         return haar_subspace(shape, cfg["m"], _aux_rng(cfg["seed"], 0))
     if choice == "line":
         return coordinate_line_subspace(cfg["n"], cfg["ell"], cfg["m"])
-    if choice.startswith("file:"):
-        basis = SubspaceBasis.load(choice[5:])
-        if basis.shape != shape or basis.m != cfg["m"]:
-            raise ValidationError(
-                f"basis file has shape {basis.shape}, m = {basis.m}; flags say {shape}, m = {cfg['m']}"
-            )
-        return basis
-    raise UsageError(f"unknown subspace {choice!r} (want haar, line, or file:<path>)")
+    basis = SubspaceBasis.load(choice[5:])
+    if basis.shape != shape or basis.m != cfg["m"]:
+        raise ValidationError(
+            f"basis file has shape {basis.shape}, m = {basis.m}; flags say {shape}, m = {cfg['m']}"
+        )
+    return basis
 
 
-def _run_smallball(cfg: dict, stamp: str) -> list[tuple[str, bytes]]:
-    basis = _resolve_subspace(cfg)
-    curve = estimate_smallball(_specs(cfg), basis, _experiment_config(cfg), cfg["eps_grid"])
-    return [("smallball.csv", curve_csv_bytes(curve, comment=f"manifest: {stamp}"))]
-
-
-def _run_direction(cfg: dict, stamp: str) -> list[tuple[str, bytes]]:
+def _run_smallball(cfg: dict, stamp: str, name: str = "smallball.csv") -> list[tuple[str, bytes]]:
     specs = _specs(cfg)
-    direction = diagonal_direction(cfg["n"], cfg["ell"])
-    curve = estimate_direction_smallball(specs, direction, _experiment_config(cfg), cfg["eps_grid"])
-    extra = None
-    s = specs[0].uniform_half_width
-    if s is not None:
-        extra = {"exact": [float(product_uniform_smallball(cfg["ell"], s, e)) for e in cfg["eps_grid"]]}
-    return [("direction.csv", curve_csv_bytes(curve, extra_columns=extra, comment=f"manifest: {stamp}"))]
+    curve = estimate_smallball(specs, _resolve_subspace(cfg), _experiment_config(cfg), cfg["eps_grid"])
+    exact = exact_smallball(specs, cfg["subspace"], cfg["m"], cfg["eps_grid"])
+    extra = None if exact is None else {"exact": exact}
+    return [(name, curve_csv_bytes(curve, extra_columns=extra, comment=f"manifest: {stamp}"))]
 
 
 def _bounds_row(eps: float, cfg: dict, bc: BoundConfig) -> dict:
@@ -353,8 +347,10 @@ _SUBCOMMANDS = {
             "n": 8, "ell": 3, "m": 4, "dist": "cube", "subspace": "haar", "eps_grid": "1e-3:1e-1:20",
         },
     ),
+    # smallball on the one-row line basis, e_1 x ... x e_1; the hash and manifest keep direction's own config
     "direction": (
-        _run_direction, "single-direction small-ball curve (diagonal direction)",
+        lambda cfg, stamp: _run_smallball({**cfg, "subspace": "line", "m": 1}, stamp, "direction.csv"),
+        "single-direction small-ball curve (diagonal direction)",
         {"trials": "1e6", **_MONTE_CARLO, "n": 8, "ell": 3, "dist": "cube", "eps_grid": "1e-3:1e-1:20"},
     ),
     "bounds": (
@@ -549,9 +545,9 @@ def _load_manifest(parser, path) -> tuple[str, dict]:
 
     The config must hold exactly the keys that the subcommand's flags
     resolve to, each of the type its default resolves to, and a known
-    ``dist``.  An ``_environment`` entry recorded with another value than
-    the running one only warns, in one line for all of them; an entry the
-    manifest lacks is not compared.
+    ``dist`` and ``subspace``.  An ``_environment`` entry recorded with
+    another value than the running one only warns, in one line for all of
+    them; an entry the manifest lacks is not compared.
     """
     try:
         with open(path) as fh:
@@ -577,6 +573,8 @@ def _load_manifest(parser, path) -> tuple[str, dict]:
             raise ValidationError(f"manifest {path}: {subcommand} config {key}={config[key]!r} is not {type(default).__name__}")
     if "dist" in config and config["dist"] not in _DIST_KINDS:
         raise ValidationError(f"manifest {path}: unknown dist {config['dist']!r}")
+    if "subspace" in config and not _known_subspace(config["subspace"]):
+        raise ValidationError(f"manifest {path}: unknown subspace {config['subspace']!r}")
     _check_config(subcommand, config)
     moved = [
         f"{key} {_shown(manifest[key])}, running {_shown(value)}"

@@ -105,6 +105,19 @@ def product_uniform_smallball(ell: int, s: float, eps):
     return _ret(out, scalar)
 
 
+def exact_smallball(specs, subspace: str, m: int, eps_grid) -> list[float] | None:
+    """Exact P(||proj of X_1 x ... x X_l|| <= eps*sqrt(m)) per point of ``eps_grid``, or None where
+    no closed form is known; ``subspace`` is a ``--subspace`` value (haar, line or file:<path>).
+
+    Known: every factor uniform on the same [-s, s], on the line with m = 1, where the projection
+    is U_1 ... U_l and each point is ``product_uniform_smallball(l, s, eps)``."""
+    widths = {spec.uniform_half_width for spec in specs}
+    if subspace == "line" and m == 1 and len(widths) == 1 and None not in widths:
+        (s,) = widths
+        return [float(product_uniform_smallball(len(specs), s, eps)) for eps in eps_grid]
+    return None
+
+
 def _check_eps_validity(eps, ell, c_small, what):
     thr = math.exp(-c_small * ell)
     if not np.all((eps > 0) & (eps < thr)):

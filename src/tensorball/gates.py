@@ -20,19 +20,18 @@ import numpy as np
 from .cli import main as cli_main
 from .decomposition import decompose_smoothed
 from .distributions import DistributionSpec, HistogramDensity, matched_cube
-from .exact_laws import product_uniform_cdf, product_uniform_smallball
+from .exact_laws import exact_smallball, product_uniform_cdf
 from .khatri_rao import SmoothedEnsemble, pinv_hs_norm_sq, projection_distance_sum, smin_tail_experiment
 from .montecarlo import (
     ExperimentConfig,
     SlabBody,
     _aux_rng,
     dominance_test,
-    estimate_direction_smallball,
     estimate_smallball,
     fit_slope,
     norm_concentration,
 )
-from .subspaces import coordinate_line_subspace, diagonal_direction, haar_subspace
+from .subspaces import coordinate_line_subspace, haar_subspace
 
 SEED = 1
 
@@ -81,11 +80,9 @@ def single_direction_sharpness():
     grid = tuple(sorted((float(e) for e in np.geomspace(1e-3, 1e-1, 20)), reverse=True))
     specs = (DistributionSpec(kind="uniform-cube-unit", dim=8),) * 3
     cfg = ExperimentConfig(seed=SEED, trials=1_000_000, confidence=0.999)
-    curve = estimate_direction_smallball(specs, diagonal_direction(8, 3), cfg, grid)
-    inside = sum(
-        lo <= product_uniform_smallball(3, 1.0, e) <= hi
-        for e, lo, hi in zip(grid, curve.ci_low, curve.ci_high)
-    )
+    curve = estimate_smallball(specs, coordinate_line_subspace(8, 3, 1), cfg, grid)
+    exact = exact_smallball(specs, "line", 1, grid)
+    inside = sum(lo <= p <= hi for p, lo, hi in zip(exact, curve.ci_low, curve.ci_high))
     fit = fit_slope(curve, (1e-3, 1e-1), deflate_log_power=2)
     ok = inside == len(grid) and abs(fit.slope - 1.0) <= 0.15
     detail = f"{inside}/{len(grid)} in CI, deflated slope {fit.slope:.3f}"

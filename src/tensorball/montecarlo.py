@@ -336,13 +336,8 @@ def estimate_smallball(specs, basis: SubspaceBasis, cfg: ExperimentConfig, eps_g
 
 
 def estimate_direction_smallball(specs, f: SubspaceBasis, cfg: ExperimentConfig, eps_grid) -> SmallBallCurve:
-    """Empirical P(|<X1 x ... x Xl, f>| <= eps) per point of the decreasing ``eps_grid`` (no sqrt(m) scaling).
-
-    ``f`` is a one-row basis; more rows raise ``ValidationError``.  This is
-    the m = 1 case of ``estimate_smallball`` without the sqrt(m) scaling:
-    sqrt(x*x) == |x| in round-to-nearest arithmetic barring over- or
-    underflow, so the counts are those of |<., f>|.
-    """
+    """Empirical P(|<X1 x ... x Xl, f>| <= eps) for a one-row basis ``f`` (more rows raise ``ValidationError``):
+    ``estimate_smallball`` at m = 1, whose sqrt(x*x) == |x| barring over- or underflow."""
     if f.m != 1:
         raise ValidationError(f"a single direction is a one-row basis, got m = {f.m} rows")
     return _projection_curve(specs, f, cfg, eps_grid)

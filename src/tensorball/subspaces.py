@@ -132,13 +132,8 @@ def haar_subspace(shape, m: int, rng) -> SubspaceBasis:
 
 
 def diagonal_direction(n: int, ell: int) -> SubspaceBasis:
-    """Unit tensor e_1 x ... x e_1, a single 1 at the first multi-index, as a one-row basis."""
-    if not (all(map(_is_int, (n, ell))) and n >= 1 and ell >= 1):
-        raise ValidationError(f"n and ell must be integers >= 1, got n = {n!r}, ell = {ell!r}")
-    n, ell = int(n), int(ell)
-    rows = np.zeros((1, n**ell))
-    rows[0, 0] = 1.0
-    return SubspaceBasis(shape=(n,) * ell, rows=rows)
+    """Unit tensor e_1 x ... x e_1 as a one-row basis: ``coordinate_line_subspace(n, ell, 1)``."""
+    return coordinate_line_subspace(n, ell, 1)
 
 
 def coordinate_line_subspace(n: int, ell: int, m: int) -> SubspaceBasis:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tensorball import (
@@ -274,6 +274,7 @@ def test_replay_config_unknown_key(tmp_path, capsys):
         ("bodies", 0, "body count must be an integer >= 1, got bodies = 0"),
         ("batch_size", True, "batch_size=True is not int"),
         ("eps_grid", [math.nan], "eps_grid must be finite, got eps_grid = [nan]"),
+        ("subspace", "bogus", "unknown subspace"),
     ],
 )
 def test_replay_config_bad_value(tmp_path, capsys, key, value, message):
@@ -475,6 +476,91 @@ def test_direction_exact_column(tmp_path):
     for row in rows:
         want = product_uniform_smallball(2, 1.0, float(row["epsilon"]))
         assert float(row["exact"]) == pytest.approx(want, rel=1e-12)
+
+
+# direction.csv of one small run, as written before direction ran smallball's runner
+DIRECTION_ARGS = (
+    "--n", "3", "--l", "2", "--dist", "cube-unit", "--trials", "200", "--batch-size", "100",
+    "--eps-grid", "0.1:0.5:4", "--seed", "0",
+)
+DIRECTION_CSV = b"""\
+# manifest: 96f3e79f5e33477b6bef8db38b623b8a531d1ece
+epsilon,hits,trials,p_hat,ci_low,ci_high,exact
+0.5,160,200,0.8,0.7178247268491995,0.867426707901161,0.8465735902799727
+0.2924017738212865,128,200,0.64,0.5475066232237427,0.7256568066411153,0.6519467390865579
+0.17099759466766967,90,200,0.45,0.35901907025236035,0.5434196200272376,0.47299743648955506
+0.1,61,200,0.305,0.22419170871517358,0.3953444685432742,0.3302585092994046
+"""
+
+
+def test_direction_csv_bytes_pinned(tmp_path):
+    assert run_cli("direction", *DIRECTION_ARGS, "--out", str(tmp_path)) == 0
+    assert (tmp_path / "direction.csv").read_bytes() == DIRECTION_CSV
+
+
+@pytest.mark.parametrize(
+    "flags, exact",
+    [
+        (("--subspace", "line", "--m", "1"), True),
+        (("--subspace", "line", "--m", "1", "--dist", "cube"), True),
+        (("--subspace", "haar", "--m", "1"), False),
+        (("--subspace", "line", "--m", "2"), False),
+        (("--subspace", "line", "--m", "1", "--dist", "gauss"), False),
+    ],
+    ids=["line-1-cube-unit", "line-1-cube", "haar-1", "line-2", "line-1-gauss"],
+)
+def test_smallball_exact_column_only_where_the_law_is_known(tmp_path, flags, exact):
+    assert run_cli("smallball", *DIRECTION_ARGS, *flags, "--out", str(tmp_path / "smallball")) == 0
+    _, rows = read_rows(tmp_path / "smallball" / "smallball.csv")
+    assert ("exact" in rows[0]) is exact
+    if exact:
+        # the same basis and stream: every cell, exact included, is direction's
+        assert run_cli("direction", *DIRECTION_ARGS, *flags[4:], "--out", str(tmp_path / "direction")) == 0
+        assert rows == read_rows(tmp_path / "direction" / "direction.csv")[1]
+
+
+# flag: (values that can run, values refused with exit 1 or 2); n^l * m stays <= 6^4 * 3
+PROJECTION_FLAGS = {
+    "--n": (["1", "2", "3", "6"], ["-1", "0"]),
+    "--l": (["1", "2", "4"], ["-1", "0"]),
+    "--m": (["1", "2", "3"], ["-1", "0"]),
+    "--threads": (["1", "2"], []),
+    "--trials": (["100", "500", "1e3"], ["-1", "1", "2.5", "x"]),
+    "--batch-size": (["50", "1000"], ["-1", "0"]),
+    "--confidence": (["0.5", "0.99"], ["0", "1", "1.5", "nan"]),
+    "--dist": (["cube", "cube-unit", "gauss", "laplace"], ["bogus"]),
+    "--subspace": (["haar", "line"], ["bogus", "file:absent.bin"]),
+    "--eps-grid": (["0.05:0.5:5", "1e-3:1e-1:20"], ["0.5:0.5:3", "1:2", "0:1:3", "1e300:1.7e308:3"]),
+    "--seed": (["0", "7"], ["-1", "x"]),
+}
+
+
+def projection_argv(draw) -> list[str]:
+    """argv of a small smallball or direction run, at most one flag of it with a value to refuse."""
+    sub = draw(st.sampled_from(["smallball", "direction"]))
+    # every size flag is given, so no default size (n = 8, l = 3, m = 4) meets a drawn one
+    flags = ["--n", "--l", "--threads", "--trials"] + (["--m"] if sub == "smallball" else [])
+    optional = sorted(set(PROJECTION_FLAGS) - {*flags, "--m", *(["--subspace"] if sub == "direction" else [])})
+    flags += sorted(draw(st.sets(st.sampled_from(optional))))
+    bad = draw(st.sampled_from([None, *flags]))
+    argv = [sub]
+    for flag in flags:
+        valid, refused = PROJECTION_FLAGS[flag]
+        argv += [flag, draw(st.sampled_from(refused if flag == bad and refused else valid))]
+    return argv
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_projection_argv_fuzz(tmp_path, data):
+    """Any small smallball or direction argv ends in exit 0-4 with at most one stderr line and no traceback."""
+    argv = projection_argv(data.draw)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run_cli(*argv, "--out", str(tmp_path / "out"))
+    assert code in range(5), argv
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
 
 
 def test_bounds_csv_matches_library(tmp_path):

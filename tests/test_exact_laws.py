@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from tensorball import (
     BoundConfig,
+    DistributionSpec,
     HypothesisViolationError,
     RangeError,
     ValidationError,
@@ -18,6 +19,7 @@ from tensorball import (
     bound_nondeterministic,
     bound_single_direction,
     bound_smin_tail,
+    exact_smallball,
     product_uniform_cdf,
     product_uniform_smallball,
     sharpness_lower_bound,
@@ -82,6 +84,31 @@ def test_smallball_refuses_a_support_radius_beyond_float_range():
         product_uniform_smallball(3, np.float64(1e200), 0.5)
     # a radius near the top of the float range still gives a value
     assert product_uniform_smallball(1, 1e300, 0.5) == pytest.approx(0.5e-300)
+
+
+UNIT, SQRT3, GAUSS = (DistributionSpec(kind=k, dim=4) for k in ("uniform-cube-unit", "uniform-cube-sqrt3", "gaussian-std"))
+
+
+@pytest.mark.parametrize("spec, s", [(UNIT, 1.0), (SQRT3, math.sqrt(3))])
+def test_exact_smallball_on_the_line_is_the_product_law_per_point(spec, s):
+    grid = [0.5, 0.1, 1e-3]
+    want = [float(product_uniform_smallball(3, s, eps)) for eps in grid]
+    assert exact_smallball((spec,) * 3, "line", 1, grid) == want
+
+
+@pytest.mark.parametrize(
+    "specs, subspace, m",
+    [
+        ((UNIT,) * 3, "haar", 1),
+        ((UNIT,) * 3, "file:line.bin", 1),
+        ((UNIT,) * 3, "line", 2),
+        ((GAUSS,) * 3, "line", 1),
+        ((UNIT, SQRT3, UNIT), "line", 1),
+    ],
+    ids=["haar", "file", "line-m2", "gauss", "mixed-widths"],
+)
+def test_exact_smallball_is_none_without_a_closed_form(specs, subspace, m):
+    assert exact_smallball(specs, subspace, m, [0.5, 0.1]) is None
 
 
 def test_bound_fixed_subspace_examples():

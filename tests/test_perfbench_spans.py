@@ -40,11 +40,11 @@ def test_every_wrapped_name_resolves():
 def test_tracer_records_spans_and_restores_originals(tmp_path):
     spans = load_spans()
     before = {(m, a): resolve(m, a) for m, a in spans.WRAPPED}
-    cli_direction = cli.estimate_direction_smallball
+    cli_estimate = cli.estimate_smallball
     tracer = spans.Tracer()
     tracer.install()
     try:
-        assert cli.estimate_direction_smallball is not cli_direction
+        assert cli.estimate_smallball is not cli_estimate
         code = cli.main([
             "direction", "--n", "3", "--l", "2", "--trials", "200",
             "--eps-grid", "0.05:0.5:5", "--seed", "0", "--out", str(tmp_path),
@@ -53,17 +53,19 @@ def test_tracer_records_spans_and_restores_originals(tmp_path):
         tracer.uninstall()
     assert code == 0
     counts = tracer.call_counts()
+    # direction runs smallball's runner on the one-row line basis
     for name in (
         "cli.main",
-        "subspaces.diagonal_direction",
-        "montecarlo.estimate_direction_smallball",
+        "subspaces.coordinate_line_subspace",
+        "montecarlo.estimate_smallball",
         "distributions.sample_matrix",
         "montecarlo.curve_csv_bytes",
     ):
         assert counts[name] >= 1, name
+    assert counts["subspaces.diagonal_direction"] == counts["montecarlo.estimate_direction_smallball"] == 0
     assert tracer.counters["trials"] == 200
     assert {(m, a): resolve(m, a) for m, a in spans.WRAPPED} == before
-    assert cli.estimate_direction_smallball is cli_direction
+    assert cli.estimate_smallball is cli_estimate
 
 
 def run_traced(spans, argv):

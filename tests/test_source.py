@@ -175,6 +175,22 @@ def test_only_gates_imports_from_cli_and_only_main():
     assert found == {("gates.py", "main")}
 
 
+def test_front_end_has_one_projection_runner_and_one_exact_column():
+    """``cli`` and ``gates`` reach the exact law and the one-row basis only through
+    ``exact_smallball`` and ``coordinate_line_subspace``: neither names
+    ``product_uniform_smallball``, ``estimate_direction_smallball`` or ``diagonal_direction``."""
+    banned = {"product_uniform_smallball", "estimate_direction_smallball", "diagonal_direction"}
+    trees = _module_trees()
+    found = set()
+    for name in ("cli.py", "gates.py"):
+        for node in ast.walk(trees[name]):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+            found |= {(name, banned_name) for banned_name in names & banned}
+    assert found == set(), f"second exact-column or projection paths: {sorted(found)}"
+
+
 def test_basis_magic_lives_in_subspaces():
     """The basis-file layout has one owner: only ``subspaces`` spells its magic ``TBSB``."""
     owners = {

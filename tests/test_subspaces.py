@@ -144,6 +144,13 @@ def test_diagonal_direction_picks_first_coordinates():
     assert abs(np.linalg.norm(f.rows) - 1.0) < 1e-15
 
 
+@pytest.mark.parametrize("n, ell", [(8, 3), (4, 2), (3, 5), (1, 1)])
+def test_diagonal_direction_is_the_one_row_line_basis(n, ell):
+    f = diagonal_direction(n, ell)
+    line = coordinate_line_subspace(n, ell, 1)
+    assert f.shape == line.shape and np.array_equal(f.rows, line.rows)
+
+
 def test_coordinate_line_rows():
     b = coordinate_line_subspace(3, 2, 2)
     # indicator vectors of multi-indices (1,1) and (2,1), row-major
