@@ -220,9 +220,9 @@ def _resolve_subspace(cfg: dict) -> SubspaceBasis:
 
 
 def _run_smallball(cfg: dict, stamp: str, name: str = "smallball.csv") -> list[tuple[str, bytes]]:
-    specs = _specs(cfg)
-    curve = estimate_smallball(specs, _resolve_subspace(cfg), _experiment_config(cfg), cfg["eps_grid"])
-    exact = exact_smallball(specs, cfg["subspace"], cfg["m"], cfg["eps_grid"])
+    specs, basis = _specs(cfg), _resolve_subspace(cfg)
+    curve = estimate_smallball(specs, basis, _experiment_config(cfg), cfg["eps_grid"])
+    exact = exact_smallball(specs, basis, cfg["eps_grid"])
     extra = None if exact is None else {"exact": exact}
     return [(name, curve_csv_bytes(curve, extra_columns=extra, comment=f"manifest: {stamp}"))]
 

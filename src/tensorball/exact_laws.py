@@ -105,16 +105,14 @@ def product_uniform_smallball(ell: int, s: float, eps):
     return _ret(out, scalar)
 
 
-def exact_smallball(specs, subspace: str, m: int, eps_grid) -> list[float] | None:
-    """Exact P(||proj of X_1 x ... x X_l|| <= eps*sqrt(m)) per point of ``eps_grid``, or None where
-    no closed form is known; ``subspace`` is a ``--subspace`` value (haar, line or file:<path>).
-
-    Known: every factor uniform on the same [-s, s], on the line with m = 1, where the projection
-    is U_1 ... U_l and each point is ``product_uniform_smallball(l, s, eps)``."""
+def exact_smallball(specs, basis, eps_grid) -> list[float] | None:
+    """Exact P(||proj of X_1 x ... x X_l|| <= eps*sqrt(m)) onto ``basis`` per point of ``eps_grid``, or None
+    where no closed form is known. Known: every factor uniform on one [-s, s] and a coordinate direction
+    (one row, one nonzero entry +-1), where each point is ``product_uniform_smallball(l, s, eps)``."""
     widths = {spec.uniform_half_width for spec in specs}
-    if subspace == "line" and m == 1 and len(widths) == 1 and None not in widths:
-        (s,) = widths
-        return [float(product_uniform_smallball(len(specs), s, eps)) for eps in eps_grid]
+    one_entry = basis.m == 1 and np.count_nonzero(basis.rows) == 1 and np.abs(basis.rows).max() == 1.0
+    if one_entry and len(widths) == 1 and None not in widths:
+        return [float(product_uniform_smallball(len(specs), *widths, eps)) for eps in eps_grid]
     return None
 
 

@@ -80,8 +80,9 @@ def single_direction_sharpness():
     grid = tuple(sorted((float(e) for e in np.geomspace(1e-3, 1e-1, 20)), reverse=True))
     specs = (DistributionSpec(kind="uniform-cube-unit", dim=8),) * 3
     cfg = ExperimentConfig(seed=SEED, trials=1_000_000, confidence=0.999)
-    curve = estimate_smallball(specs, coordinate_line_subspace(8, 3, 1), cfg, grid)
-    exact = exact_smallball(specs, "line", 1, grid)
+    basis = coordinate_line_subspace(8, 3, 1)
+    curve = estimate_smallball(specs, basis, cfg, grid)
+    exact = exact_smallball(specs, basis, grid)
     inside = sum(lo <= p <= hi for p, lo, hi in zip(exact, curve.ci_low, curve.ci_high))
     fit = fit_slope(curve, (1e-3, 1e-1), deflate_log_power=2)
     ok = inside == len(grid) and abs(fit.slope - 1.0) <= 0.15

@@ -139,7 +139,7 @@ def diagonal_direction(n: int, ell: int) -> SubspaceBasis:
 def coordinate_line_subspace(n: int, ell: int, m: int) -> SubspaceBasis:
     """Adversarial coordinate subspace spanned by e_k x e_1 x ... x e_1, k = 1..m."""
     if not (all(map(_is_int, (n, ell, m))) and ell >= 1 and 1 <= m <= n):
-        raise ValidationError(f"need integers ell >= 1 and 1 <= m <= n = {n!r}, got ell = {ell!r}, m = {m!r}")
+        raise ValidationError(f"need integers n, ell >= 1 and 1 <= m <= n, got n = {n!r}, ell = {ell!r}, m = {m!r}")
     n, ell, m = int(n), int(ell), int(m)
     d = n**ell
     rows = np.zeros((m, d))

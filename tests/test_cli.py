@@ -506,11 +506,15 @@ def test_direction_csv_bytes_pinned(tmp_path):
         (("--subspace", "haar", "--m", "1"), False),
         (("--subspace", "line", "--m", "2"), False),
         (("--subspace", "line", "--m", "1", "--dist", "gauss"), False),
+        (("--subspace", "file:LINE", "--m", "1"), True),
     ],
-    ids=["line-1-cube-unit", "line-1-cube", "haar-1", "line-2", "line-1-gauss"],
+    ids=["line-1-cube-unit", "line-1-cube", "haar-1", "line-2", "line-1-gauss", "file-line-1"],
 )
 def test_smallball_exact_column_only_where_the_law_is_known(tmp_path, flags, exact):
-    assert run_cli("smallball", *DIRECTION_ARGS, *flags, "--out", str(tmp_path / "smallball")) == 0
+    # file:LINE is a basis file holding the line's one row, e_1 x e_1
+    coordinate_line_subspace(3, 2, 1).save(tmp_path / "line.bin")
+    argv = [flag.replace("LINE", str(tmp_path / "line.bin")) for flag in flags]
+    assert run_cli("smallball", *DIRECTION_ARGS, *argv, "--out", str(tmp_path / "smallball")) == 0
     _, rows = read_rows(tmp_path / "smallball" / "smallball.csv")
     assert ("exact" in rows[0]) is exact
     if exact:

@@ -11,6 +11,7 @@ from tensorball import (
     DistributionSpec,
     HypothesisViolationError,
     RangeError,
+    SubspaceBasis,
     ValidationError,
     bound_carbery_wright,
     bound_concentration_subgaussian,
@@ -19,7 +20,9 @@ from tensorball import (
     bound_nondeterministic,
     bound_single_direction,
     bound_smin_tail,
+    coordinate_line_subspace,
     exact_smallball,
+    haar_subspace,
     product_uniform_cdf,
     product_uniform_smallball,
     sharpness_lower_bound,
@@ -89,26 +92,42 @@ def test_smallball_refuses_a_support_radius_beyond_float_range():
 UNIT, SQRT3, GAUSS = (DistributionSpec(kind=k, dim=4) for k in ("uniform-cube-unit", "uniform-cube-sqrt3", "gaussian-std"))
 
 
-@pytest.mark.parametrize("spec, s", [(UNIT, 1.0), (SQRT3, math.sqrt(3))])
-def test_exact_smallball_on_the_line_is_the_product_law_per_point(spec, s):
+LINE = coordinate_line_subspace(4, 3, 1)
+
+
+def _one_row(entries):
+    rows = np.zeros((1, 64))
+    for index, value in entries.items():
+        rows[0, index] = value
+    return SubspaceBasis(shape=(4, 4, 4), rows=rows)
+
+
+@pytest.mark.parametrize("kind, s", [("uniform-cube-unit", 1.0), ("uniform-cube-sqrt3", math.sqrt(3))])
+@pytest.mark.parametrize(
+    "basis",
+    [LINE, _one_row({63: -1.0}), haar_subspace((1, 1, 1), 1, 0)],
+    ids=["line", "negative-coordinate", "haar-on-one-point"],
+)
+def test_exact_smallball_on_a_coordinate_direction_is_the_product_law_per_point(kind, s, basis):
     grid = [0.5, 0.1, 1e-3]
     want = [float(product_uniform_smallball(3, s, eps)) for eps in grid]
-    assert exact_smallball((spec,) * 3, "line", 1, grid) == want
+    specs = (DistributionSpec(kind=kind, dim=basis.shape[0]),) * 3
+    assert exact_smallball(specs, basis, grid) == want
 
 
 @pytest.mark.parametrize(
-    "specs, subspace, m",
+    "specs, basis",
     [
-        ((UNIT,) * 3, "haar", 1),
-        ((UNIT,) * 3, "file:line.bin", 1),
-        ((UNIT,) * 3, "line", 2),
-        ((GAUSS,) * 3, "line", 1),
-        ((UNIT, SQRT3, UNIT), "line", 1),
+        ((UNIT,) * 3, haar_subspace((4, 4, 4), 1, 0)),
+        ((UNIT,) * 3, coordinate_line_subspace(4, 3, 2)),
+        ((UNIT,) * 3, _one_row({0: 0.6, 1: 0.8})),
+        ((GAUSS,) * 3, LINE),
+        ((UNIT, SQRT3, UNIT), LINE),
     ],
-    ids=["haar", "file", "line-m2", "gauss", "mixed-widths"],
+    ids=["haar", "line-m2", "two-entries", "gauss", "mixed-widths"],
 )
-def test_exact_smallball_is_none_without_a_closed_form(specs, subspace, m):
-    assert exact_smallball(specs, subspace, m, [0.5, 0.1]) is None
+def test_exact_smallball_is_none_without_a_closed_form(specs, basis):
+    assert exact_smallball(specs, basis, [0.5, 0.1]) is None
 
 
 def test_bound_fixed_subspace_examples():
