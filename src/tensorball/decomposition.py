@@ -268,9 +268,15 @@ def _realify_columns(vals, vecs, idx):
 def simultaneous_diagonalize(t: np.ndarray, r: int, rng=None) -> Rank1Terms:
     """Recover rank-one terms of an order-3 tensor from two Gaussian probes.
 
-    Eigenvectors of M_a M_b^+ give the mode-1 factors, of (M_a)^T (M_b^T)^+
-    the mode-2 factors (paired by eigenvalue), and least squares recovers the
-    weighted mode-3 factors.  Eigenvalue collisions or complex spectra
+    Eigenvectors of M_a M_b^+ give the mode-1 factors U, of (M_a)^T (M_b^T)^+
+    the mode-2 factors V (paired by eigenvalue), and the weighted mode-3
+    factors solve the least-squares problem on the Khatri-Rao design U (.) V
+    through its r x r normal equations: the Gram is the Hadamard product
+    (U^T U) * (V^T V) (Kolda & Bader, SIAM Review 2009), so the
+    (n1 n2 x r) design is never formed.  The solve's relative error is
+    about eps * kappa(U (.) V)^2, where an SVD of the design gives
+    eps * kappa(U (.) V) (eps the unit roundoff).
+    Eigenvalue collisions, complex spectra or an exactly singular Gram
     trigger fresh probes, up to 5 draws, then ``DegeneracyError`` naming
     each draw's reason.  The relative reconstruction residual is stored on
     the result.  A tensor with a non-finite entry is refused.
@@ -329,8 +335,18 @@ def simultaneous_diagonalize(t: np.ndarray, r: int, rng=None) -> Rank1Terms:
         v_mat, lam_v = _realify_columns(eig_v.eigenvalues, eig_v.eigenvectors, idx_v)
         pairing = _assign(np.abs(lam_u[:, None] - lam_v[None, :]))
         v_mat = v_mat[:, pairing]
-        design = khatri_rao([u_mat, v_mat])
-        sol, *_ = np.linalg.lstsq(design, t.reshape(n1 * n2, n3), rcond=None)
+        # row i of the right side contracts u's column i with the mode-1
+        # unfolding, then v's column i with that (n2 x n3) slice; relative error
+        # about eps * kappa(u (.) v)^2, against eps * kappa for lstsq's SVD, and
+        # the LU fails only on an exactly singular Gram
+        gram = (u_mat.T @ u_mat) * (v_mat.T @ v_mat)
+        slices = (u_mat.T @ t.reshape(n1, n2 * n3)).reshape(r, n2, n3)
+        rhs = np.matmul(v_mat.T[:, None, :], slices).reshape(r, n3)
+        try:
+            sol = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:
+            failures.append("Khatri-Rao Gram of the recovered factors is singular")
+            continue
         scales = np.linalg.norm(sol, axis=1)
         if np.any(scales == 0):
             failures.append("a recovered component collapsed to zero")

@@ -523,11 +523,15 @@ def test_smallball_exact_column_only_where_the_law_is_known(tmp_path, flags, exa
         assert rows == read_rows(tmp_path / "direction" / "direction.csv")[1]
 
 
-# flag: (values that can run, values refused with exit 1 or 2); n^l * m stays <= 6^4 * 3
-PROJECTION_FLAGS = {
+# flag: (values that can run, values refused with exit 1 or 2); n^l * max(m, r, bodies * count) stays <= 6^4 * 6
+ARGV_FLAGS = {
     "--n": (["1", "2", "3", "6"], ["-1", "0"]),
-    "--l": (["1", "2", "4"], ["-1", "0"]),
+    "--l": (["1", "2", "3", "4"], ["-1", "0"]),
     "--m": (["1", "2", "3"], ["-1", "0"]),
+    "--r": (["1", "2", "4"], ["-1", "0"]),
+    "--rho": (["0.1", "1"], ["-1", "nan"]),
+    "--bodies": (["1", "2"], ["-1", "0"]),
+    "--count": (["0", "1", "3"], ["-1"]),
     "--threads": (["1", "2"], []),
     "--trials": (["100", "500", "1e3"], ["-1", "1", "2.5", "x"]),
     "--batch-size": (["50", "1000"], ["-1", "0"]),
@@ -535,36 +539,56 @@ PROJECTION_FLAGS = {
     "--dist": (["cube", "cube-unit", "gauss", "laplace"], ["bogus"]),
     "--subspace": (["haar", "line"], ["bogus", "file:absent.bin"]),
     "--eps-grid": (["0.05:0.5:5", "1e-3:1e-1:20"], ["0.5:0.5:3", "1:2", "0:1:3", "1e300:1.7e308:3"]),
+    "--t-grid": (["0.05:0.95:10", "0.2:0.6:3"], ["0.5:0.5:3", "1:2"]),
+    "--scale": (["0.5", "1"], ["0", "nan"]),
+    "--noise": (["0", "1e-8"], ["-1", "inf"]),
+    "--c-main": (["0.5", "1"], ["-1", "nan"]),
+    "--c-prime": (["0.5", "1"], ["0", "inf"]),
+    "--c-dprime": (["0.5", "1"], ["-1", "nan"]),
+    "--c-small": (["0.5", "1"], ["0", "inf"]),
     "--seed": (["0", "7"], ["-1", "x"]),
 }
 
+# given whenever the subcommand has them, so no default size (n = 64 for norms, say) meets a drawn
+# one, no run takes a default trial count, and bounds gets --r and --rho together
+ALWAYS_GIVEN = ("--n", "--l", "--m", "--r", "--rho", "--bodies", "--count", "--threads", "--trials")
 
-def projection_argv(draw) -> list[str]:
-    """argv of a small smallball or direction run, at most one flag of it with a value to refuse."""
-    sub = draw(st.sampled_from(["smallball", "direction"]))
-    # every size flag is given, so no default size (n = 8, l = 3, m = 4) meets a drawn one
-    flags = ["--n", "--l", "--threads", "--trials"] + (["--m"] if sub == "smallball" else [])
-    optional = sorted(set(PROJECTION_FLAGS) - {*flags, "--m", *(["--subspace"] if sub == "direction" else [])})
-    flags += sorted(draw(st.sets(st.sampled_from(optional))))
-    bad = draw(st.sampled_from([None, *flags]))
+
+def small_argv(draw, subcommands) -> list[str]:
+    """argv of a small run of one of ``subcommands``, at most one flag of it with a value to refuse."""
+    sub = draw(st.sampled_from(subcommands))
+    own = {cli._FLAGS[key][0] for key in cli._SUBCOMMANDS[sub][2]} | {"--seed"}
+    flags = [flag for flag in ALWAYS_GIVEN if flag in own]
+    flags += sorted(draw(st.sets(st.sampled_from(sorted(own - set(flags))))))
+    bad = draw(st.one_of(st.none(), st.sampled_from(flags)))
     argv = [sub]
     for flag in flags:
-        valid, refused = PROJECTION_FLAGS[flag]
+        valid, refused = ARGV_FLAGS[flag]
         argv += [flag, draw(st.sampled_from(refused if flag == bad and refused else valid))]
     return argv
+
+
+def check_small_run(argv, out):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run_cli(*argv, "--out", str(out))
+    assert code in range(5), argv
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_projection_argv_fuzz(tmp_path, data):
     """Any small smallball or direction argv ends in exit 0-4 with at most one stderr line and no traceback."""
-    argv = projection_argv(data.draw)
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = run_cli(*argv, "--out", str(tmp_path / "out"))
-    assert code in range(5), argv
-    assert "Traceback" not in err.getvalue()
-    assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+    check_small_run(small_argv(data.draw, ["smallball", "direction"]), tmp_path / "out")
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_other_subcommands_argv_fuzz(tmp_path, data):
+    """So does any small decompose, smin, norms, dominance or bounds argv."""
+    check_small_run(small_argv(data.draw, ["decompose", "smin", "norms", "dominance", "bounds"]), tmp_path / "out")
 
 
 def test_bounds_csv_matches_library(tmp_path):

@@ -21,7 +21,7 @@ from tensorball import (
     simultaneous_diagonalize,
     unfold_terms,
 )
-from tensorball import tensor_core
+from tensorball import cli, tensor_core
 from tensorball.decomposition import _assign, _column_norms, _realify_columns, folding_plan
 
 
@@ -360,6 +360,45 @@ def test_diagonalize_exhausts_probes_on_rank_deficiency():
         simultaneous_diagonalize(t, 3, rng=0)
     # every draw's reason, not only the last one
     assert [f"draw {k}:" in str(info.value) for k in range(1, 6)] == [True] * 5
+
+
+# the folded cases and one rank-one case
+SOLVE_CASES = [("folded", case) for case in FOLDED_CASES] + [("whole", ((30, 30, 30), 1))]
+
+
+@pytest.mark.parametrize("kind, case", SOLVE_CASES)
+def test_mode3_factors_are_the_least_squares_solution(kind, case):
+    """The normal equations on the Hadamard Gram give the least-squares mode-3
+    factors of the design formed from the recovered mode-1 and mode-2 factors."""
+    truth = random_case(kind, case)
+    t = truth.reconstruct()
+    t += 1e-8 * np.random.default_rng(1).standard_normal(t.shape)  # a nonzero residual
+    est = simultaneous_diagonalize(t, truth.r, rng=0)
+    n1, n2, n3 = t.shape
+    want, *_ = np.linalg.lstsq(khatri_rao(est.factors[:2]), t.reshape(n1 * n2, n3), rcond=None)
+    got = (est.weights * est.factors[2]).T
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def singular_solve(*_):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def test_singular_gram_is_a_failed_draw(monkeypatch):
+    t = random_terms(np.random.default_rng(3), (5, 5, 5), 3).reconstruct()
+    monkeypatch.setattr(np.linalg, "solve", singular_solve)
+    with pytest.raises(DegeneracyError, match="5 draws") as info:
+        simultaneous_diagonalize(t, 3, rng=0)
+    reasons = [f"draw {k}: Khatri-Rao Gram of the recovered factors is singular" for k in range(1, 6)]
+    assert [reason in str(info.value) for reason in reasons] == [True] * 5
+
+
+def test_singular_gram_exits_3_with_one_line(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(np.linalg, "solve", singular_solve)
+    assert cli.main(["decompose", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("degeneracy: ") and "singular" in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("shape", [(2.5, 2, 2), (2, 2, 2.0), (True, 2, 2), (2, "2", 2), (2, 2, 0), (2, -1, 2, 2)])

@@ -73,8 +73,8 @@ def test_cli_start_up_leaves_out_the_gates():
     assert proc.stdout.split() == ["False"]
 
 
-def test_betaincinv_lives_in_one_function():
-    """Every exact binomial interval comes from one beta-quantile routine."""
+def _owners(name: str) -> set[str]:
+    """``file:function`` of every place in the package that names ``name``, as a name, an attribute or an import."""
     owners = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -83,13 +83,25 @@ def test_betaincinv_lives_in_one_function():
             names = {getattr(node, "id", None), getattr(node, "attr", None)}
             if isinstance(node, ast.ImportFrom):
                 names |= {alias.name for alias in node.names}
-            if "betaincinv" not in names:
+            if name not in names:
                 continue
             owner = node
             while owner is not None and not isinstance(owner, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 owner = parent.get(owner)
             owners.add(f"{path.name}:{owner.name if owner else '<module>'}")
-    assert owners == {"montecarlo.py:_beta_bounds"}
+    return owners
+
+
+def test_betaincinv_lives_in_one_function():
+    """Every exact binomial interval comes from one beta-quantile routine."""
+    assert _owners("betaincinv") == {"montecarlo.py:_beta_bounds"}
+
+
+def test_lstsq_lives_in_one_function():
+    """Least squares by SVD is gate 1's second route to ``pinv_hs_norm_sq``'s number, so only
+    ``projection_distance_sum`` calls it; on the Gram identity the gate would check that identity against
+    itself.  ``simultaneous_diagonalize`` solves the normal equations on the Hadamard Gram instead."""
+    assert _owners("lstsq") == {"khatri_rao.py:projection_distance_sum"}
 
 
 def test_array_keeping_and_block_size_live_in_tensor_core():
