@@ -176,18 +176,6 @@ def contract_mode3(t: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.tensordot(t, a, axes=(2, 0))
 
 
-def _pinv_rank(m: np.ndarray, r: int) -> np.ndarray | None:
-    """Pseudo-inverse truncated to the top r singular values; None if rank-deficient.
-
-    Truncating at the known rank, not at a threshold, keeps entry noise from
-    leaking 1/noise-sized directions into the eigenproblem.
-    """
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    if s[r - 1] <= _SPECTRAL_TOL * s[0]:
-        return None
-    return (vt[:r].T / s[:r]) @ u[:, :r].T
-
-
 def _assign(cost: np.ndarray) -> np.ndarray:
     """Minimum-cost perfect matching of a square cost matrix: the column of each row.
 
@@ -253,7 +241,7 @@ def _assign(cost: np.ndarray) -> np.ndarray:
     return col_of
 
 
-def _realify_columns(vals, vecs, idx):
+def _realify_columns(vecs, idx):
     """Phase-align selected eigenvectors and drop residual imaginary parts.
 
     Each column is divided by the phase of its largest-modulus entry; that
@@ -262,24 +250,28 @@ def _realify_columns(vals, vecs, idx):
     v = vecs[:, idx]
     pivots = v[np.abs(v).argmax(axis=0), np.arange(len(idx))]
     w = np.real(v / (pivots / np.hypot(pivots.real, pivots.imag)))
-    return w / _column_norms(w), np.real(vals[idx])
+    return w / _column_norms(w)
 
 
 def simultaneous_diagonalize(t: np.ndarray, r: int, rng=None) -> Rank1Terms:
     """Recover rank-one terms of an order-3 tensor from two Gaussian probes.
 
-    Eigenvectors of M_a M_b^+ give the mode-1 factors U, of (M_a)^T (M_b^T)^+
-    the mode-2 factors V (paired by eigenvalue), and the weighted mode-3
-    factors solve the least-squares problem on the Khatri-Rao design U (.) V
-    through its r x r normal equations: the Gram is the Hadamard product
-    (U^T U) * (V^T V) (Kolda & Bader, SIAM Review 2009), so the
-    (n1 n2 x r) design is never formed.  The solve's relative error is
-    about eps * kappa(U (.) V)^2, where an SVD of the design gives
-    eps * kappa(U (.) V) (eps the unit roundoff).
-    Eigenvalue collisions, complex spectra or an exactly singular Gram
-    trigger fresh probes, up to 5 draws, then ``DegeneracyError`` naming
-    each draw's reason.  The relative reconstruction residual is stored on
-    the result.  A tensor with a non-finite entry is refused.
+    With M_b = u_b diag(s) vt_b truncated to its top r singular triples,
+    the r x r pencil K = (u_b^T M_a vt_b^T) diag(s)^-1 has eigenvectors Y
+    (Leurgans, Ross & Abel, SIAM J. Matrix Anal. Appl. 1993): the mode-1
+    factors are U = u_b Y and the mode-2 factors V are the columns of
+    (Y^-1 diag(s) vt_b)^T up to scale, in eigenvalue order by descending
+    modulus.  The weighted mode-3 factors solve the least-squares problem on
+    the Khatri-Rao design U (.) V through its r x r normal equations: the
+    Gram is the Hadamard product (U^T U) * (V^T V) (Kolda & Bader, SIAM
+    Review 2009), so the (n1 n2 x r) design is never formed.  The solve's
+    relative error is about eps * kappa(U (.) V)^2, where an SVD of the
+    design gives eps * kappa(U (.) V) (eps the unit roundoff).
+    A nearly rank-deficient M_b, vanishing, complex or colliding eigenvalues
+    of K, or an exactly singular Y or Gram trigger fresh probes, up to 5
+    draws, then ``DegeneracyError`` naming each draw's reason.  The relative
+    reconstruction residual is stored on the result.  A tensor with a
+    non-finite entry is refused.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 3:
@@ -299,42 +291,36 @@ def simultaneous_diagonalize(t: np.ndarray, r: int, rng=None) -> Rank1Terms:
         b = rng.standard_normal(n3)
         m_a = contract_mode3(t, a)
         m_b = contract_mode3(t, b)
-        pinv_b = _pinv_rank(m_b, r)
-        if pinv_b is None:
+        u_b, s, vt_b = np.linalg.svd(m_b, full_matrices=False)
+        if s[r - 1] <= _SPECTRAL_TOL * s[0]:
             failures.append("probe contraction nearly rank-deficient")
             continue
-        eig_u = np.linalg.eig(m_a @ pinv_b)
-        eig_v = np.linalg.eig(m_a.T @ pinv_b.T)
-
-        def select(vals):
-            order = np.argsort(-np.abs(vals), kind="stable")
-            return order[:r], order[r:]
-
-        idx_u, rest_u = select(eig_u.eigenvalues)
-        idx_v, rest_v = select(eig_v.eigenvalues)
-        radius = max(np.max(np.abs(eig_u.eigenvalues)), np.max(np.abs(eig_v.eigenvalues)))
+        # truncating at the known rank, not at a threshold, keeps entry noise
+        # from leaking 1/noise-sized directions into the r x r pencil
+        u_b, s, vt_b = u_b[:, :r], s[:r], vt_b[:r]
+        vals, vecs = np.linalg.eig((u_b.T @ m_a @ vt_b.T) / s)
+        radius = np.max(np.abs(vals))
         if radius == 0:
             failures.append("all probe eigenvalues vanished")
             continue
-        sel = np.concatenate([eig_u.eigenvalues[idx_u], eig_v.eigenvalues[idx_v]])
-        if np.max(np.abs(np.imag(sel))) > _SPECTRAL_TOL * radius:
+        if np.max(np.abs(np.imag(vals))) > _SPECTRAL_TOL * radius:
             failures.append("complex eigenvalues beyond tolerance")
             continue
-        lam_u = np.real(eig_u.eigenvalues[idx_u])
-        lam_v = np.real(eig_v.eigenvalues[idx_v])
-        gaps = np.abs(lam_u[:, None] - lam_u[None, :])[np.triu_indices(r, 1)]
+        lam = np.real(vals)
+        gaps = np.abs(lam[:, None] - lam[None, :])[np.triu_indices(r, 1)]
         if gaps.size and np.min(gaps) <= _SPECTRAL_TOL * radius:
             failures.append("eigenvalue collision within tolerance")
             continue
-        leak_u = np.max(np.abs(eig_u.eigenvalues[rest_u]), initial=0.0)
-        leak_v = np.max(np.abs(eig_v.eigenvalues[rest_v]), initial=0.0)
-        if min(np.min(np.abs(lam_u)), np.min(np.abs(lam_v))) <= max(leak_u, leak_v) + _SPECTRAL_TOL * radius:
-            failures.append("spectrum does not separate rank-r part from the null space")
+        y = _realify_columns(vecs, np.argsort(-np.abs(vals), kind="stable"))
+        u_mat = u_b @ y
+        # M_b = u_b diag(s) vt_b = U D_b V^T with U = u_b Y, so V^T is
+        # D_b^-1 Y^-1 diag(s) vt_b: the columns of V up to scale
+        try:
+            v_mat = np.linalg.solve(y, s[:, None] * vt_b).T
+        except np.linalg.LinAlgError:
+            failures.append("eigenvector matrix of the probe pencil is singular")
             continue
-        u_mat, lam_u = _realify_columns(eig_u.eigenvalues, eig_u.eigenvectors, idx_u)
-        v_mat, lam_v = _realify_columns(eig_v.eigenvalues, eig_v.eigenvectors, idx_v)
-        pairing = _assign(np.abs(lam_u[:, None] - lam_v[None, :]))
-        v_mat = v_mat[:, pairing]
+        v_mat /= _column_norms(v_mat)
         # row i of the right side contracts u's column i with the mode-1
         # unfolding, then v's column i with that (n2 x n3) slice; relative error
         # about eps * kappa(u (.) v)^2, against eps * kappa for lstsq's SVD, and

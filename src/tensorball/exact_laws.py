@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import HypothesisViolationError, RangeError, ValidationError
+from .subspaces import _is_int
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,13 @@ def _cap(values):
     return np.minimum(values, 1.0)
 
 
+def _check_sizes(least: int, **sizes):
+    """Refuse a size (``ell``, ``m``, ``n`` or ``r``) that is not an integer >= ``least``; a bool is not one."""
+    for name, value in sizes.items():
+        if not (_is_int(value) and value >= least):
+            raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def product_uniform_cdf(ell: int, z):
     """CDF of a product of ``ell`` independent uniform [-1, 1] variables.
 
@@ -60,8 +68,7 @@ def product_uniform_cdf(ell: int, z):
     the ell = 2 base case fix that limit (see the package docs on the
     statement-vs-proof discrepancy).
     """
-    if ell < 1:
-        raise ValidationError(f"ell must be >= 1, got {ell}")
+    _check_sizes(1, ell=ell)
     z, scalar = _as_array(z)
     az = np.abs(z)
     if not np.all(az <= 1):
@@ -85,6 +92,7 @@ def product_uniform_smallball(ell: int, s: float, eps):
     radius s^ell the probability is exactly 1.  A radius that overflows a
     float raises ``RangeError``.
     """
+    _check_sizes(1, ell=ell)
     if not s > 0:
         raise ValidationError(f"half-width s must be positive, got {s}")
     eps, scalar = _as_array(eps)
@@ -136,10 +144,8 @@ def bound_fixed_subspace(eps, m: int, ell: int, cfg: BoundConfig = BoundConfig()
     min{m, C'^ell log(1/eps)} * eps/(ell-1)! * (C'' log(1/eps))^(ell-1),
     capped at 1.  Valid for 0 < eps < exp(-c_small * ell), ell >= 2.
     """
-    if ell < 2:
-        raise ValidationError(f"ell must be >= 2, got {ell}")
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
+    _check_sizes(2, ell=ell)
+    _check_sizes(1, m=m)
     eps, scalar = _as_array(eps)
     _check_eps_validity(eps, ell, cfg.c_small, "bound_fixed_subspace")
     direction_factor = np.minimum(m, cfg.C_prime**ell * np.log(1.0 / eps))
@@ -149,8 +155,7 @@ def bound_fixed_subspace(eps, m: int, ell: int, cfg: BoundConfig = BoundConfig()
 
 def bound_single_direction(eps, ell: int, cfg: BoundConfig = BoundConfig()):
     """Single-direction small-ball bound eps/(ell-1)! * (C log(1/eps))^(ell-1), capped at 1."""
-    if ell < 2:
-        raise ValidationError(f"ell must be >= 2, got {ell}")
+    _check_sizes(2, ell=ell)
     eps, scalar = _as_array(eps)
     _check_eps_validity(eps, ell, cfg.c_small, "bound_single_direction")
     out = _cap(_single_direction_term(eps, ell, cfg.C_main))
@@ -159,8 +164,7 @@ def bound_single_direction(eps, ell: int, cfg: BoundConfig = BoundConfig()):
 
 def bound_generic_subspace(eps, m: int, n: int, ell: int, cfg: BoundConfig = BoundConfig()):
     """Haar-generic subspace bound (C' eps)^(C'' min{m, n}) + exp(-C_main n), capped at 1."""
-    if m < 1 or n < 1 or ell < 1:
-        raise ValidationError("m, n and ell must be positive")
+    _check_sizes(1, m=m, n=n, ell=ell)
     eps, scalar = _as_array(eps)
     if not np.all((eps > 0) & (eps < 1)):
         raise RangeError("bound_generic_subspace requires 0 < eps < 1")
@@ -170,8 +174,7 @@ def bound_generic_subspace(eps, m: int, n: int, ell: int, cfg: BoundConfig = Bou
 
 def bound_carbery_wright(eps, ell: int, cfg: BoundConfig = BoundConfig()):
     """Polynomial anti-concentration comparison bound C * ell * eps^(1/ell), capped at 1."""
-    if ell < 1:
-        raise ValidationError(f"ell must be >= 1, got {ell}")
+    _check_sizes(1, ell=ell)
     eps, scalar = _as_array(eps)
     if not np.all((eps >= 0) & (eps <= 1)):
         raise RangeError("bound_carbery_wright requires 0 <= eps <= 1")
@@ -190,7 +193,9 @@ def bound_nondeterministic(eps, n: int, ell: int, m: int) -> NondeterministicBou
     Returns the pair (value, exponent) where the exponent
     e* = (n - (n^ell - m)^(1/ell)) / ell governs the decay rate.
     """
-    if not 0 <= m <= n**ell:
+    _check_sizes(1, n=n, ell=ell)
+    _check_sizes(0, m=m)
+    if m > n**ell:
         raise ValidationError(f"need 0 <= m <= n^ell = {n ** ell}, got m = {m}")
     eps, scalar = _as_array(eps)
     if not np.all(eps >= 0):
@@ -212,8 +217,7 @@ def bound_concentration_subgaussian(
     """
     if variant not in ("vershynin", "bamberger"):
         raise ValidationError(f"variant must be 'vershynin' or 'bamberger', got {variant!r}")
-    if m < 1 or n < 1 or ell < 1:
-        raise ValidationError("m, n and ell must be positive")
+    _check_sizes(1, m=m, n=n, ell=ell)
     eps, scalar = _as_array(eps)
     if not np.all((eps >= 0) & (eps <= 1)):
         raise RangeError("bound_concentration_subgaussian requires 0 <= eps <= 1")
@@ -232,8 +236,7 @@ def sharpness_lower_bound(eps, ell: int, cfg: BoundConfig = BoundConfig()):
     product-of-uniforms law, whose ratio to it grows without bound as
     eps -> 0 (28.6 at eps = 1e-12 for ell = 2, C = 1; ROADMAP.md item 4).
     """
-    if ell < 2:
-        raise ValidationError(f"ell must be >= 2, got {ell}")
+    _check_sizes(2, ell=ell)
     eps, scalar = _as_array(eps)
     if not np.all((eps > 0) & (eps < 1)):
         raise RangeError("sharpness_lower_bound requires 0 < eps < 1")
@@ -250,8 +253,9 @@ def bound_smin_tail(eps, r: int, n: int, ell: int, rho: float, cfg: BoundConfig 
     bound = eps * r / (ell-1)! * (C' log(1/eps))^ell, capped at 1.
     Requires r <= n^ell / 2 and 0 < eps < exp(-C_main * ell).
     """
-    if r < 1 or n < 1 or ell < 1 or not rho > 0:
-        raise ValidationError("r, n, ell must be positive and rho > 0")
+    _check_sizes(1, r=r, n=n, ell=ell)
+    if not rho > 0:
+        raise ValidationError(f"rho must be > 0, got {rho}")
     if r > n**ell / 2:
         raise HypothesisViolationError(f"need r <= n^ell/2 = {n ** ell / 2}, got r = {r}")
     eps, scalar = _as_array(eps)

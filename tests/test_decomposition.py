@@ -380,25 +380,73 @@ def test_mode3_factors_are_the_least_squares_solution(kind, case):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def singular_solve(*_):
-    raise np.linalg.LinAlgError("Singular matrix")
+def failing_solve(columns):
+    """``np.linalg.solve`` that raises on a right side with ``columns`` columns.
+
+    The eigenvector solve for the mode-2 factors has n2 right-hand columns and
+    the Gram solve n3, so on a tensor with n2 != n3 it fails only one of them.
+    """
+    solve = np.linalg.solve
+
+    def patched(a, b):
+        if b.shape[1] == columns:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    return patched
 
 
-def test_singular_gram_is_a_failed_draw(monkeypatch):
-    t = random_terms(np.random.default_rng(3), (5, 5, 5), 3).reconstruct()
-    monkeypatch.setattr(np.linalg, "solve", singular_solve)
-    with pytest.raises(DegeneracyError, match="5 draws") as info:
-        simultaneous_diagonalize(t, 3, rng=0)
+def five_draw_reasons(t, solve):
+    """The reasons ``simultaneous_diagonalize`` lists once ``np.linalg.solve`` is ``solve``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "solve", solve)
+        with pytest.raises(DegeneracyError, match="5 draws") as info:
+            simultaneous_diagonalize(t, 3, rng=0)
+    return str(info.value)
+
+
+# n2 = 4 and n3 = 6: the eigenvector solve has 4 right-hand columns, the Gram's 6
+UNEQUAL = (5, 4, 6)
+
+
+def test_singular_gram_is_a_failed_draw():
+    t = random_terms(np.random.default_rng(3), UNEQUAL, 3).reconstruct()
+    message = five_draw_reasons(t, failing_solve(6))
     reasons = [f"draw {k}: Khatri-Rao Gram of the recovered factors is singular" for k in range(1, 6)]
-    assert [reason in str(info.value) for reason in reasons] == [True] * 5
+    assert [reason in message for reason in reasons] == [True] * 5
+
+
+def test_singular_eigenvector_matrix_is_a_failed_draw():
+    t = random_terms(np.random.default_rng(3), UNEQUAL, 3).reconstruct()
+    message = five_draw_reasons(t, failing_solve(4))
+    reasons = [f"draw {k}: eigenvector matrix of the probe pencil is singular" for k in range(1, 6)]
+    assert [reason in message for reason in reasons] == [True] * 5
 
 
 def test_singular_gram_exits_3_with_one_line(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(np.linalg, "solve", singular_solve)
-    assert cli.main(["decompose", "--out", str(tmp_path)]) == 3
+    # grouped shape (9, 9, 3): only the Gram solve has 3 right-hand columns
+    monkeypatch.setattr(np.linalg, "solve", failing_solve(3))
+    assert cli.main(["decompose", "--n", "3", "--l", "5", "--r", "4", "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("degeneracy: ") and "singular" in err and "Traceback" not in err
-    assert len(err.splitlines()) == 1
+    assert err.startswith("degeneracy: ") and "Gram of the recovered factors is singular" in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_probe_orthogonal_to_a_component_is_a_usable_draw():
+    # the component's eigenvalue of the r x r pencil is 0, distinct from the
+    # others, so the first probe pair recovers every component
+    n, r = 6, 3
+    a = np.random.default_rng(0).standard_normal(n)
+    rng = np.random.default_rng(1)
+    mats = [rng.standard_normal((n, r)) for _ in range(3)]
+    mats[2][:, 0] -= (a @ mats[2][:, 0]) / (a @ a) * a
+    truth = Rank1Terms.from_raw(mats, weights=rng.uniform(0.5, 2.0, r))
+    probes = np.random.default_rng(0)
+    est = simultaneous_diagonalize(truth.reconstruct(), r, probes)
+    one_pair = np.random.default_rng(0)
+    one_pair.standard_normal(2 * n)
+    assert probes.bit_generator.state == one_pair.bit_generator.state
+    assert match_components(truth, est).max_error <= 1e-12
 
 
 @pytest.mark.parametrize("shape", [(2.5, 2, 2), (2, 2, 2.0), (True, 2, 2), (2, "2", 2), (2, 2, 0), (2, -1, 2, 2)])
@@ -639,7 +687,7 @@ def ref_match(truth, est, col):
     return factor_errors, weight_errors
 
 
-def ref_realify(vals, vecs, idx):
+def ref_realify(vecs, idx):
     out = np.empty((vecs.shape[0], len(idx)))
     for k, i in enumerate(idx):
         v = vecs[:, i]
@@ -647,7 +695,7 @@ def ref_realify(vals, vecs, idx):
         phase = v[pivot] / abs(v[pivot])
         w = np.real(v / phase)
         out[:, k] = w / np.linalg.norm(w)
-    return out, np.real(vals[idx])
+    return out
 
 
 def awkward_matrix(rng, n, r, zeros):
@@ -717,9 +765,7 @@ def test_realify_matches_column_loop(seed, n, zeros):
     # LAPACK makes each eigenvector's largest entry real; a random phase per column makes it complex
     vecs = eig.eigenvectors * np.exp(2j * np.pi * rng.uniform(size=n))
     idx = rng.permutation(n)[: rng.integers(1, n + 1)]
-    out, vals = _realify_columns(eig.eigenvalues, vecs, idx)
-    want, want_vals = ref_realify(eig.eigenvalues, vecs, idx)
-    assert np.array_equal(out, want) and np.array_equal(vals, want_vals)
+    assert np.array_equal(_realify_columns(vecs, idx), ref_realify(vecs, idx))
 
 
 def column_norm_cases():

@@ -307,3 +307,44 @@ def test_smin_tail_refuses_nan_rho():
 def test_bound_config_validation_and_json():
     with pytest.raises(ValidationError):
         BoundConfig(C_main=-1.0)
+
+
+NOT_AN_INTEGER = [2.5, np.float64(3.0), math.nan, True, "3"]
+
+# one call per evaluator and size argument; ``bad`` stands in for that size
+SIZE_CALLS = {
+    "product_uniform_cdf ell": lambda bad: product_uniform_cdf(bad, 0.3),
+    "product_uniform_smallball ell": lambda bad: product_uniform_smallball(bad, 1.0, 0.1),
+    "bound_fixed_subspace m": lambda bad: bound_fixed_subspace(0.01, bad, 3),
+    "bound_fixed_subspace ell": lambda bad: bound_fixed_subspace(0.01, 3, bad),
+    "bound_single_direction ell": lambda bad: bound_single_direction(0.01, bad),
+    "bound_generic_subspace m": lambda bad: bound_generic_subspace(0.01, bad, 3, 2),
+    "bound_generic_subspace n": lambda bad: bound_generic_subspace(0.01, 3, bad, 2),
+    "bound_generic_subspace ell": lambda bad: bound_generic_subspace(0.01, 3, 3, bad),
+    "bound_carbery_wright ell": lambda bad: bound_carbery_wright(0.01, bad),
+    "bound_nondeterministic n": lambda bad: bound_nondeterministic(0.01, bad, 2, 1),
+    "bound_nondeterministic ell": lambda bad: bound_nondeterministic(0.01, 3, bad, 1),
+    "bound_nondeterministic m": lambda bad: bound_nondeterministic(0.01, 3, 2, bad),
+    "bound_concentration_subgaussian m": lambda bad: bound_concentration_subgaussian(0.5, bad, 3, 2),
+    "bound_concentration_subgaussian n": lambda bad: bound_concentration_subgaussian(0.5, 4, bad, 2),
+    "bound_concentration_subgaussian ell": lambda bad: bound_concentration_subgaussian(0.5, 4, 3, bad),
+    "sharpness_lower_bound ell": lambda bad: sharpness_lower_bound(0.01, bad),
+    "bound_smin_tail r": lambda bad: bound_smin_tail(0.01, bad, 4, 2, 1.0),
+    "bound_smin_tail n": lambda bad: bound_smin_tail(0.01, 2, bad, 2, 1.0),
+    "bound_smin_tail ell": lambda bad: bound_smin_tail(0.01, 2, 4, bad, 1.0),
+}
+
+
+@pytest.mark.parametrize("bad", NOT_AN_INTEGER, ids=repr)
+@pytest.mark.parametrize("call", sorted(SIZE_CALLS))
+def test_evaluators_refuse_sizes_that_are_not_integers(call, bad):
+    # 2.5 used to end in a TypeError of ``math.factorial`` or ``range``, or
+    # return a number; a NaN m or n returned NaN
+    name = call.split()[-1]
+    with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+        SIZE_CALLS[call](bad)
+
+
+@pytest.mark.parametrize("call", sorted(SIZE_CALLS))
+def test_evaluators_take_numpy_integer_sizes(call):
+    assert np.all(np.isfinite(np.asarray(SIZE_CALLS[call](np.int64(3)), dtype=float)))
