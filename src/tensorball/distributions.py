@@ -29,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
+from .subspaces import _is_int
 
 _SQRT3 = math.sqrt(3.0)
 _LAPLACE_SCALE = 1.0 / math.sqrt(2.0)
@@ -107,7 +108,7 @@ class DistributionSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown distribution kind {self.kind!r}; expected one of {KINDS}")
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+        if not _is_int(self.dim) or self.dim < 1:
             raise ValidationError(f"dim must be a positive integer, got {self.dim!r}")
         object.__setattr__(self, "dim", int(self.dim))
         if self.kind == "histogram":

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import HypothesisViolationError, RangeError, ValidationError
-from .subspaces import _is_int
+from .subspaces import _check_sizes
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,6 @@ def _ret(values, scalar):
 
 def _cap(values):
     return np.minimum(values, 1.0)
-
-
-def _check_sizes(least: int, **sizes):
-    """Refuse a size (``ell``, ``m``, ``n`` or ``r``) that is not an integer >= ``least``; a bool is not one."""
-    for name, value in sizes.items():
-        if not (_is_int(value) and value >= least):
-            raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def product_uniform_cdf(ell: int, z):

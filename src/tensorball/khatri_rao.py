@@ -27,8 +27,8 @@ import numpy as np
 from .errors import DegeneracyError, HypothesisViolationError, RangeError, ValidationError
 from .exact_laws import BoundConfig, bound_smin_tail
 from .montecarlo import ExperimentConfig, SmallBallCurve, _count_hits, _hit_curve
-from .subspaces import _is_int
-from .tensor_core import _Scratch, kron
+from .subspaces import _check_sizes
+from .tensor_core import _block_rows, _Scratch, kron
 
 _RANK_TOL = 1e-12
 
@@ -95,12 +95,6 @@ def projection_distance_sum(a: np.ndarray) -> float:
     return total
 
 
-def _check_sizes(r, n, ell) -> None:
-    """Refuse ``r``, ``n`` and ``ell`` unless each is an integer >= 1."""
-    if not (all(map(_is_int, (r, n, ell))) and r >= 1 and n >= 1 and ell >= 1):
-        raise ValidationError(f"r, n and ell must be positive integers, got {r!r}, {n!r}, {ell!r}")
-
-
 @dataclass(frozen=True)
 class SmoothedEnsemble:
     """Base simple tensors plus per-mode Gaussian smoothing.
@@ -117,7 +111,10 @@ class SmoothedEnsemble:
     base: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        _check_sizes(self.r, self.n, self.ell)
+        _check_sizes(1, r=self.r, n=self.n, ell=self.ell)
+        # Python ints, so that n**ell does not wrap in a small numpy type
+        for name in ("r", "n", "ell"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         # each check is written so that NaN fails it
         if not self.rho >= 0:
             raise ValidationError(f"need rho >= 0, got {self.rho}")
@@ -132,7 +129,7 @@ class SmoothedEnsemble:
     @classmethod
     def random(cls, r: int, n: int, ell: int, rho: float, rng=None) -> "SmoothedEnsemble":
         """Base vectors drawn uniformly on the unit sphere."""
-        _check_sizes(r, n, ell)
+        _check_sizes(1, r=r, n=n, ell=ell)
         rng = np.random.default_rng(rng)
         base = []
         for _ in range(ell):
@@ -165,7 +162,15 @@ class SminTailResult:
 
 
 def _smin_hits(e: SmoothedEnsemble, thresholds: np.ndarray, rng, size: int, scratch: _Scratch) -> np.ndarray:
-    """One batch of ``smin_tail_experiment``: hit counts of s_min <= each threshold."""
+    """One batch of ``smin_tail_experiment``: hit counts of s_min <= each threshold.
+
+    The factors are drawn whole for the batch, which is the random stream.
+    Everything after the draws goes one block of ``_block_rows(2 * r * r)``
+    trials at a time, and the SVD redo in chunks of ``_block_rows(n**ell * r)``
+    trials, so the batch keeps only the factors and one s_min per trial.
+    Every Gram product, eigvalsh, trace and SVD acts matrix by matrix, so no
+    value depends on the blocks.
+    """
     sigma = e.rho / math.sqrt(e.n)
     mats = []
     for j in range(e.ell):
@@ -174,52 +179,60 @@ def _smin_hits(e: SmoothedEnsemble, thresholds: np.ndarray, rng, size: int, scra
         a *= sigma
         a += e.base[j]
         mats.append(a)
-    gram = np.matmul(mats[0].transpose(0, 2, 1), mats[0], out=scratch.array("gram", (size, e.r, e.r)))
-    mode_gram = scratch.array("mode_gram", (size, e.r, e.r))
-    for a in mats[1:]:
-        gram *= np.matmul(a.transpose(0, 2, 1), a, out=mode_gram)
-    lam = np.linalg.eigvalsh(gram)
-    # Why the band certifies the count.  With u the unit roundoff, each
-    # computed Gram entry is off by at most n*u*|a_i||a_k| per mode, so
-    # the Hadamard product G is off entrywise by at most about
-    # ell*(n+1)*u*d_i*d_k, d_i = sqrt(G_ii) the Khatri-Rao column norms;
-    # that error matrix has spectral norm <= ell*(n+1)*u*trace(G), and by
-    # Weyl it moves every eigenvalue by no more.  ``eigvalsh`` is
-    # backward stable and adds O(u)*||G|| <= O(u)*trace(G); the reference
-    # SVD's s_min, rounding of the Khatri-Rao entries included, is off by
-    # O(ell*u)*s_max, so its square by O(ell*u)*trace(G).
-    # Measured, the computed lambda_min and the SVD's s_min^2 differ by
-    # under 4e-16*trace(G) (r up to 40, n up to 12, ell up to 4), so 1e-10
-    # leaves about six orders of headroom, and it keeps the worst-case
-    # bound ~100x inside the band while ell*(n+1) < 1e4.  Outside the
-    # band, lambda_min <= t^2 and the SVD's s_min <= t therefore agree:
-    # the count is the SVD's count, not a close one.  Inside it (or near
-    # lambda_min = 0, where squaring loses the small singular values) the
-    # trial is redone by SVD.  NaN fails every comparison below, so it is
-    # redone too.
-    band = _GRAM_BAND * np.trace(gram, axis1=1, axis2=2)
-    lam_min = lam[:, 0]
-    certified = (
-        np.all(np.isfinite(lam), axis=1)
-        & (lam_min > band)
-        & np.all(np.abs(lam_min[:, None] - thresholds[None, :] ** 2) > band[:, None], axis=1)
-    )
+    block, chunk = _block_rows(2 * e.r * e.r), _block_rows(e.n**e.ell * e.r)
     smin = np.empty(size)
-    pinv_sq = np.empty(size)
-    smin[certified] = np.sqrt(lam_min[certified])
-    pinv_sq[certified] = np.sum(1.0 / lam[certified], axis=1)
-    finite = certified.copy()
-    redo = np.flatnonzero(~certified)
-    if redo.size:
-        s = np.linalg.svd(kron([a[redo] for a in mats]), compute_uv=False)
-        smin[redo] = s[:, -1]
-        pinv_sq[redo] = np.sum(1.0 / s**2, axis=1)
-        finite[redo] = np.all(np.isfinite(s), axis=1)
-    inv_sq = 1.0 / smin**2
-    ok = finite & (pinv_sq >= inv_sq * (1 - 1e-9)) & (pinv_sq <= e.r * inv_sq * (1 + 1e-9))
-    if not np.all(ok):
+    violated = 0
+    for start in range(0, size, block):
+        part = [a[start : start + block] for a in mats]
+        rows = len(part[0])
+        gram = np.matmul(part[0].transpose(0, 2, 1), part[0], out=scratch.array("gram", (rows, e.r, e.r)))
+        mode_gram = scratch.array("mode_gram", (rows, e.r, e.r))
+        for a in part[1:]:
+            gram *= np.matmul(a.transpose(0, 2, 1), a, out=mode_gram)
+        lam = np.linalg.eigvalsh(gram)
+        # Why the band certifies the count.  With u the unit roundoff, each
+        # computed Gram entry is off by at most n*u*|a_i||a_k| per mode, so
+        # the Hadamard product G is off entrywise by at most about
+        # ell*(n+1)*u*d_i*d_k, d_i = sqrt(G_ii) the Khatri-Rao column norms;
+        # that error matrix has spectral norm <= ell*(n+1)*u*trace(G), and by
+        # Weyl it moves every eigenvalue by no more.  ``eigvalsh`` is
+        # backward stable and adds O(u)*||G|| <= O(u)*trace(G); the reference
+        # SVD's s_min, rounding of the Khatri-Rao entries included, is off by
+        # O(ell*u)*s_max, so its square by O(ell*u)*trace(G).
+        # Measured, the computed lambda_min and the SVD's s_min^2 differ by
+        # under 4e-16*trace(G) (r up to 40, n up to 12, ell up to 4), so 1e-10
+        # leaves about six orders of headroom, and it keeps the worst-case
+        # bound ~100x inside the band while ell*(n+1) < 1e4.  Outside the
+        # band, lambda_min <= t^2 and the SVD's s_min <= t therefore agree:
+        # the count is the SVD's count, not a close one.  Inside it (or near
+        # lambda_min = 0, where squaring loses the small singular values) the
+        # trial is redone by SVD.  NaN fails every comparison below, so it is
+        # redone too.
+        band = _GRAM_BAND * np.trace(gram, axis1=1, axis2=2)
+        lam_min = lam[:, 0]
+        certified = (
+            np.all(np.isfinite(lam), axis=1)
+            & (lam_min > band)
+            & np.all(np.abs(lam_min[:, None] - thresholds[None, :] ** 2) > band[:, None], axis=1)
+        )
+        part_smin = smin[start : start + rows]
+        pinv_sq = np.empty(rows)
+        part_smin[certified] = np.sqrt(lam_min[certified])
+        pinv_sq[certified] = np.sum(1.0 / lam[certified], axis=1)
+        finite = certified.copy()
+        redo = np.flatnonzero(~certified)
+        for at in range(0, redo.size, chunk):
+            redone = redo[at : at + chunk]
+            s = np.linalg.svd(kron([a[redone] for a in part]), compute_uv=False)
+            part_smin[redone] = s[:, -1]
+            pinv_sq[redone] = np.sum(1.0 / s**2, axis=1)
+            finite[redone] = np.all(np.isfinite(s), axis=1)
+        inv_sq = 1.0 / part_smin**2
+        ok = finite & (pinv_sq >= inv_sq * (1 - 1e-9)) & (pinv_sq <= e.r * inv_sq * (1 + 1e-9))
+        violated += rows - np.count_nonzero(ok)
+    if violated:
         raise DegeneracyError(
-            f"singular-value sandwich violated on {size - np.count_nonzero(ok)} of {size} draws"
+            f"singular-value sandwich violated on {violated} of {size} draws"
             " (non-finite or misordered singular values)"
         )
     return _count_hits(smin, thresholds)
@@ -239,9 +252,10 @@ def smin_tail_experiment(e: SmoothedEnsemble, cfg: ExperimentConfig, eps_grid) -
     1/s_min^2 <= ||A^+||_HS^2 <= r/s_min^2 is checked on every draw, from
     the eigenvalues or the redone singular values; a failure (non-finite or
     misordered values) raises ``DegeneracyError``.
-    Memory per batch is O(size * (ell*n*r + r^2)) plus the n^ell x r
-    matrices of the redone trials.  The constants c and C are those of the
-    default ``BoundConfig``.
+    Memory per batch is O(size * ell*n*r) for the draws plus one block: the
+    Grams of ``_block_rows(2 * r * r)`` trials, or the n^ell x r matrices of
+    ``_block_rows(n**ell * r)`` redone trials.  The constants c and C are
+    those of the default ``BoundConfig``.
     """
     bound_cfg = BoundConfig()
     if e.r > e.n**e.ell / 2:

@@ -58,11 +58,14 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
         counts = {"trials": self.trials, "batch_size": self.batch_size, "threads": self.threads}
-        if not all(isinstance(v, (int, np.integer)) for v in counts.values()):
+        if not all(map(_is_int, counts.values())):
             raise ValidationError(f"trials, batch_size and threads must be integers, got {counts}")
+        # Python ints, so that batch sizes and offsets do not wrap in a small numpy type
+        for name in ("seed", *counts):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.trials < 100:
             raise ValidationError(f"need at least 100 trials, got {self.trials}")
         if not 0 < self.confidence < 1:
@@ -106,8 +109,9 @@ class SmallBallCurve:
     ci_high: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
+        if not _is_int(self.trials) or self.trials < 1:
             raise ValidationError(f"trials must be a positive integer, got {self.trials!r}")
+        object.__setattr__(self, "trials", int(self.trials))
         # written so that NaN fails it
         if not 0 < self.confidence < 1:
             raise ValidationError(f"confidence must lie in (0, 1), got {self.confidence}")

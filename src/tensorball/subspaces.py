@@ -30,6 +30,13 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_sizes(least: int, **sizes) -> None:
+    """Refuse a size (``ell``, ``m``, ``n`` or ``r``) that is not an integer >= ``least``; a bool is not one."""
+    for name, value in sizes.items():
+        if not (_is_int(value) and value >= least):
+            raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _dims(shape) -> tuple[int, ...]:
     """``shape`` as a tuple of ints, refused unless it has at least one mode and every dim is an integer >= 1."""
     dims = tuple(shape)

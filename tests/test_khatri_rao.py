@@ -21,6 +21,10 @@ from tensorball import (
     sample_smoothed_factors,
     smin_tail_experiment,
 )
+from tensorball import montecarlo
+from tensorball.tensor_core import _block_rows, kron
+
+kr_module = importlib.import_module("tensorball.khatri_rao")
 
 
 def test_khatri_rao_single_columns():
@@ -51,10 +55,10 @@ def test_khatri_rao_refuses_factors_that_are_not_matrices(mats):
 
 @pytest.mark.parametrize("sizes", [(2.5, 4, 3), (2, 4, 2.0), (2, 4.0, 2), (True, 4, 2), (0, 4, 2), (2, 4, -1)])
 def test_ensemble_refuses_sizes_that_are_not_positive_integers(sizes):
-    with pytest.raises(ValidationError, match="positive integers"):
+    with pytest.raises(ValidationError, match="must be an integer >= 1"):
         SmoothedEnsemble.random(*sizes, 1.0, 0)
     r, n, ell = sizes
-    with pytest.raises(ValidationError, match="positive integers"):
+    with pytest.raises(ValidationError, match="must be an integer >= 1"):
         SmoothedEnsemble(r=r, n=n, ell=ell, rho=1.0, base=())
 
 
@@ -62,6 +66,10 @@ def test_ensemble_takes_numpy_integer_sizes():
     e = SmoothedEnsemble.random(np.int64(2), np.int32(4), np.uint8(3), 1.0, 0)
     want = SmoothedEnsemble.random(2, 4, 3, 1.0, 0)
     assert len(e.base) == 3 and all(np.array_equal(a, b) for a, b in zip(e.base, want.base))
+    # kept as np.uint8, n**ell = 8**3 wrapped to 0 and r <= n**ell/2 refused the run
+    wide = SmoothedEnsemble.random(np.uint8(20), np.uint8(8), np.uint8(3), 1.0, 0)
+    assert all(type(v) is int for v in (wide.r, wide.n, wide.ell))
+    assert smin_tail_experiment(wide, smin_cfg(), (0.5,)).thresholds[0] > 0
 
 
 @given(st.integers(0, 10**6))
@@ -335,7 +343,6 @@ def test_smin_tail_threshold_tie_counts_as_hit(svd_spy):
 
 
 def test_smin_tail_forced_fallback_keeps_counts(monkeypatch, svd_spy):
-    kr_module = importlib.import_module("tensorball.khatri_rao")
     monkeypatch.setattr(kr_module, "_GRAM_BAND", 1e-2)
     e = SmoothedEnsemble.random(5, 3, 3, 1.0, rng=7)
     cfg = ExperimentConfig(seed=6, trials=300, batch_size=300)
@@ -344,14 +351,126 @@ def test_smin_tail_forced_fallback_keeps_counts(monkeypatch, svd_spy):
     assert res.curve.hit_counts == svd_counts(replayed_smin(e, cfg), res.thresholds)
 
 
-def test_smin_tail_memory_stays_off_the_khatri_rao_matrix():
-    """1e3 trials at r=20, n=8, ell=3: the 512 x 20 matrices alone would take 82 MB."""
-    e = SmoothedEnsemble.random(20, 8, 3, 1.0, rng=0)
-    cfg = ExperimentConfig(seed=0, trials=1000)
+def smin_peak(e, trials):
+    """Traced peak bytes of one ``smin_tail_experiment`` call of ``trials`` trials in one batch."""
     tracemalloc.start()
     try:
-        smin_tail_experiment(e, cfg, (0.5, 0.1, 0.01))
-        peak = tracemalloc.get_traced_memory()[1]
+        smin_tail_experiment(e, ExperimentConfig(seed=0, trials=trials), (0.5, 0.1, 0.01))
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32e6
+
+
+def test_smin_tail_memory_stays_off_the_khatri_rao_matrix():
+    """1e3 trials at r=20, n=8, ell=3: the 512 x 20 matrices alone would take 82 MB.
+
+    Past the draws, the batch keeps one s_min per trial: 2000 more trials add
+    their factors and a few scalars each, and no r x r Gram or r eigenvalues.
+    """
+    e = SmoothedEnsemble.random(20, 8, 3, 1.0, rng=0)
+    # a first call loads what the interval needs, outside the traced calls
+    smin_tail_experiment(e, ExperimentConfig(seed=0, trials=100), (0.5,))
+    assert smin_peak(e, 1000) < 32e6
+    grown = smin_peak(e, 4000) - smin_peak(e, 2000)
+    assert grown <= 1.1 * 2000 * (e.ell * e.n * e.r + 2) * 8
+
+
+def whole_batch_smin(e, thresholds, rng, size):
+    """Per-trial s_min of one batch as the kernel found it with the whole
+    batch's Grams, eigenvalues and redone SVDs at once: the reference the
+    blocked kernel must equal bit for bit."""
+    sigma = e.rho / math.sqrt(e.n)
+    mats = []
+    for j in range(e.ell):
+        a = rng.standard_normal((size, e.n, e.r))
+        a *= sigma
+        a += e.base[j]
+        mats.append(a)
+    gram = np.matmul(mats[0].transpose(0, 2, 1), mats[0])
+    for a in mats[1:]:
+        gram *= np.matmul(a.transpose(0, 2, 1), a)
+    lam = np.linalg.eigvalsh(gram)
+    band = kr_module._GRAM_BAND * np.trace(gram, axis1=1, axis2=2)
+    lam_min = lam[:, 0]
+    certified = (
+        np.all(np.isfinite(lam), axis=1)
+        & (lam_min > band)
+        & np.all(np.abs(lam_min[:, None] - thresholds[None, :] ** 2) > band[:, None], axis=1)
+    )
+    smin = np.empty(size)
+    pinv_sq = np.empty(size)
+    smin[certified] = np.sqrt(lam_min[certified])
+    pinv_sq[certified] = np.sum(1.0 / lam[certified], axis=1)
+    finite = certified.copy()
+    redo = np.flatnonzero(~certified)
+    if redo.size:
+        s = np.linalg.svd(kron([a[redo] for a in mats]), compute_uv=False)
+        smin[redo] = s[:, -1]
+        pinv_sq[redo] = np.sum(1.0 / s**2, axis=1)
+        finite[redo] = np.all(np.isfinite(s), axis=1)
+    inv_sq = 1.0 / smin**2
+    assert np.all(finite & (pinv_sq >= inv_sq * (1 - 1e-9)) & (pinv_sq <= e.r * inv_sq * (1 + 1e-9)))
+    return smin
+
+
+@pytest.fixture
+def counted_smin(monkeypatch):
+    """The s_min arrays the kernel hands to ``_count_hits``, copied before it sorts them."""
+    seen = []
+    real = kr_module._count_hits
+
+    def spy(values, thresholds):
+        seen.append(values.copy())
+        return real(values, thresholds)
+
+    monkeypatch.setattr(kr_module, "_count_hits", spy)
+    return seen
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)], ids=["1", "B-1", "B", "B+1", "3B+5"])
+@pytest.mark.parametrize("r, n, ell", [(1, 3, 2), (8, 6, 2), (20, 8, 3), (40, 8, 3)])
+def test_smin_blocks_equal_the_whole_batch(monkeypatch, counted_smin, r, n, ell, blocks, extra, threads):
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    size = blocks * _block_rows(2 * r * r) + extra
+    e = SmoothedEnsemble.random(r, n, ell, 1.0, rng=r)
+    cfg = ExperimentConfig(seed=3, trials=max(100, 2 * size), batch_size=size, threads=threads)
+    res = smin_tail_experiment(e, cfg, (2.0, 1.0, 0.5, 0.2, 0.05))
+    thresholds = np.array(res.thresholds)
+    want, counts = [], 0
+    for i in range(-(-cfg.trials // size)):
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
+        want.append(whole_batch_smin(e, thresholds, rng, min(size, cfg.trials - i * size)))
+        counts = counts + montecarlo._count_hits(want[-1].copy(), thresholds)
+    assert res.curve.hit_counts == tuple(counts)
+    # with two threads the batches finish in any order
+    assert sorted(a.tobytes() for a in counted_smin) == sorted(a.tobytes() for a in want)
+
+
+def test_smin_redo_goes_in_bounded_chunks(monkeypatch, svd_spy):
+    # lambda_min <= trace(G), so a band of one trace leaves no trial certified
+    monkeypatch.setattr(kr_module, "_GRAM_BAND", 1.0)
+    e = SmoothedEnsemble.random(20, 8, 3, 1.0, rng=2)
+    cfg = ExperimentConfig(seed=5, trials=400, batch_size=400)
+    res = smin_tail_experiment(e, cfg, (2.0, 1.0, 0.5, 0.2))
+    assert sum(svd_spy) == 400
+    assert max(svd_spy) <= _block_rows(8**3 * 20)
+    assert res.curve.hit_counts == svd_counts(replayed_smin(e, cfg), res.thresholds)
+
+
+def test_smin_sandwich_violations_add_up_over_blocks(monkeypatch):
+    e = SmoothedEnsemble.random(20, 8, 3, 1.0, rng=0)
+    # two blocks of the kernel
+    assert _block_rows(2 * 20 * 20) < 200 <= 2 * _block_rows(2 * 20 * 20)
+    real = np.linalg.eigvalsh
+
+    def misordered(a, UPLO="L"):
+        # the first trial of each block gets an eigenvalue below its smallest,
+        # so that 1/lambda summed exceeds r/lambda_min
+        lam = real(a, UPLO)
+        lam[0, 1] = lam[0, 0] / (4 * a.shape[-1])
+        return lam
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", misordered)
+    with pytest.raises(DegeneracyError, match="violated on 2 of 200 draws"):
+        smin_tail_experiment(e, ExperimentConfig(seed=0, trials=200, batch_size=200), (0.5, 0.1))

@@ -73,6 +73,27 @@ def test_config_requires_integral_batch_size_and_threads(field, value):
         cfg_of(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "make, field, value",
+    [
+        (lambda v: cfg_of(seed=v), "seed", 3),
+        (lambda v: cfg_of(trials=v), "trials", 1100),
+        (lambda v: cfg_of(batch_size=v), "batch_size", 200),
+        (lambda v: cfg_of(threads=v), "threads", 2),
+        (lambda v: SmallBallCurve((0.5,), (0,), v, 0.9), "trials", 5),
+        (lambda v: DistributionSpec("gaussian-std", v), "dim", 3),
+    ],
+    ids=["seed", "trials", "batch_size", "threads", "curve-trials", "dim"],
+)
+def test_run_sizes_refuse_bools_and_keep_python_ints(make, field, value):
+    # a bool passed as a size, and a numpy integer was kept in its own type,
+    # where a run's batch offsets such as -1100 do not fit a uint16
+    with pytest.raises(ValidationError):
+        make(True)
+    made = getattr(make(np.uint16(value)), field)
+    assert type(made) is int and made == value
+
+
 BAD_EPS_GRIDS = [(0.1, 0.2), (0.5, 0.5), (0.5, math.nan), (math.nan,), (0.5, 0.0), (0.5, -0.1), (math.inf, 0.5), ()]
 
 
