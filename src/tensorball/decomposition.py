@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegeneracyError, ValidationError
 from .khatri_rao import SmoothedEnsemble, _matrices, khatri_rao, sample_smoothed_factors
-from .subspaces import _is_int
+from .subspaces import _check_sizes, _dims
 from .tensor_core import kron
 
 _UNIT_TOL = 1e-10
@@ -277,7 +277,8 @@ def simultaneous_diagonalize(t: np.ndarray, r: int, rng=None) -> Rank1Terms:
     if t.ndim != 3:
         raise ValidationError(f"need an order-3 tensor, got order {t.ndim}")
     n1, n2, n3 = t.shape
-    if not (_is_int(r) and 1 <= r <= min(n1, n2)):
+    (r,) = _check_sizes(1, r=r)
+    if r > min(n1, n2):
         raise ValidationError(f"rank r = {r!r} unsupported: need an integer 1 <= r <= min(n1, n2) = {min(n1, n2)}")
     if not np.isfinite(t).all():
         raise ValidationError("cannot decompose a tensor with a non-finite entry")
@@ -362,13 +363,10 @@ class FoldingPlan:
 
 def folding_plan(shape) -> FoldingPlan:
     """Mode grouping 1..floor((l-1)/2), the rest up to l-1, then l alone."""
-    shape = tuple(shape)
+    shape = _dims(shape)
     ell = len(shape)
     if ell < 3:
         raise ValidationError(f"folding needs order >= 3, got {ell}")
-    if not all(_is_int(n) and n >= 1 for n in shape):
-        raise ValidationError(f"folding needs integer dims >= 1, got {shape}")
-    shape = tuple(int(n) for n in shape)
     g1 = (ell - 1) // 2
     groups = (tuple(range(g1)), tuple(range(g1, ell - 1)), (ell - 1,))
     return FoldingPlan(shape=shape, groups=groups)

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .subspaces import _is_int
+from .subspaces import _check_sizes
 
 _SQRT3 = math.sqrt(3.0)
 _LAPLACE_SCALE = 1.0 / math.sqrt(2.0)
@@ -108,9 +108,8 @@ class DistributionSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown distribution kind {self.kind!r}; expected one of {KINDS}")
-        if not _is_int(self.dim) or self.dim < 1:
-            raise ValidationError(f"dim must be a positive integer, got {self.dim!r}")
-        object.__setattr__(self, "dim", int(self.dim))
+        (dim,) = _check_sizes(1, dim=self.dim)
+        object.__setattr__(self, "dim", dim)
         if self.kind == "histogram":
             if self.histogram is None:
                 raise ConfigurationError("kind 'histogram' requires a HistogramDensity")

@@ -61,7 +61,7 @@ def product_uniform_cdf(ell: int, z):
     the ell = 2 base case fix that limit (see the package docs on the
     statement-vs-proof discrepancy).
     """
-    _check_sizes(1, ell=ell)
+    (ell,) = _check_sizes(1, ell=ell)
     z, scalar = _as_array(z)
     az = np.abs(z)
     if not np.all(az <= 1):
@@ -85,7 +85,7 @@ def product_uniform_smallball(ell: int, s: float, eps):
     radius s^ell the probability is exactly 1.  A radius that overflows a
     float raises ``RangeError``.
     """
-    _check_sizes(1, ell=ell)
+    (ell,) = _check_sizes(1, ell=ell)
     if not s > 0:
         raise ValidationError(f"half-width s must be positive, got {s}")
     eps, scalar = _as_array(eps)
@@ -137,8 +137,8 @@ def bound_fixed_subspace(eps, m: int, ell: int, cfg: BoundConfig = BoundConfig()
     min{m, C'^ell log(1/eps)} * eps/(ell-1)! * (C'' log(1/eps))^(ell-1),
     capped at 1.  Valid for 0 < eps < exp(-c_small * ell), ell >= 2.
     """
-    _check_sizes(2, ell=ell)
-    _check_sizes(1, m=m)
+    (ell,) = _check_sizes(2, ell=ell)
+    (m,) = _check_sizes(1, m=m)
     eps, scalar = _as_array(eps)
     _check_eps_validity(eps, ell, cfg.c_small, "bound_fixed_subspace")
     direction_factor = np.minimum(m, cfg.C_prime**ell * np.log(1.0 / eps))
@@ -148,7 +148,7 @@ def bound_fixed_subspace(eps, m: int, ell: int, cfg: BoundConfig = BoundConfig()
 
 def bound_single_direction(eps, ell: int, cfg: BoundConfig = BoundConfig()):
     """Single-direction small-ball bound eps/(ell-1)! * (C log(1/eps))^(ell-1), capped at 1."""
-    _check_sizes(2, ell=ell)
+    (ell,) = _check_sizes(2, ell=ell)
     eps, scalar = _as_array(eps)
     _check_eps_validity(eps, ell, cfg.c_small, "bound_single_direction")
     out = _cap(_single_direction_term(eps, ell, cfg.C_main))
@@ -157,7 +157,7 @@ def bound_single_direction(eps, ell: int, cfg: BoundConfig = BoundConfig()):
 
 def bound_generic_subspace(eps, m: int, n: int, ell: int, cfg: BoundConfig = BoundConfig()):
     """Haar-generic subspace bound (C' eps)^(C'' min{m, n}) + exp(-C_main n), capped at 1."""
-    _check_sizes(1, m=m, n=n, ell=ell)
+    m, n, ell = _check_sizes(1, m=m, n=n, ell=ell)
     eps, scalar = _as_array(eps)
     if not np.all((eps > 0) & (eps < 1)):
         raise RangeError("bound_generic_subspace requires 0 < eps < 1")
@@ -167,7 +167,7 @@ def bound_generic_subspace(eps, m: int, n: int, ell: int, cfg: BoundConfig = Bou
 
 def bound_carbery_wright(eps, ell: int, cfg: BoundConfig = BoundConfig()):
     """Polynomial anti-concentration comparison bound C * ell * eps^(1/ell), capped at 1."""
-    _check_sizes(1, ell=ell)
+    (ell,) = _check_sizes(1, ell=ell)
     eps, scalar = _as_array(eps)
     if not np.all((eps >= 0) & (eps <= 1)):
         raise RangeError("bound_carbery_wright requires 0 <= eps <= 1")
@@ -186,8 +186,8 @@ def bound_nondeterministic(eps, n: int, ell: int, m: int) -> NondeterministicBou
     Returns the pair (value, exponent) where the exponent
     e* = (n - (n^ell - m)^(1/ell)) / ell governs the decay rate.
     """
-    _check_sizes(1, n=n, ell=ell)
-    _check_sizes(0, m=m)
+    n, ell = _check_sizes(1, n=n, ell=ell)
+    (m,) = _check_sizes(0, m=m)
     if m > n**ell:
         raise ValidationError(f"need 0 <= m <= n^ell = {n ** ell}, got m = {m}")
     eps, scalar = _as_array(eps)
@@ -210,7 +210,7 @@ def bound_concentration_subgaussian(
     """
     if variant not in ("vershynin", "bamberger"):
         raise ValidationError(f"variant must be 'vershynin' or 'bamberger', got {variant!r}")
-    _check_sizes(1, m=m, n=n, ell=ell)
+    m, n, ell = _check_sizes(1, m=m, n=n, ell=ell)
     eps, scalar = _as_array(eps)
     if not np.all((eps >= 0) & (eps <= 1)):
         raise RangeError("bound_concentration_subgaussian requires 0 <= eps <= 1")
@@ -229,7 +229,7 @@ def sharpness_lower_bound(eps, ell: int, cfg: BoundConfig = BoundConfig()):
     product-of-uniforms law, whose ratio to it grows without bound as
     eps -> 0 (28.6 at eps = 1e-12 for ell = 2, C = 1; ROADMAP.md item 4).
     """
-    _check_sizes(2, ell=ell)
+    (ell,) = _check_sizes(2, ell=ell)
     eps, scalar = _as_array(eps)
     if not np.all((eps > 0) & (eps < 1)):
         raise RangeError("sharpness_lower_bound requires 0 < eps < 1")
@@ -246,7 +246,7 @@ def bound_smin_tail(eps, r: int, n: int, ell: int, rho: float, cfg: BoundConfig 
     bound = eps * r / (ell-1)! * (C' log(1/eps))^ell, capped at 1.
     Requires r <= n^ell / 2 and 0 < eps < exp(-C_main * ell).
     """
-    _check_sizes(1, r=r, n=n, ell=ell)
+    r, n, ell = _check_sizes(1, r=r, n=n, ell=ell)
     if not rho > 0:
         raise ValidationError(f"rho must be > 0, got {rho}")
     if r > n**ell / 2:

@@ -111,10 +111,8 @@ class SmoothedEnsemble:
     base: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        _check_sizes(1, r=self.r, n=self.n, ell=self.ell)
-        # Python ints, so that n**ell does not wrap in a small numpy type
-        for name in ("r", "n", "ell"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+        for name, value in zip(("r", "n", "ell"), _check_sizes(1, r=self.r, n=self.n, ell=self.ell)):
+            object.__setattr__(self, name, value)
         # each check is written so that NaN fails it
         if not self.rho >= 0:
             raise ValidationError(f"need rho >= 0, got {self.rho}")
@@ -129,7 +127,7 @@ class SmoothedEnsemble:
     @classmethod
     def random(cls, r: int, n: int, ell: int, rho: float, rng=None) -> "SmoothedEnsemble":
         """Base vectors drawn uniformly on the unit sphere."""
-        _check_sizes(1, r=r, n=n, ell=ell)
+        r, n, ell = _check_sizes(1, r=r, n=n, ell=ell)
         rng = np.random.default_rng(rng)
         base = []
         for _ in range(ell):

@@ -38,7 +38,7 @@ import numpy as np
 
 from .distributions import sample_chunks, sample_matrix
 from .errors import DataSparsityError, RangeError, ValidationError
-from .subspaces import SubspaceBasis, _is_int
+from .subspaces import SubspaceBasis, _check_sizes
 from .tensor_core import _block_rows, _columns, _Scratch, contract_blocks, read_columns
 
 
@@ -58,20 +58,16 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        counts = {"trials": self.trials, "batch_size": self.batch_size, "threads": self.threads}
-        if not all(map(_is_int, counts.values())):
-            raise ValidationError(f"trials, batch_size and threads must be integers, got {counts}")
-        # Python ints, so that batch sizes and offsets do not wrap in a small numpy type
-        for name in ("seed", *counts):
-            object.__setattr__(self, name, int(getattr(self, name)))
+        sizes = (
+            *_check_sizes(0, seed=self.seed),
+            *_check_sizes(1, trials=self.trials, batch_size=self.batch_size, threads=self.threads),
+        )
+        for name, value in zip(("seed", "trials", "batch_size", "threads"), sizes):
+            object.__setattr__(self, name, value)
         if self.trials < 100:
             raise ValidationError(f"need at least 100 trials, got {self.trials}")
         if not 0 < self.confidence < 1:
             raise ValidationError(f"confidence must lie in (0, 1), got {self.confidence}")
-        if self.batch_size < 1 or self.threads < 1:
-            raise ValidationError("batch_size and threads must be >= 1")
 
 
 def _beta_bounds(hits, trials: int, tail: float) -> tuple[np.ndarray, np.ndarray]:
@@ -89,7 +85,18 @@ def _beta_bounds(hits, trials: int, tail: float) -> tuple[np.ndarray, np.ndarray
 
 
 def clopper_pearson(hits, trials: int, confidence: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact binomial two-sided confidence bounds from beta quantiles."""
+    """Exact binomial two-sided confidence bounds from beta quantiles.
+
+    Refuses a confidence outside (0, 1), trials that are not an integer
+    >= 1 and hits outside [0, trials]; each check is written so that NaN
+    fails it.
+    """
+    (trials,) = _check_sizes(1, trials=trials)
+    if not 0 < confidence < 1:
+        raise ValidationError(f"confidence must lie in (0, 1), got {confidence}")
+    hits = np.asarray(hits)
+    if not np.all((hits >= 0) & (hits <= trials)):
+        raise ValidationError("hit counts must lie in [0, trials]")
     return _beta_bounds(hits, trials, (1.0 - confidence) / 2)
 
 
@@ -109,23 +116,19 @@ class SmallBallCurve:
     ci_high: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        if not _is_int(self.trials) or self.trials < 1:
-            raise ValidationError(f"trials must be a positive integer, got {self.trials!r}")
-        object.__setattr__(self, "trials", int(self.trials))
-        # written so that NaN fails it
-        if not 0 < self.confidence < 1:
-            raise ValidationError(f"confidence must lie in (0, 1), got {self.confidence}")
+        (trials,) = _check_sizes(1, trials=self.trials)
+        object.__setattr__(self, "trials", trials)
         grid = np.asarray(self.epsilon_grid, dtype=float)
-        counts = np.asarray(self.hit_counts)
+        # floats, so that the differences of unsigned counts do not wrap
+        counts = np.asarray(self.hit_counts, dtype=float)
         if grid.shape != counts.shape:
             raise ValidationError("epsilon_grid and hit_counts must have equal length")
-        if np.any(counts < 0) or np.any(counts > self.trials):
-            raise ValidationError("hit counts must lie in [0, trials]")
+        # refuses a confidence outside (0, 1) and counts outside [0, trials]
+        low, high = clopper_pearson(counts, trials, self.confidence)
         if np.any(np.diff(counts) > 0):
             raise ValidationError("hit counts must be nonincreasing along the decreasing grid (nested events)")
         object.__setattr__(self, "epsilon_grid", tuple(grid.tolist()))
         object.__setattr__(self, "hit_counts", tuple(int(c) for c in counts))
-        low, high = clopper_pearson(counts, self.trials, self.confidence)
         object.__setattr__(self, "ci_low", tuple(low.tolist()))
         object.__setattr__(self, "ci_high", tuple(high.tolist()))
 
@@ -175,8 +178,7 @@ class SlabBody:
 
     @classmethod
     def random(cls, dim: int, count: int, scale: float, rng) -> "SlabBody":
-        if not (_is_int(dim) and _is_int(count) and dim >= 0 and count >= 0):
-            raise ValidationError(f"dim and count must be integers >= 0, got {dim!r}, {count!r}")
+        dim, count = _check_sizes(0, dim=dim, count=count)
         rng = np.random.default_rng(rng)
         # a scale past the float range gives infinite directions, which __post_init__ refuses
         with np.errstate(over="ignore"):

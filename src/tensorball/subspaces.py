@@ -25,24 +25,22 @@ FLATTEN_CAP = 10_000_000
 _BASIS_MAGIC = b"TBSB"
 
 
-def _is_int(value) -> bool:
-    """Whether a size (a dim, ``m``, ``n`` or ``ell``) is a Python or numpy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_sizes(least: int, **sizes) -> None:
-    """Refuse a size (``ell``, ``m``, ``n`` or ``r``) that is not an integer >= ``least``; a bool is not one."""
+def _check_sizes(least: int, **sizes) -> tuple[int, ...]:
+    """The package's one size rule: each size (a dim, ``ell``, ``m``, ``n``, ``r``, a trial count, ...) must be
+    a Python or numpy integer >= ``least``, and a bool is not one.  Returns the sizes in order as Python ints,
+    so that ``n**ell`` and batch offsets do not wrap in a small numpy type."""
     for name, value in sizes.items():
-        if not (_is_int(value) and value >= least):
+        if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least):
             raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+    return tuple(int(value) for value in sizes.values())
 
 
 def _dims(shape) -> tuple[int, ...]:
-    """``shape`` as a tuple of ints, refused unless it has at least one mode and every dim is an integer >= 1."""
+    """``shape`` as a tuple of Python ints, refused unless it has at least one mode and every dim is an integer >= 1."""
     dims = tuple(shape)
-    if not dims or not all(_is_int(n) and n >= 1 for n in dims):
-        raise ValidationError(f"a tensor shape needs at least one mode and integer dims >= 1, got {dims}")
-    return tuple(int(n) for n in dims)
+    if not dims:
+        raise ValidationError("a tensor shape needs at least one mode, got ()")
+    return _check_sizes(1, **{f"shape[{j}]": n for j, n in enumerate(dims)})
 
 
 @dataclass(frozen=True)
@@ -129,7 +127,8 @@ def haar_subspace(shape, m: int, rng) -> SubspaceBasis:
     rng = np.random.default_rng(rng)
     shape = _dims(shape)
     d = math.prod(shape)
-    if not (_is_int(m) and 1 <= m <= d):
+    (m,) = _check_sizes(1, m=m)
+    if m > d:
         raise ValidationError(f"need 1 <= m <= {d}, got m = {m}")
     g = rng.standard_normal((d, m))
     q, r = np.linalg.qr(g)
@@ -145,9 +144,9 @@ def diagonal_direction(n: int, ell: int) -> SubspaceBasis:
 
 def coordinate_line_subspace(n: int, ell: int, m: int) -> SubspaceBasis:
     """Adversarial coordinate subspace spanned by e_k x e_1 x ... x e_1, k = 1..m."""
-    if not (all(map(_is_int, (n, ell, m))) and ell >= 1 and 1 <= m <= n):
-        raise ValidationError(f"need integers n, ell >= 1 and 1 <= m <= n, got n = {n!r}, ell = {ell!r}, m = {m!r}")
-    n, ell, m = int(n), int(ell), int(m)
+    n, ell, m = _check_sizes(1, n=n, ell=ell, m=m)
+    if m > n:
+        raise ValidationError(f"need m <= n, got n = {n}, m = {m}")
     d = n**ell
     rows = np.zeros((m, d))
     rows[np.arange(m), np.arange(m) * n ** (ell - 1)] = 1.0

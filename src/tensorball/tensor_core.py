@@ -43,6 +43,8 @@ def kron(mats, out=None) -> np.ndarray:
     stage's product in place of a fresh allocation and is returned; each
     entry is the same product, so the bits do not change.
     """
+    if len(mats) == 0:
+        raise ValidationError("kron needs at least one factor")
     if out is not None and not out.flags.c_contiguous:
         raise ValidationError("kron needs a C-contiguous out= array")
     res = mats[0]
@@ -61,21 +63,15 @@ def kron(mats, out=None) -> np.ndarray:
     return out
 
 
-def contract(rows: np.ndarray, shape: tuple[int, ...], xs, out=None) -> np.ndarray:
+def contract(rows: np.ndarray, shape: tuple[int, ...], xs) -> np.ndarray:
     """Inner products of every basis row with every trial's simple tensor.
 
     rows: (m, D); xs: one (size, n_j) array per mode; both are read as
     float arrays.  Returns (size, m): the blocks of ``contract_blocks`` for
-    this one row set, in order.  ``out``, a C-contiguous float64 array of
-    that shape, receives the result in place of a fresh allocation and is
-    returned, with the same bits.
+    this one row set, in order.
     """
     (rows,), xs, size = _arrays([rows], shape, xs)
-    m = rows.shape[0]
-    if out is None:
-        out = np.empty((size, m))
-    elif out.shape != (size, m) or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValidationError(f"contract needs a C-contiguous float64 out= of shape {(size, m)}")
+    out = np.empty((size, rows.shape[0]))
     for start, (block,) in contract_blocks([rows], shape, xs):
         out[start : start + len(block)] = block
     return out

@@ -452,7 +452,7 @@ def test_probe_orthogonal_to_a_component_is_a_usable_draw():
 @pytest.mark.parametrize("shape", [(2.5, 2, 2), (2, 2, 2.0), (True, 2, 2), (2, "2", 2), (2, 2, 0), (2, -1, 2, 2)])
 def test_folding_plan_refuses_dims_that_are_not_positive_integers(shape):
     # (2.5, 2, 2) used to fold as (2, 2, 2)
-    with pytest.raises(ValidationError, match="integer dims"):
+    with pytest.raises(ValidationError, match=r"shape\[\d\] must be an integer >= 1"):
         folding_plan(shape)
 
 

@@ -139,6 +139,27 @@ def test_clopper_pearson_matches_beta_ppf_bitwise(trials):
         assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
 
 
+@pytest.mark.parametrize(
+    "hits, trials, confidence, message",
+    [
+        ([5], 100, 1.5, "confidence must lie in"),
+        ([5], 100, 0.0, "confidence must lie in"),
+        ([5], 100, math.nan, "confidence must lie in"),
+        ([5], 3, 0.9, "hit counts must lie in"),
+        ([-1], 100, 0.9, "hit counts must lie in"),
+        ([math.nan], 100, 0.9, "hit counts must lie in"),
+        ([5], 10.5, 0.9, "trials must be an integer >= 1"),
+        ([0], 0, 0.9, "trials must be an integer >= 1"),
+        ([1], True, 0.9, "trials must be an integer >= 1"),
+    ],
+)
+def test_clopper_pearson_refuses_what_has_no_interval(hits, trials, confidence, message):
+    # a confidence outside (0, 1) or hits above trials gave NaN bounds, and
+    # trials = 10.5 an interval
+    with pytest.raises(ValidationError, match=message):
+        clopper_pearson(hits, trials, confidence)
+
+
 def test_curve_rejects_nonmonotone_counts():
     with pytest.raises(ValidationError):
         SmallBallCurve(
@@ -319,7 +340,7 @@ def test_dominance_draws_once_for_every_body(monkeypatch):
 
 @pytest.mark.parametrize("dim, count", [(4, 2.5), (4.0, 2), (4, -1), (4, True)])
 def test_slab_body_refuses_sizes_that_are_not_integers(dim, count):
-    with pytest.raises(ValidationError, match="integers"):
+    with pytest.raises(ValidationError, match="(dim|count) must be an integer >= 0"):
         SlabBody.random(dim, count, 1.0, 0)
 
 

@@ -97,6 +97,21 @@ def test_betaincinv_lives_in_one_function():
     assert _owners("betaincinv") == {"montecarlo.py:_beta_bounds"}
 
 
+def test_the_size_rule_lives_in_one_function():
+    """One function decides what a size is and hands it back as a Python int: only
+    ``subspaces._check_sizes`` names ``np.integer`` (or an ``_is_int`` helper), and no module
+    re-stores a size of its own with ``int(getattr(self, ...))`` or ``int(self.<size>)``."""
+    assert _owners("integer") | _owners("_is_int") == {"subspaces.py:_check_sizes"}
+    recasts = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "int" and node.args:
+                arg = ast.unparse(node.args[0])
+                if arg.startswith(("getattr(self,", "self.")):
+                    recasts.append(f"{path.name}:{node.lineno}: int({arg})")
+    assert recasts == []
+
+
 def test_lstsq_lives_in_one_function():
     """Least squares by SVD is gate 1's second route to ``pinv_hs_norm_sq``'s number, so only
     ``projection_distance_sum`` calls it; on the Gram identity the gate would check that identity against

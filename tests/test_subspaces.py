@@ -6,13 +6,32 @@ import pytest
 from scipy import stats
 
 from tensorball import (
+    DistributionSpec,
+    ExperimentConfig,
+    Rank1Terms,
+    SlabBody,
+    SmallBallCurve,
+    SmoothedEnsemble,
     SubspaceBasis,
     ValidationError,
+    bound_carbery_wright,
+    bound_concentration_subgaussian,
+    bound_fixed_subspace,
+    bound_generic_subspace,
+    bound_nondeterministic,
+    bound_single_direction,
+    bound_smin_tail,
+    clopper_pearson,
     contract,
     coordinate_line_subspace,
     diagonal_direction,
     haar_subspace,
+    product_uniform_cdf,
+    product_uniform_smallball,
+    sharpness_lower_bound,
+    simultaneous_diagonalize,
 )
+from tensorball.decomposition import folding_plan
 
 
 def projections(rows, shape, *factors):
@@ -219,3 +238,69 @@ def test_permuted_haar_rows_stay_orthonormal():
     perm = np.random.default_rng(3).permutation(9)
     again = SubspaceBasis(shape=(3, 3), rows=b.rows[:, perm])
     assert again.m == 4
+
+
+def _basis(b):
+    return (*b.shape, b.m), b.rows.tobytes()
+
+
+_TERMS = Rank1Terms.from_raw([np.random.default_rng(5).standard_normal((5, 2)) for _ in range(3)])
+
+# entry point: size -> (every size it stores, everything else it returns).  n = 16 and l = 5 make
+# n**(l-1) and n**l wrap to 0 in both uint8 and int16, which a size kept in its own type computes
+SIZED_CALLS = {
+    "product_uniform_cdf": lambda c: ((), product_uniform_cdf(c(5), 0.3)),
+    "product_uniform_smallball": lambda c: ((), product_uniform_smallball(c(5), 1.0, 1e-3)),
+    "bound_fixed_subspace": lambda c: ((), bound_fixed_subspace(1e-3, c(200), c(5))),
+    "bound_single_direction": lambda c: ((), bound_single_direction(1e-3, c(5))),
+    "bound_generic_subspace": lambda c: ((), bound_generic_subspace(0.5, c(200), c(16), c(5))),
+    "bound_carbery_wright": lambda c: ((), bound_carbery_wright(0.5, c(5))),
+    "bound_nondeterministic": lambda c: ((), bound_nondeterministic(0.1, c(16), c(5), c(200))),
+    "bound_concentration_subgaussian": lambda c: ((), bound_concentration_subgaussian(0.5, c(200), c(16), c(5))),
+    "sharpness_lower_bound": lambda c: ((), sharpness_lower_bound(1e-3, c(5))),
+    "bound_smin_tail": lambda c: ((), bound_smin_tail(1e-3, c(20), c(16), c(5), 1.0)),
+    "coordinate_line_subspace": lambda c: _basis(coordinate_line_subspace(c(4), c(3), c(2))),
+    "haar_subspace": lambda c: _basis(haar_subspace((c(3), c(4)), c(5), 0)),
+    "SubspaceBasis": lambda c: _basis(SubspaceBasis(shape=(c(2), c(3)), rows=np.eye(6)[:2])),
+    "folding_plan": lambda c: ((p := folding_plan((c(2), c(3), c(4), c(5)))).shape + p.grouped_shape, p.groups),
+    "simultaneous_diagonalize": lambda c: (
+        ((t := simultaneous_diagonalize(_TERMS.reconstruct(), c(2), rng=0)).r,),
+        t.weights.tobytes(),
+    ),
+    "SmoothedEnsemble": lambda c: (
+        ((e := SmoothedEnsemble(r=c(3), n=c(4), ell=c(2), rho=0.5, base=(np.eye(4)[:, :3],) * 2)).r, e.n, e.ell),
+        e.rho,
+    ),
+    "SmoothedEnsemble.random": lambda c: (
+        ((e := SmoothedEnsemble.random(c(3), c(4), c(2), 0.5, 0)).r, e.n, e.ell),
+        b"".join(b.tobytes() for b in e.base),
+    ),
+    "SlabBody.random": lambda c: ((b := SlabBody.random(c(6), c(3), 1.0, 0)).directions.shape, b.directions.tobytes()),
+    "DistributionSpec": lambda c: ((DistributionSpec("gaussian-std", c(3)).dim,), None),
+    "ExperimentConfig": lambda c: (
+        ((g := ExperimentConfig(seed=c(3), trials=c(200), batch_size=c(100), threads=c(2))).seed, g.trials, g.batch_size, g.threads),
+        g.confidence,
+    ),
+    "SmallBallCurve": lambda c: (
+        ((v := SmallBallCurve((0.5, 0.1), (c(7), c(2)), c(200), 0.9)).trials, *v.hit_counts),
+        (v.ci_low, v.ci_high),
+    ),
+    "clopper_pearson": lambda c: ((), [b.tobytes() for b in clopper_pearson([c(0), c(7), c(200)], c(200), 0.9)]),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16])
+@pytest.mark.parametrize("call", sorted(SIZED_CALLS))
+def test_numpy_integer_sizes_give_the_python_int_result(call, dtype):
+    # a size was kept in its numpy type, so n**ell wrapped: bound_smin_tail and bound_nondeterministic
+    # refused valid sizes, and bound_concentration_subgaussian divided by zero
+    want_sizes, want = SIZED_CALLS[call](int)
+    sizes, got = SIZED_CALLS[call](dtype)
+    assert sizes == want_sizes and got == want
+    assert all(type(v) is int for v in sizes)
+
+
+@pytest.mark.parametrize("call", sorted(SIZED_CALLS))
+def test_bool_sizes_are_refused(call):
+    with pytest.raises(ValidationError):
+        SIZED_CALLS[call](lambda v: True)
