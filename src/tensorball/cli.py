@@ -69,12 +69,7 @@ from .montecarlo import (
     norm_concentration,
     rows_csv_bytes,
 )
-from .subspaces import (
-    FLATTEN_CAP,
-    SubspaceBasis,
-    coordinate_line_subspace,
-    haar_subspace,
-)
+from .subspaces import FLATTEN_CAP, _check_sizes, resolve
 
 # highest tensor order any subcommand accepts, the package's own cap; for
 # n >= 2, FLATTEN_CAP stops l at 23 already.
@@ -197,30 +192,8 @@ def _specs(cfg: dict) -> tuple[DistributionSpec, ...]:
     return (DistributionSpec(kind=_DIST_KINDS[cfg["dist"]], dim=cfg["n"]),) * cfg["ell"]
 
 
-def _known_subspace(choice: str) -> bool:
-    """Whether ``choice`` names a subspace: haar, line, or file:<path>."""
-    return choice in ("haar", "line") or choice.startswith("file:")
-
-
-def _resolve_subspace(cfg: dict) -> SubspaceBasis:
-    choice = cfg["subspace"]
-    if not _known_subspace(choice):
-        raise UsageError(f"unknown subspace {choice!r} (want haar, line, or file:<path>)")
-    shape = (cfg["n"],) * cfg["ell"]
-    if choice == "haar":
-        return haar_subspace(shape, cfg["m"], _aux_rng(cfg["seed"], 0))
-    if choice == "line":
-        return coordinate_line_subspace(cfg["n"], cfg["ell"], cfg["m"])
-    basis = SubspaceBasis.load(choice[5:])
-    if basis.shape != shape or basis.m != cfg["m"]:
-        raise ValidationError(
-            f"basis file has shape {basis.shape}, m = {basis.m}; flags say {shape}, m = {cfg['m']}"
-        )
-    return basis
-
-
 def _run_smallball(cfg: dict, stamp: str, name: str = "smallball.csv") -> list[tuple[str, bytes]]:
-    specs, basis = _specs(cfg), _resolve_subspace(cfg)
+    specs, basis = _specs(cfg), resolve(cfg["subspace"], (cfg["n"],) * cfg["ell"], cfg["m"], _aux_rng(cfg["seed"], 0))
     curve = estimate_smallball(specs, basis, _experiment_config(cfg), cfg["eps_grid"])
     exact = exact_smallball(specs, basis, cfg["eps_grid"])
     extra = None if exact is None else {"exact": exact}
@@ -260,11 +233,10 @@ def _run_bounds(cfg: dict, stamp: str) -> list[tuple[str, bytes]]:
 
 
 def _run_dominance(cfg: dict, stamp: str) -> list[tuple[str, bytes]]:
-    spec = DistributionSpec(kind=_DIST_KINDS[cfg["dist"]], dim=cfg["n"])
-    cube = matched_cube(spec)
+    specs = _specs(cfg)
     dim = cfg["n"] ** cfg["ell"]
     bodies = [SlabBody.random(dim, cfg["count"], cfg["scale"], _aux_rng(cfg["seed"], b)) for b in range(cfg["bodies"])]
-    reports = dominance_test((spec,) * cfg["ell"], (cube,) * cfg["ell"], bodies, _experiment_config(cfg))
+    reports = dominance_test(specs, (matched_cube(specs[0]),) * cfg["ell"], bodies, _experiment_config(cfg))
     rows = [
         {
             "body": b,
@@ -404,26 +376,18 @@ def build_parser() -> _Parser:
     return parser
 
 
-# least value of each integer config key, and what the key counts
-_LEAST = {
-    "seed": ("seed", 0),
-    "n": ("dimension", 1),
-    "r": ("rank", 1),
-    "m": ("subspace dimension", 1),
-    "ell": ("tensor order", 1),
-    "count": ("slab direction count", 0),
-    "bodies": ("body count", 1),
-}
+# least value of each integer config key
+_LEAST = {"seed": 0, "n": 1, "r": 1, "m": 1, "ell": 1, "count": 0, "bodies": 1}
 
 
 def _check_config(subcommand: str, cfg: dict) -> None:
     """Refusals shared by fresh runs and ``--replay``, before anything is derived.
 
     Each ``_LEAST`` key that is given (bounds leaves n and r as None) must
-    be an integer, not a boolean, at or above its least value.  Every float,
-    grid entries included, must be finite, and no grid may be empty.  A
-    tensor order above ``MAX_ORDER`` is refused on every subcommand; on
-    bounds, ``rho <= 0`` and ``r`` or ``rho`` given without the other; on
+    pass ``_check_sizes`` at its least value.  Every float, grid entries
+    included, must be finite, and no grid may be empty.  A tensor order
+    above ``MAX_ORDER`` is refused on every subcommand; on bounds,
+    ``rho <= 0`` and ``r`` or ``rho`` given without the other; on
     decompose, a rank above n^floor((l-1)/2), the most it can recover.  Runs
     whose flattened size is above ``FLATTEN_CAP`` entries (the m basis rows
     of length n^l for smallball, one n^l x r Khatri-Rao matrix for smin,
@@ -431,10 +395,9 @@ def _check_config(subcommand: str, cfg: dict) -> None:
     least one, and one n^l tensor for direction and decompose) are refused
     before anything is allocated.
     """
-    for key, (what, least) in _LEAST.items():
-        value = cfg.get(key)
-        if value is not None and not (type(value) is int and value >= least):
-            raise ValidationError(f"{what} must be an integer >= {least}, got {key} = {value!r}")
+    for key, least in _LEAST.items():
+        if cfg.get(key) is not None:
+            _check_sizes(least, **{key: cfg[key]})
     for key, value in cfg.items():
         if value == []:
             raise ValidationError(f"{key} must not be empty")
@@ -545,9 +508,10 @@ def _load_manifest(parser, path) -> tuple[str, dict]:
 
     The config must hold exactly the keys that the subcommand's flags
     resolve to, each of the type its default resolves to, and a known
-    ``dist`` and ``subspace``.  An ``_environment`` entry recorded with
-    another value than the running one only warns, in one line for all of
-    them; an entry the manifest lacks is not compared.
+    ``dist``; the runner refuses an unknown ``subspace``, as on a fresh run.
+    An ``_environment`` entry recorded with another value than the running
+    one only warns, in one line for all of them; an entry the manifest
+    lacks is not compared.
     """
     try:
         with open(path) as fh:
@@ -573,8 +537,6 @@ def _load_manifest(parser, path) -> tuple[str, dict]:
             raise ValidationError(f"manifest {path}: {subcommand} config {key}={config[key]!r} is not {type(default).__name__}")
     if "dist" in config and config["dist"] not in _DIST_KINDS:
         raise ValidationError(f"manifest {path}: unknown dist {config['dist']!r}")
-    if "subspace" in config and not _known_subspace(config["subspace"]):
-        raise ValidationError(f"manifest {path}: unknown subspace {config['subspace']!r}")
     _check_config(subcommand, config)
     moved = [
         f"{key} {_shown(manifest[key])}, running {_shown(value)}"

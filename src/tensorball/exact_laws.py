@@ -53,6 +53,20 @@ def _cap(values):
     return np.minimum(values, 1.0)
 
 
+def _odd_part(ell: int, z: np.ndarray) -> np.ndarray:
+    """2 F(z) - 1 = z * sum_{j<ell} log(1/|z|)^j / j!, 0 at z = 0: a sum of terms of one sign, so it keeps
+    its relative accuracy (within a few ulps) however small z is, where F(z) - F(-z) cancels to 0."""
+    az = np.abs(z)
+    with np.errstate(divide="ignore"):
+        log_inv = np.where(az > 0, -np.log(az), 0.0)
+    series = np.ones_like(az)
+    term = np.ones_like(az)
+    for j in range(1, ell):
+        term = term * log_inv / j
+        series += term
+    return z * np.where(az > 0, series, 0.0)
+
+
 def product_uniform_cdf(ell: int, z):
     """CDF of a product of ``ell`` independent uniform [-1, 1] variables.
 
@@ -63,27 +77,19 @@ def product_uniform_cdf(ell: int, z):
     """
     (ell,) = _check_sizes(1, ell=ell)
     z, scalar = _as_array(z)
-    az = np.abs(z)
-    if not np.all(az <= 1):
+    if not np.all(np.abs(z) <= 1):
         raise RangeError("product_uniform_cdf requires |z| <= 1 (the product lives in [-1, 1])")
-    with np.errstate(divide="ignore"):
-        log_inv = np.where(az > 0, -np.log(az), 0.0)
-    series = np.ones_like(az)
-    term = np.ones_like(az)
-    for j in range(1, ell):
-        term = term * log_inv / j
-        series += term
-    out = 0.5 + 0.5 * z * np.where(az > 0, series, 0.0)
-    return _ret(out, scalar)
+    return _ret(0.5 + 0.5 * _odd_part(ell, z), scalar)
 
 
 def product_uniform_smallball(ell: int, s: float, eps):
     """Exact P(|U_1 ... U_ell| <= eps) for U_j uniform on [-s, s].
 
     Uses the substitution Z = s^ell * Z' with Z' a product of uniform [-1, 1]
-    variables, i.e. F(eps / s^ell) - F(-eps / s^ell).  Beyond the support
-    radius s^ell the probability is exactly 1.  A radius that overflows a
-    float raises ``RangeError``.
+    variables, i.e. F(z) - F(-z) = 2 F(z) - 1 at z = eps / s^ell, summed as
+    ``_odd_part`` so that it keeps its digits far in the tail (eps down to
+    1e-300).  Beyond the support radius s^ell the probability is exactly 1.
+    A radius that overflows a float raises ``RangeError``.
     """
     (ell,) = _check_sizes(1, ell=ell)
     if not s > 0:
@@ -101,7 +107,7 @@ def product_uniform_smallball(ell: int, s: float, eps):
         raise RangeError(f"support radius s^ell overflows a float at s = {s:g}, ell = {ell}")
     clipped = eps > support
     z = np.minimum(eps, support) / support
-    out = np.asarray(product_uniform_cdf(ell, z) - product_uniform_cdf(ell, -z))
+    out = np.asarray(_odd_part(ell, z))
     out[np.asarray(clipped)] = 1.0
     return _ret(out, scalar)
 

@@ -88,15 +88,15 @@ def clopper_pearson(hits, trials: int, confidence: float) -> tuple[np.ndarray, n
     """Exact binomial two-sided confidence bounds from beta quantiles.
 
     Refuses a confidence outside (0, 1), trials that are not an integer
-    >= 1 and hits outside [0, trials]; each check is written so that NaN
-    fails it.
+    >= 1 and hits that are not integers in [0, trials]; each check is
+    written so that NaN fails it.
     """
     (trials,) = _check_sizes(1, trials=trials)
     if not 0 < confidence < 1:
         raise ValidationError(f"confidence must lie in (0, 1), got {confidence}")
     hits = np.asarray(hits)
-    if not np.all((hits >= 0) & (hits <= trials)):
-        raise ValidationError("hit counts must lie in [0, trials]")
+    if not np.all((hits >= 0) & (hits <= trials) & (hits == np.floor(hits))):
+        raise ValidationError("hit counts must lie in [0, trials] and be integers")
     return _beta_bounds(hits, trials, (1.0 - confidence) / 2)
 
 

@@ -3,7 +3,8 @@
 Two regimes: Haar-random subspaces of the flattened tensor space, and the
 adversarial coordinate constructions aligned with the first mode.  Arbitrary
 user bases enter as basis files, whose layout ``SubspaceBasis.save`` writes
-and ``SubspaceBasis.load`` reads and checks.
+and ``SubspaceBasis.load`` reads and checks.  ``resolve`` maps a subspace's
+spelling (``haar``, ``line``, ``file:<path>``) to its basis.
 """
 
 from __future__ import annotations
@@ -135,6 +136,24 @@ def haar_subspace(shape, m: int, rng) -> SubspaceBasis:
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     return SubspaceBasis(shape=shape, rows=(q * signs).T)
+
+
+def resolve(choice: str, shape, m: int, rng) -> SubspaceBasis:
+    """The one table of subspace spellings: ``haar`` (``haar_subspace`` drawn from ``rng``), ``line``
+    (``coordinate_line_subspace`` of the cubic ``shape``) and ``file:<path>`` (``SubspaceBasis.load``).
+    Any other spelling, and a basis whose shape or m is not the one asked for, raises ``ValidationError``."""
+    shape = _dims(shape)
+    if choice == "haar":
+        return haar_subspace(shape, m, rng)
+    if choice == "line":
+        basis = coordinate_line_subspace(shape[0], len(shape), m)
+    elif isinstance(choice, str) and choice.startswith("file:"):
+        basis = SubspaceBasis.load(choice[5:])
+    else:
+        raise ValidationError(f"unknown subspace {choice!r} (want haar, line, or file:<path>)")
+    if basis.shape != shape or basis.m != m:
+        raise ValidationError(f"{choice} basis has shape {basis.shape}, m = {basis.m}; want {shape}, m = {m}")
+    return basis
 
 
 def diagonal_direction(n: int, ell: int) -> SubspaceBasis:

@@ -260,18 +260,18 @@ def test_replay_config_unknown_key(tmp_path, capsys):
         ("n", "3", "n='3' is not int"),
         ("eps_grid", ["x"], "eps_grid=['x'] is not list"),
         ("dist", "nope", "unknown dist"),
-        ("ell", 0, "tensor order must be an integer >= 1, got ell = 0"),
-        ("m", 0, "subspace dimension must be an integer >= 1, got m = 0"),
+        ("ell", 0, "ell must be an integer >= 1, got 0"),
+        ("m", 0, "m must be an integer >= 1, got 0"),
         ("n", 10**10, "above the cap"),
-        ("n", 0, "dimension must be an integer >= 1, got n = 0"),
-        ("n", -3, "dimension must be an integer >= 1, got n = -3"),
-        ("r", 0, "rank must be an integer >= 1, got r = 0"),
-        ("r", "4", "rank must be an integer >= 1, got r = '4'"),
+        ("n", 0, "n must be an integer >= 1, got 0"),
+        ("n", -3, "n must be an integer >= 1, got -3"),
+        ("r", 0, "r must be an integer >= 1, got 0"),
+        ("r", "4", "r must be an integer >= 1, got '4'"),
         ("rho", 0, "smoothing scale must be > 0, got rho = 0"),
         ("rho", -1.0, "smoothing scale must be > 0, got rho = -1.0"),
         ("rho", math.nan, "rho must be finite, got rho = nan"),
-        ("seed", -1, "seed must be an integer >= 0, got seed = -1"),
-        ("bodies", 0, "body count must be an integer >= 1, got bodies = 0"),
+        ("seed", -1, "seed must be an integer >= 0, got -1"),
+        ("bodies", 0, "bodies must be an integer >= 1, got 0"),
         ("batch_size", True, "batch_size=True is not int"),
         ("eps_grid", [math.nan], "eps_grid must be finite, got eps_grid = [nan]"),
         ("subspace", "bogus", "unknown subspace"),
@@ -394,6 +394,16 @@ def test_smallball_basis_file_missing(tmp_path, capsys):
     assert "cannot read basis file" in err
 
 
+def test_unknown_subspace_is_one_refusal_fresh_and_replayed(tmp_path, capsys):
+    """The runner refuses an unknown spelling before it writes anything: one line and exit 2, fresh or replayed."""
+    code = run_cli(*SMALLBALL_ARGS, "--subspace", "bogus", "--out", str(tmp_path / "fresh"))
+    fresh = capsys.readouterr().err
+    replayed = replay_with(tmp_path, capsys, edit=lambda d: d["config"].update(subspace="bogus"))
+    assert code == 2 and fresh == replayed
+    assert fresh == "error: unknown subspace 'bogus' (want haar, line, or file:<path>)\n"
+    assert not (tmp_path / "fresh").exists() and not (tmp_path / "again").exists()
+
+
 def test_smallball_basis_file_oversized_header(tmp_path, capsys):
     header = struct.pack("<4sI3II", b"TBSB", 3, 4000, 4000, 4000, 4000)
     code, err = run_with_basis_file(tmp_path, header + bytes(64), capsys)
@@ -478,7 +488,8 @@ def test_direction_exact_column(tmp_path):
         assert float(row["exact"]) == pytest.approx(want, rel=1e-12)
 
 
-# direction.csv of one small run, as written before direction ran smallball's runner
+# direction.csv of one small run, as written before direction ran smallball's runner;
+# the exact cell at 0.29 moved one ulp toward the law once F(z) - F(-z) was summed without cancelling
 DIRECTION_ARGS = (
     "--n", "3", "--l", "2", "--dist", "cube-unit", "--trials", "200", "--batch-size", "100",
     "--eps-grid", "0.1:0.5:4", "--seed", "0",
@@ -487,7 +498,7 @@ DIRECTION_CSV = b"""\
 # manifest: 96f3e79f5e33477b6bef8db38b623b8a531d1ece
 epsilon,hits,trials,p_hat,ci_low,ci_high,exact
 0.5,160,200,0.8,0.7178247268491995,0.867426707901161,0.8465735902799727
-0.2924017738212865,128,200,0.64,0.5475066232237427,0.7256568066411153,0.6519467390865579
+0.2924017738212865,128,200,0.64,0.5475066232237427,0.7256568066411153,0.651946739086558
 0.17099759466766967,90,200,0.45,0.35901907025236035,0.5434196200272376,0.47299743648955506
 0.1,61,200,0.305,0.22419170871517358,0.3953444685432742,0.3302585092994046
 """

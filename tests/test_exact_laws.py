@@ -89,6 +89,22 @@ def test_smallball_refuses_a_support_radius_beyond_float_range():
     assert product_uniform_smallball(1, 1e300, 0.5) == pytest.approx(0.5e-300)
 
 
+@pytest.mark.parametrize("s", [1.0, 2.0])
+@pytest.mark.parametrize("ell", range(1, 7))
+def test_smallball_keeps_its_digits_in_the_far_tail(ell, s):
+    """Against a 40-digit oracle from 1e-300 up to the support. Taken as F(z) - F(-z), with F near 1/2, the
+    leading digits cancel: 0.0 at eps = 1e-18 for l = 2, 28% off at eps = 1e-20 for l = 4."""
+    mpmath = pytest.importorskip("mpmath")
+    support = s**ell
+    eps = np.geomspace(1e-300, support, 301)
+    got = product_uniform_smallball(ell, s, eps)
+    with mpmath.workdps(40):
+        for e, value in zip(eps, got):
+            z = mpmath.mpf(float(e)) / support
+            want = z * mpmath.fsum(mpmath.log(1 / z) ** j / mpmath.factorial(j) for j in range(ell))
+            assert abs(value - want) <= 1e-14 * want, (e, value, want)
+
+
 UNIT, SQRT3, GAUSS = (DistributionSpec(kind=k, dim=4) for k in ("uniform-cube-unit", "uniform-cube-sqrt3", "gaussian-std"))
 
 

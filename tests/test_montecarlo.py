@@ -148,6 +148,7 @@ def test_clopper_pearson_matches_beta_ppf_bitwise(trials):
         ([5], 3, 0.9, "hit counts must lie in"),
         ([-1], 100, 0.9, "hit counts must lie in"),
         ([math.nan], 100, 0.9, "hit counts must lie in"),
+        ([2.5], 10, 0.9, "hit counts must lie in"),
         ([5], 10.5, 0.9, "trials must be an integer >= 1"),
         ([0], 0, 0.9, "trials must be an integer >= 1"),
         ([1], True, 0.9, "trials must be an integer >= 1"),

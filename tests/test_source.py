@@ -173,6 +173,34 @@ def test_only_distributions_tests_a_law_kind():
     assert found == [], f"law kinds tested outside distributions: {', '.join(found)}"
 
 
+def test_only_subspaces_tests_a_subspace_spelling():
+    """The spelling table has one owner: outside ``subspaces`` no comparison and no
+    ``startswith``/``endswith`` call has ``"haar"``, ``"line"`` or ``"file:"`` as an operand."""
+    spellings = ("haar", "line", "file:")
+
+    def is_spelling_operand(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(is_spelling_operand(elt) for elt in node.elts)
+        return isinstance(node, ast.Constant) and node.value in spellings
+
+    sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "subspaces.py"]
+    assert {path.name for path in sources} >= {"cli.py", "montecarlo.py"}
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops
+            ):
+                operands = [node.left, *node.comparators]
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("startswith", "endswith"):
+                operands = [node.func.value, *node.args]
+            else:
+                continue
+            if any(is_spelling_operand(operand) for operand in operands):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == [], f"subspace spellings tested outside subspaces: {', '.join(found)}"
+
+
 def _module_trees():
     return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))}
 

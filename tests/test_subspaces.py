@@ -32,6 +32,8 @@ from tensorball import (
     simultaneous_diagonalize,
 )
 from tensorball.decomposition import folding_plan
+from tensorball.montecarlo import _aux_rng
+from tensorball.subspaces import resolve
 
 
 def projections(rows, shape, *factors):
@@ -231,6 +233,32 @@ def test_basis_save_load(tmp_path):
     c = SubspaceBasis.load(p)
     assert c.shape == b.shape
     assert np.array_equal(c.rows, b.rows)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_resolve_gives_each_spelling_its_constructor_bits(tmp_path, seed):
+    """``haar`` is ``haar_subspace`` on ``_aux_rng(seed, 0)``, the CLI's stream; ``line`` and a saved
+    ``file:`` basis are their rows as built."""
+    haar = haar_subspace((4, 3, 3), 5, _aux_rng(seed, 0))
+    assert resolve("haar", (4, 3, 3), 5, _aux_rng(seed, 0)).rows.tobytes() == haar.rows.tobytes()
+    line = coordinate_line_subspace(3, 4, 2)
+    assert resolve("line", (3,) * 4, 2, _aux_rng(seed, 0)).rows.tobytes() == line.rows.tobytes()
+    haar.save(tmp_path / "basis.bin")
+    loaded = resolve(f"file:{tmp_path / 'basis.bin'}", (4, 3, 3), 5, None)
+    assert loaded.shape == (4, 3, 3) and loaded.rows.tobytes() == haar.rows.tobytes()
+
+
+@pytest.mark.parametrize("choice", ["bogus", "", "HAAR", "line:2", "file", 3])
+def test_resolve_refuses_an_unknown_spelling(choice):
+    with pytest.raises(ValidationError, match=r"unknown subspace .* \(want haar, line, or file:<path>\)"):
+        resolve(choice, (3, 3), 2, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("shape, m", [((4, 4), 2), ((3, 3, 3), 2), ((3, 3), 1), ((3, 3), 3)])
+def test_resolve_refuses_a_basis_file_of_another_shape_or_m(tmp_path, shape, m):
+    coordinate_line_subspace(3, 2, 2).save(tmp_path / "basis.bin")
+    with pytest.raises(ValidationError, match=r"basis has shape \(3, 3\), m = 2; want"):
+        resolve(f"file:{tmp_path / 'basis.bin'}", shape, m, None)
 
 
 def test_permuted_haar_rows_stay_orthonormal():
