@@ -75,6 +75,9 @@ from .subspaces import FLATTEN_CAP, _check_sizes, resolve
 # n >= 2, FLATTEN_CAP stops l at 23 already.
 MAX_ORDER = 32
 
+# most points of an --eps-grid or --t-grid, which keeps the widest CSV near 10 MB
+MAX_GRID = 100_000
+
 _DIST_KINDS = {
     "cube": "uniform-cube-sqrt3",
     "cube-unit": "uniform-cube-unit",
@@ -102,7 +105,7 @@ def _parse_trials(text: str) -> int:
 
 
 def _parse_grid(text: str, log: bool = True) -> list[float]:
-    """start:end:count, log-spaced by default, returned sorted decreasing."""
+    """start:end:count, log-spaced by default, returned sorted decreasing; 2 <= count <= ``MAX_GRID``."""
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"grid {text!r} is not start:end:count")
@@ -112,6 +115,8 @@ def _parse_grid(text: str, log: bool = True) -> list[float]:
         raise UsageError(f"grid {text!r} is not start:end:count") from exc
     if count < 2 or not (0 < start < math.inf and 0 < end < math.inf) or start == end:
         raise UsageError(f"grid {text!r} needs two distinct finite positive endpoints and count >= 2")
+    if count > MAX_GRID:
+        raise UsageError(f"grid {text!r} has {count} points, above the cap of {MAX_GRID}")
     vals = np.geomspace(start, end, count) if log else np.linspace(start, end, count)
     return sorted((float(v) for v in vals), reverse=True)
 
@@ -385,9 +390,9 @@ def _check_config(subcommand: str, cfg: dict) -> None:
 
     Each ``_LEAST`` key that is given (bounds leaves n and r as None) must
     pass ``_check_sizes`` at its least value.  Every float, grid entries
-    included, must be finite, and no grid may be empty.  A tensor order
-    above ``MAX_ORDER`` is refused on every subcommand; on bounds,
-    ``rho <= 0`` and ``r`` or ``rho`` given without the other; on
+    included, must be finite, and a grid must hold 1 to ``MAX_GRID`` points.
+    A tensor order above ``MAX_ORDER`` is refused on every subcommand; on
+    bounds, ``rho <= 0`` and ``r`` or ``rho`` given without the other; on
     decompose, a rank above n^floor((l-1)/2), the most it can recover.  Runs
     whose flattened size is above ``FLATTEN_CAP`` entries (the m basis rows
     of length n^l for smallball, one n^l x r Khatri-Rao matrix for smin,
@@ -401,6 +406,8 @@ def _check_config(subcommand: str, cfg: dict) -> None:
     for key, value in cfg.items():
         if value == []:
             raise ValidationError(f"{key} must not be empty")
+        if isinstance(value, list) and len(value) > MAX_GRID:
+            raise ValidationError(f"{key} has {len(value)} points, above the cap of {MAX_GRID}")
         if any(isinstance(v, float) and not math.isfinite(v) for v in (value if isinstance(value, list) else [value])):
             raise ValidationError(f"{key} must be finite, got {key} = {value!r}")
     if cfg.get("ell", 1) > MAX_ORDER:
@@ -441,10 +448,12 @@ def _config_from_args(args) -> dict:
         cfg["seed"] = _resolve_seed(cfg["seed"])
     _check_config(args.subcommand, cfg)
     if cfg.get("n") is None and "m" in cfg:
-        n = max(2, math.ceil(cfg["m"] ** (1.0 / cfg["ell"])))
-        while n ** cfg["ell"] < cfg["m"]:
-            n += 1
-        cfg["n"] = n
+        # the least n >= 2 with n^l >= m: the largest n - 1 with (n - 1)^l < m, set bit by bit from the top
+        below = 0
+        for bit in reversed(range(cfg["m"].bit_length() // cfg["ell"] + 1)):
+            if (below | 1 << bit) ** cfg["ell"] < cfg["m"]:
+                below |= 1 << bit
+        cfg["n"] = max(2, below + 1)
     return cfg
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import HypothesisViolationError, RangeError, ValidationError
 from .subspaces import _check_sizes
+from .tensor_core import _single_entries
 
 
 @dataclass(frozen=True)
@@ -117,8 +118,8 @@ def exact_smallball(specs, basis, eps_grid) -> list[float] | None:
     where no closed form is known. Known: every factor uniform on one [-s, s] and a coordinate direction
     (one row, one nonzero entry +-1), where each point is ``product_uniform_smallball(l, s, eps)``."""
     widths = {spec.uniform_half_width for spec in specs}
-    one_entry = basis.m == 1 and np.count_nonzero(basis.rows) == 1 and np.abs(basis.rows).max() == 1.0
-    if one_entry and len(widths) == 1 and None not in widths:
+    single = _single_entries(basis.rows, basis.shape) if basis.m == 1 else None
+    if single is not None and abs(single[1][0]) == 1.0 and len(widths) == 1 and None not in widths:
         return [float(product_uniform_smallball(len(specs), *widths, eps)) for eps in eps_grid]
     return None
 
@@ -244,26 +245,37 @@ def sharpness_lower_bound(eps, ell: int, cfg: BoundConfig = BoundConfig()):
     return _ret(out, scalar)
 
 
+def _smin_scale(r: int, n: int, ell: int, rho: float, c_small: float) -> float:
+    """The s_min threshold per unit eps, sqrt(1 - r/n^ell) * (c_small * rho)^ell, or inf past the
+    float range.  Refuses rho <= 0, then r > n^ell / 2, the smoothed tail's hypothesis."""
+    if not rho > 0:
+        raise ValidationError(f"rho must be > 0, got {rho}")
+    # integers, so that no n^ell is too large to compare
+    if 2 * r > n**ell:
+        raise HypothesisViolationError(f"need r <= n^ell/2 = {n ** ell / 2}, got r = {r}")
+    try:
+        return math.sqrt(1.0 - r / n**ell) * (c_small * rho) ** ell
+    except OverflowError:
+        return math.inf
+
+
 def bound_smin_tail(eps, r: int, n: int, ell: int, rho: float, cfg: BoundConfig = BoundConfig()):
     """Threshold and tail bound for the least singular value of a smoothed Khatri-Rao matrix.
 
     Returns the pair (threshold, bound) with
-    threshold = sqrt(1 - r/n^ell) * (c_small * rho)^ell * eps and
+    threshold = sqrt(1 - r/n^ell) * (c_small * rho)^ell * eps, inf past the float range, and
     bound = eps * r / (ell-1)! * (C' log(1/eps))^ell, capped at 1.
-    Requires r <= n^ell / 2 and 0 < eps < exp(-C_main * ell).
+    Requires rho > 0, r <= n^ell / 2 and 0 < eps < exp(-C_main * ell).
     """
     r, n, ell = _check_sizes(1, r=r, n=n, ell=ell)
-    if not rho > 0:
-        raise ValidationError(f"rho must be > 0, got {rho}")
-    if r > n**ell / 2:
-        raise HypothesisViolationError(f"need r <= n^ell/2 = {n ** ell / 2}, got r = {r}")
+    scale = _smin_scale(r, n, ell, rho, cfg.c_small)
     eps, scalar = _as_array(eps)
     thr_limit = math.exp(-cfg.C_main * ell)
     if not np.all((eps > 0) & (eps < thr_limit)):
         raise RangeError(
             f"bound_smin_tail is valid for 0 < eps < exp(-C_main*ell) = {thr_limit:.6g}"
         )
-    threshold = math.sqrt(1.0 - r / n**ell) * (cfg.c_small * rho) ** ell * eps
+    threshold = scale * eps
     log_inv = np.log(1.0 / eps)
     bound = _cap(eps * r / math.factorial(ell - 1) * (cfg.C_prime * log_inv) ** ell)
     if scalar:

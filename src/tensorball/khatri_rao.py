@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, HypothesisViolationError, RangeError, ValidationError
-from .exact_laws import BoundConfig, bound_smin_tail
-from .montecarlo import ExperimentConfig, SmallBallCurve, _count_hits, _hit_curve
+from .errors import DegeneracyError, RangeError, ValidationError
+from .exact_laws import BoundConfig, _smin_scale, bound_smin_tail
+from .montecarlo import ExperimentConfig, SmallBallCurve, _count_hits, _eps_grid, _sum_over_batches
 from .subspaces import _check_sizes
 from .tensor_core import _block_rows, _Scratch, kron
 
@@ -256,30 +256,20 @@ def smin_tail_experiment(e: SmoothedEnsemble, cfg: ExperimentConfig, eps_grid) -
     those of the default ``BoundConfig``.
     """
     bound_cfg = BoundConfig()
-    if e.r > e.n**e.ell / 2:
-        raise HypothesisViolationError(f"need r <= n^ell/2 = {e.n ** e.ell / 2}, got r = {e.r}")
-    if e.rho <= 0:
-        raise ValidationError("the smoothed experiment needs rho > 0")
-    try:
-        prefactor = math.sqrt(1.0 - e.r / e.n**e.ell) * (bound_cfg.c_small * e.rho) ** e.ell
-    except OverflowError:
-        prefactor = math.inf
-
-    def kernel_for(eps):
-        # squared thresholds meet Gram eigenvalues, so they too must be finite floats,
-        # the largest grid threshold's as well as the scale's
-        widest = prefactor * max(1.0, float(eps[0]))
-        if not math.isfinite(widest * widest):
-            raise RangeError(f"squared threshold overflows a float at rho = {e.rho:g}, l = {e.ell}, eps = {eps[0]:g}")
-        thresholds = prefactor * eps
-        return lambda rng, size, scratch: _smin_hits(e, thresholds, rng, size, scratch)
-
-    curve = _hit_curve(cfg, eps_grid, kernel_for)
-    eps = np.asarray(curve.epsilon_grid)
+    prefactor = _smin_scale(e.r, e.n, e.ell, e.rho, bound_cfg.c_small)
+    eps = _eps_grid(eps_grid)
+    # squared thresholds meet Gram eigenvalues, so they too must be finite floats,
+    # the largest grid threshold's as well as the scale's
+    widest = prefactor * max(1.0, float(eps[0]))
+    if not math.isfinite(widest * widest):
+        raise RangeError(f"squared threshold overflows a float at rho = {e.rho:g}, l = {e.ell}, eps = {eps[0]:g}")
+    thresholds = prefactor * eps
+    counts = _sum_over_batches(cfg, lambda rng, size, scratch: _smin_hits(e, thresholds, rng, size, scratch))
+    curve = SmallBallCurve(eps, counts, cfg.trials, cfg.confidence)
     bounds = []
     for x in eps:
         try:
             bounds.append(bound_smin_tail(float(x), e.r, e.n, e.ell, e.rho, bound_cfg)[1])
         except RangeError:
             bounds.append(math.nan)
-    return SminTailResult(curve=curve, thresholds=tuple((prefactor * eps).tolist()), bound_values=tuple(bounds))
+    return SminTailResult(curve=curve, thresholds=tuple(thresholds.tolist()), bound_values=tuple(bounds))

@@ -276,32 +276,35 @@ def _aux_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2**32, stream)))
 
 
-def _hit_curve(cfg: ExperimentConfig, eps_grid, kernel_for) -> SmallBallCurve:
-    """The curve of the hit counts of ``kernel_for(eps)``, the per-batch counter on the
-    checked grid, summed over the run.  This is the one check of an epsilon grid:
-    finite, positive and strictly decreasing, so the counted events are nested."""
+def _eps_grid(eps_grid) -> np.ndarray:
+    """The one check of an epsilon grid: finite, positive and strictly decreasing,
+    so the counted events are nested.  Returns the grid as a float array."""
     eps = np.asarray(eps_grid, dtype=float)
     # written so that NaN fails it
     if eps.ndim != 1 or eps.size < 1 or not (np.all(np.isfinite(eps) & (eps > 0)) and np.all(np.diff(eps) < 0)):
         raise ValidationError(f"eps_grid must be strictly decreasing positive reals, got {eps_grid!r}")
-    counts = _sum_over_batches(cfg, kernel_for(eps))
-    return SmallBallCurve(epsilon_grid=eps, hit_counts=counts, trials=cfg.trials, confidence=cfg.confidence)
+    return eps
 
 
-def _projection_curve(specs, basis: SubspaceBasis, cfg: ExperimentConfig, eps_grid) -> SmallBallCurve:
-    """Counts of ||(<row_k, x_1 x ... x x_l>)_k|| <= sqrt(m) * eps, one sample per trial for the whole grid.
+def estimate_smallball(specs, basis: SubspaceBasis, cfg: ExperimentConfig, eps_grid) -> SmallBallCurve:
+    """Empirical P(||proj of (X1 x ... x Xl)|| <= eps*sqrt(m)) per point of the decreasing ``eps_grid``.
 
-    When ``contract`` gathers, each factor keeps only the columns its rows
-    read, drawn in row chunks and copied through column views; a factor
-    whose every column is read, as every factor of dense rows is, is drawn
-    whole into its kept array.  Each block of ``contract_blocks`` is reduced
-    to row norms as it comes; a row's norm sums its own m squares, so the
-    block partition changes no bit.
+    One sample per trial is tested against the whole nested grid, so counts
+    are exactly monotone.  When ``contract`` gathers, each factor keeps only
+    the columns its rows read, drawn in row chunks and copied through column
+    views; a factor whose every column is read, as every factor of dense
+    rows is, is drawn whole into its kept array.  Each block of
+    ``contract_blocks`` is reduced to row norms as it comes; a row's norm
+    sums its own m squares, so the block partition changes no bit.
     """
     dims = tuple(s.dim for s in specs)
     if dims != basis.shape:
         raise ValidationError(f"factor dims {dims} do not match shape {basis.shape}")
+    eps = _eps_grid(eps_grid)
     scale = math.sqrt(basis.m)
+    if not math.isfinite(float(eps[0]) * scale):
+        raise RangeError(f"threshold eps*sqrt(m) overflows a float at eps = {eps[0]:g}, m = {basis.m}")
+    thresholds = eps * scale
     read = read_columns(basis.rows, basis.shape)
     cols, rows, shape = (None, basis.rows, basis.shape) if read is None else read
 
@@ -315,30 +318,14 @@ def _projection_curve(specs, basis: SubspaceBasis, cfg: ExperimentConfig, eps_gr
             kept[start : start + len(x)] = _columns(x, cols[j])
         return kept
 
-    def kernel_for(eps):
-        if not math.isfinite(float(eps[0]) * scale):
-            raise RangeError(f"threshold eps*sqrt(m) overflows a float at eps = {eps[0]:g}, m = {basis.m}")
-        thresholds = eps * scale
+    def kernel(rng, size, scratch):
+        xs = [factor(j, s, rng, size, scratch) for j, s in enumerate(specs)]
+        norms = scratch.array("norms", (size,))
+        for start, (inner,) in contract_blocks([rows], shape, xs, scratch):
+            np.einsum("bm,bm->b", inner, inner, out=norms[start : start + len(inner)])
+        return _count_hits(np.sqrt(norms, out=norms), thresholds)
 
-        def kernel(rng, size, scratch):
-            xs = [factor(j, s, rng, size, scratch) for j, s in enumerate(specs)]
-            norms = scratch.array("norms", (size,))
-            for start, (inner,) in contract_blocks([rows], shape, xs, scratch):
-                np.einsum("bm,bm->b", inner, inner, out=norms[start : start + len(inner)])
-            return _count_hits(np.sqrt(norms, out=norms), thresholds)
-
-        return kernel
-
-    return _hit_curve(cfg, eps_grid, kernel_for)
-
-
-def estimate_smallball(specs, basis: SubspaceBasis, cfg: ExperimentConfig, eps_grid) -> SmallBallCurve:
-    """Empirical P(||proj of (X1 x ... x Xl)|| <= eps*sqrt(m)) per point of the decreasing ``eps_grid``.
-
-    One sample per trial is tested against the whole nested grid, so counts
-    are exactly monotone.
-    """
-    return _projection_curve(specs, basis, cfg, eps_grid)
+    return SmallBallCurve(eps, _sum_over_batches(cfg, kernel), cfg.trials, cfg.confidence)
 
 
 def estimate_direction_smallball(specs, f: SubspaceBasis, cfg: ExperimentConfig, eps_grid) -> SmallBallCurve:
@@ -346,7 +333,7 @@ def estimate_direction_smallball(specs, f: SubspaceBasis, cfg: ExperimentConfig,
     ``estimate_smallball`` at m = 1, whose sqrt(x*x) == |x| barring over- or underflow."""
     if f.m != 1:
         raise ValidationError(f"a single direction is a one-row basis, got m = {f.m} rows")
-    return _projection_curve(specs, f, cfg, eps_grid)
+    return estimate_smallball(specs, f, cfg, eps_grid)
 
 
 def norm_concentration(specs, t_grid, cfg: ExperimentConfig) -> NormTailCurves:

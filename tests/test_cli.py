@@ -275,6 +275,7 @@ def test_replay_config_unknown_key(tmp_path, capsys):
         ("batch_size", True, "batch_size=True is not int"),
         ("eps_grid", [math.nan], "eps_grid must be finite, got eps_grid = [nan]"),
         ("subspace", "bogus", "unknown subspace"),
+        ("eps_grid", [0.1] * (cli.MAX_GRID + 1), f"eps_grid has {cli.MAX_GRID + 1} points, above the cap"),
     ],
 )
 def test_replay_config_bad_value(tmp_path, capsys, key, value, message):
@@ -627,6 +628,16 @@ def test_bounds_csv_matches_library(tmp_path):
     assert "smin_tail" in rows[0]
 
 
+def test_bounds_smin_tail_column_does_not_read_rho(tmp_path):
+    """Only the threshold scales with rho: a rho whose scale passes the float range writes the same column."""
+    columns = []
+    for rho in ("0.5", "1e200"):
+        out = tmp_path / rho
+        assert run_cli("bounds", "--r", "2", "--rho", rho, "--n", "4", "--l", "2", "--out", str(out)) == 0
+        columns.append([row["smin_tail"] for row in read_rows(out / "bounds.csv")[1]])
+    assert columns[0] == columns[1] and any(columns[0])
+
+
 def test_bounds_default_n(tmp_path):
     assert run_cli("bounds", "--l", "2", "--m", "10", "--out", str(tmp_path)) == 0
     manifest = json.loads((tmp_path / "bounds_manifest.json").read_text())
@@ -806,6 +817,9 @@ def test_usage_errors():
         (("--out", "elsewhere", "selftest"), 1),
         # replay ran the manifest and dropped the subcommand's own run, with exit 0
         (("--replay", "a/bounds_manifest.json", "smallball", "--n", "4"), 1),
+        # a grid count past the cap: numpy built the whole grid, 8 GB at a count of 10^9, before any check
+        (("smallball", "--eps-grid", f"1e-3:1e-1:{cli.MAX_GRID + 1}", "--trials", "100"), 1),
+        (("norms", "--t-grid", f"0.05:0.95:{cli.MAX_GRID + 1}", "--trials", "100"), 1),
     ],
     ids=[
         "trials-inf", "trials-fractional", "l-zero", "l-negative", "no-bodies", "m-negative",
@@ -821,7 +835,8 @@ def test_usage_errors():
         "decompose-seed-negative", "selftest-quick", "seed-negative", "bounds-r-alone", "bounds-rho-alone",
         "bounds-c-prime-huge", "smin-rho-huge", "decompose-rho-huge", "decompose-noise-huge", "dominance-scale-huge",
         "smallball-eps-grid-huge", "norms-t-grid-huge", "smin-eps-grid-huge", "bounds-top-level-out",
-        "selftest-top-level-out", "replay-with-subcommand",
+        "selftest-top-level-out", "replay-with-subcommand", "smallball-eps-grid-count-above-cap",
+        "norms-t-grid-count-above-cap",
     ],
 )
 def test_bad_argv_exit_code(tmp_path, capsys, monkeypatch, argv, code):
@@ -1029,10 +1044,23 @@ def test_default_config_pinned(sub):
     assert [type(v) for v in cfg.values()] == [type(v) for v in want.values()]
 
 
-def test_bounds_resolves_n_past_float_square_root():
-    # m = 2^52 + 1: the ceiling of the float square root is 2^26, whose square is below m
-    cfg = cli._config_from_args(cli.build_parser().parse_args(["bounds", "--m", "4503599627370497", "--l", "2"]))
-    assert cfg["n"] == 67108865
+@pytest.mark.parametrize(
+    "m, ell, n",
+    [
+        # 2^52 + 1: the ceiling of the float square root is 2^26, whose square is below m
+        (4503599627370497, 2, 67108865),
+        # (2^100 + 2^47 + 1)^2: stepping up from the float square root took about 1.4e14 steps
+        ((2**100 + 2**47 + 1) ** 2, 2, 2**100 + 2**47 + 1),
+        # 5^5: the float fifth root is just above 5, and its ceiling overshot to 6
+        (3125, 5, 5),
+        (4, 2, 2),
+        (1, 3, 2),
+    ],
+    ids=["2^52+1", "(2^100+2^47+1)^2", "5^5", "2^2", "one"],
+)
+def test_bounds_resolves_n_past_float_square_root(m, ell, n):
+    cfg = cli._config_from_args(cli.build_parser().parse_args(["bounds", "--m", str(m), "--l", str(ell)]))
+    assert cfg["n"] == n
 
 
 def test_validation_exit_code(tmp_path):

@@ -245,6 +245,11 @@ def test_smin_tail_example():
     threshold, bound = bound_smin_tail(0.01, 8, 6, 2, 1.0)
     assert abs(threshold - 0.008819) < 2e-6
     assert bound == 1.0  # 1.6966 pre-cap
+    # a scale past the float range is inf, as the experiment's is, and the bound does not read rho
+    threshold, bound = bound_smin_tail(0.01, 2, 4, 2, 1e200)
+    assert threshold == math.inf and bound == pytest.approx(0.02 * math.log(100) ** 2)
+    # the hypothesis r <= n^ell/2 is checked on integers, however large n^ell is
+    assert bound_smin_tail(0.01, 2, 10**200, 2, 1.0)[0] == pytest.approx(0.01)
 
 
 def test_smin_tail_halfspace_threshold():

@@ -12,9 +12,11 @@ from tensorball import (
     DegeneracyError,
     ExperimentConfig,
     HypothesisViolationError,
+    RangeError,
     SminTailResult,
     SmoothedEnsemble,
     ValidationError,
+    bound_smin_tail,
     khatri_rao,
     pinv_hs_norm_sq,
     projection_distance_sum,
@@ -240,8 +242,18 @@ def test_smin_tail_rejects_bad_regimes():
     with pytest.raises(HypothesisViolationError):
         smin_tail_experiment(crowded, smin_cfg(), (0.1, 0.01))
     frozen = SmoothedEnsemble.random(2, 3, 2, 0.0, rng=0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^rho must be > 0, got 0\.0$"):
         smin_tail_experiment(frozen, smin_cfg(), (0.1, 0.01))
+    # the experiment and the bound refuse in one order: rho first, then the hypothesis
+    both = SmoothedEnsemble.random(5, 3, 1, 0.0, rng=0)
+    with pytest.raises(ValidationError, match="rho must be > 0"):
+        smin_tail_experiment(both, smin_cfg(), (0.1, 0.01))
+    with pytest.raises(ValidationError, match="rho must be > 0"):
+        bound_smin_tail(0.01, 5, 3, 1, 0.0)
+    # a scale past the float range gives infinite thresholds, whose squares the Gram test cannot compare
+    huge = SmoothedEnsemble.random(2, 3, 2, 1e308, rng=0)
+    with pytest.raises(RangeError, match="squared threshold overflows a float"):
+        smin_tail_experiment(huge, smin_cfg(), (0.1, 0.01))
 
 
 @pytest.mark.parametrize("grid", [(math.nan,), (0.5, math.nan), (0.1, 0.5), (0.5, 0.0), ()])

@@ -85,16 +85,55 @@ def _owners(name: str) -> set[str]:
                 names |= {alias.name for alias in node.names}
             if name not in names:
                 continue
-            owner = node
-            while owner is not None and not isinstance(owner, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner = parent.get(owner)
-            owners.add(f"{path.name}:{owner.name if owner else '<module>'}")
+            owners.add(f"{path.name}:{_function_of(node, parent)}")
     return owners
+
+
+def _function_of(node, parent) -> str:
+    """Name of the innermost function around ``node``, or ``<module>``; ``parent`` maps each node to its parent."""
+    while node is not None and not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        node = parent.get(node)
+    return node.name if node else "<module>"
 
 
 def test_betaincinv_lives_in_one_function():
     """Every exact binomial interval comes from one beta-quantile routine."""
     assert _owners("betaincinv") == {"montecarlo.py:_beta_bounds"}
+
+
+def _raisers(matches) -> set[str]:
+    """``file:function`` of every ``raise`` in the package whose exception, as source text, ``matches``."""
+    owners = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None and matches(ast.unparse(node.exc)):
+                owners.add(f"{path.name}:{_function_of(node, parent)}")
+    return owners
+
+
+def test_eps_grid_refusal_lives_in_one_function():
+    """Every estimator checks its epsilon grid through ``montecarlo._eps_grid``."""
+    assert _raisers(lambda exc: "eps_grid must be strictly decreasing" in exc) == {"montecarlo.py:_eps_grid"}
+
+
+def test_no_function_defines_a_kernel_factory():
+    """An estimator builds its per-batch kernel in its own body: no function defines a ``kernel_for``."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "kernel_for"
+    ]
+    assert found == []
+
+
+def test_smin_refusals_live_in_one_function():
+    """The bound and the experiment take the s_min scale and its two refusals from one function, the only
+    one that raises ``HypothesisViolationError`` or refuses ``rho must be > 0``."""
+    assert _raisers(lambda exc: "HypothesisViolationError" in exc) == {"exact_laws.py:_smin_scale"}
+    assert _raisers(lambda exc: "rho must be > 0" in exc) == {"exact_laws.py:_smin_scale"}
 
 
 def test_the_size_rule_lives_in_one_function():
