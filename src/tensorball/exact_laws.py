@@ -191,7 +191,9 @@ def bound_nondeterministic(eps, n: int, ell: int, m: int) -> NondeterministicBou
     """Counting-argument bound 2 n^(ell-1) sqrt(n)^(ell e*) eps^(e*), capped at 1.
 
     Returns the pair (value, exponent) where the exponent
-    e* = (n - (n^ell - m)^(1/ell)) / ell governs the decay rate.
+    e* = (n - (n^ell - m)^(1/ell)) / ell governs the decay rate.  Where
+    n^ell - m or the prefactor is past the float range, e* is taken from
+    m / n^ell and the bound in log space, so the value is still capped at 1.
     """
     n, ell = _check_sizes(1, n=n, ell=ell)
     (m,) = _check_sizes(0, m=m)
@@ -200,9 +202,26 @@ def bound_nondeterministic(eps, n: int, ell: int, m: int) -> NondeterministicBou
     eps, scalar = _as_array(eps)
     if not np.all(eps >= 0):
         raise ValidationError("eps must be nonnegative")
-    e_star = (n - (n**ell - m) ** (1.0 / ell)) / ell
-    prefactor = 2.0 * n ** (ell - 1) * math.sqrt(n) ** (ell * e_star)
-    out = _cap(prefactor * eps**e_star)
+    try:
+        e_star = (n - (n**ell - m) ** (1.0 / ell)) / ell
+    except OverflowError:
+        # with y = 1 - m/n^ell, n - (n^ell - m)^(1/ell) = -n expm1(log(y) / ell);
+        # log(y) is log1p(-m/n^ell), or, where y is small, a difference of logs
+        x = m / n**ell
+        log_y = math.log1p(-x) if x < 0.5 else math.log(n**ell - m) - ell * math.log(n)
+        e_star = -n * math.expm1(log_y / ell) / ell
+    try:
+        prefactor = 2.0 * n ** (ell - 1) * math.sqrt(n) ** (ell * e_star)
+    except OverflowError:
+        prefactor = math.inf
+    if prefactor < math.inf:
+        out = _cap(prefactor * eps**e_star)
+    else:
+        log_value = np.full_like(eps, math.log(2.0) + (ell - 1 + ell * e_star / 2) * math.log(n))
+        if e_star > 0:  # eps**0 is 1, also at eps = 0
+            with np.errstate(divide="ignore"):
+                log_value += e_star * np.log(eps)
+        out = np.exp(np.minimum(log_value, 0.0))
     return NondeterministicBound(_ret(out, scalar), e_star)
 
 
@@ -221,7 +240,11 @@ def bound_concentration_subgaussian(
     eps, scalar = _as_array(eps)
     if not np.all((eps >= 0) & (eps <= 1)):
         raise RangeError("bound_concentration_subgaussian requires 0 <= eps <= 1")
-    rate = cfg.C_main * (1.0 - eps) ** 2 * m / n ** (ell - 1)
+    try:
+        rate = cfg.C_main * (1.0 - eps) ** 2 * m / n ** (ell - 1)
+    except OverflowError:
+        # m or n^(ell-1) is past the float range, their ratio of integers is not
+        rate = cfg.C_main * (1.0 - eps) ** 2 * (m / n ** (ell - 1))
     if variant == "vershynin":
         out = 2.0 * np.exp(-rate / ell)
     else:

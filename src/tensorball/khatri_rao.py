@@ -11,7 +11,11 @@ main route: (A (.) B)^T (A (.) B) = (A^T A) * (B^T B) (Kolda & Bader, SIAM
 Review 2009) gives s_min^2 as the smallest eigenvalue of an r x r Hadamard
 product of factor Grams.  Trials whose eigenvalue lies within a rounding
 band of zero or of a squared threshold are redone by SVD, so every count is
-the SVD's count.
+the SVD's count.  Most trials need no eigenvalue at all: a vectorized
+LDL^T of G - (t_max^2 + band) I whose pivots are all finite and positive
+puts lambda_min above t_max^2 + band, less (r+1)*u*trace(G) of rounding
+(u the unit roundoff; Higham 2002, section 10.1), which leaves it outside
+the band above the top threshold, where the trial counts no hit.
 
 The rank tolerance, the rounding band, the base-vector norm cap (1) and the
 bound constants (``BoundConfig()``) are fixed module values.
@@ -159,6 +163,44 @@ class SminTailResult:
     bound_values: tuple[float, ...]
 
 
+def _screen(gram: np.ndarray, shift: np.ndarray, scratch: _Scratch) -> np.ndarray:
+    """True for each Gram whose LDL^T pivots of ``gram - shift * I`` are all finite and > 0.
+
+    The elimination runs on every matrix of the stack at once, one pivot per
+    step, in the ``scratch`` arrays ``"mode_gram"`` and ``"schur"`` in turn;
+    ``gram`` is left as it was.  Each step is elementwise over the stack, so
+    no pivot depends on which matrices share the call.  A passing matrix is
+    positive definite up to the rounding of the elimination: with u the unit
+    roundoff and r the order, its smallest eigenvalue exceeds
+    ``shift - (r + 1) * u * trace(gram)`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, section 10.1).  Like ``eigvalsh``, it reads
+    the lower triangle.  A NaN pivot fails ``> 0``, and a NaN or infinite
+    entry there reaches a later pivot as NaN or -inf, so a non-finite Gram or
+    shift never passes.
+    """
+    rows, r = gram.shape[0], gram.shape[-1]
+    # the stack axis last, so that every step runs over contiguous rows of it
+    a = scratch.array("mode_gram", (r, r, rows))
+    np.copyto(a, gram.transpose(1, 2, 0))
+    passed = np.ones(rows, dtype=bool)
+    # NaN and inf stay in the matrix that makes them: a non-finite Gram or
+    # shift fails at the pivot they reach, and a failed matrix, which goes on
+    # dividing by its zero or NaN pivot, stays failed
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a.reshape(r * r, rows)[:: r + 1] -= shift
+        for k in range(1, r + 1):
+            pivot = a[0, 0]
+            passed &= (pivot > 0) & (pivot < np.inf)
+            if k == r:
+                break
+            schur = scratch.array(("mode_gram", "schur")[k % 2], (r - k, r - k, rows))
+            col = a[1:, 0]
+            np.multiply(col[:, None], col / pivot, out=schur)
+            np.subtract(a[1:, 1:], schur, out=schur)
+            a = schur
+    return passed
+
+
 def _smin_hits(e: SmoothedEnsemble, thresholds: np.ndarray, rng, size: int, scratch: _Scratch) -> np.ndarray:
     """One batch of ``smin_tail_experiment``: hit counts of s_min <= each threshold.
 
@@ -166,8 +208,11 @@ def _smin_hits(e: SmoothedEnsemble, thresholds: np.ndarray, rng, size: int, scra
     Everything after the draws goes one block of ``_block_rows(2 * r * r)``
     trials at a time, and the SVD redo in chunks of ``_block_rows(n**ell * r)``
     trials, so the batch keeps only the factors and one s_min per trial.
-    Every Gram product, eigvalsh, trace and SVD acts matrix by matrix, so no
-    value depends on the blocks.
+    A trial that ``_screen`` passes at ``max(thresholds)**2 + band`` has its
+    s_min above every threshold; it is recorded as inf, a hit nowhere, and
+    gets no eigenvalues, SVD or sandwich check.  Every Gram product, trace,
+    screen, eigvalsh and SVD acts matrix by matrix, so no value depends on the
+    blocks.
     """
     sigma = e.rho / math.sqrt(e.n)
     mats = []
@@ -178,7 +223,9 @@ def _smin_hits(e: SmoothedEnsemble, thresholds: np.ndarray, rng, size: int, scra
         a += e.base[j]
         mats.append(a)
     block, chunk = _block_rows(2 * e.r * e.r), _block_rows(e.n**e.ell * e.r)
-    smin = np.empty(size)
+    top_sq = np.max(thresholds) ** 2
+    # a screened trial's s_min is above every threshold
+    smin = np.full(size, np.inf)
     violated = 0
     for start in range(0, size, block):
         part = [a[start : start + block] for a in mats]
@@ -187,7 +234,6 @@ def _smin_hits(e: SmoothedEnsemble, thresholds: np.ndarray, rng, size: int, scra
         mode_gram = scratch.array("mode_gram", (rows, e.r, e.r))
         for a in part[1:]:
             gram *= np.matmul(a.transpose(0, 2, 1), a, out=mode_gram)
-        lam = np.linalg.eigvalsh(gram)
         # Why the band certifies the count.  With u the unit roundoff, each
         # computed Gram entry is off by at most n*u*|a_i||a_k| per mode, so
         # the Hadamard product G is off entrywise by at most about
@@ -206,28 +252,40 @@ def _smin_hits(e: SmoothedEnsemble, thresholds: np.ndarray, rng, size: int, scra
         # lambda_min = 0, where squaring loses the small singular values) the
         # trial is redone by SVD.  NaN fails every comparison below, so it is
         # redone too.
+        # The screen passes a trial only if its lambda_min exceeds
+        # t_max^2 + band - (r+1)*u*trace(G), which is above t_max^2 by more
+        # than the band's worth of rounding while (r+1)*u << 1e-10: the SVD's
+        # s_min is above every threshold, so the trial counts no hit, as the
+        # SVD would count it.  The screen computes no spectrum, so such a
+        # trial skips the sandwich check; a non-finite Gram never passes, so
+        # every draw that could fail the check still reaches it.
         band = _GRAM_BAND * np.trace(gram, axis1=1, axis2=2)
+        screened = _screen(gram, top_sq + band, scratch)
+        spectral = np.flatnonzero(~screened)
+        band = band[spectral]
+        lam = np.linalg.eigvalsh(gram[spectral])
         lam_min = lam[:, 0]
         certified = (
             np.all(np.isfinite(lam), axis=1)
             & (lam_min > band)
             & np.all(np.abs(lam_min[:, None] - thresholds[None, :] ** 2) > band[:, None], axis=1)
         )
-        part_smin = smin[start : start + rows]
-        pinv_sq = np.empty(rows)
-        part_smin[certified] = np.sqrt(lam_min[certified])
+        spectral_smin = np.empty(spectral.size)
+        pinv_sq = np.empty(spectral.size)
+        spectral_smin[certified] = np.sqrt(lam_min[certified])
         pinv_sq[certified] = np.sum(1.0 / lam[certified], axis=1)
         finite = certified.copy()
         redo = np.flatnonzero(~certified)
         for at in range(0, redo.size, chunk):
             redone = redo[at : at + chunk]
-            s = np.linalg.svd(kron([a[redone] for a in part]), compute_uv=False)
-            part_smin[redone] = s[:, -1]
+            s = np.linalg.svd(kron([a[spectral[redone]] for a in part]), compute_uv=False)
+            spectral_smin[redone] = s[:, -1]
             pinv_sq[redone] = np.sum(1.0 / s**2, axis=1)
             finite[redone] = np.all(np.isfinite(s), axis=1)
-        inv_sq = 1.0 / part_smin**2
+        inv_sq = 1.0 / spectral_smin**2
         ok = finite & (pinv_sq >= inv_sq * (1 - 1e-9)) & (pinv_sq <= e.r * inv_sq * (1 + 1e-9))
-        violated += rows - np.count_nonzero(ok)
+        violated += spectral.size - np.count_nonzero(ok)
+        smin[start + spectral] = spectral_smin
     if violated:
         raise DegeneracyError(
             f"singular-value sandwich violated on {violated} of {size} draws"
@@ -241,19 +299,26 @@ def smin_tail_experiment(e: SmoothedEnsemble, cfg: ExperimentConfig, eps_grid) -
 
     Per trial, draws the smoothed factors A_1..A_ell and takes s_min^2 as the
     smallest eigenvalue of the r x r Gram G = (A_1^T A_1) * ... * (A_ell^T A_ell)
-    of the Khatri-Rao matrix, which is never formed.  A trial whose smallest
-    eigenvalue is non-finite, at most ``_GRAM_BAND * trace(G)``, or within
-    that band of a squared threshold is redone by full SVD of its Khatri-Rao
-    matrix, so every hit count equals the SVD's count.  Hits are counted
-    against the thresholds sqrt(1 - r/n^ell) * (c rho)^ell * eps, one per
-    point of the decreasing ``eps_grid``.  The singular-value sandwich
-    1/s_min^2 <= ||A^+||_HS^2 <= r/s_min^2 is checked on every draw, from
-    the eigenvalues or the redone singular values; a failure (non-finite or
-    misordered values) raises ``DegeneracyError``.
-    Memory per batch is O(size * ell*n*r) for the draws plus one block: the
-    Grams of ``_block_rows(2 * r * r)`` trials, or the n^ell x r matrices of
-    ``_block_rows(n**ell * r)`` redone trials.  The constants c and C are
-    those of the default ``BoundConfig``.
+    of the Khatri-Rao matrix, which is never formed.  First a shifted LDL^T
+    screen (``_screen``) passes each trial whose G - (t_max^2 + band) I has
+    finite positive pivots: its lambda_min is above t_max^2 + band up to
+    (r+1)*u*trace(G) of rounding, so its s_min is above every threshold and
+    it needs no eigenvalue (about 99% of the trials at r = 20, n = 8,
+    ell = 3, rho = 1 on the default grid).  A trial the screen leaves whose
+    smallest eigenvalue is non-finite, at most ``_GRAM_BAND * trace(G)``, or
+    within that band of a squared threshold is redone by full SVD of its
+    Khatri-Rao matrix, so every hit count equals the SVD's count.  Hits are
+    counted against the thresholds sqrt(1 - r/n^ell) * (c rho)^ell * eps, one
+    per point of the decreasing ``eps_grid``.  The singular-value sandwich
+    1/s_min^2 <= ||A^+||_HS^2 <= r/s_min^2 is checked on every draw the
+    screen leaves, from the eigenvalues or the redone singular values; a
+    failure (non-finite or misordered values) raises ``DegeneracyError``.  A
+    non-finite Gram never passes the screen, so every draw that could fail
+    the check reaches it.
+    Memory per batch is O(size * ell*n*r) for the draws plus one block: three
+    r x r arrays (Gram, mode Gram, screen) for each of ``_block_rows(2 * r * r)``
+    trials, or the n^ell x r matrices of ``_block_rows(n**ell * r)`` redone
+    trials.  The constants c and C are those of the default ``BoundConfig``.
     """
     bound_cfg = BoundConfig()
     prefactor = _smin_scale(e.r, e.n, e.ell, e.rho, bound_cfg.c_small)

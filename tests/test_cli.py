@@ -638,6 +638,18 @@ def test_bounds_smin_tail_column_does_not_read_rho(tmp_path):
     assert columns[0] == columns[1] and any(columns[0])
 
 
+@pytest.mark.parametrize(
+    "args",
+    [("--l", "2", "--m", str((2**100 + 2**47 + 1) ** 2)), ("--n", "10000000000", "--l", "32", "--m", "1")],
+    ids=["(2^100+2^47+1)^2", "n^l"],
+)
+def test_bounds_nondeterministic_past_the_float_range(tmp_path, args):
+    # the nondeterministic column raised OverflowError there, and exit 2 refused the whole table
+    assert run_cli("bounds", *args, "--out", str(tmp_path)) == 0
+    rows = read_rows(tmp_path / "bounds.csv")[1]
+    assert len(rows) == 20 and {row["nondeterministic"] for row in rows} == {"1.0"}
+
+
 def test_bounds_default_n(tmp_path):
     assert run_cli("bounds", "--l", "2", "--m", "10", "--out", str(tmp_path)) == 0
     manifest = json.loads((tmp_path / "bounds_manifest.json").read_text())

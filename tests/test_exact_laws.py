@@ -215,6 +215,38 @@ def test_nondeterministic_vanishes():
     assert tiny < 1e-10
 
 
+@pytest.mark.parametrize(
+    "n, ell, m, exponent",
+    [
+        (2**100 + 2**47 + 1, 2, (2**100 + 2**47 + 1) ** 2, pytest.approx((2**100 + 2**47 + 1) / 2, rel=1e-15)),
+        # n m / n^ell / ell^2 = 1e-310 / 1024, reached through subnormals that keep a few bits
+        (10**10, 32, 1, pytest.approx(1e-310 / 1024, rel=0.05, abs=0)),
+    ],
+    ids=["sqrt(n)^(l e*)", "n^l"],
+)
+def test_nondeterministic_past_the_float_range_caps_at_one(n, ell, m, exponent):
+    # the prefactor, then n^ell - m, passed the float range and raised a builtins OverflowError
+    got = bound_nondeterministic(0.1, n, ell, m)
+    assert got.value == 1.0 and got.exponent == exponent
+    # with e* > 0, eps = 0 gives 0
+    assert np.array_equal(bound_nondeterministic(np.array([0.0, 0.1]), n, ell, m).value, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("m", [10**320 // 3, 10**320 - 10**315], ids=["m/n^l=1/3", "1-m/n^l=1e-5"])
+def test_nondeterministic_in_log_space_matches_mpmath(m):
+    """n = 1e10, ell = 32: n^ell - m is past the float range; e* and a value below the cap against 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    n, ell = 10**10, 32
+    with mpmath.workdps(50):
+        e_star = (n - mpmath.root(mpmath.mpf(n) ** ell - m, ell)) / ell
+        # the eps at which the bound is e^-5
+        log_eps = (-5 - mpmath.log(2) - (ell - 1) * mpmath.log(n)) / e_star - ell * mpmath.log(n) / 2
+        eps = float(mpmath.exp(log_eps))
+    got = bound_nondeterministic(eps, n, ell, m)
+    assert got.exponent == pytest.approx(float(e_star), rel=1e-12)
+    assert got.value == pytest.approx(math.exp(-5), rel=1e-3)
+
+
 def test_concentration_examples():
     assert bound_concentration_subgaussian(1.0, 64, 4, 2, variant="vershynin") == 1.0
     got = bound_concentration_subgaussian(0.0, 64, 4, 2, variant="vershynin")

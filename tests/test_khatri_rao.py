@@ -24,7 +24,7 @@ from tensorball import (
     smin_tail_experiment,
 )
 from tensorball import montecarlo
-from tensorball.tensor_core import _block_rows, kron
+from tensorball.tensor_core import _block_rows, _Scratch, kron
 
 kr_module = importlib.import_module("tensorball.khatri_rao")
 
@@ -276,7 +276,8 @@ def test_smin_tail_rejects_non_finite_singular_values(monkeypatch):
     """The sandwich check is real code, so it also holds under ``python -O``.
 
     NaN eigenvalues send every trial to the SVD fallback, whose NaN singular
-    values must then reach the sandwich check.
+    values must then reach the sandwich check.  The grid point eps = 1e3
+    puts t^2 above trace(G) >= lambda_max, so the screen passes no trial.
     """
     e = SmoothedEnsemble.random(2, 3, 2, 0.5, rng=0)
 
@@ -289,14 +290,15 @@ def test_smin_tail_rejects_non_finite_singular_values(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", nan_eigvalsh)
     monkeypatch.setattr(np.linalg, "svd", nan_svd)
     with pytest.raises(DegeneracyError, match="sandwich"):
-        smin_tail_experiment(e, smin_cfg(), (0.1, 0.01))
+        smin_tail_experiment(e, smin_cfg(), (1e3, 0.1, 0.01))
 
 
 def test_smin_tail_nan_eigenvalues_fall_back_to_svd(monkeypatch, svd_spy):
     e = SmoothedEnsemble.random(3, 3, 2, 0.7, rng=2)
     cfg = ExperimentConfig(seed=4, trials=120, batch_size=120)
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, UPLO="L": np.full(a.shape[:-1], np.nan))
-    res = smin_tail_experiment(e, cfg, (1.5, 0.8, 0.3))
+    # eps = 1e3 puts t^2 above trace(G) >= lambda_max: the screen passes no trial
+    res = smin_tail_experiment(e, cfg, (1e3, 1.5, 0.8, 0.3))
     assert sum(svd_spy) == 120
     assert res.curve.hit_counts == svd_counts(replayed_smin(e, cfg), res.thresholds)
 
@@ -389,8 +391,9 @@ def test_smin_tail_memory_stays_off_the_khatri_rao_matrix():
 
 def whole_batch_smin(e, thresholds, rng, size):
     """Per-trial s_min of one batch as the kernel found it with the whole
-    batch's Grams, eigenvalues and redone SVDs at once: the reference the
-    blocked kernel must equal bit for bit."""
+    batch's Grams, screen, eigenvalues and redone SVDs at once: the reference
+    the blocked kernel must equal bit for bit.  A trial the screen passes is
+    recorded as inf."""
     sigma = e.rho / math.sqrt(e.n)
     mats = []
     for j in range(e.ell):
@@ -401,28 +404,33 @@ def whole_batch_smin(e, thresholds, rng, size):
     gram = np.matmul(mats[0].transpose(0, 2, 1), mats[0])
     for a in mats[1:]:
         gram *= np.matmul(a.transpose(0, 2, 1), a)
-    lam = np.linalg.eigvalsh(gram)
     band = kr_module._GRAM_BAND * np.trace(gram, axis1=1, axis2=2)
+    screened = kr_module._screen(gram, np.max(thresholds) ** 2 + band, _Scratch())
+    spectral = np.flatnonzero(~screened)
+    gram, band = gram[spectral], band[spectral]
+    lam = np.linalg.eigvalsh(gram)
     lam_min = lam[:, 0]
     certified = (
         np.all(np.isfinite(lam), axis=1)
         & (lam_min > band)
         & np.all(np.abs(lam_min[:, None] - thresholds[None, :] ** 2) > band[:, None], axis=1)
     )
-    smin = np.empty(size)
-    pinv_sq = np.empty(size)
+    smin = np.empty(spectral.size)
+    pinv_sq = np.empty(spectral.size)
     smin[certified] = np.sqrt(lam_min[certified])
     pinv_sq[certified] = np.sum(1.0 / lam[certified], axis=1)
     finite = certified.copy()
     redo = np.flatnonzero(~certified)
     if redo.size:
-        s = np.linalg.svd(kron([a[redo] for a in mats]), compute_uv=False)
+        s = np.linalg.svd(kron([a[spectral[redo]] for a in mats]), compute_uv=False)
         smin[redo] = s[:, -1]
         pinv_sq[redo] = np.sum(1.0 / s**2, axis=1)
         finite[redo] = np.all(np.isfinite(s), axis=1)
     inv_sq = 1.0 / smin**2
     assert np.all(finite & (pinv_sq >= inv_sq * (1 - 1e-9)) & (pinv_sq <= e.r * inv_sq * (1 + 1e-9)))
-    return smin
+    out = np.full(size, np.inf)
+    out[spectral] = smin
+    return out
 
 
 @pytest.fixture
@@ -484,5 +492,71 @@ def test_smin_sandwich_violations_add_up_over_blocks(monkeypatch):
         return lam
 
     monkeypatch.setattr(np.linalg, "eigvalsh", misordered)
+    # eps = 1e3 puts t^2 above trace(G) >= lambda_max: the screen passes no trial
     with pytest.raises(DegeneracyError, match="violated on 2 of 200 draws"):
-        smin_tail_experiment(e, ExperimentConfig(seed=0, trials=200, batch_size=200), (0.5, 0.1))
+        smin_tail_experiment(e, ExperimentConfig(seed=0, trials=200, batch_size=200), (1e3, 0.5, 0.1))
+
+
+def screen_grams(rng, size, r):
+    """Positive definite r x r Grams of Wishart draws on r + 1 rows, with columns scaled over four decades."""
+    x = rng.standard_normal((size, r + 1, r)) * 10.0 ** rng.uniform(-2, 2, (size, 1, r))
+    return np.matmul(x.transpose(0, 2, 1), x)
+
+
+@pytest.mark.parametrize("r", [1, 2, 5, 20, 40])
+def test_screen_brackets_lambda_min(r):
+    """A passed Gram has lambda_min > shift - (r+1) u trace; one with lambda_min > shift + 1e-8 trace passes."""
+    gram = screen_grams(np.random.default_rng(r), 200, r)
+    offsets = np.array([-1e-6, -1e-8, -1e-10, -1e-13, -1e-15, 0.0, 1e-15, 1e-13, 1e-10, 1e-8, 1e-6])
+    gram = np.repeat(gram, offsets.size, axis=0)
+    lam_min = np.linalg.eigvalsh(gram)[:, 0]
+    trace = np.trace(gram, axis1=1, axis2=2)
+    shift = lam_min - np.tile(offsets, 200) * trace
+    passed = kr_module._screen(gram, shift, _Scratch())
+    assert np.all(lam_min[passed] > shift[passed] - (r + 1) * 2.0**-53 * trace[passed])
+    assert np.all(passed[lam_min > shift + 1e-8 * trace])
+    assert 0 < np.count_nonzero(passed) < passed.size
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_screen_never_passes_a_non_finite_gram(bad):
+    """``pytest -W error`` also checks that no RuntimeWarning escapes."""
+    r = 4
+    rows, cols = np.tril_indices(r)
+    gram = np.repeat(screen_grams(np.random.default_rng(0), 1, r), rows.size + 2, axis=0)
+    shift = np.full(len(gram), 0.5 * np.linalg.eigvalsh(gram[0])[0])
+    assert np.all(kr_module._screen(gram, shift, _Scratch()))
+    # one Gram per lower-triangle position, set there and at its mirror image
+    gram[np.arange(rows.size), rows, cols] = gram[np.arange(rows.size), cols, rows] = bad
+    shift[-2:] = math.nan, math.inf
+    assert not np.any(kr_module._screen(gram, shift, _Scratch()))
+
+
+def test_screen_does_not_depend_on_the_blocks():
+    gram = screen_grams(np.random.default_rng(1), 60, 6)
+    lam_min = np.linalg.eigvalsh(gram)[:, 0]
+    shift = lam_min * (1 + np.random.default_rng(2).uniform(-1e-12, 1e-12, 60))
+    scratch = _Scratch()
+    whole = kr_module._screen(gram, shift, scratch)
+    assert 0 < np.count_nonzero(whole) < 60
+    for cuts in ([1], [7, 30], list(range(1, 60))):
+        parts = [kr_module._screen(g, s, scratch) for g, s in zip(np.split(gram, cuts), np.split(shift, cuts))]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_smin_screen_leaves_few_trials_to_eigvalsh(monkeypatch):
+    """The benchmark's smin shape and default grid: of 1e3 trials the screen passes all but
+    the few near or below the top threshold, and the counts are the SVD's."""
+    e = SmoothedEnsemble.random(20, 8, 3, 1.0, rng=0)
+    cfg = ExperimentConfig(seed=0, trials=1000, batch_size=1000)
+    seen = []
+    real = np.linalg.eigvalsh
+
+    def spy(a, UPLO="L"):
+        seen.append(len(a))
+        return real(a, UPLO)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    res = smin_tail_experiment(e, cfg, np.geomspace(5e-1, 1e-3, 15))
+    assert res.curve.hit_counts[0] <= sum(seen) <= 20
+    assert res.curve.hit_counts == svd_counts(replayed_smin(e, cfg), res.thresholds)

@@ -37,7 +37,8 @@ def test_readme_python_blocks_run(tmp_path):
 
 def test_scipy_loaded_only_where_an_interval_is_computed(tmp_path):
     """Start-up pays for no scipy module: ``decompose`` and ``bounds`` never load one, and runs with
-    Clopper-Pearson intervals load ``scipy.special`` alone, for its beta quantile."""
+    Clopper-Pearson intervals load ``scipy.special`` alone, for its beta quantile.  ``smin``'s
+    screen and eigenvalues stay in numpy: ``scipy.linalg`` alone adds about 6.5 MB of RSS."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
     program = (
         "import sys, tensorball.cli as cli\n"
@@ -49,6 +50,7 @@ def test_scipy_loaded_only_where_an_interval_is_computed(tmp_path):
         "decompose": ("decompose", "--out", str(tmp_path)),
         "bounds": ("bounds", "--out", str(tmp_path)),
         "smallball": ("smallball", "--subspace", "line", "--trials", "1e4", "--out", str(tmp_path)),
+        "smin": ("smin", "--trials", "1e3", "--out", str(tmp_path)),
     }
     loaded = {}
     for name, argv in runs.items():
@@ -62,6 +64,8 @@ def test_scipy_loaded_only_where_an_interval_is_computed(tmp_path):
     assert loaded["import"] == loaded["decompose"] == loaded["bounds"] == set()
     assert "scipy.special" in loaded["smallball"]
     assert not any(m.startswith(("scipy.optimize", "scipy.stats")) for m in loaded["smallball"])
+    assert "scipy.special" in loaded["smin"]
+    assert not any(m.startswith(("scipy.linalg", "scipy.optimize", "scipy.stats")) for m in loaded["smin"])
 
 
 def test_cli_start_up_leaves_out_the_gates():
