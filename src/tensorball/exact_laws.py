@@ -163,13 +163,31 @@ def bound_single_direction(eps, ell: int, cfg: BoundConfig = BoundConfig()):
 
 
 def bound_generic_subspace(eps, m: int, n: int, ell: int, cfg: BoundConfig = BoundConfig()):
-    """Haar-generic subspace bound (C' eps)^(C'' min{m, n}) + exp(-C_main n), capped at 1."""
+    """Haar-generic subspace bound (C' eps)^(C'' min{m, n}) + exp(-C_main n), capped at 1.
+
+    The products C'' min{m, n} and C_main n are taken in log space where the
+    integers are past the float range, so exp(-C_main n) underflows to 0.
+    """
     m, n, ell = _check_sizes(1, m=m, n=n, ell=ell)
     eps, scalar = _as_array(eps)
     if not np.all((eps > 0) & (eps < 1)):
         raise RangeError("bound_generic_subspace requires 0 < eps < 1")
-    out = _cap((cfg.C_prime * eps) ** (cfg.C_dprime * min(m, n)) + math.exp(-cfg.C_main * n))
+    out = _cap((cfg.C_prime * eps) ** _times(cfg.C_dprime, min(m, n)) + math.exp(-_times(cfg.C_main, n)))
     return _ret(out, scalar)
+
+
+def _times(c: float, n: int) -> float:
+    """The float ``c * n`` for a float c >= 0 and an integer n >= 0, inf past the float range.  Where n
+    itself is past it, and ``c * n`` raises ``OverflowError``, the product is taken in log space."""
+    try:
+        return c * n
+    except OverflowError:
+        if c == 0:
+            return 0.0
+        try:
+            return math.exp(math.log(c) + math.log(n))
+        except OverflowError:
+            return math.inf
 
 
 def bound_carbery_wright(eps, ell: int, cfg: BoundConfig = BoundConfig()):
@@ -193,7 +211,9 @@ def bound_nondeterministic(eps, n: int, ell: int, m: int) -> NondeterministicBou
     Returns the pair (value, exponent) where the exponent
     e* = (n - (n^ell - m)^(1/ell)) / ell governs the decay rate.  Where
     n^ell - m or the prefactor is past the float range, e* is taken from
-    m / n^ell and the bound in log space, so the value is still capped at 1.
+    m / n^ell and the bound in log space, so the value is still capped at 1;
+    where n is too, so is e*.  An e* past the float range raises
+    ``RangeError``.
     """
     n, ell = _check_sizes(1, n=n, ell=ell)
     (m,) = _check_sizes(0, m=m)
@@ -208,8 +228,14 @@ def bound_nondeterministic(eps, n: int, ell: int, m: int) -> NondeterministicBou
         # with y = 1 - m/n^ell, n - (n^ell - m)^(1/ell) = -n expm1(log(y) / ell);
         # log(y) is log1p(-m/n^ell), or, where y is small, a difference of logs
         x = m / n**ell
-        log_y = math.log1p(-x) if x < 0.5 else math.log(n**ell - m) - ell * math.log(n)
-        e_star = -n * math.expm1(log_y / ell) / ell
+        if x < 0.5:
+            log_y = math.log1p(-x)
+        else:
+            log_y = math.log(n**ell - m) - ell * math.log(n) if m < n**ell else -math.inf
+        try:
+            e_star = -n * math.expm1(log_y / ell) / ell
+        except OverflowError:
+            e_star = _exponent_of_huge_n(n, ell, m, x, log_y)
     try:
         prefactor = 2.0 * n ** (ell - 1) * math.sqrt(n) ** (ell * e_star)
     except OverflowError:
@@ -223,6 +249,20 @@ def bound_nondeterministic(eps, n: int, ell: int, m: int) -> NondeterministicBou
                 log_value += e_star * np.log(eps)
         out = np.exp(np.minimum(log_value, 0.0))
     return NondeterministicBound(_ret(out, scalar), e_star)
+
+
+def _exponent_of_huge_n(n: int, ell: int, m: int, x: float, log_y: float) -> float:
+    """e* = -n expm1(log(y) / ell) / ell of ``bound_nondeterministic`` where n is past the float range,
+    in log space; ``x`` is m/n^ell and ``log_y`` log(1 - x).  Below x = 2^-60, where x may be subnormal or
+    0, -expm1(log(y) / ell) is x / ell to within rounding.  Raises ``RangeError`` where e* * ell * log(n)
+    passes e^700, beyond which the bound's logarithm is not a float."""
+    if m == 0:
+        return 0.0
+    log_q = math.log(-math.expm1(log_y / ell)) if x >= 2.0**-60 else math.log(m) - ell * math.log(n) - math.log(ell)
+    log_e = math.log(n) + log_q - math.log(ell)
+    if not log_e + math.log(ell * math.log(n)) < 700:
+        raise RangeError(f"the nondeterministic exponent e* = exp({log_e:.6g}) is past the float range at ell = {ell}")
+    return math.exp(log_e)
 
 
 def bound_concentration_subgaussian(

@@ -21,7 +21,9 @@ chunks of 2^21 tensor entries, which define its stream.  Projections and
 slab tests take their products from ``tensor_core.contract_blocks``, one
 block at a time: a projection reduces each block to row norms, and the
 dominance kernel makes one pass per chunk and direction count and counts
-each body's slab test per block.  Every kept array, the blocks included,
+each body's slab test per block.  A large dense projection is screened in
+float32 first and only the trials the screen cannot place get float64
+products (``estimate_smallball``).  Every kept array, the blocks included,
 comes from the run's ``tensor_core._Scratch``, which goes with the run.
 """
 
@@ -39,7 +41,7 @@ import numpy as np
 from .distributions import sample_chunks, sample_matrix
 from .errors import DataSparsityError, RangeError, ValidationError
 from .subspaces import SubspaceBasis, _check_sizes
-from .tensor_core import _block_rows, _columns, _Scratch, contract_blocks, read_columns
+from .tensor_core import _block_rows, _columns, _dense_block, _dense_blocks, _Scratch, _split, contract_blocks, read_columns
 
 
 @dataclass(frozen=True)
@@ -211,6 +213,13 @@ class NormTailCurves(NamedTuple):
 # batches in flight per worker thread when a run has several workers
 _WINDOW_PER_THREAD = 2
 
+# Multiply-adds per trial (m * prod n) of a dense projection above which the
+# float32 screen of ``estimate_smallball`` pays for its casts, bands and
+# decisions.  Kernel medians on a 2-vCPU machine (numpy 2.4.6, OpenBLAS
+# 0.3.31): even at 4096 ((8, 8, 8) with m = 8, (16, 16) with m = 16), 10-25%
+# faster from 8192 up, 25-30% slower at 2048 ((8, 8, 8), m = 4) and 864.
+_SCREEN_WORK = 4096
+
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on (all of them where the OS cannot say)."""
@@ -296,6 +305,19 @@ def estimate_smallball(specs, basis: SubspaceBasis, cfg: ExperimentConfig, eps_g
     rows is, is drawn whole into its kept array.  Each block of
     ``contract_blocks`` is reduced to row norms as it comes; a row's norm
     sums its own m squares, so the block partition changes no bit.
+
+    Dense rows of more than ``_SCREEN_WORK`` multiply-adds per trial (m *
+    prod n) and at least two modes go through a float32 screen first
+    (``_screen``): the same split contraction in single precision, with an
+    a-priori band per trial, ``gamma_K * ||F||_F * prod_j ||x_j||`` rounded
+    up, plus the float64 path's own bound and an underflow term, where K
+    counts the roundings on a product's path (derivation in ``_screen``).
+    A trial whose screened norm lies farther than its band from every
+    threshold is counted from it; the exact norm and the float64 kernel's
+    lie on the same side of each threshold.  Every other trial, and any
+    whose norm or band is not finite, is recomputed in float64 by
+    ``_recheck`` with the bits of the unscreened kernel.  So the counts are
+    those of the float64 kernel.
     """
     dims = tuple(s.dim for s in specs)
     if dims != basis.shape:
@@ -318,14 +340,142 @@ def estimate_smallball(specs, basis: SubspaceBasis, cfg: ExperimentConfig, eps_g
             kept[start : start + len(x)] = _columns(x, cols[j])
         return kept
 
+    # one mode has a single block, which a recheck would redo whole
+    screened = read is None and len(shape) > 1 and basis.m * math.prod(shape) > _SCREEN_WORK
+
     def kernel(rng, size, scratch):
         xs = [factor(j, s, rng, size, scratch) for j, s in enumerate(specs)]
         norms = scratch.array("norms", (size,))
-        for start, (inner,) in contract_blocks([rows], shape, xs, scratch):
-            np.einsum("bm,bm->b", inner, inner, out=norms[start : start + len(inner)])
-        return _count_hits(np.sqrt(norms, out=norms), thresholds)
+        if screened:
+            band = _screen(rows, shape, xs, norms, scratch)
+            _recheck(rows, shape, xs, _unsure(norms, band, thresholds), norms, scratch)
+        else:
+            for start, (inner,) in contract_blocks([rows], shape, xs, scratch):
+                np.einsum("bm,bm->b", inner, inner, out=norms[start : start + len(inner)])
+            np.sqrt(norms, out=norms)
+        return _count_hits(norms, thresholds)
 
     return SmallBallCurve(eps, _sum_over_batches(cfg, kernel), cfg.trials, cfg.confidence)
+
+
+def _screen(rows: np.ndarray, shape: tuple[int, ...], xs, norms: np.ndarray, scratch: _Scratch) -> np.ndarray:
+    """Single-precision projection norms of every trial, into ``norms``, and the band around each.
+
+    The dense contraction of ``tensor_core._dense_blocks`` runs on the blocks
+    of the float64 kernel, in float32: the rows once per call, and each
+    block's factors, are rounded to float32 in ``scratch`` arrays, and each
+    trial's norm is summed in float64 from its float32 products.  Returns
+    the ``"band"`` array: per trial, a bound on the distance of its norm here
+    from the exact norm plus the distance of the float64 kernel's norm from
+    the exact one.  A band is inf or NaN where none can be given, and a
+    norm here that met an overflow is inf or NaN.
+    """
+    size, m, ell = xs[0].shape[0], rows.shape[0], len(shape)
+    # one mode is one gemm over n = prod n[0:]: with t = 0, lead = 1 counts a batched dot
+    # that is not there, and l - 2 = -1 takes it back
+    t = _split(shape, m) if ell > 1 else 0
+    width, trail, lead = math.prod(shape), math.prod(shape[t:]), math.prod(shape[:t])
+    # A term F_ki x_1[i_1] ... x_l[i_l] of row k's exact product p_k reaches p_k here through at
+    # most K1 roundings of relative size u (Higham 2002, section 3.1): l + 1 casts (a row entry
+    # and one entry per factor), the l - 2 multiplications of the two Kronecker products, one
+    # multiplication and prod n[t:] - 1 additions in the gemm, and one multiplication and
+    # prod n[:t] - 1 additions in the batched dot.  So |p_k(here) - p_k| <= gamma_K1 * sum_i
+    # |F_ki T_i| <= gamma_K1 * ||F_k|| * prod_j ||x_j|| by Cauchy-Schwarz (T the trial's simple
+    # tensor, gamma_K = K u / (1 - K u)), and over the m rows gamma_K1 * ||F||_F * prod_j ||x_j||.
+    # Float32 squares are exact in float64, whose m - 1 additions and square root add m
+    # roundings of less than u: K = K1 + m.  The float64 kernel takes the same path without the
+    # casts and with one more rounding per square, so gamma_K at its own u bounds it as well.
+    k = (ell + 1) + (ell - 2) + trail + lead + m
+    # the band's own float64 arithmetic rounds at most J times on any path
+    k_band = m * width + sum(shape) + 4 * ell + 16
+    rel = _gamma(k, 2.0**-24) + _gamma(k, 2.0**-53) if k * 2.0**-24 <= 0.5 and k_band * 2.0**-53 <= 0.5 else math.inf
+    # A product or cast that underflows (or is flushed to zero) errs instead by at most the least
+    # normal, 2^-126 or 2^-1022.  Each of the at most (2l + 2) * prod n such errors on a row's path
+    # grows by no more than the other factors, each at most max(1, its largest norm in the
+    # batch): sqrt(m) * (2l + 2) * prod n * lambda * cap over the m rows, where 4 covers the
+    # relative growth on top while K u <= 1/2.  The float64 kernel's squares can underflow too:
+    # sqrt(2 m 2^-1022) more.  A factor whose squared norm underflows has a norm below 2^-511,
+    # and the cap, which holds every other factor's norm, dwarfs the relative term it drops.
+    tiny = 4 * (2 * ell + 2) * width * math.sqrt(m) * (2.0**-126 + 2.0**-1022)
+    floor = math.sqrt(2 * m * 2.0**-1022)
+    frob_sq = float(np.einsum("md,md->", rows, rows))
+    # Dividing by 1 - gamma_J at 2^-53 rounds the band up.  So does 1 + 2^-26 for the roundings of
+    # value -+ band in ``_unsure``: the value is below 2^25 bands (the band holds 2^-24 ||F||_F *
+    # prod_j ||x_j||, which bounds the value), so each errs by less than 2^-27 of the band.
+    up = (1 + 2.0**-26) / (1 - _gamma(k_band, 2.0**-53))
+    band = scratch.array("band", (size,))
+    band.fill(frob_sq)
+    cap = max(1.0, frob_sq)
+    # a band past the float range is inf, and a NaN one fails every band test
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in xs:
+            # ``norms`` holds each factor's squared norms until the screen fills it
+            np.einsum("bn,bn->b", x, x, out=norms)
+            # NaN, not 1, where some norm is NaN
+            cap *= float(np.max(norms, initial=1.0))
+            band *= norms
+        np.sqrt(band, out=band)
+        band *= rel * up
+        band += (tiny * math.sqrt(cap) + floor) * up
+
+    block = _dense_block(shape, m, size)
+    rows32 = scratch.array("screen rows", rows.shape, np.float32)
+    xs32 = [scratch.array(f"screen x{j}", (block, n), np.float32) for j, n in enumerate(shape)]
+    out = scratch.array("screen products", (block, m), np.float32)
+    out64 = scratch.array("products", (block, m))
+    # a cast past the float32 range gives inf, and inf gives inf or NaN: both fail a band test
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.copyto(rows32, rows, casting="same_kind")
+        for s in range(0, size, block):
+            s = min(s, size - block)
+            for x, x32 in zip(xs, xs32):
+                np.copyto(x32, x[s : s + block], casting="same_kind")
+            for _ in _dense_blocks([rows32], shape, xs32, [out], scratch):
+                pass
+            # float32 squares are exact in float64
+            np.copyto(out64, out)
+            norm = norms[s : s + block]
+            np.sqrt(np.einsum("bm,bm->b", out64, out64, out=norm), out=norm)
+    return band
+
+
+def _gamma(k: int, u: float) -> float:
+    """Higham's gamma_k = k u / (1 - k u), the relative error of k roundings of size u; inf from k u >= 1."""
+    return k * u / (1 - k * u) if k * u < 1 else math.inf
+
+
+def _unsure(values: np.ndarray, band: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Indices of the trials that a comparison of ``values`` with the decreasing ``thresholds``
+    cannot count: some threshold lies within the trial's ``band`` of its value, or the value or
+    the band is not finite (NaN and inf fail ``next > value + band``)."""
+    asc = thresholds[::-1]
+    # inf - inf is NaN, and NaN searches as above every threshold
+    with np.errstate(invalid="ignore"):
+        # the least threshold at or above value - band, inf where there is none
+        nearest = np.append(asc, np.inf)[np.searchsorted(asc, values - band)]
+    return np.flatnonzero(~(nearest > values + band))
+
+
+def _recheck(rows: np.ndarray, shape: tuple[int, ...], xs, unsure: np.ndarray, norms: np.ndarray, scratch) -> None:
+    """Overwrite ``norms[unsure]`` with the float64 kernel's norms of those trials.
+
+    The trials are gathered, padded with repeats to at least one block of
+    the batch's dense path, and contracted by ``_dense_blocks`` on blocks of
+    that row count, so every gemm has the row count of the batch's own and
+    each norm gets the bits that ``contract_blocks`` on the whole batch
+    gives it.
+    """
+    if unsure.size == 0:
+        return
+    size, m = xs[0].shape[0], rows.shape[0]
+    block = _dense_block(shape, m, size)
+    picks = np.resize(unsure, max(unsure.size, block))
+    picked = [np.take(x, picks, axis=0, out=scratch.array(f"recheck x{j}", (picks.size, x.shape[1]))) for j, x in enumerate(xs)]
+    out = scratch.array("products", (block, m))
+    sq = scratch.array("recheck norms", (block,))
+    for s in _dense_blocks([rows], shape, picked, [out], scratch):
+        np.einsum("bm,bm->b", out, out, out=sq)
+        norms[picks[s : s + block]] = np.sqrt(sq, out=sq)
 
 
 def estimate_direction_smallball(specs, f: SubspaceBasis, cfg: ExperimentConfig, eps_grid) -> SmallBallCurve:

@@ -13,6 +13,13 @@ owns the reuse of working arrays (``_Scratch``, whose holders belong to a
 run or a call, never to the process) and the byte budget of one block
 (``_block_rows``).  It is the contraction layer alone: it opens no file and
 draws no random number.
+
+The dense path (``_dense_blocks``) computes in the dtype of the arrays it
+is given.  ``contract_blocks`` gives it float64; the small-ball screen of
+``montecarlo`` gives it float32 copies of the rows and of each block's
+factors, bounds each trial's rounding error a priori, and rechecks the
+trials it cannot place in float64 through ``_dense_blocks`` again, at the
+batch's own block row count (see ``contract_blocks``).
 """
 
 from __future__ import annotations
@@ -50,10 +57,16 @@ def kron(mats, out=None) -> np.ndarray:
     res = mats[0]
     for j in range(1, len(mats)):
         left, right = res[..., :, None, :], mats[j][..., None, :, :]
+        dest = None
         if out is not None and j == len(mats) - 1:
-            prod = np.multiply(left, right, out=out.reshape(np.broadcast_shapes(left.shape, right.shape)))
+            dest = out.reshape(np.broadcast_shapes(left.shape, right.shape))
+        if res.shape[-1] == mats[j].shape[-1] == 1:
+            # one column: einsum's outer-product loop forms the same products
+            # in about 60% of the time of the broadcast multiply (numpy 2.4.6)
+            column = None if dest is None else dest[..., 0]
+            prod = np.einsum("...i,...j->...ij", res[..., 0], mats[j][..., 0], out=column)[..., None]
         else:
-            prod = left * right
+            prod = np.multiply(left, right, out=dest)
         *batch, rows, cols, r = prod.shape
         res = prod.reshape(*batch, rows * cols, r)
     if out is None:
@@ -119,6 +132,22 @@ def contract_blocks(row_sets, shape: tuple[int, ...], xs, scratch=None):
     Gather sets follow the dense blocks, or blocks of
     ``_block_rows(len(row_sets) * m)`` trials when no set is dense; the
     trials that the last dense block repeats are yielded once.
+
+    ``montecarlo.estimate_smallball`` screens large dense projections (more
+    than 4096 multiply-adds per trial) in float32 before it calls on this
+    function's float64 path.  The screen runs the same split, blocks and
+    steps through ``_dense_blocks`` on float32 copies, sums each trial's
+    norm in float64, and bounds its distance from the exact norm by
+    ``gamma_K * ||F||_F * prod_j ||x_j||`` (Higham 2002, section 3.1), with
+    ``K = (l + 1) + (l - 2) + prod n[t:] + prod n[:t] + m`` roundings of
+    u = 2^-24 on a product's path (the casts, the Kronecker products, the
+    gemm, the batched dot, the norm), plus the float64 path's own
+    ``gamma_K`` at 2^-53 and a term for underflow.  A trial whose norm is
+    farther than that from every threshold is counted from it: the exact
+    and the float64 norm lie on its side of each.  The others are gathered,
+    padded with repeats to one block of the batch, and go through
+    ``_dense_blocks`` in float64 on blocks of the batch's row count, so each
+    gets the bits this function gives it.
     """
     row_sets, xs, size = _arrays(row_sets, shape, xs)
     counts = [rows.shape[0] for rows in row_sets]
@@ -249,7 +278,9 @@ def _dense_blocks(row_sets, shape: tuple[int, ...], xs, outs, scratch):
     with the block's trials into its ``outs`` array, of the block's length,
     and yield the block's first trial.  The sets share the row count ``m``,
     so the split, the block and the two Kronecker products of a block;
-    ``scratch`` holds the trailing one and the sums (``"trail"``, ``"sums"``)."""
+    ``scratch`` holds the trailing one and the sums (``"trail"``, ``"sums"``).
+    Every step computes in the dtype of the arrays it is given: ``outs``
+    sets that of the kept ones."""
     size = xs[0].shape[0]
     block, m = outs[0].shape
     if len(shape) == 1:
@@ -262,8 +293,8 @@ def _dense_blocks(row_sets, shape: tuple[int, ...], xs, outs, scratch):
     # (prod n[t:], m * prod n[:t]): for C-ordered rows a Fortran-ordered
     # view, which BLAS reads transposed, so no copy is made
     rights = [rows.reshape(m * lead, trail).T for rows in row_sets]
-    tail_out = scratch.array("trail", (block, trail, 1))
-    sums_out = scratch.array("sums", (block, m * lead))
+    tail_out = scratch.array("trail", (block, trail, 1), outs[0].dtype)
+    sums_out = scratch.array("sums", (block, m * lead), outs[0].dtype)
     for s in range(0, size, block):
         s = min(s, size - block)
         tail = kron([x[s : s + block, :, None] for x in xs[t:]], out=tail_out)[:, :, 0]
@@ -284,10 +315,11 @@ class _Scratch(threading.local):
     """Arrays reused from call to call, kept per thread and per name.
 
     A fresh array past the allocator's mmap threshold is mapped and
-    page-faulted anew on every call.  Instead each thread keeps, by name, the
-    flat array of the name's largest request so far, and every request gets
-    its leading ``prod(shape)`` entries as a C-contiguous array of that
-    shape.  A holder belongs to one run or one ``contract_blocks`` call, and
+    page-faulted anew on every call.  Instead each thread keeps, by name, a
+    flat float64 array as large as the name's largest request so far in
+    bytes, and every request gets its leading bytes as a C-contiguous array
+    of its shape and dtype, so one name may serve float32 and float64 in
+    turn.  A holder belongs to one run or one ``contract_blocks`` call, and
     what it keeps goes with it.  Callers overwrite what they take before they
     read it, so no bit changes, and return no view of it.
     """
@@ -295,10 +327,14 @@ class _Scratch(threading.local):
     def __init__(self):
         self.kept = {}
 
-    def array(self, name: str, shape) -> np.ndarray:
-        """An uninitialised float array of ``shape``, backed by the kept array when that is large enough."""
-        flat = self.kept.get(name)
+    def array(self, name: str, shape, dtype=float) -> np.ndarray:
+        """An uninitialised array of ``shape`` and ``dtype`` (float64 by default), backed by the kept
+        array when that holds enough bytes."""
+        dtype = np.dtype(dtype)
         size = math.prod(shape)
-        if flat is None or flat.size < size:
-            flat = self.kept[name] = np.empty(size)
-        return flat[:size].reshape(shape)
+        # the kept array is float64 whatever the request: a name's bytes serve every dtype in turn
+        words = -(-size * dtype.itemsize // 8)
+        flat = self.kept.get(name)
+        if flat is None or flat.size < words:
+            flat = self.kept[name] = np.empty(words)
+        return flat[:words].view(dtype)[:size].reshape(shape)

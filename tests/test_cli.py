@@ -650,6 +650,14 @@ def test_bounds_nondeterministic_past_the_float_range(tmp_path, args):
     assert len(rows) == 20 and {row["nondeterministic"] for row in rows} == {"1.0"}
 
 
+def test_bounds_take_n_past_the_float_range(tmp_path):
+    # n = 2^1024 + 1 raised OverflowError in the generic_subspace column, and exit 2 refused the whole table
+    assert run_cli("bounds", "--n", str(2**1024 + 1), "--l", "1", "--m", "1", "--out", str(tmp_path)) == 0
+    rows = read_rows(tmp_path / "bounds.csv")[1]
+    assert len(rows) == 20 and {row["nondeterministic"] for row in rows} == {"1.0"}
+    assert all(float(row["generic_subspace"]) == pytest.approx(float(row["epsilon"]), rel=1e-15) for row in rows)
+
+
 def test_bounds_default_n(tmp_path):
     assert run_cli("bounds", "--l", "2", "--m", "10", "--out", str(tmp_path)) == 0
     manifest = json.loads((tmp_path / "bounds_manifest.json").read_text())

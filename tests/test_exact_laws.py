@@ -247,6 +247,39 @@ def test_nondeterministic_in_log_space_matches_mpmath(m):
     assert got.value == pytest.approx(math.exp(-5), rel=1e-3)
 
 
+HUGE_N = 2**1024 + 1
+
+
+def test_bounds_take_n_past_the_float_range():
+    # int * float raised a builtins OverflowError for n >= 2^1024: in e*, and in exp(-C_main n)
+    got = bound_nondeterministic(0.1, HUGE_N, 1, 1)
+    assert got.value == 1.0 and got.exponent == pytest.approx(1.0, rel=1e-12)
+    assert bound_generic_subspace(0.1, 1, HUGE_N, 1) == pytest.approx(0.1, rel=1e-15)
+    # min(m, n) is past the float range too: (C' eps)^huge underflows, and so does exp(-C_main n)
+    assert bound_generic_subspace(0.1, 2**1030, HUGE_N, 1) == 0.0
+    # C_main n below the float range's edge in log space: exp(-1e-310 * (2^1024 + 1)) = exp(-0.018)
+    assert bound_generic_subspace(0.01, 1, HUGE_N, 1, BoundConfig(C_main=1e-310)) == pytest.approx(
+        0.01 + math.exp(-1e-310 * 2.0**1023 * 2), rel=1e-12
+    )
+
+
+def test_nondeterministic_of_huge_n_below_the_cap():
+    # l = 1, m = 1: e* = n - (n - 1) = 1 and the bound is 2 sqrt(n) eps, below 1 for eps < 1/(2 sqrt(n))
+    got = bound_nondeterministic(1e-300, HUGE_N, 1, 1)
+    assert got.exponent == pytest.approx(1.0, rel=1e-12)
+    assert got.value == pytest.approx(2 * 2.0**512 * 1e-300, rel=1e-12)
+    # m / n^l = 2^-1000 is 0 as a float: e* = m / (l^2 n^(l-1)) = 2^1200 / (4 * 2^1100) = 2^98
+    assert bound_nondeterministic(0.1, 2**1100, 2, 2**1200).exponent == pytest.approx(2.0**98, rel=1e-12)
+    assert bound_nondeterministic(0.1, 2**1100, 1, 0).exponent == 0.0
+
+
+@pytest.mark.parametrize("m", [2**1024, 2**1100], ids=["n-1", "n"])
+def test_nondeterministic_exponent_past_the_float_range_is_refused(m):
+    # e* = m is past the float range: a RangeError, which the bounds table writes as an empty cell
+    with pytest.raises(RangeError, match="past the float range"):
+        bound_nondeterministic(0.1, max(m, HUGE_N), 1, m)
+
+
 def test_concentration_examples():
     assert bound_concentration_subgaussian(1.0, 64, 4, 2, variant="vershynin") == 1.0
     got = bound_concentration_subgaussian(0.0, 64, 4, 2, variant="vershynin")

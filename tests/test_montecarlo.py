@@ -1,6 +1,7 @@
 import math
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -655,7 +656,7 @@ def test_reused_batch_arrays_change_no_count(name, monkeypatch, two_cpus):
     estimate, trials, batch = REUSE_RUNS[name]
     one, two = (estimate(cfg_of(seed=6, trials=trials, batch_size=batch, threads=t)) for t in (1, 2))
     # every batch on fresh arrays
-    monkeypatch.setattr(tensor_core._Scratch, "array", lambda self, name, shape: np.empty(shape))
+    monkeypatch.setattr(tensor_core._Scratch, "array", lambda self, name, shape, dtype=float: np.empty(shape, dtype))
     fresh = estimate(cfg_of(seed=6, trials=trials, batch_size=batch, threads=1))
     assert one == two == fresh
     assert 0 < sum(one) < trials * len(one)
@@ -824,3 +825,177 @@ def test_pool_never_has_more_workers_than_cpus(monkeypatch, inline_pool, cpus, t
     total = montecarlo._sum_over_batches(cfg, lambda rng, size, scratch: np.asarray([size, 1]))
     assert total.tolist() == [1_000_003, 101]
     assert inline_pool == pools
+
+
+# --- the float32 screen of dense small-ball projections ---------------------
+
+SCREEN_LAWS = {
+    "cube": DistributionSpec(kind="uniform-cube-sqrt3", dim=1),
+    "gauss": DistributionSpec(kind="gaussian-std", dim=1),
+    "laplace": DistributionSpec(kind="symmetric-exponential-unitvar", dim=1),
+    "histogram": DistributionSpec(kind="histogram", dim=1, histogram=HistogramDensity((-2.0, -0.5, 1.0, 3.0), (0.2, 0.3, 0.125))),
+}
+
+
+def law(name, dim):
+    spec = SCREEN_LAWS[name]
+    return DistributionSpec(kind=spec.kind, dim=dim, histogram=spec.histogram)
+
+
+def file_basis(tmp_path, shape, m, seed):
+    """An orthonormal basis read back from a basis file: the Q of a QR of small integers, not a Haar draw."""
+    ints = np.random.default_rng(seed).integers(-3, 4, size=(math.prod(shape), m)).astype(float)
+    SubspaceBasis(shape, np.linalg.qr(ints)[0].T).save(tmp_path / "basis.tb")
+    return SubspaceBasis.load(tmp_path / "basis.tb")
+
+
+def float64_norms(rows, shape, xs):
+    """The unscreened kernel's norms: ``contract_blocks`` products, their squares summed, the square root."""
+    norms = np.empty(xs[0].shape[0])
+    for start, (inner,) in contract_blocks([rows], shape, xs):
+        np.einsum("bm,bm->b", inner, inner, out=norms[start : start + len(inner)])
+    return np.sqrt(norms)
+
+
+def unscreened(monkeypatch, run):
+    """``run()`` with the screen off: every dense projection takes the float64 kernel alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_SCREEN_WORK", math.inf)
+        return run()
+
+
+@pytest.fixture
+def rechecks(monkeypatch):
+    """Every ``_recheck`` call of a run: its factors, the trials it rechecks and the norms it gives them."""
+    calls, lock, original = [], threading.Lock(), montecarlo._recheck
+
+    def recording(rows, shape, xs, unsure, norms, scratch):
+        original(rows, shape, xs, unsure, norms, scratch)
+        with lock:
+            calls.append(([x.copy() for x in xs], unsure.copy(), norms[unsure].copy()))
+
+    monkeypatch.setattr(montecarlo, "_recheck", recording)
+    return calls
+
+
+@pytest.mark.parametrize("basis_kind", ["haar", "file"])
+@pytest.mark.parametrize("law_name", sorted(SCREEN_LAWS))
+@pytest.mark.parametrize("shape, m", [((7,), 1), ((7,), 5), ((5, 6), 2), ((5, 6), 11), ((4, 3, 5), 1), ((4, 3, 5), 9), ((3, 2, 4, 3), 6), ((3, 2, 4, 3), 20)])
+def test_screen_band_holds_the_float64_norm(shape, m, law_name, basis_kind, tmp_path):
+    seed = len(shape) * 100 + m
+    basis = haar_subspace(shape, m, np.random.default_rng(seed)) if basis_kind == "haar" else file_basis(tmp_path, shape, m, seed)
+    rng = np.random.default_rng(seed + 1)
+    xs = [sample_matrix(law(law_name, n), rng, 3_001) for n in shape]
+    norms = np.empty(3_001)
+    band = montecarlo._screen(basis.rows, shape, xs, norms, tensor_core._Scratch()).copy()
+    assert np.all(np.isfinite(band)) and np.all(band > 0)
+    assert np.all(np.abs(norms - float64_norms(basis.rows, shape, xs)) <= band)
+
+
+@pytest.mark.parametrize("shape, m, tied", [((16, 16, 16), 16, [17]), ((8, 8, 8), 12, [17, 400, 999])])
+def test_screen_counts_a_planted_near_tie_in_float64(shape, m, tied, monkeypatch, rechecks):
+    # both shapes are screened (65536 and 6144 multiply-adds per trial), in blocks of 500 trials
+    specs = (DistributionSpec(kind="gaussian-std", dim=shape[0]),) * 3
+    basis = haar_subspace(shape, m, np.random.default_rng(3))
+    cfg = cfg_of(seed=4, trials=1_000, batch_size=1_000)
+    rng = np.random.default_rng(np.random.SeedSequence(4, spawn_key=(0,)))
+    norms = float64_norms(basis.rows, basis.shape, [sample_matrix(s, rng, 1_000) for s in specs])
+    # thresholds on trials' own float64 norms, and one a rounding below the first of them
+    planted = [*norms[tied], np.nextafter(norms[tied[0]], 0), norms.max() * 2]
+    eps = np.sort(planted)[::-1] / math.sqrt(m)
+    got = estimate_smallball(specs, basis, cfg, eps)
+    assert len(rechecks) == 1 and set(tied) <= set(rechecks[0][1].tolist())
+    # a handful of trials, each with the bits it has among the batch's 1000: a product of so few
+    # rows of its own would round some of them otherwise
+    xs, unsure, rechecked = rechecks[0]
+    assert len(unsure) < 8 and np.array_equal(rechecked, norms[unsure])
+    assert got == unscreened(monkeypatch, lambda: estimate_smallball(specs, basis, cfg, eps))
+    assert 0 < min(got.hit_counts) < max(got.hit_counts) == 1_000
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_rechecked_norms_are_the_float64_kernels_bits(seed, threads, monkeypatch, rechecks, two_cpus):
+    # batches of 1000 trials in two blocks of 500, and a last batch of 507 in one;
+    # thresholds a few bands apart send most trials to the recheck, more than a block of them
+    specs = (DistributionSpec(kind="symmetric-exponential-unitvar", dim=8),) * 3
+    basis = haar_subspace((8, 8, 8), 12, np.random.default_rng(seed))
+    cfg = cfg_of(seed=seed, trials=2_507, batch_size=1_000, threads=threads)
+    eps = np.geomspace(10.0, 0.01, 20_000)
+    got = estimate_smallball(specs, basis, cfg, eps)
+    assert len(rechecks) == 3 and max(len(unsure) for _, unsure, _ in rechecks) > 500
+    for xs, unsure, norms in rechecks:
+        assert np.array_equal(norms, float64_norms(basis.rows, basis.shape, xs)[unsure])
+    assert got == unscreened(monkeypatch, lambda: estimate_smallball(specs, basis, cfg, eps))
+
+
+def test_screen_rechecks_few_trials_on_the_dense_haar_shape(rechecks):
+    # the dense-haar benchmark's call: n = 16, l = 3, m = 16, the cube, one batch of 2e4
+    from tensorball.cli import _parse_grid
+
+    specs = (DistributionSpec(kind="uniform-cube-sqrt3", dim=16),) * 3
+    basis = haar_subspace((16, 16, 16), 16, np.random.default_rng(0))
+    estimate_smallball(specs, basis, cfg_of(seed=0, trials=20_000), _parse_grid("0.1:1:20"))
+    assert len(rechecks) == 1 and 0 < len(rechecks[0][1]) <= 0.03 * 20_000
+
+
+def scaled(basis, factor):
+    """``basis`` with its rows scaled: ``SubspaceBasis`` itself refuses rows that are not orthonormal."""
+    return type("ScaledBasis", (), {"shape": basis.shape, "m": basis.m, "rows": basis.rows * factor})()
+
+
+EXTREMES = {
+    # float32 overflows at 3.4e38: every cast factor is inf
+    "histogram 1e39": (lambda b: b, "histogram", 1e39, (1e119, 1e118, 1e117, 1e116, 1e115)),
+    # float32 products of three 1e-30s underflow to 0 or subnormals
+    "histogram 1e-30": (lambda b: b, "histogram", 1e-30, (1e-88, 1e-89, 1e-90, 1e-91, 1e-92)),
+    # float32 rounds every row entry to 0; float64 squares of the products underflow
+    "file 1e-200": (lambda b: scaled(b, 1e-200), "gauss", 1.0, (1e-199, 1e-200, 1e-201, 1e-250)),
+    # float32 rounds every row entry to inf; float64 squares of the products overflow
+    "file 1e200": (lambda b: scaled(b, 1e200), "gauss", 1.0, (1e300, 1e201, 1e200, 1e199)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTREMES))
+def test_screen_sends_extreme_inputs_to_the_recheck(name, tmp_path, monkeypatch, rechecks):
+    make, law_name, width, eps = EXTREMES[name]
+    if law_name == "histogram":
+        spec = DistributionSpec(kind="histogram", dim=8, histogram=HistogramDensity((-width, width), (0.5 / width,)))
+    else:
+        spec = law(law_name, 8)
+    basis = make(file_basis(tmp_path, (8, 8, 8), 12, 5))
+    cfg = cfg_of(seed=7, trials=2_000, batch_size=1_000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = estimate_smallball((spec,) * 3, basis, cfg, eps)
+    assert len(rechecks) == 2 and all(len(unsure) > 0 for _, unsure, _ in rechecks)
+    assert got == unscreened(monkeypatch, lambda: estimate_smallball((spec,) * 3, basis, cfg, eps))
+
+
+def test_screened_smallball_keeps_no_array_once_it_returns():
+    # as the unscreened run above: the screen's float32 blocks, bands and
+    # rechecked factors go with the run's holder
+    specs = (DistributionSpec(kind="gaussian-std", dim=8),) * 3
+    basis = haar_subspace((8, 8, 8), 16, np.random.default_rng(0))
+    cfg = cfg_of(seed=0, trials=20_000, batch_size=10_000)
+    grid = np.geomspace(4.0, 0.5, 30)
+
+    def traced():
+        tracemalloc.start()
+        try:
+            return estimate_smallball(specs, basis, cfg, grid), tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    want = in_thread(lambda: estimate_smallball(specs, basis, cfg, grid))
+    got, held = in_thread(traced)
+    assert got == want
+    assert held < 64 * 1024
+
+
+def test_unsure_counts_nan_and_inf_as_unsure():
+    thresholds = np.array([3.0, 2.0, 1.0])
+    values = np.array([0.5, 1.0, 1.05, 2.5, 5.0, np.inf, np.nan, 2.5, 2.5])
+    band = np.array([0.1, 0.0, 0.1, 0.1, 1.0, 0.1, 0.1, np.inf, np.nan])
+    # 1.0 sits on a threshold and 1.05 lies within its band of one; 5.0 lies 2 above the top one, farther than its band
+    assert montecarlo._unsure(values, band, thresholds).tolist() == [1, 2, 5, 6, 7, 8]

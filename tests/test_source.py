@@ -100,6 +100,28 @@ def _function_of(node, parent) -> str:
     return node.name if node else "<module>"
 
 
+def test_single_precision_lives_in_one_function():
+    """Float32 arithmetic happens in the small-ball screen alone, whose error band accounts for it: no
+    other function names a single- or half-precision type, as a name, an attribute or a dtype string."""
+    # ``single`` and ``half`` only as attributes (``np.single``): as plain names they are local variables
+    types = ("float32", "float16", "complex64")
+    attributes = (*types, "single", "half", "csingle")
+    strings = (*attributes, "f4", "<f4", "f2", "<f2", "c8", "<c8")
+    owners = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if (
+                (isinstance(node, ast.Name) and node.id in types)
+                or (isinstance(node, ast.Attribute) and node.attr in attributes)
+                or (isinstance(node, ast.Constant) and node.value in strings)
+                or (isinstance(node, ast.ImportFrom) and any(alias.name in attributes for alias in node.names))
+            ):
+                owners.add(f"{path.name}:{_function_of(node, parent)}")
+    assert owners == {"montecarlo.py:_screen"}
+
+
 def test_betaincinv_lives_in_one_function():
     """Every exact binomial interval comes from one beta-quantile routine."""
     assert _owners("betaincinv") == {"montecarlo.py:_beta_bounds"}

@@ -597,3 +597,46 @@ def test_kron_refuses_an_empty_list():
     # mats[0] raised an IndexError
     with pytest.raises(ValidationError, match="at least one factor"):
         kron([])
+
+
+def test_scratch_serves_every_dtype_from_one_kept_array():
+    scratch = tensor_core._Scratch()
+    single = scratch.array("x", (10, 4), np.float32)
+    kept = scratch.kept["x"]
+    # the kept array is float64 and as large as the request's bytes
+    assert single.dtype == np.float32 and single.shape == (10, 4) and single.flags.c_contiguous
+    assert kept.dtype == np.float64 and kept.size == 20 and single.base is kept
+    # a float64 request of as many bytes, and a bool one, take the same array
+    double = scratch.array("x", (5, 4))
+    flags = scratch.array("x", (160,), bool)
+    assert scratch.kept["x"] is kept and double.ctypes.data == single.ctypes.data == flags.ctypes.data
+    # an odd float32 count rounds up to whole float64 entries
+    assert scratch.array("y", (7,), np.float32).size == 7 and scratch.kept["y"].size == 4
+
+
+def test_dense_blocks_compute_in_the_dtype_they_are_given():
+    rng = np.random.default_rng(8)
+    shape, m = (5, 6, 4), 7
+    rows = rng.standard_normal((m, math.prod(shape)))
+    # two blocks of 1501 trials, the second repeating one
+    xs = [rng.standard_normal((3_001, n)) for n in shape]
+    block = tensor_core._dense_block(shape, m, 3_001)
+    want = unblocked_contract(rows, shape, xs)
+    scratch = tensor_core._Scratch()
+    out = np.empty((block, m), np.float32)
+    single = [x.astype(np.float32) for x in xs]
+    for s in tensor_core._dense_blocks([rows.astype(np.float32)], shape, single, [out], scratch):
+        np.testing.assert_allclose(out, want[s : s + block], rtol=1e-4, atol=1e-4)
+    assert {name: a.dtype for name, a in scratch.kept.items()} == {"trail": np.float64, "sums": np.float64}
+    # the float32 sums took half the bytes of float64 ones, in whole float64 words
+    assert scratch.kept["sums"].size == -(-block * m * math.prod(shape[: tensor_core._split(shape, m)]) // 2)
+
+
+def test_kron_of_single_columns_keeps_the_dtype_and_the_bits():
+    rng = np.random.default_rng(9)
+    mats = [rng.standard_normal((6, n, 1)).astype(np.float32) for n in (3, 4, 2)]
+    out = np.empty((6, 24, 1), np.float32)
+    got = kron(mats, out=out)
+    assert got is out and got.dtype == np.float32
+    for b in range(6):
+        assert np.array_equal(got[b, :, 0], reduce(np.kron, [a[b, :, 0] for a in mats]))
