@@ -283,8 +283,13 @@ def bound_concentration_subgaussian(
     try:
         rate = cfg.C_main * (1.0 - eps) ** 2 * m / n ** (ell - 1)
     except OverflowError:
-        # m or n^(ell-1) is past the float range, their ratio of integers is not
-        rate = cfg.C_main * (1.0 - eps) ** 2 * (m / n ** (ell - 1))
+        # m or n^(ell-1) is past the float range, and so may be their ratio: it is taken as
+        # q * 2^e with q below 2^961 (Python divides integers with correct rounding), so a rate
+        # past the float range is inf (a zero tail) and eps = 1 still gives rate 0
+        den = n ** (ell - 1)
+        e = max(0, m.bit_length() - den.bit_length() - 960)
+        with np.errstate(over="ignore"):
+            rate = np.ldexp(cfg.C_main * (1.0 - eps) ** 2 * (m / (den << e)), e)
     if variant == "vershynin":
         out = 2.0 * np.exp(-rate / ell)
     else:

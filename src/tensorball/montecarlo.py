@@ -21,10 +21,15 @@ chunks of 2^21 tensor entries, which define its stream.  Projections and
 slab tests take their products from ``tensor_core.contract_blocks``, one
 block at a time: a projection reduces each block to row norms, and the
 dominance kernel makes one pass per chunk and direction count and counts
-each body's slab test per block.  A large dense projection is screened in
-float32 first and only the trials the screen cannot place get float64
-products (``estimate_smallball``).  Every kept array, the blocks included,
-comes from the run's ``tensor_core._Scratch``, which goes with the run.
+each body's slab test per block.  Two guarded passes decide most trials
+from other arithmetic and give only the trials they cannot place the
+products of ``contract_blocks`` (``_recheck``): a large dense projection is
+screened in float32 (``estimate_smallball``), and where the full Kronecker
+block is the cheapest split for every body's directions together, the slab
+tests take one stacked float64 gemm per block (``_membership_counts``).  So
+every count is the one the float64 kernel gives.  Every kept array, the
+blocks included, comes from the run's ``tensor_core._Scratch``, which goes
+with the run.
 """
 
 from __future__ import annotations
@@ -41,7 +46,19 @@ import numpy as np
 from .distributions import sample_chunks, sample_matrix
 from .errors import DataSparsityError, RangeError, ValidationError
 from .subspaces import SubspaceBasis, _check_sizes
-from .tensor_core import _block_rows, _columns, _dense_block, _dense_blocks, _Scratch, _split, contract_blocks, read_columns
+from .tensor_core import (
+    _block_rows,
+    _columns,
+    _dense_block,
+    _dense_blocks,
+    _entries,
+    _Scratch,
+    _single_entries,
+    _split,
+    contract_blocks,
+    kron,
+    read_columns,
+)
 
 
 @dataclass(frozen=True)
@@ -348,7 +365,8 @@ def estimate_smallball(specs, basis: SubspaceBasis, cfg: ExperimentConfig, eps_g
         norms = scratch.array("norms", (size,))
         if screened:
             band = _screen(rows, shape, xs, norms, scratch)
-            _recheck(rows, shape, xs, _unsure(norms, band, thresholds), norms, scratch)
+            for _, trials, inner in _recheck([rows], shape, xs, _unsure(norms, band, thresholds), scratch):
+                norms[trials] = np.sqrt(np.einsum("bm,bm->b", inner, inner))
         else:
             for start, (inner,) in contract_blocks([rows], shape, xs, scratch):
                 np.einsum("bm,bm->b", inner, inner, out=norms[start : start + len(inner)])
@@ -456,26 +474,36 @@ def _unsure(values: np.ndarray, band: np.ndarray, thresholds: np.ndarray) -> np.
     return np.flatnonzero(~(nearest > values + band))
 
 
-def _recheck(rows: np.ndarray, shape: tuple[int, ...], xs, unsure: np.ndarray, norms: np.ndarray, scratch) -> None:
-    """Overwrite ``norms[unsure]`` with the float64 kernel's norms of those trials.
+def _recheck(row_sets, shape: tuple[int, ...], xs, unsure: np.ndarray, scratch):
+    """The float64 kernel's products of row sets of one row count with the trials ``unsure`` of ``xs``.
 
-    The trials are gathered, padded with repeats to at least one block of
-    the batch's dense path, and contracted by ``_dense_blocks`` on blocks of
-    that row count, so every gemm has the row count of the batch's own and
-    each norm gets the bits that ``contract_blocks`` on the whole batch
-    gives it.
+    Yields ``(k, trials, products)``: row set ``k``'s inner products with
+    the trials ``trials`` (indices into ``xs``), with the bits that
+    ``contract_blocks`` on every trial of ``xs`` gives them; the next step
+    overwrites them.  Each trial of ``unsure`` comes at least once per set,
+    and some come twice.  The trials are gathered and padded with repeats to
+    at least one block of the dense path on all of ``xs``.  Dense sets go
+    through ``_dense_blocks`` on blocks of that row count, so every gemm has
+    the row count of that call's own; sets whose rows have one nonzero each
+    go through ``contract_blocks``, whose gathered products are elementwise.
     """
     if unsure.size == 0:
         return
-    size, m = xs[0].shape[0], rows.shape[0]
+    size, m = xs[0].shape[0], row_sets[0].shape[0]
     block = _dense_block(shape, m, size)
     picks = np.resize(unsure, max(unsure.size, block))
     picked = [np.take(x, picks, axis=0, out=scratch.array(f"recheck x{j}", (picks.size, x.shape[1]))) for j, x in enumerate(xs)]
-    out = scratch.array("products", (block, m))
-    sq = scratch.array("recheck norms", (block,))
-    for s in _dense_blocks([rows], shape, picked, [out], scratch):
-        np.einsum("bm,bm->b", out, out, out=sq)
-        norms[picks[s : s + block]] = np.sqrt(sq, out=sq)
+    dense = [k for k, rows in enumerate(row_sets) if _single_entries(rows, shape) is None]
+    gather = [k for k in range(len(row_sets)) if k not in dense]
+    if dense:
+        outs = list(scratch.array("products", (len(dense), block, m)))
+        for s in _dense_blocks([row_sets[k] for k in dense], shape, picked, outs, scratch):
+            for k, out in zip(dense, outs):
+                yield k, picks[s : s + block], out
+    if gather:
+        for s, products in contract_blocks([row_sets[k] for k in gather], shape, picked, scratch):
+            for k, out in zip(gather, products):
+                yield k, picks[s : s + len(out)], out
 
 
 def estimate_direction_smallball(specs, f: SubspaceBasis, cfg: ExperimentConfig, eps_grid) -> SmallBallCurve:
@@ -533,10 +561,15 @@ def norm_concentration(specs, t_grid, cfg: ExperimentConfig) -> NormTailCurves:
 def _membership_counts(specs, bodies, cfg: ExperimentConfig) -> np.ndarray:
     """Per body of ``bodies``, in order, how many trials land inside it.
 
-    Each chunk's factors are drawn once and go through one ``contract_blocks``
-    pass per direction count, whose products for each body are those of a
-    call with that body alone; each block's slab tests are counted as it
-    comes, row by row, so a body's count does not depend on the others.
+    Each chunk's factors are drawn once for every body, and each body's
+    count is the count of the products that ``contract_blocks`` gives with
+    that body alone.  Where the full Kronecker block is the cheapest split
+    for the stacked directions of every body (``_stacked``), a guarded pass
+    decides each trial from one gemm against all of them and rechecks only
+    the trials its band cannot place (``_guarded_hits``).  Elsewhere each
+    chunk goes through one ``contract_blocks`` pass per direction count,
+    whose products for each body are those of a call with that body alone,
+    and each block's slab tests are counted as it comes, row by row.
     """
     if not bodies:
         raise ValidationError("need at least one slab body")
@@ -549,10 +582,11 @@ def _membership_counts(specs, bodies, cfg: ExperimentConfig) -> np.ndarray:
             )
     # trials drawn per call of ``sample_matrix``: the chunk boundaries are
     # part of the random stream, so this defines the stream, not the memory
-    # (``contract_blocks`` never builds the n^l tensors)
+    # (no kernel builds a whole chunk's n^l tensors)
     chunk = max(1, (1 << 21) // max(ambient, 1))
     counts = [len(body.directions) for body in bodies]
     groups = [[k for k, c in enumerate(counts) if c == count] for count in dict.fromkeys(counts)]
+    stack = _SlabStack.of(bodies) if _stacked(dims, sum(counts)) else None
 
     def kernel(rng, size, scratch):
         hits = np.zeros(len(bodies), dtype=np.int64)
@@ -560,15 +594,163 @@ def _membership_counts(specs, bodies, cfg: ExperimentConfig) -> np.ndarray:
         while done < size:
             cur = min(chunk, size - done)
             xs = [sample_matrix(s, rng, cur, out=scratch.array(f"x{j}", (cur, s.dim))) for j, s in enumerate(specs)]
-            # a product past the float range is far outside its slab, and inf counts it so
-            with np.errstate(over="ignore"):
-                for ks in groups:
-                    for _, products in contract_blocks([bodies[k].directions for k in ks], dims, xs, scratch):
-                        hits[ks] += [np.count_nonzero(bodies[k].inside(p)) for k, p in zip(ks, products)]
+            if stack is not None:
+                hits += _guarded_hits(bodies, groups, stack, dims, xs, scratch)
+            else:
+                # a product past the float range is far outside its slab, and inf counts it so
+                with np.errstate(over="ignore"):
+                    for ks in groups:
+                        for _, products in contract_blocks([bodies[k].directions for k in ks], dims, xs, scratch):
+                            hits[ks] += [np.count_nonzero(bodies[k].inside(p)) for k, p in zip(ks, products)]
             done += cur
         return hits
 
     return _sum_over_batches(cfg, kernel)
+
+
+def _stacked(dims: tuple[int, ...], directions: int) -> bool:
+    """Whether the full Kronecker block (t = 0) holds fewer entries per trial than every split of
+    ``_split`` for ``directions`` rows, in ``_entries``'s own count.  One mode has no block to build."""
+    return len(dims) > 1 and _entries(dims, directions, 0) < _entries(dims, directions, _split(dims, directions))
+
+
+class _SlabStack(NamedTuple):
+    """The slab directions of every body that has some, stacked for the guarded pass."""
+
+    rows: np.ndarray  # (R, prod n): the held bodies' directions, in order
+    held: list  # the bodies with directions, in order
+    starts: np.ndarray  # each held body's first row
+    norm: float  # at least every row's Euclidean norm
+
+    @classmethod
+    def of(cls, bodies) -> "_SlabStack":
+        # ``_stacked`` admits no call without a direction
+        held = [k for k, body in enumerate(bodies) if len(body.directions)]
+        rows = np.concatenate([bodies[k].directions for k in held])
+        starts = np.cumsum([0] + [len(bodies[k].directions) for k in held[:-1]])
+        # each row is scaled by its largest magnitude first, so no square overflows; every row is
+        # nonzero (``SlabBody``) and its largest scaled square is exactly 1.  The division, the
+        # square, the prod n - 1 additions, the square root, the product and the division below
+        # round at most prod n + 4 times, and the squares that underflow err by less than
+        # prod n * 2^-1022 <= 2^-53 times the sum in all: gamma_{prod n + 6} at 2^-53 bounds them.
+        big = np.max(np.abs(rows), axis=1, keepdims=True)
+        with np.errstate(over="ignore"):
+            norms = big[:, 0] * np.sqrt(np.einsum("rn,rn->r", rows / big, rows / big))
+        norm = float(np.max(norms)) / (1 - _gamma(rows.shape[1] + 6, 2.0**-53))
+        return cls(rows, held, starts, norm)
+
+
+def _guarded_hits(bodies, groups, stack: _SlabStack, dims: tuple[int, ...], xs, scratch) -> np.ndarray:
+    """Per body, how many trials of the chunk ``xs`` land inside it, counted as ``contract_blocks``'s
+    products count them.
+
+    Per block of ``_block_rows`` trials, ``kron`` builds the ``(prod n, b)``
+    Khatri-Rao block of the transposed factor rows, and one float64 gemm
+    takes its products with every stacked direction.  Each body decides each
+    trial from ``v``, the largest ``|p_k|`` over its rows: inside when ``v``
+    lies below ``1 - band``, outside when above ``1 + band``, where the
+    chunk's band (``_slab_band``) bounds the distance of every ``p_k`` here
+    from the product that ``contract_blocks`` gives (a NaN ``v`` or band,
+    or an inf band, places no trial).  The trials a body cannot place are
+    gathered per direction count and recomputed by ``_recheck`` at the
+    chunk's own block geometry, so every count is that of
+    ``contract_blocks``.  A body of no directions holds every trial.
+    """
+    size, ell = xs[0].shape[0], len(dims)
+    held, rows = stack.held, stack.rows
+    ends = [*stack.starts[1:], len(rows)]
+    # per trial: the transposed factor rows, kron's stages (the last is the Khatri-Rao column),
+    # the R products and each held body's largest |p_k|
+    stages = [math.prod(dims[: j + 1]) for j in range(1, ell)]
+    block = min(size, _block_rows(sum(dims) + sum(stages) + len(rows) + len(held)))
+    hits = np.zeros(len(bodies), dtype=np.int64)
+    hits[[k for k, body in enumerate(bodies) if not len(body.directions)]] = size
+    placed = np.zeros(len(held), dtype=np.int64)
+    unsure = {}
+    band = _slab_band(stack.norm, dims, xs)
+    low, high = 1.0 - band, 1.0 + band
+
+    def arrays(b):
+        return (
+            [scratch.array(f"rows{j}", (n, b)) for j, n in enumerate(dims)],
+            [scratch.array(f"stage{j}", (n, b)) for j, n in enumerate(stages, 1)],
+            scratch.array("stacked", (len(rows), b)),
+            scratch.array("most", (len(held), b)),
+        )
+
+    full = arrays(block)
+    # a product past the float range is inf, and inf - inf is NaN: neither decides a trial
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, size, block):
+            b = min(block, size - s)
+            factors, outs, products, most = full if b == block else arrays(b)
+            # kron reads contiguous rows faster than the transposed views
+            for factor, x in zip(factors, xs):
+                np.copyto(factor, x[s : s + b].T)
+            column = factors[0]
+            for factor, out in zip(factors[1:], outs):
+                column = kron([column, factor], out=out)
+            np.abs(np.matmul(rows, column, out=products), out=products)
+            for i, (lo, hi) in enumerate(zip(stack.starts, ends)):
+                np.maximum.reduce(products[lo:hi], axis=0, out=most[i])
+            inside, outside = most < low, most > high
+            count = np.count_nonzero(inside, axis=1)
+            placed += count
+            for i in np.flatnonzero(count + np.count_nonzero(outside, axis=1) < b):
+                unsure.setdefault(held[i], []).append(s + np.flatnonzero(~(inside[i] | outside[i])))
+    hits[held] += placed
+    # a product past the float range is far outside its slab, and inf counts it so
+    with np.errstate(over="ignore"):
+        for ks in groups:
+            ks = [k for k in ks if k in unsure]
+            if not ks:
+                continue
+            asked = [np.concatenate(unsure[k]) for k in ks]
+            trials = np.unique(np.concatenate(asked))
+            got = np.empty((len(ks), trials.size), dtype=bool)
+            for i, picked, products in _recheck([bodies[k].directions for k in ks], dims, xs, trials, scratch):
+                got[i, np.searchsorted(trials, picked)] = bodies[ks[i]].inside(products)
+            for i, k in enumerate(ks):
+                hits[k] += np.count_nonzero(got[i, np.searchsorted(trials, asked[i])])
+    return hits
+
+
+def _slab_band(norm: float, dims: tuple[int, ...], xs) -> float:
+    """A band for the chunk of factor rows ``xs``: the distance of every product of the guarded
+    pass from the one of ``contract_blocks`` is at most it, with room for the roundings of
+    ``1 - band`` and ``1 + band``.  ``norm`` bounds every direction's norm.  Where no band can be
+    given it is inf or NaN, and then neither bound decides a trial."""
+    ell, width = len(dims), math.prod(dims)
+    # A term u_ki T_i of a product p_k reaches p_k through at most K = prod n + l - 1 roundings of
+    # u = 2^-53 (Higham 2002, section 3.1) on either path: here the l - 1 multiplications of the
+    # Khatri-Rao column, one multiplication and prod n - 1 additions in the gemm; in
+    # ``contract_blocks`` the l - 2 multiplications of its two Kronecker products, one
+    # multiplication and prod n[t:] - 1 additions in the gemm and one and prod n[:t] - 1 in the
+    # batched dot (prod n[t:] + prod n[:t] <= prod n + 1), or the l multiplications of the gather.
+    # So each lies within gamma_K * sum_i |u_ki T_i| <= gamma_K * ||u_k|| * prod_j ||x_j|| of the
+    # exact p_k (Cauchy-Schwarz), and the two within twice that of each other.  Every trial's
+    # ||x_j|| is at most sqrt(n_j) times the chunk's largest |entry| of x_j.
+    rel = 2 * _gamma(width + ell - 1, 2.0**-53)
+    # A multiplication that underflows (or flushes to zero) errs instead by at most 2^-1022, which
+    # the at most l later factors grow by no more than max(1, norm) * cap, cap = prod_j max(1,
+    # bound on ||x_j||), and the relative roundings by at most 2: over the prod n terms of the at
+    # most l multiplications of each path, 4 * prod n * l * 2^-1022 * max(1, norm) * cap.  The
+    # product of the l bounds below errs by at most l * 2^-1022 * cap if it underflows.
+    tiny = 2.0**-1022
+    # the band's own arithmetic rounds at most 4 l + 16 times on any path; dividing by 1 - gamma
+    # of that rounds it up.  1 - band and 1 + band round by at most 2^-53 and 2^-53 (1 + band):
+    # the factor 1 + 2^-51 and the added 2^-52 cover both.
+    up = (1 + 2.0**-51) / (1 - _gamma(4 * ell + 16, 2.0**-53))
+    bound, cap = 1.0, 1.0
+    for x, n in zip(xs, dims):
+        # np.maximum, unlike max(), gives NaN where an entry is NaN
+        top = math.sqrt(n) * float(np.maximum(np.max(x), -np.min(x)))
+        bound *= top
+        cap *= float(np.maximum(1.0, top))
+    floor = rel * norm * ell * tiny + 4 * width * ell * tiny * max(1.0, norm)
+    # 4 * norm * bound is inf wherever a sum of either path could pass the float range, and so is
+    # the band there
+    return up * (rel / 4 * (4 * norm * bound) + floor * cap) + 2.0**-52
 
 
 def dominance_test(specs_a, specs_b, bodies, cfg: ExperimentConfig) -> tuple[DominanceReport, ...]:
@@ -576,7 +758,10 @@ def dominance_test(specs_a, specs_b, bodies, cfg: ExperimentConfig) -> tuple[Dom
     for every slab body K of ``bodies``; one report per body, in order.
 
     Each law's factors are drawn once for all the bodies, and every body's
-    counts are those of a call with that body alone.  Flags a violation
+    counts are those of a call with that body alone: where the bodies'
+    directions stack into one gemm, the trials that gemm cannot place within
+    its error band are recounted with the products of a one-body call
+    (``_membership_counts``).  Flags a violation
     candidate only when the one-sided exact intervals are disjoint in the
     wrong order; sampling noise alone never contradicts the dominance
     direction.

@@ -147,7 +147,11 @@ def contract_blocks(row_sets, shape: tuple[int, ...], xs, scratch=None):
     and the float64 norm lie on its side of each.  The others are gathered,
     padded with repeats to one block of the batch, and go through
     ``_dense_blocks`` in float64 on blocks of the batch's row count, so each
-    gets the bits this function gives it.
+    gets the bits this function gives it.  ``montecarlo._membership_counts``
+    likewise decides most slab tests from one float64 gemm of every body's
+    directions against the full Kronecker block, with an a-priori band, and
+    gives the trials it cannot place, through the same recheck, the bits of
+    this function.
     """
     row_sets, xs, size = _arrays(row_sets, shape, xs)
     counts = [rows.shape[0] for rows in row_sets]
@@ -251,11 +255,16 @@ def _single_entries(rows: np.ndarray, shape: tuple[int, ...]):
     return np.unravel_index(flat, shape), rows[np.arange(rows.shape[0]), flat]
 
 
+def _entries(shape: tuple[int, ...], m: int, t: int) -> int:
+    """Entries per trial of the split at mode ``t`` with ``m`` rows: the
+    trailing product ``prod n[t:]``, the ``m * prod n[:t]`` partial sums and
+    the leading product ``prod n[:t]``."""
+    return math.prod(shape[t:]) + (m + 1) * math.prod(shape[:t])
+
+
 def _split(shape: tuple[int, ...], m: int) -> int:
-    """The mode ``1 <= t < l`` whose split holds the fewest entries per
-    trial: the trailing product ``prod n[t:]``, the ``m * prod n[:t]`` partial
-    sums and the leading product ``prod n[:t]``."""
-    return min(range(1, len(shape)), key=lambda t: math.prod(shape[t:]) + (m + 1) * math.prod(shape[:t]))
+    """The mode ``1 <= t < l`` whose split holds the fewest entries per trial (``_entries``)."""
+    return min(range(1, len(shape)), key=lambda t: _entries(shape, m, t))
 
 
 def _dense_block(shape: tuple[int, ...], m: int, size: int) -> int:
@@ -264,8 +273,7 @@ def _dense_block(shape: tuple[int, ...], m: int, size: int) -> int:
     if len(shape) == 1:
         # no intermediate to block: the one factor is its own product
         return size
-    t = _split(shape, m)
-    most = max(2, _block_rows(math.prod(shape[t:]) + (m + 1) * math.prod(shape[:t])))
+    most = max(2, _block_rows(_entries(shape, m, _split(shape, m))))
     # the last block ends at ``size`` and repeats (with the same bits) fewer
     # trials than there are blocks.  So every gemm has ``block`` rows: numpy
     # sends one row to gemv, and OpenBLAS a few rows to a small-matrix

@@ -9,6 +9,7 @@ import shlex
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -658,6 +659,15 @@ def test_bounds_take_n_past_the_float_range(tmp_path):
     assert all(float(row["generic_subspace"]) == pytest.approx(float(row["epsilon"]), rel=1e-15) for row in rows)
 
 
+def test_bounds_take_a_concentration_ratio_past_the_float_range(tmp_path):
+    # m / n^(l-1) = 2^1024 raised OverflowError in the concentration columns, and exit 2 refused the whole table
+    assert run_cli("bounds", "--n", str(2**1024 + 1), "--l", "1", "--m", str(2**1024), "--out", str(tmp_path)) == 0
+    rows = read_rows(tmp_path / "bounds.csv")[1]
+    assert len(rows) == 20
+    for row in rows:
+        assert (row["concentration_vershynin"], row["concentration_bamberger"]) == ("0.0", "0.0")
+
+
 def test_bounds_default_n(tmp_path):
     assert run_cli("bounds", "--l", "2", "--m", "10", "--out", str(tmp_path)) == 0
     manifest = json.loads((tmp_path / "bounds_manifest.json").read_text())
@@ -680,6 +690,27 @@ def test_dominance_tiny_scale_holds_every_trial(tmp_path):
     assert run_cli("dominance", "--scale", "1e-300", "--trials", "100", "--out", str(tmp_path)) == 0
     _, rows = read_rows(tmp_path / "dominance.csv")
     assert [(row["hits_a"], row["hits_b"], row["trials"]) for row in rows] == [("100", "100", "100")]
+
+
+@pytest.mark.parametrize("scale, hits", [("1e200", "0"), ("1e-300", "2000")])
+def test_dominance_extreme_scales_count_as_contract_blocks(scale, hits, tmp_path, monkeypatch):
+    # the default shape stacks its 4 directions: products near 1e200 lie far outside every slab and
+    # near 1e-300 far inside, and the guarded pass counts them as the per-body kernel does, warning nothing
+    argv = ["dominance", "--scale", scale, "--trials", "2000", "--batch-size", "700"]
+    guarded = []
+    original = montecarlo._guarded_hits
+    monkeypatch.setattr(montecarlo, "_guarded_hits", lambda *args: guarded.append(1) or original(*args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv, "--out", str(tmp_path / "stacked")) == 0
+        monkeypatch.setattr(montecarlo, "_stacked", lambda dims, directions: False)
+        assert run_cli(*argv, "--out", str(tmp_path / "per-body")) == 0
+    # 2 laws x 3 batches
+    assert len(guarded) == 6
+    stacked = (tmp_path / "stacked" / "dominance.csv").read_bytes()
+    assert stacked == (tmp_path / "per-body" / "dominance.csv").read_bytes()
+    _, rows = read_rows(tmp_path / "stacked" / "dominance.csv")
+    assert [(row["hits_a"], row["hits_b"]) for row in rows] == [(hits, hits)]
 
 
 def test_dominance_cap_counts_every_body(tmp_path, capsys, monkeypatch):

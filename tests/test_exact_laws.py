@@ -280,6 +280,22 @@ def test_nondeterministic_exponent_past_the_float_range_is_refused(m):
         bound_nondeterministic(0.1, max(m, HUGE_N), 1, m)
 
 
+@pytest.mark.parametrize("variant", ["vershynin", "bamberger"])
+def test_concentration_of_a_ratio_past_the_float_range(variant):
+    # m / n^(l-1) = 2^1024 is past the float range: the division raised a builtins OverflowError.
+    # Every tail with eps < 1 is exp(-huge) = 0, and eps = 1 gives rate 0, so the cap 1 (not 0 * inf)
+    got = bound_concentration_subgaussian(np.array([0.0, 0.1, 1 - 2.0**-53, 1.0]), 2**1024, HUGE_N, 1, variant=variant)
+    assert got.tolist() == [0.0, 0.0, 0.0, 1.0]
+    assert bound_concentration_subgaussian(0.1, 2**1024, HUGE_N, 1, variant=variant) == 0.0
+    assert bound_concentration_subgaussian(0.1, 2**2000, 2**100, 3, variant=variant) == 0.0
+    # a tiny C_main brings the rate back into range: 5e-324 * 2^1025 = 1.8e-15, so both tails cap at 1
+    assert bound_concentration_subgaussian(0.0, 2**1025, 2, 1, BoundConfig(C_main=5e-324), variant) == 1.0
+    # a ratio in the float range keeps the value it had
+    rate = (1 - 0.5) ** 2 * (2**1100 / 2**1090)
+    want = 2.0 * math.exp(-rate) if variant == "vershynin" else min(1.0, math.e**2 * math.exp(-rate))
+    assert bound_concentration_subgaussian(0.5, 2**1100, 2**1090, 2, variant=variant) == pytest.approx(want, rel=1e-12)
+
+
 def test_concentration_examples():
     assert bound_concentration_subgaussian(1.0, 64, 4, 2, variant="vershynin") == 1.0
     got = bound_concentration_subgaussian(0.0, 64, 4, 2, variant="vershynin")

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import beta
 
 from tensorball import (
@@ -335,9 +337,29 @@ def test_dominance_draws_once_for_every_body(monkeypatch):
     passes.clear()
     dominance_test(specs_a, specs_b, [*bodies, *bodies[1:]], cfg)
     # 2 laws x 11 chunks x 3 factors, and per chunk one pass per direction
-    # count: the body of 0, the two of 3 and the two of 8
+    # count: the body of 0, the two of 3 and the two of 8 (at n = 16 the
+    # full Kronecker block is not the cheapest split, so no stacked pass)
     assert draws == one and len(one) == 66
     assert passes == [1, 2, 2] * 22
+
+
+def test_stacked_dominance_draws_once_and_takes_no_pass_without_an_undecided_trial(monkeypatch):
+    # n = 4, l = 3 with 8 + 3 + 0 + 8 + 8 directions: the full block is the cheapest split, so each
+    # chunk is decided by the guarded pass, and no trial of these seeds lies within its band of 1
+    spec = DistributionSpec(kind="gaussian-std", dim=4)
+    bodies = [SlabBody.random(64, count, 0.25, np.random.default_rng(count + k)) for k, count in enumerate((8, 3, 0, 8, 8))]
+    draws, passes, rechecks = [], [], []
+    monkeypatch.setattr(montecarlo, "sample_matrix", lambda spec, rng, n, out=None: draws.append(n) or sample_matrix(spec, rng, n, out=out))
+    monkeypatch.setattr(montecarlo, "contract_blocks", lambda *args: passes.append(args) or contract_blocks(*args))
+    monkeypatch.setattr(montecarlo, "_recheck", lambda *args: rechecks.append(args) or iter(()))
+    cfg = cfg_of(seed=6, trials=70_000, batch_size=40_000)
+    together = dominance_test((spec,) * 3, (matched_cube(spec),) * 3, bodies, cfg)
+    # 2 laws x (2 chunks of the first batch + 1 of the second) x 3 factors
+    assert draws == [32768, 32768, 32768, 7232, 7232, 7232, 30000, 30000, 30000] * 2
+    assert passes == rechecks == []
+    monkeypatch.undo()
+    alone = tuple(dominance_test((spec,) * 3, (matched_cube(spec),) * 3, [body], cfg)[0] for body in bodies)
+    assert together == alone and together[2].hits_a == cfg.trials
 
 
 @pytest.mark.parametrize("dim, count", [(4, 2.5), (4.0, 2), (4, -1), (4, True)])
@@ -507,8 +529,9 @@ def test_line_smallball_holds_no_products_array():
 
 
 def test_held_blocks_do_not_grow_with_the_body_count(monkeypatch):
-    # n = 4, l = 3: each run's holder keeps one products block per body, and
-    # the same Kronecker blocks for 3 bodies as for 30
+    # n = 4, l = 3: the guarded pass runs for 3 bodies as for 30, and each
+    # run's holder keeps the chunk's factors and one block of the pass,
+    # within one _BLOCK_BYTES; only the per-body products grow
     specs = (DistributionSpec(kind="symmetric-exponential-unitvar", dim=4),) * 3
     holders = []
     monkeypatch.setattr(montecarlo, "_Scratch", lambda: holders.append(tensor_core._Scratch()) or holders[-1])
@@ -521,10 +544,14 @@ def test_held_blocks_do_not_grow_with_the_body_count(monkeypatch):
         return [{name: a.size for name, a in h.kept.items()} for h in holders]
 
     three, thirty = held(3), held(30)
+    factors = {"x0", "x1", "x2"}
     for few, many in zip(three, thirty):
-        assert set(few) == set(many) == {"x0", "x1", "x2", "products", "trail", "sums"}
-        assert many["products"] == 10 * few["products"]
-        assert all(few[name] == many[name] for name in few if name != "products")
+        assert set(few) == set(many) and factors < set(few)
+        assert all(few[name] == many[name] for name in factors)
+        for kept in (few, many):
+            assert 8 * sum(size for name, size in kept.items() if name not in factors) <= tensor_core._BLOCK_BYTES
+        # the stacked products and each body's largest |p_k|
+        assert {name for name in few if many[name] > few[name]} == {"stacked", "most"}
 
 
 def test_dense_smallball_keeps_no_array_once_it_returns():
@@ -546,6 +573,127 @@ def test_dense_smallball_keeps_no_array_once_it_returns():
     got, held = in_thread(traced)
     assert got == want
     assert held < 64 * 1024
+
+
+@pytest.mark.parametrize(
+    "dims, directions, stacked",
+    [
+        # (n, l) = (4, 3), 24 rows: 64 + 25 entries per trial against 16 + 25 * 4 at t = 1
+        ((4, 4, 4), 24, True),
+        ((4, 4, 4), 15, False),
+        ((4, 4, 4), 16, True),
+        ((2, 2), 1, False),
+        ((2, 2), 4, True),
+        ((8, 8, 8), 24, False),
+        ((16, 16, 16), 6, False),
+        ((5,), 3, False),
+    ],
+)
+def test_stacked_pass_runs_where_the_full_block_is_the_cheapest_split(dims, directions, stacked, monkeypatch):
+    assert montecarlo._stacked(dims, directions) is stacked
+    calls = []
+    original = montecarlo._guarded_hits
+    monkeypatch.setattr(montecarlo, "_guarded_hits", lambda *args: calls.append(len(args[0])) or original(*args))
+    specs = tuple(DistributionSpec(kind="gaussian-std", dim=n) for n in dims)
+    bodies = [SlabBody.random(math.prod(dims), directions, 0.3, np.random.default_rng(0))]
+    montecarlo._membership_counts(specs, bodies, cfg_of(trials=200))
+    assert calls == ([1] if stacked else [])
+
+
+def unstacked(monkeypatch, run):
+    """``run()`` with the guarded pass off: every chunk takes ``contract_blocks`` per direction count."""
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_stacked", lambda dims, directions: False)
+        return run()
+
+
+@pytest.fixture
+def slab_rechecks(monkeypatch):
+    """The trials of every ``_recheck`` call, and the row sets that ``contract_blocks`` gets meanwhile."""
+    calls, gathered, lock = [], [], threading.Lock()
+    original, blocks = montecarlo._recheck, montecarlo.contract_blocks
+
+    def recording(row_sets, shape, xs, unsure, scratch):
+        with lock:
+            calls.append(unsure.copy())
+        return original(row_sets, shape, xs, unsure, scratch)
+
+    def passing(row_sets, shape, xs, scratch=None):
+        with lock:
+            gathered.append(len(row_sets))
+        return blocks(row_sets, shape, xs, scratch)
+
+    monkeypatch.setattr(montecarlo, "_recheck", recording)
+    monkeypatch.setattr(montecarlo, "contract_blocks", passing)
+    return calls, gathered
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_guarded_pass_rechecks_planted_near_ties(threads, monkeypatch, slab_rechecks, two_cpus):
+    # n = 2, l = 2: trial t of the first batch has products a few roundings from +1 and -1, on both
+    # sides, with dense directions and with directions of one nonzero each (the gather path)
+    specs = (DistributionSpec(kind="gaussian-std", dim=2),) * 2
+    cfg = cfg_of(seed=4, trials=2_500, batch_size=1_000, threads=threads)
+    rng = np.random.default_rng(np.random.SeedSequence(4, spawn_key=(0,)))
+    xs = [sample_matrix(s, rng, 1_000) for s in specs]
+    base = np.random.default_rng(0).standard_normal((1, 4))
+    dense = contract(base, (2, 2), xs)[:, 0]
+    t = int(np.argmax(np.abs(dense[:100])))
+    # the coordinate (1, 0) alone: x_1[1] * (x_2[0] * c)
+    single = np.array([[0.0, 0.0, 1.0, 0.0]])
+    gather = xs[0][t, 1] * xs[1][t, 0]
+    nudges = (1 - 8 * 2.0**-52, 1 - 2.0**-52, 1.0, 1 + 2.0**-52, 1 + 8 * 2.0**-52)
+    directions = [sign * rows / p * nudge for rows, p in ((base, dense[t]), (single, gather)) for sign in (1, -1) for nudge in nudges]
+    bodies = [SlabBody(d) for d in directions]
+    # every planted product at trial t, as contract_blocks gives it, lies within a few roundings of
+    # +-1, on both sides
+    at_t = np.array([contract(d, (2, 2), xs)[t, 0] for d in directions])
+    assert np.all(np.abs(np.abs(at_t) - 1) < 1e-14)
+    assert 0 < np.count_nonzero(np.abs(at_t) <= 1) < len(bodies)
+    calls, gathered = slab_rechecks
+    got = montecarlo._membership_counts(specs, bodies, cfg)
+    # one recheck per chunk with an undecided trial: the first batch's, with trial t in it
+    assert len(calls) == 1 and t in calls[0].tolist()
+    # the recheck takes the gather bodies through contract_blocks, one set per body
+    assert gathered == [len(nudges) * 2]
+    assert got.tolist() == unstacked(monkeypatch, lambda: montecarlo._membership_counts(specs, bodies, cfg)).tolist()
+
+
+@pytest.mark.parametrize("kind", ["gaussian-std", "symmetric-exponential-unitvar"])
+def test_guarded_pass_counts_bodies_of_every_direction_count(kind, monkeypatch, two_cpus):
+    # n = 4, l = 3: 3 + 8 + 5 + 8 directions in one gemm beside a body of none, which holds every
+    # trial; chunks of 32768 trials, so the batches of 40000 end in a chunk of 7232
+    spec = DistributionSpec(kind=kind, dim=4)
+    bodies = [SlabBody.random(64, count, 0.3, np.random.default_rng(k)) for k, count in enumerate((3, 0, 8, 5, 8))]
+    laws = ((spec,) * 3, (matched_cube(spec),) * 3)
+    cfg = cfg_of(seed=2, trials=90_001, batch_size=40_000)
+    together = dominance_test(*laws, bodies, cfg)
+    assert together == dominance_test(*laws, bodies, cfg_of(seed=2, trials=90_001, batch_size=40_000, threads=2))
+    assert together == unstacked(monkeypatch, lambda: dominance_test(*laws, bodies, cfg))
+    # each body alone has too few rows to stack
+    assert together == tuple(dominance_test(*laws, [body], cfg)[0] for body in bodies)
+    assert together[1].hits_a == together[1].hits_b == cfg.trials
+    assert all(0 < rep.hits_a < rep.hits_b < cfg.trials for rep in together[::2])
+
+
+@given(
+    dims=st.lists(st.integers(1, 4), min_size=2, max_size=3).map(tuple),
+    counts=st.lists(st.integers(0, 7), min_size=1, max_size=4),
+    kind=st.sampled_from(["gaussian-std", "symmetric-exponential-unitvar", "uniform-cube-sqrt3"]),
+    scale=st.sampled_from([0.05, 0.3, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+@example(dims=(3, 3, 3), counts=[4, 0, 7], kind="gaussian-std", scale=0.3, seed=0)
+@example(dims=(3, 3, 3), counts=[4, 4], kind="gaussian-std", scale=0.3, seed=0)
+@settings(max_examples=40, deadline=None)
+def test_membership_counts_match_fresh_products_on_small_shapes(dims, counts, kind, scale, seed):
+    # both sides of the rule: (3, 3, 3) stacks 9 rows and more, not 8
+    specs = tuple(DistributionSpec(kind=kind, dim=n) for n in dims)
+    width = math.prod(dims)
+    bodies = [SlabBody.random(width, count, scale / math.sqrt(width), np.random.default_rng(seed + k)) for k, count in enumerate(counts)]
+    cfg = cfg_of(seed=seed, trials=700, batch_size=300)
+    want = [reference_membership_hits(specs, body, cfg) for body in bodies]
+    assert montecarlo._membership_counts(specs, bodies, cfg).tolist() == want
 
 
 def test_membership_counts_never_build_the_tensors():
@@ -869,10 +1017,14 @@ def rechecks(monkeypatch):
     """Every ``_recheck`` call of a run: its factors, the trials it rechecks and the norms it gives them."""
     calls, lock, original = [], threading.Lock(), montecarlo._recheck
 
-    def recording(rows, shape, xs, unsure, norms, scratch):
-        original(rows, shape, xs, unsure, norms, scratch)
+    def recording(row_sets, shape, xs, unsure, scratch):
+        # the norms the small-ball kernel takes from the products, before it may overwrite them
+        norms = np.empty(len(unsure))
+        for k, trials, products in original(row_sets, shape, xs, unsure, scratch):
+            norms[np.searchsorted(unsure, trials)] = np.sqrt(np.einsum("bm,bm->b", products, products))
+            yield k, trials, products
         with lock:
-            calls.append(([x.copy() for x in xs], unsure.copy(), norms[unsure].copy()))
+            calls.append(([x.copy() for x in xs], unsure.copy(), norms))
 
     monkeypatch.setattr(montecarlo, "_recheck", recording)
     return calls
