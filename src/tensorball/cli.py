@@ -48,6 +48,7 @@ from .errors import (
 )
 from .exact_laws import (
     BoundConfig,
+    _float_sizes,
     bound_carbery_wright,
     bound_concentration_subgaussian,
     bound_fixed_subspace,
@@ -230,6 +231,8 @@ def _bounds_row(eps: float, cfg: dict, bc: BoundConfig) -> dict:
 
 
 def _run_bounds(cfg: dict, stamp: str) -> list[tuple[str, bytes]]:
+    # n^l or m past the bounds' float ceiling refuses the whole table, fresh or replayed, before any row
+    _float_sizes(cfg["n"], cfg["ell"], cfg["m"])
     bc = BoundConfig(
         C_main=cfg["c_main"], C_prime=cfg["c_prime"], C_dprime=cfg["c_dprime"], c_small=cfg["c_small"]
     )
@@ -392,7 +395,8 @@ def _check_config(subcommand: str, cfg: dict) -> None:
     pass ``_check_sizes`` at its least value.  Every float, grid entries
     included, must be finite, and a grid must hold 1 to ``MAX_GRID`` points.
     A tensor order above ``MAX_ORDER`` is refused on every subcommand; on
-    bounds, ``rho <= 0`` and ``r`` or ``rho`` given without the other; on
+    bounds, ``rho <= 0`` and ``r`` or ``rho`` given without the other (its
+    runner refuses n^l or m above 2^1023, once n is known); on
     decompose, a rank above n^floor((l-1)/2), the most it can recover.  Runs
     whose flattened size is above ``FLATTEN_CAP`` entries (the m basis rows
     of length n^l for smallball, one n^l x r Khatri-Rao matrix for smin,

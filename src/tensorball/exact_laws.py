@@ -162,32 +162,34 @@ def bound_single_direction(eps, ell: int, cfg: BoundConfig = BoundConfig()):
     return _ret(out, scalar)
 
 
+def _float_sizes(n: int, ell: int, m: int) -> None:
+    """The size ceiling of the closed-form bounds: n^ell and m at most 2^1023, compared as integers, so that
+    every size and every ratio of two sizes is a float.  Raises ``RangeError`` above it; n >= 2 with
+    ell > 1023 is refused without forming n^ell."""
+    if n > 1 and (ell > 1023 or n**ell > 2**1023):
+        raise RangeError(
+            "need n^ell <= 2^1023, the float ceiling of the closed-form bounds;"
+            f" got n^ell > 2^1023 (ell = {ell}, log2 n = {math.log2(n):.6g})"
+        )
+    if m > 2**1023:
+        raise RangeError(
+            "need m <= 2^1023, the float ceiling of the closed-form bounds;"
+            f" got m > 2^1023 (log2 m = {math.log2(m):.6g})"
+        )
+
+
 def bound_generic_subspace(eps, m: int, n: int, ell: int, cfg: BoundConfig = BoundConfig()):
     """Haar-generic subspace bound (C' eps)^(C'' min{m, n}) + exp(-C_main n), capped at 1.
 
-    The products C'' min{m, n} and C_main n are taken in log space where the
-    integers are past the float range, so exp(-C_main n) underflows to 0.
+    Sizes past the float ceiling of ``_float_sizes`` raise ``RangeError``.
     """
     m, n, ell = _check_sizes(1, m=m, n=n, ell=ell)
+    _float_sizes(n, ell, m)
     eps, scalar = _as_array(eps)
     if not np.all((eps > 0) & (eps < 1)):
         raise RangeError("bound_generic_subspace requires 0 < eps < 1")
-    out = _cap((cfg.C_prime * eps) ** _times(cfg.C_dprime, min(m, n)) + math.exp(-_times(cfg.C_main, n)))
+    out = _cap((cfg.C_prime * eps) ** (cfg.C_dprime * min(m, n)) + math.exp(-cfg.C_main * n))
     return _ret(out, scalar)
-
-
-def _times(c: float, n: int) -> float:
-    """The float ``c * n`` for a float c >= 0 and an integer n >= 0, inf past the float range.  Where n
-    itself is past it, and ``c * n`` raises ``OverflowError``, the product is taken in log space."""
-    try:
-        return c * n
-    except OverflowError:
-        if c == 0:
-            return 0.0
-        try:
-            return math.exp(math.log(c) + math.log(n))
-        except OverflowError:
-            return math.inf
 
 
 def bound_carbery_wright(eps, ell: int, cfg: BoundConfig = BoundConfig()):
@@ -209,33 +211,20 @@ def bound_nondeterministic(eps, n: int, ell: int, m: int) -> NondeterministicBou
     """Counting-argument bound 2 n^(ell-1) sqrt(n)^(ell e*) eps^(e*), capped at 1.
 
     Returns the pair (value, exponent) where the exponent
-    e* = (n - (n^ell - m)^(1/ell)) / ell governs the decay rate.  Where
-    n^ell - m or the prefactor is past the float range, e* is taken from
-    m / n^ell and the bound in log space, so the value is still capped at 1;
-    where n is too, so is e*.  An e* past the float range raises
-    ``RangeError``.
+    e* = (n - (n^ell - m)^(1/ell)) / ell governs the decay rate.  Sizes past
+    the float ceiling of ``_float_sizes`` raise ``RangeError``.  Where the
+    prefactor is past the float range, the bound is taken in log space, so
+    the value is still capped at 1.
     """
     n, ell = _check_sizes(1, n=n, ell=ell)
     (m,) = _check_sizes(0, m=m)
+    _float_sizes(n, ell, m)
     if m > n**ell:
         raise ValidationError(f"need 0 <= m <= n^ell = {n ** ell}, got m = {m}")
     eps, scalar = _as_array(eps)
     if not np.all(eps >= 0):
         raise ValidationError("eps must be nonnegative")
-    try:
-        e_star = (n - (n**ell - m) ** (1.0 / ell)) / ell
-    except OverflowError:
-        # with y = 1 - m/n^ell, n - (n^ell - m)^(1/ell) = -n expm1(log(y) / ell);
-        # log(y) is log1p(-m/n^ell), or, where y is small, a difference of logs
-        x = m / n**ell
-        if x < 0.5:
-            log_y = math.log1p(-x)
-        else:
-            log_y = math.log(n**ell - m) - ell * math.log(n) if m < n**ell else -math.inf
-        try:
-            e_star = -n * math.expm1(log_y / ell) / ell
-        except OverflowError:
-            e_star = _exponent_of_huge_n(n, ell, m, x, log_y)
+    e_star = (n - (n**ell - m) ** (1.0 / ell)) / ell
     try:
         prefactor = 2.0 * n ** (ell - 1) * math.sqrt(n) ** (ell * e_star)
     except OverflowError:
@@ -243,26 +232,13 @@ def bound_nondeterministic(eps, n: int, ell: int, m: int) -> NondeterministicBou
     if prefactor < math.inf:
         out = _cap(prefactor * eps**e_star)
     else:
-        log_value = np.full_like(eps, math.log(2.0) + (ell - 1 + ell * e_star / 2) * math.log(n))
-        if e_star > 0:  # eps**0 is 1, also at eps = 0
-            with np.errstate(divide="ignore"):
-                log_value += e_star * np.log(eps)
+        # e* > 0 here, as at e* = 0 the prefactor is 2 n^(ell-1) <= 2^1023; e* multiplies the sum of
+        # its two logs, so that no partial sum overflows first, and a log of +-inf (overflow, or eps = 0)
+        # is the decided value 1 or 0
+        with np.errstate(over="ignore", divide="ignore"):
+            log_value = math.log(2.0) + (ell - 1) * math.log(n) + e_star * (ell / 2 * math.log(n) + np.log(eps))
         out = np.exp(np.minimum(log_value, 0.0))
     return NondeterministicBound(_ret(out, scalar), e_star)
-
-
-def _exponent_of_huge_n(n: int, ell: int, m: int, x: float, log_y: float) -> float:
-    """e* = -n expm1(log(y) / ell) / ell of ``bound_nondeterministic`` where n is past the float range,
-    in log space; ``x`` is m/n^ell and ``log_y`` log(1 - x).  Below x = 2^-60, where x may be subnormal or
-    0, -expm1(log(y) / ell) is x / ell to within rounding.  Raises ``RangeError`` where e* * ell * log(n)
-    passes e^700, beyond which the bound's logarithm is not a float."""
-    if m == 0:
-        return 0.0
-    log_q = math.log(-math.expm1(log_y / ell)) if x >= 2.0**-60 else math.log(m) - ell * math.log(n) - math.log(ell)
-    log_e = math.log(n) + log_q - math.log(ell)
-    if not log_e + math.log(ell * math.log(n)) < 700:
-        raise RangeError(f"the nondeterministic exponent e* = exp({log_e:.6g}) is past the float range at ell = {ell}")
-    return math.exp(log_e)
 
 
 def bound_concentration_subgaussian(
@@ -272,24 +248,17 @@ def bound_concentration_subgaussian(
 
     vershynin: 2 exp(-C (1-eps)^2 m / (ell n^(ell-1)));
     bamberger: e^2 exp(-C_ell (1-eps)^2 m / n^(ell-1)), with C_ell taken from
-    cfg.C_main.  Both capped at 1.
+    cfg.C_main.  Both capped at 1.  Sizes past the float ceiling of
+    ``_float_sizes`` raise ``RangeError``.
     """
     if variant not in ("vershynin", "bamberger"):
         raise ValidationError(f"variant must be 'vershynin' or 'bamberger', got {variant!r}")
     m, n, ell = _check_sizes(1, m=m, n=n, ell=ell)
+    _float_sizes(n, ell, m)
     eps, scalar = _as_array(eps)
     if not np.all((eps >= 0) & (eps <= 1)):
         raise RangeError("bound_concentration_subgaussian requires 0 <= eps <= 1")
-    try:
-        rate = cfg.C_main * (1.0 - eps) ** 2 * m / n ** (ell - 1)
-    except OverflowError:
-        # m or n^(ell-1) is past the float range, and so may be their ratio: it is taken as
-        # q * 2^e with q below 2^961 (Python divides integers with correct rounding), so a rate
-        # past the float range is inf (a zero tail) and eps = 1 still gives rate 0
-        den = n ** (ell - 1)
-        e = max(0, m.bit_length() - den.bit_length() - 960)
-        with np.errstate(over="ignore"):
-            rate = np.ldexp(cfg.C_main * (1.0 - eps) ** 2 * (m / (den << e)), e)
+    rate = cfg.C_main * (1.0 - eps) ** 2 * m / n ** (ell - 1)
     if variant == "vershynin":
         out = 2.0 * np.exp(-rate / ell)
     else:

@@ -640,32 +640,40 @@ def test_bounds_smin_tail_column_does_not_read_rho(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "args",
-    [("--l", "2", "--m", str((2**100 + 2**47 + 1) ** 2)), ("--n", "10000000000", "--l", "32", "--m", "1")],
-    ids=["(2^100+2^47+1)^2", "n^l"],
+    "args, column",
+    [
+        (("--l", "2", "--m", str((2**100 + 2**47 + 1) ** 2)), ["1.0"] * 20),
+        (("--n", str(2**1020), "--l", "1", "--m", str(2**1020), "--eps-grid", "1e-300:1e-100:3"), ["1.0", "0.0", "0.0"]),
+    ],
+    ids=["(2^100+2^47+1)^2", "e*=2^1020"],
 )
-def test_bounds_nondeterministic_past_the_float_range(tmp_path, args):
-    # the nondeterministic column raised OverflowError there, and exit 2 refused the whole table
+def test_bounds_nondeterministic_past_the_float_range(tmp_path, args, column):
+    # the prefactor raised OverflowError, and exit 2 refused the whole table; at e* = 2^1020 its log
+    # overflowed before log eps was added, and the NaN refused the table too
     assert run_cli("bounds", *args, "--out", str(tmp_path)) == 0
     rows = read_rows(tmp_path / "bounds.csv")[1]
-    assert len(rows) == 20 and {row["nondeterministic"] for row in rows} == {"1.0"}
+    assert [row["nondeterministic"] for row in rows] == column
 
 
-def test_bounds_take_n_past_the_float_range(tmp_path):
-    # n = 2^1024 + 1 raised OverflowError in the generic_subspace column, and exit 2 refused the whole table
-    assert run_cli("bounds", "--n", str(2**1024 + 1), "--l", "1", "--m", "1", "--out", str(tmp_path)) == 0
+@pytest.mark.parametrize("n, ell", [(2**1023, 1), (2**31, 32)], ids=["n=2^1023", "n^l=2^992"])
+def test_bounds_accept_the_ceiling(tmp_path, n, ell):
+    """n^l up to 2^1023 is inside the float ceiling of the bounds: the columns that read n are filled."""
+    assert run_cli("bounds", "--n", str(n), "--l", str(ell), "--m", "1", "--out", str(tmp_path)) == 0
     rows = read_rows(tmp_path / "bounds.csv")[1]
-    assert len(rows) == 20 and {row["nondeterministic"] for row in rows} == {"1.0"}
-    assert all(float(row["generic_subspace"]) == pytest.approx(float(row["epsilon"]), rel=1e-15) for row in rows)
+    columns = ("generic_subspace", "nondeterministic", "concentration_vershynin", "concentration_bamberger")
+    assert len(rows) == 20 and all(row[column] for row in rows for column in columns)
 
 
-def test_bounds_take_a_concentration_ratio_past_the_float_range(tmp_path):
-    # m / n^(l-1) = 2^1024 raised OverflowError in the concentration columns, and exit 2 refused the whole table
-    assert run_cli("bounds", "--n", str(2**1024 + 1), "--l", "1", "--m", str(2**1024), "--out", str(tmp_path)) == 0
-    rows = read_rows(tmp_path / "bounds.csv")[1]
-    assert len(rows) == 20
-    for row in rows:
-        assert (row["concentration_vershynin"], row["concentration_bamberger"]) == ("0.0", "0.0")
+def test_bounds_ceiling_is_one_refusal_fresh_and_replayed(tmp_path, capsys):
+    """n^l above 2^1023 is refused before any row is written: one line and exit 2, fresh or replayed."""
+    n = 2**1023 + 1
+    code = run_cli("bounds", "--n", str(n), "--l", "1", "--m", "1", "--out", str(tmp_path / "fresh"))
+    fresh = capsys.readouterr().err
+    replayed = replay_with(tmp_path, capsys, edit=lambda d: d["config"].update(n=n), args=ARTIFACT_ARGS["bounds"])
+    assert code == 2 and fresh.startswith("error: need n^ell <= 2^1023") and len(fresh.splitlines()) == 1
+    # the replayed manifest is l = 3, the fresh run l = 1
+    assert "float ceiling" in replayed and "ell = 3" in replayed
+    assert not (tmp_path / "fresh").exists() and not (tmp_path / "again").exists()
 
 
 def test_bounds_default_n(tmp_path):
@@ -863,6 +871,15 @@ def test_usage_errors():
         (("smallball", "--eps-grid", "1e300:1.7e308:3", "--trials", "100"), 2),
         (("norms", "--t-grid", "1e300:1.7e308:3", "--trials", "100"), 2),
         (("smin", "--eps-grid", "1e-300:1e300:3", "--trials", "100"), 2),
+        # n^l or m above 2^1023, the float ceiling of the bounds: each exited 0 with columns from float-range
+        # fallbacks, but m = 2^1100 at n = 2, whose fixed_subspace column overflowed a float
+        (("bounds", "--n", str(2**1023 + 1), "--l", "1", "--m", "1"), 2),
+        (("bounds", "--n", str(2**32), "--l", "32", "--m", "1"), 2),
+        (("bounds", "--m", str(2**1100), "--l", "1"), 2),
+        (("bounds", "--n", "2", "--l", "2", "--m", str(2**1100)), 2),
+        (("bounds", "--n", "10000000000", "--l", "32", "--m", "1"), 2),
+        (("bounds", "--n", str(2**1024 + 1), "--l", "1", "--m", "1"), 2),
+        (("bounds", "--n", str(2**1024 + 1), "--l", "1", "--m", str(2**1024)), 2),
         # a top-level --out is for --replay: a fresh run ignored it and wrote into the working directory
         (("--out", "elsewhere", "bounds"), 1),
         (("--out", "elsewhere", "selftest"), 1),
@@ -885,7 +902,10 @@ def test_usage_errors():
         "smallball-eps-grid-not-a-number", "norms-t-grid-count-not-a-number",
         "decompose-seed-negative", "selftest-quick", "seed-negative", "bounds-r-alone", "bounds-rho-alone",
         "bounds-c-prime-huge", "smin-rho-huge", "decompose-rho-huge", "decompose-noise-huge", "dominance-scale-huge",
-        "smallball-eps-grid-huge", "norms-t-grid-huge", "smin-eps-grid-huge", "bounds-top-level-out",
+        "smallball-eps-grid-huge", "norms-t-grid-huge", "smin-eps-grid-huge",
+        "bounds-n-above-ceiling", "bounds-n^l-above-ceiling", "bounds-m-above-ceiling-n-from-m",
+        "bounds-m-above-ceiling", "bounds-n^l=10^320", "bounds-n=2^1024+1", "bounds-m/n=2^1024/(2^1024+1)",
+        "bounds-top-level-out",
         "selftest-top-level-out", "replay-with-subcommand", "smallball-eps-grid-count-above-cap",
         "norms-t-grid-count-above-cap",
     ],

@@ -217,83 +217,39 @@ def test_nondeterministic_vanishes():
 
 @pytest.mark.parametrize(
     "n, ell, m, exponent",
-    [
-        (2**100 + 2**47 + 1, 2, (2**100 + 2**47 + 1) ** 2, pytest.approx((2**100 + 2**47 + 1) / 2, rel=1e-15)),
-        # n m / n^ell / ell^2 = 1e-310 / 1024, reached through subnormals that keep a few bits
-        (10**10, 32, 1, pytest.approx(1e-310 / 1024, rel=0.05, abs=0)),
-    ],
-    ids=["sqrt(n)^(l e*)", "n^l"],
+    [(2**100 + 2**47 + 1, 2, (2**100 + 2**47 + 1) ** 2, pytest.approx((2**100 + 2**47 + 1) / 2, rel=1e-15))],
+    ids=["sqrt(n)^(l e*)"],
 )
 def test_nondeterministic_past_the_float_range_caps_at_one(n, ell, m, exponent):
-    # the prefactor, then n^ell - m, passed the float range and raised a builtins OverflowError
+    # the prefactor passed the float range and raised a builtins OverflowError
     got = bound_nondeterministic(0.1, n, ell, m)
     assert got.value == 1.0 and got.exponent == exponent
     # with e* > 0, eps = 0 gives 0
     assert np.array_equal(bound_nondeterministic(np.array([0.0, 0.1]), n, ell, m).value, [0.0, 1.0])
 
 
-@pytest.mark.parametrize("m", [10**320 // 3, 10**320 - 10**315], ids=["m/n^l=1/3", "1-m/n^l=1e-5"])
+def test_nondeterministic_log_space_sums_past_the_float_range():
+    # n = m = 2^1020, l = 1: e* = 2^1020, and (l - 1 + l e*/2) log n overflowed before e* log eps was added,
+    # so eps = 1e-300 and 1e-100 gave NaN; the log of the bound is e* (log n / 2 + log eps), decided by its sign
+    got = bound_nondeterministic(np.array([1e-300, 1e-100, 0.5]), 2**1020, 1, 2**1020)
+    assert got.value.tolist() == [0.0, 1.0, 1.0] and got.exponent == 2.0**1020
+
+
+@pytest.mark.parametrize("m", [10**300 // 3, 10**300 - 10**295], ids=["m/n^l=1/3", "1-m/n^l=1e-5"])
 def test_nondeterministic_in_log_space_matches_mpmath(m):
-    """n = 1e10, ell = 32: n^ell - m is past the float range; e* and a value below the cap against 50 digits."""
+    """n = 1e10, ell = 30: the prefactor is past the float range; e* and a value below the cap against 50 digits."""
     mpmath = pytest.importorskip("mpmath")
-    n, ell = 10**10, 32
+    n, ell = 10**10, 30
     with mpmath.workdps(50):
         e_star = (n - mpmath.root(mpmath.mpf(n) ** ell - m, ell)) / ell
         # the eps at which the bound is e^-5
         log_eps = (-5 - mpmath.log(2) - (ell - 1) * mpmath.log(n)) / e_star - ell * mpmath.log(n) / 2
         eps = float(mpmath.exp(log_eps))
+    # the log of the prefactor sqrt(n)^(l e*) is past 710, so the log-space branch runs
+    assert ell * float(e_star) / 2 * math.log(n) > 710
     got = bound_nondeterministic(eps, n, ell, m)
     assert got.exponent == pytest.approx(float(e_star), rel=1e-12)
     assert got.value == pytest.approx(math.exp(-5), rel=1e-3)
-
-
-HUGE_N = 2**1024 + 1
-
-
-def test_bounds_take_n_past_the_float_range():
-    # int * float raised a builtins OverflowError for n >= 2^1024: in e*, and in exp(-C_main n)
-    got = bound_nondeterministic(0.1, HUGE_N, 1, 1)
-    assert got.value == 1.0 and got.exponent == pytest.approx(1.0, rel=1e-12)
-    assert bound_generic_subspace(0.1, 1, HUGE_N, 1) == pytest.approx(0.1, rel=1e-15)
-    # min(m, n) is past the float range too: (C' eps)^huge underflows, and so does exp(-C_main n)
-    assert bound_generic_subspace(0.1, 2**1030, HUGE_N, 1) == 0.0
-    # C_main n below the float range's edge in log space: exp(-1e-310 * (2^1024 + 1)) = exp(-0.018)
-    assert bound_generic_subspace(0.01, 1, HUGE_N, 1, BoundConfig(C_main=1e-310)) == pytest.approx(
-        0.01 + math.exp(-1e-310 * 2.0**1023 * 2), rel=1e-12
-    )
-
-
-def test_nondeterministic_of_huge_n_below_the_cap():
-    # l = 1, m = 1: e* = n - (n - 1) = 1 and the bound is 2 sqrt(n) eps, below 1 for eps < 1/(2 sqrt(n))
-    got = bound_nondeterministic(1e-300, HUGE_N, 1, 1)
-    assert got.exponent == pytest.approx(1.0, rel=1e-12)
-    assert got.value == pytest.approx(2 * 2.0**512 * 1e-300, rel=1e-12)
-    # m / n^l = 2^-1000 is 0 as a float: e* = m / (l^2 n^(l-1)) = 2^1200 / (4 * 2^1100) = 2^98
-    assert bound_nondeterministic(0.1, 2**1100, 2, 2**1200).exponent == pytest.approx(2.0**98, rel=1e-12)
-    assert bound_nondeterministic(0.1, 2**1100, 1, 0).exponent == 0.0
-
-
-@pytest.mark.parametrize("m", [2**1024, 2**1100], ids=["n-1", "n"])
-def test_nondeterministic_exponent_past_the_float_range_is_refused(m):
-    # e* = m is past the float range: a RangeError, which the bounds table writes as an empty cell
-    with pytest.raises(RangeError, match="past the float range"):
-        bound_nondeterministic(0.1, max(m, HUGE_N), 1, m)
-
-
-@pytest.mark.parametrize("variant", ["vershynin", "bamberger"])
-def test_concentration_of_a_ratio_past_the_float_range(variant):
-    # m / n^(l-1) = 2^1024 is past the float range: the division raised a builtins OverflowError.
-    # Every tail with eps < 1 is exp(-huge) = 0, and eps = 1 gives rate 0, so the cap 1 (not 0 * inf)
-    got = bound_concentration_subgaussian(np.array([0.0, 0.1, 1 - 2.0**-53, 1.0]), 2**1024, HUGE_N, 1, variant=variant)
-    assert got.tolist() == [0.0, 0.0, 0.0, 1.0]
-    assert bound_concentration_subgaussian(0.1, 2**1024, HUGE_N, 1, variant=variant) == 0.0
-    assert bound_concentration_subgaussian(0.1, 2**2000, 2**100, 3, variant=variant) == 0.0
-    # a tiny C_main brings the rate back into range: 5e-324 * 2^1025 = 1.8e-15, so both tails cap at 1
-    assert bound_concentration_subgaussian(0.0, 2**1025, 2, 1, BoundConfig(C_main=5e-324), variant) == 1.0
-    # a ratio in the float range keeps the value it had
-    rate = (1 - 0.5) ** 2 * (2**1100 / 2**1090)
-    want = 2.0 * math.exp(-rate) if variant == "vershynin" else min(1.0, math.e**2 * math.exp(-rate))
-    assert bound_concentration_subgaussian(0.5, 2**1100, 2**1090, 2, variant=variant) == pytest.approx(want, rel=1e-12)
 
 
 def test_concentration_examples():
@@ -450,3 +406,41 @@ def test_evaluators_refuse_sizes_that_are_not_integers(call, bad):
 @pytest.mark.parametrize("call", sorted(SIZE_CALLS))
 def test_evaluators_take_numpy_integer_sizes(call):
     assert np.all(np.isfinite(np.asarray(SIZE_CALLS[call](np.int64(3)), dtype=float)))
+
+
+HUGE_N = 2**1024 + 1
+
+# n^l or m above 2^1023, the float ceiling of the bounds that take sizes: each size argument of the three at
+# 2^1023 + 1 (an order that large with n = 3), then the runs that once took a float-range fallback
+CEILING_CALLS = [
+    pytest.param(SIZE_CALLS[call], (2**1023 + 1,), id=f"{call} 2^1023+1")
+    for call in sorted(SIZE_CALLS)
+    if call.split()[0] in ("bound_generic_subspace", "bound_nondeterministic", "bound_concentration_subgaussian")
+] + [
+    pytest.param(bound_nondeterministic, (0.1, 10**10, 32, 1), id="nondeterministic n^l=10^320"),
+    pytest.param(bound_nondeterministic, (0.1, HUGE_N, 1, 1), id="nondeterministic n=2^1024+1"),
+    pytest.param(bound_nondeterministic, (1e-300, HUGE_N, 1, 1), id="nondeterministic n=2^1024+1 below 1"),
+    pytest.param(bound_nondeterministic, (0.1, 2**1100, 2, 2**1200), id="nondeterministic m/n^l=2^-1000"),
+    pytest.param(bound_nondeterministic, (0.1, 2**1100, 1, 0), id="nondeterministic m=0"),
+    pytest.param(bound_nondeterministic, (0.1, HUGE_N, 1, 2**1024), id="nondeterministic e*=2^1024"),
+    pytest.param(bound_nondeterministic, (0.1, 2**1100, 1, 2**1100), id="nondeterministic e*=2^1100"),
+    pytest.param(bound_generic_subspace, (0.1, 1, HUGE_N, 1), id="generic n=2^1024+1"),
+    pytest.param(bound_generic_subspace, (0.1, 2**1030, HUGE_N, 1), id="generic min(m,n)=2^1024+1"),
+    pytest.param(bound_generic_subspace, (0.01, 1, HUGE_N, 1, BoundConfig(C_main=1e-310)), id="generic C_main n<1"),
+    *(
+        pytest.param(bound_concentration_subgaussian, args, id=f"concentration {name} {variant}")
+        for variant in ("vershynin", "bamberger")
+        for name, args in [
+            ("m/n^(l-1)=2^1024", (np.array([0.0, 0.1, 1.0]), 2**1024, HUGE_N, 1, BoundConfig(), variant)),
+            ("m=2^2000", (0.1, 2**2000, 2**100, 3, BoundConfig(), variant)),
+            ("C_main m<1", (0.0, 2**1025, 2, 1, BoundConfig(C_main=5e-324), variant)),
+            ("m/n^(l-1)=2^10", (0.5, 2**1100, 2**1090, 2, BoundConfig(), variant)),
+        ]
+    ),
+]
+
+
+@pytest.mark.parametrize("fn, args", CEILING_CALLS)
+def test_bounds_refuse_sizes_above_the_float_ceiling(fn, args):
+    with pytest.raises(RangeError, match=r"float ceiling of the closed-form bounds; got (n\^ell|m) > 2\^1023"):
+        fn(*args)

@@ -127,6 +127,23 @@ def test_betaincinv_lives_in_one_function():
     assert _owners("betaincinv") == {"montecarlo.py:_beta_bounds"}
 
 
+def test_float_range_fallbacks_stay_gone():
+    """The bounds that take sizes refuse n^l or m above 2^1023 through one helper, so no size or ratio of
+    sizes is past the float range: ``OverflowError`` is caught for a power of a float alone (a support
+    radius, a prefactor, an s_min scale) and by the CLI's refusal, and only the bounds and the bounds
+    runner name the helper."""
+    assert _owners("OverflowError") == {
+        "exact_laws.py:product_uniform_smallball",
+        "exact_laws.py:bound_nondeterministic",
+        "exact_laws.py:_smin_scale",
+        "cli.py:_float_range",
+    }
+    assert {owner for owner in _owners("_float_sizes") if not owner.startswith("exact_laws.py:")} == {
+        "cli.py:<module>",
+        "cli.py:_run_bounds",
+    }
+
+
 def _raisers(matches) -> set[str]:
     """``file:function`` of every ``raise`` in the package whose exception, as source text, ``matches``."""
     owners = set()
