@@ -113,6 +113,45 @@ def product_uniform_smallball(ell: int, s: float, eps):
     return _ret(out, scalar)
 
 
+def bilinear_gaussian_smallball(sigma, eps: float) -> float:
+    """Exact P(|sum_i sigma_i g_i h_i| <= eps) for independent standard Gaussians g_i and h_i.
+
+    This is the small-ball law of <F, x (x) y> for x, y ~ N(0, I) and a row F
+    of singular values ``sigma``.  The sum has characteristic function
+    phi(t) = prod_i (1 + sigma_i^2 t^2)^(-1/2), so by Gil-Pelaez
+    P = (2/pi) int_0^inf sin(eps t)/t phi(t) dt.  At rank 1 that is
+    (2/pi) int_0^(eps/sigma) K_0 (scipy's ``iti0k0``); otherwise, with sigma
+    scaled to a largest entry of 1, ``scipy.integrate.quad`` integrates up to
+    50/eps split at the powers of ten, and the rest as a sine transform
+    (QUADPACK's QAWF).  ``sigma`` must be positive and finite, ``eps`` > 0.
+    """
+    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
+    if sigma.ndim != 1 or sigma.size == 0 or not np.all((sigma > 0) & (sigma < math.inf)):
+        raise ValidationError(f"sigma must be a nonempty list of positive finite values, got {sigma}")
+    if not 0 < eps < math.inf:
+        raise ValidationError(f"eps must be positive and finite, got {eps}")
+    # imported here so that importing the package does not load scipy
+    from scipy import integrate, special
+
+    if sigma.size == 1:
+        return 2 / math.pi * float(special.iti0k0(eps / sigma[0])[1])
+    scale = sigma.max()
+    sigma, eps = sigma / scale, eps / scale
+
+    def phi(t):
+        return math.exp(-0.5 * float(np.sum(np.log1p((sigma * t) ** 2))))
+
+    top = 50.0 / eps
+    edges = [0.0, *(10.0**k for k in range(-1, math.ceil(math.log10(top))) if 10.0**k < top), top]
+    body = sum(
+        integrate.quad(lambda t: math.sin(eps * t) / t * phi(t), a, b, epsabs=0.0, epsrel=1e-10, limit=200)[0]
+        for a, b in zip(edges, edges[1:])
+    )
+    # QAWF takes an absolute tolerance only
+    tail = integrate.quad(lambda t: phi(t) / t, top, math.inf, weight="sin", wvar=eps, epsabs=1e-13 * body)[0]
+    return min(1.0, 2 / math.pi * (body + tail))
+
+
 def exact_smallball(specs, basis, eps_grid) -> list[float] | None:
     """Exact P(||proj of X_1 x ... x X_l|| <= eps*sqrt(m)) onto ``basis`` per point of ``eps_grid``, or None
     where no closed form is known. Known: every factor uniform on one [-s, s] and a coordinate direction
@@ -258,7 +297,10 @@ def bound_concentration_subgaussian(
     eps, scalar = _as_array(eps)
     if not np.all((eps >= 0) & (eps <= 1)):
         raise RangeError("bound_concentration_subgaussian requires 0 <= eps <= 1")
-    rate = cfg.C_main * (1.0 - eps) ** 2 * m / n ** (ell - 1)
+    # the size ratio first, a float under the ceiling; a rate past the float range is inf, whose
+    # tail exp(-inf) = 0 is the bound's value there
+    with np.errstate(over="ignore"):
+        rate = cfg.C_main * (1.0 - eps) ** 2 * (m / n ** (ell - 1))
     if variant == "vershynin":
         out = 2.0 * np.exp(-rate / ell)
     else:

@@ -12,10 +12,10 @@ Review 2009) gives s_min^2 as the smallest eigenvalue of an r x r Hadamard
 product of factor Grams.  Trials whose eigenvalue lies within a rounding
 band of zero or of a squared threshold are redone by SVD, so every count is
 the SVD's count.  Most trials need no eigenvalue at all: a vectorized
-LDL^T of G - (t_max^2 + band) I whose pivots are all finite and positive
-puts lambda_min above t_max^2 + band, less (r+1)*u*trace(G) of rounding
-(u the unit roundoff; Higham 2002, section 10.1), which leaves it outside
-the band above the top threshold, where the trial counts no hit.
+float32 LDL^T of G - (t_max^2 + band) I, its shift widened by the float32
+rounding (Higham 2002, section 10.1), whose pivots are all finite and
+positive puts lambda_min above t_max^2 + band, outside the band above the
+top threshold, where the trial counts no hit.
 
 The rank tolerance, the rounding band, the base-vector norm cap (1) and the
 bound constants (``BoundConfig()``) are fixed module values.
@@ -164,36 +164,63 @@ class SminTailResult:
 
 
 def _screen(gram: np.ndarray, shift: np.ndarray, scratch: _Scratch) -> np.ndarray:
-    """True for each Gram whose LDL^T pivots of ``gram - shift * I`` are all finite and > 0.
+    """True for each Gram whose smallest eigenvalue a float32 LDL^T elimination proves above ``shift``.
 
-    The elimination runs on every matrix of the stack at once, one pivot per
-    step, in the ``scratch`` arrays ``"mode_gram"`` and ``"schur"`` in turn;
-    ``gram`` is left as it was.  Each step is elementwise over the stack, so
-    no pivot depends on which matrices share the call.  A passing matrix is
-    positive definite up to the rounding of the elimination: with u the unit
-    roundoff and r the order, its smallest eigenvalue exceeds
-    ``shift - (r + 1) * u * trace(gram)`` (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2002, section 10.1).  Like ``eigvalsh``, it reads
-    the lower triangle.  A NaN pivot fails ``> 0``, and a NaN or infinite
-    entry there reaches a later pivot as NaN or -inf, so a non-finite Gram or
-    shift never passes.
+    Each Gram G of order r is scaled by c, the power of two with c * |trace(G)|
+    in [1/2, 1), and the elimination runs in float32 on c * (G - (shift + w) I),
+    where the widening w, about (r + 2) * 2^-24 * trace(G) for a shift >= 0,
+    pays for the float32 cast and every rounding of the elimination.  A Gram
+    passes when all its pivots are finite and > 0, and then its lambda_min is
+    above ``shift`` itself.  The converse holds but for about as much again: a
+    Gram whose lambda_min exceeds shift + 2 w passes (checked in the tests; it
+    decides speed, never a count).  Like ``eigvalsh``, the screen reads the
+    lower triangle.  The elimination runs on every matrix of the stack at
+    once, one pivot per step, in the ``scratch`` arrays ``"mode_gram"`` and
+    ``"schur"`` in turn; ``gram`` is left as it was.  Each step is elementwise
+    over the stack, so no pivot depends on which matrices share the call.  A
+    NaN pivot fails ``> 0``, and a NaN or infinite entry, or one past the
+    float32 range after scaling, reaches a later pivot as NaN or -inf, so a
+    non-finite Gram or shift never passes.
     """
     rows, r = gram.shape[0], gram.shape[-1]
-    # the stack axis last, so that every step runs over contiguous rows of it
-    a = scratch.array("mode_gram", (r, r, rows))
-    np.copyto(a, gram.transpose(1, 2, 0))
-    passed = np.ones(rows, dtype=bool)
-    # NaN and inf stay in the matrix that makes them: a non-finite Gram or
-    # shift fails at the pivot they reach, and a failed matrix, which goes on
-    # dividing by its zero or NaN pivot, stays failed
+    u = 2.0**-24
+    # Why a pass proves lambda_min(G) > s.  With s' = s + w, X = c (G - s' I) is exact in float64
+    # but for one rounding of each G_ii - s', and its cast A = X + E has |E_ij| <= u |X_ij|.  The
+    # elimination computes L D L^T = A + F with |F| <= gamma_{r+1} |L| D |L^T| (Higham 2002,
+    # section 10.1: an entry meets a division, a product and a subtraction per update, r + 1
+    # roundings in all once folded).  A pass means D > 0, so M = L D L^T is positive definite, and
+    # by Cauchy-Schwarz |L| D |L^T| and |A| - |F| are entrywise at most sqrt(M_ii M_jj), a matrix
+    # of spectral norm trace(M).  So ||F|| + ||E|| <= (gamma_{r+1} + u (1 + gamma_{r+1}) / (1 - u))
+    # trace(M), with trace(M) <= trace(A) / (1 - gamma_{r+1}) <= (1 + u) trace(X) / (1 - gamma_{r+1})
+    # (A's diagonal is positive), and by Weyl lambda_min(X) > -(r + 2) u (1 + u) / ((1 - u)
+    # (1 - 2 (r + 1) u)) trace(X).  With T = |trace(G)| - r min(s, 0), trace(X) <= c T, so
+    # lambda_min(G) > s' less that factor times T.  The widening's 1 - 2 (r + 3) u leaves
+    # (r + 2) 2^-48 T over, more than the float64 roundings of the trace, w, s' and G_ii - s' (a
+    # few r 2^-53 T) and the float32 underflows (about 3 r^2 2^-150 / c, and 1/c <= 2 T but for a
+    # zero trace, whose Gram with a diagonal >= 0 is 0) take.  It needs 2 (r + 3) u < 1, which
+    # every r x r Gram that fits in memory meets.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a.reshape(r * r, rows)[:: r + 1] -= shift
+        trace = np.trace(gram, axis1=1, axis2=2)
+        widened = shift + (r + 2) * u / (1 - 2 * (r + 3) * u) * (np.abs(trace) - r * np.minimum(shift, 0))
+        # |trace| * scale in [1/2, 1); a trace below 2^-1024 gives a scale of inf, and NaN or inf
+        # one of 1, and either a Gram that fails
+        scale = np.ldexp(1.0, -np.frexp(trace)[1])
+        # the stack axis last, so that every step runs over contiguous rows of it
+        a = scratch.array("mode_gram", (r, r, rows), np.float32)
+        np.multiply(gram.transpose(1, 2, 0), scale, out=a)
+        diagonal = np.diagonal(gram, axis1=1, axis2=2).T - widened
+        diagonal *= scale
+        a.reshape(r * r, rows)[:: r + 1] = diagonal
+        passed = np.ones(rows, dtype=bool)
+        # NaN and inf stay in the matrix that makes them: a non-finite Gram or
+        # shift fails at the pivot they reach, and a failed matrix, which goes on
+        # dividing by its zero or NaN pivot, stays failed
         for k in range(1, r + 1):
             pivot = a[0, 0]
             passed &= (pivot > 0) & (pivot < np.inf)
             if k == r:
                 break
-            schur = scratch.array(("mode_gram", "schur")[k % 2], (r - k, r - k, rows))
+            schur = scratch.array(("mode_gram", "schur")[k % 2], (r - k, r - k, rows), np.float32)
             col = a[1:, 0]
             np.multiply(col[:, None], col / pivot, out=schur)
             np.subtract(a[1:, 1:], schur, out=schur)
@@ -230,12 +257,19 @@ def _smin_hits(e: SmoothedEnsemble, thresholds: np.ndarray, rng, size: int, scra
     for start in range(0, size, block):
         part = [a[start : start + block] for a in mats]
         rows = len(part[0])
-        gram = np.matmul(part[0].transpose(0, 2, 1), part[0], out=scratch.array("gram", (rows, e.r, e.r)))
+        gram = scratch.array("gram", (rows, e.r, e.r))
         mode_gram = scratch.array("mode_gram", (rows, e.r, e.r))
-        for a in part[1:]:
-            gram *= np.matmul(a.transpose(0, 2, 1), a, out=mode_gram)
+        transposed = scratch.array("transposed", (rows, e.r, e.n))
+        for j, a in enumerate(part):
+            # A^T copied whole, so that np.matmul runs one BLAS gemm per trial; on the
+            # transposed view it takes a strided loop of its own
+            np.copyto(transposed, a.transpose(0, 2, 1))
+            np.matmul(transposed, a, out=mode_gram if j else gram)
+            if j:
+                gram *= mode_gram
         # Why the band certifies the count.  With u the unit roundoff, each
-        # computed Gram entry is off by at most n*u*|a_i||a_k| per mode, so
+        # computed Gram entry is off by at most n*u*|a_i||a_k| per mode, in
+        # any order of summation (BLAS's gemm included), so
         # the Hadamard product G is off entrywise by at most about
         # ell*(n+1)*u*d_i*d_k, d_i = sqrt(G_ii) the Khatri-Rao column norms;
         # that error matrix has spectral norm <= ell*(n+1)*u*trace(G), and by
@@ -253,12 +287,12 @@ def _smin_hits(e: SmoothedEnsemble, thresholds: np.ndarray, rng, size: int, scra
         # trial is redone by SVD.  NaN fails every comparison below, so it is
         # redone too.
         # The screen passes a trial only if its lambda_min exceeds
-        # t_max^2 + band - (r+1)*u*trace(G), which is above t_max^2 by more
-        # than the band's worth of rounding while (r+1)*u << 1e-10: the SVD's
-        # s_min is above every threshold, so the trial counts no hit, as the
-        # SVD would count it.  The screen computes no spectrum, so such a
-        # trial skips the sandwich check; a non-finite Gram never passes, so
-        # every draw that could fail the check still reaches it.
+        # t_max^2 + band (its float32 rounding is paid for inside it), which
+        # is above t_max^2 by the band's worth of rounding: the SVD's s_min is
+        # above every threshold, so the trial counts no hit, as the SVD would
+        # count it.  The screen computes no spectrum, so such a trial skips
+        # the sandwich check; a non-finite Gram never passes, so every draw
+        # that could fail the check still reaches it.
         band = _GRAM_BAND * np.trace(gram, axis1=1, axis2=2)
         screened = _screen(gram, top_sq + band, scratch)
         spectral = np.flatnonzero(~screened)
@@ -299,26 +333,31 @@ def smin_tail_experiment(e: SmoothedEnsemble, cfg: ExperimentConfig, eps_grid) -
 
     Per trial, draws the smoothed factors A_1..A_ell and takes s_min^2 as the
     smallest eigenvalue of the r x r Gram G = (A_1^T A_1) * ... * (A_ell^T A_ell)
-    of the Khatri-Rao matrix, which is never formed.  First a shifted LDL^T
-    screen (``_screen``) passes each trial whose G - (t_max^2 + band) I has
-    finite positive pivots: its lambda_min is above t_max^2 + band up to
-    (r+1)*u*trace(G) of rounding, so its s_min is above every threshold and
-    it needs no eigenvalue (about 99% of the trials at r = 20, n = 8,
-    ell = 3, rho = 1 on the default grid).  A trial the screen leaves whose
-    smallest eigenvalue is non-finite, at most ``_GRAM_BAND * trace(G)``, or
-    within that band of a squared threshold is redone by full SVD of its
-    Khatri-Rao matrix, so every hit count equals the SVD's count.  Hits are
-    counted against the thresholds sqrt(1 - r/n^ell) * (c rho)^ell * eps, one
-    per point of the decreasing ``eps_grid``.  The singular-value sandwich
+    of the Khatri-Rao matrix, which is never formed.  Each mode Gram is one
+    BLAS gemm per trial on a contiguous copy of A_j^T.  First a shifted LDL^T
+    screen (``_screen``) passes each trial whose G - (t_max^2 + band) I,
+    scaled by a power of two near 1/trace(G) and cast to float32, has finite
+    positive pivots after its shift is widened by about (r+2)*2^-24*trace(G)
+    for the float32 rounding: its lambda_min is above t_max^2 + band, so its
+    s_min is above every threshold and it needs no eigenvalue (about 99% of
+    the trials at r = 20, n = 8, ell = 3, rho = 1 on the default grid).  A
+    trial the screen leaves whose smallest eigenvalue is non-finite, at most
+    ``_GRAM_BAND * trace(G)``, or within that band of a squared threshold is
+    redone by full SVD of its Khatri-Rao matrix, so every hit count equals
+    the SVD's count.  Hits are counted against the thresholds
+    sqrt(1 - r/n^ell) * (c rho)^ell * eps, one per point of the decreasing
+    ``eps_grid``.  The singular-value sandwich
     1/s_min^2 <= ||A^+||_HS^2 <= r/s_min^2 is checked on every draw the
     screen leaves, from the eigenvalues or the redone singular values; a
     failure (non-finite or misordered values) raises ``DegeneracyError``.  A
     non-finite Gram never passes the screen, so every draw that could fail
     the check reaches it.
-    Memory per batch is O(size * ell*n*r) for the draws plus one block: three
-    r x r arrays (Gram, mode Gram, screen) for each of ``_block_rows(2 * r * r)``
-    trials, or the n^ell x r matrices of ``_block_rows(n**ell * r)`` redone
-    trials.  The constants c and C are those of the default ``BoundConfig``.
+    Memory per batch is O(size * ell*n*r) for the draws plus one block: for
+    each of ``_block_rows(2 * r * r)`` trials the Gram and a mode Gram, whose
+    bytes the screen reuses in float32, an r x n copy of a factor and the
+    screen's float32 Schur complement, or the n^ell x r matrices of
+    ``_block_rows(n**ell * r)`` redone trials.  The constants c and C are
+    those of the default ``BoundConfig``.
     """
     bound_cfg = BoundConfig()
     prefactor = _smin_scale(e.r, e.n, e.ell, e.rho, bound_cfg.c_small)

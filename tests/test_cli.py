@@ -655,6 +655,16 @@ def test_bounds_nondeterministic_past_the_float_range(tmp_path, args, column):
     assert [row["nondeterministic"] for row in rows] == column
 
 
+def test_bounds_concentration_rate_past_the_float_range(tmp_path):
+    # C_main * m overflowed a float below the size ceiling, and numpy's warning refused the whole
+    # table with exit 2; the rate is past the float range there, so both tails are 0
+    argv = ("bounds", "--n", "2", "--l", "1", "--m", str(2**1023), "--c-main", "4")
+    assert run_cli(*argv, "--out", str(tmp_path)) == 0
+    rows = read_rows(tmp_path / "bounds.csv")[1]
+    assert len(rows) == 20
+    assert all(row["concentration_vershynin"] == row["concentration_bamberger"] == "0.0" for row in rows)
+
+
 @pytest.mark.parametrize("n, ell", [(2**1023, 1), (2**31, 32)], ids=["n=2^1023", "n^l=2^992"])
 def test_bounds_accept_the_ceiling(tmp_path, n, ell):
     """n^l up to 2^1023 is inside the float ceiling of the bounds: the columns that read n are filled."""

@@ -1,4 +1,5 @@
 import math
+import timeit
 import warnings
 
 import numpy as np
@@ -27,6 +28,7 @@ from tensorball import (
     product_uniform_smallball,
     sharpness_lower_bound,
 )
+from tensorball.exact_laws import bilinear_gaussian_smallball
 
 
 def test_cdf_endpoints():
@@ -261,6 +263,17 @@ def test_concentration_examples():
     assert b < a
 
 
+@pytest.mark.parametrize("variant", ["vershynin", "bamberger"])
+def test_concentration_rate_past_the_float_range(variant):
+    """C_main * m past the float range below the size ceiling: the rate divides by n^(l-1) first, and a
+    rate that still overflows gives the tail exp(-inf) = 0 (numpy's overflow warning used to escape)."""
+    cfg = BoundConfig(C_main=4.0)
+    assert bound_concentration_subgaussian(0.1, 2**1023, 2, 1, cfg, variant) == 0.0
+    # m / n^(l-1) = 2, so the rate is 4 * 0.9^2 * 2 = 6.48
+    want = 2 * math.exp(-6.48 / 1023) if variant == "vershynin" else math.e**2 * math.exp(-6.48)
+    assert bound_concentration_subgaussian(0.1, 2**1023, 2, 1023, cfg, variant) == pytest.approx(min(want, 1.0))
+
+
 def test_concentration_unknown_variant():
     with pytest.raises(ValidationError):
         bound_concentration_subgaussian(0.5, 10, 4, 2, variant="unknown")
@@ -444,3 +457,73 @@ CEILING_CALLS = [
 def test_bounds_refuse_sizes_above_the_float_ceiling(fn, args):
     with pytest.raises(RangeError, match=r"float ceiling of the closed-form bounds; got (n\^ell|m) > 2\^1023"):
         fn(*args)
+
+
+BILINEAR_EPS = [1e-1, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12]
+
+
+@pytest.mark.parametrize("sigma", [(0.9, 0.3), (1.0, 1e-3)], ids=["0.9,0.3", "1,1e-3"])
+def test_bilinear_rank_two_is_a_laplace_mixture(sigma):
+    """An independent route: given h, the sum is N(0, a^2 R^2) with h = R (cos t, sin t) and
+    a(t)^2 = sigma_1^2 cos^2 t + sigma_2^2 sin^2 t; a Gaussian times a Rayleigh R is Laplace, so
+    P = (2/pi) int_0^(pi/2) (1 - exp(-eps / a(t))) dt, here at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    s1, s2 = sigma
+    for eps in BILINEAR_EPS:
+        with mpmath.workdps(30):
+            e = mpmath.mpf(eps)
+            width = lambda t: mpmath.sqrt((s1 * mpmath.cos(t)) ** 2 + (s2 * mpmath.sin(t)) ** 2)
+            want = 2 / mpmath.pi * mpmath.quad(lambda t: -mpmath.expm1(-e / width(t)), [0, mpmath.pi / 2])
+        assert bilinear_gaussian_smallball(sigma, eps) == pytest.approx(float(want), rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-6, 1e-12])
+@pytest.mark.parametrize(
+    "sigma", [(0.826, 0.460, 0.315, 0.087), (0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05, 0.01)], ids=["rank4", "rank8"]
+)
+def test_bilinear_matches_mpmath_gil_pelaez(sigma, eps):
+    """The Gil-Pelaez integral at 30 digits.  From 50/eps on, |phi(t)| <= t^-r / prod(sigma) leaves
+    under 1e-12 of the whole at these ranks for eps <= 1e-2, so the reference stops there."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        s, e = [mpmath.mpf(x) for x in sigma], mpmath.mpf(eps)
+        top = 50 / e
+        edges = [0, *(mpmath.mpf(10) ** k for k in range(-1, 15) if mpmath.mpf(10) ** k < top), top]
+        phi = lambda t: mpmath.fprod(1 / mpmath.sqrt(1 + (x * t) ** 2) for x in s)
+        want = 2 / mpmath.pi * mpmath.quad(lambda t: mpmath.sin(e * t) / t * phi(t), edges)
+    assert bilinear_gaussian_smallball(sigma, eps) == pytest.approx(float(want), rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("eps", BILINEAR_EPS)
+def test_bilinear_rank_one_is_the_k0_integral(eps):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        want = 2 / mpmath.pi * mpmath.quad(lambda x: mpmath.besselk(0, x), [0, mpmath.mpf(eps) / mpmath.mpf(0.7)])
+    assert bilinear_gaussian_smallball([0.7], eps) == pytest.approx(float(want), rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("eps", BILINEAR_EPS)
+def test_bilinear_equal_rank_two_is_laplace(eps):
+    """sigma = (1, 1)/sqrt(2): phi(t) = 1/(1 + t^2/2), the Laplace law of scale 1/sqrt(2), so
+    P = 1 - exp(-sqrt(2) eps) and p/eps tends to sqrt(2)."""
+    p = bilinear_gaussian_smallball([2**-0.5] * 2, eps)
+    assert p == pytest.approx(-math.expm1(-math.sqrt(2) * eps), rel=1e-10, abs=0)
+    if eps <= 1e-10:
+        assert p / eps == pytest.approx(math.sqrt(2), rel=1e-9)
+
+
+def test_bilinear_point_costs_at_most_20_ms():
+    for sigma in ([0.826, 0.460, 0.315, 0.087], [0.9, 0.3], [1.0, 1e-3], [0.7]):
+        for eps in BILINEAR_EPS:
+            best = min(timeit.repeat(lambda: bilinear_gaussian_smallball(sigma, eps), number=1, repeat=5))
+            assert best <= 0.02, (sigma, eps, best)
+
+
+@pytest.mark.parametrize(
+    "sigma, eps",
+    [([], 0.1), ([0.5, 0.0], 0.1), ([0.5, -1.0], 0.1), ([math.nan], 0.1), ([math.inf, 1.0], 0.1),
+     ([[0.5, 0.5]], 0.1), ([0.5], 0.0), ([0.5], -1.0), ([0.5], math.nan), ([0.5], math.inf)],
+)
+def test_bilinear_refuses_bad_input(sigma, eps):
+    with pytest.raises(ValidationError):
+        bilinear_gaussian_smallball(sigma, eps)

@@ -317,6 +317,34 @@ def test_smin_tail_gram_counts_equal_svd_counts(svd_spy, r, n, ell, rho, seed):
     assert 0 < sum(counts) < 5 * 200
 
 
+@pytest.mark.parametrize(
+    "rho, base_scale, screened",
+    [(1e-6, 1.0, False), (1.0, 1.0, True), (1e3, 1.0, True), (1e8, 1.0, True), (1e-10, 1e-10, True)],
+    ids=["rho=1e-6", "rho=1", "rho=1e3", "gram>float32", "gram<float32"],
+)
+def test_smin_tail_counts_equal_svd_counts_at_every_scale(monkeypatch, rho, base_scale, screened):
+    """The float32 screen scales each Gram before the cast, so Grams far above or below the float32
+    range (entries near 1e48 at rho = 1e8, near 1e-60 with base vectors and rho of 1e-10) are
+    screened like any other and count as the SVD does.  The grid puts thresholds among the trials'
+    own s_min, so the half above the top one is the screen's to pass; at rho = 1e-6 every s_min
+    lies within the screen's float32 widening of the top threshold, and eigvalsh takes them all."""
+    e = SmoothedEnsemble.random(6, 4, 3, rho, rng=11)
+    e = SmoothedEnsemble(r=e.r, n=e.n, ell=e.ell, rho=rho, base=tuple(base_scale * b for b in e.base))
+    cfg = ExperimentConfig(seed=7, trials=200, batch_size=200)
+    smin = replayed_smin(e, cfg)
+    prefactor = smin_tail_experiment(e, cfg, (1.0,)).thresholds[0]
+    seen = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, UPLO="L": seen.append(len(a)) or real(a, UPLO))
+    res = smin_tail_experiment(e, cfg, tuple(np.quantile(smin, [0.5, 0.2, 0.05, 0.01]) / prefactor))
+    assert res.curve.hit_counts == svd_counts(smin, res.thresholds)
+    assert 0 < res.curve.hit_counts[-1] < res.curve.hit_counts[0] <= 100
+    if screened:
+        assert sum(seen) <= res.curve.hit_counts[0] + 5
+    else:
+        assert sum(seen) == 200
+
+
 def test_smin_tail_ill_conditioned_ensemble_falls_back(svd_spy):
     """Near-duplicate Khatri-Rao columns put lambda_min inside the band: the SVD decides."""
     g = np.random.default_rng(8).standard_normal((4, 3))
@@ -401,9 +429,10 @@ def whole_batch_smin(e, thresholds, rng, size):
         a *= sigma
         a += e.base[j]
         mats.append(a)
-    gram = np.matmul(mats[0].transpose(0, 2, 1), mats[0])
+    # each mode Gram from a contiguous copy of A^T, as the kernel forms it
+    gram = np.matmul(mats[0].transpose(0, 2, 1).copy(), mats[0])
     for a in mats[1:]:
-        gram *= np.matmul(a.transpose(0, 2, 1), a)
+        gram *= np.matmul(a.transpose(0, 2, 1).copy(), a)
     band = kr_module._GRAM_BAND * np.trace(gram, axis1=1, axis2=2)
     screened = kr_module._screen(gram, np.max(thresholds) ** 2 + band, _Scratch())
     spectral = np.flatnonzero(~screened)
@@ -505,16 +534,18 @@ def screen_grams(rng, size, r):
 
 @pytest.mark.parametrize("r", [1, 2, 5, 20, 40])
 def test_screen_brackets_lambda_min(r):
-    """A passed Gram has lambda_min > shift - (r+1) u trace; one with lambda_min > shift + 1e-8 trace passes."""
+    """A passed Gram has lambda_min > shift - (r+1) u trace; one with lambda_min above shift by twice
+    the screen's float32 widening passes."""
     gram = screen_grams(np.random.default_rng(r), 200, r)
-    offsets = np.array([-1e-6, -1e-8, -1e-10, -1e-13, -1e-15, 0.0, 1e-15, 1e-13, 1e-10, 1e-8, 1e-6])
+    offsets = np.array([-1e-6, -1e-8, -1e-10, -1e-13, -1e-15, 0.0, 1e-15, 1e-13, 1e-10, 1e-8, 1e-6, 1e-4])
     gram = np.repeat(gram, offsets.size, axis=0)
     lam_min = np.linalg.eigvalsh(gram)[:, 0]
     trace = np.trace(gram, axis1=1, axis2=2)
     shift = lam_min - np.tile(offsets, 200) * trace
     passed = kr_module._screen(gram, shift, _Scratch())
     assert np.all(lam_min[passed] > shift[passed] - (r + 1) * 2.0**-53 * trace[passed])
-    assert np.all(passed[lam_min > shift + 1e-8 * trace])
+    widening = (r + 2) * 2.0**-24 / (1 - 2 * (r + 3) * 2.0**-24) * (np.abs(trace) - r * np.minimum(shift, 0))
+    assert np.all(passed[lam_min > shift + 2 * widening])
     assert 0 < np.count_nonzero(passed) < passed.size
 
 
@@ -535,13 +566,26 @@ def test_screen_never_passes_a_non_finite_gram(bad):
 def test_screen_does_not_depend_on_the_blocks():
     gram = screen_grams(np.random.default_rng(1), 60, 6)
     lam_min = np.linalg.eigvalsh(gram)[:, 0]
-    shift = lam_min * (1 + np.random.default_rng(2).uniform(-1e-12, 1e-12, 60))
+    # spread across the float32 screen's widening, so that some Grams pass and some fail
+    shift = lam_min - np.random.default_rng(2).uniform(-1e-5, 1e-5, 60) * np.trace(gram, axis1=1, axis2=2)
     scratch = _Scratch()
     whole = kr_module._screen(gram, shift, scratch)
     assert 0 < np.count_nonzero(whole) < 60
     for cuts in ([1], [7, 30], list(range(1, 60))):
         parts = [kr_module._screen(g, s, scratch) for g, s in zip(np.split(gram, cuts), np.split(shift, cuts))]
         assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_screen_does_not_depend_on_the_scale():
+    """Each Gram is scaled by a power of two before the float32 cast, so scaling a Gram and its
+    shift by 2^k, far past the float32 range either way, passes the same Grams."""
+    gram = screen_grams(np.random.default_rng(3), 60, 6)
+    lam_min = np.linalg.eigvalsh(gram)[:, 0]
+    shift = lam_min - np.random.default_rng(4).uniform(-1e-5, 1e-5, 60) * np.trace(gram, axis1=1, axis2=2)
+    whole = kr_module._screen(gram, shift, _Scratch())
+    assert 0 < np.count_nonzero(whole) < 60
+    for k in (-600, -300, 300, 600):
+        assert np.array_equal(kr_module._screen(gram * 2.0**k, shift * 2.0**k, _Scratch()), whole)
 
 
 def test_smin_screen_leaves_few_trials_to_eigvalsh(monkeypatch):

@@ -5,9 +5,9 @@ Runs the ``dense-haar`` call and every ``mc-mixed`` call of
 and compares their hit counts with ``perfbench/goldens.json``.  Those counts
 go through the dense and the gathered contraction, the norm and Kronecker
 kernels and the histogram sampler, so a change that moves any of their bits
-shows here.  The ``smoothed`` workload's first ``smin`` call is held to its
-golden too, and some of its ``decompose`` calls, noisy and noiseless of both
-shapes, to the workload's own output check.  This test reads
+shows here.  The ``smoothed`` workload's four ``smin`` calls are held to
+their goldens too, and some of its ``decompose`` calls, noisy and noiseless
+of both shapes, to the workload's own output check.  This test reads
 ``perfbench/`` and changes nothing there.
 """
 
@@ -34,7 +34,17 @@ def load_workloads(monkeypatch):
 
 @pytest.mark.parametrize(
     "workload, index",
-    [("dense-haar", 0), ("mc-mixed", 0), ("mc-mixed", 1), ("mc-mixed", 2), ("mc-mixed", 3), ("smoothed", 0)],
+    [
+        ("dense-haar", 0),
+        ("mc-mixed", 0),
+        ("mc-mixed", 1),
+        ("mc-mixed", 2),
+        ("mc-mixed", 3),
+        ("smoothed", 0),
+        ("smoothed", 17),
+        ("smoothed", 34),
+        ("smoothed", 51),
+    ],
 )
 def test_hit_counts_match_goldens(tmp_path, capsys, monkeypatch, workload, index):
     workloads = load_workloads(monkeypatch)
